@@ -30,14 +30,21 @@ EXIT_PARSE = 2
 EXIT_SHAPE = 3
 EXIT_NUMERIC = 4
 
+
+def _int(text):
+    # A number that is not an integer is a config value out of range (exit
+    # 3); text that is not a number stays a parse error (exit 2).
+    return fileio.parse_int(text, InvalidConfig)
+
+
 _WEIGHT_KEYS = {
     "alpha": float, "beta": float, "gamma": float,
-    "tau_sl": float, "tau_sd": float, "k": int,
-    "lambda": float, "n_iters": int,
+    "tau_sl": float, "tau_sd": float, "k": _int,
+    "lambda": float, "n_iters": _int,
 }
 _DISTILL_KEYS = {
-    "seed": int, "m": int, "n": int, "T": int,
-    "contexts": int, "steps": int, "lr": float, "sharpness": float,
+    "seed": _int, "m": _int, "n": _int, "T": _int,
+    "contexts": _int, "steps": _int, "lr": float, "sharpness": float,
 }
 
 
@@ -49,6 +56,8 @@ def _parse_config(path, schemas):
             if key in schema:
                 try:
                     out[key] = schema[key](value)
+                except InvalidConfig as exc:
+                    raise InvalidConfig(f"{path}: {key}: {exc}") from None
                 except ValueError as exc:
                     raise ParseError(f"{path}: bad value for {key}: {value!r}") from exc
                 break

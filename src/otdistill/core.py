@@ -28,7 +28,9 @@ def validate_logits(logits):
         raise InvalidInput(f"expected a 2-D logit matrix, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 2:
         raise InvalidInput(f"logit matrix must be at least 1x2, got {arr.shape}")
-    if not np.isfinite(arr).all():
+    # min and max propagate nan and expose +-inf, so checking them covers
+    # every entry without a boolean temporary of the matrix's size.
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise InvalidInput("logit matrix contains non-finite entries")
     return arr
 
@@ -41,9 +43,10 @@ def validate_probs(probs, tol=ROW_SUM_TOL):
     arr = np.asarray(probs, dtype=float)
     if arr.ndim != 2:
         raise InvalidInput(f"expected a 2-D probability matrix, got ndim={arr.ndim}")
-    if not np.isfinite(arr).all():
+    lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InvalidInput("probability matrix contains non-finite entries")
-    if arr.min(initial=0.0) < 0.0 or arr.max(initial=0.0) > 1.0:
+    if lo < 0.0 or hi > 1.0:
         raise InvalidInput("probability entries must lie in [0, 1]")
     row_sums = arr.sum(axis=1)
     if np.abs(row_sums - 1.0).max() > tol:
@@ -61,10 +64,22 @@ def softmax_rows(logits, temperature=1.0):
     tau = float(temperature)
     if not np.isfinite(tau) or tau <= 0.0:
         raise InvalidConfig(f"temperature must be positive, got {temperature}")
-    z = arr / tau
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax(arr, tau)
+
+
+def _softmax(arr, tau):
+    # The max is subtracted before dividing by tau, so x / tau cannot
+    # overflow to inf; entries far below the max may saturate to -inf, whose
+    # exp is the correct 0. Dividing by 1 is exact, so it is skipped. Every
+    # later step reuses the one output buffer. Callers have validated arr
+    # and tau.
+    with np.errstate(over="ignore"):
+        out = arr - arr.max(axis=1, keepdims=True)
+        if tau != 1.0:
+            out /= tau
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def softmax_backward(probs, grad_probs, temperature=1.0):

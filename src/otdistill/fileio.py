@@ -20,6 +20,19 @@ class ParseError(OTDistillError, ValueError):
     """A file could not be parsed or violates its format invariants."""
 
 
+def parse_int(text, error=InvalidInput):
+    """int(text) for an integer literal.
+
+    A number that is not an integer (2.5, nan) is a value out of range and
+    raises `error`; any other text raises ValueError, a parse error.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        float(text)
+        raise error(f"expected an integer, got {text.strip()!r}") from None
+
+
 def _fmt(x):
     return f"{x:.17g}"
 
@@ -125,7 +138,9 @@ def load_labels_file(path, expected=None):
     labels = []
     for lineno, line in enumerate(lines, start=1):
         try:
-            labels.append(int(line.strip()))
+            labels.append(parse_int(line))
+        except InvalidInput as exc:
+            raise InvalidInput(f"{path}: label on line {lineno}: {exc}") from None
         except ValueError as exc:
             raise ParseError(f"{path}: bad label on line {lineno}") from exc
     if expected is not None and len(labels) < expected:

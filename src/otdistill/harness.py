@@ -12,18 +12,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import softmax_backward, softmax_rows
-from .composite import (LossWeights, build_state, total_grad,
-                        total_loss_frozen)
+from .composite import (CE_ONLY, MULTILEVEL_OT, ULD, LossWeights, _forward,
+                        build_state)
 from .errors import InvalidConfig, NumericalFailure
 from .fileio import metrics_csv_text, write_text_atomic
-from .preprocess import align_and_truncate
-from .seq_ot import sd_loss, seq_cost_matrix, sinkhorn_plan
-from .token_ot import uld_grad, uld_loss
 
-MULTILEVEL_OT = "multilevel_ot"
-CE_ONLY = "ce_only"
-ULD = "uld"
+# A mode names the objective training differentiates; every mode records the
+# same multi-level loss breakdown.
 MODES = (MULTILEVEL_OT, CE_ONLY, ULD)
 
 
@@ -87,30 +82,10 @@ def _sequence_blocks(cfg: DistillConfig):
     # Every block trains (the student table has no feature sharing, so a row
     # that never trains never moves); the last quarter doubles as the
     # evaluation set, whose sequence-level metric is not what any single
-    # update step optimizes directly.
+    # update step optimizes directly. Returns the blocks and the eval count.
     n_seqs = cfg.contexts // cfg.tokens
-    n_eval = max(1, n_seqs // 4)
     blocks = [np.arange(i * cfg.tokens, (i + 1) * cfg.tokens) for i in range(n_seqs)]
-    return blocks, blocks[n_seqs - n_eval:]
-
-
-def held_out_sd(teacher_logits, student_logits, w: LossWeights) -> float:
-    """Sequence-level transport loss between two logit blocks at tau_sd."""
-    t = softmax_rows(teacher_logits, w.tau_sd)
-    s = softmax_rows(student_logits, w.tau_sd)
-    pair, _ = align_and_truncate(t, s, w.k, mode=w.match_mode)
-    cost = seq_cost_matrix(pair)
-    return sd_loss(cost, sinkhorn_plan(cost, w.sinkhorn))
-
-
-def _uld_mode_grad(teacher_logits, student_logits, w: LossWeights, state):
-    """CE gradient plus alpha times the padded-sort baseline loss gradient."""
-    grad = total_grad(teacher_logits, student_logits, w=replace(w, alpha=0.0),
-                      state=state)
-    t1 = softmax_rows(teacher_logits, w.tau_sl)
-    s1 = softmax_rows(student_logits, w.tau_sl)
-    g = w.alpha * uld_grad(t1, s1)
-    return grad + softmax_backward(s1, g, w.tau_sl)
+    return blocks, max(1, n_seqs // 4)
 
 
 def _partial_metrics(records) -> RunMetrics:
@@ -131,7 +106,7 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
     """
     teacher = make_teacher_table(cfg)
     W = _initial_student(cfg)
-    train_blocks, eval_blocks = _sequence_blocks(cfg)
+    train_blocks, n_eval = _sequence_blocks(cfg)
     w = cfg.weights
 
     # Pseudo-targets are generated once from the initial alignment and kept
@@ -147,32 +122,27 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
     for step in range(cfg.steps):
         grad_W = np.zeros_like(W)
         sums = dict.fromkeys(("ce", "had", "sl", "sd", "total"), 0.0)
+        sd_values = []
         for block, labels in zip(train_blocks, fixed_labels):
-            t_logits = teacher[block]
-            s_logits = W[block]
-            state = build_state(t_logits, s_logits, labels, w)
-            breakdown = total_loss_frozen(state, t_logits, s_logits, w)
+            # One fused pass: state, breakdown and the mode's gradient from
+            # the same softmaxes.
+            _, breakdown, grad = _forward(teacher[block], W[block], w,
+                                          labels=labels, grad=cfg.mode)
             if not np.isfinite(breakdown.total):
                 exc = NumericalFailure(f"non-finite loss at step {step}")
                 exc.metrics = _partial_metrics(records)
                 raise exc
             for name in sums:
                 sums[name] += getattr(breakdown, name)
-            if cfg.mode == MULTILEVEL_OT:
-                grad = total_grad(t_logits, s_logits, w=w, state=state)
-            elif cfg.mode == CE_ONLY:
-                grad = total_grad(t_logits, s_logits, w=replace(w, alpha=0.0),
-                                  state=state)
-            else:
-                grad = _uld_mode_grad(t_logits, s_logits, w, state)
+            sd_values.append(breakdown.sd)
             grad_W[block] = grad
 
         n_train = len(train_blocks)
         for name in sums:
             records[name].append(sums[name] / n_train)
-        records["eval_sd"].append(
-            float(np.mean([held_out_sd(teacher[b], W[b], w) for b in eval_blocks]))
-        )
+        # The held-out metric is the sequence loss at a freshly built plan,
+        # which is what the fused pass just computed for the eval blocks.
+        records["eval_sd"].append(float(np.mean(sd_values[-n_eval:])))
         W = W - cfg.lr * grad_W
 
     return RunMetrics(

@@ -12,12 +12,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInput, NumericalFailure, TooLargeForExact
+from .preprocess import ASSIGNMENT_LIMIT
 
 BRUTE_FORCE = "brute_force"
 ASSIGNMENT = "assignment"
 
 BRUTE_FORCE_LIMIT = 7
-ASSIGNMENT_LIMIT = 64
 
 
 @dataclass(frozen=True)

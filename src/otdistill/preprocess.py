@@ -17,8 +17,9 @@ from .errors import InvalidInput, TooLargeForExact
 SUM_SORT = "sum_sort"
 EXACT_ASSIGNMENT = "exact_assignment"
 
-# Exact matching solves a dense assignment; cubic cost caps it at desk scale.
-EXACT_MATCH_LIMIT = 64
+# Dense assignment (exact matching here, the exact-OT oracle) is cubic in
+# the dimension, which caps it at desk scale.
+ASSIGNMENT_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -80,22 +81,28 @@ def match_student(t_sr, s, mode=SUM_SORT):
     appended in ascending order so the result is a bijection on [0, n).
     """
     t_sr = np.asarray(t_sr, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if t_sr.shape[0] != s.shape[0]:
+    return _match(t_sr, np.arange(t_sr.shape[1]), np.asarray(s, dtype=float), mode)
+
+
+def _match(t, teacher_perm, s, mode):
+    # match_student on the ranked teacher t[:, teacher_perm], gathering only
+    # the columns the exact matcher reads.
+    if t.shape[0] != s.shape[0]:
         raise InvalidInput("teacher and student must have the same number of rows")
     if mode == SUM_SORT:
         return _descending_stable(s.sum(axis=0))
     if mode != EXACT_ASSIGNMENT:
         raise InvalidInput(f"unknown match mode: {mode!r}")
 
-    m, n = t_sr.shape[1], s.shape[1]
-    r = min(m, n)
-    if r > EXACT_MATCH_LIMIT:
+    n = s.shape[1]
+    r = min(t.shape[1], n)
+    if r > ASSIGNMENT_LIMIT:
         raise TooLargeForExact(
-            f"exact matching limited to {EXACT_MATCH_LIMIT} dimensions, got {r}"
+            f"exact matching limited to {ASSIGNMENT_LIMIT} dimensions, got {r}"
         )
     # D[i, j] = sum_t |t_sr[t, i] - s[t, j]| over the first r teacher columns.
-    mismatch = np.abs(t_sr[:, :r, None] - s[:, None, :]).sum(axis=0)
+    head = t[:, teacher_perm[:r]]
+    mismatch = np.abs(head[:, :, None] - s[:, None, :]).sum(axis=0)
     _, cols = linear_sum_assignment(mismatch)
     rest = np.setdiff1d(np.arange(n), cols)
     return np.concatenate([cols, rest])
@@ -113,6 +120,12 @@ def alignment_cost(t_sr, s, student_perm):
     return float(np.abs(t_sr[:, :r] - s_perm[:, :r]).sum())
 
 
+def _width(k, m, n):
+    if k < 1:
+        raise InvalidInput(f"truncation width must be >= 1, got {k}")
+    return min(int(k), m, n)
+
+
 def truncate_topk(t_sr, s_sr, k):
     """Keep the first min(k, m, n) columns of both ranked matrices.
 
@@ -121,25 +134,27 @@ def truncate_topk(t_sr, s_sr, k):
     """
     t_sr = np.asarray(t_sr, dtype=float)
     s_sr = np.asarray(s_sr, dtype=float)
-    if k < 1:
-        raise InvalidInput(f"truncation width must be >= 1, got {k}")
-    k_eff = min(int(k), t_sr.shape[1], s_sr.shape[1])
+    k_eff = _width(k, t_sr.shape[1], s_sr.shape[1])
     return AlignedPair(teacher=t_sr[:, :k_eff], student=s_sr[:, :k_eff])
 
 
 def align_and_truncate(t, s, k, mode=SUM_SORT):
     """Full alignment pipeline: rank teacher, match student, truncate.
 
-    Returns (AlignedPair, RankSelection).
+    Ranking and matching read column sums, so only the k kept columns of
+    each matrix are ever gathered. Returns (AlignedPair, RankSelection).
     """
-    teacher_perm, t_sr = sequence_rank_teacher(t)
-    student_perm = match_student(t_sr, np.asarray(s, dtype=float), mode=mode)
-    s_sr = np.asarray(s, dtype=float)[:, student_perm]
-    pair = truncate_topk(t_sr, s_sr, k)
+    t = validate_probs(t)
+    s = np.asarray(s, dtype=float)
+    k_eff = _width(k, t.shape[1], s.shape[1])
+    teacher_perm = _descending_stable(t.sum(axis=0))
+    student_perm = _match(t, teacher_perm, s, mode)
+    pair = AlignedPair(teacher=t[:, teacher_perm[:k_eff]],
+                       student=s[:, student_perm[:k_eff]])
     sel = RankSelection(
         teacher_perm=teacher_perm,
         student_perm=student_perm,
-        k=pair.teacher.shape[1],
+        k=k_eff,
         match_mode=mode,
     )
     return pair, sel

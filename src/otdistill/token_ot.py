@@ -86,11 +86,11 @@ def uld_grad(t, s) -> np.ndarray:
     t_pad = np.pad(t, ((0, 0), (0, width - t.shape[1])))
     t_sorted = -np.sort(-t_pad, axis=1)
 
-    grad = np.zeros_like(s)
-    for row in range(s.shape[0]):
-        order = np.argsort(-s[row], kind="stable")
-        # student's j-th column sits at sorted position pos[j]
-        s_sorted = s[row, order]
-        signs = np.sign(s_sorted - t_sorted[row, : s.shape[1]])
-        grad[row, order] = signs
+    # Column j of the stable descending order is the student entry at sorted
+    # position j; ties keep ascending column order.
+    order = np.argsort(-s, axis=1, kind="stable")
+    s_sorted = np.take_along_axis(s, order, axis=1)
+    signs = np.sign(s_sorted - t_sorted[:, : s.shape[1]])
+    grad = np.empty_like(s)
+    np.put_along_axis(grad, order, signs, axis=1)
     return grad

@@ -19,6 +19,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -252,13 +253,16 @@ def test_repeat_runs_are_bit_identical(tmp_path):
     assert cli.main(["distill", "--config", str(config), "--out", str(b)]) == 0
     same_bytes = a.read_bytes() == b.read_bytes()
 
+    # The probe imports the same otdistill as this process, installed or not.
+    package_parent = str(Path(cli.__file__).resolve().parents[1])
     outputs = set()
     for threads in ("1", "4"):
         proc = subprocess.run(
             [sys.executable, "-c", _THREAD_PROBE],
             capture_output=True, text=True, check=True,
             env={"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads,
-                 "MKL_NUM_THREADS": threads, "PATH": "/usr/bin:/bin"},
+                 "MKL_NUM_THREADS": threads, "PATH": "/usr/bin:/bin",
+                 "PYTHONPATH": package_parent},
         )
         outputs.add(proc.stdout)
     report("repeat runs are byte-identical across processes and thread counts",

@@ -81,6 +81,24 @@ class TestLossCommand:
         assert code == 2
         assert "bad.json" in err
 
+    @pytest.mark.parametrize("line", ["tau_sl=nan", "tau_sd=inf", "k=2.5"])
+    def test_out_of_range_config_value_exits_3(self, capsys, logit_pair,
+                                               tmp_path, line):
+        config = tmp_path / "w.cfg"
+        config.write_text(line + "\n")
+        code, _, err = run(capsys, "loss", "--teacher", logit_pair[0],
+                           "--student", logit_pair[1], "--config", str(config))
+        assert code == 3
+        assert line.split("=")[0] in err
+
+    def test_non_integer_label_exits_3(self, capsys, logit_pair, tmp_path):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n1.7\n0\n")
+        code, _, err = run(capsys, "loss", "--teacher", logit_pair[0],
+                           "--student", logit_pair[1], "--labels", str(labels))
+        assert code == 3
+        assert "line 2" in err
+
     def test_nan_logit_file_exits_2(self, capsys, tmp_path, logit_pair):
         bad = tmp_path / "nan.json"
         bad.write_text('{"tokens": 1, "vocab": 2, "logits": [[0, NaN]]}')

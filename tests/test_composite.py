@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from otdistill import (InvalidInput, LossWeights, SinkhornConfig, build_state,
-                       ce_loss, check_gradient, finite_diff_grad, softmax_rows,
-                       total_grad, total_loss, total_loss_frozen)
+from otdistill import (InvalidConfig, InvalidInput, LossWeights, SinkhornConfig,
+                       build_state, ce_loss, check_gradient, finite_diff_grad,
+                       softmax_rows, total_grad, total_loss, total_loss_frozen)
 
 SMALL = LossWeights(k=4, sinkhorn=SinkhornConfig(0.5, 20))
 
@@ -41,6 +41,33 @@ class TestCeLoss:
     def test_rejects_out_of_range_label(self):
         with pytest.raises(InvalidInput):
             ce_loss(np.array([[0.5, 0.5]]), [2])
+
+    @pytest.mark.parametrize("label", [1.7, np.nan])
+    def test_rejects_non_integer_label(self, label):
+        with pytest.raises(InvalidInput):
+            ce_loss(np.array([[0.5, 0.5], [0.5, 0.5]]), [0.0, label])
+
+    def test_accepts_integral_float_labels(self):
+        value, _ = ce_loss(np.array([[0.5, 0.5]]), np.array([1.0]))
+        assert value == pytest.approx(np.log(2.0))
+
+
+class TestLossWeights:
+    @pytest.mark.parametrize("field, value", [
+        ("tau_sl", np.nan), ("tau_sl", np.inf), ("tau_sd", np.nan),
+        ("tau_sd", np.inf), ("tau_sl", 0.0), ("k", 2.5), ("k", 0),
+        ("alpha", -1.0),
+    ])
+    def test_rejects_with_invalid_config(self, field, value):
+        with pytest.raises(InvalidConfig):
+            LossWeights(**{field: value})
+
+    def test_non_integer_labels_rejected_not_truncated(self):
+        t, s = random_pair(9)
+        with pytest.raises(InvalidInput):
+            total_loss(t, s, [0.0, 1.7, 2.0], SMALL)
+        with pytest.raises(InvalidInput):
+            build_state(t, s, np.array([0.0, 1.7, 2.0]), SMALL)
 
 
 class TestTotalLoss:

@@ -76,6 +76,11 @@ class TestSoftmaxRows:
         out = softmax_rows([[1e300, 0.0]])
         assert np.isfinite(out).all()
 
+    def test_no_overflow_when_temperature_scales_past_float_max(self):
+        # 1e308 / 0.5 overflows; the max is subtracted before the division
+        np.testing.assert_array_equal(softmax_rows([[1e308, 0.0]], 0.5),
+                                      [[1.0, 0.0]])
+
 
 class TestSafeLog:
     def test_half(self):
