@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import PROB_FLOOR, _softmax, safe_log, validate_logits, validate_probs
 from .errors import InvalidConfig, InvalidInput
-from .preprocess import SUM_SORT, AlignedPair, RankSelection, align_and_truncate
+from .preprocess import SUM_SORT, AlignedPair, RankSelection, _align_and_truncate
 from .seq_ot import SinkhornConfig, sd_grad, sd_loss, seq_cost_matrix, sinkhorn_plan
 from .token_ot import had_loss, sl_loss, uld_grad
 
@@ -189,7 +189,7 @@ def _forward(teacher_logits, student_logits, w, state=None, labels=None,
     t1 = _softmax(t, w.tau_sl)
     s1 = _softmax(s, w.tau_sl)
     if state is None:
-        pair1, rank = align_and_truncate(t1, s1, w.k, mode=w.match_mode)
+        pair1, rank = _align_and_truncate(t1, s1, w.k, w.match_mode)
         if labels is None:
             labels = _pseudo_labels(t1, rank, n)
     else:
@@ -220,7 +220,7 @@ def _forward(teacher_logits, student_logits, w, state=None, labels=None,
         if state is None:
             t2 = _softmax(t, w.tau_sd)
             s2 = _softmax(s, w.tau_sd)
-            pair2, rank_seq = align_and_truncate(t2, s2, w.k, mode=w.match_mode)
+            pair2, rank_seq = _align_and_truncate(t2, s2, w.k, w.match_mode)
             del t2
             cost = seq_cost_matrix(pair2)
             state = PipelineState(length=length, labels=labels, rank=rank,

@@ -144,8 +144,13 @@ def align_and_truncate(t, s, k, mode=SUM_SORT):
     Ranking and matching read column sums, so only the k kept columns of
     each matrix are ever gathered. Returns (AlignedPair, RankSelection).
     """
-    t = validate_probs(t)
-    s = np.asarray(s, dtype=float)
+    return _align_and_truncate(validate_probs(t), np.asarray(s, dtype=float),
+                               k, mode)
+
+
+def _align_and_truncate(t, s, k, mode):
+    # align_and_truncate on float matrices the caller has validated, such as
+    # a softmax it has just computed.
     k_eff = _width(k, t.shape[1], s.shape[1])
     teacher_perm = _descending_stable(t.sum(axis=0))
     student_perm = _match(t, teacher_perm, s, mode)

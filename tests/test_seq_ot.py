@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from otdistill import (BRUTE_FORCE, AlignedPair, InvalidConfig, InvalidInput,
                        NumericalUnderflow, SinkhornConfig, check_gradient,
                        exact_ot, finite_diff_grad, sd_grad, sd_loss,
                        seq_cost_matrix, sinkhorn_plan, softmax_rows)
+from otdistill import seq_ot
 from refimpl import sinkhorn_scaling_form, two_by_two_sinkhorn_limit
 
 CROSS = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -13,6 +18,36 @@ CROSS = np.array([[0.0, 1.0], [1.0, 0.0]])
 def pair_of(teacher, student):
     return AlignedPair(teacher=np.asarray(teacher, float),
                        student=np.asarray(student, float))
+
+
+def dense_cost(t, s):
+    return np.abs(t[:, None, :] - s[None, :, :]).sum(axis=2)
+
+
+def dense_sd_grad(t, s, plan):
+    return np.einsum("ij,ijl->jl", plan, np.sign(s[None, :, :] - t[:, None, :]))
+
+
+def tied_pair(tokens, k, seed, levels, gathered):
+    """A T x k pair whose entries take `levels` distinct values (0 means
+    continuous) and whose student copies some teacher rows, so exact ties
+    occur both entrywise and row-wise. With gathered=True both matrices are
+    k columns gathered from wider ones, as the fused pass produces: not
+    C-contiguous once T and k exceed 1."""
+    rng = np.random.default_rng(seed)
+    width = k + 3 if gathered else k
+
+    def draw():
+        x = rng.random((tokens, width))
+        return np.floor(x * levels) / levels if levels else x
+
+    t, s = draw(), draw()
+    copies = rng.random(tokens) < 0.3
+    s[copies] = t[rng.integers(0, tokens, copies.sum())]
+    if gathered:
+        cols = rng.permutation(width)[:k]
+        t, s = t[:, cols], s[:, cols]
+    return AlignedPair(teacher=t, student=s)
 
 
 class TestSeqCostMatrix:
@@ -97,6 +132,17 @@ class TestSinkhornPlan:
         with pytest.raises(InvalidConfig):
             SinkhornConfig(iterations=0)
 
+    @pytest.mark.parametrize("iterations", [2.5, float("nan"), float("inf")])
+    def test_rejects_non_integer_iterations(self, iterations):
+        with pytest.raises(InvalidConfig):
+            SinkhornConfig(iterations=iterations)
+
+    def test_accepts_integral_float_iterations(self):
+        np.testing.assert_array_equal(
+            sinkhorn_plan(CROSS, SinkhornConfig(0.5, 3.0)),
+            sinkhorn_plan(CROSS, SinkhornConfig(0.5, 3)),
+        )
+
 
 class TestSdLoss:
     def test_zero_cost(self):
@@ -168,3 +214,68 @@ class TestSdGrad:
             lambda x: sd_loss(seq_cost_matrix(pair_of(t, x)), plan), s
         )
         assert check_gradient(analytic, numeric).passed
+
+
+class TestRowBlocks:
+    """seq_cost_matrix and sd_grad against the dense T x T x k formulas."""
+
+    # T*T*k above 2^18 entries spans several blocks of teacher rows:
+    # 120 x 120 x 60 gives 4, and 97 x 97 x 43 gives 2 of unequal size.
+    @given(tokens=st.integers(1, 120), k=st.integers(1, 60),
+           seed=st.integers(0, 2**32 - 1), levels=st.sampled_from([0, 2, 5]),
+           gathered=st.booleans())
+    @example(tokens=120, k=60, seed=0, levels=5, gathered=True)
+    @example(tokens=97, k=43, seed=1, levels=2, gathered=True)
+    @example(tokens=1, k=1, seed=2, levels=0, gathered=False)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense(self, tokens, k, seed, levels, gathered):
+        pair = tied_pair(tokens, k, seed, levels, gathered)
+        t, s = pair.teacher, pair.student
+        plan = np.random.default_rng(seed).random((tokens, tokens))
+
+        np.testing.assert_allclose(seq_cost_matrix(pair), dense_cost(t, s),
+                                   rtol=1e-12, atol=0)
+        grad = sd_grad(pair, plan)
+        # Entries are signed sums over i of plan[i, j], so the rounding
+        # error scales with each column's mass, not with the (possibly
+        # cancelled) result.
+        mass = plan.sum(axis=0)[:, None]
+        assert (np.abs(grad - dense_sd_grad(t, s, plan)) <= 1e-12 * mass).all()
+        # Where student[j, l] ties teacher[i, l] for every i, each sign is 0.
+        all_tied = (s[None, :, :] == t[:, None, :]).all(axis=0)
+        assert (grad[all_tied] == 0.0).all()
+
+    @pytest.mark.parametrize("budget", [1, 50])
+    def test_rows_wider_than_the_budget(self, monkeypatch, budget):
+        # A block never holds fewer than one teacher row.
+        monkeypatch.setattr(seq_ot, "_BLOCK_ENTRIES", budget)
+        pair = tied_pair(13, 7, 3, 2, True)
+        plan = np.random.default_rng(3).random((13, 13))
+        np.testing.assert_allclose(
+            seq_cost_matrix(pair), dense_cost(pair.teacher, pair.student),
+            rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            sd_grad(pair, plan), dense_sd_grad(pair.teacher, pair.student, plan),
+            rtol=0, atol=1e-12 * plan.sum(axis=0).max())
+
+    def test_peak_memory_is_quadratic_in_tokens(self):
+        tokens, k = 512, 50
+        pair = tied_pair(tokens, k, 4, 0, True)
+        plan = np.random.default_rng(4).random((tokens, tokens))
+        # Live at the peak, in float64 entries: the returned T x T cost
+        # (T^2), one block of row differences (2^18 entries, as T*k is
+        # below that) plus its boolean comparison (2^15 entries' worth of
+        # bytes), the two C-contiguous input copies, the gradient and one
+        # einsum partial (T*k each). That is 5.3 MB here; the bound allows
+        # twice that, a tenth of the 105 MB that one dense T x T x k
+        # difference takes.
+        bound = 2 * 8 * (tokens**2 + 2**18 + 2**15 + 4 * tokens * k)
+        tracemalloc.start()
+        try:
+            cost = seq_cost_matrix(pair)
+            sd_grad(pair, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cost.shape == (tokens, tokens)
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
