@@ -4,23 +4,30 @@ total = ce + alpha * (had + beta * sl + gamma * sd)
 
 The token losses (ce, had, sl) use one softmax temperature, the sequence loss
 its own. build_state, total_loss_frozen, total_loss and total_grad are thin
-wrappers over one fused pass (_forward) that validates the logits once, runs
-each (matrix, temperature) softmax once, gathers only the k aligned columns,
-and back-propagates through each softmax in place: the upstream gradient is
-nonzero only at the label and the k aligned columns, so the backward reads
-and writes k + 1 columns plus one rescaling of each row. Gradients are with
-respect to the raw student logits, with the rank/truncation selections and
-the Sinkhorn plan held fixed.
+wrappers that validate the logits once and call one fused pass (_forward),
+which runs each (matrix, temperature) softmax once, gathers only the k
+aligned columns, and back-propagates through each softmax in place: the
+upstream gradient is nonzero only at the label and the k aligned columns, so
+the backward reads and writes k + 1 columns plus one rescaling of each row.
+Gradients are with respect to the raw student logits, with the
+rank/truncation selections and the Sinkhorn plan held fixed.
+
+The fused pass takes a leading batch axis of B sequences of equal length T:
+every softmax, ranking, gather, cost, plan and loss works per sequence along
+the last axes, so the distillation harness computes a whole training step in
+one call. The public functions above are its B = 1 case, passing views of
+their inputs with a batch axis of one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from .core import PROB_FLOOR, _softmax, safe_log, validate_logits, validate_probs
 from .errors import InvalidConfig, InvalidInput
-from .preprocess import SUM_SORT, AlignedPair, RankSelection, _align_and_truncate
-from .seq_ot import SinkhornConfig, sd_grad, sd_loss, seq_cost_matrix, sinkhorn_plan
+from .preprocess import (SUM_SORT, AlignedPair, RankSelection,
+                         _align_and_truncate, _gather, _last_axis)
+from .seq_ot import SinkhornConfig, _cost, _plan, _sd, _sd_grad
 from .token_ot import had_loss, sl_loss, uld_grad
 
 # Objectives the fused pass can differentiate: the full objective, the
@@ -128,12 +135,13 @@ def _pseudo_labels(teacher_probs, rank: RankSelection, n_student):
 
     The argmax teacher dimension's position in the teacher ranking indexes
     the matched student dimension; positions beyond the student vocabulary
-    clamp to its last ranked dimension.
+    clamp to its last ranked dimension. Works per item on a (B, T, m) stack
+    with (B, m) and (B, n) permutations.
     """
-    inv = np.argsort(rank.teacher_perm)
-    pos = inv[np.argmax(teacher_probs, axis=1)]
+    inv = np.argsort(rank.teacher_perm, axis=-1)
+    pos = np.take_along_axis(inv, np.argmax(teacher_probs, axis=-1), axis=-1)
     pos = np.minimum(pos, n_student - 1)
-    return rank.student_perm[pos]
+    return np.take_along_axis(rank.student_perm, pos, axis=-1)
 
 
 def _aligned_logits(teacher_logits, student_logits):
@@ -145,45 +153,82 @@ def _aligned_logits(teacher_logits, student_logits):
     return t[:length], s[:length], length
 
 
+def _batch_of_one(teacher_logits, student_logits, labels=None):
+    # The public functions' inputs, validated once, as a batch of one.
+    t, s, length = _aligned_logits(teacher_logits, student_logits)
+    if labels is not None:
+        labels = _validate_labels(labels, length, s.shape[1])[None]
+    return t[None], s[None], labels
+
+
+def _index(obj, i):
+    """A state, breakdown or rank with i applied to every array field.
+
+    i=None views a single one as a batch of one; i=0 takes the first item
+    of a batched one, with its loss components as floats.
+    """
+    changes = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value = value[i]
+            if value.ndim == 0:
+                value = float(value)
+        elif is_dataclass(value):
+            value = _index(value, i)
+        changes[f.name] = value
+    return replace(obj, **changes)
+
+
+def _check_state(state: PipelineState, length, m, n):
+    if state.length != length:
+        raise InvalidInput("state was built for a different token count")
+    for rank in (state.rank, state.rank_seq):
+        if rank.teacher_perm.shape[-1] != m or rank.student_perm.shape[-1] != n:
+            raise InvalidInput(
+                f"state was built for vocabularies of {rank.teacher_perm.shape[-1]} "
+                f"and {rank.student_perm.shape[-1]}, got {m} and {n}")
+
+
 def _softmax_backward_inplace(probs, tau, terms):
     """softmax_backward for an upstream gradient given as sparse terms.
 
     The upstream gradient is the sum over (index, p, g) in terms of g at
     probs[index], where p is probs[index] gathered before the call (the
-    indexed entries are distinct within a term). probs is overwritten with
-    the gradient w.r.t. the logits and returned; no dense upstream matrix
-    is built.
+    indexed entries are distinct within a term, and each index keeps the
+    rows' last axis last). probs is overwritten with the gradient w.r.t.
+    the logits and returned; no dense upstream matrix is built.
     """
-    inner = sum((p * g).sum(axis=1, keepdims=True) for _, p, g in terms)
+    inner = sum((p * g).sum(axis=-1, keepdims=True) for _, p, g in terms)
     probs *= -inner / tau
     for index, p, g in terms:
         probs[index] += p * g / tau
     return probs
 
 
-def _forward(teacher_logits, student_logits, w, state=None, labels=None,
-             need_loss=True, grad=None):
+def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     """The fused pass behind build_state, total_loss_frozen, total_loss,
-    total_grad and the harness's training step.
+    total_grad and the harness's training step, on B sequences at once.
 
+    t and s are validated (B, T, m) teacher and (B, T, n) student logits.
     Builds the state when none is given (labels=None derives pseudo-labels;
-    labels are ignored when a state is given), evaluates the loss breakdown
-    when need_loss, and, when grad names an objective (MULTILEVEL_OT,
-    CE_ONLY or ULD), its gradient w.r.t. the raw student logits. Returns
-    (state, breakdown or None, gradient or None).
+    given labels are a validated (B, T) array, ignored when a state is
+    given), evaluates the loss breakdown when need_loss, and, when grad
+    names an objective (MULTILEVEL_OT, CE_ONLY or ULD), its gradient w.r.t.
+    the raw student logits. Returns (state, breakdown or None, gradient or
+    None), each with a leading batch axis: the state's arrays and the
+    breakdown's components hold one entry per sequence, and the gradient is
+    (B, T, n).
     """
-    t, s, length = _aligned_logits(teacher_logits, student_logits)
-    n = s.shape[1]
-    if state is not None and length != state.length:
-        raise InvalidInput("state was built for a different token count")
-    if state is None and labels is not None:
-        labels = _validate_labels(labels, length, n)
+    length, n = s.shape[1:]
+    if state is not None:
+        _check_state(state, length, t.shape[2], n)
     ot_alpha = w.alpha if grad == MULTILEVEL_OT else 0.0
     seq_grad = grad is not None and ot_alpha * w.gamma > 0
 
     # Each full softmax is dropped once its columns are gathered (or, for the
     # student, once it has become the gradient), which bounds the peak at
-    # about three T x V buffers.
+    # about three B x T x V buffers.
 
     # Token temperature: ce + alpha * (had + beta * sl).
     t1 = _softmax(t, w.tau_sl)
@@ -194,24 +239,27 @@ def _forward(teacher_logits, student_logits, w, state=None, labels=None,
             labels = _pseudo_labels(t1, rank, n)
     else:
         rank, labels = state.rank, state.labels
-        pair1 = AlignedPair(teacher=t1[:, rank.teacher_perm[:rank.k]],
-                            student=s1[:, rank.student_perm[:rank.k]])
+        pair1 = AlignedPair(teacher=_gather(t1, rank.teacher_perm[:, :rank.k]),
+                            student=_gather(s1, rank.student_perm[:, :rank.k]))
     uld = w.alpha * uld_grad(t1, s1) if grad == ULD else None
     del t1
-    at_label = (np.arange(length)[:, None], labels[:, None])
+    at_label = _last_axis(s1.shape, labels[:, :, None])
     p_label = s1[at_label]
     if need_loss or ot_alpha > 0:
         had, sl = had_loss(pair1), sl_loss(pair1)
     gradient = None
     if grad is not None:
-        g_label = np.where(p_label > PROB_FLOOR, -1.0 / p_label, 0.0)
+        # Only labels above the floor get -1/p; dividing elsewhere would
+        # evaluate 1/0 on a saturated row.
+        g_label = np.divide(-1.0, p_label, out=np.zeros_like(p_label),
+                            where=p_label > PROB_FLOOR)
         terms = [(at_label, p_label, g_label)]
         if ot_alpha > 0:
-            cols = (slice(None), rank.student_perm[:rank.k])
+            cols = _last_axis(s1.shape, rank.student_perm[:, None, :rank.k])
             terms.append((cols, pair1.student,
                           ot_alpha * (had.grad + w.beta * sl.grad)))
         if uld is not None:
-            terms.append(((slice(None),), s1.copy(), uld))
+            terms.append(((Ellipsis,), s1.copy(), uld))
         gradient = _softmax_backward_inplace(s1, w.tau_sl, terms)
     del s1
 
@@ -222,27 +270,30 @@ def _forward(teacher_logits, student_logits, w, state=None, labels=None,
             s2 = _softmax(s, w.tau_sd)
             pair2, rank_seq = _align_and_truncate(t2, s2, w.k, w.match_mode)
             del t2
-            cost = seq_cost_matrix(pair2)
+            cost = _cost(pair2.teacher, pair2.student)
             state = PipelineState(length=length, labels=labels, rank=rank,
                                   rank_seq=rank_seq,
-                                  plan=sinkhorn_plan(cost, w.sinkhorn))
+                                  plan=_plan(cost, w.sinkhorn))
         else:
             rank_seq = state.rank_seq
-            t2_k = _softmax(t, w.tau_sd)[:, rank_seq.teacher_perm[:rank_seq.k]]
+            t2_k = _gather(_softmax(t, w.tau_sd),
+                           rank_seq.teacher_perm[:, :rank_seq.k])
             s2 = _softmax(s, w.tau_sd)
-            pair2 = AlignedPair(teacher=t2_k,
-                                student=s2[:, rank_seq.student_perm[:rank_seq.k]])
-            cost = seq_cost_matrix(pair2) if need_loss else None
+            pair2 = AlignedPair(
+                teacher=t2_k,
+                student=_gather(s2, rank_seq.student_perm[:, :rank_seq.k]))
+            cost = _cost(pair2.teacher, pair2.student) if need_loss else None
         if seq_grad:
-            cols = (slice(None), rank_seq.student_perm[:rank_seq.k])
-            g2 = ot_alpha * w.gamma * sd_grad(pair2, state.plan)
+            cols = _last_axis(s2.shape, rank_seq.student_perm[:, None, :rank_seq.k])
+            g2 = ot_alpha * w.gamma * _sd_grad(pair2.teacher, pair2.student,
+                                               state.plan)
             gradient += _softmax_backward_inplace(
                 s2, w.tau_sd, [(cols, pair2.student, g2)])
 
     breakdown = None
     if need_loss:
-        ce = -float(safe_log(p_label).sum())
-        sd = sd_loss(cost, state.plan)
+        ce = -safe_log(p_label).sum(axis=(1, 2))
+        sd = _sd(cost, state.plan)
         total = ce + w.alpha * (had.value + w.beta * sl.value + w.gamma * sd)
         breakdown = LossBreakdown(ce=ce, had=had.value, sl=sl.value, sd=sd,
                                   total=total, rank=state.rank,
@@ -256,20 +307,22 @@ def build_state(teacher_logits, student_logits, labels=None, w=LossWeights()):
     With labels=None, per-token pseudo-labels are derived from the teacher
     argmax through the rank alignment.
     """
-    return _forward(teacher_logits, student_logits, w, labels=labels,
-                    need_loss=False)[0]
+    t, s, labels = _batch_of_one(teacher_logits, student_logits, labels)
+    return _index(_forward(t, s, w, labels=labels, need_loss=False)[0], 0)
 
 
 def total_loss_frozen(state: PipelineState, teacher_logits, student_logits,
                       w=LossWeights()) -> LossBreakdown:
     """Evaluate every component with the state's selections and plan fixed."""
-    return _forward(teacher_logits, student_logits, w, state=state)[1]
+    t, s, _ = _batch_of_one(teacher_logits, student_logits)
+    return _index(_forward(t, s, w, state=_index(state, None))[1], 0)
 
 
 def total_loss(teacher_logits, student_logits, labels=None,
                w=LossWeights()) -> LossBreakdown:
     """Full objective: cross-entropy plus the weighted transport losses."""
-    return _forward(teacher_logits, student_logits, w, labels=labels)[1]
+    t, s, labels = _batch_of_one(teacher_logits, student_logits, labels)
+    return _index(_forward(t, s, w, labels=labels)[1], 0)
 
 
 def total_grad(teacher_logits, student_logits, labels=None, w=LossWeights(),
@@ -280,5 +333,8 @@ def total_grad(teacher_logits, student_logits, labels=None, w=LossWeights(),
     truncated-away dimensions receive gradient only through the softmax
     normalization. Matches finite differences of total_loss_frozen.
     """
-    return _forward(teacher_logits, student_logits, w, state=state,
-                    labels=labels, need_loss=False, grad=MULTILEVEL_OT)[2]
+    if state is not None:
+        state, labels = _index(state, None), None
+    t, s, labels = _batch_of_one(teacher_logits, student_logits, labels)
+    return _forward(t, s, w, state=state, labels=labels, need_loss=False,
+                    grad=MULTILEVEL_OT)[2][0]

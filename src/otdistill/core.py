@@ -71,14 +71,15 @@ def _softmax(arr, tau):
     # The max is subtracted before dividing by tau, so x / tau cannot
     # overflow to inf; entries far below the max may saturate to -inf, whose
     # exp is the correct 0. Dividing by 1 is exact, so it is skipped. Every
-    # later step reuses the one output buffer. Callers have validated arr
-    # and tau.
+    # later step reuses the one output buffer. Rows lie along the last axis,
+    # so a (B, T, V) stack of logit matrices works as well. Callers have
+    # validated arr and tau.
     with np.errstate(over="ignore"):
-        out = arr - arr.max(axis=1, keepdims=True)
+        out = arr - arr.max(axis=-1, keepdims=True)
         if tau != 1.0:
             out /= tau
     np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
+    out /= out.sum(axis=-1, keepdims=True)
     return out
 
 

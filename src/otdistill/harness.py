@@ -2,8 +2,9 @@
 
 The teacher is a fixed seeded logit table with one row per context; the
 student is a trainable logit table over a smaller (or larger) vocabulary.
-Contexts are grouped into consecutive sequences of T tokens; the last
-quarter of the sequences is held out for evaluation. Training is full-batch
+Contexts are grouped into consecutive sequences of T tokens, which one
+batched fused pass per step handles together; the last quarter of the
+sequences is held out for evaluation. Training is full-batch
 gradient descent on the total loss, so runs are bit-deterministic for a
 fixed seed.
 """
@@ -12,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .composite import (CE_ONLY, MULTILEVEL_OT, ULD, LossWeights, _forward,
-                        build_state)
+from .composite import CE_ONLY, MULTILEVEL_OT, ULD, LossWeights, _forward
+from .core import validate_logits
 from .errors import InvalidConfig, NumericalFailure
 from .fileio import metrics_csv_text, write_text_atomic
 
@@ -38,6 +39,8 @@ class DistillConfig:
     mode: str = MULTILEVEL_OT
 
     def __post_init__(self):
+        if self.tokens < 1:
+            raise InvalidConfig(f"tokens must be >= 1, got {self.tokens}")
         if self.steps < 1:
             raise InvalidConfig(f"steps must be >= 1, got {self.steps}")
         if self.lr < 0:
@@ -78,16 +81,6 @@ def _initial_student(cfg: DistillConfig):
     return rng.standard_normal((cfg.contexts, cfg.n)) * 0.01
 
 
-def _sequence_blocks(cfg: DistillConfig):
-    # Every block trains (the student table has no feature sharing, so a row
-    # that never trains never moves); the last quarter doubles as the
-    # evaluation set, whose sequence-level metric is not what any single
-    # update step optimizes directly. Returns the blocks and the eval count.
-    n_seqs = cfg.contexts // cfg.tokens
-    blocks = [np.arange(i * cfg.tokens, (i + 1) * cfg.tokens) for i in range(n_seqs)]
-    return blocks, max(1, n_seqs // 4)
-
-
 def _partial_metrics(records) -> RunMetrics:
     # Rows recorded before a divergence; lets callers persist what finished.
     done = len(records["eval_sd"])
@@ -97,6 +90,14 @@ def _partial_metrics(records) -> RunMetrics:
     )
 
 
+def _block_mean(values):
+    # Mean of the per-block values, summed in block order.
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total / len(values)
+
+
 def run_distillation(cfg: DistillConfig) -> RunMetrics:
     """Full-batch gradient descent on the student table.
 
@@ -104,46 +105,47 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
     student. Raises NumericalFailure (with the step index) if any loss goes
     non-finite.
     """
-    teacher = make_teacher_table(cfg)
+    teacher = validate_logits(make_teacher_table(cfg))
     W = _initial_student(cfg)
-    train_blocks, n_eval = _sequence_blocks(cfg)
     w = cfg.weights
+
+    # Every block trains (the student table has no feature sharing, so a row
+    # that never trains never moves); the last quarter doubles as the
+    # evaluation set, whose sequence-level metric is not what any single
+    # update step optimizes directly. The blocks are consecutive runs of T
+    # contexts, so the tables' first n_blocks * T rows reshape into
+    # (n_blocks, T, vocab) views and one fused pass covers them all.
+    n_blocks = cfg.contexts // cfg.tokens
+    n_eval = max(1, n_blocks // 4)
+    used = n_blocks * cfg.tokens
+    teacher_blocks = teacher[:used].reshape(n_blocks, cfg.tokens, cfg.m)
+    # A view: it follows the in-place updates of W below.
+    student_blocks = W[:used].reshape(n_blocks, cfg.tokens, cfg.n)
 
     # Pseudo-targets are generated once from the initial alignment and kept
     # fixed for the whole run, mirroring distillation against pre-generated
     # teacher text; recomputing them every step makes the targets oscillate
     # whenever two student dimensions trade rank.
-    fixed_labels = [
-        build_state(teacher[block], W[block], None, w).labels
-        for block in train_blocks
-    ]
+    fixed_labels = _forward(teacher_blocks, student_blocks, w,
+                            need_loss=False)[0].labels
 
     records = {name: [] for name in ("ce", "had", "sl", "sd", "total", "eval_sd")}
     for step in range(cfg.steps):
-        grad_W = np.zeros_like(W)
-        sums = dict.fromkeys(("ce", "had", "sl", "sd", "total"), 0.0)
-        sd_values = []
-        for block, labels in zip(train_blocks, fixed_labels):
-            # One fused pass: state, breakdown and the mode's gradient from
-            # the same softmaxes.
-            _, breakdown, grad = _forward(teacher[block], W[block], w,
-                                          labels=labels, grad=cfg.mode)
-            if not np.isfinite(breakdown.total):
-                exc = NumericalFailure(f"non-finite loss at step {step}")
-                exc.metrics = _partial_metrics(records)
-                raise exc
-            for name in sums:
-                sums[name] += getattr(breakdown, name)
-            sd_values.append(breakdown.sd)
-            grad_W[block] = grad
-
-        n_train = len(train_blocks)
-        for name in sums:
-            records[name].append(sums[name] / n_train)
+        validate_logits(W)
+        # One fused pass: every block's state, breakdown and the mode's
+        # gradient from the same softmaxes.
+        _, breakdown, grad = _forward(teacher_blocks, student_blocks, w,
+                                      labels=fixed_labels, grad=cfg.mode)
+        if not np.isfinite(breakdown.total).all():
+            exc = NumericalFailure(f"non-finite loss at step {step}")
+            exc.metrics = _partial_metrics(records)
+            raise exc
+        for name in ("ce", "had", "sl", "sd", "total"):
+            records[name].append(_block_mean(getattr(breakdown, name)))
         # The held-out metric is the sequence loss at a freshly built plan,
         # which is what the fused pass just computed for the eval blocks.
-        records["eval_sd"].append(float(np.mean(sd_values[-n_eval:])))
-        W = W - cfg.lr * grad_W
+        records["eval_sd"].append(float(np.mean(breakdown.sd[-n_eval:])))
+        student_blocks -= cfg.lr * grad
 
     return RunMetrics(
         step=np.arange(cfg.steps),

@@ -6,7 +6,7 @@ order either by the same sum-sort heuristic or by an exact rectangular
 assignment; both matrices are then truncated to a shared support of k columns.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -56,8 +56,9 @@ class AlignedPair:
 
 
 def _descending_stable(values):
-    # Stable sort on the negated values keeps ties in ascending index order.
-    return np.argsort(-np.asarray(values, dtype=float), kind="stable")
+    # Stable sort on the negated values keeps ties in ascending index order;
+    # each row of a stack is sorted on its own.
+    return np.argsort(-np.asarray(values, dtype=float), axis=-1, kind="stable")
 
 
 def sequence_rank_teacher(t):
@@ -80,32 +81,43 @@ def match_student(t_sr, s, mode=SUM_SORT):
     columns, as a rectangular assignment; unmatched student columns are
     appended in ascending order so the result is a bijection on [0, n).
     """
-    t_sr = np.asarray(t_sr, dtype=float)
-    return _match(t_sr, np.arange(t_sr.shape[1]), np.asarray(s, dtype=float), mode)
+    t_sr, s = _same_rows(t_sr, s)
+    return _match(t_sr[None], np.arange(t_sr.shape[1])[None], s[None], mode)[0]
+
+
+def _same_rows(t, s):
+    t = np.asarray(t, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if t.ndim != 2 or s.ndim != 2 or t.shape[0] != s.shape[0]:
+        raise InvalidInput("teacher and student must be matrices with the same "
+                           f"number of rows, got {t.shape} and {s.shape}")
+    return t, s
 
 
 def _match(t, teacher_perm, s, mode):
-    # match_student on the ranked teacher t[:, teacher_perm], gathering only
-    # the columns the exact matcher reads.
-    if t.shape[0] != s.shape[0]:
-        raise InvalidInput("teacher and student must have the same number of rows")
+    # match_student on each ranked teacher t[b][:, teacher_perm[b]] of a
+    # (B, T, m) stack against the (B, T, n) student stack, gathering only
+    # the columns the exact matcher reads. Returns (B, n) permutations.
     if mode == SUM_SORT:
-        return _descending_stable(s.sum(axis=0))
+        return _descending_stable(s.sum(axis=-2))
     if mode != EXACT_ASSIGNMENT:
         raise InvalidInput(f"unknown match mode: {mode!r}")
 
-    n = s.shape[1]
-    r = min(t.shape[1], n)
+    n = s.shape[-1]
+    r = min(t.shape[-1], n)
     if r > ASSIGNMENT_LIMIT:
         raise TooLargeForExact(
             f"exact matching limited to {ASSIGNMENT_LIMIT} dimensions, got {r}"
         )
-    # D[i, j] = sum_t |t_sr[t, i] - s[t, j]| over the first r teacher columns.
-    head = t[:, teacher_perm[:r]]
-    mismatch = np.abs(head[:, :, None] - s[:, None, :]).sum(axis=0)
-    _, cols = linear_sum_assignment(mismatch)
-    rest = np.setdiff1d(np.arange(n), cols)
-    return np.concatenate([cols, rest])
+    perms = np.empty(s.shape[:-2] + (n,), dtype=np.intp)
+    for b, (t_b, perm_b, s_b) in enumerate(zip(t, teacher_perm, s)):
+        # D[i, j] = sum_t |t_sr[t, i] - s[t, j]| over the first r teacher columns.
+        head = t_b[:, perm_b[:r]]
+        mismatch = np.abs(head[:, :, None] - s_b[:, None, :]).sum(axis=0)
+        _, cols = linear_sum_assignment(mismatch)
+        perms[b, :r] = cols
+        perms[b, r:] = np.setdiff1d(np.arange(n), cols)
+    return perms
 
 
 def alignment_cost(t_sr, s, student_perm):
@@ -144,18 +156,23 @@ def align_and_truncate(t, s, k, mode=SUM_SORT):
     Ranking and matching read column sums, so only the k kept columns of
     each matrix are ever gathered. Returns (AlignedPair, RankSelection).
     """
-    return _align_and_truncate(validate_probs(t), np.asarray(s, dtype=float),
-                               k, mode)
+    t, s = _same_rows(validate_probs(t), s)
+    pair, sel = _align_and_truncate(t[None], s[None], k, mode)
+    return (AlignedPair(teacher=pair.teacher[0], student=pair.student[0]),
+            replace(sel, teacher_perm=sel.teacher_perm[0],
+                    student_perm=sel.student_perm[0]))
 
 
 def _align_and_truncate(t, s, k, mode):
-    # align_and_truncate on float matrices the caller has validated, such as
-    # a softmax it has just computed.
-    k_eff = _width(k, t.shape[1], s.shape[1])
-    teacher_perm = _descending_stable(t.sum(axis=0))
+    # align_and_truncate on each item of a (B, T, m) teacher and (B, T, n)
+    # student stack of float matrices the caller has validated, such as a
+    # softmax it has just computed. The pair is (B, T, k) and the
+    # permutations (B, m) and (B, n).
+    k_eff = _width(k, t.shape[-1], s.shape[-1])
+    teacher_perm = _descending_stable(t.sum(axis=-2))
     student_perm = _match(t, teacher_perm, s, mode)
-    pair = AlignedPair(teacher=t[:, teacher_perm[:k_eff]],
-                       student=s[:, student_perm[:k_eff]])
+    pair = AlignedPair(teacher=_gather(t, teacher_perm[:, :k_eff]),
+                       student=_gather(s, student_perm[:, :k_eff]))
     sel = RankSelection(
         teacher_perm=teacher_perm,
         student_perm=student_perm,
@@ -163,3 +180,15 @@ def _align_and_truncate(t, s, k, mode):
         match_mode=mode,
     )
     return pair, sel
+
+
+def _gather(probs, cols):
+    # probs[b][:, cols[b]] for every item b of a (B, T, V) stack.
+    return probs[_last_axis(probs.shape, cols[:, None, :])]
+
+
+def _last_axis(shape, cols):
+    """Index tuple picking cols[b, t] from row t of item b of a (B, T, V)
+    array, for reading or writing; cols is (B, T, c) or broadcasts to it."""
+    return (np.arange(shape[0])[:, None, None], np.arange(shape[1])[:, None],
+            cols)

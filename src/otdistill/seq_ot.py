@@ -5,12 +5,18 @@ corresponding rows of the aligned truncated matrices. The plan comes from a
 fixed number of alternating row/column normalizations of the Gaussian kernel
 exp(-C / lambda); its inner product with the cost is the sequence loss.
 
-Memory is O(T^2) in the token count T, not O(T^2 k) in the truncation width
-k: the cost and the gradient visit the T x T x k teacher/student row
-differences in blocks of teacher rows, each block at most _BLOCK_ENTRIES
-entries (2^18, 2 MB of float64) or one teacher row, whichever is larger,
-written into one preallocated T x T cost or T x k gradient. Sinkhorn
-normalizes its one T x T kernel in place.
+The private kernels behind the public functions take a leading batch axis
+of B sequences of equal length T, so one call handles a whole training
+step; the public T x T and T x k functions are their B = 1 case.
+
+Memory is O(B T^2) in the token count T, not O(B T^2 k) in the truncation
+width k: the cost and the gradient visit the B x T x T x k teacher/student
+row differences in blocks of teacher rows taken across the whole batch, each
+block at most _BLOCK_ENTRIES entries (2^18, 2 MB of float64) or one teacher
+row per sequence, whichever is larger, written into one preallocated
+B x T x T cost or B x T x k gradient. Sinkhorn normalizes its one kernel
+stack in place, and the sequence loss reduces the plan and the cost per
+sequence without a T x T product temporary.
 """
 
 from dataclasses import dataclass
@@ -20,9 +26,10 @@ import numpy as np
 from .errors import InvalidConfig, InvalidInput, NumericalUnderflow
 from .preprocess import AlignedPair
 
-# Entries of T x T x k row differences held at once by seq_cost_matrix and
-# sd_grad: small enough to stay in cache, large enough that per-block numpy
-# overhead is negligible, and a single block at the fixture shapes.
+# Entries of B x T x T x k row differences held at once by the cost and
+# gradient kernels: small enough to stay in cache, large enough that
+# per-block numpy overhead is negligible, and a single block for the
+# harness's whole step at the fixture shapes (4 x 8 x 8 x 15).
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -45,8 +52,11 @@ class SinkhornConfig:
 
 def _validate_cost(C):
     C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise InvalidInput(f"cost matrix must be square, got shape {C.shape}")
+    if C.ndim not in (2, 3) or C.shape[-1] != C.shape[-2]:
+        raise InvalidInput("cost must be a square matrix or a stack of them, "
+                           f"got shape {C.shape}")
+    if C.size == 0:
+        raise InvalidInput(f"cost matrix is empty, got shape {C.shape}")
     # min and max propagate nan and expose +-inf, so checking them covers
     # every entry without a boolean temporary of the matrix's size.
     lo, hi = C.min(), C.max()
@@ -57,54 +67,67 @@ def _validate_cost(C):
     return C
 
 
-def _row_blocks(pair: AlignedPair):
-    """Yield (rows, teacher, student, buf) per block of teacher rows: the
-    row slice, those teacher rows shaped (b, 1, k), the T x k student, and a
-    (b, T, k) float buffer they broadcast into."""
+def _row_blocks(t, s):
+    """Yield (rows, teacher, student, buf) per block of teacher rows of a
+    (B, T, k) teacher and student stack: the row slice, those teacher rows
+    shaped (B, b, 1, k), the student shaped (B, 1, T, k), and a (B, b, T, k)
+    float buffer they broadcast into. The block budget counts the entries
+    of all B items together."""
     # Column-gathered inputs are not C-contiguous, and broadcasting over
     # them would read strided memory in every block.
-    t = np.ascontiguousarray(pair.teacher, dtype=float)
-    s = np.ascontiguousarray(pair.student, dtype=float)
-    step = max(1, min(t.shape[0], _BLOCK_ENTRIES // max(1, s.size)))
-    buf = np.empty((step,) + s.shape)
-    for i in range(0, t.shape[0], step):
-        rows = slice(i, min(i + step, t.shape[0]))
-        yield rows, t[rows, None, :], s, buf[:rows.stop - i]
+    t = np.ascontiguousarray(t, dtype=float)
+    s = np.ascontiguousarray(s, dtype=float)
+    tokens = t.shape[1]
+    step = max(1, min(tokens, _BLOCK_ENTRIES // max(1, s.size)))
+    buf = np.empty((s.shape[0], step) + s.shape[1:])
+    for i in range(0, tokens, step):
+        rows = slice(i, min(i + step, tokens))
+        yield rows, t[:, rows, None, :], s[:, None], buf[:, :rows.stop - i]
 
 
 def seq_cost_matrix(pair: AlignedPair) -> np.ndarray:
     """T x T matrix of L1 distances between teacher row i and student row j."""
-    cost = np.empty((pair.teacher.shape[0], pair.student.shape[0]))
-    for rows, t, s, diff in _row_blocks(pair):
-        np.subtract(t, s, out=diff)
+    return _cost(pair.teacher[None], pair.student[None])[0]
+
+
+def _cost(t, s):
+    # seq_cost_matrix for each item of a (B, T, k) teacher and student stack.
+    cost = np.empty((t.shape[0], t.shape[1], s.shape[1]))
+    for rows, t_rows, s_all, diff in _row_blocks(t, s):
+        np.subtract(t_rows, s_all, out=diff)
         np.abs(diff, out=diff)
-        diff.sum(axis=2, out=cost[rows])
+        diff.sum(axis=3, out=cost[:, rows])
     return cost
 
 
 def sinkhorn_plan(C, cfg: SinkhornConfig = SinkhornConfig()) -> np.ndarray:
     """Alternating row/column normalization of exp(-C / regularization).
 
-    Each iteration normalizes every row to sum 1 and then every column to
-    sum 1. What a fixed iteration count promises: the columns sum to 1 up to
-    rounding, because a column step comes last; the l1 row residual
+    C is one T x T cost or a B x T x T stack of them, each normalized on its
+    own. Each iteration normalizes every row to sum 1 and then every column
+    to sum 1. What a fixed iteration count promises: the columns sum to 1 up
+    to rounding, because a column step comes last; the l1 row residual
     sum_i |rowsum_i - 1| never increases from one iteration to the next; and
     both marginals reach 1 only in the limit (near-tied assignments can need
     hundreds of iterations, see the README). Raises
     NumericalUnderflow if the initial kernel has an all-zero row or column
     (regularization too small for the cost scale; rescale C or raise it).
     """
-    C = _validate_cost(C)
+    return _plan(_validate_cost(C), cfg)
+
+
+def _plan(C, cfg):
+    # sinkhorn_plan on a nonempty cost or stack the caller has validated.
     K = C / -cfg.regularization
     np.exp(K, out=K)
-    if K.sum(axis=1).min() <= 0.0 or K.sum(axis=0).min() <= 0.0:
+    if K.sum(axis=-1).min() <= 0.0 or K.sum(axis=-2).min() <= 0.0:
         raise NumericalUnderflow(
             "Sinkhorn kernel underflowed to an all-zero row or column; "
             "increase the regularization weight or rescale the cost matrix"
         )
     for _ in range(int(cfg.iterations)):
-        K /= K.sum(axis=1, keepdims=True)
-        K /= K.sum(axis=0, keepdims=True)
+        K /= K.sum(axis=-1, keepdims=True)
+        K /= K.sum(axis=-2, keepdims=True)
     return K
 
 
@@ -112,9 +135,15 @@ def sd_loss(C, plan) -> float:
     """Frobenius inner product of the transport plan and the cost matrix."""
     C = np.asarray(C, dtype=float)
     plan = np.asarray(plan, dtype=float)
-    if C.shape != plan.shape:
+    if C.ndim != 2 or C.shape != plan.shape:
         raise InvalidInput(f"shape mismatch: cost {C.shape} vs plan {plan.shape}")
-    return float((plan * C).sum())
+    return float(_sd(C[None], plan[None])[0])
+
+
+def _sd(C, plan):
+    # sd_loss for each item of a (B, T, T) stack, without a plan-sized
+    # product temporary.
+    return np.einsum("bij,bij->b", plan, C)
 
 
 def sd_grad(pair: AlignedPair, plan) -> np.ndarray:
@@ -129,11 +158,17 @@ def sd_grad(pair: AlignedPair, plan) -> np.ndarray:
         raise InvalidInput(
             f"plan shape {plan.shape} does not match pair with {tokens} tokens"
         )
-    grad = np.zeros(pair.student.shape)
-    for rows, t, s, signs in _row_blocks(pair):  # signs[i, j, l]
+    return _sd_grad(pair.teacher[None], pair.student[None], plan[None])[0]
+
+
+def _sd_grad(t, s, plan):
+    # sd_grad for each item of a (B, T, k) teacher and student stack and a
+    # (B, T, T) plan stack.
+    grad = np.zeros(s.shape)
+    for rows, t_rows, s_all, signs in _row_blocks(t, s):  # signs[b, i, j, l]
         # Two comparisons give the sign without branches (np.sign
         # mispredicts on mixed-sign data) and keep sign(0) = 0 exactly.
-        np.greater(s, t, out=signs)
-        signs -= np.less(s, t)
-        grad += np.einsum("ij,ijl->jl", plan[rows], signs)
+        np.greater(s_all, t_rows, out=signs)
+        signs -= np.less(s_all, t_rows)
+        grad += np.einsum("bij,bijl->bjl", plan[:, rows], signs)
     return grad

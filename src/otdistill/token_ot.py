@@ -18,9 +18,12 @@ from .preprocess import AlignedPair
 
 @dataclass(frozen=True)
 class TokenLossGrad:
-    """Loss value with its gradient w.r.t. the student matrix of the pair."""
+    """Loss value with its gradient w.r.t. the student matrix of the pair.
 
-    value: float
+    For a (B, T, k) stack of pairs, value holds one loss per pair.
+    """
+
+    value: float | np.ndarray
     grad: np.ndarray
 
 
@@ -31,7 +34,7 @@ def had_loss(pair: AlignedPair) -> TokenLossGrad:
     with sign(0) = 0.
     """
     diff = pair.student - pair.teacher
-    return TokenLossGrad(value=float(np.abs(diff).sum()), grad=np.sign(diff))
+    return TokenLossGrad(value=_per_pair(np.abs(diff)), grad=np.sign(diff))
 
 
 def sl_loss(pair: AlignedPair, floor=PROB_FLOOR) -> TokenLossGrad:
@@ -41,9 +44,16 @@ def sl_loss(pair: AlignedPair, floor=PROB_FLOOR) -> TokenLossGrad:
     -teacher / max(student, floor).
     """
     t, s = pair.teacher, pair.student
-    value = -float((t * safe_log(s, floor=floor)).sum())
+    value = -_per_pair(t * safe_log(s, floor=floor))
     grad = -t / np.maximum(s, floor)
     return TokenLossGrad(value=value, grad=grad)
+
+
+def _per_pair(terms):
+    # Sum over the token and column axes: a float for one T x k pair, one
+    # value per item for a (B, T, k) stack of pairs.
+    total = terms.sum(axis=(-2, -1))
+    return float(total) if total.ndim == 0 else total
 
 
 def uld_loss(t, s) -> float:
@@ -76,21 +86,22 @@ def uld_grad(t, s) -> np.ndarray:
     The per-token sort permutations are constants under differentiation:
     each student entry is compared against the teacher value at the same
     sorted position, so its gradient is the sign of that difference mapped
-    back through the student's sort order.
+    back through the student's sort order. Rows lie along the last axis, so
+    (B, T, m) and (B, T, n) stacks give one gradient per pair.
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    if t.shape[0] != s.shape[0]:
+    if t.shape[:-1] != s.shape[:-1]:
         raise InvalidInput("token counts differ")
-    width = max(t.shape[1], s.shape[1])
-    t_pad = np.pad(t, ((0, 0), (0, width - t.shape[1])))
-    t_sorted = -np.sort(-t_pad, axis=1)
+    width = max(t.shape[-1], s.shape[-1])
+    pad = [(0, 0)] * (t.ndim - 1) + [(0, width - t.shape[-1])]
+    t_sorted = -np.sort(-np.pad(t, pad), axis=-1)
 
     # Column j of the stable descending order is the student entry at sorted
     # position j; ties keep ascending column order.
-    order = np.argsort(-s, axis=1, kind="stable")
-    s_sorted = np.take_along_axis(s, order, axis=1)
-    signs = np.sign(s_sorted - t_sorted[:, : s.shape[1]])
+    order = np.argsort(-s, axis=-1, kind="stable")
+    s_sorted = np.take_along_axis(s, order, axis=-1)
+    signs = np.sign(s_sorted - t_sorted[..., : s.shape[-1]])
     grad = np.empty_like(s)
-    np.put_along_axis(grad, order, signs, axis=1)
+    np.put_along_axis(grad, order, signs, axis=-1)
     return grad

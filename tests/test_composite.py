@@ -1,6 +1,8 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from otdistill import (InvalidConfig, InvalidInput, LossWeights, SinkhornConfig,
                        build_state, ce_loss, check_gradient, finite_diff_grad,
@@ -179,3 +181,37 @@ class TestTotalGrad:
             lambda x: total_loss_frozen(state, t, x, SMALL).total, s
         )
         assert check_gradient(analytic, numeric, rel_tol=1e-4).passed
+
+    def test_saturated_labels_raise_no_warning(self):
+        # At this scale each softmax row is one-hot, so most label
+        # probabilities are exactly 0; their -1/p upstream term is skipped
+        # (the floor), not evaluated as 1/0.
+        t, s = random_pair(31, scale=1e300)
+        labels = np.array([0, 1, 2])
+        assert (softmax_rows(s, SMALL.tau_sl)[np.arange(3), labels] == 0).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grad = total_grad(t, s, labels, SMALL)
+        assert np.isfinite(grad).all()
+
+
+class TestFrozenState:
+    """A state only fits logits of the shapes it was built from."""
+
+    STATE_SHAPES = ((3, 5), (3, 4))
+
+    @pytest.mark.parametrize("teacher, student", [
+        ((3, 5), (3, 3)),   # fewer student columns: used to index past them
+        ((3, 5), (3, 9)),   # more student columns: used to return a wrong loss
+        ((3, 7), (3, 4)),   # another teacher vocabulary
+        ((2, 5), (2, 4)),   # another token count
+    ])
+    def test_rejects_other_shapes(self, teacher, student):
+        rng = np.random.default_rng(32)
+        state = build_state(*(rng.standard_normal(shape)
+                              for shape in self.STATE_SHAPES), w=SMALL)
+        t, s = rng.standard_normal(teacher), rng.standard_normal(student)
+        with pytest.raises(InvalidInput):
+            total_loss_frozen(state, t, s, SMALL)
+        with pytest.raises(InvalidInput):
+            total_grad(t, s, w=SMALL, state=state)

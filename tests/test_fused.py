@@ -163,13 +163,16 @@ class TestFusedMatchesDenseReference:
         s1 = softmax_rows(s[:length], w.tau_sl)
         ce_grad = softmax_backward(s1, reference_ce_upstream(ref, s1), w.tau_sl)
         uld_part = softmax_backward(s1, w.alpha * uld_grad(t1, s1), w.tau_sl)
-        _, b_ce, g_ce = _forward(t, s, w, labels=labels, grad=CE_ONLY)
-        _, b_uld, g_uld = _forward(t, s, w, labels=labels, grad=ULD)
-        assert_close(g_ce, ce_grad)
-        assert_close(g_uld, ce_grad + uld_part)
+        # The fused pass takes a batch: here one sequence of the shared length.
+        batch = (t[None, :length], s[None, :length])
+        given = None if labels is None else labels[None, :length]
+        _, b_ce, g_ce = _forward(*batch, w, labels=given, grad=CE_ONLY)
+        _, b_uld, g_uld = _forward(*batch, w, labels=given, grad=ULD)
+        assert_close(g_ce[0], ce_grad)
+        assert_close(g_uld[0], ce_grad + uld_part)
         expected = reference_loss(ref, t, s, w)
-        assert_close(breakdown_array(b_ce), expected)
-        assert_close(breakdown_array(b_uld), expected)
+        assert_close(breakdown_array(b_ce)[:, 0], expected)
+        assert_close(breakdown_array(b_uld)[:, 0], expected)
 
 
 def test_exact_match_uneven_rows_matches_finite_differences():

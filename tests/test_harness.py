@@ -56,6 +56,17 @@ class TestRunDistillation:
             DistillConfig(mode="nope")
         with pytest.raises(InvalidConfig):
             DistillConfig(contexts=4, tokens=4)
+        with pytest.raises(InvalidConfig):
+            DistillConfig(tokens=0)
+
+    def test_contexts_past_the_last_block_are_unused(self):
+        # 18 contexts make the same four blocks of 4 as 16 do; the seeded
+        # tables of 18 rows start with the 16 rows of the shorter run.
+        short = run_distillation(replace(FAST, steps=5))
+        longer = run_distillation(replace(FAST, contexts=18, steps=5))
+        for name in ("ce", "had", "sl", "sd", "total", "eval_sd"):
+            np.testing.assert_array_equal(getattr(short, name),
+                                          getattr(longer, name))
 
 
 class TestTeacherTable:

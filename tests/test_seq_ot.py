@@ -126,6 +126,19 @@ class TestSinkhornPlan:
         with pytest.raises(InvalidInput):
             sinkhorn_plan(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 2, 2)])
+    def test_rejects_empty(self, shape):
+        with pytest.raises(InvalidInput):
+            sinkhorn_plan(np.zeros(shape))
+
+    def test_stack_normalizes_each_cost_on_its_own(self):
+        rng = np.random.default_rng(9)
+        costs = rng.random((3, 5, 5)) * np.array([0.5, 1.0, 2.0])[:, None, None]
+        cfg = SinkhornConfig(0.1, 20)
+        np.testing.assert_allclose(
+            sinkhorn_plan(costs, cfg), [sinkhorn_plan(C, cfg) for C in costs],
+            rtol=1e-14, atol=0)
+
     def test_rejects_bad_config(self):
         with pytest.raises(InvalidConfig):
             SinkhornConfig(regularization=0.0)
@@ -181,6 +194,20 @@ class TestSdLoss:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidInput):
             sd_loss(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_no_plan_sized_temporary(self):
+        tokens = 512
+        rng = np.random.default_rng(10)
+        C, plan = rng.random((tokens, tokens)), rng.random((tokens, tokens))
+        tracemalloc.start()
+        try:
+            value = sd_loss(C, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx((plan * C).sum(), rel=1e-12)
+        # The product plan * C alone would take 8 * tokens**2 bytes (2 MB).
+        assert peak < tokens**2, f"peak {peak} bytes"
 
 
 class TestSdGrad:
