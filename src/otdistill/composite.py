@@ -5,12 +5,17 @@ total = ce + alpha * (had + beta * sl + gamma * sd)
 The token losses (ce, had, sl) use one softmax temperature, the sequence loss
 its own. build_state, total_loss_frozen, total_loss and total_grad are thin
 wrappers that validate the logits once and call one fused pass (_forward),
-which runs each (matrix, temperature) softmax once, gathers only the k
-aligned columns, and back-propagates through each softmax in place: the
+which runs each (matrix, temperature) softmax at most once, gathers only the
+k aligned columns, and back-propagates through each softmax in place: the
 upstream gradient is nonzero only at the label and the k aligned columns, so
 the backward reads and writes k + 1 columns plus one rescaling of each row.
 Gradients are with respect to the raw student logits, with the
 rank/truncation selections and the Sinkhorn plan held fixed.
+
+A state also freezes the teacher's kept probabilities, so a call given one
+runs no teacher softmax. A call given one that returns no gradient reads the
+student's label and kept entries from its row normalizers (max and sum of
+exponentials) and writes no dense student softmax either.
 
 The fused pass takes a leading batch axis of B sequences of equal length T:
 every softmax, ranking, gather, cost, plan and loss works per sequence along
@@ -23,12 +28,14 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .core import PROB_FLOOR, _softmax, safe_log, validate_logits, validate_probs
+from .core import (PROB_FLOOR, _floor_log, _is_count, _row_normalizers,
+                   _softmax, _softmax_at, safe_log, validate_logits,
+                   validate_probs)
 from .errors import InvalidConfig, InvalidInput
 from .preprocess import (SUM_SORT, AlignedPair, RankSelection,
                          _align_and_truncate, _gather, _last_axis)
 from .seq_ot import SinkhornConfig, _cost, _plan, _sd, _sd_grad
-from .token_ot import had_loss, sl_loss, uld_grad
+from .token_ot import _sl_loss, had_loss, uld_grad
 
 # Objectives the fused pass can differentiate: the full objective, the
 # cross-entropy alone, and the cross-entropy plus alpha times the padded-sort
@@ -61,7 +68,7 @@ class LossWeights:
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0:
                 raise InvalidConfig(f"{name} must be finite and positive, got {v}")
-        if not np.isfinite(self.k) or self.k != int(self.k) or self.k < 1:
+        if not _is_count(self.k):
             raise InvalidConfig(f"truncation width k must be an integer >= 1, "
                                 f"got {self.k}")
 
@@ -85,10 +92,16 @@ class LossBreakdown:
 
 @dataclass(frozen=True)
 class PipelineState:
-    """Frozen alignment selections, Sinkhorn plan, and resolved labels.
+    """Frozen alignment selections, Sinkhorn plan, labels and teacher.
 
     Holding this fixed makes the objective a plain differentiable function
-    of the raw student logits (away from absolute-value kinks).
+    of the raw student logits (away from absolute-value kinks). A state is
+    tied to the teacher and the temperatures it was built with: teacher and
+    teacher_seq are the teacher's kept probabilities at tau_sl (the columns
+    of rank) and at tau_sd (those of rank_seq), and teacher_logits the
+    teacher's logits at both sets of kept columns, which every call given
+    the state compares with its teacher argument. Only states returned to
+    a caller carry teacher_logits.
     """
 
     length: int
@@ -96,6 +109,11 @@ class PipelineState:
     rank: RankSelection
     rank_seq: RankSelection
     plan: np.ndarray
+    tau_sl: float
+    tau_sd: float
+    teacher: np.ndarray
+    teacher_seq: np.ndarray
+    teacher_logits: np.ndarray | None
 
 
 def ce_loss(student_probs, labels):
@@ -138,7 +156,9 @@ def _pseudo_labels(teacher_probs, rank: RankSelection, n_student):
     clamp to its last ranked dimension. Works per item on a (B, T, m) stack
     with (B, m) and (B, n) permutations.
     """
-    inv = np.argsort(rank.teacher_perm, axis=-1)
+    inv = np.empty_like(rank.teacher_perm)
+    np.put_along_axis(inv, rank.teacher_perm,
+                      np.arange(rank.teacher_perm.shape[-1]), axis=-1)
     pos = np.take_along_axis(inv, np.argmax(teacher_probs, axis=-1), axis=-1)
     pos = np.minimum(pos, n_student - 1)
     return np.take_along_axis(rank.student_perm, pos, axis=-1)
@@ -180,7 +200,8 @@ def _index(obj, i):
     return replace(obj, **changes)
 
 
-def _check_state(state: PipelineState, length, m, n):
+def _check_state(state: PipelineState, t, n, w):
+    length, m = t.shape[1:]
     if state.length != length:
         raise InvalidInput("state was built for a different token count")
     for rank in (state.rank, state.rank_seq):
@@ -188,6 +209,35 @@ def _check_state(state: PipelineState, length, m, n):
             raise InvalidInput(
                 f"state was built for vocabularies of {rank.teacher_perm.shape[-1]} "
                 f"and {rank.student_perm.shape[-1]}, got {m} and {n}")
+    if (state.tau_sl, state.tau_sd) != (w.tau_sl, w.tau_sd):
+        raise InvalidConfig(
+            f"state was built at tau_sl={state.tau_sl}, tau_sd={state.tau_sd}, "
+            f"got tau_sl={w.tau_sl}, tau_sd={w.tau_sd}")
+    if not np.array_equal(_kept_logits(t, state.rank, state.rank_seq),
+                          state.teacher_logits):
+        raise InvalidInput("teacher logits differ from the state's at its kept "
+                           "columns; a state is tied to its teacher")
+
+
+def _kept_logits(t, rank, rank_seq):
+    # The teacher's logits at the kept columns of both levels, (B, T, 2k).
+    return _gather(t, np.concatenate((rank.teacher_perm[:, :rank.k],
+                                      rank_seq.teacher_perm[:, :rank_seq.k]),
+                                     axis=-1))
+
+
+def _student_at(s, tau, dense, indices):
+    """The student's softmax at tau, gathered at each index in indices.
+
+    With dense, also returns the full softmax for a backward pass to
+    overwrite; otherwise None in its place, and the entries come from row
+    normalizers without a B x T x n buffer (bit-identical either way).
+    """
+    if dense:
+        probs = _softmax(s, tau)
+        return probs, [probs[index] for index in indices]
+    normalizers = _row_normalizers(s, tau)
+    return None, [_softmax_at(s, tau, normalizers, index) for index in indices]
 
 
 def _softmax_backward_inplace(probs, tau, terms):
@@ -219,34 +269,47 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     None), each with a leading batch axis: the state's arrays and the
     breakdown's components hold one entry per sequence, and the gradient is
     (B, T, n).
+
+    A given state must match t at its kept columns and w's temperatures;
+    the teacher then enters only through the state. A state built as the
+    only output (no loss, no gradient: build_state) records the teacher's
+    kept logits; the others are never returned to a caller.
     """
     length, n = s.shape[1:]
     if state is not None:
-        _check_state(state, length, t.shape[2], n)
+        _check_state(state, t, n, w)
     ot_alpha = w.alpha if grad == MULTILEVEL_OT else 0.0
     seq_grad = grad is not None and ot_alpha * w.gamma > 0
 
     # Each full softmax is dropped once its columns are gathered (or, for the
-    # student, once it has become the gradient), which bounds the peak at
-    # about three B x T x V buffers.
+    # student, once it has become the gradient), and a dropped buffer takes
+    # the next softmax of its matrix, which bounds the peak at about three
+    # B x T x V buffers.
 
     # Token temperature: ce + alpha * (had + beta * sl).
-    t1 = _softmax(t, w.tau_sl)
-    s1 = _softmax(s, w.tau_sl)
     if state is None:
-        pair1, rank = _align_and_truncate(t1, s1, w.k, w.match_mode)
+        tp = _softmax(t, w.tau_sl)
+        s1 = _softmax(s, w.tau_sl)
+        pair1, rank = _align_and_truncate(tp, s1, w.k, w.match_mode)
         if labels is None:
-            labels = _pseudo_labels(t1, rank, n)
+            labels = _pseudo_labels(tp, rank, n)
+        at_label = _last_axis(s.shape, labels[:, :, None])
+        p_label = s1[at_label]
     else:
         rank, labels = state.rank, state.labels
-        pair1 = AlignedPair(teacher=_gather(t1, rank.teacher_perm[:, :rank.k]),
-                            student=_gather(s1, rank.student_perm[:, :rank.k]))
-    uld = w.alpha * uld_grad(t1, s1) if grad == ULD else None
-    del t1
-    at_label = _last_axis(s1.shape, labels[:, :, None])
-    p_label = s1[at_label]
+        at_label = _last_axis(s.shape, labels[:, :, None])
+        s1, (p_label, student) = _student_at(
+            s, w.tau_sl, grad is not None,
+            [at_label, _last_axis(s.shape, rank.student_perm[:, None, :rank.k])])
+        pair1 = AlignedPair(teacher=state.teacher, student=student)
+        # The padded-sort baseline reads every teacher column.
+        tp = _softmax(t, w.tau_sl) if grad == ULD else None
+    uld = w.alpha * uld_grad(tp, s1) if grad == ULD else None
     if need_loss or ot_alpha > 0:
-        had, sl = had_loss(pair1), sl_loss(pair1)
+        had, sl = had_loss(pair1), _sl_loss(pair1)
+        if ot_alpha > 0:
+            g1 = ot_alpha * (had.grad + w.beta * sl.grad)
+        had, sl = had.value, sl.value
     gradient = None
     if grad is not None:
         # Only labels above the floor get -1/p; dividing elsewhere would
@@ -256,32 +319,41 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
         terms = [(at_label, p_label, g_label)]
         if ot_alpha > 0:
             cols = _last_axis(s1.shape, rank.student_perm[:, None, :rank.k])
-            terms.append((cols, pair1.student,
-                          ot_alpha * (had.grad + w.beta * sl.grad)))
+            terms.append((cols, pair1.student, g1))
         if uld is not None:
             terms.append(((Ellipsis,), s1.copy(), uld))
         gradient = _softmax_backward_inplace(s1, w.tau_sl, terms)
-    del s1
+        # Nothing of the token-level backward outlives it.
+        s1 = terms = g1 = uld = None
 
     # Sequence temperature: the plan, and alpha * gamma * sd.
     if state is None or need_loss or seq_grad:
         if state is None:
-            t2 = _softmax(t, w.tau_sd)
-            s2 = _softmax(s, w.tau_sd)
-            pair2, rank_seq = _align_and_truncate(t2, s2, w.k, w.match_mode)
-            del t2
+            tp = _softmax(t, w.tau_sd, out=tp)
+            s2 = _softmax(s, w.tau_sd, out=s1)
+            del s1
+            pair2, rank_seq = _align_and_truncate(tp, s2, w.k, w.match_mode)
+            # No dense buffer is held through the cost and the plan unless
+            # the backward needs it.
+            del tp
+            if not seq_grad:
+                del s2
             cost = _cost(pair2.teacher, pair2.student)
+            kept = (_kept_logits(t, rank, rank_seq)
+                    if not need_loss and grad is None else None)
             state = PipelineState(length=length, labels=labels, rank=rank,
                                   rank_seq=rank_seq,
-                                  plan=_plan(cost, w.sinkhorn))
+                                  plan=_plan(cost, w.sinkhorn),
+                                  tau_sl=w.tau_sl, tau_sd=w.tau_sd,
+                                  teacher=pair1.teacher,
+                                  teacher_seq=pair2.teacher,
+                                  teacher_logits=kept)
         else:
             rank_seq = state.rank_seq
-            t2_k = _gather(_softmax(t, w.tau_sd),
-                           rank_seq.teacher_perm[:, :rank_seq.k])
-            s2 = _softmax(s, w.tau_sd)
-            pair2 = AlignedPair(
-                teacher=t2_k,
-                student=_gather(s2, rank_seq.student_perm[:, :rank_seq.k]))
+            s2, (student,) = _student_at(
+                s, w.tau_sd, seq_grad,
+                [_last_axis(s.shape, rank_seq.student_perm[:, None, :rank_seq.k])])
+            pair2 = AlignedPair(teacher=state.teacher_seq, student=student)
             cost = _cost(pair2.teacher, pair2.student) if need_loss else None
         if seq_grad:
             cols = _last_axis(s2.shape, rank_seq.student_perm[:, None, :rank_seq.k])
@@ -292,10 +364,10 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
 
     breakdown = None
     if need_loss:
-        ce = -safe_log(p_label).sum(axis=(1, 2))
+        ce = -_floor_log(p_label).sum(axis=(1, 2))
         sd = _sd(cost, state.plan)
-        total = ce + w.alpha * (had.value + w.beta * sl.value + w.gamma * sd)
-        breakdown = LossBreakdown(ce=ce, had=had.value, sl=sl.value, sd=sd,
+        total = ce + w.alpha * (had + w.beta * sl + w.gamma * sd)
+        breakdown = LossBreakdown(ce=ce, had=had, sl=sl, sd=sd,
                                   total=total, rank=state.rank,
                                   rank_seq=state.rank_seq)
     return state, breakdown, gradient

@@ -15,6 +15,21 @@ PROB_FLOOR = 1e-12
 
 ROW_SUM_TOL = 1e-9
 
+# Entries of a row block held at once by the blocked kernels (here and in
+# seq_ot): small enough to stay in cache, large enough that per-block numpy
+# overhead is negligible.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _is_count(value):
+    # value is an integer >= 1, or a float holding one; nan, inf, fractions
+    # and integers too large for a float give False (np.isfinite raises a
+    # TypeError on the last).
+    try:
+        return value == int(value) and value >= 1
+    except (OverflowError, TypeError, ValueError):
+        return False
+
 
 def validate_logits(logits):
     """Coerce to a float matrix and enforce logit-matrix invariants.
@@ -67,19 +82,58 @@ def softmax_rows(logits, temperature=1.0):
     return _softmax(arr, tau)
 
 
-def _softmax(arr, tau):
-    # The max is subtracted before dividing by tau, so x / tau cannot
+def _softmax(arr, tau, out=None):
+    # Rows lie along the last axis, so a (B, T, V) stack of logit matrices
+    # works as well; out, when given, is a free buffer of arr's shape that
+    # the result overwrites. Callers have validated arr and tau.
+    out = _shifted_exp(arr, arr.max(axis=-1, keepdims=True), tau, out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _shifted_exp(z, top, tau, out=None):
+    # exp((z - top) / tau), the numerator of every softmax entry here. The
+    # max is subtracted before dividing by tau, so the quotient cannot
     # overflow to inf; entries far below the max may saturate to -inf, whose
-    # exp is the correct 0. Dividing by 1 is exact, so it is skipped. Every
-    # later step reuses the one output buffer. Rows lie along the last axis,
-    # so a (B, T, V) stack of logit matrices works as well. Callers have
-    # validated arr and tau.
+    # exp is the correct 0. Dividing by 1 is exact, so it is skipped.
     with np.errstate(over="ignore"):
-        out = arr - arr.max(axis=-1, keepdims=True)
+        out = np.subtract(z, top, out=out)
         if tau != 1.0:
             out /= tau
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    return np.exp(out, out=out)
+
+
+def _row_normalizers(arr, tau):
+    """Each row's max and sum of exp((z - max) / tau) for a (B, T, V) stack.
+
+    One pass over blocks of rows, each at most _BLOCK_ENTRIES entries or one
+    row, through one reused buffer: no B x T x V array is written. Each row
+    is reduced exactly as _softmax reduces it, so _softmax_at returns the
+    softmax's own entries bit for bit. Returns two (B, T, 1) arrays.
+    """
+    top = np.empty(arr.shape[:-1] + (1,))
+    total = np.empty_like(top)
+    step = max(1, min(arr.shape[1], _BLOCK_ENTRIES // arr.shape[2]))
+    buf = np.empty((step, arr.shape[2]))
+    for b in range(arr.shape[0]):
+        for i in range(0, arr.shape[1], step):
+            rows = slice(i, min(i + step, arr.shape[1]))
+            np.max(arr[b, rows], axis=-1, keepdims=True, out=top[b, rows])
+            block = _shifted_exp(arr[b, rows], top[b, rows], tau,
+                                 buf[:rows.stop - i])
+            block.sum(axis=-1, keepdims=True, out=total[b, rows])
+    return top, total
+
+
+def _softmax_at(arr, tau, normalizers, index):
+    """The entries _softmax(arr, tau) has at index, from _row_normalizers.
+
+    index picks entries of a (B, T, V) stack row by row (the last axis
+    last), as preprocess._last_axis builds it.
+    """
+    top, total = normalizers
+    out = _shifted_exp(arr[index], top, tau)
+    out /= total
     return out
 
 
@@ -104,5 +158,11 @@ def safe_log(p, floor=PROB_FLOOR):
     arr = np.asarray(p, dtype=float)
     if not np.isfinite(arr).all() or arr.min(initial=0.0) < 0.0 or arr.max(initial=0.0) > 1.0:
         raise InvalidInput("probabilities must lie in [0, 1]")
-    out = np.log(np.maximum(arr, floor))
+    out = _floor_log(arr, floor)
     return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+
+
+def _floor_log(p, floor=PROB_FLOOR):
+    # safe_log without its checks, for probabilities the caller has just
+    # computed from validated logits.
+    return np.log(np.maximum(p, floor))

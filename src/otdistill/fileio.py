@@ -76,7 +76,11 @@ def load_logit_file(path):
         arr = np.array(doc["logits"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: logits is not a numeric matrix") from exc
-    if arr.ndim != 2 or arr.shape != (int(doc["tokens"]), int(doc["vocab"])):
+    try:
+        declared = (int(doc["tokens"]), int(doc["vocab"]))
+    except (OverflowError, TypeError, ValueError):
+        raise ParseError(f"{path}: tokens and vocab must be integers") from None
+    if arr.ndim != 2 or arr.shape != declared:
         raise ParseError(
             f"{path}: logits shape {arr.shape} does not match declared "
             f"tokens={doc['tokens']}, vocab={doc['vocab']}"
@@ -145,7 +149,10 @@ def load_labels_file(path, expected=None):
             raise ParseError(f"{path}: bad label on line {lineno}") from exc
     if expected is not None and len(labels) < expected:
         raise InvalidInput(f"{path}: need {expected} labels, got {len(labels)}")
-    return np.array(labels, dtype=int)
+    try:
+        return np.array(labels, dtype=int)
+    except OverflowError:
+        raise InvalidInput(f"{path}: label out of range") from None
 
 
 def load_keyvalue_config(path):

@@ -39,6 +39,11 @@ class DistillConfig:
     mode: str = MULTILEVEL_OT
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        if self.m < 2 or self.n < 2:
+            raise InvalidConfig(f"vocabularies need at least 2 entries, "
+                                f"got m={self.m}, n={self.n}")
         if self.tokens < 1:
             raise InvalidConfig(f"tokens must be >= 1, got {self.tokens}")
         if self.steps < 1:

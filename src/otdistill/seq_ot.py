@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _BLOCK_ENTRIES, _is_count
 from .errors import InvalidConfig, InvalidInput, NumericalUnderflow
 from .preprocess import AlignedPair
 
-# Entries of B x T x T x k row differences held at once by the cost and
-# gradient kernels: small enough to stay in cache, large enough that
-# per-block numpy overhead is negligible, and a single block for the
-# harness's whole step at the fixture shapes (4 x 8 x 8 x 15).
-_BLOCK_ENTRIES = 1 << 18
+# _BLOCK_ENTRIES counts the B x T x T x k row differences the cost and
+# gradient kernels hold at once; the harness's whole step at the fixture
+# shapes (4 x 8 x 8 x 15) is a single block.
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class SinkhornConfig:
                 f"regularization must be positive, got {self.regularization}"
             )
         n = self.iterations
-        if not np.isfinite(n) or n != int(n) or n < 1:
+        if not _is_count(n):
             raise InvalidConfig(f"iterations must be an integer >= 1, got {n}")
 
 

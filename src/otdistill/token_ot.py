@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PROB_FLOOR, safe_log
+from .core import PROB_FLOOR, _floor_log, safe_log
 from .errors import InvalidInput
 from .preprocess import AlignedPair
 
@@ -43,8 +43,14 @@ def sl_loss(pair: AlignedPair, floor=PROB_FLOOR) -> TokenLossGrad:
     value = -sum teacher * log(max(student, floor)); gradient entry is
     -teacher / max(student, floor).
     """
+    return _sl_loss(pair, floor, log=safe_log)
+
+
+def _sl_loss(pair, floor=PROB_FLOOR, log=_floor_log):
+    # sl_loss; the fused pass skips safe_log's checks on the probabilities
+    # it has just computed.
     t, s = pair.teacher, pair.student
-    value = -_per_pair(t * safe_log(s, floor=floor))
+    value = -_per_pair(t * log(s, floor=floor))
     grad = -t / np.maximum(s, floor)
     return TokenLossGrad(value=value, grad=grad)
 

@@ -1,9 +1,19 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from otdistill import cli, fileio
+from otdistill import (DistillConfig, InvalidConfig, InvalidInput, LossWeights,
+                       NumericalFailure, NumericalUnderflow, SinkhornConfig,
+                       TooLargeForExact, cli, fileio, run_distillation,
+                       sinkhorn_plan, total_loss)
+from otdistill.fileio import ParseError
 
 
 def run(capsys, *argv):
@@ -226,3 +236,172 @@ class TestDistillCommand:
         code, _, _ = run(capsys, "distill", "--config", str(config),
                          "--out", str(tmp_path / "out.csv"))
         assert code == 3
+
+
+# Property: generated files, intact or spoiled in one way, always give a
+# documented exit code and never a traceback.
+
+EXIT_CODES = {ParseError: 2, InvalidInput: 3, InvalidConfig: 3,
+              TooLargeForExact: 3, NumericalUnderflow: 4, NumericalFailure: 4}
+
+
+def documented_code(call):
+    """The exit code the CLI documents for the outcome of a library call."""
+    try:
+        call()
+    except tuple(EXIT_CODES) as exc:
+        return EXIT_CODES[type(exc)]
+    return 0
+
+
+def run_quiet(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code == 0) == ("error:" not in err.getvalue())
+    return code
+
+
+def logit_text(arr):
+    return json.dumps({"tokens": arr.shape[0], "vocab": arr.shape[1],
+                       "logits": arr.tolist()})
+
+
+def spoil_logits(arr, how):
+    doc = {"tokens": arr.shape[0], "vocab": arr.shape[1], "logits": arr.tolist()}
+    if how == "truncated":
+        return logit_text(arr)[:-3]
+    if how in ("nan", "inf"):
+        doc["logits"][0][-1] = float(how)
+    elif how == "rows":
+        doc["tokens"] += 1
+    elif how == "ragged":
+        doc["logits"][-1].append(0.0)
+    elif how == "tokens_text":
+        doc["tokens"] = "three"
+    elif how == "tokens_null":
+        doc["tokens"] = None
+    elif how == "extra_key":
+        doc["extra"] = 1
+    elif how == "one_column":
+        return logit_text(arr[:, :1])
+    return json.dumps(doc)
+
+
+LOGIT_FAULTS = {"truncated": 2, "nan": 2, "inf": 2, "rows": 2, "ragged": 2,
+                "tokens_text": 2, "tokens_null": 2, "extra_key": 2,
+                "one_column": 3}
+LABEL_FAULTS = {"-1": 3, "1.5": 3, "one": 2, "1" + "0" * 30: 3, "few": 3,
+                "vocab": 3}
+CONFIG_FAULTS = {"bogus=1": 2, "alpha=abc": 2, "no equals sign": 2,
+                 "tau_sl=0": 3, "tau_sd=-1": 3, "alpha=-1": 3, "beta=inf": 3,
+                 "k=0": 3, "k=2.5": 3, "k=" + "9" * 30: 0, "lambda=0": 3,
+                 "lambda=nan": 3, "n_iters=0": 3}
+
+
+@given(tokens=st.integers(1, 4), m=st.integers(2, 6), n=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(-3.0, 300.0),
+       lam=st.sampled_from([1e-3, 0.1]), with_labels=st.booleans(),
+       fault=st.sampled_from([None]
+                             + [("teacher", f) for f in LOGIT_FAULTS]
+                             + [("student", f) for f in LOGIT_FAULTS]
+                             + [("labels", f) for f in LABEL_FAULTS]
+                             + [("config", f) for f in CONFIG_FAULTS]))
+@settings(max_examples=150, deadline=None)
+def test_loss_command_exit_codes(tokens, m, n, seed, scale, lam, with_labels,
+                                 fault):
+    rng = np.random.default_rng(seed)
+    teacher = rng.standard_normal((tokens, m)) * 10.0**scale
+    student = rng.standard_normal((tokens, n)) * 10.0**scale
+    labels = rng.integers(0, n, tokens)
+    texts = {"teacher": logit_text(teacher), "student": logit_text(student),
+             "labels": "\n".join(map(str, labels)) + "\n",
+             "config": f"lambda={lam}\n"}
+    where, how = fault or (None, None)
+    if where in ("teacher", "student"):
+        texts[where] = spoil_logits((teacher, student)[where == "student"], how)
+        expected = LOGIT_FAULTS[how]
+    elif where == "labels":
+        lines = {"few": labels[:-1], "vocab": [n] * tokens}.get(how, [how] * tokens)
+        texts["labels"] = "\n".join(map(str, lines)) + "\n"
+        expected = LABEL_FAULTS[how]
+    elif where == "config":
+        texts["config"] += how + "\n"
+        expected = CONFIG_FAULTS[how]
+    if where != "labels" and not with_labels:
+        texts.pop("labels")
+    if where is None or expected == 0:
+        # Intact files: the code of what the library returns on the arrays.
+        k = int(how.split("=")[1]) if how else 50
+        w = LossWeights(k=k, sinkhorn=SinkhornConfig(lam, 20))
+        expected = documented_code(lambda: total_loss(
+            teacher, student, labels if "labels" in texts else None, w))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["loss"]
+        for name, text in texts.items():
+            path = os.path.join(tmp, name)
+            with open(path, "w") as f:
+                f.write(text)
+            argv += [f"--{name}", path]
+        assert run_quiet(argv) == expected
+
+
+DISTILL_FAULTS = {"seed=-1": 3, "m=-2": 3, "n=1": 3, "T=0": 3, "T=1.5": 3,
+                  "contexts=3": 3, "steps=0": 3, "steps=two": 2, "lr=-1": 3,
+                  "sharpness=nan": 3, "colour=red": 2}
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), n=st.integers(2, 6),
+       scale=st.floats(-3.0, 300.0),
+       fault=st.sampled_from([None, *DISTILL_FAULTS]))
+@settings(max_examples=40, deadline=None)
+def test_distill_command_exit_codes(seed, m, n, scale, fault):
+    settings_text = (f"seed={seed}\nm={m}\nn={n}\nT=2\ncontexts=8\nsteps=2\n"
+                     f"sharpness={10.0**scale!r}\n")
+    if fault is None:
+        cfg = DistillConfig(seed=seed, m=m, n=n, tokens=2, contexts=8, steps=2,
+                            sharpness=10.0**scale)
+        expected = documented_code(lambda: run_distillation(cfg))
+    else:
+        settings_text += fault + "\n"
+        expected = DISTILL_FAULTS[fault]
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.cfg")
+        with open(config, "w") as f:
+            f.write(settings_text)
+        argv = ["distill", "--config", config, "--out", os.path.join(tmp, "m.csv")]
+        assert run_quiet(argv) == expected
+
+
+COST_FAULTS = {"negative": 3, "non-square": 3, "text": 2, "empty": 2, "nan": 2,
+               "ragged": 2}
+
+
+@given(size=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(-3.0, 6.0), lam=st.sampled_from([1e-3, 0.1]),
+       fault=st.sampled_from([None, *COST_FAULTS]))
+@settings(max_examples=60, deadline=None)
+def test_sinkhorn_command_exit_codes(size, seed, scale, lam, fault):
+    cost = np.random.default_rng(seed).random((size, size)) * 10.0**scale
+    rows = [",".join(repr(float(x)) for x in row) for row in cost]
+    if fault == "negative":
+        rows[0] = "-1," + rows[0].partition(",")[2] if size > 1 else "-1"
+    elif fault == "non-square":
+        rows = rows + [rows[0]]
+    elif fault == "text":
+        rows[-1] = "cost"
+    elif fault == "empty":
+        rows = []
+    elif fault == "nan":
+        rows[0] = "nan" + rows[0][len(rows[0].split(",")[0]):]
+    elif fault == "ragged":
+        rows.append(rows[0] + ",0")
+    expected = (COST_FAULTS[fault] if fault else
+                documented_code(lambda: sinkhorn_plan(cost, SinkhornConfig(lam, 20))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cost.csv")
+        with open(path, "w") as f:
+            f.write("\n".join(rows) + "\n")
+        argv = ["sinkhorn", "--cost", path, "--lambda", repr(lam),
+                "--out", os.path.join(tmp, "plan.csv")]
+        assert run_quiet(argv) == expected

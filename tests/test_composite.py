@@ -7,6 +7,10 @@ import pytest
 from otdistill import (InvalidConfig, InvalidInput, LossWeights, SinkhornConfig,
                        build_state, ce_loss, check_gradient, finite_diff_grad,
                        softmax_rows, total_grad, total_loss, total_loss_frozen)
+from otdistill import composite
+from otdistill.composite import _pseudo_labels
+from otdistill.core import _softmax
+from otdistill.preprocess import _align_and_truncate
 
 SMALL = LossWeights(k=4, sinkhorn=SinkhornConfig(0.5, 20))
 
@@ -215,3 +219,76 @@ class TestFrozenState:
             total_loss_frozen(state, t, s, SMALL)
         with pytest.raises(InvalidInput):
             total_grad(t, s, w=SMALL, state=state)
+
+    def test_rejects_another_teacher(self):
+        # Same shape, one kept logit changed: the state's frozen teacher
+        # probabilities would silently be wrong for it.
+        t, s = random_pair(33)
+        state = build_state(t, s, w=SMALL)
+        other = t.copy()
+        other[1, state.rank.teacher_perm[0]] += 0.5
+        with pytest.raises(InvalidInput):
+            total_loss_frozen(state, other, s, SMALL)
+        with pytest.raises(InvalidInput):
+            total_grad(other, s, w=SMALL, state=state)
+
+    @pytest.mark.parametrize("field", ["tau_sl", "tau_sd"])
+    def test_rejects_other_temperatures(self, field):
+        t, s = random_pair(34)
+        state = build_state(t, s, w=SMALL)
+        w = replace(SMALL, **{field: getattr(SMALL, field) * 1.5})
+        with pytest.raises(InvalidConfig):
+            total_loss_frozen(state, t, s, w)
+        with pytest.raises(InvalidConfig):
+            total_grad(t, s, w=w, state=state)
+
+
+class TestSoftmaxAccounting:
+    """Full softmaxes and normalizer passes per public call.
+
+    The teacher (m = 8 columns) and the student (n = 6) are told apart by
+    their width.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(kind, kernel):
+            def wrapper(arr, *args, **kwargs):
+                calls.append((kind, "teacher" if arr.shape[-1] == 8 else "student"))
+                return kernel(arr, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(composite, "_softmax",
+                            counted("dense", composite._softmax))
+        monkeypatch.setattr(composite, "_row_normalizers",
+                            counted("normalizers", composite._row_normalizers))
+        return calls
+
+    def test_calls_per_function(self, calls):
+        t, s = random_pair(35, m=8, n=6)
+        state = build_state(t, s, w=SMALL)
+        assert sorted(calls) == [("dense", "student")] * 2 + [("dense", "teacher")] * 2
+        calls.clear()
+        total_loss_frozen(state, t, s, SMALL)
+        assert calls == [("normalizers", "student")] * 2
+        calls.clear()
+        total_grad(t, s, w=SMALL, state=state)
+        assert calls == [("dense", "student")] * 2
+
+
+def test_pseudo_labels_invert_the_ranking_on_ties():
+    # Rounded logits with copied columns tie the sequence sums, so the
+    # stable ranking decides between equal columns.
+    rng = np.random.default_rng(36)
+    t = np.round(rng.standard_normal((3, 4, 9)))
+    t[..., 5] = t[..., 1]
+    t[..., 7] = t[..., 1]
+    s = rng.standard_normal((3, 4, 6))
+    t1, s1 = _softmax(t, 1.0), _softmax(s, 1.0)
+    _, rank = _align_and_truncate(t1, s1, 4, "sum_sort")
+    inv = np.argsort(rank.teacher_perm, axis=-1)
+    pos = np.minimum(np.take_along_axis(inv, t1.argmax(axis=-1), axis=-1), 5)
+    expected = np.take_along_axis(rank.student_perm, pos, axis=-1)
+    np.testing.assert_array_equal(_pseudo_labels(t1, rank, 6), expected)

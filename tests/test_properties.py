@@ -3,12 +3,17 @@
 - One batched fused pass over B sequences equals the per-sequence public
   functions (build_state, total_loss, total_loss_frozen, total_grad)
   stacked, for every training objective.
+- With a state, the teacher comes from the state and a loss-only call
+  reads the student from row normalizers; both equal, bit for bit, a dense
+  pass that softmaxes every matrix and then gathers.
 - Any logit scale from 1e-3 to 1e300 gives finite outputs or an error of a
   type the CLI maps to a documented exit code.
 
 Shapes cover m != n, T = 1, a vocabulary of 2, k above the vocabulary and
 exact ties at the rank cut, under both match modes.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -20,6 +25,8 @@ from otdistill import (CE_ONLY, EXACT_ASSIGNMENT, MULTILEVEL_OT, SUM_SORT, ULD,
                        TooLargeForExact, build_state, run_distillation,
                        total_grad, total_loss, total_loss_frozen)
 from otdistill.composite import _forward
+from otdistill.core import _row_normalizers, _softmax, _softmax_at
+from otdistill.preprocess import _last_axis
 
 LOSS_RTOL = 1e-12
 GRAD_RTOL = 1e-10
@@ -111,6 +118,42 @@ def test_batched_pass_equals_stacked_sequences(batch, objective):
 
 
 SCALES = st.floats(-3.0, 300.0).map(lambda e: 10.0**e)
+
+
+def kept(shape, perm, k):
+    return _last_axis(shape, perm[:, None, :k])
+
+
+@given(batch=logit_batches(scale=1.0), scale=SCALES,
+       taus=st.sampled_from([(1.0, 1.0), (1.0, 2.0), (0.5, 1.0), (0.7, 3.0)]))
+@example(batch=TIED_AT_CUT, scale=1e300, taus=(1.0, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_state_paths_equal_a_dense_pass(batch, scale, taus):
+    t, s, labels, w = batch
+    t, s = t * scale, s * scale
+    w = replace(w, tau_sl=taus[0], tau_sd=taus[1])
+    state = _forward(t, s, w, labels=labels, need_loss=False)[0]
+    # The frozen teacher is the dense teacher softmax, gathered.
+    for probs, tau, rank in ((state.teacher, w.tau_sl, state.rank),
+                             (state.teacher_seq, w.tau_sd, state.rank_seq)):
+        dense = _softmax(t, tau)[kept(t.shape, rank.teacher_perm, rank.k)]
+        assert np.array_equal(probs, dense)
+        # and the normalizers give the dense student's entries.
+        index = kept(s.shape, rank.student_perm, rank.k)
+        assert np.array_equal(
+            _softmax_at(s, tau, _row_normalizers(s, tau), index),
+            _softmax(s, tau)[index])
+
+    # Loss-only and gradient calls with the state against the dense pass
+    # that rebuilds everything from the same labels.
+    _, loss_only, _ = _forward(t, s, w, state=state)
+    _, with_grad, grad = _forward(t, s, w, state=state, grad=MULTILEVEL_OT)
+    _, dense, dense_grad = _forward(t, s, w, labels=state.labels,
+                                    grad=MULTILEVEL_OT)
+    for name in COMPONENTS:
+        assert np.array_equal(getattr(loss_only, name), getattr(dense, name)), name
+        assert np.array_equal(getattr(with_grad, name), getattr(dense, name)), name
+    assert np.array_equal(grad, dense_grad)
 
 
 @given(batch=logit_batches(scale=1.0), scale=SCALES,
