@@ -4,36 +4,44 @@ total = ce + alpha * (had + beta * sl + gamma * sd)
 
 The token losses (ce, had, sl) use one softmax temperature, the sequence loss
 its own. build_state, total_loss_frozen, total_loss and total_grad are thin
-wrappers that validate the logits once and call one fused pass (_forward),
-which runs each (matrix, temperature) softmax at most once, gathers only the
-k aligned columns, and back-propagates through each softmax in place: the
-upstream gradient is nonzero only at the label and the k aligned columns, so
-the backward reads and writes k + 1 columns plus one rescaling of each row.
+wrappers that validate the logits once and call one fused pass (_forward).
+It walks each logit matrix once, in cache-sized blocks of rows, at both
+temperatures (core._softmax_pass) and keeps only what the loss reads: each
+row's max and sum of exponentials, the column sums that rank the columns,
+and the teacher's argmax for pseudo-labels. The label and k aligned entries
+of every row are computed from those row normalizers. The one B x T x n
+softmax a call writes is the student's at the token temperature in a
+gradient call, which the backward overwrites into the gradient: the
+upstream gradient is nonzero only at the label and the k aligned columns,
+so the backward reads and writes k + 1 columns plus one rescaling of each
+row. The sequence temperature's backward recomputes its softmax block by
+block from the normalizers and adds it straight into the gradient.
 Gradients are with respect to the raw student logits, with the
-rank/truncation selections and the Sinkhorn plan held fixed.
+rank/truncation selections and the Sinkhorn plan held fixed. Exact matching
+and the padded-sort baseline read whole softmaxes, which they get dense.
 
 A state also freezes the teacher's kept probabilities, so a call given one
-runs no teacher softmax. A call given one that returns no gradient reads the
-student's label and kept entries from its row normalizers (max and sum of
-exponentials) and writes no dense student softmax either.
+runs no teacher pass.
 
 The fused pass takes a leading batch axis of B sequences of equal length T:
 every softmax, ranking, gather, cost, plan and loss works per sequence along
 the last axes, so the distillation harness computes a whole training step in
-one call. The public functions above are its B = 1 case, passing views of
-their inputs with a batch axis of one.
+one call, with the teacher's half of it computed once per run (_teacher).
+The public functions above are its B = 1 case, passing views of their
+inputs with a batch axis of one.
 """
 
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .core import (PROB_FLOOR, _floor_log, _is_count, _row_normalizers,
-                   _softmax, _softmax_at, safe_log, validate_logits,
-                   validate_probs)
+from .core import (PROB_FLOOR, _blocks, _floor_log, _is_count, _shifted_exp,
+                   _softmax, _softmax_at, _softmax_pass, safe_log,
+                   validate_logits, validate_probs)
 from .errors import InvalidConfig, InvalidInput
-from .preprocess import (SUM_SORT, AlignedPair, RankSelection,
-                         _align_and_truncate, _gather, _last_axis)
+from .preprocess import (EXACT_ASSIGNMENT, SUM_SORT, AlignedPair,
+                         RankSelection, _descending_stable, _gather,
+                         _head_width, _last_axis, _match, _width)
 from .seq_ot import SinkhornConfig, _cost, _plan, _sd, _sd_grad
 from .token_ot import _sl_loss, had_loss, uld_grad
 
@@ -148,18 +156,18 @@ def _validate_labels(labels, length, vocab):
     return labels
 
 
-def _pseudo_labels(teacher_probs, rank: RankSelection, n_student):
+def _pseudo_labels(argmax, rank: RankSelection, n_student):
     """Teacher per-token argmax mapped through the rank alignment.
 
     The argmax teacher dimension's position in the teacher ranking indexes
     the matched student dimension; positions beyond the student vocabulary
-    clamp to its last ranked dimension. Works per item on a (B, T, m) stack
+    clamp to its last ranked dimension. Works per item on a (B, T) argmax
     with (B, m) and (B, n) permutations.
     """
     inv = np.empty_like(rank.teacher_perm)
     np.put_along_axis(inv, rank.teacher_perm,
                       np.arange(rank.teacher_perm.shape[-1]), axis=-1)
-    pos = np.take_along_axis(inv, np.argmax(teacher_probs, axis=-1), axis=-1)
+    pos = np.take_along_axis(inv, argmax, axis=-1)
     pos = np.minimum(pos, n_student - 1)
     return np.take_along_axis(rank.student_perm, pos, axis=-1)
 
@@ -226,18 +234,51 @@ def _kept_logits(t, rank, rank_seq):
                                      axis=-1))
 
 
-def _student_at(s, tau, dense, indices):
-    """The student's softmax at tau, gathered at each index in indices.
+@dataclass(frozen=True)
+class _Teacher:
+    """The teacher's half of a pass without a state, for one student width.
 
-    With dense, also returns the full softmax for a backward pass to
-    overwrite; otherwise None in its place, and the entries come from row
-    normalizers without a B x T x n buffer (bit-identical either way).
+    Per level (tau_sl, tau_sd): perm, the (B, m) ranking of the teacher's
+    columns by sequence-summed probability, and head, its probabilities at
+    the first ranked columns, (B, T, width): the k kept ones, or all
+    min(m, n) that exact matching reads. argmax (the per-token argmax at
+    tau_sl, for pseudo-labels) and dense (the tau_sl softmax, for the
+    padded-sort baseline) are None unless asked for.
     """
-    if dense:
-        probs = _softmax(s, tau)
-        return probs, [probs[index] for index in indices]
-    normalizers = _row_normalizers(s, tau)
-    return None, [_softmax_at(s, tau, normalizers, index) for index in indices]
+
+    logits: np.ndarray
+    perm: tuple
+    head: tuple
+    argmax: np.ndarray | None
+    dense: np.ndarray | None
+
+
+def _teacher(t, n, w, argmax, dense):
+    # The teacher's half of _forward on validated (B, T, m) logits t against
+    # a student vocabulary of n: one blocked pass at both temperatures.
+    taus = (w.tau_sl, w.tau_sd)
+    width = _head_width(w.k, t.shape[-1], n, w.match_mode)
+    buf = np.empty(t.shape) if dense else None
+    top, totals, sums, best = _softmax_pass(t, taus, (buf,), sums=True,
+                                            argmax=argmax)
+    perm = tuple(_descending_stable(x) for x in sums)
+    head = tuple(_softmax_at(t, tau, (top, total),
+                             _last_axis(t.shape, p[:, None, :width]))
+                 for tau, total, p in zip(taus, totals, perm))
+    return _Teacher(logits=t, perm=perm, head=head, argmax=best, dense=buf)
+
+
+def _rank(teacher, level, student, k, mode):
+    # The RankSelection of one level: the teacher's ranking, and the student
+    # matched to it from its column sums (SUM_SORT) or probabilities.
+    return RankSelection(teacher_perm=teacher.perm[level],
+                         student_perm=_match(teacher.head[level], student, mode),
+                         k=k, match_mode=mode)
+
+
+def _row_scale(terms, tau):
+    # -(each softmax row's inner product with the upstream gradient) / tau.
+    return -sum((p * g).sum(axis=-1, keepdims=True) for _, p, g in terms) / tau
 
 
 def _softmax_backward_inplace(probs, tau, terms):
@@ -249,26 +290,54 @@ def _softmax_backward_inplace(probs, tau, terms):
     rows' last axis last). probs is overwritten with the gradient w.r.t.
     the logits and returned; no dense upstream matrix is built.
     """
-    inner = sum((p * g).sum(axis=-1, keepdims=True) for _, p, g in terms)
-    probs *= -inner / tau
+    probs *= _row_scale(terms, tau)
     for index, p, g in terms:
         probs[index] += p * g / tau
     return probs
+
+
+def _softmax_backward_streamed(z, tau, normalizers, term, gradient):
+    """Adds to gradient the backward of the softmax of the (B, T, V) logits
+    z at tau for one sparse upstream term (index, p, g), as in
+    _softmax_backward_inplace; index is a preprocess._last_axis tuple.
+
+    The softmax is recomputed block by block (core._blocks) from its row
+    normalizers and each block is added straight into gradient, so no
+    B x T x V buffer is written. Every entry equals what
+    _softmax_backward_inplace gives on the dense softmax, bit for bit.
+    """
+    top, total = normalizers
+    index, p, g = term
+    scale = _row_scale([term], tau)
+    step = p * g / tau
+    blocks = _blocks(z.shape)
+    buf = np.empty(z[blocks[0]].shape)
+    for block in blocks:
+        items, rows = block
+        zb = z[block]
+        probs = _shifted_exp(zb, top[block], tau, buf[:zb.shape[0], :zb.shape[1]])
+        probs /= total[block]
+        probs *= scale[block]
+        # The batch and row parts of index count from 0, as in the block.
+        probs[index[0][:zb.shape[0]], index[1][:zb.shape[1]],
+              index[2][items]] += step[block]
+        gradient[block] += probs
 
 
 def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     """The fused pass behind build_state, total_loss_frozen, total_loss,
     total_grad and the harness's training step, on B sequences at once.
 
-    t and s are validated (B, T, m) teacher and (B, T, n) student logits.
-    Builds the state when none is given (labels=None derives pseudo-labels;
-    given labels are a validated (B, T) array, ignored when a state is
-    given), evaluates the loss breakdown when need_loss, and, when grad
-    names an objective (MULTILEVEL_OT, CE_ONLY or ULD), its gradient w.r.t.
-    the raw student logits. Returns (state, breakdown or None, gradient or
-    None), each with a leading batch axis: the state's arrays and the
-    breakdown's components hold one entry per sequence, and the gradient is
-    (B, T, n).
+    t and s are validated (B, T, m) teacher and (B, T, n) student logits;
+    without a state, t may instead be the teacher's half from _teacher,
+    which the harness builds once per run. Builds the state when none is
+    given (labels=None derives pseudo-labels; given labels are a validated
+    (B, T) array, ignored when a state is given), evaluates the loss
+    breakdown when need_loss, and, when grad names an objective
+    (MULTILEVEL_OT, CE_ONLY or ULD), its gradient w.r.t. the raw student
+    logits. Returns (state, breakdown or None, gradient or None), each with
+    a leading batch axis: the state's arrays and the breakdown's components
+    hold one entry per sequence, and the gradient is (B, T, n).
 
     A given state must match t at its kept columns and w's temperatures;
     the teacher then enters only through the state. A state built as the
@@ -276,36 +345,48 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     kept logits; the others are never returned to a caller.
     """
     length, n = s.shape[1:]
-    if state is not None:
-        _check_state(state, t, n, w)
     ot_alpha = w.alpha if grad == MULTILEVEL_OT else 0.0
     seq_grad = grad is not None and ot_alpha * w.gamma > 0
+    if state is None:
+        teacher = t if isinstance(t, _Teacher) else _teacher(
+            t, n, w, argmax=labels is None, dense=grad == ULD)
+        k = _width(w.k, teacher.logits.shape[-1], n)
+        exact = w.match_mode == EXACT_ASSIGNMENT
+    else:
+        _check_state(state, t, n, w)
+        exact = False
+    seq_level = state is None or need_loss or seq_grad
+    taus = (w.tau_sl, w.tau_sd)[:1 + seq_level]
 
-    # Each full softmax is dropped once its columns are gathered (or, for the
-    # student, once it has become the gradient), and a dropped buffer takes
-    # the next softmax of its matrix, which bounds the peak at about three
-    # B x T x V buffers.
+    # The student's one pass. Besides its row normalizers and (to rank)
+    # column sums, it writes whole only the tau_sl softmax that the
+    # backward overwrites into the gradient and what exact matching reads:
+    # the peak is one B x T x n buffer plus the blocks.
+    dense = [np.empty(s.shape) if need else None
+             for need in (grad is not None or exact, exact)][:len(taus)]
+    top, totals, sums, _ = _softmax_pass(s, taus, dense,
+                                         sums=state is None and not exact)
+    matched = dense if exact else sums
 
     # Token temperature: ce + alpha * (had + beta * sl).
     if state is None:
-        tp = _softmax(t, w.tau_sl)
-        s1 = _softmax(s, w.tau_sl)
-        pair1, rank = _align_and_truncate(tp, s1, w.k, w.match_mode)
+        rank = _rank(teacher, 0, matched[0], k, w.match_mode)
         if labels is None:
-            labels = _pseudo_labels(tp, rank, n)
-        at_label = _last_axis(s.shape, labels[:, :, None])
-        p_label = s1[at_label]
+            labels = _pseudo_labels(teacher.argmax, rank, n)
+        teacher1 = teacher.head[0][..., :k]
+        tp = teacher.dense
     else:
-        rank, labels = state.rank, state.labels
-        at_label = _last_axis(s.shape, labels[:, :, None])
-        s1, (p_label, student) = _student_at(
-            s, w.tau_sl, grad is not None,
-            [at_label, _last_axis(s.shape, rank.student_perm[:, None, :rank.k])])
-        pair1 = AlignedPair(teacher=state.teacher, student=student)
+        rank, labels, teacher1 = state.rank, state.labels, state.teacher
         # The padded-sort baseline reads every teacher column.
         tp = _softmax(t, w.tau_sl) if grad == ULD else None
+    s1 = dense[0]
+    at_label = _last_axis(s.shape, labels[:, :, None])
+    cols1 = _last_axis(s.shape, rank.student_perm[:, None, :rank.k])
+    p_label = _softmax_at(s, w.tau_sl, (top, totals[0]), at_label)
     uld = w.alpha * uld_grad(tp, s1) if grad == ULD else None
     if need_loss or ot_alpha > 0:
+        pair1 = AlignedPair(teacher=teacher1, student=_softmax_at(
+            s, w.tau_sl, (top, totals[0]), cols1))
         had, sl = had_loss(pair1), _sl_loss(pair1)
         if ot_alpha > 0:
             g1 = ot_alpha * (had.grad + w.beta * sl.grad)
@@ -318,49 +399,41 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
                             where=p_label > PROB_FLOOR)
         terms = [(at_label, p_label, g_label)]
         if ot_alpha > 0:
-            cols = _last_axis(s1.shape, rank.student_perm[:, None, :rank.k])
-            terms.append((cols, pair1.student, g1))
+            terms.append((cols1, pair1.student, g1))
         if uld is not None:
             terms.append(((Ellipsis,), s1.copy(), uld))
         gradient = _softmax_backward_inplace(s1, w.tau_sl, terms)
         # Nothing of the token-level backward outlives it.
-        s1 = terms = g1 = uld = None
+        terms = g1 = uld = tp = None
 
     # Sequence temperature: the plan, and alpha * gamma * sd.
-    if state is None or need_loss or seq_grad:
+    if seq_level:
         if state is None:
-            tp = _softmax(t, w.tau_sd, out=tp)
-            s2 = _softmax(s, w.tau_sd, out=s1)
-            del s1
-            pair2, rank_seq = _align_and_truncate(tp, s2, w.k, w.match_mode)
-            # No dense buffer is held through the cost and the plan unless
-            # the backward needs it.
-            del tp
-            if not seq_grad:
-                del s2
-            cost = _cost(pair2.teacher, pair2.student)
-            kept = (_kept_logits(t, rank, rank_seq)
+            rank_seq = _rank(teacher, 1, matched[1], k, w.match_mode)
+            teacher2 = teacher.head[1][..., :k]
+        else:
+            rank_seq, teacher2 = state.rank_seq, state.teacher_seq
+        # Exact matching's tau_sd softmax is not held through cost and plan.
+        dense = matched = None
+        cols2 = _last_axis(s.shape, rank_seq.student_perm[:, None, :rank_seq.k])
+        pair2 = AlignedPair(teacher=teacher2, student=_softmax_at(
+            s, w.tau_sd, (top, totals[1]), cols2))
+        cost = (_cost(pair2.teacher, pair2.student)
+                if state is None or need_loss else None)
+        if state is None:
+            kept = (_kept_logits(teacher.logits, rank, rank_seq)
                     if not need_loss and grad is None else None)
             state = PipelineState(length=length, labels=labels, rank=rank,
                                   rank_seq=rank_seq,
                                   plan=_plan(cost, w.sinkhorn),
                                   tau_sl=w.tau_sl, tau_sd=w.tau_sd,
-                                  teacher=pair1.teacher,
-                                  teacher_seq=pair2.teacher,
+                                  teacher=teacher1, teacher_seq=teacher2,
                                   teacher_logits=kept)
-        else:
-            rank_seq = state.rank_seq
-            s2, (student,) = _student_at(
-                s, w.tau_sd, seq_grad,
-                [_last_axis(s.shape, rank_seq.student_perm[:, None, :rank_seq.k])])
-            pair2 = AlignedPair(teacher=state.teacher_seq, student=student)
-            cost = _cost(pair2.teacher, pair2.student) if need_loss else None
         if seq_grad:
-            cols = _last_axis(s2.shape, rank_seq.student_perm[:, None, :rank_seq.k])
             g2 = ot_alpha * w.gamma * _sd_grad(pair2.teacher, pair2.student,
                                                state.plan)
-            gradient += _softmax_backward_inplace(
-                s2, w.tau_sd, [(cols, pair2.student, g2)])
+            _softmax_backward_streamed(s, w.tau_sd, (top, totals[1]),
+                                       (cols2, pair2.student, g2), gradient)
 
     breakdown = None
     if need_loss:

@@ -2,7 +2,10 @@
 
 All functions are pure and operate on plain numpy arrays: logit matrices are
 T x V (rows = tokens, columns = vocabulary dimensions), probability matrices
-are row-stochastic of the same shape.
+are row-stochastic of the same shape. The private kernels behind the fused
+loss take (B, T, V) stacks; _softmax_pass walks one in cache-sized blocks
+and returns only what its caller reads, each value bit-identical to the
+dense _softmax.
 """
 
 import numpy as np
@@ -103,30 +106,78 @@ def _shifted_exp(z, top, tau, out=None):
     return np.exp(out, out=out)
 
 
-def _row_normalizers(arr, tau):
-    """Each row's max and sum of exp((z - max) / tau) for a (B, T, V) stack.
+def _blocks(shape):
+    """The (items, rows) slices that cover a (B, T, V) stack in blocks of at
+    most _BLOCK_ENTRIES entries: as many whole sequences as fit, or, when
+    one does not, runs of rows of one sequence (at least one row)."""
+    batch, tokens, vocab = shape
+    if tokens * vocab <= _BLOCK_ENTRIES:
+        step = _BLOCK_ENTRIES // (tokens * vocab)
+        return [(slice(b, min(b + step, batch)), slice(0, tokens))
+                for b in range(0, batch, step)]
+    step = max(1, _BLOCK_ENTRIES // vocab)
+    return [(slice(b, b + 1), slice(i, min(i + step, tokens)))
+            for b in range(batch) for i in range(0, tokens, step)]
 
-    One pass over blocks of rows, each at most _BLOCK_ENTRIES entries or one
-    row, through one reused buffer: no B x T x V array is written. Each row
-    is reduced exactly as _softmax reduces it, so _softmax_at returns the
-    softmax's own entries bit for bit. Returns two (B, T, 1) arrays.
+
+def _softmax_pass(arr, taus, out=(), sums=False, argmax=False):
+    """One pass over a (B, T, V) stack of validated logits at each
+    temperature in taus, block by block (see _blocks).
+
+    Each row's max and its difference from it are taken once; at each
+    temperature the pass computes exp((z - max) / tau) and its row sum as
+    _softmax does, then emits only what the caller asks for: the softmax
+    itself into out[i], a (B, T, V) buffer the caller owns (out holds one
+    buffer or None per temperature; missing ones are None), each
+    sequence's column sums when sums, and the per-row argmax at taus[0]
+    when argmax. Column sums add the rows in order, as numpy reduces that
+    axis, so every output equals the dense softmax's bit for bit.
+
+    Returns (top, totals, colsums, best): the (B, T, 1) row maxima, one
+    (B, T, 1) array of row sums per temperature ((top, totals[i]) are the
+    normalizers _softmax_at reads), one (B, V) array of column sums per
+    temperature or None, and the (B, T) argmax or None.
     """
+    out = tuple(out) + (None,) * (len(taus) - len(out))
     top = np.empty(arr.shape[:-1] + (1,))
-    total = np.empty_like(top)
-    step = max(1, min(arr.shape[1], _BLOCK_ENTRIES // arr.shape[2]))
-    buf = np.empty((step, arr.shape[2]))
-    for b in range(arr.shape[0]):
-        for i in range(0, arr.shape[1], step):
-            rows = slice(i, min(i + step, arr.shape[1]))
-            np.max(arr[b, rows], axis=-1, keepdims=True, out=top[b, rows])
-            block = _shifted_exp(arr[b, rows], top[b, rows], tau,
-                                 buf[:rows.stop - i])
-            block.sum(axis=-1, keepdims=True, out=total[b, rows])
-    return top, total
+    totals = [np.empty_like(top) for _ in taus]
+    colsums = [np.zeros(arr.shape[::2]) for _ in taus] if sums else None
+    best = np.empty(arr.shape[:-1], dtype=np.intp) if argmax else None
+    blocks = _blocks(arr.shape)
+    bufs = [np.empty(arr[blocks[0]].shape) if o is None else None for o in out]
+    for block in blocks:
+        z = arr[block]
+        np.max(z, axis=-1, keepdims=True, out=top[block])
+        exps = [o[block] if o is not None else buf[:z.shape[0], :z.shape[1]]
+                for o, buf in zip(out, bufs)]
+        with np.errstate(over="ignore"):
+            np.subtract(z, top[block], out=exps[0])
+            for e, tau in zip(exps[1:], taus[1:]):
+                np.divide(exps[0], tau, out=e)
+            if taus[0] != 1.0:
+                exps[0] /= taus[0]
+        for i, e in enumerate(exps):
+            np.exp(e, out=e)
+            total = totals[i][block]
+            e.sum(axis=-1, keepdims=True, out=total)
+            if out[i] is None and not sums and not (argmax and i == 0):
+                continue
+            e /= total
+            if sums:
+                acc = colsums[i][block[0]]
+                if e.shape[1] == arr.shape[1]:
+                    e.sum(axis=-2, out=acc)
+                else:
+                    for row in e[0]:
+                        acc[0] += row
+            if argmax and i == 0:
+                np.argmax(e, axis=-1, out=best[block])
+    return top, totals, colsums, best
 
 
 def _softmax_at(arr, tau, normalizers, index):
-    """The entries _softmax(arr, tau) has at index, from _row_normalizers.
+    """The entries _softmax(arr, tau) has at index, from the normalizers
+    (top, total) of _softmax_pass.
 
     index picks entries of a (B, T, V) stack row by row (the last axis
     last), as preprocess._last_axis builds it.

@@ -76,10 +76,10 @@ def load_logit_file(path):
         arr = np.array(doc["logits"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: logits is not a numeric matrix") from exc
-    try:
-        declared = (int(doc["tokens"]), int(doc["vocab"]))
-    except (OverflowError, TypeError, ValueError):
-        raise ParseError(f"{path}: tokens and vocab must be integers") from None
+    declared = (doc["tokens"], doc["vocab"])
+    # JSON true and false load as bool, a subclass of int.
+    if not all(isinstance(d, int) and not isinstance(d, bool) for d in declared):
+        raise ParseError(f"{path}: tokens and vocab must be integers")
     if arr.ndim != 2 or arr.shape != declared:
         raise ParseError(
             f"{path}: logits shape {arr.shape} does not match declared "

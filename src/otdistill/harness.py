@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .composite import CE_ONLY, MULTILEVEL_OT, ULD, LossWeights, _forward
+from .composite import (CE_ONLY, MULTILEVEL_OT, ULD, LossWeights, _forward,
+                        _teacher)
 from .core import validate_logits
 from .errors import InvalidConfig, NumericalFailure
 from .fileio import metrics_csv_text, write_text_atomic
@@ -48,8 +49,10 @@ class DistillConfig:
             raise InvalidConfig(f"tokens must be >= 1, got {self.tokens}")
         if self.steps < 1:
             raise InvalidConfig(f"steps must be >= 1, got {self.steps}")
-        if self.lr < 0:
-            raise InvalidConfig(f"lr must be nonnegative, got {self.lr}")
+        if not np.isfinite(self.lr) or self.lr < 0:
+            raise InvalidConfig(f"lr must be finite and nonnegative, got {self.lr}")
+        if not np.isfinite(self.sharpness):
+            raise InvalidConfig(f"sharpness must be finite, got {self.sharpness}")
         if self.mode not in MODES:
             raise InvalidConfig(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.contexts < 2 * self.tokens:
@@ -127,11 +130,17 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
     # A view: it follows the in-place updates of W below.
     student_blocks = W[:used].reshape(n_blocks, cfg.tokens, cfg.n)
 
+    # The teacher is frozen, so its half of every pass (softmaxes, ranking,
+    # kept entries, and the dense softmax the padded-sort baseline reads) is
+    # computed once; each step's pass computes only the student's half.
+    teacher_half = _teacher(teacher_blocks, cfg.n, w, argmax=True,
+                            dense=cfg.mode == ULD)
+
     # Pseudo-targets are generated once from the initial alignment and kept
     # fixed for the whole run, mirroring distillation against pre-generated
     # teacher text; recomputing them every step makes the targets oscillate
     # whenever two student dimensions trade rank.
-    fixed_labels = _forward(teacher_blocks, student_blocks, w,
+    fixed_labels = _forward(teacher_half, student_blocks, w,
                             need_loss=False)[0].labels
 
     records = {name: [] for name in ("ce", "had", "sl", "sd", "total", "eval_sd")}
@@ -139,7 +148,7 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
         validate_logits(W)
         # One fused pass: every block's state, breakdown and the mode's
         # gradient from the same softmaxes.
-        _, breakdown, grad = _forward(teacher_blocks, student_blocks, w,
+        _, breakdown, grad = _forward(teacher_half, student_blocks, w,
                                       labels=fixed_labels, grad=cfg.mode)
         if not np.isfinite(breakdown.total).all():
             exc = NumericalFailure(f"non-finite loss at step {step}")

@@ -82,7 +82,10 @@ def match_student(t_sr, s, mode=SUM_SORT):
     appended in ascending order so the result is a bijection on [0, n).
     """
     t_sr, s = _same_rows(t_sr, s)
-    return _match(t_sr[None], np.arange(t_sr.shape[1])[None], s[None], mode)[0]
+    if mode == SUM_SORT:
+        return _match(None, s.sum(axis=0)[None], mode)[0]
+    r = _head_width(None, t_sr.shape[1], s.shape[1], mode)
+    return _match(t_sr[None, :, :r], s[None], mode)[0]
 
 
 def _same_rows(t, s):
@@ -94,26 +97,34 @@ def _same_rows(t, s):
     return t, s
 
 
-def _match(t, teacher_perm, s, mode):
-    # match_student on each ranked teacher t[b][:, teacher_perm[b]] of a
-    # (B, T, m) stack against the (B, T, n) student stack, gathering only
-    # the columns the exact matcher reads. Returns (B, n) permutations.
+def _head_width(k, m, n, mode):
+    """The ranked teacher columns an alignment reads: the k kept ones under
+    SUM_SORT, all min(m, n) that EXACT_ASSIGNMENT matches (at most
+    ASSIGNMENT_LIMIT). Raises for an unknown mode."""
     if mode == SUM_SORT:
-        return _descending_stable(s.sum(axis=-2))
+        return _width(k, m, n)
     if mode != EXACT_ASSIGNMENT:
         raise InvalidInput(f"unknown match mode: {mode!r}")
-
-    n = s.shape[-1]
-    r = min(t.shape[-1], n)
+    r = min(m, n)
     if r > ASSIGNMENT_LIMIT:
         raise TooLargeForExact(
             f"exact matching limited to {ASSIGNMENT_LIMIT} dimensions, got {r}"
         )
+    return r
+
+
+def _match(head, s, mode):
+    # match_student for B items: (B, n) student permutations matched to a
+    # (B, T, r) stack of ranked teacher columns, r from _head_width. Under
+    # SUM_SORT, s is the student's (B, n) column sums and head is not read;
+    # under EXACT_ASSIGNMENT, s is its (B, T, n) probabilities.
+    if mode == SUM_SORT:
+        return _descending_stable(s)
+    n, r = s.shape[-1], head.shape[-1]
     perms = np.empty(s.shape[:-2] + (n,), dtype=np.intp)
-    for b, (t_b, perm_b, s_b) in enumerate(zip(t, teacher_perm, s)):
+    for b, (head_b, s_b) in enumerate(zip(head, s)):
         # D[i, j] = sum_t |t_sr[t, i] - s[t, j]| over the first r teacher columns.
-        head = t_b[:, perm_b[:r]]
-        mismatch = np.abs(head[:, :, None] - s_b[:, None, :]).sum(axis=0)
+        mismatch = np.abs(head_b[:, :, None] - s_b[:, None, :]).sum(axis=0)
         _, cols = linear_sum_assignment(mismatch)
         perms[b, :r] = cols
         perms[b, r:] = np.setdiff1d(np.arange(n), cols)
@@ -165,13 +176,14 @@ def align_and_truncate(t, s, k, mode=SUM_SORT):
 
 def _align_and_truncate(t, s, k, mode):
     # align_and_truncate on each item of a (B, T, m) teacher and (B, T, n)
-    # student stack of float matrices the caller has validated, such as a
-    # softmax it has just computed. The pair is (B, T, k) and the
-    # permutations (B, m) and (B, n).
+    # student stack of float matrices the caller has validated. The pair is
+    # (B, T, k) and the permutations (B, m) and (B, n).
     k_eff = _width(k, t.shape[-1], s.shape[-1])
+    width = _head_width(k, t.shape[-1], s.shape[-1], mode)
     teacher_perm = _descending_stable(t.sum(axis=-2))
-    student_perm = _match(t, teacher_perm, s, mode)
-    pair = AlignedPair(teacher=_gather(t, teacher_perm[:, :k_eff]),
+    head = _gather(t, teacher_perm[:, :width])
+    student_perm = _match(head, s.sum(axis=-2) if mode == SUM_SORT else s, mode)
+    pair = AlignedPair(teacher=head[..., :k_eff],
                        student=_gather(s, student_perm[:, :k_eff]))
     sel = RankSelection(
         teacher_perm=teacher_perm,

@@ -31,6 +31,11 @@ from .preprocess import AlignedPair
 # gradient kernels hold at once; the harness's whole step at the fixture
 # shapes (4 x 8 x 8 x 15) is a single block.
 
+# Sweeps a SinkhornConfig allows. Far above the few hundred that near-tied
+# costs need to converge (see the README), and low enough that a mistyped
+# count ends in an error at once rather than a run that never returns.
+MAX_ITERATIONS = 10**5
+
 
 @dataclass(frozen=True)
 class SinkhornConfig:
@@ -45,8 +50,9 @@ class SinkhornConfig:
                 f"regularization must be positive, got {self.regularization}"
             )
         n = self.iterations
-        if not _is_count(n):
-            raise InvalidConfig(f"iterations must be an integer >= 1, got {n}")
+        if not _is_count(n) or n > MAX_ITERATIONS:
+            raise InvalidConfig(f"iterations must be an integer in "
+                                f"[1, {MAX_ITERATIONS}], got {n}")
 
 
 def _validate_cost(C):

@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +240,49 @@ class TestDistillCommand:
                          "--out", str(tmp_path / "out.csv"))
         assert code == 3
 
+    @pytest.mark.parametrize("setting", ["lr=nan", "lr=inf", "sharpness=nan",
+                                         "sharpness=-inf"])
+    def test_non_finite_rate_or_scale_exits_3_naming_it(self, capsys, tmp_path,
+                                                        setting):
+        config = tmp_path / "run.cfg"
+        config.write_text(self.CONFIG + setting + "\n")
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, "distill", "--config", str(config),
+                           "--out", str(out))
+        assert code == 3
+        assert setting.split("=")[0] in err
+        assert not out.exists()
+
+
+class TestIterationBound:
+    """An iteration count past SinkhornConfig's bound exits 3 at once; before
+    the bound existed both commands below ran on without end."""
+
+    def run_cli(self, tmp_path, *argv):
+        # A separate process, so a regression fails on the timeout instead
+        # of hanging the suite.
+        package_parent = str(Path(cli.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "otdistill.cli", *argv], cwd=tmp_path,
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": package_parent})
+
+    def test_sinkhorn_iters_flag(self, tmp_path):
+        (tmp_path / "cost.csv").write_text("0,1\n1,0\n")
+        proc = self.run_cli(tmp_path, "sinkhorn", "--cost", "cost.csv",
+                            "--iters", "1000000000000000", "--out", "plan.csv")
+        assert proc.returncode == 3
+        assert "iterations" in proc.stderr
+        assert not (tmp_path / "plan.csv").exists()
+
+    def test_loss_config_n_iters(self, tmp_path, logit_pair):
+        (tmp_path / "loss.cfg").write_text("n_iters=" + "9" * 30 + "\n")
+        teacher, student = logit_pair
+        proc = self.run_cli(tmp_path, "loss", "--teacher", teacher,
+                            "--student", student, "--config", "loss.cfg")
+        assert proc.returncode == 3
+        assert "iterations" in proc.stderr
+
 
 # Property: generated files, intact or spoiled in one way, always give a
 # documented exit code and never a traceback.
@@ -281,6 +327,10 @@ def spoil_logits(arr, how):
         doc["tokens"] = "three"
     elif how == "tokens_null":
         doc["tokens"] = None
+    elif how == "tokens_fraction":
+        doc["tokens"] += 0.5
+    elif how == "tokens_bool":
+        return logit_text(arr[:1]).replace('"tokens": 1', '"tokens": true')
     elif how == "extra_key":
         doc["extra"] = 1
     elif how == "one_column":
@@ -289,14 +339,14 @@ def spoil_logits(arr, how):
 
 
 LOGIT_FAULTS = {"truncated": 2, "nan": 2, "inf": 2, "rows": 2, "ragged": 2,
-                "tokens_text": 2, "tokens_null": 2, "extra_key": 2,
-                "one_column": 3}
+                "tokens_text": 2, "tokens_null": 2, "tokens_fraction": 2,
+                "tokens_bool": 2, "extra_key": 2, "one_column": 3}
 LABEL_FAULTS = {"-1": 3, "1.5": 3, "one": 2, "1" + "0" * 30: 3, "few": 3,
                 "vocab": 3}
 CONFIG_FAULTS = {"bogus=1": 2, "alpha=abc": 2, "no equals sign": 2,
                  "tau_sl=0": 3, "tau_sd=-1": 3, "alpha=-1": 3, "beta=inf": 3,
                  "k=0": 3, "k=2.5": 3, "k=" + "9" * 30: 0, "lambda=0": 3,
-                 "lambda=nan": 3, "n_iters=0": 3}
+                 "lambda=nan": 3, "n_iters=0": 3, "n_iters=" + "9" * 30: 3}
 
 
 @given(tokens=st.integers(1, 4), m=st.integers(2, 6), n=st.integers(2, 6),
@@ -348,7 +398,8 @@ def test_loss_command_exit_codes(tokens, m, n, seed, scale, lam, with_labels,
 
 DISTILL_FAULTS = {"seed=-1": 3, "m=-2": 3, "n=1": 3, "T=0": 3, "T=1.5": 3,
                   "contexts=3": 3, "steps=0": 3, "steps=two": 2, "lr=-1": 3,
-                  "sharpness=nan": 3, "colour=red": 2}
+                  "lr=nan": 3, "sharpness=nan": 3, "sharpness=inf": 3,
+                  "colour=red": 2}
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), n=st.integers(2, 6),

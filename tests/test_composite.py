@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from otdistill import (InvalidConfig, InvalidInput, LossWeights, SinkhornConfig,
                        softmax_rows, total_grad, total_loss, total_loss_frozen)
 from otdistill import composite
 from otdistill.composite import _pseudo_labels
-from otdistill.core import _softmax
+from otdistill.core import _BLOCK_ENTRIES, _softmax
 from otdistill.preprocess import _align_and_truncate
 
 SMALL = LossWeights(k=4, sinkhorn=SinkhornConfig(0.5, 20))
@@ -244,38 +245,98 @@ class TestFrozenState:
 
 
 class TestSoftmaxAccounting:
-    """Full softmaxes and normalizer passes per public call.
+    """Blocked softmax passes, streamed backwards and dense softmaxes per
+    public call.
 
     The teacher (m = 8 columns) and the student (n = 6) are told apart by
-    their width.
+    their width. A pass is recorded with its temperature count and the
+    number of B x T x V softmaxes it writes into caller buffers.
     """
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
 
+        def who(arr):
+            return "teacher" if arr.shape[-1] == 8 else "student"
+
+        def counted_pass(arr, taus, out=(), **kwargs):
+            dense = sum(o is not None for o in out)
+            calls.append(("pass", who(arr), len(taus), dense))
+            return kernel_pass(arr, taus, out, **kwargs)
+
         def counted(kind, kernel):
             def wrapper(arr, *args, **kwargs):
-                calls.append((kind, "teacher" if arr.shape[-1] == 8 else "student"))
+                calls.append((kind, who(arr)))
                 return kernel(arr, *args, **kwargs)
             return wrapper
 
+        kernel_pass = composite._softmax_pass
+        monkeypatch.setattr(composite, "_softmax_pass", counted_pass)
         monkeypatch.setattr(composite, "_softmax",
                             counted("dense", composite._softmax))
-        monkeypatch.setattr(composite, "_row_normalizers",
-                            counted("normalizers", composite._row_normalizers))
+        monkeypatch.setattr(composite, "_softmax_backward_streamed",
+                            counted("streamed backward",
+                                    composite._softmax_backward_streamed))
         return calls
 
     def test_calls_per_function(self, calls):
         t, s = random_pair(35, m=8, n=6)
         state = build_state(t, s, w=SMALL)
-        assert sorted(calls) == [("dense", "student")] * 2 + [("dense", "teacher")] * 2
+        assert calls == [("pass", "teacher", 2, 0), ("pass", "student", 2, 0)]
         calls.clear()
         total_loss_frozen(state, t, s, SMALL)
-        assert calls == [("normalizers", "student")] * 2
+        assert calls == [("pass", "student", 2, 0)]
         calls.clear()
         total_grad(t, s, w=SMALL, state=state)
-        assert calls == [("dense", "student")] * 2
+        assert calls == [("pass", "student", 2, 1),
+                         ("streamed backward", "student")]
+        calls.clear()
+        total_loss(t, s, w=SMALL)
+        assert calls == [("pass", "teacher", 2, 0), ("pass", "student", 2, 0)]
+        calls.clear()
+        total_grad(t, s, w=SMALL)
+        assert calls == [("pass", "teacher", 2, 0), ("pass", "student", 2, 1),
+                         ("streamed backward", "student")]
+
+
+class TestPeakMemory:
+    """build_state and total_grad with a state at T = 64, n = 20000 (more
+    entries than one block holds) stay within bounds derived from what
+    they keep, in float64 entries:
+
+    - blocks: a pass holds one block buffer of at most _BLOCK_ENTRIES
+      entries per temperature it does not write whole (two), and the
+      streamed backward one;
+    - columns: per matrix, the column sums at both temperatures and, while
+      ranking, their negation and the permutation; 8 * n covers them twice;
+    - kept: (T, k) gathers, products and index arrays, a few dozen T * k;
+    - total_grad also holds its one T x n buffer, the returned gradient.
+
+    Before the blocked pass, build_state held two dense softmaxes per
+    matrix (19 MB here) and total_grad two student ones (22 MB).
+    """
+
+    TOKENS, M, N = 64, 16000, 20000
+
+    def peak(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_blocks_only_and_one_gradient_buffer(self):
+        t, s = random_pair(37, self.TOKENS, self.M, self.N)
+        w = LossWeights()
+        state = build_state(t, s, w=w)
+        small = 2 * _BLOCK_ENTRIES + 8 * self.N + 32 * self.TOKENS * w.k
+        build_peak = self.peak(lambda: build_state(t, s, w=w))
+        assert build_peak < 8 * small, (build_peak, 8 * small)
+        grad_peak = self.peak(lambda: total_grad(t, s, w=w, state=state))
+        bound = 8 * (self.TOKENS * self.N + small)
+        assert grad_peak < bound, (grad_peak, bound)
 
 
 def test_pseudo_labels_invert_the_ranking_on_ties():
@@ -291,4 +352,5 @@ def test_pseudo_labels_invert_the_ranking_on_ties():
     inv = np.argsort(rank.teacher_perm, axis=-1)
     pos = np.minimum(np.take_along_axis(inv, t1.argmax(axis=-1), axis=-1), 5)
     expected = np.take_along_axis(rank.student_perm, pos, axis=-1)
-    np.testing.assert_array_equal(_pseudo_labels(t1, rank, 6), expected)
+    np.testing.assert_array_equal(_pseudo_labels(t1.argmax(axis=-1), rank, 6),
+                                  expected)

@@ -34,6 +34,17 @@ class TestLogitFile:
         with pytest.raises(ParseError, match="nan.json"):
             fileio.load_logit_file(path)
 
+    @pytest.mark.parametrize("declared", [3.5, 3.0, True, "3", None])
+    def test_rejects_a_shape_that_is_not_an_integer(self, tmp_path, declared):
+        # int() would truncate 3.5 to the logits' 3 rows, and True is an int
+        # subclass equal to 1.
+        rows = 1 if declared is True else 3
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps({"tokens": declared, "vocab": 2,
+                                    "logits": [[0.0, 1.0]] * rows}))
+        with pytest.raises(ParseError, match="integers"):
+            fileio.load_logit_file(path)
+
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"tokens": 1,')

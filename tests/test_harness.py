@@ -58,6 +58,10 @@ class TestRunDistillation:
             DistillConfig(contexts=4, tokens=4)
         with pytest.raises(InvalidConfig):
             DistillConfig(tokens=0)
+        for key in ("lr", "sharpness"):
+            for value in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(InvalidConfig, match=key):
+                    DistillConfig(**{key: value})
 
     def test_contexts_past_the_last_block_are_unused(self):
         # 18 contexts make the same four blocks of 4 as 16 do; the seeded

@@ -6,6 +6,10 @@
 - With a state, the teacher comes from the state and a loss-only call
   reads the student from row normalizers; both equal, bit for bit, a dense
   pass that softmaxes every matrix and then gathers.
+- The blocked softmax pass gives the dense softmax's normalizers, column
+  sums and argmax bit for bit, and its streamed backward the in-place
+  dense one, for blocks of one row, of part of a sequence and of several
+  sequences; the fused pass gives the same outputs under each blocking.
 - Any logit scale from 1e-3 to 1e300 gives finite outputs or an error of a
   type the CLI maps to a documented exit code.
 
@@ -16,6 +20,7 @@ exact ties at the rank cut, under both match modes.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +29,10 @@ from otdistill import (CE_ONLY, EXACT_ASSIGNMENT, MULTILEVEL_OT, SUM_SORT, ULD,
                        NumericalFailure, NumericalUnderflow, SinkhornConfig,
                        TooLargeForExact, build_state, run_distillation,
                        total_grad, total_loss, total_loss_frozen)
-from otdistill.composite import _forward
-from otdistill.core import _row_normalizers, _softmax, _softmax_at
+from otdistill import core
+from otdistill.composite import (_forward, _softmax_backward_inplace,
+                                 _softmax_backward_streamed)
+from otdistill.core import _softmax, _softmax_at, _softmax_pass
 from otdistill.preprocess import _last_axis
 
 LOSS_RTOL = 1e-12
@@ -50,14 +57,14 @@ def components(breakdown, item=None):
 
 
 @st.composite
-def logit_batches(draw, scale=2.0):
+def logit_batches(draw, scale=2.0, max_batch=5):
     """(teacher, student, labels or None, weights) for B sequences.
 
     With ties, the logits are rounded and one teacher and one student column
     copy another, so sequence sums tie, at the rank cut whenever k falls
     between the copies.
     """
-    batch, tokens = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    batch, tokens = draw(st.integers(1, max_batch)), draw(st.integers(1, 4))
     m, n, k = draw(st.integers(2, 7)), draw(st.integers(2, 7)), draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t = rng.standard_normal((batch, tokens, m)) * scale
@@ -140,9 +147,9 @@ def test_state_paths_equal_a_dense_pass(batch, scale, taus):
         assert np.array_equal(probs, dense)
         # and the normalizers give the dense student's entries.
         index = kept(s.shape, rank.student_perm, rank.k)
-        assert np.array_equal(
-            _softmax_at(s, tau, _row_normalizers(s, tau), index),
-            _softmax(s, tau)[index])
+        top, (total,), _, _ = _softmax_pass(s, (tau,))
+        assert np.array_equal(_softmax_at(s, tau, (top, total), index),
+                              _softmax(s, tau)[index])
 
     # Loss-only and gradient calls with the state against the dense pass
     # that rebuilds everything from the same labels.
@@ -154,6 +161,85 @@ def test_state_paths_equal_a_dense_pass(batch, scale, taus):
         assert np.array_equal(getattr(loss_only, name), getattr(dense, name)), name
         assert np.array_equal(getattr(with_grad, name), getattr(dense, name)), name
     assert np.array_equal(grad, dense_grad)
+
+
+def fused_outputs(t, s, w):
+    """Every array the fused pass returns, with and without a state."""
+    state, loss, grad = _forward(t, s, w, grad=MULTILEVEL_OT)
+    built = _forward(t, s, w, need_loss=False)[0]
+    _, frozen, frozen_grad = _forward(t, s, w, state=built, grad=MULTILEVEL_OT)
+    _, loss_only, _ = _forward(t, s, w, state=built)
+    arrays = [grad, frozen_grad, built.teacher_logits]
+    for one in (state, built):
+        arrays += [one.labels, one.plan, one.teacher, one.teacher_seq]
+        for rank in (one.rank, one.rank_seq):
+            arrays += [rank.teacher_perm, rank.student_perm]
+    for breakdown in (loss, frozen, loss_only):
+        arrays += list(components(breakdown))
+    return arrays
+
+
+# _BLOCK_ENTRIES for a (B, T, V) stack whose blocks hold one row, the first
+# or second half of a sequence (T >= 2), or two whole sequences.
+BLOCKINGS = {"row": lambda tokens, vocab: 1,
+             "half": lambda tokens, vocab: vocab * ((tokens + 1) // 2),
+             "two sequences": lambda tokens, vocab: 2 * tokens * vocab}
+
+
+@given(batch=logit_batches(scale=1.0, max_batch=4), tokens=st.integers(1, 16),
+       scale=SCALES, taus=st.sampled_from([(1.0, 2.0), (0.5, 1.0), (0.7, 3.0)]),
+       blocking=st.sampled_from(sorted(BLOCKINGS)),
+       seed=st.integers(0, 2**32 - 1))
+@example(batch=TIED_AT_CUT, tokens=16, scale=1e300, taus=(1.0, 2.0),
+         blocking="half", seed=0)
+@settings(max_examples=60, deadline=None)
+def test_blocked_pass_equals_the_dense_softmax(batch, tokens, scale, taus,
+                                               blocking, seed):
+    t, s, _, w = batch
+    t, s = t * scale, s * scale
+    w = replace(w, tau_sl=taus[0], tau_sd=taus[1])
+    # The kernel also runs on a stack with up to 16 rows per sequence, so
+    # that a block holding part of a sequence holds several rows. Its rows
+    # mix the drawn scale with moderate ones: at large scales every row is
+    # one-hot, and its column sums are exact in any order.
+    rng = np.random.default_rng(seed)
+    shape = (s.shape[0], tokens, s.shape[2])
+    z = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 10.0, scale],
+                                                shape[:2] + (1,))
+    dense = [_softmax(z, tau) for tau in taus]
+    # Distinct columns per sequence, as a ranking's first k.
+    cols = np.argsort(rng.random(z.shape[::2]), axis=-1)
+    cols = cols[:, :rng.integers(1, z.shape[2] + 1)]
+    index = _last_axis(z.shape, cols[:, None])
+    p = dense[1][index]
+    g = rng.standard_normal(p.shape)
+    base = rng.standard_normal(z.shape)
+    expected = base + _softmax_backward_inplace(dense[1].copy(), taus[1],
+                                                [(index, p, g)])
+    single = fused_outputs(t, s, w)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](*z.shape[1:]))
+        out = np.empty(z.shape)
+        top, totals, sums, best = _softmax_pass(z, taus, (out,), sums=True,
+                                                argmax=True)
+        bare_top, bare_totals, _, _ = _softmax_pass(z, taus)
+        streamed = base.copy()
+        _softmax_backward_streamed(z, taus[1], (top, totals[1]),
+                                   (index, p, g), streamed)
+        patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](*s.shape[1:]))
+        blocked = fused_outputs(t, s, w)
+
+    every = _last_axis(z.shape, np.arange(z.shape[2]))
+    assert np.array_equal(bare_top, top)
+    for probs, tau, total, bare_total, colsum in zip(dense, taus, totals,
+                                                      bare_totals, sums):
+        assert np.array_equal(_softmax_at(z, tau, (top, total), every), probs)
+        assert np.array_equal(bare_total, total)
+        assert np.array_equal(colsum, probs.sum(axis=-2))
+    assert np.array_equal(out, dense[0])
+    assert np.array_equal(best, dense[0].argmax(axis=-1))
+    assert np.array_equal(streamed, expected)
+    assert all(np.array_equal(a, b) for a, b in zip(blocked, single))
 
 
 @given(batch=logit_batches(scale=1.0), scale=SCALES,

@@ -150,6 +150,18 @@ class TestSinkhornPlan:
         with pytest.raises(InvalidConfig):
             SinkhornConfig(iterations=iterations)
 
+    @pytest.mark.parametrize("iterations", [seq_ot.MAX_ITERATIONS + 1, 10**15,
+                                            10**30, 1e300])
+    def test_rejects_iterations_above_the_bound(self, iterations):
+        with pytest.raises(InvalidConfig, match="iterations"):
+            SinkhornConfig(iterations=iterations)
+
+    def test_bound_leaves_room_to_converge(self):
+        # Near-tied costs take a few hundred sweeps (see the README).
+        assert seq_ot.MAX_ITERATIONS >= 10**4
+        assert SinkhornConfig(iterations=seq_ot.MAX_ITERATIONS).iterations \
+            == seq_ot.MAX_ITERATIONS
+
     def test_accepts_integral_float_iterations(self):
         np.testing.assert_array_equal(
             sinkhorn_plan(CROSS, SinkhornConfig(0.5, 3.0)),
