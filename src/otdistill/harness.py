@@ -80,7 +80,12 @@ class RunMetrics:
 
 def make_teacher_table(cfg: DistillConfig):
     rng = np.random.default_rng(cfg.seed)
-    return rng.standard_normal((cfg.contexts, cfg.m)) * cfg.sharpness
+    with np.errstate(over="ignore"):
+        table = rng.standard_normal((cfg.contexts, cfg.m)) * cfg.sharpness
+    if not np.isfinite(table).all():
+        raise InvalidConfig(f"sharpness {cfg.sharpness} overflows the teacher "
+                            "logit table; use a smaller scale")
+    return table
 
 
 def _initial_student(cfg: DistillConfig):

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from .core import validate_probs
 from .errors import InvalidInput, TooLargeForExact
@@ -123,9 +124,9 @@ def _match(head, s, mode):
     n, r = s.shape[-1], head.shape[-1]
     perms = np.empty(s.shape[:-2] + (n,), dtype=np.intp)
     for b, (head_b, s_b) in enumerate(zip(head, s)):
-        # D[i, j] = sum_t |t_sr[t, i] - s[t, j]| over the first r teacher columns.
-        mismatch = np.abs(head_b[:, :, None] - s_b[:, None, :]).sum(axis=0)
-        _, cols = linear_sum_assignment(mismatch)
+        # D[i, j] = sum_t |t_sr[t, i] - s[t, j]| over the first r teacher
+        # columns: the L1 distance between columns.
+        _, cols = linear_sum_assignment(cdist(head_b.T, s_b.T, "cityblock"))
         perms[b, :r] = cols
         perms[b, r:] = np.setdiff1d(np.arange(n), cols)
     return perms

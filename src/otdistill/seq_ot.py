@@ -10,26 +10,29 @@ of B sequences of equal length T, so one call handles a whole training
 step; the public T x T and T x k functions are their B = 1 case.
 
 Memory is O(B T^2) in the token count T, not O(B T^2 k) in the truncation
-width k: the cost and the gradient visit the B x T x T x k teacher/student
-row differences in blocks of teacher rows taken across the whole batch, each
+width k. The cost is scipy's compiled cityblock distance, written per
+sequence into one preallocated B x T x T stack without any T x T x k
+temporary. The gradient visits the B x T x T x k teacher/student row
+differences in blocks of teacher rows taken across the whole batch, each
 block at most _BLOCK_ENTRIES entries (2^18, 2 MB of float64) or one teacher
-row per sequence, whichever is larger, written into one preallocated
-B x T x T cost or B x T x k gradient. Sinkhorn normalizes its one kernel
-stack in place, and the sequence loss reduces the plan and the cost per
-sequence without a T x T product temporary.
+row per sequence, whichever is larger, summed into one B x T x k gradient.
+Sinkhorn normalizes its one kernel stack in place, and the sequence loss
+reduces the plan and the cost per sequence without a T x T product
+temporary.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .core import _BLOCK_ENTRIES, _is_count
 from .errors import InvalidConfig, InvalidInput, NumericalUnderflow
 from .preprocess import AlignedPair
 
-# _BLOCK_ENTRIES counts the B x T x T x k row differences the cost and
-# gradient kernels hold at once; the harness's whole step at the fixture
-# shapes (4 x 8 x 8 x 15) is a single block.
+# _BLOCK_ENTRIES counts the B x T x T x k row differences the gradient
+# kernel holds at once; the harness's whole step at the fixture shapes
+# (4 x 8 x 8 x 15) is a single block.
 
 # Sweeps a SinkhornConfig allows. Far above the few hundred that near-tied
 # costs need to converge (see the README), and low enough that a mistyped
@@ -72,24 +75,6 @@ def _validate_cost(C):
     return C
 
 
-def _row_blocks(t, s):
-    """Yield (rows, teacher, student, buf) per block of teacher rows of a
-    (B, T, k) teacher and student stack: the row slice, those teacher rows
-    shaped (B, b, 1, k), the student shaped (B, 1, T, k), and a (B, b, T, k)
-    float buffer they broadcast into. The block budget counts the entries
-    of all B items together."""
-    # Column-gathered inputs are not C-contiguous, and broadcasting over
-    # them would read strided memory in every block.
-    t = np.ascontiguousarray(t, dtype=float)
-    s = np.ascontiguousarray(s, dtype=float)
-    tokens = t.shape[1]
-    step = max(1, min(tokens, _BLOCK_ENTRIES // max(1, s.size)))
-    buf = np.empty((s.shape[0], step) + s.shape[1:])
-    for i in range(0, tokens, step):
-        rows = slice(i, min(i + step, tokens))
-        yield rows, t[:, rows, None, :], s[:, None], buf[:, :rows.stop - i]
-
-
 def seq_cost_matrix(pair: AlignedPair) -> np.ndarray:
     """T x T matrix of L1 distances between teacher row i and student row j."""
     return _cost(pair.teacher[None], pair.student[None])[0]
@@ -98,10 +83,8 @@ def seq_cost_matrix(pair: AlignedPair) -> np.ndarray:
 def _cost(t, s):
     # seq_cost_matrix for each item of a (B, T, k) teacher and student stack.
     cost = np.empty((t.shape[0], t.shape[1], s.shape[1]))
-    for rows, t_rows, s_all, diff in _row_blocks(t, s):
-        np.subtract(t_rows, s_all, out=diff)
-        np.abs(diff, out=diff)
-        diff.sum(axis=3, out=cost[:, rows])
+    for t_b, s_b, out in zip(t, s, cost):
+        cdist(t_b, s_b, "cityblock", out=out)
     return cost
 
 
@@ -115,7 +98,8 @@ def sinkhorn_plan(C, cfg: SinkhornConfig = SinkhornConfig()) -> np.ndarray:
     sum_i |rowsum_i - 1| never increases from one iteration to the next; and
     both marginals reach 1 only in the limit (near-tied assignments can need
     hundreds of iterations, see the README). Raises
-    NumericalUnderflow if the initial kernel has an all-zero row or column
+    NumericalUnderflow if a row or column of the kernel sums to zero, at the
+    start or after a sweep rounds its last subnormal entries to zero
     (regularization too small for the cost scale; rescale C or raise it).
     """
     return _plan(_validate_cost(C), cfg)
@@ -125,14 +109,18 @@ def _plan(C, cfg):
     # sinkhorn_plan on a nonempty cost or stack the caller has validated.
     K = C / -cfg.regularization
     np.exp(K, out=K)
-    if K.sum(axis=-1).min() <= 0.0 or K.sum(axis=-2).min() <= 0.0:
+    # A zero row or column sum, in the initial kernel or once a sweep has
+    # rounded the last subnormal entries of one to zero, divides 0 by 0;
+    # the nan it leaves is caught after the sweeps.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(int(cfg.iterations)):
+            K /= K.sum(axis=-1, keepdims=True)
+            K /= K.sum(axis=-2, keepdims=True)
+    if np.isnan(K.max()):
         raise NumericalUnderflow(
             "Sinkhorn kernel underflowed to an all-zero row or column; "
             "increase the regularization weight or rescale the cost matrix"
         )
-    for _ in range(int(cfg.iterations)):
-        K /= K.sum(axis=-1, keepdims=True)
-        K /= K.sum(axis=-2, keepdims=True)
     return K
 
 
@@ -168,9 +156,20 @@ def sd_grad(pair: AlignedPair, plan) -> np.ndarray:
 
 def _sd_grad(t, s, plan):
     # sd_grad for each item of a (B, T, k) teacher and student stack and a
-    # (B, T, T) plan stack.
+    # (B, T, T) plan stack, over blocks of teacher rows whose budget counts
+    # the entries of all B items together. Column-gathered inputs are not
+    # C-contiguous, and broadcasting over them would read strided memory in
+    # every block.
+    t = np.ascontiguousarray(t, dtype=float)
+    s_all = np.ascontiguousarray(s, dtype=float)[:, None]  # (B, 1, T, k)
+    tokens = t.shape[1]
+    step = max(1, min(tokens, _BLOCK_ENTRIES // max(1, s.size)))
+    buf = np.empty((t.shape[0], step) + s.shape[1:])
     grad = np.zeros(s.shape)
-    for rows, t_rows, s_all, signs in _row_blocks(t, s):  # signs[b, i, j, l]
+    for i in range(0, tokens, step):
+        rows = slice(i, min(i + step, tokens))
+        t_rows = t[:, rows, None, :]
+        signs = buf[:, :rows.stop - i]  # signs[b, i, j, l]
         # Two comparisons give the sign without branches (np.sign
         # mispredicts on mixed-sign data) and keep sign(0) = 0 exactly.
         np.greater(s_all, t_rows, out=signs)

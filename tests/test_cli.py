@@ -163,6 +163,20 @@ class TestSinkhornCommand:
         assert code == 4
         assert "lambda" in err
 
+    @pytest.mark.parametrize("iters", ["1", "20"])
+    def test_underflow_during_the_sweeps_exits_4(self, capsys, tmp_path, iters):
+        # No initial row or column is zero, but the middle column's
+        # subnormal kernel entries round to zero in the first row step.
+        cost = tmp_path / "cost.csv"
+        cost.write_text("0,0.7444,0\n" * 3)
+        out_path = tmp_path / "plan.csv"
+        code, _, err = run(capsys, "sinkhorn", "--cost", str(cost),
+                           "--lambda", "1e-3", "--iters", iters,
+                           "--out", str(out_path))
+        assert code == 4
+        assert "lambda" in err
+        assert not out_path.exists()
+
 
 class TestOracleCommand:
     def test_identity_cost(self, capsys, tmp_path):
@@ -240,8 +254,9 @@ class TestDistillCommand:
                          "--out", str(tmp_path / "out.csv"))
         assert code == 3
 
+    # A sharpness of 1e308 is finite, but the teacher table it scales is not.
     @pytest.mark.parametrize("setting", ["lr=nan", "lr=inf", "sharpness=nan",
-                                         "sharpness=-inf"])
+                                         "sharpness=-inf", "sharpness=1e308"])
     def test_non_finite_rate_or_scale_exits_3_naming_it(self, capsys, tmp_path,
                                                         setting):
         config = tmp_path / "run.cfg"

@@ -62,6 +62,9 @@ class TestRunDistillation:
             for value in (float("nan"), float("inf"), -float("inf")):
                 with pytest.raises(InvalidConfig, match=key):
                     DistillConfig(**{key: value})
+        # Finite, but the teacher table it scales overflows.
+        with pytest.raises(InvalidConfig, match="sharpness"):
+            run_distillation(replace(FAST, sharpness=1e308))
 
     def test_contexts_past_the_last_block_are_unused(self):
         # 18 contexts make the same four blocks of 4 as 16 do; the seeded

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from otdistill import (EXACT_ASSIGNMENT, SUM_SORT, InvalidInput,
                        TooLargeForExact, align_and_truncate, alignment_cost,
@@ -87,6 +90,29 @@ class TestMatchStudent:
         _, t_sr = sequence_rank_teacher(t)
         perm = match_student(t_sr, s, EXACT_ASSIGNMENT)
         np.testing.assert_array_equal(np.sort(perm), np.arange(6))
+
+    # r = min(m, n) up to ASSIGNMENT_LIMIT; levels > 0 quantizes the entries
+    # and copies teacher columns into the student, so columns tie exactly.
+    @given(tokens=st.integers(1, 6), m=st.integers(1, 64), n=st.integers(1, 64),
+           levels=st.sampled_from([0, 2, 5]), seed=st.integers(0, 2**32 - 1))
+    @example(tokens=6, m=64, n=64, levels=2, seed=0)
+    @example(tokens=1, m=1, n=1, levels=0, seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_exact_reaches_the_dense_optimum(self, tokens, m, n, levels, seed):
+        rng = np.random.default_rng(seed)
+        t_sr, s = rng.random((tokens, m)), rng.random((tokens, n))
+        if levels:
+            t_sr, s = np.floor(t_sr * levels) / levels, np.floor(s * levels) / levels
+            copies = rng.random(n) < 0.5
+            s[:, copies] = t_sr[:, rng.integers(0, m, copies.sum())]
+        r = min(m, n)
+        dense = np.abs(t_sr[:, :r, None] - s[:, None, :]).sum(axis=0)
+        optimum = dense[linear_sum_assignment(dense)].sum()
+        perm = match_student(t_sr, s, EXACT_ASSIGNMENT)
+        np.testing.assert_array_equal(np.sort(perm), np.arange(n))
+        # Ties may be broken differently, so compare costs, not permutations.
+        assert alignment_cost(t_sr, s, perm) == pytest.approx(optimum, rel=1e-12,
+                                                              abs=1e-12)
 
     def test_exact_size_cap(self):
         t_sr = np.full((1, 65), 1 / 65)

@@ -124,7 +124,10 @@ def test_batched_pass_equals_stacked_sequences(batch, objective):
         assert_close(grad[b], expected, GRAD_RTOL)
 
 
-SCALES = st.floats(-3.0, 300.0).map(lambda e: 10.0**e)
+# Above about 1e3 softmax rows are one-hot, sums are exact in any order and
+# most orderings tie, so half of the draws stay at moderate scales.
+SCALES = st.one_of(st.floats(-3.0, 3.0),
+                   st.floats(-3.0, 300.0)).map(lambda e: 10.0**e)
 
 
 def kept(shape, perm, k):

@@ -117,6 +117,19 @@ class TestSinkhornPlan:
             sinkhorn_plan(np.array([[0.0, 1e6], [1e6, 0.0]]) + 1e6 * np.eye(2),
                           SinkhornConfig(0.1, 5))
 
+    @pytest.mark.parametrize("iterations", [1, 20])
+    def test_underflow_during_the_sweeps_raises(self, iterations):
+        # The middle column's kernel entries are the subnormal 5e-324: the
+        # initial kernel has no zero row or column, but the first row step
+        # halves them to 0, and the column step then divides 0 by 0.
+        C = np.tile([0.0, 0.7444, 0.0], (3, 1))
+        assert np.exp(C / -1e-3).sum(axis=0).min() > 0.0
+        with pytest.raises(NumericalUnderflow):
+            sinkhorn_plan(C, SinkhornConfig(1e-3, iterations))
+        with pytest.raises(NumericalUnderflow):
+            sinkhorn_plan(np.stack([np.zeros((3, 3)), C]),
+                          SinkhornConfig(1e-3, iterations))
+
     def test_rescaled_cost_recovers(self):
         C = np.array([[0.0, 1e6], [1e6, 0.0]]) + 1e6 * np.eye(2)
         plan = sinkhorn_plan(C / C.max(), SinkhornConfig(0.1, 20))
@@ -286,7 +299,8 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("budget", [1, 50])
     def test_rows_wider_than_the_budget(self, monkeypatch, budget):
-        # A block never holds fewer than one teacher row.
+        # A gradient block never holds fewer than one teacher row; the cost
+        # has no blocks and must not depend on the budget.
         monkeypatch.setattr(seq_ot, "_BLOCK_ENTRIES", budget)
         pair = tied_pair(13, 7, 3, 2, True)
         plan = np.random.default_rng(3).random((13, 13))
@@ -301,13 +315,14 @@ class TestRowBlocks:
         tokens, k = 512, 50
         pair = tied_pair(tokens, k, 4, 0, True)
         plan = np.random.default_rng(4).random((tokens, tokens))
-        # Live at the peak, in float64 entries: the returned T x T cost
-        # (T^2), one block of row differences (2^18 entries, as T*k is
-        # below that) plus its boolean comparison (2^15 entries' worth of
-        # bytes), the two C-contiguous input copies, the gradient and one
-        # einsum partial (T*k each). That is 5.3 MB here; the bound allows
-        # twice that, a tenth of the 105 MB that one dense T x T x k
-        # difference takes.
+        # The peak is in sd_grad, with the returned T x T cost (T^2 float64
+        # entries) alive: one block of row differences (2^18 entries, as
+        # T*k is below that) plus its boolean comparison (2^15 entries'
+        # worth of bytes), the two C-contiguous input copies, the gradient
+        # and one einsum partial (T*k each). The cost call alone holds at
+        # most T^2 + 2*T*k (test_cost_holds_only_its_output). That is 5.3 MB
+        # here; the bound allows twice that, a tenth of the 105 MB that one
+        # dense T x T x k difference takes.
         bound = 2 * 8 * (tokens**2 + 2**18 + 2**15 + 4 * tokens * k)
         tracemalloc.start()
         try:
@@ -318,3 +333,21 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert cost.shape == (tokens, tokens)
         assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+    def test_cost_holds_only_its_output(self):
+        tokens, k = 512, 50
+        pair = tied_pair(tokens, k, 5, 0, True)
+        assert not pair.teacher.flags.c_contiguous
+        # The T x T output, plus at most a contiguous copy of each T x k
+        # input: 2.5 MB here. One block of T x T x k row differences alone
+        # would add 2^18 entries (2 MB).
+        bound = 8 * (tokens**2 + 2 * tokens * k)
+        tracemalloc.start()
+        try:
+            cost = seq_cost_matrix(pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(cost, dense_cost(pair.teacher, pair.student),
+                                   rtol=1e-12, atol=0)
+        assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
