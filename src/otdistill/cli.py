@@ -103,8 +103,9 @@ def _cmd_sinkhorn(args):
     cost = fileio.load_matrix_csv(args.cost)
     cfg = SinkhornConfig(regularization=args.lam, iterations=args.iters)
     plan = sinkhorn_plan(cost, cfg)
+    value = sd_loss(cost, plan)
     fileio.write_matrix_csv(args.out, plan)
-    print(f"{sd_loss(cost, plan):.17g}")
+    print(f"{value:.17g}")
     return EXIT_OK
 
 

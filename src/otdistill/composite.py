@@ -9,16 +9,16 @@ It walks each logit matrix once, in cache-sized blocks of rows, at both
 temperatures (core._softmax_pass) and keeps only what the loss reads: each
 row's max and sum of exponentials, the column sums that rank the columns,
 and the teacher's argmax for pseudo-labels. The label and k aligned entries
-of every row are computed from those row normalizers. The one B x T x n
-softmax a call writes is the student's at the token temperature in a
-gradient call, which the backward overwrites into the gradient: the
-upstream gradient is nonzero only at the label and the k aligned columns,
-so the backward reads and writes k + 1 columns plus one rescaling of each
-row. The sequence temperature's backward recomputes its softmax block by
-block from the normalizers and adds it straight into the gradient.
-Gradients are with respect to the raw student logits, with the
-rank/truncation selections and the Sinkhorn plan held fixed. Exact matching
-and the padded-sort baseline read whole softmaxes, which they get dense.
+of every row are computed from those row normalizers. The upstream gradient
+is nonzero only at the label and the k aligned columns, so a gradient call
+keeps each temperature's part of it as sparse products and, at the end,
+runs one backward (_softmax_backward) that recomputes the student's softmax
+at each temperature the gradient needs, block by block from the
+normalizers, and sums them straight into the gradient: the only B x T x n
+array a gradient call writes is the gradient it returns. Gradients are with
+respect to the raw student logits, with the rank/truncation selections and
+the Sinkhorn plan held fixed. Exact matching and the padded-sort baseline
+read whole softmaxes, which they take from the dense core._softmax.
 
 A state also freezes the teacher's kept probabilities, so a call given one
 runs no teacher pass.
@@ -242,8 +242,8 @@ class _Teacher:
     columns by sequence-summed probability, and head, its probabilities at
     the first ranked columns, (B, T, width): the k kept ones, or all
     min(m, n) that exact matching reads. argmax (the per-token argmax at
-    tau_sl, for pseudo-labels) and dense (the tau_sl softmax, for the
-    padded-sort baseline) are None unless asked for.
+    tau_sl, for pseudo-labels) and dense (the dense tau_sl softmax, for
+    the padded-sort baseline) are None unless asked for.
     """
 
     logits: np.ndarray
@@ -258,14 +258,13 @@ def _teacher(t, n, w, argmax, dense):
     # a student vocabulary of n: one blocked pass at both temperatures.
     taus = (w.tau_sl, w.tau_sd)
     width = _head_width(w.k, t.shape[-1], n, w.match_mode)
-    buf = np.empty(t.shape) if dense else None
-    top, totals, sums, best = _softmax_pass(t, taus, (buf,), sums=True,
-                                            argmax=argmax)
+    top, totals, sums, best = _softmax_pass(t, taus, sums=True, argmax=argmax)
     perm = tuple(_descending_stable(x) for x in sums)
     head = tuple(_softmax_at(t, tau, (top, total),
                              _last_axis(t.shape, p[:, None, :width]))
                  for tau, total, p in zip(taus, totals, perm))
-    return _Teacher(logits=t, perm=perm, head=head, argmax=best, dense=buf)
+    return _Teacher(logits=t, perm=perm, head=head, argmax=best,
+                    dense=_softmax(t, w.tau_sl) if dense else None)
 
 
 def _rank(teacher, level, student, k, mode):
@@ -276,52 +275,53 @@ def _rank(teacher, level, student, k, mode):
                          k=k, match_mode=mode)
 
 
-def _row_scale(terms, tau):
-    # -(each softmax row's inner product with the upstream gradient) / tau.
-    return -sum((p * g).sum(axis=-1, keepdims=True) for _, p, g in terms) / tau
+def _softmax_backward(z, top, levels):
+    """The gradient w.r.t. the (B, T, V) logits z of a loss that reads
+    softmaxes of z only at sparse entries, one softmax per level.
 
+    Each level is (tau, total, terms): the softmax of z at tau, whose row
+    normalizers from core._softmax_pass are (top, total), and its upstream
+    gradient as terms (index, x). index picks entries p = softmax[index]
+    (a preprocess._last_axis tuple whose entries are distinct within a
+    term, or None for every entry), and x = p * g holds them times the
+    upstream gradient g there. A level's backward is
+    softmax * -(sum of x along each row) / tau plus x / tau at index
+    (core.softmax_backward of the dense upstream gradient); the terms'
+    arrays are divided by tau in place.
 
-def _softmax_backward_inplace(probs, tau, terms):
-    """softmax_backward for an upstream gradient given as sparse terms.
-
-    The upstream gradient is the sum over (index, p, g) in terms of g at
-    probs[index], where p is probs[index] gathered before the call (the
-    indexed entries are distinct within a term, and each index keeps the
-    rows' last axis last). probs is overwritten with the gradient w.r.t.
-    the logits and returned; no dense upstream matrix is built.
+    Every softmax is recomputed block by block (core._blocks) from its
+    normalizers, and the levels of a block are summed straight into the
+    returned gradient, the one B x T x V array written.
     """
-    probs *= _row_scale(terms, tau)
-    for index, p, g in terms:
-        probs[index] += p * g / tau
-    return probs
-
-
-def _softmax_backward_streamed(z, tau, normalizers, term, gradient):
-    """Adds to gradient the backward of the softmax of the (B, T, V) logits
-    z at tau for one sparse upstream term (index, p, g), as in
-    _softmax_backward_inplace; index is a preprocess._last_axis tuple.
-
-    The softmax is recomputed block by block (core._blocks) from its row
-    normalizers and each block is added straight into gradient, so no
-    B x T x V buffer is written. Every entry equals what
-    _softmax_backward_inplace gives on the dense softmax, bit for bit.
-    """
-    top, total = normalizers
-    index, p, g = term
-    scale = _row_scale([term], tau)
-    step = p * g / tau
+    scales = []
+    for tau, _, terms in levels:
+        inner = sum(x.sum(axis=-1, keepdims=True) for _, x in terms)
+        scales.append(-inner / tau)
+        for _, x in terms:
+            x /= tau
+    gradient = np.empty(z.shape)
     blocks = _blocks(z.shape)
-    buf = np.empty(z[blocks[0]].shape)
+    buf = np.empty(z[blocks[0]].shape) if len(levels) > 1 else None
     for block in blocks:
-        items, rows = block
-        zb = z[block]
-        probs = _shifted_exp(zb, top[block], tau, buf[:zb.shape[0], :zb.shape[1]])
-        probs /= total[block]
-        probs *= scale[block]
-        # The batch and row parts of index count from 0, as in the block.
-        probs[index[0][:zb.shape[0]], index[1][:zb.shape[1]],
-              index[2][items]] += step[block]
-        gradient[block] += probs
+        zb, out = z[block], gradient[block]
+        for i, ((tau, total, terms), scale) in enumerate(zip(levels, scales)):
+            probs = _shifted_exp(zb, top[block], tau,
+                                 buf[:zb.shape[0], :zb.shape[1]] if i else out)
+            probs /= total[block]
+            probs *= scale[block]
+            for index, x in terms:
+                if index is None:
+                    probs += x[block]
+                    continue
+                # The batch and row parts of index count from 0, as in the
+                # block; columns given per row are taken at its rows.
+                cols = index[2]
+                probs[index[0][:zb.shape[0]], index[1][:zb.shape[1]],
+                      cols[block] if cols.shape[1] > 1 else cols[block[0]]
+                      ] += x[block]
+            if i:
+                out += probs
+    return gradient
 
 
 def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
@@ -334,9 +334,10 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     given (labels=None derives pseudo-labels; given labels are a validated
     (B, T) array, ignored when a state is given), evaluates the loss
     breakdown when need_loss, and, when grad names an objective
-    (MULTILEVEL_OT, CE_ONLY or ULD), its gradient w.r.t. the raw student
-    logits. Returns (state, breakdown or None, gradient or None), each with
-    a leading batch axis: the state's arrays and the breakdown's components
+    (MULTILEVEL_OT, CE_ONLY or ULD; ULD only without a state), its
+    gradient w.r.t. the raw student logits, computed by one backward at the
+    end. Returns (state, breakdown or None, gradient or None), each with a
+    leading batch axis: the state's arrays and the breakdown's components
     hold one entry per sequence, and the gradient is (B, T, n).
 
     A given state must match t at its kept columns and w's temperatures;
@@ -358,63 +359,58 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     seq_level = state is None or need_loss or seq_grad
     taus = (w.tau_sl, w.tau_sd)[:1 + seq_level]
 
-    # The student's one pass. Besides its row normalizers and (to rank)
-    # column sums, it writes whole only the tau_sl softmax that the
-    # backward overwrites into the gradient and what exact matching reads:
-    # the peak is one B x T x n buffer plus the blocks.
-    dense = [np.empty(s.shape) if need else None
-             for need in (grad is not None or exact, exact)][:len(taus)]
-    top, totals, sums, _ = _softmax_pass(s, taus, dense,
+    # The student's one pass: its row normalizers and, to rank, its column
+    # sums. Exact matching ranks from whole softmaxes instead, taken dense
+    # one at a time.
+    top, totals, sums, _ = _softmax_pass(s, taus,
                                          sums=state is None and not exact)
-    matched = dense if exact else sums
 
     # Token temperature: ce + alpha * (had + beta * sl).
     if state is None:
-        rank = _rank(teacher, 0, matched[0], k, w.match_mode)
+        rank = _rank(teacher, 0, _softmax(s, w.tau_sl) if exact else sums[0],
+                     k, w.match_mode)
         if labels is None:
             labels = _pseudo_labels(teacher.argmax, rank, n)
         teacher1 = teacher.head[0][..., :k]
-        tp = teacher.dense
     else:
         rank, labels, teacher1 = state.rank, state.labels, state.teacher
-        # The padded-sort baseline reads every teacher column.
-        tp = _softmax(t, w.tau_sl) if grad == ULD else None
-    s1 = dense[0]
     at_label = _last_axis(s.shape, labels[:, :, None])
     cols1 = _last_axis(s.shape, rank.student_perm[:, None, :rank.k])
     p_label = _softmax_at(s, w.tau_sl, (top, totals[0]), at_label)
-    uld = w.alpha * uld_grad(tp, s1) if grad == ULD else None
     if need_loss or ot_alpha > 0:
         pair1 = AlignedPair(teacher=teacher1, student=_softmax_at(
             s, w.tau_sl, (top, totals[0]), cols1))
         had, sl = had_loss(pair1), _sl_loss(pair1)
-        if ot_alpha > 0:
-            g1 = ot_alpha * (had.grad + w.beta * sl.grad)
-        had, sl = had.value, sl.value
-    gradient = None
+    # Each level's upstream gradient is kept only as the sparse products
+    # p * g that the one backward at the end reads. A softmax entry p read
+    # by nothing else after its gradient g is overwritten with p * g.
+    levels = []
     if grad is not None:
         # Only labels above the floor get -1/p; dividing elsewhere would
         # evaluate 1/0 on a saturated row.
         g_label = np.divide(-1.0, p_label, out=np.zeros_like(p_label),
                             where=p_label > PROB_FLOOR)
-        terms = [(at_label, p_label, g_label)]
+        terms = [(at_label, p_label * g_label)]
         if ot_alpha > 0:
-            terms.append((cols1, pair1.student, g1))
-        if uld is not None:
-            terms.append(((Ellipsis,), s1.copy(), uld))
-        gradient = _softmax_backward_inplace(s1, w.tau_sl, terms)
-        # Nothing of the token-level backward outlives it.
-        terms = g1 = uld = tp = None
+            pair1.student[...] *= ot_alpha * (had.grad + w.beta * sl.grad)
+            terms.append((cols1, pair1.student))
+        if grad == ULD:
+            # The padded-sort baseline reads every column of both softmaxes.
+            probs = _softmax(s, w.tau_sl)
+            probs *= w.alpha * uld_grad(teacher.dense, probs)
+            terms.append((None, probs))
+        levels.append((w.tau_sl, totals[0], terms))
+    if need_loss or ot_alpha > 0:
+        had, sl = had.value, sl.value
 
     # Sequence temperature: the plan, and alpha * gamma * sd.
     if seq_level:
         if state is None:
-            rank_seq = _rank(teacher, 1, matched[1], k, w.match_mode)
+            rank_seq = _rank(teacher, 1, _softmax(s, w.tau_sd) if exact
+                             else sums[1], k, w.match_mode)
             teacher2 = teacher.head[1][..., :k]
         else:
             rank_seq, teacher2 = state.rank_seq, state.teacher_seq
-        # Exact matching's tau_sd softmax is not held through cost and plan.
-        dense = matched = None
         cols2 = _last_axis(s.shape, rank_seq.student_perm[:, None, :rank_seq.k])
         pair2 = AlignedPair(teacher=teacher2, student=_softmax_at(
             s, w.tau_sd, (top, totals[1]), cols2))
@@ -430,11 +426,11 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
                                   teacher=teacher1, teacher_seq=teacher2,
                                   teacher_logits=kept)
         if seq_grad:
-            g2 = ot_alpha * w.gamma * _sd_grad(pair2.teacher, pair2.student,
-                                               state.plan)
-            _softmax_backward_streamed(s, w.tau_sd, (top, totals[1]),
-                                       (cols2, pair2.student, g2), gradient)
+            pair2.student[...] *= ot_alpha * w.gamma * _sd_grad(
+                pair2.teacher, pair2.student, state.plan)
+            levels.append((w.tau_sd, totals[1], [(cols2, pair2.student)]))
 
+    gradient = _softmax_backward(s, top, levels) if grad is not None else None
     breakdown = None
     if need_loss:
         ce = -_floor_log(p_label).sum(axis=(1, 2))

@@ -24,12 +24,12 @@ ROW_SUM_TOL = 1e-9
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _is_count(value):
-    # value is an integer >= 1, or a float holding one; nan, inf, fractions
-    # and integers too large for a float give False (np.isfinite raises a
-    # TypeError on the last).
+def _is_count(value, least=1):
+    # value is an integer >= least, or a float holding one; nan, inf,
+    # fractions and non-numbers give False (int() raises on nan, inf and
+    # most non-numbers, and the comparison fails on the rest).
     try:
-        return value == int(value) and value >= 1
+        return value == int(value) and value >= least
     except (OverflowError, TypeError, ValueError):
         return False
 
@@ -120,36 +120,33 @@ def _blocks(shape):
             for b in range(batch) for i in range(0, tokens, step)]
 
 
-def _softmax_pass(arr, taus, out=(), sums=False, argmax=False):
+def _softmax_pass(arr, taus, sums=False, argmax=False):
     """One pass over a (B, T, V) stack of validated logits at each
     temperature in taus, block by block (see _blocks).
 
     Each row's max and its difference from it are taken once; at each
     temperature the pass computes exp((z - max) / tau) and its row sum as
-    _softmax does, then emits only what the caller asks for: the softmax
-    itself into out[i], a (B, T, V) buffer the caller owns (out holds one
-    buffer or None per temperature; missing ones are None), each
-    sequence's column sums when sums, and the per-row argmax at taus[0]
-    when argmax. Column sums add the rows in order, as numpy reduces that
-    axis, so every output equals the dense softmax's bit for bit.
+    _softmax does, in a block buffer, then emits only what the caller asks
+    for: each sequence's column sums when sums, and the per-row argmax at
+    taus[0] when argmax. No B x T x V array is written. Column sums add the
+    rows in order, as numpy reduces that axis, so every output equals the
+    dense softmax's bit for bit.
 
     Returns (top, totals, colsums, best): the (B, T, 1) row maxima, one
     (B, T, 1) array of row sums per temperature ((top, totals[i]) are the
-    normalizers _softmax_at reads), one (B, V) array of column sums per
-    temperature or None, and the (B, T) argmax or None.
+    normalizers _softmax_at and the backward read), one (B, V) array of
+    column sums per temperature or None, and the (B, T) argmax or None.
     """
-    out = tuple(out) + (None,) * (len(taus) - len(out))
     top = np.empty(arr.shape[:-1] + (1,))
     totals = [np.empty_like(top) for _ in taus]
     colsums = [np.zeros(arr.shape[::2]) for _ in taus] if sums else None
     best = np.empty(arr.shape[:-1], dtype=np.intp) if argmax else None
     blocks = _blocks(arr.shape)
-    bufs = [np.empty(arr[blocks[0]].shape) if o is None else None for o in out]
+    bufs = [np.empty(arr[blocks[0]].shape) for _ in taus]
     for block in blocks:
         z = arr[block]
         np.max(z, axis=-1, keepdims=True, out=top[block])
-        exps = [o[block] if o is not None else buf[:z.shape[0], :z.shape[1]]
-                for o, buf in zip(out, bufs)]
+        exps = [buf[:z.shape[0], :z.shape[1]] for buf in bufs]
         with np.errstate(over="ignore"):
             np.subtract(z, top[block], out=exps[0])
             for e, tau in zip(exps[1:], taus[1:]):
@@ -160,7 +157,7 @@ def _softmax_pass(arr, taus, out=(), sums=False, argmax=False):
             np.exp(e, out=e)
             total = totals[i][block]
             e.sum(axis=-1, keepdims=True, out=total)
-            if out[i] is None and not sums and not (argmax and i == 0):
+            if not sums and not (argmax and i == 0):
                 continue
             e /= total
             if sums:

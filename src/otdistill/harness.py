@@ -15,7 +15,7 @@ import numpy as np
 
 from .composite import (CE_ONLY, MULTILEVEL_OT, ULD, LossWeights, _forward,
                         _teacher)
-from .core import validate_logits
+from .core import _is_count, validate_logits
 from .errors import InvalidConfig, NumericalFailure
 from .fileio import metrics_csv_text, write_text_atomic
 
@@ -40,15 +40,16 @@ class DistillConfig:
     mode: str = MULTILEVEL_OT
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        if self.m < 2 or self.n < 2:
-            raise InvalidConfig(f"vocabularies need at least 2 entries, "
-                                f"got m={self.m}, n={self.n}")
-        if self.tokens < 1:
-            raise InvalidConfig(f"tokens must be >= 1, got {self.tokens}")
-        if self.steps < 1:
-            raise InvalidConfig(f"steps must be >= 1, got {self.steps}")
+        # Counts follow LossWeights.k's rule from their least value (a
+        # vocabulary needs 2 entries); a float holding an integer is stored
+        # as that integer.
+        for name, least in (("seed", 0), ("m", 2), ("n", 2), ("tokens", 1),
+                            ("contexts", 1), ("steps", 1)):
+            value = getattr(self, name)
+            if not _is_count(value, least):
+                raise InvalidConfig(f"{name} must be an integer >= {least}, "
+                                    f"got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not np.isfinite(self.lr) or self.lr < 0:
             raise InvalidConfig(f"lr must be finite and nonnegative, got {self.lr}")
         if not np.isfinite(self.sharpness):

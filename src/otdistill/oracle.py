@@ -42,11 +42,14 @@ def exact_ot(C, method=BRUTE_FORCE) -> ExactOTResult:
     BRUTE_FORCE enumerates all n! permutations (n <= 7); ASSIGNMENT solves
     the equivalent assignment problem (n <= 64). Both return the exact value;
     ties between optimal permutations may resolve differently but the value
-    is unique.
+    is unique. Raises InvalidInput for a non-finite cost and
+    NumericalFailure when the optimal value overflows.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise InvalidInput(f"cost matrix must be square, got shape {C.shape}")
+    if not np.isfinite(C).all():
+        raise InvalidInput("cost matrix contains non-finite entries")
     n = C.shape[0]
     if method == BRUTE_FORCE:
         if n > BRUTE_FORCE_LIMIT:
@@ -56,22 +59,29 @@ def exact_ot(C, method=BRUTE_FORCE) -> ExactOTResult:
         idx = np.arange(n)
         best_value = np.inf
         best_perm = idx
-        for perm in itertools.permutations(range(n)):
-            value = C[idx, perm].sum()
-            if value < best_value:
-                best_value = value
-                best_perm = np.array(perm)
-        return ExactOTResult(value=float(best_value), permutation=best_perm, method=method)
-    if method == ASSIGNMENT:
+        # A permutation whose finite costs sum past the float range gives
+        # inf, which never wins; only an overflowing optimum is an error.
+        with np.errstate(over="ignore"):
+            for perm in itertools.permutations(range(n)):
+                value = C[idx, perm].sum()
+                if value < best_value:
+                    best_value = value
+                    best_perm = np.array(perm)
+    elif method == ASSIGNMENT:
         if n > ASSIGNMENT_LIMIT:
             raise TooLargeForExact(
                 f"assignment limited to n <= {ASSIGNMENT_LIMIT}, got {n}"
             )
-        rows, cols = linear_sum_assignment(C)
-        return ExactOTResult(
-            value=float(C[rows, cols].sum()), permutation=cols, method=method
-        )
-    raise InvalidInput(f"unknown method: {method!r}")
+        rows, best_perm = linear_sum_assignment(C)
+        with np.errstate(over="ignore"):
+            best_value = C[rows, best_perm].sum()
+    else:
+        raise InvalidInput(f"unknown method: {method!r}")
+    if not np.isfinite(best_value):
+        raise NumericalFailure("the optimal transport value overflows; "
+                               "rescale the cost matrix")
+    return ExactOTResult(value=float(best_value), permutation=best_perm,
+                         method=method)
 
 
 def finite_diff_grad(loss, x, h=1e-6) -> np.ndarray:

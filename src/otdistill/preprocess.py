@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .core import validate_probs
+from .core import _is_count, validate_probs
 from .errors import InvalidInput, TooLargeForExact
 
 SUM_SORT = "sum_sort"
@@ -145,8 +145,8 @@ def alignment_cost(t_sr, s, student_perm):
 
 
 def _width(k, m, n):
-    if k < 1:
-        raise InvalidInput(f"truncation width must be >= 1, got {k}")
+    if not _is_count(k):
+        raise InvalidInput(f"truncation width must be an integer >= 1, got {k}")
     return min(int(k), m, n)
 
 

@@ -27,7 +27,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import _BLOCK_ENTRIES, _is_count
-from .errors import InvalidConfig, InvalidInput, NumericalUnderflow
+from .errors import (InvalidConfig, InvalidInput, NumericalFailure,
+                     NumericalUnderflow)
 from .preprocess import AlignedPair
 
 # _BLOCK_ENTRIES counts the B x T x T x k row differences the gradient
@@ -107,7 +108,9 @@ def sinkhorn_plan(C, cfg: SinkhornConfig = SinkhornConfig()) -> np.ndarray:
 
 def _plan(C, cfg):
     # sinkhorn_plan on a nonempty cost or stack the caller has validated.
-    K = C / -cfg.regularization
+    # A quotient that overflows to -inf gives the kernel entry its correct 0.
+    with np.errstate(over="ignore"):
+        K = C / -cfg.regularization
     np.exp(K, out=K)
     # A zero row or column sum, in the initial kernel or once a sweep has
     # rounded the last subnormal entries of one to zero, divides 0 by 0;
@@ -125,12 +128,21 @@ def _plan(C, cfg):
 
 
 def sd_loss(C, plan) -> float:
-    """Frobenius inner product of the transport plan and the cost matrix."""
+    """Frobenius inner product of the transport plan and the cost matrix.
+
+    Raises NumericalFailure when the value is not finite, as when finite
+    terms sum past the float range.
+    """
     C = np.asarray(C, dtype=float)
     plan = np.asarray(plan, dtype=float)
     if C.ndim != 2 or C.shape != plan.shape:
         raise InvalidInput(f"shape mismatch: cost {C.shape} vs plan {plan.shape}")
-    return float(_sd(C[None], plan[None])[0])
+    with np.errstate(over="ignore"):
+        value = float(_sd(C[None], plan[None])[0])
+    if not np.isfinite(value):
+        raise NumericalFailure("the transport value is not finite; rescale "
+                               "the cost matrix")
+    return value
 
 
 def _sd(C, plan):

@@ -163,6 +163,25 @@ class TestSinkhornCommand:
         assert code == 4
         assert "lambda" in err
 
+    def test_overflowing_value_exits_4(self, capsys, tmp_path):
+        cost = tmp_path / "cost.csv"
+        cost.write_text("1e308,1e308\n1e308,1e308\n")
+        out_path = tmp_path / "plan.csv"
+        code, out, err = run(capsys, "sinkhorn", "--cost", str(cost),
+                             "--lambda", "1e308", "--out", str(out_path))
+        assert code == 4
+        assert "not finite" in err and out == ""
+        assert not out_path.exists()
+
+    def test_kernel_entries_past_the_float_range_exit_0(self, capsys, tmp_path):
+        cost = tmp_path / "cost.csv"
+        cost.write_text("0,1e308,1e308\n1e308,0,1e308\n1e308,1e308,0\n")
+        out_path = tmp_path / "plan.csv"
+        code, out, err = run(capsys, "sinkhorn", "--cost", str(cost),
+                             "--out", str(out_path))
+        assert (code, out, err) == (0, "0\n", "")
+        np.testing.assert_array_equal(fileio.load_matrix_csv(out_path), np.eye(3))
+
     @pytest.mark.parametrize("iters", ["1", "20"])
     def test_underflow_during_the_sweeps_exits_4(self, capsys, tmp_path, iters):
         # No initial row or column is zero, but the middle column's
@@ -198,6 +217,23 @@ class TestOracleCommand:
         value_b = float(out_b.splitlines()[0].split()[1])
         value_a = float(out_a.splitlines()[0].split()[1])
         assert value_b == pytest.approx(value_a, abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["brute", "assign"])
+    def test_overflowing_value_exits_4(self, capsys, tmp_path, method):
+        cost = tmp_path / "cost.csv"
+        cost.write_text("1e308,1e308\n1e308,1e308\n")
+        code, out, err = run(capsys, "oracle", "--cost", str(cost),
+                             "--method", method)
+        assert code == 4
+        assert "overflow" in err and out == ""
+
+    @pytest.mark.parametrize("method", ["brute", "assign"])
+    def test_overflowing_assignments_exit_0(self, capsys, tmp_path, method):
+        cost = tmp_path / "cost.csv"
+        cost.write_text("0,1e308,1e308\n1e308,0,1e308\n1e308,1e308,0\n")
+        code, out, err = run(capsys, "oracle", "--cost", str(cost),
+                             "--method", method)
+        assert (code, out, err) == (0, "value 0\npermutation 0,1,2\n", "")
 
     def test_brute_force_limit_exits_3(self, capsys, tmp_path):
         cost = tmp_path / "cost.csv"

@@ -249,8 +249,9 @@ class TestSoftmaxAccounting:
     public call.
 
     The teacher (m = 8 columns) and the student (n = 6) are told apart by
-    their width. A pass is recorded with its temperature count and the
-    number of B x T x V softmaxes it writes into caller buffers.
+    their width. A pass is recorded with its temperature count and a
+    backward with its level count; neither takes a buffer to write a
+    softmax into, so only a dense softmax would write one whole.
     """
 
     @pytest.fixture
@@ -260,44 +261,38 @@ class TestSoftmaxAccounting:
         def who(arr):
             return "teacher" if arr.shape[-1] == 8 else "student"
 
-        def counted_pass(arr, taus, out=(), **kwargs):
-            dense = sum(o is not None for o in out)
-            calls.append(("pass", who(arr), len(taus), dense))
-            return kernel_pass(arr, taus, out, **kwargs)
-
-        def counted(kind, kernel):
+        def counted(kind, kernel, count=None):
             def wrapper(arr, *args, **kwargs):
-                calls.append((kind, who(arr)))
+                calls.append((kind, who(arr)) + (() if count is None
+                                                 else (len(args[count]),)))
                 return kernel(arr, *args, **kwargs)
             return wrapper
 
-        kernel_pass = composite._softmax_pass
-        monkeypatch.setattr(composite, "_softmax_pass", counted_pass)
+        monkeypatch.setattr(composite, "_softmax_pass",
+                            counted("pass", composite._softmax_pass, 0))
         monkeypatch.setattr(composite, "_softmax",
                             counted("dense", composite._softmax))
-        monkeypatch.setattr(composite, "_softmax_backward_streamed",
-                            counted("streamed backward",
-                                    composite._softmax_backward_streamed))
+        monkeypatch.setattr(composite, "_softmax_backward",
+                            counted("backward", composite._softmax_backward, 1))
         return calls
 
     def test_calls_per_function(self, calls):
         t, s = random_pair(35, m=8, n=6)
         state = build_state(t, s, w=SMALL)
-        assert calls == [("pass", "teacher", 2, 0), ("pass", "student", 2, 0)]
+        assert calls == [("pass", "teacher", 2), ("pass", "student", 2)]
         calls.clear()
         total_loss_frozen(state, t, s, SMALL)
-        assert calls == [("pass", "student", 2, 0)]
+        assert calls == [("pass", "student", 2)]
         calls.clear()
         total_grad(t, s, w=SMALL, state=state)
-        assert calls == [("pass", "student", 2, 1),
-                         ("streamed backward", "student")]
+        assert calls == [("pass", "student", 2), ("backward", "student", 2)]
         calls.clear()
         total_loss(t, s, w=SMALL)
-        assert calls == [("pass", "teacher", 2, 0), ("pass", "student", 2, 0)]
+        assert calls == [("pass", "teacher", 2), ("pass", "student", 2)]
         calls.clear()
         total_grad(t, s, w=SMALL)
-        assert calls == [("pass", "teacher", 2, 0), ("pass", "student", 2, 1),
-                         ("streamed backward", "student")]
+        assert calls == [("pass", "teacher", 2), ("pass", "student", 2),
+                         ("backward", "student", 2)]
 
 
 class TestPeakMemory:
@@ -306,8 +301,7 @@ class TestPeakMemory:
     they keep, in float64 entries:
 
     - blocks: a pass holds one block buffer of at most _BLOCK_ENTRIES
-      entries per temperature it does not write whole (two), and the
-      streamed backward one;
+      entries per temperature (two), and the backward one;
     - columns: per matrix, the column sums at both temperatures and, while
       ranking, their negation and the permutation; 8 * n covers them twice;
     - kept: (T, k) gathers, products and index arrays, a few dozen T * k;

@@ -65,6 +65,21 @@ class TestRunDistillation:
         # Finite, but the teacher table it scales overflows.
         with pytest.raises(InvalidConfig, match="sharpness"):
             run_distillation(replace(FAST, sharpness=1e308))
+        # Counts are integers >= 1 (m and n >= 2, the seed >= 0), or floats
+        # holding one, which then run as that integer.
+        for key, value in (("seed", 0.5), ("seed", -1), ("seed", float("nan")),
+                           ("tokens", 2.5), ("steps", float("inf")),
+                           ("contexts", "16"), ("m", None), ("n", 7.5)):
+            with pytest.raises(InvalidConfig, match=key):
+                replace(FAST, **{key: value})
+        steps = replace(FAST, steps=2)
+        expected = run_distillation(steps)
+        for key in ("seed", "contexts", "tokens", "m", "steps"):
+            floated = replace(steps, **{key: float(getattr(steps, key))})
+            assert floated == steps
+            got = run_distillation(floated)
+            np.testing.assert_array_equal(got.total, expected.total)
+            np.testing.assert_array_equal(got.eval_sd, expected.eval_sd)
 
     def test_contexts_past_the_last_block_are_unused(self):
         # 18 contexts make the same four blocks of 4 as 16 do; the seeded

@@ -66,6 +66,29 @@ class TestExactOT:
         with pytest.raises(InvalidInput):
             exact_ot(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("method", [BRUTE_FORCE, ASSIGNMENT])
+    def test_rejects_non_finite_costs(self, method):
+        # Brute force skipped nan permutations, and scipy's assignment
+        # raised its own ValueError.
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInput, match="non-finite"):
+                exact_ot(np.array([[bad, 0.0], [0.0, 1.0]]), method)
+
+    @pytest.mark.parametrize("method", [BRUTE_FORCE, ASSIGNMENT])
+    def test_overflowing_optimum_raises(self, method):
+        # Finite costs whose every assignment sums past the float range.
+        with pytest.raises(NumericalFailure):
+            exact_ot(np.full((2, 2), 1e308), method)
+
+    @pytest.mark.parametrize("method", [BRUTE_FORCE, ASSIGNMENT])
+    def test_overflowing_assignments_do_not_win(self, method):
+        # Every permutation but the identity sums to inf; the optimum is 0,
+        # with no RuntimeWarning (an error under the test settings).
+        C = np.full((3, 3), 1e308) - np.diag([1e308] * 3)
+        result = exact_ot(C, method)
+        assert result.value == 0.0
+        np.testing.assert_array_equal(result.permutation, [0, 1, 2])
+
 
 class TestFiniteDiffGrad:
     def test_sum_of_squares(self):

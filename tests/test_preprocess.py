@@ -142,8 +142,13 @@ class TestTruncateTopk:
         assert pair.teacher.shape == (2, 1)
 
     def test_rejects_zero_k(self):
-        with pytest.raises(InvalidInput):
-            truncate_topk(np.eye(2), np.eye(2), 0)
+        # k is an integer >= 1 or a float holding one, as LossWeights.k.
+        for k in (0, 2.5, float("nan"), float("inf"), "2"):
+            with pytest.raises(InvalidInput, match="truncation width"):
+                truncate_topk(np.eye(2), np.eye(2), k)
+            with pytest.raises(InvalidInput, match="truncation width"):
+                align_and_truncate(np.eye(2), np.eye(2), k)
+        assert truncate_topk(np.eye(3), np.eye(3), 2.0).teacher.shape == (3, 2)
 
 
 class TestAlignAndTruncate:

@@ -7,9 +7,12 @@
   reads the student from row normalizers; both equal, bit for bit, a dense
   pass that softmaxes every matrix and then gathers.
 - The blocked softmax pass gives the dense softmax's normalizers, column
-  sums and argmax bit for bit, and its streamed backward the in-place
-  dense one, for blocks of one row, of part of a sequence and of several
-  sequences; the fused pass gives the same outputs under each blocking.
+  sums and argmax bit for bit, and the streamed backward the dense
+  formula's gradient, for blocks of one row, of part of a sequence and of
+  several sequences; the fused pass gives the same outputs under each
+  blocking. Over two temperatures, with a per-row and a broadcast sparse
+  term, the streamed backward equals the sum of the dense softmax_backward
+  at each.
 - Any logit scale from 1e-3 to 1e300 gives finite outputs or an error of a
   type the CLI maps to a documented exit code.
 
@@ -30,9 +33,8 @@ from otdistill import (CE_ONLY, EXACT_ASSIGNMENT, MULTILEVEL_OT, SUM_SORT, ULD,
                        TooLargeForExact, build_state, run_distillation,
                        total_grad, total_loss, total_loss_frozen)
 from otdistill import core
-from otdistill.composite import (_forward, _softmax_backward_inplace,
-                                 _softmax_backward_streamed)
-from otdistill.core import _softmax, _softmax_at, _softmax_pass
+from otdistill.composite import _forward, _softmax_backward
+from otdistill.core import _softmax, _softmax_at, _softmax_pass, softmax_backward
 from otdistill.preprocess import _last_axis
 
 LOSS_RTOL = 1e-12
@@ -214,21 +216,18 @@ def test_blocked_pass_equals_the_dense_softmax(batch, tokens, scale, taus,
     cols = np.argsort(rng.random(z.shape[::2]), axis=-1)
     cols = cols[:, :rng.integers(1, z.shape[2] + 1)]
     index = _last_axis(z.shape, cols[:, None])
-    p = dense[1][index]
-    g = rng.standard_normal(p.shape)
-    base = rng.standard_normal(z.shape)
-    expected = base + _softmax_backward_inplace(dense[1].copy(), taus[1],
-                                                [(index, p, g)])
+    x = dense[1][index] * rng.standard_normal(cols[:, None].shape)
+    # The dense formula: each row scaled by -sum(p * g) / tau, plus p * g / tau
+    # at the indexed entries.
+    expected = dense[1] * (-x.sum(axis=-1, keepdims=True) / taus[1])
+    expected[index] += x / taus[1]
     single = fused_outputs(t, s, w)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](*z.shape[1:]))
-        out = np.empty(z.shape)
-        top, totals, sums, best = _softmax_pass(z, taus, (out,), sums=True,
-                                                argmax=True)
+        top, totals, sums, best = _softmax_pass(z, taus, sums=True, argmax=True)
         bare_top, bare_totals, _, _ = _softmax_pass(z, taus)
-        streamed = base.copy()
-        _softmax_backward_streamed(z, taus[1], (top, totals[1]),
-                                   (index, p, g), streamed)
+        streamed = _softmax_backward(z, top, [(taus[1], totals[1],
+                                               [(index, x.copy())])])
         patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](*s.shape[1:]))
         blocked = fused_outputs(t, s, w)
 
@@ -239,10 +238,48 @@ def test_blocked_pass_equals_the_dense_softmax(batch, tokens, scale, taus,
         assert np.array_equal(_softmax_at(z, tau, (top, total), every), probs)
         assert np.array_equal(bare_total, total)
         assert np.array_equal(colsum, probs.sum(axis=-2))
-    assert np.array_equal(out, dense[0])
     assert np.array_equal(best, dense[0].argmax(axis=-1))
     assert np.array_equal(streamed, expected)
     assert all(np.array_equal(a, b) for a, b in zip(blocked, single))
+
+
+@given(batch=st.integers(1, 4), tokens=st.integers(1, 16),
+       vocab=st.integers(2, 12), scale=SCALES,
+       taus=st.sampled_from([(1.0, 2.0), (0.5, 1.0), (0.7, 3.0)]),
+       blocking=st.sampled_from(sorted(BLOCKINGS)),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_streamed_backward_equals_the_dense_backward_at_each_temperature(
+        batch, tokens, vocab, scale, taus, blocking, seed):
+    # A label per row at the first temperature (its index does not
+    # broadcast over rows, so a block must take its own rows of it) and
+    # distinct columns per sequence at both, as the fused pass has them.
+    rng = np.random.default_rng(seed)
+    shape = (batch, tokens, vocab)
+    z = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 10.0, scale],
+                                                shape[:2] + (1,))
+    labels = _last_axis(shape, rng.integers(0, vocab, shape[:2] + (1,)))
+    cols = np.argsort(rng.random((batch, vocab)), axis=-1)
+    cols = _last_axis(shape, cols[:, None, :rng.integers(1, vocab + 1)])
+    top, totals, _, _ = _softmax_pass(z, taus)
+    expected = np.zeros(shape)
+    levels = []
+    for level, (tau, total) in enumerate(zip(taus, totals)):
+        probs = _softmax(z, tau)
+        upstream = np.zeros(shape)
+        terms = []
+        for index in (labels, cols)[level:]:
+            g = rng.standard_normal(probs[index].shape)
+            upstream[index] += g
+            terms.append((index, probs[index] * g))
+        levels.append((tau, total, terms))
+        expected += softmax_backward(probs.reshape(-1, vocab),
+                                     upstream.reshape(-1, vocab),
+                                     tau).reshape(shape)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](tokens, vocab))
+        streamed = _softmax_backward(z, top, levels)
+    assert_close(streamed, expected, 1e-12)
 
 
 @given(batch=logit_batches(scale=1.0), scale=SCALES,

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otdistill import (BRUTE_FORCE, AlignedPair, InvalidConfig, InvalidInput,
-                       NumericalUnderflow, SinkhornConfig, check_gradient,
+                       NumericalFailure, NumericalUnderflow, SinkhornConfig,
+                       check_gradient,
                        exact_ot, finite_diff_grad, sd_grad, sd_loss,
                        seq_cost_matrix, sinkhorn_plan, softmax_rows)
 from otdistill import seq_ot
@@ -219,6 +220,24 @@ class TestSdLoss:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidInput):
             sd_loss(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_overflowing_value_raises(self):
+        # At lambda = 1e308 the kernel is exp(-1) everywhere and the plan is
+        # uniform and finite; its inner product with the cost is not.
+        C = np.full((2, 2), 1e308)
+        plan = sinkhorn_plan(C, SinkhornConfig(1e308, 20))
+        np.testing.assert_array_equal(plan, np.full((2, 2), 0.5))
+        with pytest.raises(NumericalFailure):
+            sd_loss(C, plan)
+
+    def test_kernel_entries_past_the_float_range_are_zero(self):
+        # C / -lambda overflows to -inf off the diagonal, whose kernel entry
+        # is the correct 0, with no RuntimeWarning (an error under the test
+        # settings).
+        C = np.full((3, 3), 1e308) - np.diag([1e308] * 3)
+        plan = sinkhorn_plan(C, SinkhornConfig())
+        np.testing.assert_array_equal(plan, np.eye(3))
+        assert sd_loss(C, plan) == 0.0
 
     def test_no_plan_sized_temporary(self):
         tokens = 512
