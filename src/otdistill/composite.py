@@ -35,12 +35,12 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .core import (PROB_FLOOR, _blocks, _floor_log, _is_count, _shifted_exp,
-                   _softmax, _softmax_at, _softmax_pass, safe_log,
-                   validate_logits, validate_probs)
+from .core import (PROB_FLOOR, _blocks, _check_temperature, _floor_log,
+                   _is_count, _shifted_exp, _softmax, _softmax_at,
+                   _softmax_pass, safe_log, validate_logits, validate_probs)
 from .errors import InvalidConfig, InvalidInput
 from .preprocess import (EXACT_ASSIGNMENT, SUM_SORT, AlignedPair,
-                         RankSelection, _descending_stable, _gather,
+                         RankSelection, _descending_stable,
                          _head_width, _last_axis, _match, _width)
 from .seq_ot import SinkhornConfig, _cost, _plan, _sd, _sd_grad
 from .token_ot import _sl_loss, had_loss, uld_grad
@@ -71,14 +71,16 @@ class LossWeights:
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise InvalidConfig(f"{name} must be finite and nonnegative, got {v}")
-        # The fused pass trusts these temperatures; softmax_rows re-checks its own.
+        # The fused pass trusts these temperatures.
         for name in ("tau_sl", "tau_sd"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
-                raise InvalidConfig(f"{name} must be finite and positive, got {v}")
+            _check_temperature(getattr(self, name), name)
         if not _is_count(self.k):
             raise InvalidConfig(f"truncation width k must be an integer >= 1, "
                                 f"got {self.k}")
+        modes = (SUM_SORT, EXACT_ASSIGNMENT)
+        if self.match_mode not in modes:
+            raise InvalidConfig(f"unknown match_mode {self.match_mode!r}; "
+                                f"choose from {modes}")
 
 
 @dataclass(frozen=True)
@@ -172,21 +174,15 @@ def _pseudo_labels(argmax, rank: RankSelection, n_student):
     return np.take_along_axis(rank.student_perm, pos, axis=-1)
 
 
-def _aligned_logits(teacher_logits, student_logits):
+def _batch_of_one(teacher_logits, student_logits, labels=None):
+    # The public functions' inputs, validated once and cut to their shared
+    # tokens, as a batch of one.
     t = validate_logits(teacher_logits)
     s = validate_logits(student_logits)
     length = min(t.shape[0], s.shape[0])
-    if length == 0:
-        raise InvalidInput("no overlapping tokens between teacher and student")
-    return t[:length], s[:length], length
-
-
-def _batch_of_one(teacher_logits, student_logits, labels=None):
-    # The public functions' inputs, validated once, as a batch of one.
-    t, s, length = _aligned_logits(teacher_logits, student_logits)
     if labels is not None:
         labels = _validate_labels(labels, length, s.shape[1])[None]
-    return t[None], s[None], labels
+    return t[None, :length], s[None, :length], labels
 
 
 def _index(obj, i):
@@ -229,9 +225,9 @@ def _check_state(state: PipelineState, t, n, w):
 
 def _kept_logits(t, rank, rank_seq):
     # The teacher's logits at the kept columns of both levels, (B, T, 2k).
-    return _gather(t, np.concatenate((rank.teacher_perm[:, :rank.k],
-                                      rank_seq.teacher_perm[:, :rank_seq.k]),
-                                     axis=-1))
+    cols = np.concatenate((rank.teacher_perm[:, :rank.k],
+                           rank_seq.teacher_perm[:, :rank_seq.k]), axis=-1)
+    return t[_last_axis(t.shape, cols[:, None, :])]
 
 
 @dataclass(frozen=True)
@@ -454,7 +450,11 @@ def build_state(teacher_logits, student_logits, labels=None, w=LossWeights()):
 
 def total_loss_frozen(state: PipelineState, teacher_logits, student_logits,
                       w=LossWeights()) -> LossBreakdown:
-    """Evaluate every component with the state's selections and plan fixed."""
+    """Evaluate every component with the state's selections and plan fixed.
+
+    The state's labels, selections and plan apply: w.k, w.match_mode and
+    w.sinkhorn are ignored, and only w's temperatures must match the state's.
+    """
     t, s, _ = _batch_of_one(teacher_logits, student_logits)
     return _index(_forward(t, s, w, state=_index(state, None))[1], 0)
 
@@ -473,6 +473,10 @@ def total_grad(teacher_logits, student_logits, labels=None, w=LossWeights(),
     Rank/truncation selections and the Sinkhorn plan are held fixed;
     truncated-away dimensions receive gradient only through the softmax
     normalization. Matches finite differences of total_loss_frozen.
+
+    With a state, the state's labels, selections and plan apply: labels,
+    w.k, w.match_mode and w.sinkhorn are ignored, and only w's temperatures
+    must match the state's.
     """
     if state is not None:
         state, labels = _index(state, None), None

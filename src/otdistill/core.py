@@ -34,6 +34,13 @@ def _is_count(value, least=1):
         return False
 
 
+def _check_temperature(tau, name="temperature"):
+    # The one temperature rule; the error names the value's field.
+    if not np.isfinite(tau) or tau <= 0.0:
+        raise InvalidConfig(f"{name} must be finite and positive, got {tau}")
+    return tau
+
+
 def validate_logits(logits):
     """Coerce to a float matrix and enforce logit-matrix invariants.
 
@@ -79,17 +86,13 @@ def softmax_rows(logits, temperature=1.0):
     exp(z / temperature) normalized to sum 1.
     """
     arr = validate_logits(logits)
-    tau = float(temperature)
-    if not np.isfinite(tau) or tau <= 0.0:
-        raise InvalidConfig(f"temperature must be positive, got {temperature}")
-    return _softmax(arr, tau)
+    return _softmax(arr, _check_temperature(float(temperature)))
 
 
-def _softmax(arr, tau, out=None):
+def _softmax(arr, tau):
     # Rows lie along the last axis, so a (B, T, V) stack of logit matrices
-    # works as well; out, when given, is a free buffer of arr's shape that
-    # the result overwrites. Callers have validated arr and tau.
-    out = _shifted_exp(arr, arr.max(axis=-1, keepdims=True), tau, out)
+    # works as well. Callers have validated arr and tau.
+    out = _shifted_exp(arr, arr.max(axis=-1, keepdims=True), tau)
     out /= out.sum(axis=-1, keepdims=True)
     return out
 
@@ -191,8 +194,9 @@ def softmax_backward(probs, grad_probs, temperature=1.0):
     Maps a gradient w.r.t. the probabilities to a gradient w.r.t. the raw
     logits they came from.
     """
+    tau = _check_temperature(float(temperature))
     inner = (grad_probs * probs).sum(axis=1, keepdims=True)
-    return probs * (grad_probs - inner) / float(temperature)
+    return probs * (grad_probs - inner) / tau
 
 
 def safe_log(p, floor=PROB_FLOOR):

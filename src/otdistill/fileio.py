@@ -51,6 +51,18 @@ def write_text_atomic(path, text):
         raise
 
 
+def _read(path):
+    """The text of the file at path, decoded as UTF-8; ParseError naming
+    the path when it cannot be read or is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from exc
+
+
 def load_logit_file(path):
     """Read a logit matrix from a strict JSON logit file.
 
@@ -59,10 +71,7 @@ def load_logit_file(path):
     and contain only finite numbers.
     """
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read file: {exc}") from exc
+        doc = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON at line {exc.lineno}") from exc
     if not isinstance(doc, dict):
@@ -101,12 +110,7 @@ def write_logit_file(path, logits):
 def load_matrix_csv(path):
     """Read a headerless rectangular CSV matrix of finite numbers."""
     rows = []
-    try:
-        with open(path) as f:
-            lines = f.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read file: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -132,13 +136,9 @@ def write_matrix_csv(path, matrix):
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def load_labels_file(path, expected=None):
+def load_labels_file(path):
     """Read one integer label per line."""
-    try:
-        with open(path) as f:
-            lines = [ln for ln in f.read().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read file: {exc}") from exc
+    lines = [ln for ln in _read(path).splitlines() if ln.strip()]
     labels = []
     for lineno, line in enumerate(lines, start=1):
         try:
@@ -147,8 +147,6 @@ def load_labels_file(path, expected=None):
             raise InvalidInput(f"{path}: label on line {lineno}: {exc}") from None
         except ValueError as exc:
             raise ParseError(f"{path}: bad label on line {lineno}") from exc
-    if expected is not None and len(labels) < expected:
-        raise InvalidInput(f"{path}: need {expected} labels, got {len(labels)}")
     try:
         return np.array(labels, dtype=int)
     except OverflowError:
@@ -157,13 +155,8 @@ def load_labels_file(path, expected=None):
 
 def load_keyvalue_config(path):
     """Read a key=value config file; values stay strings for the caller to coerce."""
-    try:
-        with open(path) as f:
-            lines = f.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read file: {exc}") from exc
     out = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

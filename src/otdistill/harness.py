@@ -95,12 +95,11 @@ def _initial_student(cfg: DistillConfig):
     return rng.standard_normal((cfg.contexts, cfg.n)) * 0.01
 
 
-def _partial_metrics(records) -> RunMetrics:
-    # Rows recorded before a divergence; lets callers persist what finished.
-    done = len(records["eval_sd"])
+def _metrics(records) -> RunMetrics:
+    # The steps recorded so far; after a divergence, callers persist these.
     return RunMetrics(
-        step=np.arange(done),
-        **{name: np.array(values[:done]) for name, values in records.items()},
+        step=np.arange(len(records["eval_sd"])),
+        **{name: np.array(values) for name, values in records.items()},
     )
 
 
@@ -119,7 +118,7 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
     student. Raises NumericalFailure (with the step index) if any loss goes
     non-finite.
     """
-    teacher = validate_logits(make_teacher_table(cfg))
+    teacher = make_teacher_table(cfg)
     W = _initial_student(cfg)
     w = cfg.weights
 
@@ -142,23 +141,22 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
     teacher_half = _teacher(teacher_blocks, cfg.n, w, argmax=True,
                             dense=cfg.mode == ULD)
 
-    # Pseudo-targets are generated once from the initial alignment and kept
-    # fixed for the whole run, mirroring distillation against pre-generated
-    # teacher text; recomputing them every step makes the targets oscillate
-    # whenever two student dimensions trade rank.
-    fixed_labels = _forward(teacher_half, student_blocks, w,
-                            need_loss=False)[0].labels
+    # Step 0's pass derives pseudo-targets from the initial alignment, kept
+    # for the whole run like pre-generated teacher text: recomputed each
+    # step, they oscillate whenever two student dimensions trade rank.
+    labels = None
 
     records = {name: [] for name in ("ce", "had", "sl", "sd", "total", "eval_sd")}
     for step in range(cfg.steps):
         validate_logits(W)
         # One fused pass: every block's state, breakdown and the mode's
         # gradient from the same softmaxes.
-        _, breakdown, grad = _forward(teacher_half, student_blocks, w,
-                                      labels=fixed_labels, grad=cfg.mode)
+        state, breakdown, grad = _forward(teacher_half, student_blocks, w,
+                                          labels=labels, grad=cfg.mode)
+        labels = state.labels
         if not np.isfinite(breakdown.total).all():
             exc = NumericalFailure(f"non-finite loss at step {step}")
-            exc.metrics = _partial_metrics(records)
+            exc.metrics = _metrics(records)
             raise exc
         for name in ("ce", "had", "sl", "sd", "total"):
             records[name].append(_block_mean(getattr(breakdown, name)))
@@ -167,10 +165,7 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
         records["eval_sd"].append(float(np.mean(breakdown.sd[-n_eval:])))
         student_blocks -= cfg.lr * grad
 
-    return RunMetrics(
-        step=np.arange(cfg.steps),
-        **{name: np.array(values) for name, values in records.items()},
-    )
+    return _metrics(records)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ order either by the same sum-sort heuristic or by an exact rectangular
 assignment; both matrices are then truncated to a shared support of k columns.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -165,39 +165,18 @@ def truncate_topk(t_sr, s_sr, k):
 def align_and_truncate(t, s, k, mode=SUM_SORT):
     """Full alignment pipeline: rank teacher, match student, truncate.
 
-    Ranking and matching read column sums, so only the k kept columns of
-    each matrix are ever gathered. Returns (AlignedPair, RankSelection).
+    Ranking and SUM_SORT matching read column sums, so only the k kept
+    columns of each matrix are gathered (and the min(m, n) teacher columns
+    EXACT_ASSIGNMENT matches). Returns (AlignedPair, RankSelection).
     """
     t, s = _same_rows(validate_probs(t), s)
-    pair, sel = _align_and_truncate(t[None], s[None], k, mode)
-    return (AlignedPair(teacher=pair.teacher[0], student=pair.student[0]),
-            replace(sel, teacher_perm=sel.teacher_perm[0],
-                    student_perm=sel.student_perm[0]))
-
-
-def _align_and_truncate(t, s, k, mode):
-    # align_and_truncate on each item of a (B, T, m) teacher and (B, T, n)
-    # student stack of float matrices the caller has validated. The pair is
-    # (B, T, k) and the permutations (B, m) and (B, n).
-    k_eff = _width(k, t.shape[-1], s.shape[-1])
-    width = _head_width(k, t.shape[-1], s.shape[-1], mode)
-    teacher_perm = _descending_stable(t.sum(axis=-2))
-    head = _gather(t, teacher_perm[:, :width])
-    student_perm = _match(head, s.sum(axis=-2) if mode == SUM_SORT else s, mode)
-    pair = AlignedPair(teacher=head[..., :k_eff],
-                       student=_gather(s, student_perm[:, :k_eff]))
-    sel = RankSelection(
-        teacher_perm=teacher_perm,
-        student_perm=student_perm,
-        k=k_eff,
-        match_mode=mode,
-    )
-    return pair, sel
-
-
-def _gather(probs, cols):
-    # probs[b][:, cols[b]] for every item b of a (B, T, V) stack.
-    return probs[_last_axis(probs.shape, cols[:, None, :])]
+    k_eff = _width(k, t.shape[1], s.shape[1])
+    width = _head_width(k, t.shape[1], s.shape[1], mode)
+    teacher_perm = _descending_stable(t.sum(axis=0))
+    head = t[:, teacher_perm[:width]]
+    student_perm = match_student(head, s, mode)
+    pair = AlignedPair(head[:, :k_eff], s[:, student_perm[:k_eff]])
+    return pair, RankSelection(teacher_perm, student_perm, k_eff, mode)
 
 
 def _last_axis(shape, cols):

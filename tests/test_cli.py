@@ -30,6 +30,11 @@ def write_logits(path, arr):
     return str(path)
 
 
+def not_utf8(text):
+    """text behind a UTF-16 byte-order mark, which is not valid UTF-8."""
+    return b"\xff\xfe" + text.encode()
+
+
 @pytest.fixture
 def logit_pair(tmp_path):
     rng = np.random.default_rng(0)
@@ -235,6 +240,13 @@ class TestOracleCommand:
                              "--method", method)
         assert (code, out, err) == (0, "value 0\npermutation 0,1,2\n", "")
 
+    def test_file_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        cost = tmp_path / "cost.csv"
+        cost.write_bytes(not_utf8("0,1\n1,0\n"))
+        code, out, err = run(capsys, "oracle", "--cost", str(cost))
+        assert (code, out) == (2, "")
+        assert str(cost) in err and "UTF-8" in err
+
     def test_brute_force_limit_exits_3(self, capsys, tmp_path):
         cost = tmp_path / "cost.csv"
         fileio.write_matrix_csv(cost, np.zeros((8, 8)))
@@ -391,13 +403,15 @@ def spoil_logits(arr, how):
 
 LOGIT_FAULTS = {"truncated": 2, "nan": 2, "inf": 2, "rows": 2, "ragged": 2,
                 "tokens_text": 2, "tokens_null": 2, "tokens_fraction": 2,
-                "tokens_bool": 2, "extra_key": 2, "one_column": 3}
+                "tokens_bool": 2, "extra_key": 2, "one_column": 3,
+                "not_utf8": 2}
 LABEL_FAULTS = {"-1": 3, "1.5": 3, "one": 2, "1" + "0" * 30: 3, "few": 3,
-                "vocab": 3}
+                "vocab": 3, "not_utf8": 2}
 CONFIG_FAULTS = {"bogus=1": 2, "alpha=abc": 2, "no equals sign": 2,
                  "tau_sl=0": 3, "tau_sd=-1": 3, "alpha=-1": 3, "beta=inf": 3,
                  "k=0": 3, "k=2.5": 3, "k=" + "9" * 30: 0, "lambda=0": 3,
-                 "lambda=nan": 3, "n_iters=0": 3, "n_iters=" + "9" * 30: 3}
+                 "lambda=nan": 3, "n_iters=0": 3, "n_iters=" + "9" * 30: 3,
+                 "not_utf8": 2}
 
 
 @given(tokens=st.integers(1, 4), m=st.integers(2, 6), n=st.integers(2, 6),
@@ -419,7 +433,12 @@ def test_loss_command_exit_codes(tokens, m, n, seed, scale, lam, with_labels,
              "labels": "\n".join(map(str, labels)) + "\n",
              "config": f"lambda={lam}\n"}
     where, how = fault or (None, None)
-    if where in ("teacher", "student"):
+    if how == "not_utf8":
+        # The intact file, spoiled only by its encoding.
+        texts[where] = not_utf8(texts[where])
+        expected = {"labels": LABEL_FAULTS,
+                    "config": CONFIG_FAULTS}.get(where, LOGIT_FAULTS)[how]
+    elif where in ("teacher", "student"):
         texts[where] = spoil_logits((teacher, student)[where == "student"], how)
         expected = LOGIT_FAULTS[how]
     elif where == "labels":
@@ -441,7 +460,7 @@ def test_loss_command_exit_codes(tokens, m, n, seed, scale, lam, with_labels,
         argv = ["loss"]
         for name, text in texts.items():
             path = os.path.join(tmp, name)
-            with open(path, "w") as f:
+            with open(path, "wb" if isinstance(text, bytes) else "w") as f:
                 f.write(text)
             argv += [f"--{name}", path]
         assert run_quiet(argv) == expected
@@ -450,7 +469,7 @@ def test_loss_command_exit_codes(tokens, m, n, seed, scale, lam, with_labels,
 DISTILL_FAULTS = {"seed=-1": 3, "m=-2": 3, "n=1": 3, "T=0": 3, "T=1.5": 3,
                   "contexts=3": 3, "steps=0": 3, "steps=two": 2, "lr=-1": 3,
                   "lr=nan": 3, "sharpness=nan": 3, "sharpness=inf": 3,
-                  "colour=red": 2}
+                  "colour=red": 2, "not_utf8": 2}
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), n=st.integers(2, 6),
@@ -465,18 +484,20 @@ def test_distill_command_exit_codes(seed, m, n, scale, fault):
                             sharpness=10.0**scale)
         expected = documented_code(lambda: run_distillation(cfg))
     else:
-        settings_text += fault + "\n"
         expected = DISTILL_FAULTS[fault]
+        if fault != "not_utf8":
+            settings_text += fault + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "run.cfg")
-        with open(config, "w") as f:
-            f.write(settings_text)
+        with open(config, "wb") as f:
+            f.write(not_utf8(settings_text) if fault == "not_utf8"
+                    else settings_text.encode())
         argv = ["distill", "--config", config, "--out", os.path.join(tmp, "m.csv")]
         assert run_quiet(argv) == expected
 
 
 COST_FAULTS = {"negative": 3, "non-square": 3, "text": 2, "empty": 2, "nan": 2,
-               "ragged": 2}
+               "ragged": 2, "not_utf8": 2}
 
 
 @given(size=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
@@ -500,10 +521,11 @@ def test_sinkhorn_command_exit_codes(size, seed, scale, lam, fault):
         rows.append(rows[0] + ",0")
     expected = (COST_FAULTS[fault] if fault else
                 documented_code(lambda: sinkhorn_plan(cost, SinkhornConfig(lam, 20))))
+    text = "\n".join(rows) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cost.csv")
-        with open(path, "w") as f:
-            f.write("\n".join(rows) + "\n")
+        with open(path, "wb") as f:
+            f.write(not_utf8(text) if fault == "not_utf8" else text.encode())
         argv = ["sinkhorn", "--cost", path, "--lambda", repr(lam),
                 "--out", os.path.join(tmp, "plan.csv")]
         assert run_quiet(argv) == expected

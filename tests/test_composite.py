@@ -11,7 +11,7 @@ from otdistill import (InvalidConfig, InvalidInput, LossWeights, SinkhornConfig,
 from otdistill import composite
 from otdistill.composite import _pseudo_labels
 from otdistill.core import _BLOCK_ENTRIES, _softmax
-from otdistill.preprocess import _align_and_truncate
+from otdistill.preprocess import RankSelection, _descending_stable
 
 SMALL = LossWeights(k=4, sinkhorn=SinkhornConfig(0.5, 20))
 
@@ -63,7 +63,7 @@ class TestLossWeights:
     @pytest.mark.parametrize("field, value", [
         ("tau_sl", np.nan), ("tau_sl", np.inf), ("tau_sd", np.nan),
         ("tau_sd", np.inf), ("tau_sl", 0.0), ("k", 2.5), ("k", 0),
-        ("alpha", -1.0),
+        ("alpha", -1.0), ("match_mode", "bogus"),
     ])
     def test_rejects_with_invalid_config(self, field, value):
         with pytest.raises(InvalidConfig):
@@ -342,7 +342,8 @@ def test_pseudo_labels_invert_the_ranking_on_ties():
     t[..., 7] = t[..., 1]
     s = rng.standard_normal((3, 4, 6))
     t1, s1 = _softmax(t, 1.0), _softmax(s, 1.0)
-    _, rank = _align_and_truncate(t1, s1, 4, "sum_sort")
+    rank = RankSelection(teacher_perm=_descending_stable(t1.sum(axis=-2)),
+                         student_perm=_descending_stable(s1.sum(axis=-2)), k=4)
     inv = np.argsort(rank.teacher_perm, axis=-1)
     pos = np.minimum(np.take_along_axis(inv, t1.argmax(axis=-1), axis=-1), 5)
     expected = np.take_along_axis(rank.student_perm, pos, axis=-1)

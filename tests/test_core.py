@@ -67,6 +67,10 @@ class TestSoftmaxRows:
             softmax_rows([[0.0, 1.0]], 0.0)
         with pytest.raises(InvalidConfig):
             softmax_rows([[0.0, 1.0]], -1.0)
+        probs = np.array([[0.25, 0.75]])
+        for tau in (0.0, -1.0, np.nan):
+            with pytest.raises(InvalidConfig):
+                softmax_backward(probs, np.ones_like(probs), tau)
 
     def test_rejects_single_column(self):
         with pytest.raises(InvalidInput):

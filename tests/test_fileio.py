@@ -107,3 +107,20 @@ class TestAtomicWrite:
         fileio.write_text_atomic(path, "hello")
         assert path.read_text() == "hello"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("load", [
+    fileio.load_logit_file, fileio.load_matrix_csv, fileio.load_labels_file,
+    fileio.load_keyvalue_config,
+], ids=lambda load: load.__name__)
+class TestUnreadable:
+    def test_missing_file_is_a_parse_error(self, tmp_path, load):
+        with pytest.raises(ParseError, match="cannot read file"):
+            load(tmp_path / "missing")
+
+    def test_not_utf8_is_a_parse_error_naming_the_path(self, tmp_path, load):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes("1\n".encode("utf-16"))
+        with pytest.raises(ParseError, match="not UTF-8") as info:
+            load(path)
+        assert str(path) in str(info.value)

@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from otdistill import (CE_ONLY, MULTILEVEL_OT, ULD, DistillConfig,
-                       InvalidConfig, compare_modes, run_distillation)
+                       InvalidConfig, compare_modes, harness, run_distillation)
 from otdistill.harness import make_teacher_table
 
 FAST = DistillConfig(seed=3, m=10, n=7, tokens=4, contexts=16, steps=25, lr=0.3)
@@ -28,6 +28,19 @@ class TestRunDistillation:
         np.testing.assert_array_equal(m.step, np.arange(7))
         for name in ("ce", "had", "sl", "sd", "total", "eval_sd"):
             assert np.isfinite(getattr(m, name)).all()
+
+    def test_one_fused_pass_per_step(self, monkeypatch):
+        # Step 0's pass derives the pseudo-labels; later steps reuse them.
+        derived = []
+        forward = harness._forward
+
+        def counted(*args, **kwargs):
+            derived.append(kwargs.get("labels") is None)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_forward", counted)
+        run_distillation(replace(FAST, steps=6))
+        assert derived == [True] + [False] * 5
 
     def test_total_decreases_with_small_lr(self):
         m = run_distillation(replace(FAST, lr=0.05, steps=11))
