@@ -14,8 +14,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import fileio
 from .composite import LossWeights, total_loss
 from .errors import (InvalidConfig, InvalidInput, NumericalFailure,

@@ -43,7 +43,7 @@ from .preprocess import (EXACT_ASSIGNMENT, SUM_SORT, AlignedPair,
                          RankSelection, _descending_stable,
                          _head_width, _last_axis, _match, _width)
 from .seq_ot import SinkhornConfig, _cost, _plan, _sd, _sd_grad
-from .token_ot import _sl_loss, had_loss, uld_grad
+from .token_ot import _sl_loss, _uld_grad, _uld_sorted, had_loss
 
 # Objectives the fused pass can differentiate: the full objective, the
 # cross-entropy alone, and the cross-entropy plus alpha times the padded-sort
@@ -238,8 +238,10 @@ class _Teacher:
     columns by sequence-summed probability, and head, its probabilities at
     the first ranked columns, (B, T, width): the k kept ones, or all
     min(m, n) that exact matching reads. argmax (the per-token argmax at
-    tau_sl, for pseudo-labels) and dense (the dense tau_sl softmax, for
-    the padded-sort baseline) are None unless asked for.
+    tau_sl, for pseudo-labels) and dense (the rows of the dense tau_sl
+    softmax, zero-padded to max(m, n) columns and sorted descending: the
+    teacher's half of the padded-sort baseline's gradient) are None unless
+    asked for.
     """
 
     logits: np.ndarray
@@ -260,7 +262,8 @@ def _teacher(t, n, w, argmax, dense):
                              _last_axis(t.shape, p[:, None, :width]))
                  for tau, total, p in zip(taus, totals, perm))
     return _Teacher(logits=t, perm=perm, head=head, argmax=best,
-                    dense=_softmax(t, w.tau_sl) if dense else None)
+                    dense=_uld_sorted(_softmax(t, w.tau_sl), n) if dense
+                    else None)
 
 
 def _rank(teacher, level, student, k, mode):
@@ -393,7 +396,7 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
         if grad == ULD:
             # The padded-sort baseline reads every column of both softmaxes.
             probs = _softmax(s, w.tau_sl)
-            probs *= w.alpha * uld_grad(teacher.dense, probs)
+            probs *= w.alpha * _uld_grad(teacher.dense, probs)
             terms.append((None, probs))
         levels.append((w.tau_sl, totals[0], terms))
     if need_loss or ot_alpha > 0:

@@ -136,7 +136,7 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
     student_blocks = W[:used].reshape(n_blocks, cfg.tokens, cfg.n)
 
     # The teacher is frozen, so its half of every pass (softmaxes, ranking,
-    # kept entries, and the dense softmax the padded-sort baseline reads) is
+    # kept entries, and the sorted rows the padded-sort baseline reads) is
     # computed once; each step's pass computes only the student's half.
     teacher_half = _teacher(teacher_blocks, cfg.n, w, argmax=True,
                             dense=cfg.mode == ULD)

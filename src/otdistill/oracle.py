@@ -9,7 +9,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInput, NumericalFailure, TooLargeForExact
 from .preprocess import ASSIGNMENT_LIMIT
@@ -72,6 +71,8 @@ def exact_ot(C, method=BRUTE_FORCE) -> ExactOTResult:
             raise TooLargeForExact(
                 f"assignment limited to n <= {ASSIGNMENT_LIMIT}, got {n}"
             )
+        # Imported here, as in preprocess._match.
+        from scipy.optimize import linear_sum_assignment
         rows, best_perm = linear_sum_assignment(C)
         with np.errstate(over="ignore"):
             best_value = C[rows, best_perm].sum()

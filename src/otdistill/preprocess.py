@@ -9,7 +9,6 @@ assignment; both matrices are then truncated to a shared support of k columns.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .core import _is_count, validate_probs
@@ -121,6 +120,9 @@ def _match(head, s, mode):
     # under EXACT_ASSIGNMENT, s is its (B, T, n) probabilities.
     if mode == SUM_SORT:
         return _descending_stable(s)
+    # Imported here: scipy.optimize would add a sixth to the package's import
+    # time, and only exact matching and the exact-OT oracle use it.
+    from scipy.optimize import linear_sum_assignment
     n, r = s.shape[-1], head.shape[-1]
     perms = np.empty(s.shape[:-2] + (n,), dtype=np.intp)
     for b, (head_b, s_b) in enumerate(zip(head, s)):

@@ -12,10 +12,16 @@ step; the public T x T and T x k functions are their B = 1 case.
 Memory is O(B T^2) in the token count T, not O(B T^2 k) in the truncation
 width k. The cost is scipy's compiled cityblock distance, written per
 sequence into one preallocated B x T x T stack without any T x T x k
-temporary. The gradient visits the B x T x T x k teacher/student row
-differences in blocks of teacher rows taken across the whole batch, each
-block at most _BLOCK_ENTRIES entries (2^18, 2 MB of float64) or one teacher
-row per sequence, whichever is larger, summed into one B x T x k gradient.
+temporary. The gradient visits the B x T x T x k signs of the
+student/teacher row differences in blocks of teacher rows taken across
+the whole batch, each block at most _BLOCK_ENTRIES entries (2^18, 2 MB as
+float64 signs) or one teacher row per sequence, whichever is larger, summed
+into one B x T x k gradient. When the call needs more than one block, the
+signs come from the values' dense ranks (_ranks): an int16 subtraction and
+sign per entry, a quarter of the float64 traffic, cast to float64 for the
+plan product. A call that fits in one block subtracts the float values
+themselves, as the sort behind the ranks would cost more than the whole
+kernel. Both give the same signs, so the gradient is the same bit for bit.
 Sinkhorn normalizes its one kernel stack in place, and the sequence loss
 reduces the plan and the cost per sequence without a T x T product
 temporary.
@@ -31,7 +37,7 @@ from .errors import (InvalidConfig, InvalidInput, NumericalFailure,
                      NumericalUnderflow)
 from .preprocess import AlignedPair
 
-# _BLOCK_ENTRIES counts the B x T x T x k row differences the gradient
+# _BLOCK_ENTRIES counts the B x T x T x k row-difference signs the gradient
 # kernel holds at once; the harness's whole step at the fixture shapes
 # (4 x 8 x 8 x 15) is a single block.
 
@@ -155,7 +161,8 @@ def sd_grad(pair: AlignedPair, plan) -> np.ndarray:
     """Gradient of sd_loss w.r.t. the student matrix, plan held fixed.
 
     d<P, C>/d student[j, l] = sum_i P[i, j] * sign(student[j, l] - teacher[i, l])
-    with sign(0) = 0.
+    with sign(0) = 0. Raises InvalidInput for non-finite teacher or student
+    entries, whose signs are undefined.
     """
     plan = np.asarray(plan, dtype=float)
     tokens = pair.teacher.shape[0]
@@ -163,28 +170,59 @@ def sd_grad(pair: AlignedPair, plan) -> np.ndarray:
         raise InvalidInput(
             f"plan shape {plan.shape} does not match pair with {tokens} tokens"
         )
-    return _sd_grad(pair.teacher[None], pair.student[None], plan[None])[0]
+    t, s = (np.asarray(x, dtype=float) for x in (pair.teacher, pair.student))
+    if not (np.isfinite(t).all() and np.isfinite(s).all()):
+        raise InvalidInput("aligned pair contains non-finite entries")
+    # A difference of finite values past the float range is an infinity of
+    # the right sign.
+    with np.errstate(over="ignore"):
+        return _sd_grad(t[None], s[None], plan[None])[0]
+
+
+def _ranks(t, s):
+    """Dense ranks of a (B, T, k) teacher and student stack's values among
+    the 2T values of their item and column: equal values, -0.0 and 0.0
+    included, share a rank, so comparing two ranks compares the values.
+
+    Returns (teacher ranks, student ranks), (B, T, k) arrays of int16,
+    whose differences stay within +-(2T - 1) <= 32767 while 2T <= 2^15, or
+    of int32 beyond.
+    """
+    tokens = t.shape[1]
+    values = np.concatenate((t, s), axis=1)
+    order = np.argsort(values, axis=1)
+    ordered = np.take_along_axis(values, order, axis=1)
+    dtype = np.int16 if 2 * tokens <= 2**15 else np.int32
+    rank = np.zeros(values.shape, dtype)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=rank[:, 1:])
+    np.cumsum(rank, axis=1, out=rank)
+    ranks = np.empty_like(rank)
+    np.put_along_axis(ranks, order, rank, axis=1)
+    return ranks[:, :tokens], ranks[:, tokens:]
 
 
 def _sd_grad(t, s, plan):
-    # sd_grad for each item of a (B, T, k) teacher and student stack and a
-    # (B, T, T) plan stack, over blocks of teacher rows whose budget counts
-    # the entries of all B items together. Column-gathered inputs are not
-    # C-contiguous, and broadcasting over them would read strided memory in
-    # every block.
-    t = np.ascontiguousarray(t, dtype=float)
-    s_all = np.ascontiguousarray(s, dtype=float)[:, None]  # (B, 1, T, k)
+    # sd_grad for each item of a (B, T, k) teacher and student stack of
+    # finite values and a (B, T, T) plan stack, over blocks of teacher rows
+    # whose budget counts the entries of all B items together.
+    # Column-gathered inputs are not C-contiguous, and broadcasting over
+    # them would read strided memory in every block.
     tokens = t.shape[1]
     step = max(1, min(tokens, _BLOCK_ENTRIES // max(1, s.size)))
-    buf = np.empty((t.shape[0], step) + s.shape[1:])
+    if step < tokens:
+        t, s = _ranks(t, s)
+    else:
+        t, s = (np.ascontiguousarray(x, dtype=float) for x in (t, s))
+    s_all = s[:, None]  # (B, 1, T, k)
+    buf = np.empty((t.shape[0], step) + s.shape[1:], t.dtype)
+    block = buf if buf.dtype == float else np.empty(buf.shape)
     grad = np.zeros(s.shape)
     for i in range(0, tokens, step):
         rows = slice(i, min(i + step, tokens))
-        t_rows = t[:, rows, None, :]
-        signs = buf[:, :rows.stop - i]  # signs[b, i, j, l]
-        # Two comparisons give the sign without branches (np.sign
-        # mispredicts on mixed-sign data) and keep sign(0) = 0 exactly.
-        np.greater(s_all, t_rows, out=signs)
-        signs -= np.less(s_all, t_rows)
+        diff = buf[:, :rows.stop - i]
+        np.subtract(s_all, t[:, rows, None, :], out=diff)
+        # signs[b, i, j, l]; np.sign has no branches on int16 and keeps
+        # sign(0) = 0 exactly (a float -0.0 adds nothing to the sums).
+        signs = np.sign(diff, out=block[:, :rows.stop - i])
         grad += np.einsum("bij,bijl->bjl", plan[:, rows], signs)
     return grad

@@ -99,10 +99,20 @@ def uld_grad(t, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if t.shape[:-1] != s.shape[:-1]:
         raise InvalidInput("token counts differ")
-    width = max(t.shape[-1], s.shape[-1])
-    pad = [(0, 0)] * (t.ndim - 1) + [(0, width - t.shape[-1])]
-    t_sorted = -np.sort(-np.pad(t, pad), axis=-1)
+    return _uld_grad(_uld_sorted(t, s.shape[-1]), s)
 
+
+def _uld_sorted(t, n):
+    # The teacher's half of uld_grad against a student width of n: its rows
+    # zero-padded to max(m, n) columns and sorted descending. A frozen
+    # teacher's is computed once per run.
+    width = max(t.shape[-1], n)
+    pad = [(0, 0)] * (t.ndim - 1) + [(0, width - t.shape[-1])]
+    return -np.sort(-np.pad(t, pad), axis=-1)
+
+
+def _uld_grad(t_sorted, s):
+    # The student's half of uld_grad, given the teacher's from _uld_sorted.
     # Column j of the stable descending order is the student entry at sorted
     # position j; ties keep ascending column order.
     order = np.argsort(-s, axis=-1, kind="stable")

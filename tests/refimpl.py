@@ -32,3 +32,25 @@ def sinkhorn_scaling_form(C, lam, iterations):
         u = 1.0 / (K @ v)
         v = 1.0 / (K.T @ u)
     return np.diag(u) @ K @ np.diag(v)
+
+
+def sd_grad_by_comparison(t, s, plan, block_entries):
+    """The sequence-level gradient from float comparisons, over the same
+    blocks of teacher rows as otdistill.seq_ot._sd_grad under a budget of
+    block_entries: sum_i plan[b, i, j] * sign(s[b, j, l] - t[b, i, l]) for
+    (B, T, k) teacher and student stacks and a (B, T, T) plan stack, with
+    sign(0) = 0 and -0.0 equal to 0.0."""
+    t = np.ascontiguousarray(t, dtype=float)
+    s_all = np.ascontiguousarray(s, dtype=float)[:, None]
+    tokens = t.shape[1]
+    step = max(1, min(tokens, block_entries // max(1, s.size)))
+    buf = np.empty((t.shape[0], step) + s.shape[1:])
+    grad = np.zeros(s.shape)
+    for i in range(0, tokens, step):
+        rows = slice(i, min(i + step, tokens))
+        t_rows = t[:, rows, None, :]
+        signs = buf[:, :rows.stop - i]
+        np.greater(s_all, t_rows, out=signs)
+        signs -= np.less(s_all, t_rows)
+        grad += np.einsum("bij,bijl->bjl", plan[:, rows], signs)
+    return grad

@@ -1,5 +1,10 @@
 """The package's public names: a deletion must not drop one, since the
-tests and demos import them."""
+tests and demos import them. And what importing the package loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import otdistill
 
@@ -29,3 +34,15 @@ def test_all_lists_exactly_the_pinned_names():
 def test_every_public_name_resolves():
     for name in PUBLIC:
         assert getattr(otdistill, name) is not None, name
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # Only exact matching and the exact-OT oracle need scipy.optimize, a
+    # large share of the import time; they import it when called.
+    package_parent = str(Path(otdistill.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, otdistill, otdistill.cli; "
+         "print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": package_parent})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

@@ -9,9 +9,10 @@ from otdistill import (BRUTE_FORCE, AlignedPair, InvalidConfig, InvalidInput,
                        NumericalFailure, NumericalUnderflow, SinkhornConfig,
                        check_gradient,
                        exact_ot, finite_diff_grad, sd_grad, sd_loss,
-                       seq_cost_matrix, sinkhorn_plan, softmax_rows)
+                       seq_cost_matrix, sinkhorn_plan)
 from otdistill import seq_ot
-from refimpl import sinkhorn_scaling_form, two_by_two_sinkhorn_limit
+from refimpl import (sd_grad_by_comparison, sinkhorn_scaling_form,
+                     two_by_two_sinkhorn_limit)
 
 CROSS = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -286,6 +287,87 @@ class TestSdGrad:
         )
         assert check_gradient(analytic, numeric).passed
 
+    @pytest.mark.parametrize("side", ["teacher", "student"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, side, value):
+        # NaN has no rank, and inf - inf is NaN: neither has a sign.
+        rng = np.random.default_rng(8)
+        t, s = rng.random((3, 2)), rng.random((3, 2))
+        (t if side == "teacher" else s)[1, 0] = value
+        with pytest.raises(InvalidInput, match="non-finite"):
+            sd_grad(pair_of(t, s), np.full((3, 3), 1 / 3))
+
+    def test_differences_past_the_float_range_keep_their_sign(self):
+        pair = pair_of([[-1e308, 1e308]], [[1e308, -1e308]])
+        np.testing.assert_array_equal(sd_grad(pair, [[1.0]]), [[1.0, -1.0]])
+
+
+class TestRanks:
+    """_sd_grad compares dense ranks when it needs several blocks and the
+    float values when one block covers the call; both must give the float
+    comparisons' gradient bit for bit."""
+
+    # Budgets of 1 and 50 entries split every call with T > 1 into blocks
+    # (the rank path); the default keeps these shapes in one block.
+    @given(batch=st.integers(1, 3), tokens=st.integers(1, 40),
+           k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           levels=st.sampled_from([0, 2, 5]), gathered=st.booleans(),
+           signed_zeros=st.booleans(),
+           budget=st.sampled_from([1, 50, seq_ot._BLOCK_ENTRIES]))
+    @example(batch=2, tokens=9, k=4, seed=0, levels=2, gathered=True,
+             signed_zeros=True, budget=50)
+    @example(batch=3, tokens=8, k=5, seed=1, levels=5, gathered=True,
+             signed_zeros=True, budget=seq_ot._BLOCK_ENTRIES)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_float_comparisons(self, batch, tokens, k, seed, levels,
+                                      gathered, signed_zeros, budget):
+        rng = np.random.default_rng(seed)
+        pairs = [tied_pair(tokens, k, seed + b, levels, gathered)
+                 for b in range(batch)]
+        t = np.stack([p.teacher for p in pairs])
+        s = np.stack([p.student for p in pairs])
+        if signed_zeros:
+            # -0.0 ties 0.0: the two must share a rank.
+            for x in (t, s):
+                x[(x == 0.0) & (rng.random(x.shape) < 0.5)] = -0.0
+        if gathered:
+            t, s = t[..., ::-1], s[..., ::-1]  # not C-contiguous
+        plan = rng.random((batch, tokens, tokens))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(seq_ot, "_BLOCK_ENTRIES", budget)
+            grad = seq_ot._sd_grad(t, s, plan)
+            public = (sd_grad(AlignedPair(t[0], s[0]), plan[0])
+                      if batch == 1 else None)
+        expected = sd_grad_by_comparison(t, s, plan, budget)
+        np.testing.assert_array_equal(grad, expected)
+        assert grad.tobytes() == expected.tobytes()
+        if public is not None:
+            assert public.tobytes() == expected[0].tobytes()
+
+    def test_ties_share_a_rank(self):
+        t = np.array([[[0.0], [-0.0], [0.5]]])
+        s = np.array([[[0.5], [0.25], [-0.0]]])
+        t_rank, s_rank = seq_ot._ranks(t, s)
+        np.testing.assert_array_equal(t_rank[0, :, 0], [0, 0, 2])
+        np.testing.assert_array_equal(s_rank[0, :, 0], [2, 1, 0])
+
+    @pytest.mark.parametrize("values", [2**15, 2**15 + 2])
+    def test_rank_differences_do_not_wrap(self, values):
+        # The largest rank difference, 2T - 1, fits int16 at 2T = 2^15 and
+        # not at 2T = 2^15 + 2, where the ranks must widen.
+        tokens = values // 2
+        rank = np.random.default_rng(values).permutation(values)
+        rank[[0, rank.argmin()]] = rank[[rank.argmin(), 0]]
+        rank[[-1, rank.argmax()]] = rank[[rank.argmax(), -1]]
+        x = (rank / values).reshape(1, values, 1)
+        t_rank, s_rank = seq_ot._ranks(x[:, :tokens], x[:, tokens:])
+        np.testing.assert_array_equal(t_rank[0, :, 0], rank[:tokens])
+        np.testing.assert_array_equal(s_rank[0, :, 0], rank[tokens:])
+        # The kernel subtracts in the ranks' own dtype.
+        widest = s_rank[:, -1:] - t_rank[:, :1]
+        assert widest.dtype == t_rank.dtype
+        assert widest.item() == values - 1
+
 
 class TestRowBlocks:
     """seq_cost_matrix and sd_grad against the dense T x T x k formulas."""
@@ -335,13 +417,15 @@ class TestRowBlocks:
         pair = tied_pair(tokens, k, 4, 0, True)
         plan = np.random.default_rng(4).random((tokens, tokens))
         # The peak is in sd_grad, with the returned T x T cost (T^2 float64
-        # entries) alive: one block of row differences (2^18 entries, as
-        # T*k is below that) plus its boolean comparison (2^15 entries'
-        # worth of bytes), the two C-contiguous input copies, the gradient
-        # and one einsum partial (T*k each). The cost call alone holds at
-        # most T^2 + 2*T*k (test_cost_holds_only_its_output). That is 5.3 MB
-        # here; the bound allows twice that, a tenth of the 105 MB that one
-        # dense T x T x k difference takes.
+        # entries) alive: one block of float64 signs (2^18 entries, as T*k
+        # is below that) plus the int16 rank differences they are cast from
+        # (2^16 entries' worth of bytes), the int16 teacher and student
+        # ranks (T*k/2 entries' worth together), the gradient and one
+        # einsum partial (T*k each). The sort behind the ranks, done before
+        # the blocks exist, holds less. The cost call alone holds at most
+        # T^2 + 2*T*k (test_cost_holds_only_its_output). That is 5.2 MB
+        # here; the bound, 10.5 MB, allows about twice that, a tenth of the
+        # 105 MB that one dense T x T x k difference takes.
         bound = 2 * 8 * (tokens**2 + 2**18 + 2**15 + 4 * tokens * k)
         tracemalloc.start()
         try:
