@@ -4,18 +4,21 @@ total = ce + alpha * (had + beta * sl + gamma * sd)
 
 The token losses (ce, had, sl) use one softmax temperature, the sequence loss
 its own. build_state, total_loss_frozen, total_loss and total_grad are thin
-wrappers that validate the logits once and call one fused pass (_forward).
+wrappers that check the logits' shapes and call one fused pass (_forward).
 It walks each logit matrix once, in cache-sized blocks of rows, at both
-temperatures (core._softmax_pass) and keeps only what the loss reads: each
-row's max and sum of exponentials, the column sums that rank the columns,
-and the teacher's argmax for pseudo-labels. The label and k aligned entries
-of every row are computed from those row normalizers. The upstream gradient
-is nonzero only at the label and the k aligned columns, so a gradient call
-keeps each temperature's part of it as sparse products and, at the end,
-runs one backward (_softmax_backward) that recomputes the student's softmax
-at each temperature the gradient needs, block by block from the
-normalizers, and sums them straight into the gradient: the only B x T x n
-array a gradient call writes is the gradient it returns. Gradients are with
+temperatures (core._softmax_pass), checks that the logits are finite as it
+reads them, and keeps only what the loss reads: each row's max and sum of
+exponentials, the column sums that rank the columns, and the teacher's
+argmax for pseudo-labels. The label and k aligned entries of every row are
+computed from those row normalizers. The upstream gradient is nonzero only
+at the label and the k aligned columns, so a gradient call keeps each
+temperature's part of it as sparse products. Its student pass computes the
+tau_sl exponentials in the gradient it returns, and one backward at the end
+(_softmax_backward) finishes them in place, recomputes only the tau_sd
+softmax, block by block from the normalizers, and sums it straight into
+the gradient: the only B x T x n array a gradient call writes is the
+gradient it returns, and each of its entries is exponentiated once per
+temperature. Gradients are with
 respect to the raw student logits, with the rank/truncation selections and
 the Sinkhorn plan held fixed. Exact matching and the padded-sort baseline
 read whole softmaxes, which they take from the dense core._softmax.
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .core import (PROB_FLOOR, _blocks, _check_temperature, _floor_log,
-                   _is_count, _shifted_exp, _softmax, _softmax_at,
+                   _is_count, _logit_matrix, _softmax, _softmax_at,
                    _softmax_pass, safe_log, validate_logits, validate_probs)
 from .errors import InvalidConfig, InvalidInput
 from .preprocess import (EXACT_ASSIGNMENT, SUM_SORT, AlignedPair,
@@ -174,11 +177,13 @@ def _pseudo_labels(argmax, rank: RankSelection, n_student):
     return np.take_along_axis(rank.student_perm, pos, axis=-1)
 
 
-def _batch_of_one(teacher_logits, student_logits, labels=None):
-    # The public functions' inputs, validated once and cut to their shared
-    # tokens, as a batch of one.
-    t = validate_logits(teacher_logits)
-    s = validate_logits(student_logits)
+def _batch_of_one(teacher_logits, student_logits, labels=None, state=None):
+    # The public functions' inputs, cut to their shared tokens, as a batch
+    # of one. Only shapes are checked here: each softmax pass checks that
+    # the logits it reads are finite. A teacher given with a state, which
+    # no pass reads, is validated whole.
+    t = (_logit_matrix if state is None else validate_logits)(teacher_logits)
+    s = _logit_matrix(student_logits)
     length = min(t.shape[0], s.shape[0])
     if labels is not None:
         labels = _validate_labels(labels, length, s.shape[1])[None]
@@ -252,11 +257,12 @@ class _Teacher:
 
 
 def _teacher(t, n, w, argmax, dense):
-    # The teacher's half of _forward on validated (B, T, m) logits t against
-    # a student vocabulary of n: one blocked pass at both temperatures.
+    # The teacher's half of _forward on (B, T, m) logits t against a
+    # student vocabulary of n: one blocked pass at both temperatures, which
+    # also checks that t is finite.
     taus = (w.tau_sl, w.tau_sd)
-    width = _head_width(w.k, t.shape[-1], n, w.match_mode)
     top, totals, sums, best = _softmax_pass(t, taus, sums=True, argmax=argmax)
+    width = _head_width(w.k, t.shape[-1], n, w.match_mode)
     perm = tuple(_descending_stable(x) for x in sums)
     head = tuple(_softmax_at(t, tau, (top, total),
                              _last_axis(t.shape, p[:, None, :width]))
@@ -274,7 +280,7 @@ def _rank(teacher, level, student, k, mode):
                          k=k, match_mode=mode)
 
 
-def _softmax_backward(z, top, levels):
+def _softmax_backward(z, top, levels, gradient, normalized):
     """The gradient w.r.t. the (B, T, V) logits z of a loss that reads
     softmaxes of z only at sparse entries, one softmax per level.
 
@@ -288,9 +294,11 @@ def _softmax_backward(z, top, levels):
     (core.softmax_backward of the dense upstream gradient); the terms'
     arrays are divided by tau in place.
 
-    Every softmax is recomputed block by block (core._blocks) from its
-    normalizers, and the levels of a block are summed straight into the
-    returned gradient, the one B x T x V array written.
+    gradient, the array returned, holds the first level's exponentials
+    exp((z - top) / tau) as the pass computed them there (its out), divided
+    by their row sums when normalized. Block by block (core._blocks), that
+    level is finished in place, the other softmaxes are recomputed from
+    their normalizers, and the levels of the block are summed into it.
     """
     scales = []
     for tau, _, terms in levels:
@@ -298,28 +306,38 @@ def _softmax_backward(z, top, levels):
         scales.append(-inner / tau)
         for _, x in terms:
             x /= tau
-    gradient = np.empty(z.shape)
     blocks = _blocks(z.shape)
     buf = np.empty(z[blocks[0]].shape) if len(levels) > 1 else None
-    for block in blocks:
-        zb, out = z[block], gradient[block]
-        for i, ((tau, total, terms), scale) in enumerate(zip(levels, scales)):
-            probs = _shifted_exp(zb, top[block], tau,
-                                 buf[:zb.shape[0], :zb.shape[1]] if i else out)
-            probs /= total[block]
-            probs *= scale[block]
-            for index, x in terms:
-                if index is None:
-                    probs += x[block]
-                    continue
-                # The batch and row parts of index count from 0, as in the
-                # block; columns given per row are taken at its rows.
-                cols = index[2]
-                probs[index[0][:zb.shape[0]], index[1][:zb.shape[1]],
-                      cols[block] if cols.shape[1] > 1 else cols[block[0]]
-                      ] += x[block]
-            if i:
-                out += probs
+    # The exponentials as core._shifted_exp computes them, under one
+    # errstate for the call: a quotient below the float range is -inf,
+    # whose exp is the correct 0.
+    with np.errstate(over="ignore"):
+        for block in blocks:
+            zb, out = z[block], gradient[block]
+            for i, ((tau, total, terms), scale) in enumerate(zip(levels,
+                                                                 scales)):
+                probs = out
+                if i:
+                    probs = np.subtract(zb, top[block],
+                                        out=buf[:zb.shape[0], :zb.shape[1]])
+                    if tau != 1.0:
+                        probs /= tau
+                    np.exp(probs, out=probs)
+                if i or not normalized:
+                    probs /= total[block]
+                probs *= scale[block]
+                for index, x in terms:
+                    if index is None:
+                        probs += x[block]
+                        continue
+                    # The batch and row parts of index count from 0, as in
+                    # the block; columns given per row are taken at its rows.
+                    cols = index[2]
+                    probs[index[0][:zb.shape[0]], index[1][:zb.shape[1]],
+                          cols[block] if cols.shape[1] > 1 else cols[block[0]]
+                          ] += x[block]
+                if i:
+                    out += probs
     return gradient
 
 
@@ -360,8 +378,10 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
 
     # The student's one pass: its row normalizers and, to rank, its column
     # sums. Exact matching ranks from whole softmaxes instead, taken dense
-    # one at a time.
-    top, totals, sums, _ = _softmax_pass(s, taus,
+    # one at a time. A gradient call has the pass write its tau_sl
+    # exponentials into the gradient, which the backward finishes in place.
+    gradient = None if grad is None else np.empty(s.shape)
+    top, totals, sums, _ = _softmax_pass(s, taus, out=gradient,
                                          sums=state is None and not exact)
 
     # Token temperature: ce + alpha * (had + beta * sl).
@@ -429,7 +449,9 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
                 pair2.teacher, pair2.student, state.plan)
             levels.append((w.tau_sd, totals[1], [(cols2, pair2.student)]))
 
-    gradient = _softmax_backward(s, top, levels) if grad is not None else None
+    if grad is not None:
+        gradient = _softmax_backward(s, top, levels, gradient,
+                                     normalized=sums is not None)
     breakdown = None
     if need_loss:
         ce = -_floor_log(p_label).sum(axis=(1, 2))
@@ -458,7 +480,7 @@ def total_loss_frozen(state: PipelineState, teacher_logits, student_logits,
     The state's labels, selections and plan apply: w.k, w.match_mode and
     w.sinkhorn are ignored, and only w's temperatures must match the state's.
     """
-    t, s, _ = _batch_of_one(teacher_logits, student_logits)
+    t, s, _ = _batch_of_one(teacher_logits, student_logits, state=state)
     return _index(_forward(t, s, w, state=_index(state, None))[1], 0)
 
 
@@ -483,6 +505,6 @@ def total_grad(teacher_logits, student_logits, labels=None, w=LossWeights(),
     """
     if state is not None:
         state, labels = _index(state, None), None
-    t, s, labels = _batch_of_one(teacher_logits, student_logits, labels)
+    t, s, labels = _batch_of_one(teacher_logits, student_logits, labels, state)
     return _forward(t, s, w, state=state, labels=labels, need_loss=False,
                     grad=MULTILEVEL_OT)[2][0]

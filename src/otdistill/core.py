@@ -3,9 +3,11 @@
 All functions are pure and operate on plain numpy arrays: logit matrices are
 T x V (rows = tokens, columns = vocabulary dimensions), probability matrices
 are row-stochastic of the same shape. The private kernels behind the fused
-loss take (B, T, V) stacks; _softmax_pass walks one in cache-sized blocks
-and returns only what its caller reads, each value bit-identical to the
-dense _softmax.
+loss take (B, T, V) stacks; _softmax_pass walks one in cache-sized blocks,
+checks the logits as it reads them, and returns only what its caller reads
+(a gradient call also has it compute the first temperature's exponentials
+in the gradient it returns), each value bit-identical to the dense
+_softmax.
 """
 
 import numpy as np
@@ -17,6 +19,10 @@ from .errors import InvalidConfig, InvalidInput
 PROB_FLOOR = 1e-12
 
 ROW_SUM_TOL = 1e-9
+
+# The error of a logit matrix with a nan or +-inf, from validate_logits or
+# from the pass that checks the logits it reads.
+_NON_FINITE = "logit matrix contains non-finite entries"
 
 # Entries of a row block held at once by the blocked kernels (here and in
 # seq_ot): small enough to stay in cache, large enough that per-block numpy
@@ -48,16 +54,27 @@ def validate_logits(logits):
     (a 1-dimensional vocabulary makes softmax degenerate), and all
     entries finite.
     """
+    arr = _logit_matrix(logits)
+    if not _finite_range(arr.min(), arr.max()):
+        raise InvalidInput(_NON_FINITE)
+    return arr
+
+
+def _logit_matrix(logits):
+    # validate_logits without the finiteness check, for logits that a
+    # blocked pass (_softmax_pass) checks as it reads them.
     arr = np.asarray(logits, dtype=float)
     if arr.ndim != 2:
         raise InvalidInput(f"expected a 2-D logit matrix, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 2:
         raise InvalidInput(f"logit matrix must be at least 1x2, got {arr.shape}")
+    return arr
+
+
+def _finite_range(lo, hi):
     # min and max propagate nan and expose +-inf, so checking them covers
     # every entry without a boolean temporary of the matrix's size.
-    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise InvalidInput("logit matrix contains non-finite entries")
-    return arr
+    return np.isfinite(lo) and np.isfinite(hi)
 
 
 def validate_probs(probs, tol=ROW_SUM_TOL):
@@ -97,13 +114,13 @@ def _softmax(arr, tau):
     return out
 
 
-def _shifted_exp(z, top, tau, out=None):
+def _shifted_exp(z, top, tau):
     # exp((z - top) / tau), the numerator of every softmax entry here. The
     # max is subtracted before dividing by tau, so the quotient cannot
     # overflow to inf; entries far below the max may saturate to -inf, whose
     # exp is the correct 0. Dividing by 1 is exact, so it is skipped.
     with np.errstate(over="ignore"):
-        out = np.subtract(z, top, out=out)
+        out = np.subtract(z, top)
         if tau != 1.0:
             out /= tau
     return np.exp(out, out=out)
@@ -123,17 +140,22 @@ def _blocks(shape):
             for b in range(batch) for i in range(0, tokens, step)]
 
 
-def _softmax_pass(arr, taus, sums=False, argmax=False):
-    """One pass over a (B, T, V) stack of validated logits at each
-    temperature in taus, block by block (see _blocks).
+def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
+    """One pass over a (B, T, V) stack of logits at each temperature in
+    taus, block by block (see _blocks), that also checks them: a block
+    holding nan or +-inf raises InvalidInput before any arithmetic on it.
 
     Each row's max and its difference from it are taken once; at each
     temperature the pass computes exp((z - max) / tau) and its row sum as
     _softmax does, in a block buffer, then emits only what the caller asks
     for: each sequence's column sums when sums, and the per-row argmax at
-    taus[0] when argmax. No B x T x V array is written. Column sums add the
-    rows in order, as numpy reduces that axis, so every output equals the
-    dense softmax's bit for bit.
+    taus[0] when argmax. The pass writes no B x T x V array of its own.
+    Given out, a (B, T, V) array, it computes the exponentials at taus[0]
+    there instead of in a buffer and leaves them for the backward
+    (composite._softmax_backward) to finish: divided by their row sums
+    when sums or argmax, not divided otherwise. Column sums add the rows in
+    order, as numpy reduces that axis, so every output equals the dense
+    softmax's bit for bit.
 
     Returns (top, totals, colsums, best): the (B, T, 1) row maxima, one
     (B, T, 1) array of row sums per temperature ((top, totals[i]) are the
@@ -145,13 +167,17 @@ def _softmax_pass(arr, taus, sums=False, argmax=False):
     colsums = [np.zeros(arr.shape[::2]) for _ in taus] if sums else None
     best = np.empty(arr.shape[:-1], dtype=np.intp) if argmax else None
     blocks = _blocks(arr.shape)
-    bufs = [np.empty(arr[blocks[0]].shape) for _ in taus]
+    bufs = [np.empty(arr[blocks[0]].shape) for _ in taus[out is not None:]]
     for block in blocks:
         z = arr[block]
-        np.max(z, axis=-1, keepdims=True, out=top[block])
-        exps = [buf[:z.shape[0], :z.shape[1]] for buf in bufs]
+        peak = np.max(z, axis=-1, keepdims=True, out=top[block])
+        # The block's min is read while the block is in cache.
+        if not _finite_range(z.min(), peak.max()):
+            raise InvalidInput(_NON_FINITE)
+        exps = [] if out is None else [out[block]]
+        exps += [buf[:z.shape[0], :z.shape[1]] for buf in bufs]
         with np.errstate(over="ignore"):
-            np.subtract(z, top[block], out=exps[0])
+            np.subtract(z, peak, out=exps[0])
             for e, tau in zip(exps[1:], taus[1:]):
                 np.divide(exps[0], tau, out=e)
             if taus[0] != 1.0:

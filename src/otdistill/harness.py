@@ -4,7 +4,7 @@ The teacher is a fixed seeded logit table with one row per context; the
 student is a trainable logit table over a smaller (or larger) vocabulary.
 Contexts are grouped into consecutive sequences of T tokens, which one
 batched fused pass per step handles together; the last quarter of the
-sequences is held out for evaluation. Training is full-batch
+sequences are the evaluation blocks, also trained. Training is full-batch
 gradient descent on the total loss, so runs are bit-deterministic for a
 fixed seed.
 """
@@ -65,7 +65,8 @@ class DistillConfig:
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Per-step loss components plus the held-out sequence-loss metric."""
+    """Per-step loss components plus the sequence-loss metric on the
+    evaluation blocks, also trained."""
 
     step: np.ndarray
     ce: np.ndarray
@@ -146,9 +147,11 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
     # step, they oscillate whenever two student dimensions trade rank.
     labels = None
 
+    # Checked once here; each step's pass checks the student blocks it
+    # reads, so a step that drives them past the float range raises there.
+    validate_logits(W)
     records = {name: [] for name in ("ce", "had", "sl", "sd", "total", "eval_sd")}
     for step in range(cfg.steps):
-        validate_logits(W)
         # One fused pass: every block's state, breakdown and the mode's
         # gradient from the same softmaxes.
         state, breakdown, grad = _forward(teacher_half, student_blocks, w,
@@ -160,8 +163,9 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
             raise exc
         for name in ("ce", "had", "sl", "sd", "total"):
             records[name].append(_block_mean(getattr(breakdown, name)))
-        # The held-out metric is the sequence loss at a freshly built plan,
-        # which is what the fused pass just computed for the eval blocks.
+        # The metric of the evaluation blocks, also trained, is the
+        # sequence loss at a freshly built plan, which is what the fused
+        # pass just computed for them.
         records["eval_sd"].append(float(np.mean(breakdown.sd[-n_eval:])))
         student_blocks -= cfg.lr * grad
 

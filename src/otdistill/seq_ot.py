@@ -14,14 +14,16 @@ width k. The cost is scipy's compiled cityblock distance, written per
 sequence into one preallocated B x T x T stack without any T x T x k
 temporary. The gradient visits the B x T x T x k signs of the
 student/teacher row differences in blocks of teacher rows taken across
-the whole batch, each block at most _BLOCK_ENTRIES entries (2^18, 2 MB as
-float64 signs) or one teacher row per sequence, whichever is larger, summed
-into one B x T x k gradient. When the call needs more than one block, the
-signs come from the values' dense ranks (_ranks): an int16 subtraction and
-sign per entry, a quarter of the float64 traffic, cast to float64 for the
-plan product. A call that fits in one block subtracts the float values
-themselves, as the sort behind the ranks would cost more than the whole
-kernel. Both give the same signs, so the gradient is the same bit for bit.
+the whole batch, each block at most _BLOCK_ENTRIES entries (2^18) or one
+teacher row per sequence, whichever is larger, summed into one B x T x k
+gradient. The blocks are token-major, with the student token on the last
+axis. When the call needs more than one block, the signs come from the
+values' dense ranks (_ranks): an int16 subtraction and sign per entry, a
+quarter of the float64 traffic, which the plan product reads directly
+(each product plan * sign is exact in float64). A call that fits in one
+block subtracts the float values themselves, as the sort behind the ranks
+would cost more than the whole kernel. Both give the same signs, so the
+gradient is the same bit for bit.
 Sinkhorn normalizes its one kernel stack in place, and the sequence loss
 reduces the plan and the cost per sequence without a T x T product
 temporary.
@@ -191,10 +193,12 @@ def _ranks(t, s):
     tokens = t.shape[1]
     values = np.concatenate((t, s), axis=1)
     order = np.argsort(values, axis=1)
-    ordered = np.take_along_axis(values, order, axis=1)
+    # Sorted in place rather than gathered through order: ties may sit in
+    # any order, as they share a rank.
+    values.sort(axis=1)
     dtype = np.int16 if 2 * tokens <= 2**15 else np.int32
     rank = np.zeros(values.shape, dtype)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=rank[:, 1:])
+    np.not_equal(values[:, 1:], values[:, :-1], out=rank[:, 1:])
     np.cumsum(rank, axis=1, out=rank)
     ranks = np.empty_like(rank)
     np.put_along_axis(ranks, order, rank, axis=1)
@@ -204,25 +208,26 @@ def _ranks(t, s):
 def _sd_grad(t, s, plan):
     # sd_grad for each item of a (B, T, k) teacher and student stack of
     # finite values and a (B, T, T) plan stack, over blocks of teacher rows
-    # whose budget counts the entries of all B items together.
-    # Column-gathered inputs are not C-contiguous, and broadcasting over
-    # them would read strided memory in every block.
+    # whose budget counts the entries of all B items together. The blocks
+    # are token-major, signs[b, i, l, j] for student token j last, so the
+    # teacher value of (i, l) broadcasts along contiguous memory and the
+    # sums build a (B, k, T) gradient, returned as its (B, T, k) view.
     tokens = t.shape[1]
     step = max(1, min(tokens, _BLOCK_ENTRIES // max(1, s.size)))
     if step < tokens:
         t, s = _ranks(t, s)
     else:
-        t, s = (np.ascontiguousarray(x, dtype=float) for x in (t, s))
-    s_all = s[:, None]  # (B, 1, T, k)
-    buf = np.empty((t.shape[0], step) + s.shape[1:], t.dtype)
-    block = buf if buf.dtype == float else np.empty(buf.shape)
-    grad = np.zeros(s.shape)
+        t, s = (np.asarray(x, dtype=float) for x in (t, s))
+    s_all = np.ascontiguousarray(s.transpose(0, 2, 1))[:, None]  # (B, 1, k, T)
+    t_all = t[..., None]  # (B, T, k, 1)
+    buf = np.empty((t.shape[0], step) + s_all.shape[2:], t.dtype)
+    grad = np.zeros(buf.shape[:1] + buf.shape[2:])
     for i in range(0, tokens, step):
-        rows = slice(i, min(i + step, tokens))
-        diff = buf[:, :rows.stop - i]
-        np.subtract(s_all, t[:, rows, None, :], out=diff)
-        # signs[b, i, j, l]; np.sign has no branches on int16 and keeps
-        # sign(0) = 0 exactly (a float -0.0 adds nothing to the sums).
-        signs = np.sign(diff, out=block[:, :rows.stop - i])
-        grad += np.einsum("bij,bijl->bjl", plan[:, rows], signs)
-    return grad
+        diff = buf[:, :min(step, tokens - i)]
+        np.subtract(s_all, t_all[:, i:i + step], out=diff)
+        # np.sign has no branches on int16 and keeps sign(0) = 0 exactly (a
+        # float -0.0 adds nothing to the sums). The einsum reads the signs
+        # in the compared dtype; each product plan * sign is exact.
+        np.sign(diff, out=diff)
+        grad += np.einsum("bij,bilj->blj", plan[:, i:i + step], diff)
+    return grad.transpose(0, 2, 1)

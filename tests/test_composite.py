@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otdistill import (InvalidConfig, InvalidInput, LossWeights, SinkhornConfig,
-                       build_state, ce_loss, check_gradient, finite_diff_grad,
-                       softmax_rows, total_grad, total_loss, total_loss_frozen)
-from otdistill import composite
+from otdistill import (EXACT_ASSIGNMENT, SUM_SORT, InvalidConfig, InvalidInput,
+                       LossWeights, SinkhornConfig, build_state, ce_loss,
+                       check_gradient, finite_diff_grad, softmax_rows,
+                       total_grad, total_loss, total_loss_frozen)
+from otdistill import cli, composite, core, fileio
 from otdistill.composite import _pseudo_labels
 from otdistill.core import _BLOCK_ENTRIES, _softmax
 from otdistill.preprocess import RankSelection, _descending_stable
@@ -244,6 +245,75 @@ class TestFrozenState:
             total_grad(t, s, w=w, state=state)
 
 
+class TestFoldedFinitenessCheck:
+    """No call validates the logits a softmax pass reads before it: the pass
+    checks each block's min and max as it reads the block. A nan or +-inf
+    in the first or the last block still raises validate_logits' error
+    before any arithmetic on it (a RuntimeWarning is an error here)."""
+
+    TOKENS, M, N = 6, 40, 30
+
+    @pytest.fixture(autouse=True)
+    def blocks(self, monkeypatch):
+        # Two student rows or one teacher row per block: three and six
+        # blocks.
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 2 * self.N)
+
+    @staticmethod
+    def spoiled(x, value, where):
+        x = x.copy()
+        x[(0, 0) if where == "first" else (-1, -1)] = value
+        return x
+
+    def calls(self, t, s, state, w):
+        return {"build_state": lambda: build_state(t, s, w=w),
+                "total_loss": lambda: total_loss(t, s, w=w),
+                "total_loss_frozen": lambda: total_loss_frozen(state, t, s, w),
+                "total_grad": lambda: total_grad(t, s, w=w),
+                "total_grad with a state": lambda: total_grad(t, s, w=w,
+                                                              state=state)}
+
+    @pytest.mark.parametrize("mode", [SUM_SORT, EXACT_ASSIGNMENT])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_raise_invalid_input(self, value, where, mode):
+        w = replace(SMALL, match_mode=mode)
+        t, s = random_pair(38, self.TOKENS, self.M, self.N)
+        state = build_state(t, s, w=w)
+        for side, (bad_t, bad_s) in (
+                ("student", (t, self.spoiled(s, value, where))),
+                ("teacher", (self.spoiled(t, value, where), s))):
+            for name, call in self.calls(bad_t, bad_s, state, w).items():
+                with pytest.raises(InvalidInput, match="non-finite"):
+                    call()
+                    pytest.fail(f"{name} accepted a non-finite {side}")
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_loss_command_exits_2(self, tmp_path, capsys, value, where):
+        # The logit file reader rejects the entry before any pass runs.
+        t, s = random_pair(39, self.TOKENS, self.M, self.N)
+        paths = [str(tmp_path / name) for name in ("t.json", "s.json")]
+        fileio.write_logit_file(paths[0], t)
+        fileio.write_logit_file(paths[1], self.spoiled(s, value, where))
+        assert cli.main(["loss", "--teacher", paths[0],
+                         "--student", paths[1]]) == 2
+        assert "non-finite logit" in capsys.readouterr().err
+
+    def test_rows_spanning_more_than_the_float_range_are_accepted(self):
+        # Finite entries whose differences overflow pass validate_logits,
+        # and so the pass's check.
+        t, s = random_pair(40, self.TOKENS, self.M, self.N)
+        s[0, :2] = s[-1, -2:] = (1e308, -1e308)
+        state = build_state(t, s, w=SMALL)
+        out = {name: call() for name, call in self.calls(t, s, state,
+                                                          SMALL).items()}
+        for name in ("total_loss", "total_loss_frozen"):
+            assert np.isfinite(out[name].total), name
+        for name in ("total_grad", "total_grad with a state"):
+            assert np.isfinite(out[name]).all(), name
+
+
 class TestSoftmaxAccounting:
     """Blocked softmax passes, streamed backwards and dense softmaxes per
     public call.
@@ -301,11 +371,14 @@ class TestPeakMemory:
     they keep, in float64 entries:
 
     - blocks: a pass holds one block buffer of at most _BLOCK_ENTRIES
-      entries per temperature (two), and the backward one;
+      entries per temperature (two) whose exponentials it does not compute
+      in the gradient, and the backward one;
     - columns: per matrix, the column sums at both temperatures and, while
-      ranking, their negation and the permutation; 8 * n covers them twice;
+      ranking, their negation, the permutation and the sorted values;
+      8 * n covers them;
     - kept: (T, k) gathers, products and index arrays, a few dozen T * k;
-    - total_grad also holds its one T x n buffer, the returned gradient.
+    - total_grad also holds its one T x n buffer, the returned gradient,
+      from before its pass, which computes its tau_sl exponentials there.
 
     Before the blocked pass, build_state held two dense softmaxes per
     matrix (19 MB here) and total_grad two student ones (22 MB).
@@ -330,6 +403,22 @@ class TestPeakMemory:
         assert build_peak < 8 * small, (build_peak, 8 * small)
         grad_peak = self.peak(lambda: total_grad(t, s, w=w, state=state))
         bound = 8 * (self.TOKENS * self.N + small)
+        assert grad_peak < bound, (grad_peak, bound)
+
+    def test_gradient_call_holds_one_block_beside_the_gradient(self):
+        # The pass computes its tau_sl exponentials in the gradient and
+        # only its tau_sd ones in a block buffer; the sequence gradient's
+        # block (one here, T * T * k < _BLOCK_ENTRIES) and the backward's
+        # come after it. The rest is (T, k) arrays: the kept entries at
+        # both temperatures, their products and index arrays, the sequence
+        # gradient and its partial sums. A tau_sl block buffer in the pass
+        # would add _BLOCK_ENTRIES, more than the 8 * T * k allowed them.
+        t, s = random_pair(37, self.TOKENS, self.M, self.N)
+        w = LossWeights()
+        state = build_state(t, s, w=w)
+        grad_peak = self.peak(lambda: total_grad(t, s, w=w, state=state))
+        bound = 8 * (self.TOKENS * self.N + _BLOCK_ENTRIES
+                     + 8 * self.TOKENS * w.k)
         assert grad_peak < bound, (grad_peak, bound)
 
 

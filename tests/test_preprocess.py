@@ -8,6 +8,7 @@ from otdistill import (EXACT_ASSIGNMENT, SUM_SORT, InvalidInput,
                        TooLargeForExact, align_and_truncate, alignment_cost,
                        match_student, sequence_rank_teacher, softmax_rows,
                        truncate_topk)
+from otdistill.preprocess import _SIMD_SORT_MIN, _descending_stable
 
 
 def random_probs(rng, rows, cols):
@@ -48,6 +49,56 @@ class TestSequenceRankTeacher:
             shuffle = np.random.default_rng(seed).permutation(6)
             _, other = sequence_rank_teacher(t[:, shuffle])
             np.testing.assert_array_equal(other, t_sr)
+
+
+# Row lengths on both sides of the length from which _descending_stable
+# takes the SIMD sort.
+RANKED_LENGTHS = (1, 2, 15, _SIMD_SORT_MIN - 1, _SIMD_SORT_MIN,
+                  3 * _SIMD_SORT_MIN + 5)
+
+
+@st.composite
+def ranked_rows(draw):
+    """A (B, n) stack, or one row, each row of one kind: distinct values;
+    a few values repeated over the whole row (exact ties, 0.0 and -0.0
+    among them); distinct values with 0.0 and -0.0 in place of some; or
+    distinct values with the k-th and (k+1)-th largest made equal, a tie
+    straddling a truncation cut at k."""
+    rows, n = draw(st.integers(1, 3)), draw(st.sampled_from(RANKED_LENGTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((rows, n))
+    for row in x:
+        kind = draw(st.sampled_from(["distinct", "few", "zeros", "cut"]))
+        if kind == "few":
+            row[:] = rng.choice([0.0, -0.0, 0.25, 1.0, -3.0], n)
+        elif kind == "zeros":
+            row[rng.random(n) < 0.2] = 0.0
+            row[rng.random(n) < 0.2] = -0.0
+        elif kind == "cut" and n > 1:
+            k = draw(st.integers(1, n - 1))
+            order = np.argsort(-row)
+            row[order[k]] = row[order[k - 1]]
+    return x if draw(st.booleans()) else x[0]
+
+
+def tie_at_cut(n, k):
+    # Distinct descending values, the (k+1)-th largest equal to the k-th.
+    x = np.linspace(2.0, 1.0, n)
+    x[k] = x[k - 1]
+    return x
+
+
+class TestDescendingStable:
+    @given(x=ranked_rows())
+    # Long rows: one of many equal values, which an unstable sort reorders,
+    # and one tied at a cut, in a stack with a row of distinct values.
+    @example(x=np.tile([2.0, 1.0, 0.0, -0.0], _SIMD_SORT_MIN)[None])
+    @example(x=np.stack([tie_at_cut(_SIMD_SORT_MIN, 50),
+                         np.linspace(0.0, 1.0, _SIMD_SORT_MIN)]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_stable_descending_argsort(self, x):
+        np.testing.assert_array_equal(_descending_stable(x),
+                                      np.argsort(-x, axis=-1, kind="stable"))
 
 
 class TestMatchStudent:

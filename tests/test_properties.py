@@ -226,8 +226,13 @@ def test_blocked_pass_equals_the_dense_softmax(batch, tokens, scale, taus,
         patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](*z.shape[1:]))
         top, totals, sums, best = _softmax_pass(z, taus, sums=True, argmax=True)
         bare_top, bare_totals, _, _ = _softmax_pass(z, taus)
+        # The backward finishes the exponentials a pass computed in the
+        # gradient, here normalized by a pass that ranks.
+        gradient = np.empty(z.shape)
+        _softmax_pass(z, taus[1:], sums=True, out=gradient)
         streamed = _softmax_backward(z, top, [(taus[1], totals[1],
-                                               [(index, x.copy())])])
+                                               [(index, x.copy())])],
+                                     gradient, normalized=True)
         patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](*s.shape[1:]))
         blocked = fused_outputs(t, s, w)
 
@@ -261,7 +266,8 @@ def test_streamed_backward_equals_the_dense_backward_at_each_temperature(
     labels = _last_axis(shape, rng.integers(0, vocab, shape[:2] + (1,)))
     cols = np.argsort(rng.random((batch, vocab)), axis=-1)
     cols = _last_axis(shape, cols[:, None, :rng.integers(1, vocab + 1)])
-    top, totals, _, _ = _softmax_pass(z, taus)
+    gradient = np.empty(shape)
+    top, totals, _, _ = _softmax_pass(z, taus, out=gradient)
     expected = np.zeros(shape)
     levels = []
     for level, (tau, total) in enumerate(zip(taus, totals)):
@@ -278,7 +284,8 @@ def test_streamed_backward_equals_the_dense_backward_at_each_temperature(
                                      tau).reshape(shape)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](tokens, vocab))
-        streamed = _softmax_backward(z, top, levels)
+        streamed = _softmax_backward(z, top, levels, gradient,
+                                     normalized=False)
     assert_close(streamed, expected, 1e-12)
 
 

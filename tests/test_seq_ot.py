@@ -417,14 +417,16 @@ class TestRowBlocks:
         pair = tied_pair(tokens, k, 4, 0, True)
         plan = np.random.default_rng(4).random((tokens, tokens))
         # The peak is in sd_grad, with the returned T x T cost (T^2 float64
-        # entries) alive: one block of float64 signs (2^18 entries, as T*k
-        # is below that) plus the int16 rank differences they are cast from
-        # (2^16 entries' worth of bytes), the int16 teacher and student
-        # ranks (T*k/2 entries' worth together), the gradient and one
-        # einsum partial (T*k each). The sort behind the ranks, done before
-        # the blocks exist, holds less. The cost call alone holds at most
-        # T^2 + 2*T*k (test_cost_holds_only_its_output). That is 5.2 MB
-        # here; the bound, 10.5 MB, allows about twice that, a tenth of the
+        # entries) alive, and its two phases hold about the same: the sort
+        # behind the ranks holds the values' concatenation and their sort
+        # order (2*T*k entries each) and the int16 ranks (T*k/2 entries'
+        # worth each, two arrays); the blocks hold one block of int16
+        # signs (2^18 signs, 2^16 entries' worth of bytes; no float64 copy
+        # of it), the int16 ranks, a token-major copy of the student's
+        # (T*k/4), the gradient and one einsum partial (T*k each). The cost
+        # call alone holds at most T^2 + 2*T*k
+        # (test_cost_holds_only_its_output). That is 3.3 MB here; the
+        # bound, 10.5 MB, allows about three times that, a tenth of the
         # 105 MB that one dense T x T x k difference takes.
         bound = 2 * 8 * (tokens**2 + 2**18 + 2**15 + 4 * tokens * k)
         tracemalloc.start()
