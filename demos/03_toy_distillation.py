@@ -3,8 +3,9 @@
 A frozen random teacher table (20-entry vocabulary) is distilled into a
 student table with 15 entries. Both modes train on the same pseudo-labels;
 the multilevel mode additionally matches the teacher's probability shape
-through the token- and sequence-level transport losses. The held-out
-sequence-level transport loss shows the difference.
+through the token- and sequence-level transport losses. The sequence-level
+transport loss on the evaluation blocks, also trained, shows the
+difference.
 
 Run with:  python3 demos/03_toy_distillation.py     (about 10 seconds)
 """
@@ -28,7 +29,8 @@ for step in (0, 50, 100, 250, 499):
     print(f"{step:>5}  {row}")
 
 best = min(runs, key=lambda name: runs[name].eval_sd[-1])
-print("\nlowest final held-out transport loss:", best)
+print("\nlowest final transport loss on the evaluation blocks, also "
+      "trained:", best)
 
 m = runs["multilevel_ot"]
 print("multilevel components at the last step: "

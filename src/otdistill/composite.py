@@ -2,26 +2,27 @@
 
 total = ce + alpha * (had + beta * sl + gamma * sd)
 
-The token losses (ce, had, sl) use one softmax temperature, the sequence loss
-its own. build_state, total_loss_frozen, total_loss and total_grad are thin
-wrappers that check the logits' shapes and call one fused pass (_forward).
-It walks each logit matrix once, in cache-sized blocks of rows, at both
-temperatures (core._softmax_pass), checks that the logits are finite as it
-reads them, and keeps only what the loss reads: each row's max and sum of
-exponentials, the column sums that rank the columns, and the teacher's
-argmax for pseudo-labels. The label and k aligned entries of every row are
-computed from those row normalizers. The upstream gradient is nonzero only
-at the label and the k aligned columns, so a gradient call keeps each
-temperature's part of it as sparse products. Its student pass computes the
-tau_sl exponentials in the gradient it returns, and one backward at the end
-(_softmax_backward) finishes them in place, recomputes only the tau_sd
-softmax, block by block from the normalizers, and sums it straight into
-the gradient: the only B x T x n array a gradient call writes is the
-gradient it returns, and each of its entries is exponentiated once per
-temperature. Gradients are with
-respect to the raw student logits, with the rank/truncation selections and
-the Sinkhorn plan held fixed. Exact matching and the padded-sort baseline
-read whole softmaxes, which they take from the dense core._softmax.
+The token losses (ce, had, sl) use one softmax temperature, the sequence
+loss its own. build_state, total_loss_frozen, total_loss and total_grad are
+thin wrappers that check the logits' shapes and call one fused pass
+(_forward). It walks each logit matrix once, in cache-sized blocks of rows,
+at both temperatures (core._softmax_pass, on every usable core), checks that
+the logits are finite as it reads them, and keeps only what the loss reads:
+each row's max and sum of exponentials, the column sums that rank the
+columns, and the teacher's argmax for pseudo-labels. The label and k aligned
+entries of every row are computed from those row normalizers. The upstream
+gradient is nonzero only at the label and the k aligned columns, so a
+gradient call keeps each temperature's part of it as sparse products. Its
+student pass computes the tau_sl exponentials in the gradient it returns,
+and one backward at the end (_softmax_backward) finishes them in place,
+recomputes only the tau_sd softmax, block by block from the normalizers, and
+sums it straight into the gradient: the only B x T x n array a gradient call
+writes is the gradient it returns, and each of its entries is exponentiated
+once per temperature. Gradients are with respect to the raw student logits,
+with the rank/truncation selections and the Sinkhorn plan held fixed. Exact
+matching reads whole softmaxes, which it takes from the dense core._softmax;
+so does the padded-sort baseline, unless the student pass has left the whole
+tau_sl softmax in the gradient.
 
 A state also freezes the teacher's kept probabilities, so a call given one
 runs no teacher pass.
@@ -39,8 +40,9 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .core import (PROB_FLOOR, _blocks, _check_temperature, _floor_log,
-                   _is_count, _logit_matrix, _softmax, _softmax_at,
-                   _softmax_pass, safe_log, validate_logits, validate_probs)
+                   _is_count, _logit_matrix, _parts, _softmax, _softmax_at,
+                   _softmax_pass, _walk, safe_log, validate_logits,
+                   validate_probs)
 from .errors import InvalidConfig, InvalidInput
 from .preprocess import (EXACT_ASSIGNMENT, SUM_SORT, AlignedPair,
                          RankSelection, _descending_stable,
@@ -181,7 +183,7 @@ def _batch_of_one(teacher_logits, student_logits, labels=None, state=None):
     # The public functions' inputs, cut to their shared tokens, as a batch
     # of one. Only shapes are checked here: each softmax pass checks that
     # the logits it reads are finite. A teacher given with a state, which
-    # no pass reads, is validated whole.
+    # no pass reads, is validated whole, in one read of each block.
     t = (_logit_matrix if state is None else validate_logits)(teacher_logits)
     s = _logit_matrix(student_logits)
     length = min(t.shape[0], s.shape[0])
@@ -299,6 +301,8 @@ def _softmax_backward(z, top, levels, gradient, normalized):
     by their row sums when normalized. Block by block (core._blocks), that
     level is finished in place, the other softmaxes are recomputed from
     their normalizers, and the levels of the block are summed into it.
+    Rows are independent, so each usable core walks its own run of blocks
+    (core._walk), in its share of the one block buffer.
     """
     scales = []
     for tau, _, terms in levels:
@@ -306,38 +310,42 @@ def _softmax_backward(z, top, levels, gradient, normalized):
         scales.append(-inner / tau)
         for _, x in terms:
             x /= tau
-    blocks = _blocks(z.shape)
-    buf = np.empty(z[blocks[0]].shape) if len(levels) > 1 else None
+    parts = _parts(z.size * len(levels))
+    blocks = _blocks(z.shape, parts)
+    buf = (np.empty((parts,) + z[blocks[0]].shape) if len(levels) > 1
+           else None)
+
+    def finish(block, part):
+        zb, out = z[block], gradient[block]
+        for i, ((tau, total, terms), scale) in enumerate(zip(levels, scales)):
+            probs = out
+            if i:
+                probs = np.subtract(zb, top[block],
+                                    out=buf[part, :zb.shape[0], :zb.shape[1]])
+                if tau != 1.0:
+                    probs /= tau
+                np.exp(probs, out=probs)
+            if i or not normalized:
+                probs /= total[block]
+            probs *= scale[block]
+            for index, x in terms:
+                if index is None:
+                    probs += x[block]
+                    continue
+                # The batch and row parts of index count from 0, as in the
+                # block; columns given per row are taken at its rows.
+                cols = index[2]
+                probs[index[0][:zb.shape[0]], index[1][:zb.shape[1]],
+                      cols[block] if cols.shape[1] > 1 else cols[block[0]]
+                      ] += x[block]
+            if i:
+                out += probs
+
     # The exponentials as core._shifted_exp computes them, under one
-    # errstate for the call: a quotient below the float range is -inf,
-    # whose exp is the correct 0.
+    # errstate for the call, which _parallel's threads share: a quotient
+    # below the float range is -inf, whose exp is the correct 0.
     with np.errstate(over="ignore"):
-        for block in blocks:
-            zb, out = z[block], gradient[block]
-            for i, ((tau, total, terms), scale) in enumerate(zip(levels,
-                                                                 scales)):
-                probs = out
-                if i:
-                    probs = np.subtract(zb, top[block],
-                                        out=buf[:zb.shape[0], :zb.shape[1]])
-                    if tau != 1.0:
-                        probs /= tau
-                    np.exp(probs, out=probs)
-                if i or not normalized:
-                    probs /= total[block]
-                probs *= scale[block]
-                for index, x in terms:
-                    if index is None:
-                        probs += x[block]
-                        continue
-                    # The batch and row parts of index count from 0, as in
-                    # the block; columns given per row are taken at its rows.
-                    cols = index[2]
-                    probs[index[0][:zb.shape[0]], index[1][:zb.shape[1]],
-                          cols[block] if cols.shape[1] > 1 else cols[block[0]]
-                          ] += x[block]
-                if i:
-                    out += probs
+        _walk(finish, blocks, parts)
     return gradient
 
 
@@ -414,10 +422,11 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
             pair1.student[...] *= ot_alpha * (had.grad + w.beta * sl.grad)
             terms.append((cols1, pair1.student))
         if grad == ULD:
-            # The padded-sort baseline reads every column of both softmaxes.
-            probs = _softmax(s, w.tau_sl)
-            probs *= w.alpha * _uld_grad(teacher.dense, probs)
-            terms.append((None, probs))
+            # The padded-sort baseline reads every column of both softmaxes;
+            # a pass that ranks left the student's at tau_sl in the gradient.
+            probs = _softmax(s, w.tau_sl) if sums is None else gradient
+            terms.append((None, probs * (w.alpha
+                                         * _uld_grad(teacher.dense, probs))))
         levels.append((w.tau_sl, totals[0], terms))
     if need_loss or ot_alpha > 0:
         had, sl = had.value, sl.value

@@ -8,7 +8,16 @@ checks the logits as it reads them, and returns only what its caller reads
 (a gradient call also has it compute the first temperature's exponentials
 in the gradient it returns), each value bit-identical to the dense
 _softmax.
+
+The blocked kernels here and in composite and seq_ot run a call that
+touches at least _PARALLEL_ENTRIES entries on every core the process may
+use (_parallel): each thread takes whole rows, whole columns or whole
+blocks along one axis, so no sum is split between threads and every
+output is the same bit for bit at any thread count. There is no setting
+for the thread count; the process's CPU affinity mask sets it.
 """
+
+import os
 
 import numpy as np
 
@@ -28,6 +37,82 @@ _NON_FINITE = "logit matrix contains non-finite entries"
 # seq_ot): small enough to stay in cache, large enough that per-block numpy
 # overhead is negligible.
 _BLOCK_ENTRIES = 1 << 18
+
+# Entries a kernel call touches before it splits its work across threads.
+# Handing a slice to a waiting thread costs ~15-50 us, the time numpy takes
+# for a few ops on ~2^14 entries; below 2^16 the gain does not repay it.
+# The harness's steps at its default shapes (4 x 8 x 20 logits) stay far
+# below, on the calling thread alone.
+_PARALLEL_ENTRIES = 1 << 16
+
+# (threads, executor) behind _parallel: made by the first call that goes
+# parallel, never at import, and dropped in a forked child, whose copy of
+# the executor has no threads.
+_pool = None
+
+
+def _drop_pool():
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _cores():
+    # The cores this process may run on.
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _parts(entries):
+    """How many slices a kernel call touching `entries` entries splits its
+    work into: one below _PARALLEL_ENTRIES, else one per usable core. A
+    kernel decides this once per call."""
+    return 1 if entries < _PARALLEL_ENTRIES else _cores()
+
+
+def _parallel(fn, length, parts):
+    """Call fn(s) for up to `parts` contiguous slices s that cover
+    range(length) in order, each on its own thread: the first on the
+    calling one, the others on a pool of (parts - 1) threads. The slices'
+    outputs must not depend on each other. One part calls fn(slice(0,
+    length)) and nothing else.
+
+    Each worker runs under the caller's np.errstate (context-local in numpy
+    2), so a kernel's ignored overflow stays ignored on every thread.
+    Returns once every slice is done; if any raised, raises the exception
+    of the first of them in order.
+    """
+    parts = min(parts, length)
+    if parts <= 1:
+        fn(slice(0, length))
+        return
+    global _pool
+    if _pool is None or _pool[0] < parts - 1:
+        # Imported here: a process whose calls all stay serial skips the
+        # ~8 ms import.
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = (parts - 1, ThreadPoolExecutor(parts - 1, "otdistill"))
+    bounds = [length * i // parts for i in range(parts + 1)]
+    slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    err = np.geterr()
+    futures = [_pool[1].submit(_in_errstate, err, fn, s) for s in slices[1:]]
+    try:
+        fn(slices[0])
+    finally:
+        errors = [f.exception() for f in futures]
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _in_errstate(err, fn, s):
+    with np.errstate(**err):
+        fn(s)
 
 
 def _is_count(value, least=1):
@@ -55,8 +140,7 @@ def validate_logits(logits):
     entries finite.
     """
     arr = _logit_matrix(logits)
-    if not _finite_range(arr.min(), arr.max()):
-        raise InvalidInput(_NON_FINITE)
+    _check_finite(arr[None])
     return arr
 
 
@@ -75,6 +159,17 @@ def _finite_range(lo, hi):
     # min and max propagate nan and expose +-inf, so checking them covers
     # every entry without a boolean temporary of the matrix's size.
     return np.isfinite(lo) and np.isfinite(hi)
+
+
+def _check_finite(arr):
+    # Raise InvalidInput unless the (B, T, V) stack arr is finite, reading
+    # each block's min and max while the block is in cache.
+    def check(block, part):
+        z = arr[block]
+        if not _finite_range(z.min(), z.max()):
+            raise InvalidInput(_NON_FINITE)
+    parts = _parts(arr.size)
+    _walk(check, _blocks(arr.shape, parts), parts)
 
 
 def validate_probs(probs, tol=ROW_SUM_TOL):
@@ -126,18 +221,32 @@ def _shifted_exp(z, top, tau):
     return np.exp(out, out=out)
 
 
-def _blocks(shape):
+def _blocks(shape, parts=1):
     """The (items, rows) slices that cover a (B, T, V) stack in blocks of at
-    most _BLOCK_ENTRIES entries: as many whole sequences as fit, or, when
-    one does not, runs of rows of one sequence (at least one row)."""
+    most _BLOCK_ENTRIES // parts entries: as many whole sequences as fit,
+    or, when one does not, runs of rows of one sequence (at least one
+    row)."""
     batch, tokens, vocab = shape
-    if tokens * vocab <= _BLOCK_ENTRIES:
-        step = _BLOCK_ENTRIES // (tokens * vocab)
+    budget = _BLOCK_ENTRIES // parts
+    if tokens * vocab <= budget:
+        step = budget // (tokens * vocab)
         return [(slice(b, min(b + step, batch)), slice(0, tokens))
                 for b in range(0, batch, step)]
-    step = max(1, _BLOCK_ENTRIES // vocab)
+    step = max(1, budget // vocab)
     return [(slice(b, b + 1), slice(i, min(i + step, tokens)))
             for b in range(batch) for i in range(0, tokens, step)]
+
+
+def _walk(fn, blocks, parts):
+    """Call fn(block, part) for every block of blocks, from _blocks(shape,
+    parts): part p walks the p-th of `parts` contiguous runs of them, on its
+    own thread (_parallel), so p can pick its share of a block buffer."""
+    def run(ps):
+        for p in range(ps.start, ps.stop):
+            for block in blocks[len(blocks) * p // parts:
+                                len(blocks) * (p + 1) // parts]:
+                fn(block, p)
+    _parallel(run, parts, parts)
 
 
 def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
@@ -157,6 +266,13 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     order, as numpy reduces that axis, so every output equals the dense
     softmax's bit for bit.
 
+    A pass over at least _PARALLEL_ENTRIES entries runs on every usable
+    core (_parallel). Without column sums each thread walks its own run of
+    blocks, each of its share of the block budget, in its share of the
+    buffers. With them, the threads split each block's rows, and the
+    calling thread then adds the block's rows to the column sums in order.
+    Either way the buffers take no more memory than on one thread.
+
     Returns (top, totals, colsums, best): the (B, T, 1) row maxima, one
     (B, T, 1) array of row sums per temperature ((top, totals[i]) are the
     normalizers _softmax_at and the backward read), one (B, V) array of
@@ -166,16 +282,24 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     totals = [np.empty_like(top) for _ in taus]
     colsums = [np.zeros(arr.shape[::2]) for _ in taus] if sums else None
     best = np.empty(arr.shape[:-1], dtype=np.intp) if argmax else None
-    blocks = _blocks(arr.shape)
-    bufs = [np.empty(arr[blocks[0]].shape) for _ in taus[out is not None:]]
-    for block in blocks:
+    parts = _parts(arr.size * len(taus))
+    runs = 1 if sums else parts
+    blocks = _blocks(arr.shape, runs)
+    bufs = [np.empty((runs,) + arr[blocks[0]].shape)
+            for _ in taus[out is not None:]]
+
+    def targets(block, part):
+        # Where the block's exponentials go, one array per temperature.
+        shape = arr[block].shape
+        views = [] if out is None else [out[block]]
+        return views + [buf[part, :shape[0], :shape[1]] for buf in bufs]
+
+    def rows(block, exps):
         z = arr[block]
         peak = np.max(z, axis=-1, keepdims=True, out=top[block])
         # The block's min is read while the block is in cache.
         if not _finite_range(z.min(), peak.max()):
             raise InvalidInput(_NON_FINITE)
-        exps = [] if out is None else [out[block]]
-        exps += [buf[:z.shape[0], :z.shape[1]] for buf in bufs]
         with np.errstate(over="ignore"):
             np.subtract(z, peak, out=exps[0])
             for e, tau in zip(exps[1:], taus[1:]):
@@ -186,18 +310,31 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
             np.exp(e, out=e)
             total = totals[i][block]
             e.sum(axis=-1, keepdims=True, out=total)
-            if not sums and not (argmax and i == 0):
-                continue
-            e /= total
-            if sums:
-                acc = colsums[i][block[0]]
-                if e.shape[1] == arr.shape[1]:
-                    e.sum(axis=-2, out=acc)
-                else:
-                    for row in e[0]:
-                        acc[0] += row
-            if argmax and i == 0:
-                np.argmax(e, axis=-1, out=best[block])
+            if sums or (argmax and i == 0):
+                e /= total
+        if argmax:
+            np.argmax(exps[0], axis=-1, out=best[block])
+
+    if not sums:
+        _walk(lambda block, part: rows(block, targets(block, part)), blocks,
+              parts)
+        return top, totals, colsums, best
+
+    for items, span in blocks:
+        block_exps = targets((items, span), 0)
+        if parts == 1:
+            rows((items, span), block_exps)
+        else:
+            _parallel(lambda r: rows(
+                (items, slice(span.start + r.start, span.start + r.stop)),
+                [e[:, r] for e in block_exps]), span.stop - span.start, parts)
+        for acc, e in zip(colsums, block_exps):
+            acc = acc[items]
+            if e.shape[1] == arr.shape[1]:
+                e.sum(axis=-2, out=acc)
+            else:
+                for row in e[0]:
+                    acc[0] += row
     return top, totals, colsums, best
 
 

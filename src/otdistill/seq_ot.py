@@ -27,6 +27,13 @@ gradient is the same bit for bit.
 Sinkhorn normalizes its one kernel stack in place, and the sequence loss
 reduces the plan and the cost per sequence without a T x T product
 temporary.
+
+A kernel call that touches at least core._PARALLEL_ENTRIES entries runs on
+every usable core (core._parallel), each thread on whole rows or whole
+columns, so no sum is split between threads: the cost splits each cdist
+call's teacher rows, each Sinkhorn half-sweep its rows or its columns (at
+least two per thread), and the gradient and the ranks their k axis. The
+threads share the one block buffer, so memory stays as above.
 """
 
 from dataclasses import dataclass
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import _BLOCK_ENTRIES, _is_count
+from .core import _BLOCK_ENTRIES, _is_count, _parallel, _parts
 from .errors import (InvalidConfig, InvalidInput, NumericalFailure,
                      NumericalUnderflow)
 from .preprocess import AlignedPair
@@ -90,10 +97,18 @@ def seq_cost_matrix(pair: AlignedPair) -> np.ndarray:
 
 
 def _cost(t, s):
-    # seq_cost_matrix for each item of a (B, T, k) teacher and student stack.
+    # seq_cost_matrix for each item of a (B, T, k) teacher and student stack,
+    # with threads splitting the teacher rows of every cdist call. cdist
+    # copies an input that is not C-contiguous, so the students are copied
+    # here once rather than by every thread.
     cost = np.empty((t.shape[0], t.shape[1], s.shape[1]))
-    for t_b, s_b, out in zip(t, s, cost):
-        cdist(t_b, s_b, "cityblock", out=out)
+    s = np.ascontiguousarray(s)
+
+    def rows(r):
+        for t_b, s_b, out in zip(t[:, r], s, cost[:, r]):
+            cdist(t_b, s_b, "cityblock", out=out)
+
+    _parallel(rows, t.shape[1], _parts(cost.size * t.shape[2]))
     return cost
 
 
@@ -123,16 +138,30 @@ def _plan(C, cfg):
     # A zero row or column sum, in the initial kernel or once a sweep has
     # rounded the last subnormal entries of one to zero, divides 0 by 0;
     # the nan it leaves is caught after the sweeps.
+    # Threaded, one dispatch per half-sweep: the rows, then the columns, at
+    # least two each (numpy sums a lone column pairwise, not in row order).
+    parts, tokens = _parts(K.size), K.shape[-1]
     with np.errstate(invalid="ignore", divide="ignore"):
-        for _ in range(int(cfg.iterations)):
-            K /= K.sum(axis=-1, keepdims=True)
-            K /= K.sum(axis=-2, keepdims=True)
+        if parts == 1:
+            for _ in range(int(cfg.iterations)):
+                K /= K.sum(axis=-1, keepdims=True)
+                K /= K.sum(axis=-2, keepdims=True)
+        else:
+            for _ in range(int(cfg.iterations)):
+                _parallel(lambda r: _normalize(K[..., r, :], -1), tokens,
+                          parts)
+                _parallel(lambda c: _normalize(K[..., c], -2), tokens,
+                          min(parts, tokens // 2))
     if np.isnan(K.max()):
         raise NumericalUnderflow(
             "Sinkhorn kernel underflowed to an all-zero row or column; "
             "increase the regularization weight or rescale the cost matrix"
         )
     return K
+
+
+def _normalize(K, axis):
+    K /= K.sum(axis=axis, keepdims=True)
 
 
 def sd_loss(C, plan) -> float:
@@ -192,16 +221,22 @@ def _ranks(t, s):
     """
     tokens = t.shape[1]
     values = np.concatenate((t, s), axis=1)
-    order = np.argsort(values, axis=1)
-    # Sorted in place rather than gathered through order: ties may sit in
-    # any order, as they share a rank.
-    values.sort(axis=1)
     dtype = np.int16 if 2 * tokens <= 2**15 else np.int32
     rank = np.zeros(values.shape, dtype)
-    np.not_equal(values[:, 1:], values[:, :-1], out=rank[:, 1:])
-    np.cumsum(rank, axis=1, out=rank)
     ranks = np.empty_like(rank)
-    np.put_along_axis(ranks, order, rank, axis=1)
+
+    def columns(c):
+        # Each column is ranked on its own, so threads split the k axis.
+        v, r = values[..., c], rank[..., c]
+        order = np.argsort(v, axis=1)
+        # Sorted in place rather than gathered through order: ties may sit
+        # in any order, as they share a rank.
+        v.sort(axis=1)
+        np.not_equal(v[:, 1:], v[:, :-1], out=r[:, 1:])
+        np.cumsum(r, axis=1, out=r)
+        np.put_along_axis(ranks[..., c], order, r, axis=1)
+
+    _parallel(columns, values.shape[2], _parts(values.size))
     return ranks[:, :tokens], ranks[:, tokens:]
 
 
@@ -222,12 +257,21 @@ def _sd_grad(t, s, plan):
     t_all = t[..., None]  # (B, T, k, 1)
     buf = np.empty((t.shape[0], step) + s_all.shape[2:], t.dtype)
     grad = np.zeros(buf.shape[:1] + buf.shape[2:])
-    for i in range(0, tokens, step):
-        diff = buf[:, :min(step, tokens - i)]
-        np.subtract(s_all, t_all[:, i:i + step], out=diff)
-        # np.sign has no branches on int16 and keeps sign(0) = 0 exactly (a
-        # float -0.0 adds nothing to the sums). The einsum reads the signs
-        # in the compared dtype; each product plan * sign is exact.
-        np.sign(diff, out=diff)
-        grad += np.einsum("bij,bilj->blj", plan[:, i:i + step], diff)
+
+    def columns(c):
+        # Threads split the k axis, each walking every block of teacher
+        # rows in order in its columns of the shared buffer, so each sum
+        # keeps its order over the blocks.
+        g = grad[:, c]
+        for i in range(0, tokens, step):
+            diff = buf[:, :min(step, tokens - i), c]
+            np.subtract(s_all[:, :, c], t_all[:, i:i + step, c], out=diff)
+            # np.sign has no branches on int16 and keeps sign(0) = 0 exactly
+            # (a float -0.0 adds nothing to the sums). The einsum reads the
+            # signs in the compared dtype; each product plan * sign is exact.
+            np.sign(diff, out=diff)
+            g += np.einsum("bij,bilj->blj", plan[:, i:i + step], diff)
+
+    _parallel(columns, s_all.shape[2], _parts(buf.shape[0] * tokens**2
+                                              * s_all.shape[2]))
     return grad.transpose(0, 2, 1)
