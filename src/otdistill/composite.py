@@ -310,7 +310,7 @@ def _softmax_backward(z, top, levels, gradient, normalized):
         scales.append(-inner / tau)
         for _, x in terms:
             x /= tau
-    parts = _parts(z.size * len(levels))
+    parts = _parts(z.size * len(levels), z.shape[-1])
     blocks = _blocks(z.shape, parts)
     buf = (np.empty((parts,) + z[blocks[0]].shape) if len(levels) > 1
            else None)

@@ -9,15 +9,16 @@ checks the logits as it reads them, and returns only what its caller reads
 in the gradient it returns), each value bit-identical to the dense
 _softmax.
 
-The blocked kernels here and in composite and seq_ot run a call that
-touches at least _PARALLEL_ENTRIES entries on every core the process may
-use (_parallel): each thread takes whole rows, whole columns or whole
-blocks along one axis, so no sum is split between threads and every
+The blocked kernels here and in composite and seq_ot split a call across
+the cores the process may use (_parallel), one thread per _THREAD_ENTRIES
+entries the call touches: each thread takes whole rows, whole columns or
+whole blocks along one axis, so no sum is split between threads and every
 output is the same bit for bit at any thread count. There is no setting
-for the thread count; the process's CPU affinity mask sets it.
+for the thread count; the process's CPU affinity mask caps it.
 """
 
 import os
+import threading
 
 import numpy as np
 
@@ -38,22 +39,30 @@ _NON_FINITE = "logit matrix contains non-finite entries"
 # overhead is negligible.
 _BLOCK_ENTRIES = 1 << 18
 
-# Entries a kernel call touches before it splits its work across threads.
-# Handing a slice to a waiting thread costs ~15-50 us, the time numpy takes
-# for a few ops on ~2^14 entries; below 2^16 the gain does not repay it.
-# The harness's steps at its default shapes (4 x 8 x 20 logits) stay far
-# below, on the calling thread alone.
-_PARALLEL_ENTRIES = 1 << 16
+# Entries of a kernel call each thread takes at least: a call touching
+# fewer than twice as many stays on the calling thread. Handing slices to
+# waiting threads costs tens of microseconds per dispatch. Serial against
+# two threads (2 vCPU, numpy 2.4, best of 7 runs at sizes 2^15 to 2^18),
+# the kernels break even between 2^16.5 entries (the pass, the sequence
+# gradient) and 2^17.5 (a Sinkhorn half-sweep, the cost), and at 2^16 a
+# plan takes 35% longer on two threads; above 2^17.5 every kernel gains.
+# The floor per thread also bounds numpy's per-call scratch (~130 kB per
+# thread for a broadcast subtraction) by the work of the call, not by the
+# core count. The harness's steps at its default shapes
+# (4 x 8 x 20 logits) stay far below, on the calling thread alone.
+_THREAD_ENTRIES = 1 << 16
 
-# (threads, executor) behind _parallel: made by the first call that goes
-# parallel, never at import, and dropped in a forked child, whose copy of
-# the executor has no threads.
+# The executor behind _parallel, of (usable cores - 1) threads: made by the
+# first call that goes parallel, never at import, and dropped in a forked
+# child, whose copy of it has no threads (with the lock, which a thread of
+# the parent may have held at the fork).
 _pool = None
+_pool_lock = threading.Lock()
 
 
 def _drop_pool():
-    global _pool
-    _pool = None
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -68,19 +77,37 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def _parts(entries):
+def _parts(entries, width=1):
     """How many slices a kernel call touching `entries` entries splits its
-    work into: one below _PARALLEL_ENTRIES, else one per usable core. A
-    kernel decides this once per call."""
-    return 1 if entries < _PARALLEL_ENTRIES else _cores()
+    work into: one per _THREAD_ENTRIES entries, but at most one per usable
+    core and at most _BLOCK_ENTRIES // width. A kernel whose threads each
+    hold a block of rows `width` entries wide passes that width, so that
+    the threads' blocks together hold no more than one block of a serial
+    call. A kernel decides this once per call; a call that stays on one
+    thread does not ask the system for its cores."""
+    parts = entries // _THREAD_ENTRIES
+    if parts < 2:
+        return 1
+    return max(1, min(parts, _cores(), _BLOCK_ENTRIES // width))
+
+
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # Imported here: a process whose calls all stay serial skips
+            # the ~8 ms import.
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max(1, _cores() - 1), "otdistill")
+        return _pool
 
 
 def _parallel(fn, length, parts):
     """Call fn(s) for up to `parts` contiguous slices s that cover
     range(length) in order, each on its own thread: the first on the
-    calling one, the others on a pool of (parts - 1) threads. The slices'
-    outputs must not depend on each other. One part calls fn(slice(0,
-    length)) and nothing else.
+    calling one, the others on the pool. The slices' outputs must not
+    depend on each other. One part calls fn(slice(0, length)) and nothing
+    else.
 
     Each worker runs under the caller's np.errstate (context-local in numpy
     2), so a kernel's ignored overflow stays ignored on every thread.
@@ -91,16 +118,11 @@ def _parallel(fn, length, parts):
     if parts <= 1:
         fn(slice(0, length))
         return
-    global _pool
-    if _pool is None or _pool[0] < parts - 1:
-        # Imported here: a process whose calls all stay serial skips the
-        # ~8 ms import.
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = (parts - 1, ThreadPoolExecutor(parts - 1, "otdistill"))
+    pool = _executor()
     bounds = [length * i // parts for i in range(parts + 1)]
     slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     err = np.geterr()
-    futures = [_pool[1].submit(_in_errstate, err, fn, s) for s in slices[1:]]
+    futures = [pool.submit(_in_errstate, err, fn, s) for s in slices[1:]]
     try:
         fn(slices[0])
     finally:
@@ -168,7 +190,7 @@ def _check_finite(arr):
         z = arr[block]
         if not _finite_range(z.min(), z.max()):
             raise InvalidInput(_NON_FINITE)
-    parts = _parts(arr.size)
+    parts = _parts(arr.size, arr.shape[-1])
     _walk(check, _blocks(arr.shape, parts), parts)
 
 
@@ -225,14 +247,15 @@ def _blocks(shape, parts=1):
     """The (items, rows) slices that cover a (B, T, V) stack in blocks of at
     most _BLOCK_ENTRIES // parts entries: as many whole sequences as fit,
     or, when one does not, runs of rows of one sequence (at least one
-    row)."""
+    row). Where the stack has as many rows, there are at least `parts`
+    blocks, so that every thread of _walk gets one."""
     batch, tokens, vocab = shape
     budget = _BLOCK_ENTRIES // parts
-    if tokens * vocab <= budget:
-        step = budget // (tokens * vocab)
+    if tokens * vocab <= budget and batch >= parts:
+        step = min(budget // (tokens * vocab), batch // parts)
         return [(slice(b, min(b + step, batch)), slice(0, tokens))
                 for b in range(0, batch, step)]
-    step = max(1, budget // vocab)
+    step = max(1, min(budget // vocab, batch * tokens // parts))
     return [(slice(b, b + 1), slice(i, min(i + step, tokens)))
             for b in range(batch) for i in range(0, tokens, step)]
 
@@ -266,12 +289,13 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     order, as numpy reduces that axis, so every output equals the dense
     softmax's bit for bit.
 
-    A pass over at least _PARALLEL_ENTRIES entries runs on every usable
-    core (_parallel). Without column sums each thread walks its own run of
-    blocks, each of its share of the block budget, in its share of the
-    buffers. With them, the threads split each block's rows, and the
-    calling thread then adds the block's rows to the column sums in order.
-    Either way the buffers take no more memory than on one thread.
+    A large pass runs on several threads (_parts, _parallel). Without
+    column sums each thread walks its own run of blocks, each of its share
+    of the block budget, in its share of the buffers; the thread count is
+    capped so that each share holds a row. With them, the threads split
+    each block's rows, and the calling thread then adds the block's rows
+    to the column sums in order. Either way the buffers take no more
+    memory than on one thread.
 
     Returns (top, totals, colsums, best): the (B, T, 1) row maxima, one
     (B, T, 1) array of row sums per temperature ((top, totals[i]) are the
@@ -282,7 +306,7 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     totals = [np.empty_like(top) for _ in taus]
     colsums = [np.zeros(arr.shape[::2]) for _ in taus] if sums else None
     best = np.empty(arr.shape[:-1], dtype=np.intp) if argmax else None
-    parts = _parts(arr.size * len(taus))
+    parts = _parts(arr.size * len(taus), arr.shape[-1])
     runs = 1 if sums else parts
     blocks = _blocks(arr.shape, runs)
     bufs = [np.empty((runs,) + arr[blocks[0]].shape)
@@ -322,12 +346,9 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
 
     for items, span in blocks:
         block_exps = targets((items, span), 0)
-        if parts == 1:
-            rows((items, span), block_exps)
-        else:
-            _parallel(lambda r: rows(
-                (items, slice(span.start + r.start, span.start + r.stop)),
-                [e[:, r] for e in block_exps]), span.stop - span.start, parts)
+        _parallel(lambda r: rows(
+            (items, slice(span.start + r.start, span.start + r.stop)),
+            [e[:, r] for e in block_exps]), span.stop - span.start, parts)
         for acc, e in zip(colsums, block_exps):
             acc = acc[items]
             if e.shape[1] == arr.shape[1]:

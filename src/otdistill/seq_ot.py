@@ -28,12 +28,13 @@ Sinkhorn normalizes its one kernel stack in place, and the sequence loss
 reduces the plan and the cost per sequence without a T x T product
 temporary.
 
-A kernel call that touches at least core._PARALLEL_ENTRIES entries runs on
-every usable core (core._parallel), each thread on whole rows or whole
-columns, so no sum is split between threads: the cost splits each cdist
-call's teacher rows, each Sinkhorn half-sweep its rows or its columns (at
-least two per thread), and the gradient and the ranks their k axis. The
-threads share the one block buffer, so memory stays as above.
+A kernel call runs on one thread per core._THREAD_ENTRIES entries it
+touches, at most one per usable core (core._parallel), each thread on
+whole rows or whole columns, so no sum is split between threads: the cost
+splits each cdist call's teacher rows, each Sinkhorn half-sweep its rows
+or its columns (at least two per thread), and the gradient and the ranks
+their k axis. The threads share the one block buffer, so memory stays as
+above.
 """
 
 from dataclasses import dataclass
@@ -140,6 +141,8 @@ def _plan(C, cfg):
     # the nan it leaves is caught after the sweeps.
     # Threaded, one dispatch per half-sweep: the rows, then the columns, at
     # least two each (numpy sums a lone column pairwise, not in row order).
+    # A serial call keeps the plain loop: at the harness's (4, 8, 8) plans,
+    # two _parallel calls per sweep cost ~20% of the plan (~81 -> ~98 us).
     parts, tokens = _parts(K.size), K.shape[-1]
     with np.errstate(invalid="ignore", divide="ignore"):
         if parts == 1:
@@ -236,7 +239,9 @@ def _ranks(t, s):
         np.cumsum(r, axis=1, out=r)
         np.put_along_axis(ranks[..., c], order, r, axis=1)
 
-    _parallel(columns, values.shape[2], _parts(values.size))
+    # A sort touches each of its 2T entries about log2(2T) times.
+    _parallel(columns, values.shape[2],
+              _parts(values.size * (2 * tokens).bit_length()))
     return ranks[:, :tokens], ranks[:, tokens:]
 
 
@@ -255,16 +260,21 @@ def _sd_grad(t, s, plan):
         t, s = (np.asarray(x, dtype=float) for x in (t, s))
     s_all = np.ascontiguousarray(s.transpose(0, 2, 1))[:, None]  # (B, 1, k, T)
     t_all = t[..., None]  # (B, T, k, 1)
-    buf = np.empty((t.shape[0], step) + s_all.shape[2:], t.dtype)
-    grad = np.zeros(buf.shape[:1] + buf.shape[2:])
+    batch, width = t.shape[0], s_all.shape[2]
+    buf = np.empty(batch * step * width * tokens, t.dtype)
+    grad = np.zeros((batch, width, tokens))
 
     def columns(c):
         # Threads split the k axis, each walking every block of teacher
-        # rows in order in its columns of the shared buffer, so each sum
-        # keeps its order over the blocks.
+        # rows in order in its own contiguous part of the shared buffer
+        # (strided, numpy's ufuncs would each take scratch buffers), so
+        # each sum keeps its order over the blocks.
+        part = buf[batch * step * tokens * c.start:
+                   batch * step * tokens * c.stop].reshape(
+                       batch, step, c.stop - c.start, tokens)
         g = grad[:, c]
         for i in range(0, tokens, step):
-            diff = buf[:, :min(step, tokens - i), c]
+            diff = part[:, :min(step, tokens - i)]
             np.subtract(s_all[:, :, c], t_all[:, i:i + step, c], out=diff)
             # np.sign has no branches on int16 and keeps sign(0) = 0 exactly
             # (a float -0.0 adds nothing to the sums). The einsum reads the
@@ -272,6 +282,5 @@ def _sd_grad(t, s, plan):
             np.sign(diff, out=diff)
             g += np.einsum("bij,bilj->blj", plan[:, i:i + step], diff)
 
-    _parallel(columns, s_all.shape[2], _parts(buf.shape[0] * tokens**2
-                                              * s_all.shape[2]))
+    _parallel(columns, width, _parts(batch * tokens**2 * width))
     return grad.transpose(0, 2, 1)

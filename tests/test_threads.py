@@ -1,7 +1,7 @@
 """The blocked kernels give the same bits on any number of threads.
 
 Every test here patches core._cores, the usable cores, and most lower
-core._PARALLEL_ENTRIES and both block budgets so that small shapes split
+core._THREAD_ENTRIES and both block budgets so that small shapes split
 into several slices and several blocks per slice. Outputs are compared with
 the one-thread run under the same budgets (a budget fixes the grouping of
 the sequence gradient's sums, a thread count must not).
@@ -12,12 +12,16 @@ the sequence gradient's sums, a thread count must not).
 - a nan in a slice that a worker thread owns raises InvalidInput, and a
   threaded plan that underflows NumericalUnderflow;
 - no RuntimeWarning escapes a worker thread, and concurrent callers share
-  the pool;
+  one pool;
+- every thread of a walk gets a block, the threads' blocks together hold
+  at most one serial block, and the peak-memory bounds of test_composite
+  hold on 32 cores;
 - the harness at its default shapes creates no pool, a process limited to
   one core writes the same CSVs and gradient as one on every core, and a
   forked child finishes a parallel pass.
 """
 
+import concurrent.futures
 import os
 import signal
 import subprocess
@@ -30,6 +34,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+import test_composite
 
 from otdistill import (CE_ONLY, EXACT_ASSIGNMENT, MULTILEVEL_OT, SUM_SORT, ULD,
                        AlignedPair, DistillConfig, InvalidInput, LossWeights,
@@ -45,14 +51,34 @@ TOKENS, M, N = 12, 40, 30
 W = LossWeights(k=8, sinkhorn=SinkhornConfig(0.3, 20))
 
 
+def shut_down_pool():
+    if core._pool is not None:
+        core._pool.shutdown()
+        core._pool = None
+
+
 @pytest.fixture
-def threads(monkeypatch):
+def cores(monkeypatch):
+    """The returned function sets the number of usable cores; each setting
+    gets a pool of its own, shut down at the end."""
+    monkeypatch.setattr(core, "_pool", None)
+
+    def use(count):
+        monkeypatch.setattr(core, "_cores", lambda: count)
+        shut_down_pool()
+
+    yield use
+    shut_down_pool()
+
+
+@pytest.fixture
+def threads(monkeypatch, cores):
     """Split every kernel call, in blocks of a few rows; the returned
     function sets the number of usable cores."""
-    monkeypatch.setattr(core, "_PARALLEL_ENTRIES", 0)
+    monkeypatch.setattr(core, "_THREAD_ENTRIES", 1)
     monkeypatch.setattr(core, "_BLOCK_ENTRIES", 3 * N)
     monkeypatch.setattr(seq_ot, "_BLOCK_ENTRIES", 3 * N)
-    return lambda count: monkeypatch.setattr(core, "_cores", lambda: count)
+    return cores
 
 
 def pair(seed, tokens=TOKENS, m=M, n=N):
@@ -210,13 +236,22 @@ def test_no_runtime_warning_escapes_a_worker(threads):
     assert [str(w.message) for w in caught] == []
 
 
-def test_concurrent_callers_share_the_pool(threads):
+def test_concurrent_callers_share_the_pool(threads, monkeypatch):
     # More threads than cores, four callers and a short switch interval:
-    # every caller still gets the one-thread gradient.
+    # their first parallel calls race, yet they make one pool, and every
+    # caller gets the one-thread gradient.
     threads(1)
     t, s = pair(64)
     expected = total_grad(t, s, w=W)
     threads(3)
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
     results = [[] for _ in range(4)]
     callers = [threading.Thread(target=lambda out=out: out.extend(
         total_grad(t, s, w=W) for _ in range(5))) for out in results]
@@ -232,16 +267,49 @@ def test_concurrent_callers_share_the_pool(threads):
         sys.setswitchinterval(interval)
     assert [len(out) for out in results] == [5] * 4
     assert all(np.array_equal(r, expected) for out in results for r in out)
+    assert made == [core._pool]
 
 
-def test_harness_at_its_default_shapes_creates_no_pool(monkeypatch):
+def test_harness_at_its_default_shapes_creates_no_pool(cores):
     # Two cores, the default budgets: every call of the harness's steps
-    # (4 x 8 x 20 logits) stays below core._PARALLEL_ENTRIES.
-    monkeypatch.setattr(core, "_cores", lambda: 2)
-    monkeypatch.setattr(core, "_pool", None)
+    # (4 x 8 x 20 logits) stays below 2 * core._THREAD_ENTRIES.
+    cores(2)
     for mode in (MULTILEVEL_OT, CE_ONLY, ULD):
         run_distillation(DistillConfig(seed=1, steps=5, mode=mode))
     assert core._pool is None
+
+
+@pytest.mark.parametrize("shape", [(1, 64, 2048), (3, 8, 20), (2, 5, 1000),
+                                   (1, 3, 50000), (4, 128, 512)])
+@pytest.mark.parametrize("count", [2, 3, 32])
+def test_every_thread_of_a_walk_gets_a_block_within_its_budget(cores, shape,
+                                                               count):
+    # A stack that fits one thread's budget whole still gives each thread
+    # rows of its own, and the threads' blocks together hold at most one
+    # serial block.
+    cores(count)
+    parts = core._parts(1 << 40, shape[-1])
+    blocks = core._blocks(shape, parts)
+    size = [np.empty(shape)[block].size for block in blocks]
+    assert len(blocks) >= min(parts, shape[0] * shape[1])
+    assert parts * max(size) <= max(core._BLOCK_ENTRIES, shape[-1])
+    covered = np.zeros(shape[:2], int)
+    for items, rows in blocks:
+        covered[items, rows] += 1
+    assert (covered == 1).all()
+
+
+@pytest.mark.parametrize("bound", [
+    "test_blocks_only_and_one_gradient_buffer",
+    "test_gradient_call_holds_one_block_beside_the_gradient"])
+def test_memory_bounds_hold_on_many_cores(cores, bound):
+    # On 32 cores each thread's block would hold at least one row of
+    # n = 20000 entries, 32 rows together, unless the threads of a call are
+    # capped at the rows one block holds; and the sequence gradient's
+    # threads, each with numpy's scratch, would pass the bound unless a
+    # call's size caps them too.
+    cores(32)
+    getattr(test_composite.TestPeakMemory(), bound)()
 
 
 _ONE_CORE = """
