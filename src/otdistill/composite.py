@@ -25,7 +25,9 @@ so does the padded-sort baseline, unless the student pass has left the whole
 tau_sl softmax in the gradient.
 
 A state also freezes the teacher's kept probabilities, so a call given one
-runs no teacher pass.
+runs no teacher pass. The state build_state returns also keeps the
+sequence loss of its own student, so total_loss_frozen at that student
+computes no T x T cost.
 
 The fused pass takes a leading batch axis of B sequences of equal length T:
 every softmax, ranking, gather, cost, plan and loss works per sequence along
@@ -117,6 +119,15 @@ class PipelineState:
     teacher's logits at both sets of kept columns, which every call given
     the state compares with its teacher argument. Only states returned to
     a caller carry teacher_logits.
+
+    Such a state also keeps the sequence loss of the student it was built
+    at: student_seq, that student's kept probabilities at tau_sd (the
+    columns of rank_seq, T x k floats), and sd, the transport value of the
+    plan and their cost against teacher_seq. The cost depends on nothing
+    else, so a call given the state at the same kept probabilities takes
+    sd from it and computes no T x T cost. Other states hold None, and a
+    state copied with another plan or teacher_seq (dataclasses.replace)
+    must be given sd=None too.
     """
 
     length: int
@@ -129,6 +140,8 @@ class PipelineState:
     teacher: np.ndarray
     teacher_seq: np.ndarray
     teacher_logits: np.ndarray | None
+    student_seq: np.ndarray | None = None
+    sd: np.ndarray | float | None = None
 
 
 def ce_loss(student_probs, labels):
@@ -368,7 +381,9 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     A given state must match t at its kept columns and w's temperatures;
     the teacher then enters only through the state. A state built as the
     only output (no loss, no gradient: build_state) records the teacher's
-    kept logits; the others are never returned to a caller.
+    kept logits and its own student's sequence loss, which a loss call
+    given the state at that student reuses; the others are never returned
+    to a caller.
     """
     length, n = s.shape[1:]
     ot_alpha = w.alpha if grad == MULTILEVEL_OT else 0.0
@@ -442,17 +457,24 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
         cols2 = _last_axis(s.shape, rank_seq.student_perm[:, None, :rank_seq.k])
         pair2 = AlignedPair(teacher=teacher2, student=_softmax_at(
             s, w.tau_sd, (top, totals[1]), cols2))
+        # The cost is a function of the kept probabilities at tau_sd alone,
+        # so at a state's own student its stored sd is the loss's.
+        sd = (state.sd if need_loss and state is not None
+              and state.sd is not None
+              and np.array_equal(state.student_seq, pair2.student) else None)
         cost = (_cost(pair2.teacher, pair2.student)
-                if state is None or need_loss else None)
+                if state is None or (need_loss and sd is None) else None)
         if state is None:
-            kept = (_kept_logits(teacher.logits, rank, rank_seq)
-                    if not need_loss and grad is None else None)
-            state = PipelineState(length=length, labels=labels, rank=rank,
-                                  rank_seq=rank_seq,
-                                  plan=_plan(cost, w.sinkhorn),
-                                  tau_sl=w.tau_sl, tau_sd=w.tau_sd,
-                                  teacher=teacher1, teacher_seq=teacher2,
-                                  teacher_logits=kept)
+            returned = not need_loss and grad is None
+            plan = _plan(cost, w.sinkhorn)
+            state = PipelineState(
+                length=length, labels=labels, rank=rank, rank_seq=rank_seq,
+                plan=plan, tau_sl=w.tau_sl, tau_sd=w.tau_sd,
+                teacher=teacher1, teacher_seq=teacher2,
+                teacher_logits=(_kept_logits(teacher.logits, rank, rank_seq)
+                                if returned else None),
+                student_seq=pair2.student if returned else None,
+                sd=_sd(cost, plan) if returned else None)
         if seq_grad:
             pair2.student[...] *= ot_alpha * w.gamma * _sd_grad(
                 pair2.teacher, pair2.student, state.plan)
@@ -464,7 +486,8 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     breakdown = None
     if need_loss:
         ce = -_floor_log(p_label).sum(axis=(1, 2))
-        sd = _sd(cost, state.plan)
+        if sd is None:
+            sd = _sd(cost, state.plan)
         total = ce + w.alpha * (had + w.beta * sl + w.gamma * sd)
         breakdown = LossBreakdown(ce=ce, had=had, sl=sl, sd=sd,
                                   total=total, rank=state.rank,

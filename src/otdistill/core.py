@@ -44,8 +44,10 @@ _BLOCK_ENTRIES = 1 << 18
 # waiting threads costs tens of microseconds per dispatch. Serial against
 # two threads (2 vCPU, numpy 2.4, best of 7 runs at sizes 2^15 to 2^18),
 # the kernels break even between 2^16.5 entries (the pass, the sequence
-# gradient) and 2^17.5 (a Sinkhorn half-sweep, the cost), and at 2^16 a
-# plan takes 35% longer on two threads; above 2^17.5 every kernel gains.
+# gradient) and 2^17.5 (the cost); above 2^17.5 every kernel gains. A
+# Sinkhorn plan, whose threads split only rows, one dispatch per sweep,
+# already gains at 2^16 (1.29 -> 1.14 ms at T = 256) but, at fewer than
+# 2^17 entries, stays serial with the rest.
 # The floor per thread also bounds numpy's per-call scratch (~130 kB per
 # thread for a broadcast subtraction) by the work of the call, not by the
 # core count. The harness's steps at its default shapes

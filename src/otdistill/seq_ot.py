@@ -31,13 +31,14 @@ temporary.
 A kernel call runs on one thread per core._THREAD_ENTRIES entries it
 touches, at most one per usable core (core._parallel), each thread on
 whole rows or whole columns, so no sum is split between threads: the cost
-splits each cdist call's teacher rows, each Sinkhorn half-sweep its rows
-or its columns (at least two per thread), and the gradient and the ranks
-their k axis. The threads share the one block buffer, so memory stays as
-above.
+splits each cdist call's teacher rows, Sinkhorn each sweep's rows (one
+dispatch per sweep; the column sums run on the calling thread), and the
+gradient and the ranks their k axis. The threads share the one block
+buffer, so memory stays as above.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -132,29 +133,42 @@ def sinkhorn_plan(C, cfg: SinkhornConfig = SinkhornConfig()) -> np.ndarray:
 
 def _plan(C, cfg):
     # sinkhorn_plan on a nonempty cost or stack the caller has validated.
-    # A quotient that overflows to -inf gives the kernel entry its correct 0.
-    with np.errstate(over="ignore"):
-        K = C / -cfg.regularization
-    np.exp(K, out=K)
     # A zero row or column sum, in the initial kernel or once a sweep has
     # rounded the last subnormal entries of one to zero, divides 0 by 0;
     # the nan it leaves is caught after the sweeps.
-    # Threaded, one dispatch per half-sweep: the rows, then the columns, at
-    # least two each (numpy sums a lone column pairwise, not in row order).
-    # A serial call keeps the plain loop: at the harness's (4, 8, 8) plans,
-    # two _parallel calls per sweep cost ~20% of the plan (~81 -> ~98 us).
-    parts, tokens = _parts(K.size), K.shape[-1]
+    iterations, parts = int(cfg.iterations), _parts(C.size)
     with np.errstate(invalid="ignore", divide="ignore"):
         if parts == 1:
-            for _ in range(int(cfg.iterations)):
+            # A serial call keeps the plain loop: at the harness's (4, 8, 8)
+            # plans the threaded path's dispatch per sweep takes ~35% longer
+            # (~76 -> ~104 us).
+            K = _kernel(C, cfg.regularization)
+            for _ in range(iterations):
                 K /= K.sum(axis=-1, keepdims=True)
                 K /= K.sum(axis=-2, keepdims=True)
         else:
-            for _ in range(int(cfg.iterations)):
-                _parallel(lambda r: _normalize(K[..., r, :], -1), tokens,
-                          parts)
-                _parallel(lambda c: _normalize(K[..., c], -2), tokens,
-                          min(parts, tokens // 2))
+            K = np.empty_like(C)
+            colsums = np.empty(C.shape[:-2] + (1, C.shape[-1]))
+
+            def sweep(r, first, last):
+                # Rows r of one sweep: the previous sweep's column step (or
+                # the kernel, at the first), then this sweep's row step.
+                rows = K[..., r, :]
+                if first:
+                    _kernel(C[..., r, :], cfg.regularization, out=rows)
+                else:
+                    rows /= colsums
+                if not last:
+                    rows /= rows.sum(axis=-1, keepdims=True)
+
+            # Threads split the rows only. The calling thread sums the
+            # columns between dispatches, adding the rows in order, with
+            # the very call the serial loop makes.
+            for i in range(iterations + 1):
+                _parallel(partial(sweep, first=i == 0, last=i == iterations),
+                          C.shape[-2], parts)
+                if i < iterations:
+                    np.sum(K, axis=-2, keepdims=True, out=colsums)
     if np.isnan(K.max()):
         raise NumericalUnderflow(
             "Sinkhorn kernel underflowed to an all-zero row or column; "
@@ -163,8 +177,12 @@ def _plan(C, cfg):
     return K
 
 
-def _normalize(K, axis):
-    K /= K.sum(axis=axis, keepdims=True)
+def _kernel(C, regularization, out=None):
+    # exp(-C / regularization). A quotient that overflows to -inf gives the
+    # kernel entry its correct 0.
+    with np.errstate(over="ignore"):
+        K = np.divide(C, -regularization, out=out)
+    return np.exp(K, out=K)
 
 
 def sd_loss(C, plan) -> float:

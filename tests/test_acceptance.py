@@ -34,7 +34,7 @@ from otdistill import (BRUTE_FORCE, AlignedPair, DistillConfig, LossWeights,
                        had_loss, run_distillation, sd_grad, sd_loss,
                        seq_cost_matrix, sinkhorn_plan, sl_loss, softmax_rows,
                        total_grad, total_loss_frozen, uld_loss)
-from otdistill.harness import CE_ONLY, MULTILEVEL_OT
+from otdistill.harness import CE_ONLY, MULTILEVEL_OT, ULD
 
 FIXTURE = DistillConfig(seed=1, m=20, n=15, tokens=8, contexts=32,
                         steps=500, lr=0.5)
@@ -296,6 +296,24 @@ def test_harness_distillation_beats_label_only_training():
            ok,
            f"initial {initial:.3f}, multilevel {finals[MULTILEVEL_OT]:.3f}, "
            f"ce-only {finals[CE_ONLY]:.3f}, {elapsed:.1f}s")
+
+
+def test_harness_distillation_wins_across_seeds():
+    # The seed-1 check above, over seeds 1-10: the full objective ends the
+    # fixture run below both baselines at 8 of them (it loses to both at
+    # seeds 4 and 5).
+    start = time.perf_counter()
+    wins = {CE_ONLY: 0, ULD: 0}
+    for seed in range(1, 11):
+        finals = {r.mode: r.final_eval_sd
+                  for r in compare_modes(replace(FIXTURE, seed=seed))}
+        for baseline in wins:
+            wins[baseline] += finals[MULTILEVEL_OT] < finals[baseline]
+    elapsed = time.perf_counter() - start
+    report("toy distillation beats ce-only and uld at 8 of seeds 1-10",
+           min(wins.values()) >= 8,
+           f"wins over ce-only {wins[CE_ONLY]}/10, over uld {wins[ULD]}/10, "
+           f"{elapsed:.1f}s")
 
 
 _THREAD_PROBE = """

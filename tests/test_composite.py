@@ -245,6 +245,63 @@ class TestFrozenState:
             total_grad(t, s, w=w, state=state)
 
 
+class TestStoredSequenceLoss:
+    """The state build_state returns keeps its own student's sequence loss,
+    so total_loss_frozen at that student computes no T x T cost, and at
+    any other student computes it once. At T = 400 the cost and the plan
+    split across threads on two or more cores; exact matching's limit
+    keeps the vocabularies small.
+    """
+
+    TOKENS, M, N = 400, 40, 30
+
+    @pytest.fixture
+    def costs(self, monkeypatch):
+        calls, cost = [], composite._cost
+
+        def counted(*args):
+            calls.append(args)
+            return cost(*args)
+
+        monkeypatch.setattr(composite, "_cost", counted)
+        return calls
+
+    @staticmethod
+    def components(breakdown):
+        return ([float(getattr(breakdown, f)).hex()
+                 for f in ("ce", "had", "sl", "sd", "total")]
+                + [a.tobytes() for rank in (breakdown.rank, breakdown.rank_seq)
+                   for a in (rank.teacher_perm, rank.student_perm)])
+
+    @pytest.mark.parametrize("mode", [SUM_SORT, EXACT_ASSIGNMENT])
+    def test_the_build_student_reads_the_stored_loss(self, monkeypatch, mode):
+        t, s = random_pair(38, self.TOKENS, self.M, self.N)
+        w = LossWeights(match_mode=mode)
+        state = build_state(t, s, w=w)
+        assert state.student_seq.shape == (self.TOKENS, state.rank_seq.k)
+
+        def no_cost(*args):
+            raise AssertionError("the sequence cost was computed again")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(composite, "_cost", no_cost)
+            stored = total_loss_frozen(state, t, s, w)
+        through_cost = total_loss_frozen(
+            replace(state, student_seq=None, sd=None), t, s, w)
+        assert self.components(stored) == self.components(through_cost)
+
+    def test_another_student_computes_the_cost_once(self, costs):
+        t, s = random_pair(39, self.TOKENS, self.M, self.N)
+        state = build_state(t, s)
+        nudged = s.copy()
+        nudged[7, state.rank_seq.student_perm[0]] += 1e-6
+        counts = [len(costs)]
+        for student in (s, nudged, s):
+            total_loss_frozen(state, t, student)
+            counts.append(len(costs))
+        assert counts == [1, 1, 2, 2]
+
+
 class TestFoldedFinitenessCheck:
     """No call validates the logits a softmax pass reads before it: the pass
     checks each block's min and max as it reads the block. A nan or +-inf

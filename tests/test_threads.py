@@ -134,17 +134,18 @@ def test_loss_calls_are_the_same_at_every_thread_count(threads, mode, shape):
 def test_kernels_keep_their_sums_in_order_at_any_thread_count(threads):
     # The pass's column sums add the rows in order, whole sequences (the
     # first stack) or runs of rows at a time; its rows split within a
-    # block of several sequences too. 16 threads would cut the plan's 20
-    # columns into slices narrower than two unless each slice keeps at
-    # least two: numpy sums a lone column of 8 or more rows pairwise, not
-    # in row order.
+    # block of several sequences too. The plans' sweeps split their rows,
+    # unevenly at 16 threads for 301 and 97 rows, and every sweep's column
+    # sums add the rows of the whole stack in order on the calling thread.
     rng = np.random.default_rng(67)
     stacks = [rng.standard_normal(shape) * 3.0
               for shape in ((5, 4, 10), (1, 20, 3), (2, 20, 5), (3, 9, 20))]
-    cost = rng.random((2, 20, 20))
+    costs = [rng.random(shape) for shape in ((2, 20, 20), (1, 301, 301),
+                                             (3, 97, 97))]
 
     def compute():
-        out = {"plan": sinkhorn_plan(cost, W.sinkhorn).tobytes()}
+        out = {cost.shape: sinkhorn_plan(cost, W.sinkhorn).tobytes()
+               for cost in costs}
         for z in stacks:
             top, totals, sums, best = _softmax_pass(z, (1.0, 0.7), sums=True,
                                                     argmax=True)
