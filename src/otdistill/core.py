@@ -45,9 +45,11 @@ _BLOCK_ENTRIES = 1 << 18
 # two threads (2 vCPU, numpy 2.4, best of 7 runs at sizes 2^15 to 2^18),
 # the kernels break even between 2^16.5 entries (the pass, the sequence
 # gradient) and 2^17.5 (the cost); above 2^17.5 every kernel gains. A
-# Sinkhorn plan, whose threads split only rows, one dispatch per sweep,
-# already gains at 2^16 (1.29 -> 1.14 ms at T = 256) but, at fewer than
-# 2^17 entries, stays serial with the rest.
+# Sinkhorn plan splits only across its fixed blocks of 2^18 kernel entries
+# (seq_ot._PLAN_ENTRIES), so below two blocks it stays serial whatever
+# this floor; two blocks gain ~25% ((2, 512, 512): 3.1 -> 2.4 ms), while
+# blocks of 2^16 or 2^17 entries, which would thread T = 362 to 512, lose
+# there (T = 512: 1.4 -> 2.4 and 1.8 ms).
 # The floor per thread also bounds numpy's per-call scratch (~130 kB per
 # thread for a broadcast subtraction) by the work of the call, not by the
 # core count. The harness's steps at its default shapes
@@ -245,14 +247,14 @@ def _shifted_exp(z, top, tau):
     return np.exp(out, out=out)
 
 
-def _blocks(shape, parts=1):
+def _blocks(shape, parts=1, budget=None):
     """The (items, rows) slices that cover a (B, T, V) stack in blocks of at
-    most _BLOCK_ENTRIES // parts entries: as many whole sequences as fit,
-    or, when one does not, runs of rows of one sequence (at least one
-    row). Where the stack has as many rows, there are at least `parts`
-    blocks, so that every thread of _walk gets one."""
+    most budget // parts entries (budget defaults to _BLOCK_ENTRIES): as
+    many whole sequences as fit, or, when one does not, runs of rows of one
+    sequence (at least one row). Where the stack has as many rows, there
+    are at least `parts` blocks, so that every thread of _walk gets one."""
     batch, tokens, vocab = shape
-    budget = _BLOCK_ENTRIES // parts
+    budget = (_BLOCK_ENTRIES if budget is None else budget) // parts
     if tokens * vocab <= budget and batch >= parts:
         step = min(budget // (tokens * vocab), batch // parts)
         return [(slice(b, min(b + step, batch)), slice(0, tokens))
@@ -266,6 +268,11 @@ def _walk(fn, blocks, parts):
     """Call fn(block, part) for every block of blocks, from _blocks(shape,
     parts): part p walks the p-th of `parts` contiguous runs of them, on its
     own thread (_parallel), so p can pick its share of a block buffer."""
+    if parts == 1:
+        for block in blocks:
+            fn(block, 0)
+        return
+
     def run(ps):
         for p in range(ps.start, ps.stop):
             for block in blocks[len(blocks) * p // parts:

@@ -3,7 +3,8 @@
 The cost between token positions i and j is the L1 distance between the
 corresponding rows of the aligned truncated matrices. The plan comes from a
 fixed number of alternating row/column normalizations of the Gaussian kernel
-exp(-C / lambda); its inner product with the cost is the sequence loss.
+exp(-C / lambda), computed in scaling form (Cuturi 2013; Peyre and Cuturi
+2019, section 4.2); its inner product with the cost is the sequence loss.
 
 The private kernels behind the public functions take a leading batch axis
 of B sequences of equal length T, so one call handles a whole training
@@ -24,26 +25,29 @@ quarter of the float64 traffic, which the plan product reads directly
 block subtracts the float values themselves, as the sort behind the ranks
 would cost more than the whole kernel. Both give the same signs, so the
 gradient is the same bit for bit.
-Sinkhorn normalizes its one kernel stack in place, and the sequence loss
-reduces the plan and the cost per sequence without a T x T product
-temporary.
+Sinkhorn keeps its one kernel stack K fixed and iterates two scaling
+vectors, u = 1 / (K v) and v = 1 / (K^T u), reading K in fixed blocks of
+at most _PLAN_ENTRIES entries (2^18), each block's two matrix-vector
+products while it is in cache; it writes the plan diag(u) K diag(v) over
+K at the end. The sequence loss reduces the plan and the cost per
+sequence without a T x T product temporary.
 
 A kernel call runs on one thread per core._THREAD_ENTRIES entries it
 touches, at most one per usable core (core._parallel), each thread on
 whole rows or whole columns, so no sum is split between threads: the cost
-splits each cdist call's teacher rows, Sinkhorn each sweep's rows (one
-dispatch per sweep; the column sums run on the calling thread), and the
-gradient and the ranks their k axis. The threads share the one block
-buffer, so memory stays as above.
+splits each cdist call's teacher rows, Sinkhorn each sweep's blocks of
+rows (one dispatch per sweep; the calling thread adds the blocks' shares
+of K^T u in block order), and the gradient and the ranks their k axis.
+The threads share the one block buffer, so memory stays as above.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import _BLOCK_ENTRIES, _is_count, _parallel, _parts
+from .core import (_BLOCK_ENTRIES, _blocks, _finite_range, _is_count,
+                   _parallel, _parts, _walk)
 from .errors import (InvalidConfig, InvalidInput, NumericalFailure,
                      NumericalUnderflow)
 from .preprocess import AlignedPair
@@ -51,6 +55,10 @@ from .preprocess import AlignedPair
 # _BLOCK_ENTRIES counts the B x T x T x k row-difference signs the gradient
 # kernel holds at once; the harness's whole step at the fixture shapes
 # (4 x 8 x 8 x 15) is a single block.
+
+# Entries of the kernel one block of a Sinkhorn plan holds, fixed so that
+# the plan's bytes depend on neither the core count nor core._BLOCK_ENTRIES.
+_PLAN_ENTRIES = 1 << 18
 
 # Sweeps a SinkhornConfig allows. Far above the few hundred that near-tied
 # costs need to converge (see the README), and low enough that a mistyped
@@ -83,10 +91,8 @@ def _validate_cost(C):
                            f"got shape {C.shape}")
     if C.size == 0:
         raise InvalidInput(f"cost matrix is empty, got shape {C.shape}")
-    # min and max propagate nan and expose +-inf, so checking them covers
-    # every entry without a boolean temporary of the matrix's size.
     lo, hi = C.min(), C.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    if not _finite_range(lo, hi):
         raise InvalidInput("cost matrix contains non-finite entries")
     if lo < 0.0:
         raise InvalidInput("cost matrix entries must be nonnegative")
@@ -119,57 +125,74 @@ def sinkhorn_plan(C, cfg: SinkhornConfig = SinkhornConfig()) -> np.ndarray:
 
     C is one T x T cost or a B x T x T stack of them, each normalized on its
     own. Each iteration normalizes every row to sum 1 and then every column
-    to sum 1. What a fixed iteration count promises: the columns sum to 1 up
-    to rounding, because a column step comes last; the l1 row residual
-    sum_i |rowsum_i - 1| never increases from one iteration to the next; and
-    both marginals reach 1 only in the limit (near-tied assignments can need
-    hundreds of iterations, see the README). Raises
+    to sum 1, in scaling form: the kernel K stays fixed, an iteration sets
+    u = 1 / (K v) and then v = 1 / (K^T u), and the plan returned is
+    diag(u) K diag(v). What a fixed iteration count promises: the columns
+    sum to 1 up to rounding, because a column step comes last; the l1 row
+    residual sum_i |rowsum_i - 1| never increases from one iteration to the
+    next; and both marginals reach 1 only in the limit (near-tied
+    assignments can need hundreds of iterations, see the README). Raises
     NumericalUnderflow if a row or column of the kernel sums to zero, at the
-    start or after a sweep rounds its last subnormal entries to zero
-    (regularization too small for the cost scale; rescale C or raise it).
+    start or once a sweep's scaled products round to zero, or to less than
+    1 / float max (regularization too small for the cost scale; rescale C
+    or raise it).
     """
     return _plan(_validate_cost(C), cfg)
 
 
 def _plan(C, cfg):
-    # sinkhorn_plan on a nonempty cost or stack the caller has validated.
-    # A zero row or column sum, in the initial kernel or once a sweep has
-    # rounded the last subnormal entries of one to zero, divides 0 by 0;
-    # the nan it leaves is caught after the sweeps.
-    iterations, parts = int(cfg.iterations), _parts(C.size)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if parts == 1:
-            # A serial call keeps the plain loop: at the harness's (4, 8, 8)
-            # plans the threaded path's dispatch per sweep takes ~35% longer
-            # (~76 -> ~104 us).
-            K = _kernel(C, cfg.regularization)
-            for _ in range(iterations):
-                K /= K.sum(axis=-1, keepdims=True)
-                K /= K.sum(axis=-2, keepdims=True)
-        else:
-            K = np.empty_like(C)
-            colsums = np.empty(C.shape[:-2] + (1, C.shape[-1]))
+    # sinkhorn_plan on a nonempty cost or stack the caller has validated,
+    # from v = 1. K is walked in fixed blocks of at most _PLAN_ENTRIES entries (whole
+    # sequences, or runs of rows of one), each sweep one dispatch
+    # (core._walk): a block computes its rows of u and its share u_b^T K_b
+    # of K^T u while it is in cache, and the calling thread adds the shares
+    # in block order. The first dispatch also computes its blocks of K, and
+    # the last only writes the plan. The blocks do not depend on the thread
+    # count, so neither do the bytes; a block is also below the size at
+    # which OpenBLAS splits a matrix-vector product across its own threads.
+    #
+    # A zero row or column of K, at the start or once a sweep's scaled
+    # products round to zero, makes an entry of u or v infinite (and later
+    # nan); so does a row or column sum below 1 / float max. Either is
+    # caught after the sweeps: while u and v are finite, so is the plan,
+    # and an infinite u or v stays in the iterates to the end.
+    iterations = int(cfg.iterations)
+    K = np.empty_like(C)
+    c, k = (x.reshape((-1,) + C.shape[-2:]) for x in (C, K))
+    batch, tokens = k.shape[:2]
+    blocks = _blocks(k.shape, budget=_PLAN_ENTRIES)
+    step = blocks[0][1].stop
+    runs = -(-tokens // step)
+    u = np.empty((batch, tokens, 1))
+    v = np.ones((batch, 1, tokens))
+    # Blocks of whole sequences write their shares, which are then all of
+    # K^T u, straight into v.
+    shares = v[None] if runs == 1 else np.empty((runs,) + v.shape)
+    views = [(c[items, rows], k[items, rows], u[items, rows], v[items],
+              shares[rows.start // step, items]) for items, rows in blocks]
 
-            def sweep(r, first, last):
-                # Rows r of one sweep: the previous sweep's column step (or
-                # the kernel, at the first), then this sweep's row step.
-                rows = K[..., r, :]
-                if first:
-                    _kernel(C[..., r, :], cfg.regularization, out=rows)
-                else:
-                    rows /= colsums
-                if not last:
-                    rows /= rows.sum(axis=-1, keepdims=True)
+    def sweep(block, first, last):
+        c_b, k_b, u_b, v_b, share = block
+        if first:
+            _kernel(c_b, cfg.regularization, out=k_b)
+        if last:
+            k_b *= u_b
+            k_b *= v_b
+            return
+        np.matmul(k_b, v_b.transpose(0, 2, 1), out=u_b)
+        np.reciprocal(u_b, out=u_b)
+        np.matmul(u_b.transpose(0, 2, 1), k_b, out=share)
 
-            # Threads split the rows only. The calling thread sums the
-            # columns between dispatches, adding the rows in order, with
-            # the very call the serial loop makes.
-            for i in range(iterations + 1):
-                _parallel(partial(sweep, first=i == 0, last=i == iterations),
-                          C.shape[-2], parts)
-                if i < iterations:
-                    np.sum(K, axis=-2, keepdims=True, out=colsums)
-    if np.isnan(K.max()):
+    parts = min(len(blocks), _parts(k.size))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(iterations + 1):
+            _walk(lambda block, part: sweep(block, i == 0, i == iterations),
+                  views, parts)
+            if i < iterations:
+                if runs > 1:
+                    np.sum(shares, axis=0, out=v)
+                np.reciprocal(v, out=v)
+    if not (np.isfinite(u.max()) and np.isfinite(v.max())):
         raise NumericalUnderflow(
             "Sinkhorn kernel underflowed to an all-zero row or column; "
             "increase the regularization weight or rescale the cost matrix"
@@ -188,13 +211,17 @@ def _kernel(C, regularization, out=None):
 def sd_loss(C, plan) -> float:
     """Frobenius inner product of the transport plan and the cost matrix.
 
-    Raises NumericalFailure when the value is not finite, as when finite
-    terms sum past the float range.
+    Raises InvalidInput for a nan or +-inf entry in either, and
+    NumericalFailure when the value of finite terms is not finite, as when
+    they sum past the float range.
     """
     C = np.asarray(C, dtype=float)
     plan = np.asarray(plan, dtype=float)
     if C.ndim != 2 or C.shape != plan.shape:
         raise InvalidInput(f"shape mismatch: cost {C.shape} vs plan {plan.shape}")
+    if not all(_finite_range(x.min(initial=0.0), x.max(initial=0.0))
+               for x in (C, plan)):
+        raise InvalidInput("cost or plan contains non-finite entries")
     with np.errstate(over="ignore"):
         value = float(_sd(C[None], plan[None])[0])
     if not np.isfinite(value):

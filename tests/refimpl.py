@@ -34,6 +34,41 @@ def sinkhorn_scaling_form(C, lam, iterations):
     return np.diag(u) @ K @ np.diag(v)
 
 
+def sinkhorn_by_normalization(C, lam, iterations, parts=1):
+    """The plan of alternating row and column normalization, computed by
+    rewriting the kernel exp(-C / lam) in place, sweep by sweep, for one
+    T x T cost or a B x T x T stack. This is how otdistill.seq_ot built its
+    plan before the scaling form, both of its paths: parts=1 is the serial
+    loop, parts > 1 the row-split path of its threaded sweeps, run here one
+    slice after another (each slice of rows divided by the previous column
+    sums, or the kernel computed, then by its own row sums; the column sums
+    taken over the whole stack between sweeps). The two give the same
+    bytes. A zero row or column sum leaves nan in the plan."""
+    C = np.asarray(C, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if parts == 1:
+            K = np.exp(np.divide(C, -lam))
+            for _ in range(iterations):
+                K /= K.sum(axis=-1, keepdims=True)
+                K /= K.sum(axis=-2, keepdims=True)
+            return K
+        K = np.empty_like(C)
+        tokens = C.shape[-2]
+        bounds = [tokens * i // parts for i in range(parts + 1)]
+        for i in range(iterations + 1):
+            for a, b in zip(bounds, bounds[1:]):
+                rows = K[..., a:b, :]
+                if i == 0:
+                    np.exp(np.divide(C[..., a:b, :], -lam), out=rows)
+                else:
+                    rows /= colsums
+                if i < iterations:
+                    rows /= rows.sum(axis=-1, keepdims=True)
+            if i < iterations:
+                colsums = K.sum(axis=-2, keepdims=True)
+        return K
+
+
 def sd_grad_by_comparison(t, s, plan, block_entries):
     """The sequence-level gradient from float comparisons, over the same
     blocks of teacher rows as otdistill.seq_ot._sd_grad under a budget of

@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otdistill import (BRUTE_FORCE, AlignedPair, InvalidConfig, InvalidInput,
-                       NumericalFailure, NumericalUnderflow, SinkhornConfig,
-                       check_gradient,
-                       exact_ot, finite_diff_grad, sd_grad, sd_loss,
-                       seq_cost_matrix, sinkhorn_plan)
-from otdistill import seq_ot
-from refimpl import (sd_grad_by_comparison, sinkhorn_scaling_form,
-                     two_by_two_sinkhorn_limit)
+                       LossWeights, NumericalFailure, NumericalUnderflow,
+                       SinkhornConfig, check_gradient, exact_ot,
+                       finite_diff_grad, sd_grad, sd_loss, seq_cost_matrix,
+                       sinkhorn_plan, total_grad, total_loss)
+from otdistill import composite, seq_ot
+from refimpl import (sd_grad_by_comparison, sinkhorn_by_normalization,
+                     sinkhorn_scaling_form, two_by_two_sinkhorn_limit)
 
 CROSS = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -122,8 +122,11 @@ class TestSinkhornPlan:
     @pytest.mark.parametrize("iterations", [1, 20])
     def test_underflow_during_the_sweeps_raises(self, iterations):
         # The middle column's kernel entries are the subnormal 5e-324: the
-        # initial kernel has no zero row or column, but the first row step
-        # halves them to 0, and the column step then divides 0 by 0.
+        # initial kernel has no zero row or column, but the first sweep's
+        # u is 1/2 in every row, each product 5e-324 * u rounds to 0, so
+        # the middle column's K^T u is 0 and its v infinite (in the
+        # normalizing form, the row step halves the entries to 0 and the
+        # column step divides 0 by 0).
         C = np.tile([0.0, 0.7444, 0.0], (3, 1))
         assert np.exp(C / -1e-3).sum(axis=0).min() > 0.0
         with pytest.raises(NumericalUnderflow):
@@ -131,6 +134,18 @@ class TestSinkhornPlan:
         with pytest.raises(NumericalUnderflow):
             sinkhorn_plan(np.stack([np.zeros((3, 3)), C]),
                           SinkhornConfig(1e-3, iterations))
+
+    def test_kernel_sums_below_the_float_range_raise(self):
+        # Every kernel entry is the subnormal 5e-324. In-place normalization
+        # divides them by their sums and ends at the uniform plan; in
+        # scaling form 1 / (K v) overflows, so u is infinite, and v 0,
+        # from the first sweep on.
+        C = np.full((2, 2), 0.7444)
+        assert (np.exp(C / -1e-3) == 5e-324).all()
+        np.testing.assert_array_equal(sinkhorn_by_normalization(C, 1e-3, 20),
+                                      0.5)
+        with pytest.raises(NumericalUnderflow):
+            sinkhorn_plan(C, SinkhornConfig(1e-3, 20))
 
     def test_rescaled_cost_recovers(self):
         C = np.array([[0.0, 1e6], [1e6, 0.0]]) + 1e6 * np.eye(2)
@@ -184,6 +199,63 @@ class TestSinkhornPlan:
         )
 
 
+class TestAgainstNormalization:
+    """The scaling-form plan against the plan of in-place normalization
+    (refimpl.sinkhorn_by_normalization, the sweeps it replaced). The two
+    compute the same iterates and round differently; at these shapes they
+    differ by at most ~4e-15 relative, entry by entry, so the stated
+    tolerance is 1e-13 relative for the plan, sd and the gradient."""
+
+    RTOL = 1e-13
+
+    # T=1024 spans 4 blocks of 256 rows, at the 300000-entry budget 4 of
+    # 292 rows with a last of 148; each (700, 700) cost spans 2 blocks, of
+    # 374 and 326 rows; the (4, 8, 8) stack is one block.
+    @pytest.mark.parametrize("shape, budget", [
+        ((1, 1), None), ((4, 8, 8), None), ((301, 301), None),
+        ((1024, 1024), None), ((1024, 1024), 300_000), ((3, 700, 700), None)])
+    def test_plan_and_sd_match(self, monkeypatch, shape, budget):
+        if budget is not None:
+            monkeypatch.setattr(seq_ot, "_PLAN_ENTRIES", budget)
+        C = np.random.default_rng(sum(shape)).random(shape) * 2.0
+        cfg = SinkhornConfig()
+        plan = sinkhorn_plan(C, cfg)
+        expected = sinkhorn_by_normalization(C, cfg.regularization,
+                                             cfg.iterations)
+        np.testing.assert_allclose(plan, expected, rtol=self.RTOL, atol=0)
+        # The column step comes last: the acceptance checks' 1e-12.
+        assert np.abs(plan.sum(axis=-2) - 1.0).max() <= 1e-12
+        costs = C.reshape((-1,) + C.shape[-2:])
+        np.testing.assert_allclose(
+            seq_ot._sd(costs, plan.reshape(costs.shape)),
+            seq_ot._sd(costs, expected.reshape(costs.shape)),
+            rtol=self.RTOL, atol=0)
+
+    @pytest.mark.parametrize("tokens", [1, 8, 301, 1024])
+    def test_loss_and_gradient_match(self, monkeypatch, tokens):
+        rng = np.random.default_rng(tokens)
+        t = rng.standard_normal((tokens, 40)) * 3.0
+        s = rng.standard_normal((tokens, 30)) * 3.0
+        w = LossWeights(k=8)
+        sd, grad = total_loss(t, s, w=w).sd, total_grad(t, s, w=w)
+        monkeypatch.setattr(composite, "_plan", lambda C, cfg: (
+            sinkhorn_by_normalization(C, cfg.regularization, cfg.iterations)))
+        expected = total_grad(t, s, w=w)
+        assert sd == pytest.approx(total_loss(t, s, w=w).sd, rel=self.RTOL)
+        # Relative to the gradient's largest entry: an entry is a sum of
+        # terms of both signs.
+        assert (np.abs(grad - expected).max()
+                <= self.RTOL * np.abs(expected).max())
+
+    @pytest.mark.parametrize("shape", [(5, 5), (2, 9, 9), (97, 97)])
+    def test_reference_paths_agree(self, shape):
+        C = np.random.default_rng(shape[-1]).random(shape)
+        serial = sinkhorn_by_normalization(C, 0.1, 20)
+        for parts in (2, 3):
+            assert sinkhorn_by_normalization(C, 0.1, 20, parts).tobytes() \
+                == serial.tobytes()
+
+
 class TestSdLoss:
     def test_zero_cost(self):
         assert sd_loss(np.zeros((3, 3)), np.full((3, 3), 1 / 3)) == 0.0
@@ -229,6 +301,15 @@ class TestSdLoss:
         plan = sinkhorn_plan(C, SinkhornConfig(1e308, 20))
         np.testing.assert_array_equal(plan, np.full((2, 2), 0.5))
         with pytest.raises(NumericalFailure):
+            sd_loss(C, plan)
+
+    @pytest.mark.parametrize("side", ["cost", "plan"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, side, value):
+        # A nan or an infinity is invalid input, not a numerical failure.
+        C, plan = np.ones((3, 3)), np.full((3, 3), 1 / 3)
+        (C if side == "cost" else plan)[2, 1] = value
+        with pytest.raises(InvalidInput, match="non-finite"):
             sd_loss(C, plan)
 
     def test_kernel_entries_past_the_float_range_are_zero(self):

@@ -1,10 +1,11 @@
 """The blocked kernels give the same bits on any number of threads.
 
 Every test here patches core._cores, the usable cores, and most lower
-core._THREAD_ENTRIES and both block budgets so that small shapes split
-into several slices and several blocks per slice. Outputs are compared with
-the one-thread run under the same budgets (a budget fixes the grouping of
-the sequence gradient's sums, a thread count must not).
+core._THREAD_ENTRIES and the three block budgets so that small shapes
+split into several slices and several blocks per slice. Outputs are compared
+with the one-thread run under the same budgets (a budget fixes the grouping
+of the sequence gradient's sums and of the plan's shares, a thread count
+must not).
 
 - build_state, total_loss_frozen, total_grad with and without a state,
   total_loss under both match modes, the sequence kernels and batched
@@ -17,11 +18,13 @@ the sequence gradient's sums, a thread count must not).
   at most one serial block, and the peak-memory bounds of test_composite
   hold on 32 cores;
 - the harness at its default shapes creates no pool, a process limited to
-  one core writes the same CSVs and gradient as one on every core, and a
-  forked child finishes a parallel pass.
+  one core, or one whose OpenBLAS runs on one thread, writes the same CSVs,
+  gradient and Sinkhorn plans as one on every core, and a forked child
+  finishes a parallel pass.
 """
 
 import concurrent.futures
+import hashlib
 import os
 import signal
 import subprocess
@@ -78,6 +81,7 @@ def threads(monkeypatch, cores):
     monkeypatch.setattr(core, "_THREAD_ENTRIES", 1)
     monkeypatch.setattr(core, "_BLOCK_ENTRIES", 3 * N)
     monkeypatch.setattr(seq_ot, "_BLOCK_ENTRIES", 3 * N)
+    monkeypatch.setattr(seq_ot, "_PLAN_ENTRIES", 3 * N)
     return cores
 
 
@@ -134,14 +138,16 @@ def test_loss_calls_are_the_same_at_every_thread_count(threads, mode, shape):
 def test_kernels_keep_their_sums_in_order_at_any_thread_count(threads):
     # The pass's column sums add the rows in order, whole sequences (the
     # first stack) or runs of rows at a time; its rows split within a
-    # block of several sequences too. The plans' sweeps split their rows,
-    # unevenly at 16 threads for 301 and 97 rows, and every sweep's column
-    # sums add the rows of the whole stack in order on the calling thread.
+    # block of several sequences too. A plan walks fixed blocks of at most
+    # 90 kernel entries (3 whole 5 x 5 costs, 4 rows of a 20 x 20, single
+    # rows of the others), each thread a run of them, unevenly at 16
+    # threads; each sweep's shares of K^T u are added in block order on
+    # the calling thread, so no sum depends on the thread count.
     rng = np.random.default_rng(67)
     stacks = [rng.standard_normal(shape) * 3.0
               for shape in ((5, 4, 10), (1, 20, 3), (2, 20, 5), (3, 9, 20))]
     costs = [rng.random(shape) for shape in ((2, 20, 20), (1, 301, 301),
-                                             (3, 97, 97))]
+                                             (3, 97, 97), (9, 5, 5))]
 
     def compute():
         out = {cost.shape: sinkhorn_plan(cost, W.sinkhorn).tobytes()
@@ -208,10 +214,10 @@ def test_a_nan_in_a_worker_slice_raises_invalid_input(threads, side, row):
 
 
 def test_a_threaded_plan_that_underflows_raises(threads):
-    # Row 4's kernel entries all underflow to 0, so the row step divides
-    # 0 by 0 in the second thread's slice.
+    # Row 4's kernel entries all underflow to 0, so K v is 0 there and u
+    # infinite, in a block the second thread owns.
     threads(3)
-    cost = np.zeros((9, 9))
+    cost = np.zeros((20, 20))
     cost[4] = 1e3
     with pytest.raises(NumericalUnderflow):
         sinkhorn_plan(cost, SinkhornConfig(1e-3, 20))
@@ -225,7 +231,7 @@ def test_no_runtime_warning_escapes_a_worker(threads):
     s[0, 0], s[-1, -1] = 1e308, -1e308
     huge = AlignedPair(teacher=np.full((3, 4), -1e308),
                        student=np.full((3, 4), 1e308))
-    cost = np.zeros((9, 9))
+    cost = np.zeros((20, 20))
     cost[4] = 1e3
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -315,12 +321,16 @@ def test_memory_bounds_hold_on_many_cores(cores, bound):
 
 _ONE_CORE = """
 import os, sys
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+if sys.argv[3] == "one core":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from otdistill import cli, core, total_grad
-from test_threads import GRAD_SHAPE, pair
-assert core._cores() == 1
+from test_threads import GRAD_SHAPE, pair, plan_digests
+if sys.argv[3] == "one core":
+    assert core._cores() == 1
 with open(sys.argv[1], "wb") as f:
     f.write(total_grad(*pair(65, *GRAD_SHAPE)).tobytes())
+with open(sys.argv[1] + ".plans", "w") as f:
+    f.write(" ".join(plan_digests()))
 for mode in ("multilevel_ot", "ce_only", "uld"):
     assert cli.main(["distill", "--config", sys.argv[2], "--mode", mode,
                      "--out", sys.argv[1] + mode + ".csv"]) == 0
@@ -330,19 +340,44 @@ for mode in ("multilevel_ot", "ce_only", "uld"):
 GRAD_SHAPE = (64, 3000, 2000)
 
 
+def plan_digests():
+    """Hashes of Sinkhorn plans of 4 and 16 blocks at the default budget,
+    large enough that OpenBLAS would split a product over the whole
+    kernel across its own threads."""
+    rng = np.random.default_rng(68)
+    return [hashlib.sha256(sinkhorn_plan(rng.random((tokens, tokens)) * 2.0)
+                           .tobytes()).hexdigest()
+            for tokens in (1024, 2048)]
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="no CPU affinity masks on this platform")
 def test_one_core_process_writes_what_every_core_writes(tmp_path):
+    writes_what_every_core_writes(tmp_path, "one core", {})
+
+
+def test_one_blas_thread_process_writes_what_every_core_writes(tmp_path):
+    # The plans' matrix-vector products go through OpenBLAS, whose own
+    # threads must not change their bytes either.
+    writes_what_every_core_writes(tmp_path, "every core",
+                                  {"OPENBLAS_NUM_THREADS": "1"})
+
+
+def writes_what_every_core_writes(tmp_path, limit, env):
+    """Run _ONE_CORE in a subprocess under `limit` ("one core" sets its
+    affinity to one core) and env, and compare what it writes with this
+    process's run on every core."""
     config = tmp_path / "run.cfg"
     config.write_text("seed=1\nsteps=40\n")
     one = tmp_path / "one"
     package_parent = str(Path(core.__file__).resolve().parents[1])
     subprocess.run(
-        [sys.executable, "-c", _ONE_CORE, str(one), str(config)],
+        [sys.executable, "-c", _ONE_CORE, str(one), str(config), limit],
         check=True, timeout=120, env={
-            **os.environ, "PYTHONPATH": os.pathsep.join(
+            **os.environ, **env, "PYTHONPATH": os.pathsep.join(
                 (package_parent, str(Path(__file__).parent)))})
     assert one.read_bytes() == total_grad(*pair(65, *GRAD_SHAPE)).tobytes()
+    assert (tmp_path / "one.plans").read_text().split() == plan_digests()
     for mode in (MULTILEVEL_OT, CE_ONLY, ULD):
         every = tmp_path / f"every{mode}.csv"
         assert cli.main(["distill", "--config", str(config), "--mode", mode,
