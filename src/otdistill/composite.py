@@ -314,8 +314,8 @@ def _softmax_backward(z, top, levels, gradient, normalized):
     by their row sums when normalized. Block by block (core._blocks), that
     level is finished in place, the other softmaxes are recomputed from
     their normalizers, and the levels of the block are summed into it.
-    Rows are independent, so each usable core walks its own run of blocks
-    (core._walk), in its share of the one block buffer.
+    Rows are independent, so each usable core takes the next block not yet
+    taken (core._walk), in its share of the one block buffer.
     """
     scales = []
     for tau, _, terms in levels:
@@ -416,10 +416,11 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
         teacher1 = teacher.head[0][..., :k]
     else:
         rank, labels, teacher1 = state.rank, state.labels, state.teacher
-    at_label = _last_axis(s.shape, labels[:, :, None])
-    cols1 = _last_axis(s.shape, rank.student_perm[:, None, :rank.k])
-    p_label = _softmax_at(s, w.tau_sl, (top, totals[0]), at_label)
+    if need_loss or grad is not None:
+        at_label = _last_axis(s.shape, labels[:, :, None])
+        p_label = _softmax_at(s, w.tau_sl, (top, totals[0]), at_label)
     if need_loss or ot_alpha > 0:
+        cols1 = _last_axis(s.shape, rank.student_perm[:, None, :rank.k])
         pair1 = AlignedPair(teacher=teacher1, student=_softmax_at(
             s, w.tau_sl, (top, totals[0]), cols1))
         had, sl = had_loss(pair1), _sl_loss(pair1)

@@ -12,9 +12,9 @@ _softmax.
 The blocked kernels here and in composite and seq_ot split a call across
 the cores the process may use (_parallel), one thread per _THREAD_ENTRIES
 entries the call touches: each thread takes whole rows, whole columns or
-whole blocks along one axis, so no sum is split between threads and every
-output is the same bit for bit at any thread count. There is no setting
-for the thread count; the process's CPU affinity mask caps it.
+whole blocks along one axis (column sums pass between blocks in order),
+so no sum is split between threads and every output is the same bit for
+bit at any thread count. Only the process's CPU affinity mask caps it.
 """
 
 import os
@@ -266,18 +266,23 @@ def _blocks(shape, parts=1, budget=None):
 
 def _walk(fn, blocks, parts):
     """Call fn(block, part) for every block of blocks, from _blocks(shape,
-    parts): part p walks the p-th of `parts` contiguous runs of them, on its
-    own thread (_parallel), so p can pick its share of a block buffer."""
+    parts), on `parts` threads (_parallel), part p being a thread's share
+    of a block buffer. Each thread takes the first block not yet taken, so
+    a block that waits for an earlier one (_softmax_pass's column sums)
+    waits for a running thread, however the pool orders concurrent calls."""
     if parts == 1:
         for block in blocks:
             fn(block, 0)
         return
+    lock, left = threading.Lock(), iter(blocks)
+
+    def take():
+        with lock:
+            return next(left, None)
 
     def run(ps):
-        for p in range(ps.start, ps.stop):
-            for block in blocks[len(blocks) * p // parts:
-                                len(blocks) * (p + 1) // parts]:
-                fn(block, p)
+        for block in iter(take, None):
+            fn(block, ps.start)
     _parallel(run, parts, parts)
 
 
@@ -294,17 +299,15 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     Given out, a (B, T, V) array, it computes the exponentials at taus[0]
     there instead of in a buffer and leaves them for the backward
     (composite._softmax_backward) to finish: divided by their row sums
-    when sums or argmax, not divided otherwise. Column sums add the rows in
-    order, as numpy reduces that axis, so every output equals the dense
-    softmax's bit for bit.
+    when sums or argmax, not divided otherwise.
 
-    A large pass runs on several threads (_parts, _parallel). Without
-    column sums each thread walks its own run of blocks, each of its share
-    of the block budget, in its share of the buffers; the thread count is
-    capped so that each share holds a row. With them, the threads split
-    each block's rows, and the calling thread then adds the block's rows
-    to the column sums in order. Either way the buffers take no more
-    memory than on one thread.
+    A large pass runs on several threads (_parts, _walk), each on blocks of
+    its share of the block budget in its share of the buffers, so the
+    buffers take no more memory than on one thread; the thread count is
+    capped so that each share holds a row. Column sums add each sequence's
+    rows in order, as numpy reduces that axis: a block adds its rows once
+    the block before it in the sequence has added its own or raised, so
+    every output equals the dense softmax's bit for bit.
 
     Returns (top, totals, colsums, best): the (B, T, 1) row maxima, one
     (B, T, 1) array of row sums per temperature ((top, totals[i]) are the
@@ -316,55 +319,54 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     colsums = [np.zeros(arr.shape[::2]) for _ in taus] if sums else None
     best = np.empty(arr.shape[:-1], dtype=np.intp) if argmax else None
     parts = _parts(arr.size * len(taus), arr.shape[-1])
-    runs = 1 if sums else parts
-    blocks = _blocks(arr.shape, runs)
-    bufs = [np.empty((runs,) + arr[blocks[0]].shape)
+    blocks = _blocks(arr.shape, parts)
+    bufs = [np.empty((parts,) + arr[blocks[0]].shape)
             for _ in taus[out is not None:]]
+    # added[b] counts the rows of sequence b handed off to its next block.
+    turn = threading.Condition()
+    added = [0] * arr.shape[0]
 
-    def targets(block, part):
-        # Where the block's exponentials go, one array per temperature.
-        shape = arr[block].shape
-        views = [] if out is None else [out[block]]
-        return views + [buf[part, :shape[0], :shape[1]] for buf in bufs]
-
-    def rows(block, exps):
+    def walk(block, part):
+        items, span = block
         z = arr[block]
-        peak = np.max(z, axis=-1, keepdims=True, out=top[block])
-        # The block's min is read while the block is in cache.
-        if not _finite_range(z.min(), peak.max()):
-            raise InvalidInput(_NON_FINITE)
-        with np.errstate(over="ignore"):
-            np.subtract(z, peak, out=exps[0])
-            for e, tau in zip(exps[1:], taus[1:]):
-                np.divide(exps[0], tau, out=e)
-            if taus[0] != 1.0:
-                exps[0] /= taus[0]
-        for i, e in enumerate(exps):
-            np.exp(e, out=e)
-            total = totals[i][block]
-            e.sum(axis=-1, keepdims=True, out=total)
-            if sums or (argmax and i == 0):
-                e /= total
-        if argmax:
-            np.argmax(exps[0], axis=-1, out=best[block])
+        exps = ([] if out is None else [out[block]]) + [
+            buf[part, :z.shape[0], :z.shape[1]] for buf in bufs]
+        try:
+            peak = np.max(z, axis=-1, keepdims=True, out=top[block])
+            # The block's min is read while the block is in cache.
+            if not _finite_range(z.min(), peak.max()):
+                raise InvalidInput(_NON_FINITE)
+            with np.errstate(over="ignore"):
+                np.subtract(z, peak, out=exps[0])
+                for e, tau in zip(exps[1:], taus[1:]):
+                    np.divide(exps[0], tau, out=e)
+                if taus[0] != 1.0:
+                    exps[0] /= taus[0]
+            for i, e in enumerate(exps):
+                np.exp(e, out=e)
+                total = totals[i][block]
+                e.sum(axis=-1, keepdims=True, out=total)
+                if sums or (argmax and i == 0):
+                    e /= total
+            if argmax:
+                np.argmax(exps[0], axis=-1, out=best[block])
+            if sums:
+                with turn:
+                    turn.wait_for(lambda: added[items.start] >= span.start)
+                for acc, e in zip(colsums, exps):
+                    if span.start == 0:
+                        e.sum(axis=-2, out=acc[items])
+                    else:
+                        for row in e[0]:
+                            acc[items.start] += row
+        finally:
+            # Handed off even when the block raised (maybe before earlier
+            # blocks, hence max), so that no block waits forever.
+            with turn:
+                added[items.start] = max(added[items.start], span.stop)
+                turn.notify_all()
 
-    if not sums:
-        _walk(lambda block, part: rows(block, targets(block, part)), blocks,
-              parts)
-        return top, totals, colsums, best
-
-    for items, span in blocks:
-        block_exps = targets((items, span), 0)
-        _parallel(lambda r: rows(
-            (items, slice(span.start + r.start, span.start + r.stop)),
-            [e[:, r] for e in block_exps]), span.stop - span.start, parts)
-        for acc, e in zip(colsums, block_exps):
-            acc = acc[items]
-            if e.shape[1] == arr.shape[1]:
-                e.sum(axis=-2, out=acc)
-            else:
-                for row in e[0]:
-                    acc[0] += row
+    _walk(walk, blocks, parts)
     return top, totals, colsums, best
 
 

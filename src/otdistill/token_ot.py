@@ -78,12 +78,8 @@ def uld_loss(t, s) -> float:
         raise InvalidInput(
             f"token counts differ: {t.shape[0]} vs {s.shape[0]}"
         )
-    width = max(t.shape[1], s.shape[1])
-    t_pad = np.pad(t, ((0, 0), (0, width - t.shape[1])))
-    s_pad = np.pad(s, ((0, 0), (0, width - s.shape[1])))
-    t_sorted = -np.sort(-t_pad, axis=1)
-    s_sorted = -np.sort(-s_pad, axis=1)
-    return float(np.abs(t_sorted - s_sorted).sum())
+    return float(np.abs(_uld_sorted(t, s.shape[1])
+                        - _uld_sorted(s, t.shape[1])).sum())
 
 
 def uld_grad(t, s) -> np.ndarray:

@@ -198,6 +198,25 @@ class TestSinkhornPlan:
             sinkhorn_plan(CROSS, SinkhornConfig(0.5, 3)),
         )
 
+    @pytest.mark.parametrize("shape", [(2048, 2048), (3, 700, 700)])
+    def test_products_stay_below_the_blas_threading_size(self, monkeypatch,
+                                                         shape):
+        # OpenBLAS splits a matrix-vector product across its own threads
+        # somewhere between 640 x 640 and 700 x 700 entries (numpy 2.4), and
+        # its threads then spin on the cores the package's own threads use.
+        # So every product of a plan reads one block of K, at most
+        # _PLAN_ENTRIES kernel entries, and a block stays below that size.
+        read = []
+        matmul = np.matmul
+
+        def counted(a, b, **kwargs):
+            read.append(max(a.size, b.size))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        sinkhorn_plan(np.random.default_rng(70).random(shape))
+        assert read and max(read) <= seq_ot._PLAN_ENTRIES <= 640 * 640
+
 
 class TestAgainstNormalization:
     """The scaling-form plan against the plan of in-place normalization

@@ -12,6 +12,8 @@ must not).
   harness runs are byte-identical at 1, 2 and 3 threads;
 - a nan in a slice that a worker thread owns raises InvalidInput, and a
   threaded plan that underflows NumericalUnderflow;
+- a nan in any block of a column-sum pass raises without hanging, and
+  concurrent column-sum passes finish (both in a separate process);
 - no RuntimeWarning escapes a worker thread, and concurrent callers share
   one pool;
 - every thread of a walk gets a block, the threads' blocks together hold
@@ -137,12 +139,14 @@ def test_loss_calls_are_the_same_at_every_thread_count(threads, mode, shape):
 
 def test_kernels_keep_their_sums_in_order_at_any_thread_count(threads):
     # The pass's column sums add the rows in order, whole sequences (the
-    # first stack) or runs of rows at a time; its rows split within a
-    # block of several sequences too. A plan walks fixed blocks of at most
-    # 90 kernel entries (3 whole 5 x 5 costs, 4 rows of a 20 x 20, single
-    # rows of the others), each thread a run of them, unevenly at 16
-    # threads; each sweep's shares of K^T u are added in block order on
-    # the calling thread, so no sum depends on the thread count.
+    # first stack, two to a block on one thread) or runs of rows at a
+    # time, each run handed off to the next block of its sequence on
+    # whichever thread took it. A plan walks fixed blocks of at most 90
+    # kernel entries (3 whole 5 x 5 costs, 4 rows of a 20 x 20, single
+    # rows of the others), each thread taking the next block not yet
+    # taken, unevenly at 16 threads; each sweep's shares of K^T u are
+    # added in block order on the calling thread, so no sum depends on the
+    # thread count.
     rng = np.random.default_rng(67)
     stacks = [rng.standard_normal(shape) * 3.0
               for shape in ((5, 4, 10), (1, 20, 3), (2, 20, 5), (3, 9, 20))]
@@ -211,6 +215,86 @@ def test_a_nan_in_a_worker_slice_raises_invalid_input(threads, side, row):
         with pytest.raises(InvalidInput, match="non-finite"):
             call()
             pytest.fail(f"{name} accepted a nan in row {row} of the {side}")
+
+
+_HAND_OFF = """
+import sys
+import numpy as np
+from otdistill import InvalidInput, build_state, core
+core._cores = lambda: int(sys.argv[1])
+core._THREAD_ENTRIES = 1
+core._BLOCK_ENTRIES = 16 * 30
+rng = np.random.default_rng(69)
+t, s = rng.standard_normal((24, 40)) * 3.0, rng.standard_normal((24, 30)) * 3.0
+blocks = core._blocks((1,) + s.shape, core._parts(2 * s.size, s.shape[-1]))
+assert len(blocks) >= 3
+calls = {"_softmax_pass": lambda z: core._softmax_pass(z[None], (1.0, 0.5),
+                                                       sums=True),
+         "build_state": lambda z: build_state(t, z)}
+for name, call in calls.items():
+    for _, rows in (blocks[0], blocks[len(blocks) // 2], blocks[-1]):
+        bad = s.copy()
+        bad[rows.start, -1] = np.nan
+        try:
+            call(bad)
+        except InvalidInput:
+            continue
+        sys.exit(f"{name} accepted a nan in row {rows.start}")
+"""
+
+
+@pytest.mark.parametrize("count", [2, 3, 16])
+def test_a_nan_in_a_column_sum_pass_raises_without_hanging(count):
+    # The column sums of a pass take a block's rows only once the block
+    # before it in its sequence has added its own, so a block that raises
+    # must release the threads waiting for it. At each count the student
+    # makes several blocks of its share of a 480-entry budget (the same in
+    # build_state's student pass), and the nan goes in the first, a middle
+    # and the last of them.
+    run_within_timeout(_HAND_OFF, str(count))
+
+
+_CONCURRENT_PASSES = """
+import sys, threading
+import numpy as np
+from otdistill import core
+core._cores = lambda: 3
+core._THREAD_ENTRIES = 1
+core._BLOCK_ENTRIES = 3 * 30
+z = np.random.default_rng(71).standard_normal((1, 6, 30))
+expected = core._softmax_pass(z, (1.0, 0.5), sums=True)[2]
+same = []
+
+def call():
+    for _ in range(400):
+        sums = core._softmax_pass(z, (1.0, 0.5), sums=True)[2]
+        same.append(all(np.array_equal(a, b) for a, b in zip(sums, expected)))
+
+sys.setswitchinterval(1e-6)
+callers = [threading.Thread(target=call) for _ in range(8)]
+for caller in callers:
+    caller.start()
+for caller in callers:
+    caller.join()
+assert same == [True] * 3200
+"""
+
+
+def test_concurrent_column_sum_passes_finish():
+    # Eight callers share a pool of two threads; each pass splits six
+    # one-row blocks, whose column sums wait for one another, over three
+    # threads. A walk that gave each thread a fixed run or stride of
+    # blocks would make a pass wait for a block whose thread is still
+    # queued behind another caller's waiting thread, and hang.
+    run_within_timeout(_CONCURRENT_PASSES)
+
+
+def run_within_timeout(script, *args):
+    """Run script in a separate process on this package, so that a hang
+    fails on the timeout instead of stalling the suite."""
+    subprocess.run([sys.executable, "-c", script, *args], check=True,
+                   timeout=60, env={**os.environ, "PYTHONPATH": str(
+                       Path(core.__file__).resolve().parents[1])})
 
 
 def test_a_threaded_plan_that_underflows_raises(threads):
