@@ -13,16 +13,16 @@ columns, and the teacher's argmax for pseudo-labels. The label and k aligned
 entries of every row are computed from those row normalizers. The upstream
 gradient is nonzero only at the label and the k aligned columns, so a
 gradient call keeps each temperature's part of it as sparse products. Its
-student pass computes the tau_sl exponentials in the gradient it returns,
-and one backward at the end (_softmax_backward) finishes them in place,
+student pass computes the tau_sl softmax in the gradient it returns, and
+one backward at the end (_softmax_backward) finishes it in place,
 recomputes only the tau_sd softmax, block by block from the normalizers, and
 sums it straight into the gradient: the only B x T x n array a gradient call
 writes is the gradient it returns, and each of its entries is exponentiated
 once per temperature. Gradients are with respect to the raw student logits,
 with the rank/truncation selections and the Sinkhorn plan held fixed. Exact
 matching reads whole softmaxes, which it takes from the dense core._softmax;
-so does the padded-sort baseline, unless the student pass has left the whole
-tau_sl softmax in the gradient.
+the padded-sort baseline reads the tau_sl softmax the student pass has left
+in the gradient.
 
 A state also freezes the teacher's kept probabilities, so a call given one
 runs no teacher pass. The state build_state returns also keeps the
@@ -170,10 +170,11 @@ def _validate_labels(labels, length, vocab):
             labels.dtype.kind == "f" and np.isfinite(labels).all()
             and (labels == np.round(labels)).all()):
         raise InvalidInput("labels must be integers")
-    labels = labels.astype(int)
+    # Compared in their own dtype: a float past the int range would not
+    # cast.
     if labels.min() < 0 or labels.max() >= vocab:
         raise InvalidInput(f"label out of range [0, {vocab})")
-    return labels
+    return labels.astype(int)
 
 
 def _pseudo_labels(argmax, rank: RankSelection, n_student):
@@ -295,7 +296,7 @@ def _rank(teacher, level, student, k, mode):
                          k=k, match_mode=mode)
 
 
-def _softmax_backward(z, top, levels, gradient, normalized):
+def _softmax_backward(z, top, levels, gradient):
     """The gradient w.r.t. the (B, T, V) logits z of a loss that reads
     softmaxes of z only at sparse entries, one softmax per level.
 
@@ -309,9 +310,8 @@ def _softmax_backward(z, top, levels, gradient, normalized):
     (core.softmax_backward of the dense upstream gradient); the terms'
     arrays are divided by tau in place.
 
-    gradient, the array returned, holds the first level's exponentials
-    exp((z - top) / tau) as the pass computed them there (its out), divided
-    by their row sums when normalized. Block by block (core._blocks), that
+    gradient, the array returned, holds the first level's softmax as the
+    pass computed it there (its out). Block by block (core._blocks), that
     level is finished in place, the other softmaxes are recomputed from
     their normalizers, and the levels of the block are summed into it.
     Rows are independent, so each usable core takes the next block not yet
@@ -338,7 +338,6 @@ def _softmax_backward(z, top, levels, gradient, normalized):
                 if tau != 1.0:
                     probs /= tau
                 np.exp(probs, out=probs)
-            if i or not normalized:
                 probs /= total[block]
             probs *= scale[block]
             for index, x in terms:
@@ -355,7 +354,7 @@ def _softmax_backward(z, top, levels, gradient, normalized):
                 out += probs
 
     # The exponentials as core._shifted_exp computes them, under one
-    # errstate for the call, which _parallel's threads share: a quotient
+    # errstate for the call, which _walk's threads share: a quotient
     # below the float range is -inf, whose exp is the correct 0.
     with np.errstate(over="ignore"):
         _walk(finish, blocks, parts)
@@ -402,7 +401,7 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     # The student's one pass: its row normalizers and, to rank, its column
     # sums. Exact matching ranks from whole softmaxes instead, taken dense
     # one at a time. A gradient call has the pass write its tau_sl
-    # exponentials into the gradient, which the backward finishes in place.
+    # softmax into the gradient, which the backward finishes in place.
     gradient = None if grad is None else np.empty(s.shape)
     top, totals, sums, _ = _softmax_pass(s, taus, out=gradient,
                                          sums=state is None and not exact)
@@ -439,10 +438,9 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
             terms.append((cols1, pair1.student))
         if grad == ULD:
             # The padded-sort baseline reads every column of both softmaxes;
-            # a pass that ranks left the student's at tau_sl in the gradient.
-            probs = _softmax(s, w.tau_sl) if sums is None else gradient
-            terms.append((None, probs * (w.alpha
-                                         * _uld_grad(teacher.dense, probs))))
+            # the pass left the student's at tau_sl in the gradient.
+            terms.append((None, gradient * (
+                w.alpha * _uld_grad(teacher.dense, gradient))))
         levels.append((w.tau_sl, totals[0], terms))
     if need_loss or ot_alpha > 0:
         had, sl = had.value, sl.value
@@ -482,8 +480,7 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
             levels.append((w.tau_sd, totals[1], [(cols2, pair2.student)]))
 
     if grad is not None:
-        gradient = _softmax_backward(s, top, levels, gradient,
-                                     normalized=sums is not None)
+        gradient = _softmax_backward(s, top, levels, gradient)
     breakdown = None
     if need_loss:
         ce = -_floor_log(p_label).sum(axis=(1, 2))

@@ -5,12 +5,11 @@ T x V (rows = tokens, columns = vocabulary dimensions), probability matrices
 are row-stochastic of the same shape. The private kernels behind the fused
 loss take (B, T, V) stacks; _softmax_pass walks one in cache-sized blocks,
 checks the logits as it reads them, and returns only what its caller reads
-(a gradient call also has it compute the first temperature's exponentials
-in the gradient it returns), each value bit-identical to the dense
-_softmax.
+(a gradient call also has it compute the first temperature's softmax in
+the gradient it returns), each value bit-identical to the dense _softmax.
 
 The blocked kernels here and in composite and seq_ot split a call across
-the cores the process may use (_parallel), one thread per _THREAD_ENTRIES
+the cores the process may use (_walk), one thread per _THREAD_ENTRIES
 entries the call touches: each thread takes whole rows, whole columns or
 whole blocks along one axis (column sums pass between blocks in order),
 so no sum is split between threads and every output is the same bit for
@@ -56,7 +55,7 @@ _BLOCK_ENTRIES = 1 << 18
 # (4 x 8 x 20 logits) stay far below, on the calling thread alone.
 _THREAD_ENTRIES = 1 << 16
 
-# The executor behind _parallel, of (usable cores - 1) threads: made by the
+# The executor behind _walk, of (usable cores - 1) threads: made by the
 # first call that goes parallel, never at import, and dropped in a forked
 # child, whose copy of it has no threads (with the lock, which a thread of
 # the parent may have held at the fork).
@@ -104,41 +103,6 @@ def _executor():
             from concurrent.futures import ThreadPoolExecutor
             _pool = ThreadPoolExecutor(max(1, _cores() - 1), "otdistill")
         return _pool
-
-
-def _parallel(fn, length, parts):
-    """Call fn(s) for up to `parts` contiguous slices s that cover
-    range(length) in order, each on its own thread: the first on the
-    calling one, the others on the pool. The slices' outputs must not
-    depend on each other. One part calls fn(slice(0, length)) and nothing
-    else.
-
-    Each worker runs under the caller's np.errstate (context-local in numpy
-    2), so a kernel's ignored overflow stays ignored on every thread.
-    Returns once every slice is done; if any raised, raises the exception
-    of the first of them in order.
-    """
-    parts = min(parts, length)
-    if parts <= 1:
-        fn(slice(0, length))
-        return
-    pool = _executor()
-    bounds = [length * i // parts for i in range(parts + 1)]
-    slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    err = np.geterr()
-    futures = [pool.submit(_in_errstate, err, fn, s) for s in slices[1:]]
-    try:
-        fn(slices[0])
-    finally:
-        errors = [f.exception() for f in futures]
-    for error in errors:
-        if error is not None:
-            raise error
-
-
-def _in_errstate(err, fn, s):
-    with np.errstate(**err):
-        fn(s)
 
 
 def _is_count(value, least=1):
@@ -264,26 +228,58 @@ def _blocks(shape, parts=1, budget=None):
             for b in range(batch) for i in range(0, tokens, step)]
 
 
-def _walk(fn, blocks, parts):
-    """Call fn(block, part) for every block of blocks, from _blocks(shape,
-    parts), on `parts` threads (_parallel), part p being a thread's share
-    of a block buffer. Each thread takes the first block not yet taken, so
-    a block that waits for an earlier one (_softmax_pass's column sums)
-    waits for a running thread, however the pool orders concurrent calls."""
-    if parts == 1:
-        for block in blocks:
-            fn(block, 0)
-        return
-    lock, left = threading.Lock(), iter(blocks)
+def _walk(fn, items, parts=None):
+    """Call fn(item, part) for every item of items on up to `parts` threads
+    (by default one per item): part 0 is the calling thread, and part p a
+    thread's share of a block buffer. Each thread takes the first item not
+    yet taken, so an item that waits for an earlier one (_softmax_pass's
+    column sums) waits for a running thread, however the pool orders
+    concurrent calls. Workers run under the caller's np.errstate. Once an
+    item raises, no thread takes another, those taken finish, and the
+    calling thread's exception is raised, or else the first worker's in
+    part order."""
+    if parts == 1 or len(items) == 1:
+        for item in items:
+            fn(item, 0)
+    else:
+        _threads(fn, items, min(parts or len(items), len(items)))
+
+
+def _threads(fn, items, parts):
+    # _walk on several threads, apart so its closures cost one thread nothing.
+    lock, left, err = threading.Lock(), iter(items), np.geterr()
 
     def take():
         with lock:
             return next(left, None)
 
-    def run(ps):
-        for block in iter(take, None):
-            fn(block, ps.start)
-    _parallel(run, parts, parts)
+    def run(part):
+        try:
+            with np.errstate(**err):
+                for item in iter(take, None):
+                    fn(item, part)
+        finally:
+            with lock:  # after a raise, no thread takes another item
+                for _ in left:
+                    pass
+
+    futures = [_executor().submit(run, part) for part in range(1, parts)]
+    try:
+        run(0)
+    finally:
+        for future in futures:
+            future.exception()  # waits for it
+    for future in futures:
+        future.result()
+
+
+def _slices(length, parts):
+    # Up to `parts` contiguous slices covering range(length): _walk's items.
+    if parts <= 1:
+        return (slice(0, length),)
+    parts = min(parts, length)
+    return [slice(length * i // parts, length * (i + 1) // parts)
+            for i in range(parts)]
 
 
 def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
@@ -296,10 +292,10 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     _softmax does, in a block buffer, then emits only what the caller asks
     for: each sequence's column sums when sums, and the per-row argmax at
     taus[0] when argmax. The pass writes no B x T x V array of its own.
-    Given out, a (B, T, V) array, it computes the exponentials at taus[0]
-    there instead of in a buffer and leaves them for the backward
-    (composite._softmax_backward) to finish: divided by their row sums
-    when sums or argmax, not divided otherwise.
+    Given out, a (B, T, V) array, it computes the softmax at taus[0] there
+    instead of in a buffer, dividing each row by its sum while the block is
+    in cache, and leaves it for the backward (composite._softmax_backward)
+    to finish.
 
     A large pass runs on several threads (_parts, _walk), each on blocks of
     its share of the block budget in its share of the buffers, so the
@@ -346,7 +342,7 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
                 np.exp(e, out=e)
                 total = totals[i][block]
                 e.sum(axis=-1, keepdims=True, out=total)
-                if sums or (argmax and i == 0):
+                if sums or i == 0 and (argmax or out is not None):
                     e /= total
             if argmax:
                 np.argmax(exps[0], axis=-1, out=best[block])

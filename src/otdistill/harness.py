@@ -83,7 +83,7 @@ class RunMetrics:
 def make_teacher_table(cfg: DistillConfig):
     rng = np.random.default_rng(cfg.seed)
     with np.errstate(over="ignore"):
-        table = rng.standard_normal((cfg.contexts, cfg.m)) * cfg.sharpness
+        table = _normal_table(rng, cfg, "m") * cfg.sharpness
     if not np.isfinite(table).all():
         raise InvalidConfig(f"sharpness {cfg.sharpness} overflows the teacher "
                             "logit table; use a smaller scale")
@@ -93,7 +93,19 @@ def make_teacher_table(cfg: DistillConfig):
 def _initial_student(cfg: DistillConfig):
     # Separate stream so the student init never perturbs the teacher table.
     rng = np.random.default_rng((cfg.seed, 1))
-    return rng.standard_normal((cfg.contexts, cfg.n)) * 0.01
+    return _normal_table(rng, cfg, "n") * 0.01
+
+
+def _normal_table(rng, cfg, vocab):
+    # A contexts x cfg.<vocab> table of standard normals. numpy refuses a
+    # shape past its dimension limit (ValueError) or the memory it can get
+    # (MemoryError); either is a config out of range.
+    try:
+        return rng.standard_normal((cfg.contexts, getattr(cfg, vocab)))
+    except (MemoryError, ValueError):
+        raise InvalidConfig(
+            f"a table of contexts={cfg.contexts} x {vocab}="
+            f"{getattr(cfg, vocab)} entries cannot be allocated") from None
 
 
 def _metrics(records) -> RunMetrics:

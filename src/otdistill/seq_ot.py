@@ -33,8 +33,8 @@ K at the end. The sequence loss reduces the plan and the cost per
 sequence without a T x T product temporary.
 
 A kernel call runs on one thread per core._THREAD_ENTRIES entries it
-touches, at most one per usable core (core._parallel), each thread on
-whole rows or whole columns, so no sum is split between threads: the cost
+touches, at most one per usable core, each thread on whole rows or whole
+columns (core._walk), so no sum is split between threads: the cost
 splits each cdist call's teacher rows, Sinkhorn each sweep's blocks of
 rows (one dispatch per sweep; the calling thread adds the blocks' shares
 of K^T u in block order), and the gradient and the ranks their k axis.
@@ -47,7 +47,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import (_BLOCK_ENTRIES, _blocks, _finite_range, _is_count,
-                   _parallel, _parts, _walk)
+                   _parts, _slices, _walk)
 from .errors import (InvalidConfig, InvalidInput, NumericalFailure,
                      NumericalUnderflow)
 from .preprocess import AlignedPair
@@ -112,11 +112,11 @@ def _cost(t, s):
     cost = np.empty((t.shape[0], t.shape[1], s.shape[1]))
     s = np.ascontiguousarray(s)
 
-    def rows(r):
+    def rows(r, part):
         for t_b, s_b, out in zip(t[:, r], s, cost[:, r]):
             cdist(t_b, s_b, "cityblock", out=out)
 
-    _parallel(rows, t.shape[1], _parts(cost.size * t.shape[2]))
+    _walk(rows, _slices(t.shape[1], _parts(cost.size * t.shape[2])))
     return cost
 
 
@@ -183,7 +183,7 @@ def _plan(C, cfg):
         np.reciprocal(u_b, out=u_b)
         np.matmul(u_b.transpose(0, 2, 1), k_b, out=share)
 
-    parts = min(len(blocks), _parts(k.size))
+    parts = _parts(k.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(iterations + 1):
             _walk(lambda block, part: sweep(block, i == 0, i == iterations),
@@ -241,7 +241,8 @@ def sd_grad(pair: AlignedPair, plan) -> np.ndarray:
 
     d<P, C>/d student[j, l] = sum_i P[i, j] * sign(student[j, l] - teacher[i, l])
     with sign(0) = 0. Raises InvalidInput for non-finite teacher or student
-    entries, whose signs are undefined.
+    entries, whose signs are undefined, and for a nan or +-inf in the plan,
+    as sd_loss does.
     """
     plan = np.asarray(plan, dtype=float)
     tokens = pair.teacher.shape[0]
@@ -249,6 +250,8 @@ def sd_grad(pair: AlignedPair, plan) -> np.ndarray:
         raise InvalidInput(
             f"plan shape {plan.shape} does not match pair with {tokens} tokens"
         )
+    if not _finite_range(plan.min(initial=0.0), plan.max(initial=0.0)):
+        raise InvalidInput("plan contains non-finite entries")
     t, s = (np.asarray(x, dtype=float) for x in (pair.teacher, pair.student))
     if not (np.isfinite(t).all() and np.isfinite(s).all()):
         raise InvalidInput("aligned pair contains non-finite entries")
@@ -273,7 +276,7 @@ def _ranks(t, s):
     rank = np.zeros(values.shape, dtype)
     ranks = np.empty_like(rank)
 
-    def columns(c):
+    def columns(c, part):
         # Each column is ranked on its own, so threads split the k axis.
         v, r = values[..., c], rank[..., c]
         order = np.argsort(v, axis=1)
@@ -285,8 +288,8 @@ def _ranks(t, s):
         np.put_along_axis(ranks[..., c], order, r, axis=1)
 
     # A sort touches each of its 2T entries about log2(2T) times.
-    _parallel(columns, values.shape[2],
-              _parts(values.size * (2 * tokens).bit_length()))
+    _walk(columns, _slices(values.shape[2],
+                           _parts(values.size * (2 * tokens).bit_length())))
     return ranks[:, :tokens], ranks[:, tokens:]
 
 
@@ -309,7 +312,7 @@ def _sd_grad(t, s, plan):
     buf = np.empty(batch * step * width * tokens, t.dtype)
     grad = np.zeros((batch, width, tokens))
 
-    def columns(c):
+    def columns(c, part):
         # Threads split the k axis, each walking every block of teacher
         # rows in order in its own contiguous part of the shared buffer
         # (strided, numpy's ufuncs would each take scratch buffers), so
@@ -327,5 +330,5 @@ def _sd_grad(t, s, plan):
             np.sign(diff, out=diff)
             g += np.einsum("bij,bilj->blj", plan[:, i:i + step], diff)
 
-    _parallel(columns, width, _parts(batch * tokens**2 * width))
+    _walk(columns, _slices(width, _parts(batch * tokens**2 * width)))
     return grad.transpose(0, 2, 1)

@@ -316,6 +316,21 @@ class TestDistillCommand:
         assert setting.split("=")[0] in err
         assert not out.exists()
 
+    # numpy refuses both teacher tables at once, without allocating: 2.3
+    # PiB, past the address space, and a dimension past its limit.
+    @pytest.mark.parametrize("setting", ["m=10000000000000",
+                                         "contexts=100000000000000000000"])
+    def test_table_it_cannot_allocate_exits_3_naming_it(self, capsys,
+                                                        tmp_path, setting):
+        config = tmp_path / "run.cfg"
+        config.write_text(setting + "\n")
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, "distill", "--config", str(config),
+                           "--out", str(out))
+        assert code == 3
+        assert "contexts=" in err and " m=" in err
+        assert not out.exists()
+
 
 class TestIterationBound:
     """An iteration count past SinkhornConfig's bound exits 3 at once; before

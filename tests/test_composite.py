@@ -77,6 +77,16 @@ class TestLossWeights:
         with pytest.raises(InvalidInput):
             build_state(t, s, np.array([0.0, 1.7, 2.0]), SMALL)
 
+    @pytest.mark.parametrize("label", [1e300, -1e300])
+    def test_labels_past_the_int_range_are_out_of_range(self, label):
+        # Range-checked before the int cast, which would warn (an error
+        # under the test settings) and wrap.
+        t, s = random_pair(9)
+        with pytest.raises(InvalidInput, match="out of range"):
+            total_loss(t, s, np.full(t.shape[0], label), SMALL)
+        with pytest.raises(InvalidInput, match="out of range"):
+            ce_loss(np.array([[0.5, 0.5]]), [label])
+
 
 class TestTotalLoss:
     def test_combination_formula(self):

@@ -232,7 +232,7 @@ def test_blocked_pass_equals_the_dense_softmax(batch, tokens, scale, taus,
         _softmax_pass(z, taus[1:], sums=True, out=gradient)
         streamed = _softmax_backward(z, top, [(taus[1], totals[1],
                                                [(index, x.copy())])],
-                                     gradient, normalized=True)
+                                     gradient)
         patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](*s.shape[1:]))
         blocked = fused_outputs(t, s, w)
 
@@ -284,8 +284,7 @@ def test_streamed_backward_equals_the_dense_backward_at_each_temperature(
                                      tau).reshape(shape)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](tokens, vocab))
-        streamed = _softmax_backward(z, top, levels, gradient,
-                                     normalized=False)
+        streamed = _softmax_backward(z, top, levels, gradient)
     assert_close(streamed, expected, 1e-12)
 
 

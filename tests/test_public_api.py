@@ -1,6 +1,8 @@
 """The package's public names: a deletion must not drop one, since the
-tests and demos import them. And what importing the package loads."""
+tests and demos import them. What importing the package loads, and no
+module importing a name it never reads."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -46,3 +48,21 @@ def test_import_leaves_scipy_optimize_unloaded():
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": package_parent})
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py imports to re-export, so it is left out.
+    unused = []
+    for path in sorted(Path(otdistill.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{node.lineno} {name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for name in (a.asname or a.name.split(".")[0]
+                                for a in node.names)
+                   if name not in read]
+    assert unused == []

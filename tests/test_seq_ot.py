@@ -397,6 +397,15 @@ class TestSdGrad:
         with pytest.raises(InvalidInput, match="non-finite"):
             sd_grad(pair_of(t, s), np.full((3, 3), 1 / 3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_a_non_finite_plan(self, value):
+        # As sd_loss does, rather than return a nan gradient.
+        rng = np.random.default_rng(8)
+        plan = np.full((3, 3), 1 / 3)
+        plan[2, 0] = value
+        with pytest.raises(InvalidInput, match="non-finite"):
+            sd_grad(pair_of(rng.random((3, 2)), rng.random((3, 2))), plan)
+
     def test_differences_past_the_float_range_keep_their_sign(self):
         pair = pair_of([[-1e308, 1e308]], [[1e308, -1e308]])
         np.testing.assert_array_equal(sd_grad(pair, [[1.0]]), [[1.0, -1.0]])

@@ -13,7 +13,8 @@ must not).
 - a nan in a slice that a worker thread owns raises InvalidInput, and a
   threaded plan that underflows NumericalUnderflow;
 - a nan in any block of a column-sum pass raises without hanging, and
-  concurrent column-sum passes finish (both in a separate process);
+  concurrent column-sum passes finish (both in a separate process); once
+  an item of a walk raises, no thread takes another;
 - no RuntimeWarning escapes a worker thread, and concurrent callers share
   one pool;
 - every thread of a walk gets a block, the threads' blocks together hold
@@ -287,6 +288,24 @@ def test_concurrent_column_sum_passes_finish():
     # blocks would make a pass wait for a block whose thread is still
     # queued behind another caller's waiting thread, and hang.
     run_within_timeout(_CONCURRENT_PASSES)
+
+
+def test_a_raise_stops_the_walk(cores):
+    # Item 0 raises at once, every other item takes ~5 ms: once it has
+    # raised no thread takes another item, so only the items the other two
+    # threads had already taken run.
+    cores(3)
+    calls = []
+
+    def fn(item, part):
+        calls.append(item)
+        if item == 0:
+            raise ValueError("item 0")
+        time.sleep(0.005)
+
+    with pytest.raises(ValueError, match="item 0"):
+        core._walk(fn, range(40), 3)
+    assert 0 in calls and len(calls) <= 3, calls
 
 
 def run_within_timeout(script, *args):
