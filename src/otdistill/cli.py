@@ -66,8 +66,8 @@ def _parse_config(path, schemas):
 
 def _weights_from(overrides):
     sink = SinkhornConfig(
-        regularization=overrides.pop("lambda", 0.1),
-        iterations=overrides.pop("n_iters", 20),
+        regularization=overrides.pop("lambda", SinkhornConfig.regularization),
+        iterations=overrides.pop("n_iters", SinkhornConfig.iterations),
     )
     return LossWeights(sinkhorn=sink, **overrides)
 
@@ -151,8 +151,9 @@ def build_parser():
 
     p = sub.add_parser("sinkhorn", help="transport plan for a cost matrix CSV")
     p.add_argument("--cost", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--iters", type=int, default=20)
+    p.add_argument("--lambda", dest="lam", type=float,
+                   default=SinkhornConfig.regularization)
+    p.add_argument("--iters", type=int, default=SinkhornConfig.iterations)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sinkhorn)
 

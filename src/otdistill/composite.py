@@ -17,12 +17,15 @@ student pass computes the tau_sl softmax in the gradient it returns, and
 one backward at the end (_softmax_backward) finishes it in place,
 recomputes only the tau_sd softmax, block by block from the normalizers, and
 sums it straight into the gradient: the only B x T x n array a gradient call
-writes is the gradient it returns, and each of its entries is exponentiated
-once per temperature. Gradients are with respect to the raw student logits,
+writes under sum-sort matching is the gradient it returns, and each student
+entry is exponentiated once at tau_sl and twice at tau_sd (in the pass and
+in the backward). Gradients are with respect to the raw student logits,
 with the rank/truncation selections and the Sinkhorn plan held fixed. Exact
-matching reads whole softmaxes, which it takes from the dense core._softmax;
-the padded-sort baseline reads the tau_sl softmax the student pass has left
-in the gradient.
+matching reads whole student softmaxes: the tau_sl one that the student
+pass leaves in an array (the gradient, in a gradient call), and the tau_sd
+one from the pass's normalizers (core._softmax_at). The padded-sort
+baseline reads the student's tau_sl softmax in the gradient and the
+teacher's from the teacher pass. No softmax here is computed any other way.
 
 A state also freezes the teacher's kept probabilities, so a call given one
 runs no teacher pass. The state build_state returns also keeps the
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .core import (PROB_FLOOR, _blocks, _check_temperature, _floor_log,
-                   _is_count, _logit_matrix, _parts, _softmax, _softmax_at,
+                   _is_count, _logit_matrix, _parts, _softmax_at,
                    _softmax_pass, _walk, safe_log, validate_logits,
                    validate_probs)
 from .errors import InvalidConfig, InvalidInput
@@ -125,9 +128,9 @@ class PipelineState:
     columns of rank_seq, T x k floats), and sd, the transport value of the
     plan and their cost against teacher_seq. The cost depends on nothing
     else, so a call given the state at the same kept probabilities takes
-    sd from it and computes no T x T cost. Other states hold None, and a
-    state copied with another plan or teacher_seq (dataclasses.replace)
-    must be given sd=None too.
+    sd from it and computes no T x T cost. Other states hold None. Neither
+    is an argument of the constructor, so a copy (dataclasses.replace),
+    which may hold another plan or teacher_seq, holds None too.
     """
 
     length: int
@@ -140,8 +143,8 @@ class PipelineState:
     teacher: np.ndarray
     teacher_seq: np.ndarray
     teacher_logits: np.ndarray | None
-    student_seq: np.ndarray | None = None
-    sd: np.ndarray | float | None = None
+    student_seq: np.ndarray | None = field(default=None, init=False)
+    sd: np.ndarray | float | None = field(default=None, init=False)
 
 
 def ce_loss(student_probs, labels):
@@ -210,9 +213,10 @@ def _index(obj, i):
     """A state, breakdown or rank with i applied to every array field.
 
     i=None views a single one as a batch of one; i=0 takes the first item
-    of a batched one, with its loss components as floats.
+    of a batched one, with its loss components as floats. Fields outside
+    the constructor (a state's stored sequence loss) are carried too.
     """
-    changes = {}
+    changes, carried = {}, {}
     for f in fields(obj):
         value = getattr(obj, f.name)
         if isinstance(value, np.ndarray):
@@ -221,8 +225,11 @@ def _index(obj, i):
                 value = float(value)
         elif is_dataclass(value):
             value = _index(value, i)
-        changes[f.name] = value
-    return replace(obj, **changes)
+        (changes if f.init else carried)[f.name] = value
+    out = replace(obj, **changes)
+    for name, value in carried.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 def _check_state(state: PipelineState, t, n, w):
@@ -259,10 +266,10 @@ class _Teacher:
     columns by sequence-summed probability, and head, its probabilities at
     the first ranked columns, (B, T, width): the k kept ones, or all
     min(m, n) that exact matching reads. argmax (the per-token argmax at
-    tau_sl, for pseudo-labels) and dense (the rows of the dense tau_sl
-    softmax, zero-padded to max(m, n) columns and sorted descending: the
-    teacher's half of the padded-sort baseline's gradient) are None unless
-    asked for.
+    tau_sl, for pseudo-labels) and dense (the rows of the whole tau_sl
+    softmax, which the pass writes, zero-padded to max(m, n) columns and
+    sorted descending: the teacher's half of the padded-sort baseline's
+    gradient) are None unless asked for.
     """
 
     logits: np.ndarray
@@ -277,15 +284,16 @@ def _teacher(t, n, w, argmax, dense):
     # student vocabulary of n: one blocked pass at both temperatures, which
     # also checks that t is finite.
     taus = (w.tau_sl, w.tau_sd)
-    top, totals, sums, best = _softmax_pass(t, taus, sums=True, argmax=argmax)
+    probs = np.empty(t.shape) if dense else None
+    top, totals, sums, best = _softmax_pass(t, taus, sums=True, argmax=argmax,
+                                            out=probs)
     width = _head_width(w.k, t.shape[-1], n, w.match_mode)
     perm = tuple(_descending_stable(x) for x in sums)
     head = tuple(_softmax_at(t, tau, (top, total),
                              _last_axis(t.shape, p[:, None, :width]))
                  for tau, total, p in zip(taus, totals, perm))
     return _Teacher(logits=t, perm=perm, head=head, argmax=best,
-                    dense=_uld_sorted(_softmax(t, w.tau_sl), n) if dense
-                    else None)
+                    dense=None if probs is None else _uld_sorted(probs, n))
 
 
 def _rank(teacher, level, student, k, mode):
@@ -331,14 +339,9 @@ def _softmax_backward(z, top, levels, gradient):
     def finish(block, part):
         zb, out = z[block], gradient[block]
         for i, ((tau, total, terms), scale) in enumerate(zip(levels, scales)):
-            probs = out
-            if i:
-                probs = np.subtract(zb, top[block],
-                                    out=buf[part, :zb.shape[0], :zb.shape[1]])
-                if tau != 1.0:
-                    probs /= tau
-                np.exp(probs, out=probs)
-                probs /= total[block]
+            probs = out if i == 0 else _softmax_at(
+                z, tau, (top[block], total[block]), block,
+                buf[part, :zb.shape[0], :zb.shape[1]])
             probs *= scale[block]
             for index, x in terms:
                 if index is None:
@@ -353,11 +356,7 @@ def _softmax_backward(z, top, levels, gradient):
             if i:
                 out += probs
 
-    # The exponentials as core._shifted_exp computes them, under one
-    # errstate for the call, which _walk's threads share: a quotient
-    # below the float range is -inf, whose exp is the correct 0.
-    with np.errstate(over="ignore"):
-        _walk(finish, blocks, parts)
+    _walk(finish, blocks, parts)
     return gradient
 
 
@@ -399,17 +398,20 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     taus = (w.tau_sl, w.tau_sd)[:1 + seq_level]
 
     # The student's one pass: its row normalizers and, to rank, its column
-    # sums. Exact matching ranks from whole softmaxes instead, taken dense
-    # one at a time. A gradient call has the pass write its tau_sl
-    # softmax into the gradient, which the backward finishes in place.
-    gradient = None if grad is None else np.empty(s.shape)
-    top, totals, sums, _ = _softmax_pass(s, taus, out=gradient,
+    # sums. A gradient call has the pass write its tau_sl softmax into the
+    # gradient, which the backward finishes in place. Exact matching ranks
+    # from whole softmaxes instead: the pass's tau_sl one, in the gradient
+    # or in probs, and then the tau_sd one from its normalizers, written
+    # over probs unless probs is the gradient.
+    gradient = probs = None if grad is None else np.empty(s.shape)
+    if exact and probs is None:
+        probs = np.empty(s.shape)
+    top, totals, sums, _ = _softmax_pass(s, taus, out=probs,
                                          sums=state is None and not exact)
 
     # Token temperature: ce + alpha * (had + beta * sl).
     if state is None:
-        rank = _rank(teacher, 0, _softmax(s, w.tau_sl) if exact else sums[0],
-                     k, w.match_mode)
+        rank = _rank(teacher, 0, probs if exact else sums[0], k, w.match_mode)
         if labels is None:
             labels = _pseudo_labels(teacher.argmax, rank, n)
         teacher1 = teacher.head[0][..., :k]
@@ -448,8 +450,10 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     # Sequence temperature: the plan, and alpha * gamma * sd.
     if seq_level:
         if state is None:
-            rank_seq = _rank(teacher, 1, _softmax(s, w.tau_sd) if exact
-                             else sums[1], k, w.match_mode)
+            rank_seq = _rank(teacher, 1, _softmax_at(
+                s, w.tau_sd, (top, totals[1]), ...,
+                None if probs is gradient else probs) if exact else sums[1],
+                k, w.match_mode)
             teacher2 = teacher.head[1][..., :k]
         else:
             rank_seq, teacher2 = state.rank_seq, state.teacher_seq
@@ -471,9 +475,10 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
                 plan=plan, tau_sl=w.tau_sl, tau_sd=w.tau_sd,
                 teacher=teacher1, teacher_seq=teacher2,
                 teacher_logits=(_kept_logits(teacher.logits, rank, rank_seq)
-                                if returned else None),
-                student_seq=pair2.student if returned else None,
-                sd=_sd(cost, plan) if returned else None)
+                                if returned else None))
+            if returned:
+                object.__setattr__(state, "student_seq", pair2.student)
+                object.__setattr__(state, "sd", _sd(cost, plan))
         if seq_grad:
             pair2.student[...] *= ot_alpha * w.gamma * _sd_grad(
                 pair2.teacher, pair2.student, state.plan)

@@ -5,8 +5,10 @@ T x V (rows = tokens, columns = vocabulary dimensions), probability matrices
 are row-stochastic of the same shape. The private kernels behind the fused
 loss take (B, T, V) stacks; _softmax_pass walks one in cache-sized blocks,
 checks the logits as it reads them, and returns only what its caller reads
-(a gradient call also has it compute the first temperature's softmax in
-the gradient it returns), each value bit-identical to the dense _softmax.
+(given an array, it also writes the first temperature's softmax there), and
+_softmax_at computes any softmax entry from the pass's row normalizers, bit
+for bit the pass's own. Every softmax here, softmax_rows included, comes
+from these two.
 
 The blocked kernels here and in composite and seq_ot split a call across
 the cores the process may use (_walk), one thread per _THREAD_ENTRIES
@@ -171,7 +173,7 @@ def validate_probs(probs, tol=ROW_SUM_TOL):
     if arr.ndim != 2:
         raise InvalidInput(f"expected a 2-D probability matrix, got ndim={arr.ndim}")
     lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    if not _finite_range(lo, hi):
         raise InvalidInput("probability matrix contains non-finite entries")
     if lo < 0.0 or hi > 1.0:
         raise InvalidInput("probability entries must lie in [0, 1]")
@@ -187,25 +189,21 @@ def softmax_rows(logits, temperature=1.0):
     Returns a row-stochastic matrix of the same shape; each output row is
     exp(z / temperature) normalized to sum 1.
     """
-    arr = validate_logits(logits)
-    return _softmax(arr, _check_temperature(float(temperature)))
-
-
-def _softmax(arr, tau):
-    # Rows lie along the last axis, so a (B, T, V) stack of logit matrices
-    # works as well. Callers have validated arr and tau.
-    out = _shifted_exp(arr, arr.max(axis=-1, keepdims=True), tau)
-    out /= out.sum(axis=-1, keepdims=True)
+    arr = _logit_matrix(logits)
+    tau = _check_temperature(float(temperature))
+    out = np.empty(arr.shape)
+    _softmax_pass(arr[None], (tau,), out=out[None])
     return out
 
 
-def _shifted_exp(z, top, tau):
-    # exp((z - top) / tau), the numerator of every softmax entry here. The
-    # max is subtracted before dividing by tau, so the quotient cannot
-    # overflow to inf; entries far below the max may saturate to -inf, whose
-    # exp is the correct 0. Dividing by 1 is exact, so it is skipped.
+def _shifted_exp(z, top, tau, out=None):
+    # exp((z - top) / tau), the numerator of every softmax entry here, in
+    # out if given. The max is subtracted before dividing by tau, so the
+    # quotient cannot overflow to inf; entries far below the max may
+    # saturate to -inf, whose exp is the correct 0. Dividing by 1 is exact,
+    # so it is skipped.
     with np.errstate(over="ignore"):
-        out = np.subtract(z, top)
+        out = np.subtract(z, top, out=out)
         if tau != 1.0:
             out /= tau
     return np.exp(out, out=out)
@@ -289,13 +287,14 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
 
     Each row's max and its difference from it are taken once; at each
     temperature the pass computes exp((z - max) / tau) and its row sum as
-    _softmax does, in a block buffer, then emits only what the caller asks
+    _shifted_exp does, in a block buffer, then emits only what the caller asks
     for: each sequence's column sums when sums, and the per-row argmax at
     taus[0] when argmax. The pass writes no B x T x V array of its own.
     Given out, a (B, T, V) array, it computes the softmax at taus[0] there
     instead of in a buffer, dividing each row by its sum while the block is
-    in cache, and leaves it for the backward (composite._softmax_backward)
-    to finish.
+    in cache: softmax_rows returns it, exact matching and the padded-sort
+    teacher read it whole, and in a gradient call the backward
+    (composite._softmax_backward) finishes it in place.
 
     A large pass runs on several threads (_parts, _walk), each on blocks of
     its share of the block budget in its share of the buffers, so the
@@ -303,7 +302,8 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     capped so that each share holds a row. Column sums add each sequence's
     rows in order, as numpy reduces that axis: a block adds its rows once
     the block before it in the sequence has added its own or raised, so
-    every output equals the dense softmax's bit for bit.
+    every output is the same bit for bit at any blocking and thread count
+    (the tests hold it to a dense softmax, their refimpl._softmax).
 
     Returns (top, totals, colsums, best): the (B, T, 1) row maxima, one
     (B, T, 1) array of row sums per temperature ((top, totals[i]) are the
@@ -366,15 +366,17 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     return top, totals, colsums, best
 
 
-def _softmax_at(arr, tau, normalizers, index):
-    """The entries _softmax(arr, tau) has at index, from the normalizers
-    (top, total) of _softmax_pass.
+def _softmax_at(arr, tau, normalizers, index, out=None):
+    """The entries the softmax of arr at tau has at index, from the
+    normalizers (top, total) of _softmax_pass, bit for bit the pass's own;
+    written into out if given.
 
     index picks entries of a (B, T, V) stack row by row (the last axis
-    last), as preprocess._last_axis builds it.
+    last), as preprocess._last_axis builds it; or it is a block of
+    _blocks, with the normalizers cut to it, or ... for every entry.
     """
     top, total = normalizers
-    out = _shifted_exp(arr[index], top, tau)
+    out = _shifted_exp(arr[index], top, tau, out)
     out /= total
     return out
 

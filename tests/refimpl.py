@@ -89,3 +89,18 @@ def sd_grad_by_comparison(t, s, plan, block_entries):
         signs -= np.less(s_all, t_rows)
         grad += np.einsum("bij,bijl->bjl", plan[:, rows], signs)
     return grad
+
+
+def _softmax(arr, tau):
+    """The dense temperature softmax along the last axis of a logit matrix
+    or (B, T, V) stack: exp((z - max) / tau), then each row divided by its
+    sum. otdistill computes every softmax entry in blocks
+    (core._softmax_pass, core._softmax_at); the tests hold those to this,
+    bit for bit."""
+    with np.errstate(over="ignore"):
+        out = np.subtract(arr, arr.max(axis=-1, keepdims=True))
+        if tau != 1.0:
+            out /= tau
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out

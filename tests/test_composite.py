@@ -5,14 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otdistill import (EXACT_ASSIGNMENT, SUM_SORT, InvalidConfig, InvalidInput,
-                       LossWeights, SinkhornConfig, build_state, ce_loss,
-                       check_gradient, finite_diff_grad, softmax_rows,
-                       total_grad, total_loss, total_loss_frozen)
+from otdistill import (EXACT_ASSIGNMENT, SUM_SORT, AlignedPair, InvalidConfig,
+                       InvalidInput, LossWeights, SinkhornConfig, build_state,
+                       ce_loss, check_gradient, finite_diff_grad, sd_loss,
+                       seq_cost_matrix, softmax_rows, total_grad, total_loss,
+                       total_loss_frozen)
 from otdistill import cli, composite, core, fileio
 from otdistill.composite import _pseudo_labels
-from otdistill.core import _BLOCK_ENTRIES, _softmax
+from otdistill.core import _BLOCK_ENTRIES
 from otdistill.preprocess import RankSelection, _descending_stable
+from refimpl import _softmax
 
 SMALL = LossWeights(k=4, sinkhorn=SinkhornConfig(0.5, 20))
 
@@ -296,9 +298,27 @@ class TestStoredSequenceLoss:
         with monkeypatch.context() as patched:
             patched.setattr(composite, "_cost", no_cost)
             stored = total_loss_frozen(state, t, s, w)
-        through_cost = total_loss_frozen(
-            replace(state, student_seq=None, sd=None), t, s, w)
+        through_cost = total_loss_frozen(replace(state), t, s, w)
         assert self.components(stored) == self.components(through_cost)
+
+    @pytest.mark.parametrize("name", ["plan", "teacher_seq"])
+    def test_a_copy_with_another_plan_or_teacher_computes_its_loss(
+            self, costs, name):
+        # dataclasses.replace drops the stored loss, which was the build
+        # plan's against the build teacher.
+        t, s = random_pair(38, 16, self.M, self.N)
+        state = build_state(t, s)
+        other = build_state(*random_pair(41, 16, self.M, self.N))
+        copy = replace(state, **{name: getattr(other, name)})
+        assert copy.student_seq is None and copy.sd is None
+        sd = total_loss_frozen(copy, t, s).sd
+        assert len(costs) == 3
+        kept = softmax_rows(s, state.tau_sd)[
+            :, state.rank_seq.student_perm[:state.rank_seq.k]]
+        fresh = sd_loss(seq_cost_matrix(
+            AlignedPair(teacher=copy.teacher_seq, student=kept)), copy.plan)
+        assert sd == pytest.approx(fresh, rel=1e-12)
+        assert sd != pytest.approx(state.sd, rel=1e-3)
 
     def test_another_student_computes_the_cost_once(self, costs):
         t, s = random_pair(39, self.TOKENS, self.M, self.N)
@@ -382,13 +402,14 @@ class TestFoldedFinitenessCheck:
 
 
 class TestSoftmaxAccounting:
-    """Blocked softmax passes, streamed backwards and dense softmaxes per
+    """Blocked softmax passes, streamed backwards and whole softmaxes per
     public call.
 
     The teacher (m = 8 columns) and the student (n = 6) are told apart by
     their width. A pass is recorded with its temperature count and a
-    backward with its level count; neither takes a buffer to write a
-    softmax into, so only a dense softmax would write one whole.
+    backward with its level count. composite has no dense softmax: every
+    entry comes from a pass or from its row normalizers (_softmax_at), and
+    only exact matching reads one of those whole.
     """
 
     @pytest.fixture
@@ -407,8 +428,6 @@ class TestSoftmaxAccounting:
 
         monkeypatch.setattr(composite, "_softmax_pass",
                             counted("pass", composite._softmax_pass, 0))
-        monkeypatch.setattr(composite, "_softmax",
-                            counted("dense", composite._softmax))
         monkeypatch.setattr(composite, "_softmax_backward",
                             counted("backward", composite._softmax_backward, 1))
         return calls
@@ -430,6 +449,47 @@ class TestSoftmaxAccounting:
         total_grad(t, s, w=SMALL)
         assert calls == [("pass", "teacher", 2), ("pass", "student", 2),
                          ("backward", "student", 2)]
+
+
+    @pytest.mark.parametrize("name", ["build_state", "total_loss",
+                                      "total_grad"])
+    def test_exact_matching_computes_one_whole_softmax(self, calls,
+                                                        monkeypatch, name):
+        # The student pass leaves its tau_sl softmax in an array it is
+        # given, and the tau_sd one is computed whole from its normalizers.
+        # Blocks of one student row keep the backward's recompute of it
+        # below whole size.
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 6)
+        at = composite._softmax_at
+
+        def whole(arr, *args, **kwargs):
+            probs = at(arr, *args, **kwargs)
+            if probs.size == arr.size:
+                calls.append(("whole", "teacher" if arr.shape[-1] == 8
+                              else "student"))
+            return probs
+
+        monkeypatch.setattr(composite, "_softmax_at", whole)
+        assert not hasattr(composite, "_softmax")
+        t, s = random_pair(35, m=8, n=6)
+        w = replace(SMALL, match_mode=EXACT_ASSIGNMENT)
+        {"build_state": lambda: build_state(t, s, w=w),
+         "total_loss": lambda: total_loss(t, s, w=w),
+         "total_grad": lambda: total_grad(t, s, w=w)}[name]()
+        assert calls == [("pass", "teacher", 2), ("pass", "student", 2),
+                         ("whole", "student")] + (
+            [("backward", "student", 2)] if name == "total_grad" else [])
+
+    def test_the_padded_sort_teacher_sorts_its_pass(self, calls):
+        # Against a student of 10 columns, the teacher's rows are padded
+        # with two zeros before they are sorted.
+        t, _ = random_pair(35, m=8, n=6)
+        teacher = composite._teacher(t[None], 10, SMALL, argmax=False,
+                                     dense=True)
+        assert calls == [("pass", "teacher", 2)]
+        dense = np.pad(_softmax(t, SMALL.tau_sl), ((0, 0), (0, 2)))
+        np.testing.assert_array_equal(teacher.dense[0],
+                                      np.sort(dense, axis=-1)[:, ::-1])
 
 
 class TestPeakMemory:

@@ -34,8 +34,9 @@ from otdistill import (CE_ONLY, EXACT_ASSIGNMENT, MULTILEVEL_OT, SUM_SORT, ULD,
                        total_grad, total_loss, total_loss_frozen)
 from otdistill import core
 from otdistill.composite import _forward, _softmax_backward
-from otdistill.core import _softmax, _softmax_at, _softmax_pass, softmax_backward
+from otdistill.core import _softmax_at, _softmax_pass, softmax_backward
 from otdistill.preprocess import _last_axis
+from refimpl import _softmax
 
 LOSS_RTOL = 1e-12
 GRAD_RTOL = 1e-10

@@ -1,6 +1,7 @@
 """The package's public names: a deletion must not drop one, since the
-tests and demos import them. What importing the package loads, and no
-module importing a name it never reads."""
+tests and demos import them. What importing the package loads, no module
+importing a name it never reads, and no private module-level name that
+nothing in the package reads."""
 
 import ast
 import os
@@ -66,3 +67,33 @@ def test_no_module_imports_a_name_it_never_reads():
                                 for a in node.names)
                    if name not in read]
     assert unused == []
+
+
+def test_every_private_module_level_name_is_read():
+    # A private function, class or constant that no module of the package
+    # reads, as a name or as an attribute, is dead code, even if a test
+    # reads it; importing it is not a read.
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in
+             sorted(Path(otdistill.__file__).parent.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                continue
+            unread += [f"{module}:{node.lineno} {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    assert unread == []
