@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import fileio
-from .composite import LossWeights, total_loss
+from .composite import COMPONENTS, LossWeights, total_loss
 from .errors import (InvalidConfig, InvalidInput, NumericalFailure,
                      NumericalUnderflow, TooLargeForExact)
 from .fileio import ParseError
@@ -82,10 +82,7 @@ def _cmd_loss(args):
     w = _weights_from(overrides)
 
     breakdown = total_loss(teacher, student, labels, w)
-    fields = {
-        "ce": breakdown.ce, "had": breakdown.had, "sl": breakdown.sl,
-        "sd": breakdown.sd, "total": breakdown.total, "k_eff": breakdown.k_eff,
-    }
+    fields = {name: getattr(breakdown, name) for name in COMPONENTS + ("k_eff",)}
     if args.json:
         print(json.dumps(fields))
     else:
@@ -165,7 +162,7 @@ def build_parser():
     p = sub.add_parser("distill", help="run the toy distillation harness")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=list(MODES), default="multilevel_ot")
+    p.add_argument("--mode", choices=list(MODES), default=DistillConfig.mode)
     p.set_defaults(func=_cmd_distill)
     return parser
 

@@ -46,14 +46,13 @@ import numpy as np
 
 from .core import (PROB_FLOOR, _blocks, _check_temperature, _floor_log,
                    _is_count, _logit_matrix, _parts, _softmax_at,
-                   _softmax_pass, _walk, safe_log, validate_logits,
-                   validate_probs)
+                   _softmax_pass, _walk, validate_logits, validate_probs)
 from .errors import InvalidConfig, InvalidInput
-from .preprocess import (EXACT_ASSIGNMENT, SUM_SORT, AlignedPair,
-                         RankSelection, _descending_stable,
-                         _head_width, _last_axis, _match, _width)
+from .preprocess import (EXACT_ASSIGNMENT, SUM_SORT, RankSelection,
+                         _descending_stable, _head_width, _last_axis, _match,
+                         _width)
 from .seq_ot import SinkhornConfig, _cost, _plan, _sd, _sd_grad
-from .token_ot import _sl_loss, _uld_grad, _uld_sorted, had_loss
+from .token_ot import _had_loss, _sl_loss, _uld_grad, _uld_sorted
 
 # Objectives the fused pass can differentiate: the full objective, the
 # cross-entropy alone, and the cross-entropy plus alpha times the padded-sort
@@ -110,6 +109,9 @@ class LossBreakdown:
         return self.rank.k
 
 
+COMPONENTS = tuple(f.name for f in fields(LossBreakdown) if f.type is float)
+
+
 @dataclass(frozen=True)
 class PipelineState:
     """Frozen alignment selections, Sinkhorn plan, labels and teacher.
@@ -156,7 +158,7 @@ def ce_loss(student_probs, labels):
     probs = validate_probs(student_probs)
     labels = _validate_labels(labels, probs.shape[0], probs.shape[1])
     rows = np.arange(probs.shape[0])
-    value = -float(safe_log(probs[rows, labels]).sum())
+    value = -float(_floor_log(probs[rows, labels]).sum())
     grad = probs.copy()
     grad[rows, labels] -= 1.0
     return value, grad
@@ -170,12 +172,11 @@ def _validate_labels(labels, length, vocab):
         )
     labels = labels[:length]
     if labels.dtype.kind not in "iu" and not (
-            labels.dtype.kind == "f" and np.isfinite(labels).all()
-            and (labels == np.round(labels)).all()):
+            labels.dtype.kind == "f" and (labels == np.round(labels)).all()):
         raise InvalidInput("labels must be integers")
-    # Compared in their own dtype: a float past the int range would not
-    # cast.
-    if labels.min() < 0 or labels.max() >= vocab:
+    # Compared in their own dtype (a float past the int range, inf too,
+    # would not cast); the initial values let zero labels pass.
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= vocab:
         raise InvalidInput(f"label out of range [0, {vocab})")
     return labels.astype(int)
 
@@ -422,9 +423,8 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
         p_label = _softmax_at(s, w.tau_sl, (top, totals[0]), at_label)
     if need_loss or ot_alpha > 0:
         cols1 = _last_axis(s.shape, rank.student_perm[:, None, :rank.k])
-        pair1 = AlignedPair(teacher=teacher1, student=_softmax_at(
-            s, w.tau_sl, (top, totals[0]), cols1))
-        had, sl = had_loss(pair1), _sl_loss(pair1)
+        student1 = _softmax_at(s, w.tau_sl, (top, totals[0]), cols1)
+        had, sl = _had_loss(teacher1, student1), _sl_loss(teacher1, student1)
     # Each level's upstream gradient is kept only as the sparse products
     # p * g that the one backward at the end reads. A softmax entry p read
     # by nothing else after its gradient g is overwritten with p * g.
@@ -436,8 +436,8 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
                             where=p_label > PROB_FLOOR)
         terms = [(at_label, p_label * g_label)]
         if ot_alpha > 0:
-            pair1.student[...] *= ot_alpha * (had.grad + w.beta * sl.grad)
-            terms.append((cols1, pair1.student))
+            student1 *= ot_alpha * (had.grad + w.beta * sl.grad)
+            terms.append((cols1, student1))
         if grad == ULD:
             # The padded-sort baseline reads every column of both softmaxes;
             # the pass left the student's at tau_sl in the gradient.
@@ -458,14 +458,13 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
         else:
             rank_seq, teacher2 = state.rank_seq, state.teacher_seq
         cols2 = _last_axis(s.shape, rank_seq.student_perm[:, None, :rank_seq.k])
-        pair2 = AlignedPair(teacher=teacher2, student=_softmax_at(
-            s, w.tau_sd, (top, totals[1]), cols2))
+        student2 = _softmax_at(s, w.tau_sd, (top, totals[1]), cols2)
         # The cost is a function of the kept probabilities at tau_sd alone,
         # so at a state's own student its stored sd is the loss's.
         sd = (state.sd if need_loss and state is not None
               and state.sd is not None
-              and np.array_equal(state.student_seq, pair2.student) else None)
-        cost = (_cost(pair2.teacher, pair2.student)
+              and np.array_equal(state.student_seq, student2) else None)
+        cost = (_cost(teacher2, student2)
                 if state is None or (need_loss and sd is None) else None)
         if state is None:
             returned = not need_loss and grad is None
@@ -477,12 +476,12 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
                 teacher_logits=(_kept_logits(teacher.logits, rank, rank_seq)
                                 if returned else None))
             if returned:
-                object.__setattr__(state, "student_seq", pair2.student)
+                object.__setattr__(state, "student_seq", student2)
                 object.__setattr__(state, "sd", _sd(cost, plan))
         if seq_grad:
-            pair2.student[...] *= ot_alpha * w.gamma * _sd_grad(
-                pair2.teacher, pair2.student, state.plan)
-            levels.append((w.tau_sd, totals[1], [(cols2, pair2.student)]))
+            student2 *= ot_alpha * w.gamma * _sd_grad(teacher2, student2,
+                                                      state.plan)
+            levels.append((w.tau_sd, totals[1], [(cols2, student2)]))
 
     if grad is not None:
         gradient = _softmax_backward(s, top, levels, gradient)

@@ -2,13 +2,14 @@
 
 All functions are pure and operate on plain numpy arrays: logit matrices are
 T x V (rows = tokens, columns = vocabulary dimensions), probability matrices
-are row-stochastic of the same shape. The private kernels behind the fused
-loss take (B, T, V) stacks; _softmax_pass walks one in cache-sized blocks,
-checks the logits as it reads them, and returns only what its caller reads
-(given an array, it also writes the first temperature's softmax there), and
-_softmax_at computes any softmax entry from the pass's row normalizers, bit
-for bit the pass's own. Every softmax here, softmax_rows included, comes
-from these two.
+are row-stochastic of the same shape. _matrix coerces and checks every
+public array argument of the package, and the private kernels trust it.
+Those behind the fused loss take (B, T, V) stacks; _softmax_pass walks one
+in cache-sized blocks, checks the logits as it reads them, and returns only
+what its caller reads (given an array, it also writes the first
+temperature's softmax there), and _softmax_at computes any softmax entry
+from the pass's row normalizers, bit for bit the pass's own. Every softmax
+here, softmax_rows included, comes from these two.
 
 The blocked kernels here and in composite and seq_ot split a call across
 the cores the process may use (_walk), one thread per _THREAD_ENTRIES
@@ -139,9 +140,7 @@ def validate_logits(logits):
 def _logit_matrix(logits):
     # validate_logits without the finiteness check, for logits that a
     # blocked pass (_softmax_pass) checks as it reads them.
-    arr = np.asarray(logits, dtype=float)
-    if arr.ndim != 2:
-        raise InvalidInput(f"expected a 2-D logit matrix, got ndim={arr.ndim}")
+    arr = _matrix(logits, "logit matrix")
     if arr.shape[0] < 1 or arr.shape[1] < 2:
         raise InvalidInput(f"logit matrix must be at least 1x2, got {arr.shape}")
     return arr
@@ -151,6 +150,20 @@ def _finite_range(lo, hi):
     # min and max propagate nan and expose +-inf, so checking them covers
     # every entry without a boolean temporary of the matrix's size.
     return np.isfinite(lo) and np.isfinite(hi)
+
+
+def _matrix(x, what, finite=False, ndim=2):
+    # x as float64; InvalidInput naming `what` unless it is an array of
+    # numbers with ndim dimensions (any for None) and, if finite, no nan/inf.
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{what} is not an array of numbers: {exc}") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise InvalidInput(f"expected a {ndim}-D {what}, got ndim={arr.ndim}")
+    if finite and not _finite_range(arr.min(initial=0.0), arr.max(initial=0.0)):
+        raise InvalidInput(f"{what} contains non-finite entries")
+    return arr
 
 
 def _check_finite(arr):
@@ -167,11 +180,12 @@ def _check_finite(arr):
 def validate_probs(probs, tol=ROW_SUM_TOL):
     """Coerce to a float matrix and enforce row-stochasticity.
 
-    Every entry must lie in [0, 1] and every row must sum to 1 within `tol`.
+    Requires at least one row; every entry must lie in [0, 1] and every row
+    must sum to 1 within `tol`.
     """
-    arr = np.asarray(probs, dtype=float)
-    if arr.ndim != 2:
-        raise InvalidInput(f"expected a 2-D probability matrix, got ndim={arr.ndim}")
+    arr = _matrix(probs, "probability matrix")
+    if arr.shape[0] < 1:
+        raise InvalidInput(f"probability matrix must have a row, got {arr.shape}")
     lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
     if not _finite_range(lo, hi):
         raise InvalidInput("probability matrix contains non-finite entries")
@@ -385,9 +399,13 @@ def softmax_backward(probs, grad_probs, temperature=1.0):
     """Jacobian-vector product of a row softmax at the given temperature.
 
     Maps a gradient w.r.t. the probabilities to a gradient w.r.t. the raw
-    logits they came from.
+    logits they came from. Both must be finite matrices of one shape.
     """
     tau = _check_temperature(float(temperature))
+    probs = _matrix(probs, "probability matrix", finite=True)
+    grad_probs = _matrix(grad_probs, "gradient", finite=True)
+    if grad_probs.shape != probs.shape:
+        raise InvalidInput(f"shape mismatch: {probs.shape} vs {grad_probs.shape}")
     inner = (grad_probs * probs).sum(axis=1, keepdims=True)
     return probs * (grad_probs - inner) / tau
 
@@ -400,8 +418,9 @@ def safe_log(p, floor=PROB_FLOOR):
     """
     if not 0.0 < floor < 1.0:
         raise InvalidConfig(f"floor must lie in (0, 1), got {floor}")
-    arr = np.asarray(p, dtype=float)
-    if not np.isfinite(arr).all() or arr.min(initial=0.0) < 0.0 or arr.max(initial=0.0) > 1.0:
+    arr = _matrix(p, "probability array", ndim=None)
+    lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
+    if not _finite_range(lo, hi) or lo < 0.0 or hi > 1.0:
         raise InvalidInput("probabilities must lie in [0, 1]")
     out = _floor_log(arr, floor)
     return float(out) if np.isscalar(p) or arr.ndim == 0 else out

@@ -10,6 +10,7 @@ round-trip exactly.
 import json
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -168,11 +169,9 @@ def load_keyvalue_config(path):
 
 
 def metrics_csv_text(metrics):
-    """Render harness run metrics with the fixed header row."""
-    lines = ["step,ce,had,sl,sd,total,eval_sd"]
-    for i in range(len(metrics.step)):
-        lines.append(",".join([str(int(metrics.step[i]))] + [
-            _fmt(v[i]) for v in (metrics.ce, metrics.had, metrics.sl,
-                                 metrics.sd, metrics.total, metrics.eval_sd)
-        ]))
+    """Render harness run metrics as CSV, one column per field, in order."""
+    names = [f.name for f in fields(metrics)]
+    lines = [",".join(names)]
+    for step, *row in zip(*(getattr(metrics, name) for name in names)):
+        lines.append(",".join([str(int(step))] + [_fmt(v) for v in row]))
     return "\n".join(lines) + "\n"

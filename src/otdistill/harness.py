@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .composite import (CE_ONLY, MULTILEVEL_OT, ULD, LossWeights, _forward,
-                        _teacher)
+from .composite import (CE_ONLY, COMPONENTS, MULTILEVEL_OT, ULD, LossWeights,
+                        _forward, _teacher)
 from .core import _is_count, validate_logits
 from .errors import InvalidConfig, NumericalFailure
 from .fileio import metrics_csv_text, write_text_atomic
@@ -162,7 +162,7 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
     # Checked once here; each step's pass checks the student blocks it
     # reads, so a step that drives them past the float range raises there.
     validate_logits(W)
-    records = {name: [] for name in ("ce", "had", "sl", "sd", "total", "eval_sd")}
+    records = {name: [] for name in COMPONENTS + ("eval_sd",)}
     for step in range(cfg.steps):
         # One fused pass: every block's state, breakdown and the mode's
         # gradient from the same softmaxes.
@@ -173,7 +173,7 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
             exc = NumericalFailure(f"non-finite loss at step {step}")
             exc.metrics = _metrics(records)
             raise exc
-        for name in ("ce", "had", "sl", "sd", "total"):
+        for name in COMPONENTS:
             records[name].append(_block_mean(getattr(breakdown, name)))
         # The metric of the evaluation blocks, also trained, is the
         # sequence loss at a freshly built plan, which is what the fused

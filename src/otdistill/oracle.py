@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _matrix
 from .errors import InvalidInput, NumericalFailure, TooLargeForExact
 from .preprocess import ASSIGNMENT_LIMIT
 
@@ -44,11 +45,9 @@ def exact_ot(C, method=BRUTE_FORCE) -> ExactOTResult:
     is unique. Raises InvalidInput for a non-finite cost and
     NumericalFailure when the optimal value overflows.
     """
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
+    C = _matrix(C, "cost matrix", finite=True)
+    if C.shape[0] != C.shape[1]:
         raise InvalidInput(f"cost matrix must be square, got shape {C.shape}")
-    if not np.isfinite(C).all():
-        raise InvalidInput("cost matrix contains non-finite entries")
     n = C.shape[0]
     if method == BRUTE_FORCE:
         if n > BRUTE_FORCE_LIMIT:
@@ -89,12 +88,11 @@ def finite_diff_grad(loss, x, h=1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function of a matrix.
 
     Perturbs one entry at a time by +-h and evaluates (f(x+h) - f(x-h)) / 2h.
+    Raises InvalidInput for a nan or +-inf entry of x.
     """
-    x = np.asarray(x, dtype=float)
+    x = _matrix(x, "x", finite=True, ndim=None)
     grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
+    for idx in np.ndindex(x.shape):
         plus = x.copy()
         plus[idx] += h
         minus = x.copy()
@@ -118,14 +116,14 @@ class GradientReport:
 
 def check_gradient(analytic, numeric, rel_tol=1e-4, abs_tol=1e-8) -> GradientReport:
     """Entrywise comparison: pass iff |a - n| <= abs_tol + rel_tol * max(|a|, |n|)."""
-    a = np.asarray(analytic, dtype=float)
-    n = np.asarray(numeric, dtype=float)
+    a, n = (_matrix(x, "gradient", ndim=None) for x in (analytic, numeric))
     if a.shape != n.shape:
         raise InvalidInput(f"shape mismatch: {a.shape} vs {n.shape}")
-    abs_err = np.abs(a - n)
-    scale = np.maximum(np.abs(a), np.abs(n))
-    passed = bool(np.all(abs_err <= abs_tol + rel_tol * scale))
+    # A nan, or infinities that agree, fail the check without a warning.
     with np.errstate(divide="ignore", invalid="ignore"):
+        abs_err = np.abs(a - n)
+        scale = np.maximum(np.abs(a), np.abs(n))
+        passed = bool(np.all(abs_err <= abs_tol + rel_tol * scale))
         rel = np.where(scale > 0, abs_err / scale, 0.0)
     return GradientReport(
         max_abs_err=float(abs_err.max(initial=0.0)),

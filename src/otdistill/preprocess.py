@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import _is_count, validate_probs
+from .core import _is_count, _matrix, validate_probs
 from .errors import InvalidInput, TooLargeForExact
 
 SUM_SORT = "sum_sort"
@@ -48,17 +48,20 @@ class RankSelection:
 class AlignedPair:
     """Aligned, truncated teacher/student probability matrices of shape T x k.
 
-    Student rows need not sum to 1 after truncation.
+    Student rows need not sum to 1 after truncation; (B, T, k) stacks of
+    pairs are allowed. Both must be finite and of one shape, at least 2-D.
     """
 
     teacher: np.ndarray
     student: np.ndarray
 
     def __post_init__(self):
-        if self.teacher.shape != self.student.shape:
-            raise InvalidInput(
-                f"aligned pair shapes differ: {self.teacher.shape} vs {self.student.shape}"
-            )
+        for name in ("teacher", "student"):
+            object.__setattr__(self, name, _matrix(
+                getattr(self, name), "aligned pair", finite=True, ndim=None))
+        if self.teacher.ndim < 2 or self.teacher.shape != self.student.shape:
+            raise InvalidInput("aligned pair must be matrices of one shape, got "
+                               f"{self.teacher.shape} vs {self.student.shape}")
 
 
 def _descending_stable(values):
@@ -67,8 +70,8 @@ def _descending_stable(values):
     # _SIMD_SORT_MIN entries take numpy's default sort, SIMD where the CPU
     # has it: a row whose sorted values strictly increase has no ties and no
     # nan, so its permutation is the only sorted one, the stable one, and
-    # any other row is sorted again stably.
-    neg = -np.asarray(values, dtype=float)
+    # any other row is sorted again stably. values are floats.
+    neg = -values
     if neg.shape[-1] < _SIMD_SORT_MIN:
         return np.argsort(neg, axis=-1, kind="stable")
     order = np.argsort(neg, axis=-1)
@@ -106,11 +109,11 @@ def match_student(t_sr, s, mode=SUM_SORT):
 
 
 def _same_rows(t, s):
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if t.ndim != 2 or s.ndim != 2 or t.shape[0] != s.shape[0]:
-        raise InvalidInput("teacher and student must be matrices with the same "
-                           f"number of rows, got {t.shape} and {s.shape}")
+    t = _matrix(t, "teacher matrix", finite=True)
+    s = _matrix(s, "student matrix", finite=True)
+    if t.shape[0] != s.shape[0]:
+        raise InvalidInput("teacher and student must have the same number of "
+                           f"rows, got {t.shape} and {s.shape}")
     return t, s
 
 
@@ -155,12 +158,15 @@ def alignment_cost(t_sr, s, student_perm):
     """Total L1 mismatch between ranked teacher columns and permuted student columns.
 
     Compares the first min(m, n) columns of each, the quantity the exact
-    matcher minimizes.
+    matcher minimizes. student_perm must be a permutation of range(n).
     """
-    t_sr = np.asarray(t_sr, dtype=float)
-    s_perm = np.asarray(s, dtype=float)[:, np.asarray(student_perm)]
-    r = min(t_sr.shape[1], s_perm.shape[1])
-    return float(np.abs(t_sr[:, :r] - s_perm[:, :r]).sum())
+    t_sr, s = _same_rows(t_sr, s)
+    perm, n = np.asarray(student_perm), s.shape[1]
+    if (perm.shape != (n,) or perm.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(perm), np.arange(n))):
+        raise InvalidInput(f"student_perm must be a permutation of range({n})")
+    r = min(t_sr.shape[1], n)
+    return float(np.abs(t_sr[:, :r] - s[:, perm[:r]]).sum())
 
 
 def _width(k, m, n):
@@ -175,8 +181,7 @@ def truncate_topk(t_sr, s_sr, k):
     k is clamped rather than rejected; the effective width is the shared
     column count of the returned pair.
     """
-    t_sr = np.asarray(t_sr, dtype=float)
-    s_sr = np.asarray(s_sr, dtype=float)
+    t_sr, s_sr = _same_rows(t_sr, s_sr)
     k_eff = _width(k, t_sr.shape[1], s_sr.shape[1])
     return AlignedPair(teacher=t_sr[:, :k_eff], student=s_sr[:, :k_eff])
 

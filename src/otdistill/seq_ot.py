@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import (_BLOCK_ENTRIES, _blocks, _finite_range, _is_count,
-                   _parts, _slices, _walk)
+from .core import (_BLOCK_ENTRIES, _blocks, _is_count, _matrix, _parts,
+                   _slices, _walk)
 from .errors import (InvalidConfig, InvalidInput, NumericalFailure,
                      NumericalUnderflow)
 from .preprocess import AlignedPair
@@ -84,24 +84,11 @@ class SinkhornConfig:
                                 f"[1, {MAX_ITERATIONS}], got {n}")
 
 
-def _validate_cost(C):
-    C = np.asarray(C, dtype=float)
-    if C.ndim not in (2, 3) or C.shape[-1] != C.shape[-2]:
-        raise InvalidInput("cost must be a square matrix or a stack of them, "
-                           f"got shape {C.shape}")
-    if C.size == 0:
-        raise InvalidInput(f"cost matrix is empty, got shape {C.shape}")
-    lo, hi = C.min(), C.max()
-    if not _finite_range(lo, hi):
-        raise InvalidInput("cost matrix contains non-finite entries")
-    if lo < 0.0:
-        raise InvalidInput("cost matrix entries must be nonnegative")
-    return C
-
-
 def seq_cost_matrix(pair: AlignedPair) -> np.ndarray:
-    """T x T matrix of L1 distances between teacher row i and student row j."""
-    return _cost(pair.teacher[None], pair.student[None])[0]
+    """T x T matrix of L1 distances between teacher row i and student row j
+    of a T x k pair (InvalidInput for a stack of pairs)."""
+    t, s = (_matrix(x, "aligned pair") for x in (pair.teacher, pair.student))
+    return _cost(t[None], s[None])[0]
 
 
 def _cost(t, s):
@@ -135,9 +122,18 @@ def sinkhorn_plan(C, cfg: SinkhornConfig = SinkhornConfig()) -> np.ndarray:
     NumericalUnderflow if a row or column of the kernel sums to zero, at the
     start or once a sweep's scaled products round to zero, or to less than
     1 / float max (regularization too small for the cost scale; rescale C
-    or raise it).
+    or raise it), and InvalidInput unless C is finite, nonnegative and
+    nonempty.
     """
-    return _plan(_validate_cost(C), cfg)
+    C = _matrix(C, "cost matrix", finite=True, ndim=None)
+    if C.ndim not in (2, 3) or C.shape[-1] != C.shape[-2]:
+        raise InvalidInput("cost must be a square matrix or a stack of them, "
+                           f"got shape {C.shape}")
+    if C.size == 0:
+        raise InvalidInput(f"cost matrix is empty, got shape {C.shape}")
+    if C.min() < 0.0:
+        raise InvalidInput("cost matrix entries must be nonnegative")
+    return _plan(C, cfg)
 
 
 def _plan(C, cfg):
@@ -211,17 +207,14 @@ def _kernel(C, regularization, out=None):
 def sd_loss(C, plan) -> float:
     """Frobenius inner product of the transport plan and the cost matrix.
 
-    Raises InvalidInput for a nan or +-inf entry in either, and
-    NumericalFailure when the value of finite terms is not finite, as when
-    they sum past the float range.
+    Raises InvalidInput unless both are finite T x T matrices of one shape,
+    and NumericalFailure when the value of finite terms is not finite, as
+    when they sum past the float range.
     """
-    C = np.asarray(C, dtype=float)
-    plan = np.asarray(plan, dtype=float)
-    if C.ndim != 2 or C.shape != plan.shape:
+    C = _matrix(C, "cost matrix", finite=True)
+    plan = _matrix(plan, "plan", finite=True)
+    if C.shape != plan.shape:
         raise InvalidInput(f"shape mismatch: cost {C.shape} vs plan {plan.shape}")
-    if not all(_finite_range(x.min(initial=0.0), x.max(initial=0.0))
-               for x in (C, plan)):
-        raise InvalidInput("cost or plan contains non-finite entries")
     with np.errstate(over="ignore"):
         value = float(_sd(C[None], plan[None])[0])
     if not np.isfinite(value):
@@ -240,21 +233,15 @@ def sd_grad(pair: AlignedPair, plan) -> np.ndarray:
     """Gradient of sd_loss w.r.t. the student matrix, plan held fixed.
 
     d<P, C>/d student[j, l] = sum_i P[i, j] * sign(student[j, l] - teacher[i, l])
-    with sign(0) = 0. Raises InvalidInput for non-finite teacher or student
-    entries, whose signs are undefined, and for a nan or +-inf in the plan,
-    as sd_loss does.
+    with sign(0) = 0. Raises InvalidInput for a stack of pairs and unless
+    the plan is a finite T x T matrix, as sd_loss requires (an AlignedPair
+    is finite, so its signs are defined).
     """
-    plan = np.asarray(plan, dtype=float)
-    tokens = pair.teacher.shape[0]
-    if plan.shape != (tokens, pair.student.shape[0]):
-        raise InvalidInput(
-            f"plan shape {plan.shape} does not match pair with {tokens} tokens"
-        )
-    if not _finite_range(plan.min(initial=0.0), plan.max(initial=0.0)):
-        raise InvalidInput("plan contains non-finite entries")
-    t, s = (np.asarray(x, dtype=float) for x in (pair.teacher, pair.student))
-    if not (np.isfinite(t).all() and np.isfinite(s).all()):
-        raise InvalidInput("aligned pair contains non-finite entries")
+    t, s = (_matrix(x, "aligned pair") for x in (pair.teacher, pair.student))
+    plan = _matrix(plan, "plan", finite=True)
+    if plan.shape != (t.shape[0], s.shape[0]):
+        raise InvalidInput(f"plan shape {plan.shape} does not match pair "
+                           f"with {t.shape[0]} tokens")
     # A difference of finite values past the float range is an infinity of
     # the right sign.
     with np.errstate(over="ignore"):
@@ -304,8 +291,6 @@ def _sd_grad(t, s, plan):
     step = max(1, min(tokens, _BLOCK_ENTRIES // max(1, s.size)))
     if step < tokens:
         t, s = _ranks(t, s)
-    else:
-        t, s = (np.asarray(x, dtype=float) for x in (t, s))
     s_all = np.ascontiguousarray(s.transpose(0, 2, 1))[:, None]  # (B, 1, k, T)
     t_all = t[..., None]  # (B, T, k, 1)
     batch, width = t.shape[0], s_all.shape[2]

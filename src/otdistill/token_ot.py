@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PROB_FLOOR, _floor_log, safe_log
+from .core import PROB_FLOOR, _floor_log, _matrix, safe_log
 from .errors import InvalidInput
-from .preprocess import AlignedPair
+from .preprocess import AlignedPair, _descending_stable, _same_rows
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,12 @@ def had_loss(pair: AlignedPair) -> TokenLossGrad:
     value = sum |teacher - student|; gradient entry = sign(student - teacher)
     with sign(0) = 0.
     """
-    diff = pair.student - pair.teacher
+    return _had_loss(pair.teacher, pair.student)
+
+
+def _had_loss(t, s):
+    # had_loss on arrays the fused pass keeps outside any AlignedPair.
+    diff = s - t
     return TokenLossGrad(value=_per_pair(np.abs(diff)), grad=np.sign(diff))
 
 
@@ -41,15 +46,15 @@ def sl_loss(pair: AlignedPair, floor=PROB_FLOOR) -> TokenLossGrad:
     """Teacher-weighted negative log of aligned student probabilities.
 
     value = -sum teacher * log(max(student, floor)); gradient entry is
-    -teacher / max(student, floor).
+    -teacher / max(student, floor). Raises InvalidInput for student
+    entries outside [0, 1].
     """
-    return _sl_loss(pair, floor, log=safe_log)
+    return _sl_loss(pair.teacher, pair.student, floor, log=safe_log)
 
 
-def _sl_loss(pair, floor=PROB_FLOOR, log=_floor_log):
+def _sl_loss(t, s, floor=PROB_FLOOR, log=_floor_log):
     # sl_loss; the fused pass skips safe_log's checks on the probabilities
     # it has just computed.
-    t, s = pair.teacher, pair.student
     value = -_per_pair(t * log(s, floor=floor))
     grad = -t / np.maximum(s, floor)
     return TokenLossGrad(value=value, grad=grad)
@@ -69,15 +74,9 @@ def uld_loss(t, s) -> float:
     token row of both matrices descending independently, and sums the
     elementwise absolute differences. Equals the exact transport cost of the
     padded absolute-difference cost matrix under unit row/column sums.
+    Both must be finite matrices with the same number of rows.
     """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if t.ndim != 2 or s.ndim != 2:
-        raise InvalidInput("expected 2-D probability matrices")
-    if t.shape[0] != s.shape[0]:
-        raise InvalidInput(
-            f"token counts differ: {t.shape[0]} vs {s.shape[0]}"
-        )
+    t, s = _same_rows(t, s)
     return float(np.abs(_uld_sorted(t, s.shape[1])
                         - _uld_sorted(s, t.shape[1])).sum())
 
@@ -91,10 +90,9 @@ def uld_grad(t, s) -> np.ndarray:
     back through the student's sort order. Rows lie along the last axis, so
     (B, T, m) and (B, T, n) stacks give one gradient per pair.
     """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if t.shape[:-1] != s.shape[:-1]:
-        raise InvalidInput("token counts differ")
+    t, s = (_matrix(x, "probability array", True, None) for x in (t, s))
+    if 0 in (t.ndim, s.ndim) or t.shape[:-1] != s.shape[:-1]:
+        raise InvalidInput(f"token counts differ: {t.shape} vs {s.shape}")
     return _uld_grad(_uld_sorted(t, s.shape[-1]), s)
 
 
@@ -111,7 +109,7 @@ def _uld_grad(t_sorted, s):
     # The student's half of uld_grad, given the teacher's from _uld_sorted.
     # Column j of the stable descending order is the student entry at sorted
     # position j; ties keep ascending column order.
-    order = np.argsort(-s, axis=-1, kind="stable")
+    order = _descending_stable(s)
     s_sorted = np.take_along_axis(s, order, axis=-1)
     signs = np.sign(s_sorted - t_sorted[..., : s.shape[-1]])
     grad = np.empty_like(s)

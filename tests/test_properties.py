@@ -15,6 +15,11 @@
   at each.
 - Any logit scale from 1e-3 to 1e300 gives finite outputs or an error of a
   type the CLI maps to a documented exit code.
+- No raw numpy error escapes the public API: every function that takes
+  arrays, given one that is 0-D, 1-D, 3-D, without rows, ragged, holding
+  nan or inf, or of another shape than its partner (or, for
+  alignment_cost, a student_perm that is no permutation), returns or
+  raises an error the CLI maps to exit code 3.
 
 Shapes cover m != n, T = 1, a vocabulary of 2, k above the vocabulary and
 exact ties at the rank cut, under both match modes.
@@ -27,11 +32,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import otdistill as od
 from otdistill import (CE_ONLY, EXACT_ASSIGNMENT, MULTILEVEL_OT, SUM_SORT, ULD,
-                       DistillConfig, InvalidConfig, InvalidInput, LossWeights,
-                       NumericalFailure, NumericalUnderflow, SinkhornConfig,
-                       TooLargeForExact, build_state, run_distillation,
-                       total_grad, total_loss, total_loss_frozen)
+                       AlignedPair, DistillConfig, InvalidConfig, InvalidInput,
+                       LossWeights, NumericalFailure, NumericalUnderflow,
+                       SinkhornConfig, TooLargeForExact, build_state,
+                       run_distillation, total_grad, total_loss,
+                       total_loss_frozen)
 from otdistill import core
 from otdistill.composite import _forward, _softmax_backward
 from otdistill.core import _softmax_at, _softmax_pass, softmax_backward
@@ -325,3 +332,115 @@ def test_harness_at_any_teacher_scale_is_finite_or_typed(scale, mode):
         return
     for name in COMPONENTS + ("eval_sd",):
         assert np.isfinite(getattr(metrics, name)).all()
+
+
+# Every public function that takes arrays, as (function, valid arrays): the
+# escape sweep below spoils one array at a time, or all of them at once.
+_rng = np.random.default_rng(0)
+_T_LOGITS, _S_LOGITS = _rng.normal(size=(3, 4)), _rng.normal(size=(3, 5))
+_T, _S = od.softmax_rows(_T_LOGITS), od.softmax_rows(_S_LOGITS)
+_COST = np.abs(_rng.normal(size=(3, 3)))
+_PLAN = od.sinkhorn_plan(_COST)
+_STATE = build_state(_T_LOGITS, _S_LOGITS)
+
+
+def _pair(loss):
+    # A function of an aligned pair, given its matrices; sd_grad gets a
+    # plan as long as the teacher, so only the pair can be at fault.
+    return lambda t, s: loss(AlignedPair(t, s))
+
+
+API = {
+    "validate_logits": (od.validate_logits, _T_LOGITS),
+    "validate_probs": (od.validate_probs, _T),
+    "softmax_rows": (od.softmax_rows, _T_LOGITS),
+    "softmax_backward": (od.softmax_backward, _T, _T),
+    "safe_log": (od.safe_log, _T),
+    "ce_loss": (lambda p: od.ce_loss(p, [0, 1, 2]), _T),
+    "build_state": (od.build_state, _T_LOGITS, _S_LOGITS),
+    "total_loss": (od.total_loss, _T_LOGITS, _S_LOGITS),
+    "total_grad": (od.total_grad, _T_LOGITS, _S_LOGITS),
+    "total_loss_frozen": (lambda t, s: od.total_loss_frozen(_STATE, t, s),
+                          _T_LOGITS, _S_LOGITS),
+    "sequence_rank_teacher": (od.sequence_rank_teacher, _T),
+    "match_student": (od.match_student, _T, _S),
+    "match_student_exact": (
+        lambda t, s: od.match_student(t, s, EXACT_ASSIGNMENT), _T, _S),
+    "align_and_truncate": (lambda t, s: od.align_and_truncate(t, s, 2), _T, _S),
+    "align_and_truncate_exact": (
+        lambda t, s: od.align_and_truncate(t, s, 2, EXACT_ASSIGNMENT), _T, _S),
+    "alignment_cost": (lambda t, s: od.alignment_cost(t, s, np.arange(5)),
+                       _T, _S),
+    "truncate_topk": (lambda t, s: od.truncate_topk(t, s, 2), _T, _S),
+    "had_loss": (_pair(od.had_loss), _T, _T),
+    "sl_loss": (_pair(od.sl_loss), _T, _T),
+    "seq_cost_matrix": (_pair(od.seq_cost_matrix), _T, _T),
+    "sd_grad": (_pair(lambda p: od.sd_grad(p, np.full(p.teacher.shape[:1] * 2,
+                                                      0.5))), _T, _T),
+    "sd_grad_plan": (lambda plan: od.sd_grad(AlignedPair(_T, _T), plan), _PLAN),
+    "uld_loss": (od.uld_loss, _T, _S),
+    "uld_grad": (od.uld_grad, _T, _S),
+    "sinkhorn_plan": (od.sinkhorn_plan, _COST),
+    "sd_loss": (od.sd_loss, _COST, _PLAN),
+    "exact_ot": (od.exact_ot, _COST),
+    "exact_ot_assignment": (lambda c: od.exact_ot(c, od.ASSIGNMENT), _COST),
+    "check_gradient": (od.check_gradient, _T, _T),
+    "finite_diff_grad": (lambda x: od.finite_diff_grad(np.sum, x), _T),
+}
+
+
+def _spoiled(x):
+    nan, inf = x.copy(), x.copy()
+    nan.flat[0], inf.flat[-1] = np.nan, np.inf
+    return {"0-D": x[0, 0], "1-D": x[0], "3-D": np.stack([x, x]),
+            "zero-row": x[:0], "nan": nan, "inf": inf,
+            "ragged": [list(x[0]), list(x[1, :-1])]}
+
+
+def _faulty_calls(name):
+    fn, *good = API[name]
+    calls = []
+    for i, x in enumerate(good):
+        for fault, bad in _spoiled(x).items():
+            calls.append((f"arg {i} {fault}", good[:i] + [bad] + good[i + 1:]))
+            if len(good) == 2 and i == 0:
+                calls.append((f"both {fault}", [bad, _spoiled(good[1])[fault]]))
+    if len(good) == 2:
+        t, s = good
+        calls += [("fewer rows", [t, s[:2]]),
+                  ("more columns", [t, np.hstack([s, s])])]
+    return [(label, fn, args) for label, args in calls]
+
+
+def _escapes(calls):
+    # The calls that raised anything but an error `otdistill` exits 3 on.
+    escaped = []
+    for label, fn, args in calls:
+        try:
+            fn(*args)
+        except (InvalidInput, InvalidConfig, TooLargeForExact):
+            pass
+        except Exception as exc:  # any other error escapes
+            escaped.append(f"{label}: {type(exc).__name__}: {exc}")
+    return escaped
+
+
+@pytest.mark.parametrize("name", sorted(API))
+def test_no_raw_error_escapes(name):
+    assert _escapes(_faulty_calls(name)) == []
+
+
+@pytest.mark.parametrize("perm", [[0, 1, 2, 3, 9], [0, 0, 1, 2, 3], [0, 1],
+                                  [0.0, 1.0, 2.0, 3.0, 4.0], [[0, 1, 2, 3, 4]],
+                                  7])
+def test_alignment_cost_rejects_a_non_permutation(perm):
+    with pytest.raises(InvalidInput, match="permutation"):
+        od.alignment_cost(_T, _S, np.asarray(perm))
+
+
+@pytest.mark.parametrize("cost", [np.zeros((0, 0)), np.zeros((0, 3))])
+def test_empty_costs_return_or_exit_3(cost):
+    calls = [("sinkhorn_plan", od.sinkhorn_plan, [cost]),
+             ("exact_ot", od.exact_ot, [cost]),
+             ("sd_loss", od.sd_loss, [cost, cost])]
+    assert _escapes(calls) == []

@@ -1,7 +1,8 @@
 """The package's public names: a deletion must not drop one, since the
 tests and demos import them. What importing the package loads, no module
-importing a name it never reads, and no private module-level name that
-nothing in the package reads."""
+importing a name it never reads, no private module-level name that
+nothing in the package reads, and no float coercion outside core and
+fileio."""
 
 import ast
 import os
@@ -97,3 +98,22 @@ def test_every_private_module_level_name_is_read():
                        if name.startswith("_") and not name.startswith("__")
                        and name not in read]
     assert unread == []
+
+
+def test_only_core_and_fileio_coerce_to_float():
+    # Every public array argument goes through core._matrix; fileio parses
+    # files into arrays. A float coercion anywhere else is a second copy of
+    # the array contract.
+    found = []
+    for path in sorted(Path(otdistill.__file__).parent.glob("*.py")):
+        if path.name in ("core.py", "fileio.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("asarray", "array")
+                    and any(kw.arg == "dtype" and ast.unparse(kw.value) in
+                            ("float", "np.float64", "np.double")
+                            for kw in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

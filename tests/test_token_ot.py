@@ -127,14 +127,17 @@ class TestUldLoss:
         numeric = finite_diff_grad(lambda x: uld_loss(t, x), s)
         assert check_gradient(analytic, numeric).passed
 
-    # rows wider than 16 columns, where an unstable argsort reorders ties
-    @pytest.mark.parametrize("m, n", [(4, 4), (6, 4), (3, 5), (40, 33), (20, 48)])
+    # rows wider than 16 columns, where an unstable argsort reorders ties,
+    # and rows of at least 2048, which the SIMD sort ranks unless they tie
+    @pytest.mark.parametrize("m, n", [(4, 4), (6, 4), (3, 5), (40, 33), (20, 48),
+                                      (30, 2048), (3000, 2500)])
     def test_grad_equals_per_row_loop_with_ties(self, m, n):
         rng = np.random.default_rng(m * 10 + n)
         # values drawn from a small set, so rows hold exact ties of both
-        # matrices and ties between them
+        # matrices and ties between them; the student's first row has none
         t = rng.integers(0, 3, (5, m)) / 4.0
         s = rng.integers(0, 3, (5, n)) / 4.0
+        s[0] = rng.permutation(n) / n
         t_sorted = -np.sort(-np.pad(t, ((0, 0), (0, max(m, n) - m))), axis=1)
         expected = np.zeros_like(s)
         for row in range(s.shape[0]):
