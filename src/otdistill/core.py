@@ -9,7 +9,10 @@ in cache-sized blocks, checks the logits as it reads them, and returns only
 what its caller reads (given an array, it also writes the first
 temperature's softmax there), and _softmax_at computes any softmax entry
 from the pass's row normalizers, bit for bit the pass's own. Every softmax
-here, softmax_rows included, comes from these two.
+here, softmax_rows included, comes from these two. Kept columns are read
+with take along the last axis (_gather) and added to through flat indices
+(composite._softmax_backward) where numpy's generic fancy indexing is
+slower.
 
 The blocked kernels here and in composite and seq_ot split a call across
 the cores the process may use (_walk), one thread per _THREAD_ENTRIES
@@ -17,8 +20,14 @@ entries the call touches: each thread takes whole rows, whole columns or
 whole blocks along one axis (column sums pass between blocks in order),
 so no sum is split between threads and every output is the same bit for
 bit at any thread count. Only the process's CPU affinity mask caps it.
+The threads run at once only while numpy has released the GIL: its
+reductions, ufuncs, einsum, take and scipy's cdist do at the sizes that
+split, a matmul only when the call writes more than 500 entries, so
+Sinkhorn stacks the row products of its blocks (seq_ot._plan).
 """
 
+import math
+import numbers
 import os
 import threading
 
@@ -49,14 +58,26 @@ _BLOCK_ENTRIES = 1 << 18
 # gradient) and 2^17.5 (the cost); above 2^17.5 every kernel gains. A
 # Sinkhorn plan splits only across its fixed blocks of 2^18 kernel entries
 # (seq_ot._PLAN_ENTRIES), so below two blocks it stays serial whatever
-# this floor; two blocks gain ~25% ((2, 512, 512): 3.1 -> 2.4 ms), while
-# blocks of 2^16 or 2^17 entries, which would thread T = 362 to 512, lose
-# there (T = 512: 1.4 -> 2.4 and 1.8 ms).
+# this floor. Serial against two threads (median of 21): two blocks of
+# whole sequences gain ~25% ((2, 512, 512): 2.2 -> 1.6 ms); T = 1024 and
+# 2048, whose 4 and 16 blocks stack into 2 and 4 walk items, gain 1.65x
+# (4.5 -> 2.7 ms, 29 -> 17.5 ms; 4.3 -> 3.5 ms and 28 -> 20 ms when each
+# block's row products held the GIL). Blocks of 2^16 or 2^17 entries
+# would not thread T = 512: its 4 or 2 runs of rows stack into one item.
 # The floor per thread also bounds numpy's per-call scratch (~130 kB per
 # thread for a broadcast subtraction) by the work of the call, not by the
 # core count. The harness's steps at its default shapes
 # (4 x 8 x 20 logits) stay far below, on the calling thread alone.
 _THREAD_ENTRIES = 1 << 16
+
+# Rows from which a block that continues its sequence's column sums adds
+# its rows in one sum (_softmax_pass) rather than one by one. The one sum
+# also copies a row into the sums, so it gains only where it saves enough
+# calls: the pass at two temperatures on two threads (2 vCPU, numpy 2.4,
+# median of 40) takes 7.07 against 6.86 ms at 4 rows of 32768 per block,
+# 3.89 against 3.92 ms at 8 of 16384, 1.73 against 1.82 ms at 16 of 8192,
+# and 1.30 against 1.95 ms at 170 of 768.
+_SUM_ROWS = 8
 
 # The executor behind _walk, of (usable cores - 1) threads: made by the
 # first call that goes parallel, never at import, and dropped in a forked
@@ -118,11 +139,22 @@ def _is_count(value, least=1):
         return False
 
 
-def _check_temperature(tau, name="temperature"):
-    # The one temperature rule; the error names the value's field.
-    if not np.isfinite(tau) or tau <= 0.0:
-        raise InvalidConfig(f"{name} must be finite and positive, got {tau}")
-    return tau
+def _check_number(value, name, least=0.0, strict=True):
+    """The one rule for a scalar argument or setting: value as a float if it
+    is a finite real number above least (at least least if not strict; any
+    for least=None), else InvalidConfig naming its field. A string, None,
+    nan and +-inf are never numbers here."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.nan
+    if not math.isfinite(x) or least is not None and (
+            x <= least if strict else x < least):
+        bound = ("" if least is None
+                 else f" {'>' if strict else '>='} {least:g}")
+        raise InvalidConfig(f"{name} must be a finite number{bound}, "
+                            f"got {value!r}")
+    return x
 
 
 def validate_logits(logits):
@@ -183,6 +215,7 @@ def validate_probs(probs, tol=ROW_SUM_TOL):
     Requires at least one row; every entry must lie in [0, 1] and every row
     must sum to 1 within `tol`.
     """
+    tol = _check_number(tol, "tol", strict=False)
     arr = _matrix(probs, "probability matrix")
     if arr.shape[0] < 1:
         raise InvalidInput(f"probability matrix must have a row, got {arr.shape}")
@@ -204,7 +237,7 @@ def softmax_rows(logits, temperature=1.0):
     exp(z / temperature) normalized to sum 1.
     """
     arr = _logit_matrix(logits)
-    tau = _check_temperature(float(temperature))
+    tau = _check_number(temperature, "temperature")
     out = np.empty(arr.shape)
     _softmax_pass(arr[None], (tau,), out=out[None])
     return out
@@ -315,9 +348,12 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     buffers take no more memory than on one thread; the thread count is
     capped so that each share holds a row. Column sums add each sequence's
     rows in order, as numpy reduces that axis: a block adds its rows once
-    the block before it in the sequence has added its own or raised, so
-    every output is the same bit for bit at any blocking and thread count
-    (the tests hold it to a dense softmax, their refimpl._softmax).
+    the block before it in the sequence has added its own or raised (a
+    block of at least _SUM_ROWS rows in one sum, after adding the running
+    sums into its first row, and restoring that row from a copy when it is
+    out's), so every output is the same bit for bit at any blocking and
+    thread count (the tests hold it to a dense softmax, their
+    refimpl._softmax).
 
     Returns (top, totals, colsums, best): the (B, T, 1) row maxima, one
     (B, T, 1) array of row sums per temperature ((top, totals[i]) are the
@@ -363,12 +399,29 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
             if sums:
                 with turn:
                     turn.wait_for(lambda: added[items.start] >= span.start)
-                for acc, e in zip(colsums, exps):
+                # A later block of a sequence adds its rows to the running
+                # sums in order, ((acc + r0) + r1) + ...: one by one when it
+                # has fewer than _SUM_ROWS, else in one sum after adding
+                # acc into its first row. The buffers' levels go first:
+                # out's first row, which must come back as it was, then
+                # waits in a spent buffer's first row.
+                for i in reversed(range(len(exps))):
+                    e, acc = exps[i], colsums[i][items]
                     if span.start == 0:
-                        e.sum(axis=-2, out=acc[items])
-                    else:
+                        e.sum(axis=-2, out=acc)
+                    elif e.shape[1] < _SUM_ROWS:
                         for row in e[0]:
-                            acc[items.start] += row
+                            acc[0] += row
+                    else:
+                        keep = i == 0 and out is not None
+                        if keep:
+                            kept = (exps[-1][0, 0] if len(exps) > 1
+                                    else np.empty(e.shape[-1]))
+                            kept[...] = e[0, 0]
+                        e[0, 0] += acc[0]
+                        e.sum(axis=-2, out=acc)
+                        if keep:
+                            e[0, 0] = kept
         finally:
             # Handed off even when the block raised (maybe before earlier
             # blocks, hence max), so that no block waits forever.
@@ -386,13 +439,34 @@ def _softmax_at(arr, tau, normalizers, index, out=None):
     written into out if given.
 
     index picks entries of a (B, T, V) stack row by row (the last axis
-    last), as preprocess._last_axis builds it; or it is a block of
-    _blocks, with the normalizers cut to it, or ... for every entry.
+    last), as preprocess._last_axis builds it, and those are computed in
+    the array _gather reads them into unless out is given; or it is a
+    block of _blocks, with the normalizers cut to it, or ... for every
+    entry.
     """
     top, total = normalizers
-    out = _shifted_exp(arr[index], top, tau, out)
+    if index is ... or isinstance(index[0], slice):
+        z = arr[index]
+    else:
+        z = _gather(arr, index)
+        out = z if out is None else out
+    out = _shifted_exp(z, top, tau, out)
     out /= total
     return out
+
+
+def _gather(arr, index):
+    """arr[index], a new array, for a preprocess._last_axis index into a
+    (B, T, V) stack. Columns that every row reads, index[2] of shape
+    (1, 1, c) or (c,) (a ranking's at B = 1), are read from a C-ordered
+    stack with one take along the last axis: 3 times faster than numpy's
+    generic fancy indexing at (1, 1024, 768) and 50 columns. Other indices
+    (per item or per row) and layouts, which take would copy whole, are
+    indexed; at the harness's (4, 8, 15) a take per item saves nothing."""
+    cols = index[2]
+    if arr.flags.c_contiguous and cols.size == cols.shape[-1]:
+        return arr.take(cols.reshape(-1), axis=-1)
+    return arr[index]
 
 
 def softmax_backward(probs, grad_probs, temperature=1.0):
@@ -401,7 +475,7 @@ def softmax_backward(probs, grad_probs, temperature=1.0):
     Maps a gradient w.r.t. the probabilities to a gradient w.r.t. the raw
     logits they came from. Both must be finite matrices of one shape.
     """
-    tau = _check_temperature(float(temperature))
+    tau = _check_number(temperature, "temperature")
     probs = _matrix(probs, "probability matrix", finite=True)
     grad_probs = _matrix(grad_probs, "gradient", finite=True)
     if grad_probs.shape != probs.shape:
@@ -416,7 +490,7 @@ def safe_log(p, floor=PROB_FLOOR):
     Returns ln(max(p, floor)); monotone nondecreasing in p. Inputs outside
     [0, 1] raise InvalidInput.
     """
-    if not 0.0 < floor < 1.0:
+    if _check_number(floor, "floor") >= 1.0:
         raise InvalidConfig(f"floor must lie in (0, 1), got {floor}")
     arr = _matrix(p, "probability array", ndim=None)
     lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .composite import (CE_ONLY, COMPONENTS, MULTILEVEL_OT, ULD, LossWeights,
                         _forward, _teacher)
-from .core import _is_count, validate_logits
+from .core import _check_number, _is_count, validate_logits
 from .errors import InvalidConfig, NumericalFailure
 from .fileio import metrics_csv_text, write_text_atomic
 
@@ -50,10 +50,8 @@ class DistillConfig:
                 raise InvalidConfig(f"{name} must be an integer >= {least}, "
                                     f"got {value!r}")
             object.__setattr__(self, name, int(value))
-        if not np.isfinite(self.lr) or self.lr < 0:
-            raise InvalidConfig(f"lr must be finite and nonnegative, got {self.lr}")
-        if not np.isfinite(self.sharpness):
-            raise InvalidConfig(f"sharpness must be finite, got {self.sharpness}")
+        _check_number(self.lr, "lr", strict=False)
+        _check_number(self.sharpness, "sharpness", least=None)
         if self.mode not in MODES:
             raise InvalidConfig(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.contexts < 2 * self.tokens:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _matrix
+from .core import _check_number, _matrix
 from .errors import InvalidInput, NumericalFailure, TooLargeForExact
 from .preprocess import ASSIGNMENT_LIMIT
 
@@ -90,6 +90,7 @@ def finite_diff_grad(loss, x, h=1e-6) -> np.ndarray:
     Perturbs one entry at a time by +-h and evaluates (f(x+h) - f(x-h)) / 2h.
     Raises InvalidInput for a nan or +-inf entry of x.
     """
+    h = _check_number(h, "h")
     x = _matrix(x, "x", finite=True, ndim=None)
     grad = np.zeros_like(x)
     for idx in np.ndindex(x.shape):
@@ -116,6 +117,8 @@ class GradientReport:
 
 def check_gradient(analytic, numeric, rel_tol=1e-4, abs_tol=1e-8) -> GradientReport:
     """Entrywise comparison: pass iff |a - n| <= abs_tol + rel_tol * max(|a|, |n|)."""
+    rel_tol = _check_number(rel_tol, "rel_tol", strict=False)
+    abs_tol = _check_number(abs_tol, "abs_tol", strict=False)
     a, n = (_matrix(x, "gradient", ndim=None) for x in (analytic, numeric))
     if a.shape != n.shape:
         raise InvalidInput(f"shape mismatch: {a.shape} vs {n.shape}")

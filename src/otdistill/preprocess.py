@@ -205,6 +205,8 @@ def align_and_truncate(t, s, k, mode=SUM_SORT):
 
 def _last_axis(shape, cols):
     """Index tuple picking cols[b, t] from row t of item b of a (B, T, V)
-    array, for reading or writing; cols is (B, T, c) or broadcasts to it."""
+    array, for reading or writing; cols is (B, T, c) or broadcasts to it.
+    core._gather and composite's backward may read and write a C-ordered
+    array at such an index from cols, the third entry, alone."""
     return (np.arange(shape[0])[:, None, None], np.arange(shape[1])[:, None],
             cols)

@@ -28,15 +28,17 @@ gradient is the same bit for bit.
 Sinkhorn keeps its one kernel stack K fixed and iterates two scaling
 vectors, u = 1 / (K v) and v = 1 / (K^T u), reading K in fixed blocks of
 at most _PLAN_ENTRIES entries (2^18), each block's two matrix-vector
-products while it is in cache; it writes the plan diag(u) K diag(v) over
-K at the end. The sequence loss reduces the plan and the cost per
-sequence without a T x T product temporary.
+products while it is in cache, with consecutive blocks of a sequence
+stacked into one matmul call so that numpy releases the GIL around it;
+it writes the plan diag(u) K diag(v) into a C-ordered array at the end.
+The sequence loss reduces the plan and the cost per sequence without a
+T x T product temporary.
 
 A kernel call runs on one thread per core._THREAD_ENTRIES entries it
 touches, at most one per usable core, each thread on whole rows or whole
 columns (core._walk), so no sum is split between threads: the cost
-splits each cdist call's teacher rows, Sinkhorn each sweep's blocks of
-rows (one dispatch per sweep; the calling thread adds the blocks' shares
+splits each cdist call's teacher rows, Sinkhorn each sweep's stacks of
+blocks (one dispatch per sweep; the calling thread adds the blocks' shares
 of K^T u in block order), and the gradient and the ranks their k axis.
 The threads share the one block buffer, so memory stays as above.
 """
@@ -46,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import (_BLOCK_ENTRIES, _blocks, _is_count, _matrix, _parts,
-                   _slices, _walk)
+from .core import (_BLOCK_ENTRIES, _blocks, _check_number, _is_count,
+                   _matrix, _parts, _slices, _walk)
 from .errors import (InvalidConfig, InvalidInput, NumericalFailure,
                      NumericalUnderflow)
 from .preprocess import AlignedPair
@@ -59,6 +61,13 @@ from .preprocess import AlignedPair
 # Entries of the kernel one block of a Sinkhorn plan holds, fixed so that
 # the plan's bytes depend on neither the core count nor core._BLOCK_ENTRIES.
 _PLAN_ENTRIES = 1 << 18
+
+# Entries a matmul call must write for numpy to release the GIL around it
+# (numpy 2.4: a Python thread spinning beside a loop of (500, 1024) @
+# (1024,) products runs at 0.48 of its idle rate, beside (501, 1024) @
+# (1024,) at 0.69 and beside (512, 1024) @ (1024,) at 0.81). Reductions,
+# ufuncs and einsum release it at the sizes the kernels here use.
+_GIL_ENTRIES = 500
 
 # Sweeps a SinkhornConfig allows. Far above the few hundred that near-tied
 # costs need to converge (see the README), and low enough that a mistyped
@@ -74,10 +83,7 @@ class SinkhornConfig:
     iterations: int = 20
 
     def __post_init__(self):
-        if not np.isfinite(self.regularization) or self.regularization <= 0.0:
-            raise InvalidConfig(
-                f"regularization must be positive, got {self.regularization}"
-            )
+        _check_number(self.regularization, "regularization")
         n = self.iterations
         if not _is_count(n) or n > MAX_ITERATIONS:
             raise InvalidConfig(f"iterations must be an integer in "
@@ -138,14 +144,24 @@ def sinkhorn_plan(C, cfg: SinkhornConfig = SinkhornConfig()) -> np.ndarray:
 
 def _plan(C, cfg):
     # sinkhorn_plan on a nonempty cost or stack the caller has validated,
-    # from v = 1. K is walked in fixed blocks of at most _PLAN_ENTRIES entries (whole
-    # sequences, or runs of rows of one), each sweep one dispatch
-    # (core._walk): a block computes its rows of u and its share u_b^T K_b
-    # of K^T u while it is in cache, and the calling thread adds the shares
-    # in block order. The first dispatch also computes its blocks of K, and
-    # the last only writes the plan. The blocks do not depend on the thread
-    # count, so neither do the bytes; a block is also below the size at
-    # which OpenBLAS splits a matrix-vector product across its own threads.
+    # from v = 1. K is walked in fixed blocks of at most _PLAN_ENTRIES
+    # entries (whole sequences, or runs of rows of one), each sweep one
+    # dispatch (core._walk): a block computes its rows of u and its share
+    # u_b^T K_b of K^T u while it is in cache, and the calling thread adds
+    # the shares in block order. The first dispatch also computes its
+    # blocks of K, and the last only writes the plan. The blocks do not
+    # depend on the thread count, so neither do the bytes; a block is also
+    # below the size at which OpenBLAS splits a matrix-vector product
+    # across its own threads.
+    #
+    # numpy releases the GIL around a matmul only when the call writes
+    # more than _GIL_ENTRIES entries, and a run of rows writes one per
+    # row. So a walk item stacks the least number of consecutive runs of
+    # one sequence whose rows exceed it, (runs, rows, T): numpy makes one
+    # BLAS call per run, the same call as for a run alone, and the threads'
+    # row products overlap. Runs left after the last such group stack into
+    # a smaller one, and a sequence's last run, when shorter, is an item of
+    # its own.
     #
     # A zero row or column of K, at the start or once a sweep's scaled
     # products round to zero, makes an entry of u or v infinite (and later
@@ -153,24 +169,40 @@ def _plan(C, cfg):
     # caught after the sweeps: while u and v are finite, so is the plan,
     # and an infinite u or v stays in the iterates to the end.
     iterations = int(cfg.iterations)
-    K = np.empty_like(C)
-    c, k = (x.reshape((-1,) + C.shape[-2:]) for x in (C, K))
+    # C-ordered whatever C's layout, so that the stacks below are views
+    # and the products' bytes do not depend on the layout.
+    K = np.empty(C.shape)
+    c, k = C.reshape((-1,) + C.shape[-2:]), K.reshape((-1,) + C.shape[-2:])
     batch, tokens = k.shape[:2]
     blocks = _blocks(k.shape, budget=_PLAN_ENTRIES)
     step = blocks[0][1].stop
     runs = -(-tokens // step)
     u = np.empty((batch, tokens, 1))
     v = np.ones((batch, 1, tokens))
-    # Blocks of whole sequences write their shares, which are then all of
-    # K^T u, straight into v.
-    shares = v[None] if runs == 1 else np.empty((runs,) + v.shape)
-    views = [(c[items, rows], k[items, rows], u[items, rows], v[items],
-              shares[rows.start // step, items]) for items, rows in blocks]
+    if runs == 1:
+        # Blocks of whole sequences write their shares, which are then all
+        # of K^T u, straight into v.
+        views = [(c[items], k[items], u[items], v[items], v[items])
+                 for items, _ in blocks]
+    else:
+        shares = np.empty((runs,) + v.shape)
+        full, group = tokens // step, _GIL_ENTRIES // step + 1
+        spans = [(r, min(r + group, full)) for r in range(0, full, group)]
+        if full < runs:
+            spans.append((full, runs))
+        views = []
+        for b in range(batch):
+            for first, stop in spans:
+                rows = slice(first * step, min(stop * step, tokens))
+                stack = (stop - first, -1, tokens)
+                views.append((c[b, rows], k[b, rows].reshape(stack),
+                              u[b, rows].reshape(stack[:2] + (1,)),
+                              v[b:b + 1], shares[first:stop, b]))
 
-    def sweep(block, first, last):
-        c_b, k_b, u_b, v_b, share = block
+    def sweep(view, first, last):
+        c_b, k_b, u_b, v_b, share = view
         if first:
-            _kernel(c_b, cfg.regularization, out=k_b)
+            _kernel(c_b, cfg.regularization, out=k_b.reshape(c_b.shape))
         if last:
             k_b *= u_b
             k_b *= v_b
@@ -182,7 +214,7 @@ def _plan(C, cfg):
     parts = _parts(k.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(iterations + 1):
-            _walk(lambda block, part: sweep(block, i == 0, i == iterations),
+            _walk(lambda view, part: sweep(view, i == 0, i == iterations),
                   views, parts)
             if i < iterations:
                 if runs > 1:

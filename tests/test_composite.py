@@ -549,6 +549,61 @@ class TestPeakMemory:
         assert grad_peak < bound, (grad_peak, bound)
 
 
+class TestLogitLayouts:
+    """Fortran-ordered and strided (x[:, ::2]) logits give the bytes that
+    C-ordered copies give, through build_state, total_loss_frozen and
+    total_grad with and without a state, and no call copies a whole logit
+    matrix: each stays within TestPeakMemory's bounds, which a copy of
+    either matrix (8 and 10 MB here) would pass."""
+
+    TOKENS, M, N = TestPeakMemory.TOKENS, TestPeakMemory.M, TestPeakMemory.N
+
+    @staticmethod
+    def laid_out(x, layout):
+        if layout == "fortran":
+            return np.asfortranarray(x)
+        wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+        wide[:, ::2] = x
+        return wide[:, ::2]
+
+    @staticmethod
+    def calls(t, s, w):
+        state = build_state(t, s, w=w)
+        frozen = total_loss_frozen(state, t, s, w)
+        out = [state.labels, state.plan, state.teacher, state.teacher_seq,
+               state.teacher_logits, state.student_seq, state.sd,
+               total_grad(t, s, w=w), total_grad(t, s, w=w, state=state)]
+        for rank in (state.rank, state.rank_seq):
+            out += [rank.teacher_perm, rank.student_perm]
+        return out + [getattr(frozen, name) for name in composite.COMPONENTS]
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_layouts_give_the_bytes_of_c_ordered_copies(self, layout):
+        t, s = random_pair(38, self.TOKENS, 300, 200)
+        w = LossWeights(k=20)
+        laid = [self.laid_out(x, layout) for x in (t, s)]
+        assert not any(x.flags.c_contiguous for x in laid)
+        for a, b in zip(self.calls(*laid, w), self.calls(t, s, w)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_no_call_copies_a_logit_matrix(self, layout):
+        t, s = (self.laid_out(x, layout) for x in
+                random_pair(37, self.TOKENS, self.M, self.N))
+        w = LossWeights()
+        peak = TestPeakMemory().peak
+        small = 2 * _BLOCK_ENTRIES + 8 * self.N + 32 * self.TOKENS * w.k
+        gradient = self.TOKENS * self.N + small
+        state = build_state(t, s, w=w)
+        for call, bound in [
+                (lambda: build_state(t, s, w=w), small),
+                (lambda: total_loss_frozen(state, t, s, w), small),
+                (lambda: total_grad(t, s, w=w, state=state), gradient),
+                (lambda: total_grad(t, s, w=w), gradient)]:
+            used = peak(call)
+            assert used < 8 * bound, (used, 8 * bound)
+
+
 def test_pseudo_labels_invert_the_ranking_on_ties():
     # Rounded logits with copied columns tie the sequence sums, so the
     # stable ranking decides between equal columns.

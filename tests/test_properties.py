@@ -19,7 +19,9 @@
   arrays, given one that is 0-D, 1-D, 3-D, without rows, ragged, holding
   nan or inf, or of another shape than its partner (or, for
   alignment_cost, a student_perm that is no permutation), returns or
-  raises an error the CLI maps to exit code 3.
+  raises an error the CLI maps to exit code 3; and every scalar argument
+  or setting, given a string, None, nan, +-inf or a value out of its
+  range, raises InvalidConfig naming it.
 
 Shapes cover m != n, T = 1, a vocabulary of 2, k above the vocabulary and
 exact ties at the rank cut, under both match modes.
@@ -444,3 +446,56 @@ def test_empty_costs_return_or_exit_3(cost):
              ("exact_ot", od.exact_ot, [cost]),
              ("sd_loss", od.sd_loss, [cost, cost])]
     assert _escapes(calls) == []
+
+
+# Every scalar argument or setting of the public API, as (function of the
+# value, least valid value, whether that value itself is invalid): None
+# where any finite number is valid.
+SCALARS = {
+    "softmax_rows temperature": (
+        lambda v: od.softmax_rows(_T_LOGITS, v), 0.0, True),
+    "softmax_backward temperature": (
+        lambda v: od.softmax_backward(_T, _T, v), 0.0, True),
+    "validate_probs tol": (
+        lambda v: od.validate_probs(np.full((2, 4), 0.25), tol=v), 0.0, False),
+    "safe_log floor": (lambda v: od.safe_log(_T, floor=v), 0.0, True),
+    "finite_diff_grad h": (
+        lambda v: od.finite_diff_grad(np.sum, _T, h=v), 0.0, True),
+    "check_gradient rel_tol": (
+        lambda v: od.check_gradient(_T, _T, rel_tol=v), 0.0, False),
+    "check_gradient abs_tol": (
+        lambda v: od.check_gradient(_T, _T, abs_tol=v), 0.0, False),
+    **{f"LossWeights {name}": (lambda v, name=name: LossWeights(**{name: v}),
+                               0.0, False)
+       for name in ("alpha", "beta", "gamma")},
+    **{f"LossWeights {name}": (lambda v, name=name: LossWeights(**{name: v}),
+                               0.0, True)
+       for name in ("tau_sl", "tau_sd")},
+    "SinkhornConfig regularization": (
+        lambda v: SinkhornConfig(regularization=v), 0.0, True),
+    "DistillConfig lr": (lambda v: DistillConfig(lr=v), 0.0, False),
+    "DistillConfig sharpness": (lambda v: DistillConfig(sharpness=v), None,
+                                False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALARS))
+def test_scalar_arguments_raise_invalid_config_naming_them(name):
+    fn, least, strict = SCALARS[name]
+    field = name.split()[-1]
+    bad = ["0.5", None, np.nan, np.inf, -np.inf, 10**400]
+    if least is not None:
+        bad += [least - 1.0] + [least] * strict
+    wrong = []
+    for value in bad:
+        try:
+            fn(value)
+            wrong.append(f"{value!r}: returned")
+        except InvalidConfig as exc:
+            if field not in str(exc):
+                wrong.append(f"{value!r}: {exc}")
+        except Exception as exc:  # any other error escapes
+            wrong.append(f"{value!r}: {type(exc).__name__}: {exc}")
+    assert wrong == []
+    if least is not None:
+        fn(least if not strict else least + 0.5)

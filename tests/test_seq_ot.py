@@ -10,7 +10,7 @@ from otdistill import (BRUTE_FORCE, AlignedPair, InvalidConfig, InvalidInput,
                        SinkhornConfig, check_gradient, exact_ot,
                        finite_diff_grad, sd_grad, sd_loss, seq_cost_matrix,
                        sinkhorn_plan, total_grad, total_loss)
-from otdistill import composite, seq_ot
+from otdistill import composite, core, seq_ot
 from refimpl import (sd_grad_by_comparison, sinkhorn_by_normalization,
                      sinkhorn_scaling_form, two_by_two_sinkhorn_limit)
 
@@ -198,7 +198,10 @@ class TestSinkhornPlan:
             sinkhorn_plan(CROSS, SinkhornConfig(0.5, 3)),
         )
 
-    @pytest.mark.parametrize("shape", [(2048, 2048), (3, 700, 700)])
+    # (1024, 1024) and (2048, 2048) stack 2 and 4 blocks per call;
+    # (1000, 1000) and each (700, 700) cost end in a shorter block.
+    @pytest.mark.parametrize("shape", [(2048, 2048), (3, 700, 700),
+                                       (1024, 1024), (1000, 1000)])
     def test_products_stay_below_the_blas_threading_size(self, monkeypatch,
                                                          shape):
         # OpenBLAS splits a matrix-vector product across its own threads
@@ -206,16 +209,57 @@ class TestSinkhornPlan:
         # its threads then spin on the cores the package's own threads use.
         # So every product of a plan reads one block of K, at most
         # _PLAN_ENTRIES kernel entries, and a block stays below that size.
+        # numpy makes one BLAS call per item of a stacked matmul, so what
+        # counts is the size of each item's 2-D product.
         read = []
         matmul = np.matmul
 
         def counted(a, b, **kwargs):
-            read.append(max(a.size, b.size))
+            read.append(max(a.shape[-2] * a.shape[-1],
+                            b.shape[-2] * b.shape[-1]))
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", counted)
         sinkhorn_plan(np.random.default_rng(70).random(shape))
         assert read and max(read) <= seq_ot._PLAN_ENTRIES <= 640 * 640
+
+    @pytest.mark.parametrize("tokens", [40, 1024, 1000])
+    def test_any_layout_gives_the_plan_of_a_c_ordered_copy(self, tokens):
+        # The kernel is C-ordered whatever the cost's layout, so the
+        # products, and the plan's bytes, are those of a C-ordered cost.
+        C = np.random.default_rng(72).random((tokens, tokens))
+        wide = np.zeros((tokens, 2 * tokens))
+        wide[:, ::2] = C
+        expected = sinkhorn_plan(C).tobytes()
+        for laid in (np.asfortranarray(C), wide[:, ::2]):
+            assert sinkhorn_plan(laid).tobytes() == expected
+
+    @pytest.mark.parametrize("tokens", [1024, 1000, 2048])
+    def test_row_products_release_the_gil(self, monkeypatch, tokens):
+        # numpy 2.4 releases the GIL around a matmul only when the call
+        # writes more than 500 entries, and a block's product K_b v writes
+        # one per row. So the plan stacks the least number of consecutive
+        # blocks of a sequence whose rows exceed 500 into one call, and
+        # only blocks left after the last such full group (here the
+        # shorter last block at T = 1000 and the block before it) may run
+        # their products holding the GIL.
+        monkeypatch.setattr(core, "_cores", lambda: 2)
+        written = []
+        matmul = np.matmul
+
+        def counted(a, b, out):
+            if out.shape[-1] == 1:  # K_b v, not u_b^T K_b
+                written.append(out.size)
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        cfg = SinkhornConfig()
+        sinkhorn_plan(np.random.default_rng(71).random((tokens, tokens)), cfg)
+        rows = seq_ot._PLAN_ENTRIES // tokens
+        group = rows * (500 // rows + 1)
+        released = sum(n for n in written if n > 500)
+        assert sum(written) == cfg.iterations * tokens
+        assert released >= cfg.iterations * (tokens // group * group)
 
 
 class TestAgainstNormalization:

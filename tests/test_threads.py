@@ -9,7 +9,8 @@ must not).
 
 - build_state, total_loss_frozen, total_grad with and without a state,
   total_loss under both match modes, the sequence kernels and batched
-  harness runs are byte-identical at 1, 2 and 3 threads;
+  harness runs are byte-identical at 1, 2 and 3 threads, and column sums
+  over several blocks are those of one block;
 - a nan in a slice that a worker thread owns raises InvalidInput, and a
   threaded plan that underflows NumericalUnderflow;
 - a nan in any block of a column-sum pass raises without hanging, and
@@ -165,6 +166,46 @@ def test_kernels_keep_their_sums_in_order_at_any_thread_count(threads):
         return out
 
     same_at_every_count(threads, compute, counts=(1, 2, 3, 16))
+
+
+@pytest.mark.parametrize("sum_rows", [1, 10**9])
+@pytest.mark.parametrize("count", THREADS)
+def test_column_sums_over_several_blocks_equal_one_block_sums(cores,
+                                                              monkeypatch,
+                                                              count,
+                                                              sum_rows):
+    # A block after the first of its sequence adds its rows to the running
+    # column sums in order, one by one or (sum_rows=1) in one sum after
+    # adding the sums into its first row. In a gradient call without a
+    # state the tau_sl level's rows are the gradient's, whose first row
+    # must come back as it was. At blocks of 180 entries, shared by the
+    # threads, each sequence of 24 tokens spans 4 to 24 blocks of 1 to 6
+    # rows (at least 2 rows of the student); the reference holds it in one.
+    t, s = pair(72, tokens=2 * TOKENS)
+
+    def compute():
+        out = arrays(total_grad(t, s, w=W), "grad")
+        state = build_state(t, s, w=W)
+        out.update(arrays(state.rank, "rank"))
+        out.update(arrays(state.rank_seq, "rank_seq"))
+        # The pass alone, at both temperatures and at one, whose first row
+        # of out waits in a row of its own.
+        for taus in ((W.tau_sl, W.tau_sd), (W.tau_sd,)):
+            probs = np.empty((1,) + s.shape)
+            sums = _softmax_pass(s[None], taus, sums=True, out=probs)[2]
+            out.update(arrays(probs, f"out at {taus}"))
+            for tau, a in zip(taus, sums):
+                out.update(arrays(a, f"sums at {tau} of {taus}"))
+        return out
+
+    whole = compute()
+    cores(count)
+    monkeypatch.setattr(core, "_SUM_ROWS", sum_rows)
+    monkeypatch.setattr(core, "_THREAD_ENTRIES", 1)
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 6 * N)
+    blocked = compute()
+    assert blocked.keys() == whole.keys()
+    assert [k for k in whole if blocked[k] != whole[k]] == []
 
 
 def test_sequence_kernels_are_the_same_at_every_thread_count(threads):
