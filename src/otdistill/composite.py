@@ -350,8 +350,12 @@ def _softmax_backward(z, top, levels, gradient):
                 # added through their flat indices: 26 against 63 us for
                 # numpy's generic fancy indexing at (1, 256, 768) and 50
                 # columns. probs, a block of the gradient or of the
-                # buffer, is C-ordered, so its flat view writes into it.
-                # The index, as large as x's block, is not kept.
+                # buffer, is C-ordered, so its flat view writes into it;
+                # in another layout reshape would copy and the terms be
+                # lost, so that raises (reshape's copy=False needs numpy
+                # 2.1). The index, as large as x's block, is not kept.
+                if not probs.flags.c_contiguous:
+                    raise RuntimeError("a backward block is not C-ordered")
                 cols = index[2]
                 cols = cols[block] if cols.shape[1] > 1 else cols[block[0]]
                 first = np.arange(0, probs.size, probs.shape[-1])

@@ -70,15 +70,6 @@ _BLOCK_ENTRIES = 1 << 18
 # (4 x 8 x 20 logits) stay far below, on the calling thread alone.
 _THREAD_ENTRIES = 1 << 16
 
-# Rows from which a block that continues its sequence's column sums adds
-# its rows in one sum (_softmax_pass) rather than one by one. The one sum
-# also copies a row into the sums, so it gains only where it saves enough
-# calls: the pass at two temperatures on two threads (2 vCPU, numpy 2.4,
-# median of 40) takes 7.07 against 6.86 ms at 4 rows of 32768 per block,
-# 3.89 against 3.92 ms at 8 of 16384, 1.73 against 1.82 ms at 16 of 8192,
-# and 1.30 against 1.95 ms at 170 of 768.
-_SUM_ROWS = 8
-
 # The executor behind _walk, of (usable cores - 1) threads: made by the
 # first call that goes parallel, never at import, and dropped in a forked
 # child, whose copy of it has no threads (with the lock, which a thread of
@@ -139,13 +130,22 @@ def _is_count(value, least=1):
         return False
 
 
+def _is_real(value):
+    # A real number: a numbers.Real, or a numpy scalar or 0-d array of a
+    # bool, integer or float dtype. Strings, None and Decimals are not: a
+    # Decimal setting would reach numpy's ufuncs as an object.
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.ndim == 0 and value.dtype.kind in "biuf"
+    return isinstance(value, numbers.Real)
+
+
 def _check_number(value, name, least=0.0, strict=True):
     """The one rule for a scalar argument or setting: value as a float if it
-    is a finite real number above least (at least least if not strict; any
-    for least=None), else InvalidConfig naming its field. A string, None,
-    nan and +-inf are never numbers here."""
+    is a finite real number (_is_real) above least (at least least if not
+    strict; any for least=None), else InvalidConfig naming its field. A
+    string, None, a Decimal, nan and +-inf are never numbers here."""
     try:
-        x = float(value) if isinstance(value, numbers.Real) else math.nan
+        x = float(value) if _is_real(value) else math.nan
     except OverflowError:  # an int past the float range
         x = math.nan
     if not math.isfinite(x) or least is not None and (
@@ -348,12 +348,11 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     buffers take no more memory than on one thread; the thread count is
     capped so that each share holds a row. Column sums add each sequence's
     rows in order, as numpy reduces that axis: a block adds its rows once
-    the block before it in the sequence has added its own or raised (a
-    block of at least _SUM_ROWS rows in one sum, after adding the running
-    sums into its first row, and restoring that row from a copy when it is
-    out's), so every output is the same bit for bit at any blocking and
-    thread count (the tests hold it to a dense softmax, their
-    refimpl._softmax).
+    the block before it in the sequence has added its own or raised (in
+    one sum after adding the running sums into its first row, or row by
+    row into out's level, whose rows the caller reads), so every output is
+    the same bit for bit at any blocking and thread count (the tests hold
+    it to a dense softmax, their refimpl._softmax).
 
     Returns (top, totals, colsums, best): the (B, T, 1) row maxima, one
     (B, T, 1) array of row sums per temperature ((top, totals[i]) are the
@@ -400,28 +399,19 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
                 with turn:
                     turn.wait_for(lambda: added[items.start] >= span.start)
                 # A later block of a sequence adds its rows to the running
-                # sums in order, ((acc + r0) + r1) + ...: one by one when it
-                # has fewer than _SUM_ROWS, else in one sum after adding
-                # acc into its first row. The buffers' levels go first:
-                # out's first row, which must come back as it was, then
-                # waits in a spent buffer's first row.
-                for i in reversed(range(len(exps))):
-                    e, acc = exps[i], colsums[i][items]
+                # sums in order, ((acc + r0) + r1) + ...: in one sum after
+                # adding acc into its first row, which is spent, or one by
+                # one into out's level, whose rows the caller reads.
+                for i, e in enumerate(exps):
+                    acc = colsums[i][items]
                     if span.start == 0:
                         e.sum(axis=-2, out=acc)
-                    elif e.shape[1] < _SUM_ROWS:
+                    elif i == 0 and out is not None:
                         for row in e[0]:
                             acc[0] += row
                     else:
-                        keep = i == 0 and out is not None
-                        if keep:
-                            kept = (exps[-1][0, 0] if len(exps) > 1
-                                    else np.empty(e.shape[-1]))
-                            kept[...] = e[0, 0]
                         e[0, 0] += acc[0]
                         e.sum(axis=-2, out=acc)
-                        if keep:
-                            e[0, 0] = kept
         finally:
             # Handed off even when the block raised (maybe before earlier
             # blocks, hence max), so that no block waits forever.

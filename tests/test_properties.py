@@ -28,6 +28,7 @@ exact ties at the rank cut, under both match modes.
 """
 
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -483,7 +484,9 @@ SCALARS = {
 def test_scalar_arguments_raise_invalid_config_naming_them(name):
     fn, least, strict = SCALARS[name]
     field = name.split()[-1]
-    bad = ["0.5", None, np.nan, np.inf, -np.inf, 10**400]
+    # A Decimal or a 1-element array is a number to float(), not here.
+    bad = ["0.5", None, np.nan, np.inf, -np.inf, 10**400, Decimal("0.5"),
+           np.array([0.5]), np.array("0.5")]
     if least is not None:
         bad += [least - 1.0] + [least] * strict
     wrong = []
@@ -497,5 +500,7 @@ def test_scalar_arguments_raise_invalid_config_naming_them(name):
         except Exception as exc:  # any other error escapes
             wrong.append(f"{value!r}: {type(exc).__name__}: {exc}")
     assert wrong == []
-    if least is not None:
-        fn(least if not strict else least + 0.5)
+    # Valid values pass as Python floats, numpy scalars and 0-d arrays.
+    good = 0.5 if least is None else least + 0.5 * strict
+    for value in (good, np.float32(good), np.array(good)):
+        fn(value)

@@ -168,19 +168,17 @@ def test_kernels_keep_their_sums_in_order_at_any_thread_count(threads):
     same_at_every_count(threads, compute, counts=(1, 2, 3, 16))
 
 
-@pytest.mark.parametrize("sum_rows", [1, 10**9])
 @pytest.mark.parametrize("count", THREADS)
 def test_column_sums_over_several_blocks_equal_one_block_sums(cores,
                                                               monkeypatch,
-                                                              count,
-                                                              sum_rows):
+                                                              count):
     # A block after the first of its sequence adds its rows to the running
-    # column sums in order, one by one or (sum_rows=1) in one sum after
-    # adding the sums into its first row. In a gradient call without a
-    # state the tau_sl level's rows are the gradient's, whose first row
-    # must come back as it was. At blocks of 180 entries, shared by the
-    # threads, each sequence of 24 tokens spans 4 to 24 blocks of 1 to 6
-    # rows (at least 2 rows of the student); the reference holds it in one.
+    # column sums in order: in one sum after adding the sums into its
+    # first row, or one by one into out's level. In a gradient call
+    # without a state the tau_sl level's rows are the gradient's. At
+    # blocks of 180 entries, shared by the threads, each sequence of 24
+    # tokens spans 4 to 24 blocks of 1 to 6 rows (at least 2 rows of the
+    # student); the reference holds it in one.
     t, s = pair(72, tokens=2 * TOKENS)
 
     def compute():
@@ -188,8 +186,7 @@ def test_column_sums_over_several_blocks_equal_one_block_sums(cores,
         state = build_state(t, s, w=W)
         out.update(arrays(state.rank, "rank"))
         out.update(arrays(state.rank_seq, "rank_seq"))
-        # The pass alone, at both temperatures and at one, whose first row
-        # of out waits in a row of its own.
+        # The pass alone, at both temperatures and at out's alone.
         for taus in ((W.tau_sl, W.tau_sd), (W.tau_sd,)):
             probs = np.empty((1,) + s.shape)
             sums = _softmax_pass(s[None], taus, sums=True, out=probs)[2]
@@ -200,7 +197,6 @@ def test_column_sums_over_several_blocks_equal_one_block_sums(cores,
 
     whole = compute()
     cores(count)
-    monkeypatch.setattr(core, "_SUM_ROWS", sum_rows)
     monkeypatch.setattr(core, "_THREAD_ENTRIES", 1)
     monkeypatch.setattr(core, "_BLOCK_ENTRIES", 6 * N)
     blocked = compute()
