@@ -4,8 +4,10 @@ total = ce + alpha * (had + beta * sl + gamma * sd)
 
 The token losses (ce, had, sl) use one softmax temperature, the sequence
 loss its own. build_state, total_loss_frozen, total_loss and total_grad are
-thin wrappers that check the logits' shapes and call one fused pass
-(_forward). It walks each logit matrix once, in cache-sized blocks of rows,
+thin wrappers that check their config and state objects and the logits'
+shapes and call one fused pass (_forward). This module holds the loss
+algebra and the state; core walks the logit stacks and reads and writes them
+at kept columns. The pass walks each logit matrix once, in blocks of rows,
 at both temperatures (core._softmax_pass, on every usable core), checks that
 the logits are finite as it reads them, and keeps only what the loss reads:
 each row's max and sum of exponentials, the column sums that rank the
@@ -13,19 +15,19 @@ columns, and the teacher's argmax for pseudo-labels. The label and k aligned
 entries of every row are computed from those row normalizers. The upstream
 gradient is nonzero only at the label and the k aligned columns, so a
 gradient call keeps each temperature's part of it as sparse products. Its
-student pass computes the tau_sl softmax in the gradient it returns, and
-one backward at the end (_softmax_backward) finishes it in place,
+student pass computes the tau_sl softmax in the gradient it returns, and one
+backward at the end (core._softmax_backward) finishes it in place,
 recomputes only the tau_sd softmax, block by block from the normalizers, and
 sums it straight into the gradient: the only B x T x n array a gradient call
 writes under sum-sort matching is the gradient it returns, and each student
 entry is exponentiated once at tau_sl and twice at tau_sd (in the pass and
-in the backward). Gradients are with respect to the raw student logits,
-with the rank/truncation selections and the Sinkhorn plan held fixed. Exact
-matching reads whole student softmaxes: the tau_sl one that the student
-pass leaves in an array (the gradient, in a gradient call), and the tau_sd
-one from the pass's normalizers (core._softmax_at). The padded-sort
-baseline reads the student's tau_sl softmax in the gradient and the
-teacher's from the teacher pass. No softmax here is computed any other way.
+in the backward). Gradients are with respect to the raw student logits, with
+the rank/truncation selections and the Sinkhorn plan held fixed. Exact
+matching reads whole student softmaxes: the tau_sl one that the student pass
+leaves in an array (the gradient, in a gradient call), and the tau_sd one
+from the pass's normalizers (core._softmax_at). The padded-sort baseline
+reads the student's tau_sl softmax in the gradient and the teacher's from
+the teacher pass. No softmax here is computed any other way.
 
 A state also freezes the teacher's kept probabilities, so a call given one
 runs no teacher pass. The state build_state returns also keeps the
@@ -44,13 +46,13 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .core import (PROB_FLOOR, _blocks, _check_number, _floor_log, _gather,
-                   _is_count, _logit_matrix, _parts, _softmax_at,
-                   _softmax_pass, _walk, validate_logits, validate_probs)
+from .core import (PROB_FLOOR, _check_number, _check_type, _floor_log,
+                   _gather, _is_count, _logit_matrix, _softmax_at,
+                   _softmax_backward, _softmax_pass, validate_logits,
+                   validate_probs)
 from .errors import InvalidConfig, InvalidInput
 from .preprocess import (EXACT_ASSIGNMENT, SUM_SORT, RankSelection,
-                         _descending_stable, _head_width, _last_axis, _match,
-                         _width)
+                         _descending_stable, _head_width, _match, _width)
 from .seq_ot import SinkhornConfig, _cost, _plan, _sd, _sd_grad
 from .token_ot import _had_loss, _sl_loss, _uld_grad, _uld_sorted
 
@@ -81,6 +83,7 @@ class LossWeights:
         # The fused pass trusts these temperatures.
         for name in ("tau_sl", "tau_sd"):
             _check_number(getattr(self, name), name)
+        _check_type(self.sinkhorn, SinkhornConfig, "sinkhorn")
         if not _is_count(self.k):
             raise InvalidConfig(f"truncation width k must be an integer >= 1, "
                                 f"got {self.k}")
@@ -254,7 +257,7 @@ def _kept_logits(t, rank, rank_seq):
     # The teacher's logits at the kept columns of both levels, (B, T, 2k).
     cols = np.concatenate((rank.teacher_perm[:, :rank.k],
                            rank_seq.teacher_perm[:, :rank_seq.k]), axis=-1)
-    return _gather(t, _last_axis(t.shape, cols[:, None, :]))
+    return _gather(t, cols[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -288,8 +291,7 @@ def _teacher(t, n, w, argmax, dense):
                                             out=probs)
     width = _head_width(w.k, t.shape[-1], n, w.match_mode)
     perm = tuple(_descending_stable(x) for x in sums)
-    head = tuple(_softmax_at(t, tau, (top, total),
-                             _last_axis(t.shape, p[:, None, :width]))
+    head = tuple(_softmax_at(t, tau, (top, total), p[:, None, :width])
                  for tau, total, p in zip(taus, totals, perm))
     return _Teacher(logits=t, perm=perm, head=head, argmax=best,
                     dense=None if probs is None else _uld_sorted(probs, n))
@@ -301,71 +303,6 @@ def _rank(teacher, level, student, k, mode):
     return RankSelection(teacher_perm=teacher.perm[level],
                          student_perm=_match(teacher.head[level], student, mode),
                          k=k, match_mode=mode)
-
-
-def _softmax_backward(z, top, levels, gradient):
-    """The gradient w.r.t. the (B, T, V) logits z of a loss that reads
-    softmaxes of z only at sparse entries, one softmax per level.
-
-    Each level is (tau, total, terms): the softmax of z at tau, whose row
-    normalizers from core._softmax_pass are (top, total), and its upstream
-    gradient as terms (index, x). index picks entries p = softmax[index]
-    (a preprocess._last_axis tuple whose entries are distinct within a
-    term, or None for every entry), and x = p * g holds them times the
-    upstream gradient g there. A level's backward is
-    softmax * -(sum of x along each row) / tau plus x / tau at index
-    (core.softmax_backward of the dense upstream gradient); the terms'
-    arrays are divided by tau in place.
-
-    gradient, the array returned, holds the first level's softmax as the
-    pass computed it there (its out). Block by block (core._blocks), that
-    level is finished in place, the other softmaxes are recomputed from
-    their normalizers, and the levels of the block are summed into it.
-    Rows are independent, so each usable core takes the next block not yet
-    taken (core._walk), in its share of the one block buffer.
-    """
-    scales = []
-    for tau, _, terms in levels:
-        inner = sum(x.sum(axis=-1, keepdims=True) for _, x in terms)
-        scales.append(-inner / tau)
-        for _, x in terms:
-            x /= tau
-    parts = _parts(z.size * len(levels), z.shape[-1])
-    blocks = _blocks(z.shape, parts)
-    buf = (np.empty((parts,) + z[blocks[0]].shape) if len(levels) > 1
-           else None)
-
-    def finish(block, part):
-        zb, out = z[block], gradient[block]
-        for i, ((tau, total, terms), scale) in enumerate(zip(levels, scales)):
-            probs = out if i == 0 else _softmax_at(
-                z, tau, (top[block], total[block]), block,
-                buf[part, :zb.shape[0], :zb.shape[1]])
-            probs *= scale[block]
-            for index, x in terms:
-                if index is None:
-                    probs += x[block]
-                    continue
-                # The block's columns (its rows', when given per row),
-                # added through their flat indices: 26 against 63 us for
-                # numpy's generic fancy indexing at (1, 256, 768) and 50
-                # columns. probs, a block of the gradient or of the
-                # buffer, is C-ordered, so its flat view writes into it;
-                # in another layout reshape would copy and the terms be
-                # lost, so that raises (reshape's copy=False needs numpy
-                # 2.1). The index, as large as x's block, is not kept.
-                if not probs.flags.c_contiguous:
-                    raise RuntimeError("a backward block is not C-ordered")
-                cols = index[2]
-                cols = cols[block] if cols.shape[1] > 1 else cols[block[0]]
-                first = np.arange(0, probs.size, probs.shape[-1])
-                probs.reshape(-1)[first.reshape(probs.shape[:2] + (1,))
-                                  + cols] += x[block]
-            if i:
-                out += probs
-
-    _walk(finish, blocks, parts)
-    return gradient
 
 
 def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
@@ -426,10 +363,10 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     else:
         rank, labels, teacher1 = state.rank, state.labels, state.teacher
     if need_loss or grad is not None:
-        at_label = _last_axis(s.shape, labels[:, :, None])
+        at_label = labels[:, :, None]
         p_label = _softmax_at(s, w.tau_sl, (top, totals[0]), at_label)
     if need_loss or ot_alpha > 0:
-        cols1 = _last_axis(s.shape, rank.student_perm[:, None, :rank.k])
+        cols1 = rank.student_perm[:, None, :rank.k]
         student1 = _softmax_at(s, w.tau_sl, (top, totals[0]), cols1)
         had, sl = _had_loss(teacher1, student1), _sl_loss(teacher1, student1)
     # Each level's upstream gradient is kept only as the sparse products
@@ -458,13 +395,13 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     if seq_level:
         if state is None:
             rank_seq = _rank(teacher, 1, _softmax_at(
-                s, w.tau_sd, (top, totals[1]), ...,
-                None if probs is gradient else probs) if exact else sums[1],
-                k, w.match_mode)
+                s, w.tau_sd, (top, totals[1]),
+                out=None if probs is gradient else probs) if exact
+                else sums[1], k, w.match_mode)
             teacher2 = teacher.head[1][..., :k]
         else:
             rank_seq, teacher2 = state.rank_seq, state.teacher_seq
-        cols2 = _last_axis(s.shape, rank_seq.student_perm[:, None, :rank_seq.k])
+        cols2 = rank_seq.student_perm[:, None, :rank_seq.k]
         student2 = _softmax_at(s, w.tau_sd, (top, totals[1]), cols2)
         # The cost is a function of the kept probabilities at tau_sd alone,
         # so at a state's own student its stored sd is the loss's.
@@ -510,6 +447,7 @@ def build_state(teacher_logits, student_logits, labels=None, w=LossWeights()):
     With labels=None, per-token pseudo-labels are derived from the teacher
     argmax through the rank alignment.
     """
+    _check_type(w, LossWeights, "w")
     t, s, labels = _batch_of_one(teacher_logits, student_logits, labels)
     return _index(_forward(t, s, w, labels=labels, need_loss=False)[0], 0)
 
@@ -521,6 +459,8 @@ def total_loss_frozen(state: PipelineState, teacher_logits, student_logits,
     The state's labels, selections and plan apply: w.k, w.match_mode and
     w.sinkhorn are ignored, and only w's temperatures must match the state's.
     """
+    _check_type(state, PipelineState, "state")
+    _check_type(w, LossWeights, "w")
     t, s, _ = _batch_of_one(teacher_logits, student_logits, state=state)
     return _index(_forward(t, s, w, state=_index(state, None))[1], 0)
 
@@ -528,6 +468,7 @@ def total_loss_frozen(state: PipelineState, teacher_logits, student_logits,
 def total_loss(teacher_logits, student_logits, labels=None,
                w=LossWeights()) -> LossBreakdown:
     """Full objective: cross-entropy plus the weighted transport losses."""
+    _check_type(w, LossWeights, "w")
     t, s, labels = _batch_of_one(teacher_logits, student_logits, labels)
     return _index(_forward(t, s, w, labels=labels)[1], 0)
 
@@ -544,8 +485,10 @@ def total_grad(teacher_logits, student_logits, labels=None, w=LossWeights(),
     w.k, w.match_mode and w.sinkhorn are ignored, and only w's temperatures
     must match the state's.
     """
+    _check_type(w, LossWeights, "w")
     if state is not None:
-        state, labels = _index(state, None), None
+        state = _index(_check_type(state, PipelineState, "state"), None)
+        labels = None
     t, s, labels = _batch_of_one(teacher_logits, student_logits, labels, state)
     return _forward(t, s, w, state=state, labels=labels, need_loss=False,
                     grad=MULTILEVEL_OT)[2][0]

@@ -9,15 +9,16 @@ in cache-sized blocks, checks the logits as it reads them, and returns only
 what its caller reads (given an array, it also writes the first
 temperature's softmax there), and _softmax_at computes any softmax entry
 from the pass's row normalizers, bit for bit the pass's own. Every softmax
-here, softmax_rows included, comes from these two. Kept columns are read
-with take along the last axis (_gather) and added to through flat indices
-(composite._softmax_backward) where numpy's generic fancy indexing is
-slower.
+here, softmax_rows included, comes from these two, and _softmax_backward
+turns one a pass wrote into the gradient of a loss read at sparse entries.
+Kept columns are plain (B, T or 1, c) arrays of columns per row, read with
+a take along the last axis (_gather) and added to through flat indices
+(_softmax_backward) where numpy's generic fancy indexing is slower.
 
-The blocked kernels here and in composite and seq_ot split a call across
-the cores the process may use (_walk), one thread per _THREAD_ENTRIES
-entries the call touches: each thread takes whole rows, whole columns or
-whole blocks along one axis (column sums pass between blocks in order),
+The blocked kernels here and in seq_ot split a call across the cores the
+process may use (_walk), one thread per _THREAD_ENTRIES entries the call
+touches: each thread takes whole rows, whole columns or whole blocks
+along one axis (column sums pass between blocks in order),
 so no sum is split between threads and every output is the same bit for
 bit at any thread count. Only the process's CPU affinity mask caps it.
 The threads run at once only while numpy has released the GIL: its
@@ -157,6 +158,14 @@ def _check_number(value, name, least=0.0, strict=True):
     return x
 
 
+def _check_type(value, cls, name):
+    """value if it is a cls (a config or state object), else InvalidConfig
+    naming the argument or field it came in as."""
+    if not isinstance(value, cls):
+        raise InvalidConfig(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
 def validate_logits(logits):
     """Coerce to a float matrix and enforce logit-matrix invariants.
 
@@ -243,19 +252,6 @@ def softmax_rows(logits, temperature=1.0):
     return out
 
 
-def _shifted_exp(z, top, tau, out=None):
-    # exp((z - top) / tau), the numerator of every softmax entry here, in
-    # out if given. The max is subtracted before dividing by tau, so the
-    # quotient cannot overflow to inf; entries far below the max may
-    # saturate to -inf, whose exp is the correct 0. Dividing by 1 is exact,
-    # so it is skipped.
-    with np.errstate(over="ignore"):
-        out = np.subtract(z, top, out=out)
-        if tau != 1.0:
-            out /= tau
-    return np.exp(out, out=out)
-
-
 def _blocks(shape, parts=1, budget=None):
     """The (items, rows) slices that cover a (B, T, V) stack in blocks of at
     most budget // parts entries (budget defaults to _BLOCK_ENTRIES): as
@@ -334,14 +330,14 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
 
     Each row's max and its difference from it are taken once; at each
     temperature the pass computes exp((z - max) / tau) and its row sum as
-    _shifted_exp does, in a block buffer, then emits only what the caller asks
+    _softmax_at does, in a block buffer, then emits only what the caller asks
     for: each sequence's column sums when sums, and the per-row argmax at
     taus[0] when argmax. The pass writes no B x T x V array of its own.
     Given out, a (B, T, V) array, it computes the softmax at taus[0] there
     instead of in a buffer, dividing each row by its sum while the block is
     in cache: softmax_rows returns it, exact matching and the padded-sort
     teacher read it whole, and in a gradient call the backward
-    (composite._softmax_backward) finishes it in place.
+    (_softmax_backward) finishes it in place.
 
     A large pass runs on several threads (_parts, _walk), each on blocks of
     its share of the block budget in its share of the buffers, so the
@@ -423,40 +419,106 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     return top, totals, colsums, best
 
 
-def _softmax_at(arr, tau, normalizers, index, out=None):
-    """The entries the softmax of arr at tau has at index, from the
-    normalizers (top, total) of _softmax_pass, bit for bit the pass's own;
-    written into out if given.
-
-    index picks entries of a (B, T, V) stack row by row (the last axis
-    last), as preprocess._last_axis builds it, and those are computed in
-    the array _gather reads them into unless out is given; or it is a
-    block of _blocks, with the normalizers cut to it, or ... for every
-    entry.
-    """
+def _softmax_at(arr, tau, normalizers, cols=None, out=None):
+    """The softmax of arr at tau from the normalizers (top, total) of
+    _softmax_pass, bit for bit the pass's own: of every entry of arr,
+    written into out if given, or of its entries at cols (columns per row
+    that broadcast to (B, T, c)), in the array _gather reads them into
+    (out is not taken with cols). arr is a (B, T, V) stack, or a block of
+    one with the normalizers cut to it."""
     top, total = normalizers
-    if index is ... or isinstance(index[0], slice):
-        z = arr[index]
-    else:
-        z = _gather(arr, index)
-        out = z if out is None else out
-    out = _shifted_exp(z, top, tau, out)
+    if cols is not None:
+        if out is not None:
+            raise ValueError("_softmax_at writes out only without cols")
+        arr = out = _gather(arr, cols)
+    # The max is subtracted before dividing by tau, so the quotient cannot
+    # overflow to inf; entries far below the max may saturate to -inf,
+    # whose exp is the correct 0. Dividing by 1 is exact, so it is skipped.
+    with np.errstate(over="ignore"):
+        out = np.subtract(arr, top, out=out)
+        if tau != 1.0:
+            out /= tau
+    np.exp(out, out=out)
     out /= total
     return out
 
 
-def _gather(arr, index):
-    """arr[index], a new array, for a preprocess._last_axis index into a
-    (B, T, V) stack. Columns that every row reads, index[2] of shape
-    (1, 1, c) or (c,) (a ranking's at B = 1), are read from a C-ordered
-    stack with one take along the last axis: 3 times faster than numpy's
-    generic fancy indexing at (1, 1024, 768) and 50 columns. Other indices
-    (per item or per row) and layouts, which take would copy whole, are
-    indexed; at the harness's (4, 8, 15) a take per item saves nothing."""
-    cols = index[2]
+def _gather(arr, cols):
+    """arr's entries at cols, a new array, for columns per row of a
+    (B, T, V) stack that broadcast to (B, T, c). Columns every row reads,
+    (1, 1, c) or (c,), are read from a C-ordered stack with one take along
+    the last axis: 3 times faster than numpy's generic fancy indexing at
+    (1, 1024, 768) and 50 columns. Other columns (per item or per row) and
+    layouts, which take would copy whole, are indexed; at the harness's
+    (4, 8, 15) a take per item saves nothing."""
     if arr.flags.c_contiguous and cols.size == cols.shape[-1]:
         return arr.take(cols.reshape(-1), axis=-1)
-    return arr[index]
+    return arr[np.arange(arr.shape[0])[:, None, None],
+               np.arange(arr.shape[1])[:, None], cols]
+
+
+def _softmax_backward(z, top, levels, gradient):
+    """The gradient w.r.t. the (B, T, V) logits z of a loss that reads
+    softmaxes of z only at sparse entries, one softmax per level.
+
+    Each level is (tau, total, terms): the softmax of z at tau, whose row
+    normalizers from _softmax_pass are (top, total), and its upstream
+    gradient as terms (cols, x). cols picks entries p of the softmax (a
+    (B, T or 1, c) array of columns per row, distinct within a row, or
+    None for every entry), and x = p * g holds them times the upstream
+    gradient g there. A level's backward is
+    softmax * -(sum of x along each row) / tau plus x / tau at cols
+    (softmax_backward of the dense upstream gradient); the terms' arrays
+    are divided by tau in place.
+
+    gradient, the array returned, holds the first level's softmax as the
+    pass computed it there (its out). Block by block (_blocks), that level
+    is finished in place, the other softmaxes are recomputed from their
+    normalizers, and the levels of the block are summed into it. Rows are
+    independent, so each usable core takes the next block not yet taken
+    (_walk), in its share of the one block buffer.
+    """
+    scales = []
+    for tau, _, terms in levels:
+        inner = sum(x.sum(axis=-1, keepdims=True) for _, x in terms)
+        scales.append(-inner / tau)
+        for _, x in terms:
+            x /= tau
+    parts = _parts(z.size * len(levels), z.shape[-1])
+    blocks = _blocks(z.shape, parts)
+    buf = (np.empty((parts,) + z[blocks[0]].shape) if len(levels) > 1
+           else None)
+
+    def finish(block, part):
+        zb, out = z[block], gradient[block]
+        for i, ((tau, total, terms), scale) in enumerate(zip(levels, scales)):
+            probs = out if i == 0 else _softmax_at(
+                zb, tau, (top[block], total[block]),
+                out=buf[part, :zb.shape[0], :zb.shape[1]])
+            probs *= scale[block]
+            for cols, x in terms:
+                if cols is None:
+                    probs += x[block]
+                    continue
+                # The block's columns (its rows', when given per row),
+                # added through their flat indices: 26 against 63 us for
+                # numpy's generic fancy indexing at (1, 256, 768) and 50
+                # columns. probs, a block of the gradient or of the
+                # buffer, is C-ordered, so its flat view writes into it;
+                # in another layout reshape would copy and the terms be
+                # lost, so that raises (reshape's copy=False needs numpy
+                # 2.1). The index, as large as x's block, is not kept.
+                if not probs.flags.c_contiguous:
+                    raise RuntimeError("a backward block is not C-ordered")
+                cols = cols[block] if cols.shape[1] > 1 else cols[block[0]]
+                first = np.arange(0, probs.size, probs.shape[-1])
+                probs.reshape(-1)[first.reshape(probs.shape[:2] + (1,))
+                                  + cols] += x[block]
+            if i:
+                out += probs
+
+    _walk(finish, blocks, parts)
+    return gradient
 
 
 def softmax_backward(probs, grad_probs, temperature=1.0):

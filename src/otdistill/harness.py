@@ -15,7 +15,7 @@ import numpy as np
 
 from .composite import (CE_ONLY, COMPONENTS, MULTILEVEL_OT, ULD, LossWeights,
                         _forward, _teacher)
-from .core import _check_number, _is_count, validate_logits
+from .core import _check_number, _check_type, _is_count
 from .errors import InvalidConfig, NumericalFailure
 from .fileio import metrics_csv_text, write_text_atomic
 
@@ -52,6 +52,7 @@ class DistillConfig:
             object.__setattr__(self, name, int(value))
         _check_number(self.lr, "lr", strict=False)
         _check_number(self.sharpness, "sharpness", least=None)
+        _check_type(self.weights, LossWeights, "weights")
         if self.mode not in MODES:
             raise InvalidConfig(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.contexts < 2 * self.tokens:
@@ -129,6 +130,7 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
     student. Raises NumericalFailure (with the step index) if any loss goes
     non-finite.
     """
+    _check_type(cfg, DistillConfig, "cfg")
     teacher = make_teacher_table(cfg)
     W = _initial_student(cfg)
     w = cfg.weights
@@ -157,9 +159,6 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
     # step, they oscillate whenever two student dimensions trade rank.
     labels = None
 
-    # Checked once here; each step's pass checks the student blocks it
-    # reads, so a step that drives them past the float range raises there.
-    validate_logits(W)
     records = {name: [] for name in COMPONENTS + ("eval_sd",)}
     for step in range(cfg.steps):
         # One fused pass: every block's state, breakdown and the mode's
@@ -191,6 +190,7 @@ class ModeResult:
 
 def compare_modes(cfg: DistillConfig) -> list[ModeResult]:
     """Run every training mode from the same seed and summarize the endpoints."""
+    _check_type(cfg, DistillConfig, "cfg")
     results = []
     for mode in MODES:
         metrics = run_distillation(replace(cfg, mode=mode))

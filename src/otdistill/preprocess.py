@@ -4,6 +4,7 @@ The teacher's vocabulary dimensions are ordered by their probability mass
 summed over the whole sequence; the student's dimensions are matched to that
 order either by the same sum-sort heuristic or by an exact rectangular
 assignment; both matrices are then truncated to a shared support of k columns.
+Kept columns of a logit stack are read and written through core.
 """
 
 from dataclasses import dataclass
@@ -202,11 +203,3 @@ def align_and_truncate(t, s, k, mode=SUM_SORT):
     pair = AlignedPair(head[:, :k_eff], s[:, student_perm[:k_eff]])
     return pair, RankSelection(teacher_perm, student_perm, k_eff, mode)
 
-
-def _last_axis(shape, cols):
-    """Index tuple picking cols[b, t] from row t of item b of a (B, T, V)
-    array, for reading or writing; cols is (B, T, c) or broadcasts to it.
-    core._gather and composite's backward may read and write a C-ordered
-    array at such an index from cols, the third entry, alone."""
-    return (np.arange(shape[0])[:, None, None], np.arange(shape[1])[:, None],
-            cols)

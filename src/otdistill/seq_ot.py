@@ -48,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import (_BLOCK_ENTRIES, _blocks, _check_number, _is_count,
-                   _matrix, _parts, _slices, _walk)
+from .core import (_BLOCK_ENTRIES, _blocks, _check_number, _check_type,
+                   _is_count, _matrix, _parts, _slices, _walk)
 from .errors import (InvalidConfig, InvalidInput, NumericalFailure,
                      NumericalUnderflow)
 from .preprocess import AlignedPair
@@ -131,6 +131,7 @@ def sinkhorn_plan(C, cfg: SinkhornConfig = SinkhornConfig()) -> np.ndarray:
     or raise it), and InvalidInput unless C is finite, nonnegative and
     nonempty.
     """
+    _check_type(cfg, SinkhornConfig, "cfg")
     C = _matrix(C, "cost matrix", finite=True, ndim=None)
     if C.ndim not in (2, 3) or C.shape[-1] != C.shape[-2]:
         raise InvalidInput("cost must be a square matrix or a stack of them, "
@@ -202,7 +203,10 @@ def _plan(C, cfg):
     def sweep(view, first, last):
         c_b, k_b, u_b, v_b, share = view
         if first:
-            _kernel(c_b, cfg.regularization, out=k_b.reshape(c_b.shape))
+            # K = exp(-C / regularization). A quotient that overflows to
+            # -inf gives the kernel entry its correct 0.
+            np.divide(c_b, -cfg.regularization, out=k_b.reshape(c_b.shape))
+            np.exp(k_b, out=k_b)
         if last:
             k_b *= u_b
             k_b *= v_b
@@ -226,14 +230,6 @@ def _plan(C, cfg):
             "increase the regularization weight or rescale the cost matrix"
         )
     return K
-
-
-def _kernel(C, regularization, out=None):
-    # exp(-C / regularization). A quotient that overflows to -inf gives the
-    # kernel entry its correct 0.
-    with np.errstate(over="ignore"):
-        K = np.divide(C, -regularization, out=out)
-    return np.exp(K, out=K)
 
 
 def sd_loss(C, plan) -> float:

@@ -458,20 +458,24 @@ class TestSoftmaxAccounting:
         # The student pass leaves its tau_sl softmax in an array it is
         # given, and the tau_sd one is computed whole from its normalizers.
         # Blocks of one student row keep the backward's recompute of it
-        # below whole size.
+        # below whole size. The backward lives in core and calls core's
+        # _softmax_at on block views, so both names are patched and a
+        # softmax is whole when it is as large as its whole stack.
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", 6)
-        at = composite._softmax_at
+        at = core._softmax_at
+        t, s = random_pair(35, m=8, n=6)
 
         def whole(arr, *args, **kwargs):
             probs = at(arr, *args, **kwargs)
-            if probs.size == arr.size:
-                calls.append(("whole", "teacher" if arr.shape[-1] == 8
+            stack = t if arr.shape[-1] == 8 else s
+            if probs.size == stack.size:
+                calls.append(("whole", "teacher" if stack is t
                               else "student"))
             return probs
 
         monkeypatch.setattr(composite, "_softmax_at", whole)
+        monkeypatch.setattr(core, "_softmax_at", whole)
         assert not hasattr(composite, "_softmax")
-        t, s = random_pair(35, m=8, n=6)
         w = replace(SMALL, match_mode=EXACT_ASSIGNMENT)
         {"build_state": lambda: build_state(t, s, w=w),
          "total_loss": lambda: total_loss(t, s, w=w),

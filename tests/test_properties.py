@@ -19,9 +19,10 @@
   arrays, given one that is 0-D, 1-D, 3-D, without rows, ragged, holding
   nan or inf, or of another shape than its partner (or, for
   alignment_cost, a student_perm that is no permutation), returns or
-  raises an error the CLI maps to exit code 3; and every scalar argument
-  or setting, given a string, None, nan, +-inf or a value out of its
-  range, raises InvalidConfig naming it.
+  raises an error the CLI maps to exit code 3; every scalar argument or
+  setting, given a string, None, nan, +-inf or a value out of its range,
+  raises InvalidConfig naming it; and so does every config or state
+  argument or field, given None, a string or a config of another class.
 
 Shapes cover m != n, T = 1, a vocabulary of 2, k above the vocabulary and
 exact ties at the rank cut, under both match modes.
@@ -45,7 +46,6 @@ from otdistill import (CE_ONLY, EXACT_ASSIGNMENT, MULTILEVEL_OT, SUM_SORT, ULD,
 from otdistill import core
 from otdistill.composite import _forward, _softmax_backward
 from otdistill.core import _softmax_at, _softmax_pass, softmax_backward
-from otdistill.preprocess import _last_axis
 from refimpl import _softmax
 
 LOSS_RTOL = 1e-12
@@ -56,6 +56,13 @@ COMPONENTS = ("ce", "had", "sl", "sd", "total")
 # TooLargeForExact) or 4 (NumericalUnderflow, NumericalFailure).
 TYPED = (InvalidInput, InvalidConfig, TooLargeForExact, NumericalUnderflow,
          NumericalFailure)
+
+
+def _last_axis(shape, cols):
+    # The index tuple that fancy-indexes cols[b, t] from row t of item b of
+    # a (B, T, V) array; the package takes cols, its third entry, alone.
+    return (np.arange(shape[0])[:, None, None], np.arange(shape[1])[:, None],
+            cols)
 
 
 def assert_close(actual, expected, rtol):
@@ -164,7 +171,7 @@ def test_state_paths_equal_a_dense_pass(batch, scale, taus):
         # and the normalizers give the dense student's entries.
         index = kept(s.shape, rank.student_perm, rank.k)
         top, (total,), _, _ = _softmax_pass(s, (tau,))
-        assert np.array_equal(_softmax_at(s, tau, (top, total), index),
+        assert np.array_equal(_softmax_at(s, tau, (top, total), index[2]),
                               _softmax(s, tau)[index])
 
     # Loss-only and gradient calls with the state against the dense pass
@@ -242,7 +249,7 @@ def test_blocked_pass_equals_the_dense_softmax(batch, tokens, scale, taus,
         gradient = np.empty(z.shape)
         _softmax_pass(z, taus[1:], sums=True, out=gradient)
         streamed = _softmax_backward(z, top, [(taus[1], totals[1],
-                                               [(index, x.copy())])],
+                                               [(index[2], x.copy())])],
                                      gradient)
         patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](*s.shape[1:]))
         blocked = fused_outputs(t, s, w)
@@ -251,7 +258,8 @@ def test_blocked_pass_equals_the_dense_softmax(batch, tokens, scale, taus,
     assert np.array_equal(bare_top, top)
     for probs, tau, total, bare_total, colsum in zip(dense, taus, totals,
                                                       bare_totals, sums):
-        assert np.array_equal(_softmax_at(z, tau, (top, total), every), probs)
+        assert np.array_equal(_softmax_at(z, tau, (top, total), every[2]),
+                              probs)
         assert np.array_equal(bare_total, total)
         assert np.array_equal(colsum, probs.sum(axis=-2))
     assert np.array_equal(best, dense[0].argmax(axis=-1))
@@ -288,7 +296,7 @@ def test_streamed_backward_equals_the_dense_backward_at_each_temperature(
         for index in (labels, cols)[level:]:
             g = rng.standard_normal(probs[index].shape)
             upstream[index] += g
-            terms.append((index, probs[index] * g))
+            terms.append((index[2], probs[index] * g))
         levels.append((tau, total, terms))
         expected += softmax_backward(probs.reshape(-1, vocab),
                                      upstream.reshape(-1, vocab),
@@ -504,3 +512,48 @@ def test_scalar_arguments_raise_invalid_config_naming_them(name):
     good = 0.5 if least is None else least + 0.5 * strict
     for value in (good, np.float32(good), np.array(good)):
         fn(value)
+
+
+# Every config or state argument or field of the public API, as (function
+# of the value, a config object of another class, whether None is valid).
+CONFIGS = {
+    "LossWeights sinkhorn": (lambda v: LossWeights(sinkhorn=v), LossWeights(),
+                             False),
+    "DistillConfig weights": (lambda v: DistillConfig(weights=v),
+                              SinkhornConfig(), False),
+    "build_state w": (lambda v: build_state(_T_LOGITS, _S_LOGITS, w=v),
+                      SinkhornConfig(), False),
+    "total_loss w": (lambda v: total_loss(_T_LOGITS, _S_LOGITS, w=v),
+                     SinkhornConfig(), False),
+    "total_grad w": (lambda v: total_grad(_T_LOGITS, _S_LOGITS, w=v),
+                     SinkhornConfig(), False),
+    "total_grad state": (lambda v: total_grad(_T_LOGITS, _S_LOGITS, state=v),
+                         LossWeights(), True),
+    "total_loss_frozen state": (
+        lambda v: total_loss_frozen(v, _T_LOGITS, _S_LOGITS), LossWeights(),
+        False),
+    "total_loss_frozen w": (
+        lambda v: total_loss_frozen(_STATE, _T_LOGITS, _S_LOGITS, v),
+        SinkhornConfig(), False),
+    "sinkhorn_plan cfg": (lambda v: od.sinkhorn_plan(_COST, v), LossWeights(),
+                          False),
+    "run_distillation cfg": (run_distillation, LossWeights(), False),
+    "compare_modes cfg": (od.compare_modes, LossWeights(), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_config_arguments_raise_invalid_config_naming_them(name):
+    fn, other, none_valid = CONFIGS[name]
+    field = name.split()[-1]
+    wrong = []
+    for value in [None] * (not none_valid) + ["x", other]:
+        try:
+            fn(value)
+            wrong.append(f"{value!r}: returned")
+        except InvalidConfig as exc:
+            if field not in str(exc):
+                wrong.append(f"{value!r}: {exc}")
+        except Exception as exc:  # any other error escapes
+            wrong.append(f"{value!r}: {type(exc).__name__}: {exc}")
+    assert wrong == []

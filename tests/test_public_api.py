@@ -1,8 +1,8 @@
 """The package's public names: a deletion must not drop one, since the
 tests and demos import them. What importing the package loads, no module
 importing a name it never reads, no private module-level name that
-nothing in the package reads, and no float coercion outside core and
-fileio."""
+nothing in the package reads, no float coercion outside core and fileio,
+and no block walk outside core and seq_ot."""
 
 import ast
 import os
@@ -116,4 +116,23 @@ def test_only_core_and_fileio_coerce_to_float():
                             ("float", "np.float64", "np.double")
                             for kw in node.keywords)):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_only_core_and_seq_ot_walk_blocks():
+    # core walks the logit stacks (its softmax pass and backward) and
+    # seq_ot its cost, plan and gradient stacks; anywhere else, a walk over
+    # a logit stack would be a second copy of how its blocks are cut.
+    walk = {"_blocks", "_parts", "_walk"}
+    found = []
+    for path in sorted(Path(otdistill.__file__).parent.glob("*.py")):
+        if path.name in ("core.py", "seq_ot.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [])
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in walk]
     assert found == []
