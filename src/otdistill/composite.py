@@ -10,9 +10,10 @@ algebra and the state; core walks the logit stacks and reads and writes them
 at kept columns. The pass walks each logit matrix once, in blocks of rows,
 at both temperatures (core._softmax_pass, on every usable core), checks that
 the logits are finite as it reads them, and keeps only what the loss reads:
-each row's max and sum of exponentials, the column sums that rank the
-columns, and the teacher's argmax for pseudo-labels. The label and k aligned
-entries of every row are computed from those row normalizers. The upstream
+each row's max and the reciprocal of its sum of exponentials, the column
+sums that rank the columns, and the teacher's argmax for pseudo-labels. The
+label and k aligned entries of every row are computed from those row
+normalizers, scaled by 1 / tau and by the reciprocal sum. The upstream
 gradient is nonzero only at the label and the k aligned columns, so a
 gradient call keeps each temperature's part of it as sparse products. Its
 student pass computes the tau_sl softmax in the gradient it returns, and one
@@ -46,13 +47,14 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .core import (PROB_FLOOR, _check_number, _check_type, _floor_log,
-                   _gather, _is_count, _logit_matrix, _softmax_at,
-                   _softmax_backward, _softmax_pass, validate_logits,
-                   validate_probs)
+from .core import (_MIN_TAU, PROB_FLOOR, _check_choice, _check_number,
+                   _check_type, _floor_log, _gather, _is_count,
+                   _logit_matrix, _softmax_at, _softmax_backward,
+                   _softmax_pass, validate_logits, validate_probs)
 from .errors import InvalidConfig, InvalidInput
-from .preprocess import (EXACT_ASSIGNMENT, SUM_SORT, RankSelection,
-                         _descending_stable, _head_width, _match, _width)
+from .preprocess import (EXACT_ASSIGNMENT, MATCH_MODES, SUM_SORT,
+                         RankSelection, _descending_stable, _head_width,
+                         _match, _width)
 from .seq_ot import SinkhornConfig, _cost, _plan, _sd, _sd_grad
 from .token_ot import _had_loss, _sl_loss, _uld_grad, _uld_sorted
 
@@ -80,17 +82,15 @@ class LossWeights:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
             _check_number(getattr(self, name), name, strict=False)
-        # The fused pass trusts these temperatures.
+        # The fused pass trusts these temperatures, and scales by their
+        # reciprocals, finite above 1 / float max (core._MIN_TAU).
         for name in ("tau_sl", "tau_sd"):
-            _check_number(getattr(self, name), name)
+            _check_number(getattr(self, name), name, least=_MIN_TAU)
         _check_type(self.sinkhorn, SinkhornConfig, "sinkhorn")
         if not _is_count(self.k):
             raise InvalidConfig(f"truncation width k must be an integer >= 1, "
                                 f"got {self.k}")
-        modes = (SUM_SORT, EXACT_ASSIGNMENT)
-        if self.match_mode not in modes:
-            raise InvalidConfig(f"unknown match_mode {self.match_mode!r}; "
-                                f"choose from {modes}")
+        _check_choice(self.match_mode, MATCH_MODES, "match_mode")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,12 @@ Those behind the fused loss take (B, T, V) stacks; _softmax_pass walks one
 in cache-sized blocks, checks the logits as it reads them, and returns only
 what its caller reads (given an array, it also writes the first
 temperature's softmax there), and _softmax_at computes any softmax entry
-from the pass's row normalizers, bit for bit the pass's own. Every softmax
-here, softmax_rows included, comes from these two, and _softmax_backward
-turns one a pass wrote into the gradient of a loss read at sparse entries.
+from the pass's row normalizers (each row's max and reciprocal sum), bit
+for bit the pass's own. Both scale by 1 / tau and by the reciprocal sum, so
+a softmax divides once per temperature and once per row, never per entry.
+Every softmax here, softmax_rows included, comes from these two, and
+_softmax_backward turns one a pass wrote into the gradient of a loss read
+at sparse entries.
 Kept columns are plain (B, T or 1, c) arrays of columns per row, read with
 a take along the last axis (_gather) and added to through flat indices
 (_softmax_backward) where numpy's generic fancy indexing is slower.
@@ -30,6 +33,7 @@ Sinkhorn stacks the row products of its blocks (seq_ot._plan).
 import math
 import numbers
 import os
+import sys
 import threading
 
 import numpy as np
@@ -41,6 +45,12 @@ from .errors import InvalidConfig, InvalidInput
 PROB_FLOOR = 1e-12
 
 ROW_SUM_TOL = 1e-9
+
+# The least of every temperature, exclusive (_check_number's least): a
+# softmax scales its logits by 1 / tau, which is inf from 1 / float max down
+# (that quotient rounds to a subnormal whose reciprocal overflows), and the
+# row max would then become 0 * inf = nan.
+_MIN_TAU = 1.0 / sys.float_info.max
 
 # The error of a logit matrix with a nan or +-inf, from validate_logits or
 # from the pass that checks the logits it reads.
@@ -158,6 +168,16 @@ def _check_number(value, name, least=0.0, strict=True):
     return x
 
 
+def _check_choice(value, choices, name, error=InvalidConfig):
+    """The one rule for a string setting: value if it is a str among
+    choices, else error naming it, InvalidConfig for a config field and
+    InvalidInput for a function argument. Anything else (None, a list, a
+    numpy array of strings, whose `in` would raise) is never a choice."""
+    if not (isinstance(value, str) and value in choices):
+        raise error(f"unknown {name} {value!r}; choose from {choices}")
+    return value
+
+
 def _check_type(value, cls, name):
     """value if it is a cls (a config or state object), else InvalidConfig
     naming the argument or field it came in as."""
@@ -243,10 +263,11 @@ def softmax_rows(logits, temperature=1.0):
     """Row-wise temperature softmax with max-subtraction for stability.
 
     Returns a row-stochastic matrix of the same shape; each output row is
-    exp(z / temperature) normalized to sum 1.
+    exp(z / temperature) normalized to sum 1. The temperature must lie
+    above 1 / float max (about 5.6e-309), where its reciprocal is finite.
     """
     arr = _logit_matrix(logits)
-    tau = _check_number(temperature, "temperature")
+    tau = _check_number(temperature, "temperature", least=_MIN_TAU)
     out = np.empty(arr.shape)
     _softmax_pass(arr[None], (tau,), out=out[None])
     return out
@@ -329,13 +350,14 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     holding nan or +-inf raises InvalidInput before any arithmetic on it.
 
     Each row's max and its difference from it are taken once; at each
-    temperature the pass computes exp((z - max) / tau) and its row sum as
-    _softmax_at does, in a block buffer, then emits only what the caller asks
-    for: each sequence's column sums when sums, and the per-row argmax at
-    taus[0] when argmax. The pass writes no B x T x V array of its own.
-    Given out, a (B, T, V) array, it computes the softmax at taus[0] there
-    instead of in a buffer, dividing each row by its sum while the block is
-    in cache: softmax_rows returns it, exact matching and the padded-sort
+    temperature the pass computes exp((z - max) * (1 / tau)) and the
+    reciprocal of its row sum as _softmax_at does, in a block buffer, then
+    emits only what the caller asks for: each sequence's column sums when
+    sums, and the per-row argmax at taus[0] when argmax. The pass writes no
+    B x T x V array of its own. Given out, a (B, T, V) array, it computes
+    the softmax at taus[0] there instead of in a buffer, multiplying each
+    row by its reciprocal sum while the block is in cache: softmax_rows
+    returns it, exact matching and the padded-sort
     teacher read it whole, and in a gradient call the backward
     (_softmax_backward) finishes it in place.
 
@@ -351,9 +373,10 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     it to a dense softmax, their refimpl._softmax).
 
     Returns (top, totals, colsums, best): the (B, T, 1) row maxima, one
-    (B, T, 1) array of row sums per temperature ((top, totals[i]) are the
-    normalizers _softmax_at and the backward read), one (B, V) array of
-    column sums per temperature or None, and the (B, T) argmax or None.
+    (B, T, 1) array of reciprocal row sums per temperature ((top,
+    totals[i]) are the normalizers _softmax_at and the backward read), one
+    (B, V) array of column sums per temperature or None, and the (B, T)
+    argmax or None.
     """
     top = np.empty(arr.shape[:-1] + (1,))
     totals = [np.empty_like(top) for _ in taus]
@@ -380,15 +403,16 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
             with np.errstate(over="ignore"):
                 np.subtract(z, peak, out=exps[0])
                 for e, tau in zip(exps[1:], taus[1:]):
-                    np.divide(exps[0], tau, out=e)
+                    np.multiply(exps[0], 1.0 / tau, out=e)
                 if taus[0] != 1.0:
-                    exps[0] /= taus[0]
+                    exps[0] *= 1.0 / taus[0]
             for i, e in enumerate(exps):
                 np.exp(e, out=e)
                 total = totals[i][block]
                 e.sum(axis=-1, keepdims=True, out=total)
+                np.reciprocal(total, out=total)
                 if sums or i == 0 and (argmax or out is not None):
-                    e /= total
+                    e *= total
             if argmax:
                 np.argmax(exps[0], axis=-1, out=best[block])
             if sums:
@@ -431,15 +455,17 @@ def _softmax_at(arr, tau, normalizers, cols=None, out=None):
         if out is not None:
             raise ValueError("_softmax_at writes out only without cols")
         arr = out = _gather(arr, cols)
-    # The max is subtracted before dividing by tau, so the quotient cannot
-    # overflow to inf; entries far below the max may saturate to -inf,
-    # whose exp is the correct 0. Dividing by 1 is exact, so it is skipped.
+    # The max is subtracted before scaling by 1 / tau, so the product
+    # cannot overflow to +inf; entries far below the max may saturate to
+    # -inf, whose exp is the correct 0. Scaling by 1 is exact, so it is
+    # skipped. Each row is normalized by multiplying by its reciprocal sum,
+    # which the pass divided once per row.
     with np.errstate(over="ignore"):
         out = np.subtract(arr, top, out=out)
         if tau != 1.0:
-            out /= tau
+            out *= 1.0 / tau
     np.exp(out, out=out)
-    out /= total
+    out *= total
     return out
 
 
@@ -527,7 +553,7 @@ def softmax_backward(probs, grad_probs, temperature=1.0):
     Maps a gradient w.r.t. the probabilities to a gradient w.r.t. the raw
     logits they came from. Both must be finite matrices of one shape.
     """
-    tau = _check_number(temperature, "temperature")
+    tau = _check_number(temperature, "temperature", least=_MIN_TAU)
     probs = _matrix(probs, "probability matrix", finite=True)
     grad_probs = _matrix(grad_probs, "gradient", finite=True)
     if grad_probs.shape != probs.shape:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .composite import (CE_ONLY, COMPONENTS, MULTILEVEL_OT, ULD, LossWeights,
                         _forward, _teacher)
-from .core import _check_number, _check_type, _is_count
+from .core import _check_choice, _check_number, _check_type, _is_count
 from .errors import InvalidConfig, NumericalFailure
 from .fileio import metrics_csv_text, write_text_atomic
 
@@ -53,8 +53,7 @@ class DistillConfig:
         _check_number(self.lr, "lr", strict=False)
         _check_number(self.sharpness, "sharpness", least=None)
         _check_type(self.weights, LossWeights, "weights")
-        if self.mode not in MODES:
-            raise InvalidConfig(f"unknown mode {self.mode!r}; choose from {MODES}")
+        _check_choice(self.mode, MODES, "mode")
         if self.contexts < 2 * self.tokens:
             raise InvalidConfig(
                 "need at least two sequences worth of contexts "

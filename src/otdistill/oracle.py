@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_number, _matrix
+from .core import _check_choice, _check_number, _matrix
 from .errors import InvalidInput, NumericalFailure, TooLargeForExact
 from .preprocess import ASSIGNMENT_LIMIT
 
@@ -45,6 +45,7 @@ def exact_ot(C, method=BRUTE_FORCE) -> ExactOTResult:
     is unique. Raises InvalidInput for a non-finite cost and
     NumericalFailure when the optimal value overflows.
     """
+    _check_choice(method, (BRUTE_FORCE, ASSIGNMENT), "method", InvalidInput)
     C = _matrix(C, "cost matrix", finite=True)
     if C.shape[0] != C.shape[1]:
         raise InvalidInput(f"cost matrix must be square, got shape {C.shape}")
@@ -65,7 +66,7 @@ def exact_ot(C, method=BRUTE_FORCE) -> ExactOTResult:
                 if value < best_value:
                     best_value = value
                     best_perm = np.array(perm)
-    elif method == ASSIGNMENT:
+    else:
         if n > ASSIGNMENT_LIMIT:
             raise TooLargeForExact(
                 f"assignment limited to n <= {ASSIGNMENT_LIMIT}, got {n}"
@@ -75,8 +76,6 @@ def exact_ot(C, method=BRUTE_FORCE) -> ExactOTResult:
         rows, best_perm = linear_sum_assignment(C)
         with np.errstate(over="ignore"):
             best_value = C[rows, best_perm].sum()
-    else:
-        raise InvalidInput(f"unknown method: {method!r}")
     if not np.isfinite(best_value):
         raise NumericalFailure("the optimal transport value overflows; "
                                "rescale the cost matrix")

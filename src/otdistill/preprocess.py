@@ -12,11 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import _is_count, _matrix, validate_probs
+from .core import _check_choice, _is_count, _matrix, validate_probs
 from .errors import InvalidInput, TooLargeForExact
 
 SUM_SORT = "sum_sort"
 EXACT_ASSIGNMENT = "exact_assignment"
+MATCH_MODES = (SUM_SORT, EXACT_ASSIGNMENT)
 
 # Dense assignment (exact matching here, the exact-OT oracle) is cubic in
 # the dimension, which caps it at desk scale.
@@ -102,6 +103,7 @@ def match_student(t_sr, s, mode=SUM_SORT):
     columns, as a rectangular assignment; unmatched student columns are
     appended in ascending order so the result is a bijection on [0, n).
     """
+    _check_choice(mode, MATCH_MODES, "mode", InvalidInput)
     t_sr, s = _same_rows(t_sr, s)
     if mode == SUM_SORT:
         return _match(None, s.sum(axis=0)[None], mode)[0]
@@ -121,11 +123,9 @@ def _same_rows(t, s):
 def _head_width(k, m, n, mode):
     """The ranked teacher columns an alignment reads: the k kept ones under
     SUM_SORT, all min(m, n) that EXACT_ASSIGNMENT matches (at most
-    ASSIGNMENT_LIMIT). Raises for an unknown mode."""
-    if mode == SUM_SORT:
+    ASSIGNMENT_LIMIT). Raises InvalidInput for an unknown mode."""
+    if _check_choice(mode, MATCH_MODES, "mode", InvalidInput) == SUM_SORT:
         return _width(k, m, n)
-    if mode != EXACT_ASSIGNMENT:
-        raise InvalidInput(f"unknown match mode: {mode!r}")
     r = min(m, n)
     if r > ASSIGNMENT_LIMIT:
         raise TooLargeForExact(

@@ -93,10 +93,24 @@ def sd_grad_by_comparison(t, s, plan, block_entries):
 
 def _softmax(arr, tau):
     """The dense temperature softmax along the last axis of a logit matrix
-    or (B, T, V) stack: exp((z - max) / tau), then each row divided by its
-    sum. otdistill computes every softmax entry in blocks
+    or (B, T, V) stack: exp((z - max) * (1 / tau)), then each row times the
+    reciprocal of its sum. otdistill computes every softmax entry in blocks
     (core._softmax_pass, core._softmax_at); the tests hold those to this,
     bit for bit."""
+    with np.errstate(over="ignore"):
+        out = np.subtract(arr, arr.max(axis=-1, keepdims=True))
+        if tau != 1.0:
+            out *= 1.0 / tau
+    np.exp(out, out=out)
+    out *= 1.0 / out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def softmax_by_division(arr, tau):
+    """The dense softmax as otdistill computed it before it scaled by
+    reciprocals: exp((z - max) / tau), then each row divided by its sum,
+    two divisions per entry. The tests bound how far _softmax (and so the
+    package) may stray from it."""
     with np.errstate(over="ignore"):
         out = np.subtract(arr, arr.max(axis=-1, keepdims=True))
         if tau != 1.0:

@@ -99,7 +99,10 @@ class TestLossCommand:
         assert code == 2
         assert "bad.json" in err
 
-    @pytest.mark.parametrize("line", ["tau_sl=nan", "tau_sd=inf", "k=2.5"])
+    # 1e-310 lies below the least temperature, 1 / float max, whose
+    # reciprocal overflows.
+    @pytest.mark.parametrize("line", ["tau_sl=nan", "tau_sd=inf", "k=2.5",
+                                      "tau_sd=1e-310"])
     def test_out_of_range_config_value_exits_3(self, capsys, logit_pair,
                                                tmp_path, line):
         config = tmp_path / "w.cfg"

@@ -41,6 +41,18 @@ class TestSoftmaxRows:
             softmax_rows(logits), softmax_rows(shifted), atol=1e-12
         )
 
+    @pytest.mark.parametrize("tau", [
+        1e-300, np.nextafter(1 / np.finfo(float).max, 1.0)])
+    def test_tiny_temperatures_give_one_hot_rows(self, tau):
+        # Scaled by 1 / tau, every difference from the row's max falls far
+        # below exp's range (or to -inf), whose exp is 0, also at the least
+        # temperature, whose reciprocal is just below float max; the max
+        # itself stays 0 * (1 / tau) = 0, whose exp is 1.
+        assert 1.0 / tau < np.inf
+        logits = np.array([[3.0, -1.0, 0.5, 2.0], [0.0, 1e-3, -5.0, 1.0]])
+        np.testing.assert_array_equal(softmax_rows(logits, tau),
+                                      np.eye(4)[logits.argmax(axis=1)])
+
     def test_large_temperature_flattens(self):
         row = np.array([[3.0, -1.0, 0.5, 2.0]])
         spread = lambda p: p.max() - p.min()

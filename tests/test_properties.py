@@ -12,7 +12,9 @@
   several sequences; the fused pass gives the same outputs under each
   blocking. Over two temperatures, with a per-row and a broadcast sparse
   term, the streamed backward equals the sum of the dense softmax_backward
-  at each.
+  at each. The pass, _softmax_at and the backward, which scale by 1 / tau
+  and by reciprocal row sums, stay within a bound derived from the
+  roundings of the division form that divides every entry twice.
 - Any logit scale from 1e-3 to 1e300 gives finite outputs or an error of a
   type the CLI maps to a documented exit code.
 - No raw numpy error escapes the public API: every function that takes
@@ -23,6 +25,9 @@
   setting, given a string, None, nan, +-inf or a value out of its range,
   raises InvalidConfig naming it; and so does every config or state
   argument or field, given None, a string or a config of another class.
+  Every string setting, given a numpy array of strings, a list, None or an
+  unknown name, raises InvalidConfig (a config field) or InvalidInput (a
+  function argument) naming it.
 
 Shapes cover m != n, T = 1, a vocabulary of 2, k above the vocabulary and
 exact ties at the rank cut, under both match modes.
@@ -46,7 +51,7 @@ from otdistill import (CE_ONLY, EXACT_ASSIGNMENT, MULTILEVEL_OT, SUM_SORT, ULD,
 from otdistill import core
 from otdistill.composite import _forward, _softmax_backward
 from otdistill.core import _softmax_at, _softmax_pass, softmax_backward
-from refimpl import _softmax
+from refimpl import _softmax, softmax_by_division
 
 LOSS_RTOL = 1e-12
 GRAD_RTOL = 1e-10
@@ -307,6 +312,84 @@ def test_streamed_backward_equals_the_dense_backward_at_each_temperature(
     assert_close(streamed, expected, 1e-12)
 
 
+# The unit roundoff, 2^-53, and the smallest normal float.
+U, TINY = np.finfo(float).eps / 2, np.finfo(float).tiny
+
+
+def division_bound(z, tau):
+    """The division-form softmax p of z at tau (refimpl.softmax_by_division)
+    and a bound, entry by entry, on how far otdistill's may lie from it.
+
+    otdistill computes x = (z - max) * fl(1 / tau), e = exp(x), the row sum
+    S of e and p' = e * fl(1 / S), where the division form has x = (z -
+    max) / tau and p = e / S. At tau 1 and 2, 1 / tau is exact, so x, e and
+    S are the same bits, and p' = (e / S)(1 + d1)(1 + d2) against p = (e /
+    S)(1 + d3) with |d| <= u: |p' - p| <= 3u(1 + 2u) p, about 2 ulp. At
+    other temperatures x moves by at most 3u|x| (two roundings against
+    one), and so e by 3u|x| plus two of exp's errors, at most 1 ulp (2u)
+    each (numpy validates float64 exp to 1 ulp). S moves by the mean of
+    its entries' moves, weighted by p, where the mean of |x| is at most
+    ln V, plus its own roundings, (V - 1)u on each side; normalizing adds
+    3u. The bound is u (3|x| + 3 ln V + 2V + 10) p. Entries at or below
+    the smallest normal float round to absolute, not relative, precision:
+    TINY covers them (and |x| is capped at 746, past which exp is 0).
+    """
+    p = softmax_by_division(z, tau)
+    if tau in (1.0, 2.0):
+        return p, 3 * U * (1 + 2 * U) * p + TINY
+    with np.errstate(over="ignore"):
+        x = np.minimum((z.max(axis=-1, keepdims=True) - z) / tau, 746.0)
+    vocab = z.shape[-1]
+    rel = U * (3 * x + 3 * np.log(vocab) + 2 * vocab + 10)
+    return p, rel * p + TINY
+
+
+@given(batch=st.integers(1, 4), tokens=st.integers(1, 16),
+       vocab=st.integers(2, 12), scale=SCALES,
+       taus=st.sampled_from([(1.0, 2.0), (2.0, 1.0), (0.7, 3.0), (3.0, 0.7)]),
+       blocking=st.sampled_from(sorted(BLOCKINGS)),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_reciprocal_softmax_stays_near_the_division_form(
+        batch, tokens, vocab, scale, taus, blocking, seed):
+    # The pass, _softmax_at and the backward scale by 1 / tau and each row
+    # by its reciprocal sum; the division form divides every entry twice.
+    # Both temperatures' softmaxes and backwards are held to division_bound.
+    rng = np.random.default_rng(seed)
+    shape = (batch, tokens, vocab)
+    z = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 10.0, scale],
+                                                shape[:2] + (1,))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](tokens, vocab))
+        gradient = np.empty(shape)
+        top, totals, _, _ = _softmax_pass(z, taus, sums=True, out=gradient)
+        got = [gradient.copy()] + [_softmax_at(z, tau, (top, total),
+                                               out=np.empty(shape))
+                                   for tau, total in zip(taus[1:], totals[1:])]
+        # One sparse term per level, as the fused pass keeps them: x = p * g
+        # at distinct columns per sequence.
+        levels, expected, bound = [], 0.0, 0.0
+        for tau, total, probs in zip(taus, totals, got):
+            p, near = division_bound(z, tau)
+            assert (np.abs(probs - p) <= near).all()
+            cols = np.argsort(rng.random((batch, vocab)), axis=-1)
+            index = _last_axis(shape, cols[:, None, :rng.integers(1, vocab + 1)])
+            x = p[index] * rng.standard_normal(p[index].shape)
+            levels.append((tau, total, [(index[2], x.copy())]))
+            # The dense backward of the division form, and how far the
+            # streamed one may lie from it: the scale times the bound on p,
+            # plus a rounding of each product, sum and level on each side.
+            row_scale = -x.sum(axis=-1, keepdims=True) / tau
+            level = p * row_scale
+            level[index] += x / tau
+            expected = expected + level
+            spread = np.abs(p * row_scale)
+            spread[index] += np.abs(x / tau)
+            bound = bound + np.abs(row_scale) * near + 6 * U * spread
+        streamed = _softmax_backward(z, top, levels, gradient)
+    assert (np.abs(streamed - expected) <= bound + TINY).all()
+
+
 @given(batch=logit_batches(scale=1.0), scale=SCALES,
        regularization=st.sampled_from([1e-3, 0.1, 0.5]))
 @example(batch=TIED_AT_CUT, scale=1e300, regularization=0.1)
@@ -459,12 +542,13 @@ def test_empty_costs_return_or_exit_3(cost):
 
 # Every scalar argument or setting of the public API, as (function of the
 # value, least valid value, whether that value itself is invalid): None
-# where any finite number is valid.
+# where any finite number is valid. Temperatures lie above 1 / float max
+# (core._MIN_TAU), where 1 / tau is finite.
 SCALARS = {
     "softmax_rows temperature": (
-        lambda v: od.softmax_rows(_T_LOGITS, v), 0.0, True),
+        lambda v: od.softmax_rows(_T_LOGITS, v), core._MIN_TAU, True),
     "softmax_backward temperature": (
-        lambda v: od.softmax_backward(_T, _T, v), 0.0, True),
+        lambda v: od.softmax_backward(_T, _T, v), core._MIN_TAU, True),
     "validate_probs tol": (
         lambda v: od.validate_probs(np.full((2, 4), 0.25), tol=v), 0.0, False),
     "safe_log floor": (lambda v: od.safe_log(_T, floor=v), 0.0, True),
@@ -478,7 +562,7 @@ SCALARS = {
                                0.0, False)
        for name in ("alpha", "beta", "gamma")},
     **{f"LossWeights {name}": (lambda v, name=name: LossWeights(**{name: v}),
-                               0.0, True)
+                               core._MIN_TAU, True)
        for name in ("tau_sl", "tau_sd")},
     "SinkhornConfig regularization": (
         lambda v: SinkhornConfig(regularization=v), 0.0, True),
@@ -496,7 +580,10 @@ def test_scalar_arguments_raise_invalid_config_naming_them(name):
     bad = ["0.5", None, np.nan, np.inf, -np.inf, 10**400, Decimal("0.5"),
            np.array([0.5]), np.array("0.5")]
     if least is not None:
-        bad += [least - 1.0] + [least] * strict
+        # Positive values below a least above 0 too: 1e-310 and the least
+        # subnormal are no temperatures.
+        bad += [least - 1.0] + [least] * strict + [
+            v for v in (5e-324, 1e-310) if v < least]
     wrong = []
     for value in bad:
         try:
@@ -552,6 +639,39 @@ def test_config_arguments_raise_invalid_config_naming_them(name):
             fn(value)
             wrong.append(f"{value!r}: returned")
         except InvalidConfig as exc:
+            if field not in str(exc):
+                wrong.append(f"{value!r}: {exc}")
+        except Exception as exc:  # any other error escapes
+            wrong.append(f"{value!r}: {type(exc).__name__}: {exc}")
+    assert wrong == []
+
+
+# Every string setting of the public API, as (function of the value, the
+# error it raises on a value that is none of its choices): InvalidConfig
+# for a config field, InvalidInput for a function argument.
+CHOICES = {
+    "LossWeights match_mode": (lambda v: LossWeights(match_mode=v),
+                               InvalidConfig),
+    "DistillConfig mode": (lambda v: DistillConfig(mode=v), InvalidConfig),
+    "match_student mode": (lambda v: od.match_student(_T, _S, v),
+                           InvalidInput),
+    "align_and_truncate mode": (
+        lambda v: od.align_and_truncate(_T, _S, 2, v), InvalidInput),
+    "exact_ot method": (lambda v: od.exact_ot(_COST, v), InvalidInput),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHOICES))
+def test_string_settings_raise_naming_them(name):
+    fn, error = CHOICES[name]
+    field = name.split()[-1]
+    wrong = []
+    # An array of strings would make `in` and `==` raise numpy's ValueError.
+    for value in (np.array(["a", "b"]), ["a", "b"], None, "x"):
+        try:
+            fn(value)
+            wrong.append(f"{value!r}: returned")
+        except error as exc:
             if field not in str(exc):
                 wrong.append(f"{value!r}: {exc}")
         except Exception as exc:  # any other error escapes
