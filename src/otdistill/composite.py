@@ -20,9 +20,12 @@ student pass computes the tau_sl softmax in the gradient it returns, and one
 backward at the end (core._softmax_backward) finishes it in place,
 recomputes only the tau_sd softmax, block by block from the normalizers, and
 sums it straight into the gradient: the only B x T x n array a gradient call
-writes under sum-sort matching is the gradient it returns, and each student
-entry is exponentiated once at tau_sl and twice at tau_sd (in the pass and
-in the backward). Gradients are with respect to the raw student logits, with
+writes under sum-sort matching is the gradient it returns. At the default
+temperatures, where tau_sd = 2 tau_sl, the pass squares its tau_sd
+exponentials for tau_sl (core._squared), so a gradient call exponentiates
+each student entry twice (once in the pass, once in the backward at
+tau_sd); at a pair that is not double, once at tau_sl and twice at tau_sd.
+Gradients are with respect to the raw student logits, with
 the rank/truncation selections and the Sinkhorn plan held fixed. Exact
 matching reads whole student softmaxes: the tau_sl one that the student pass
 leaves in an array (the gradient, in a gradient call), and the tau_sd one

@@ -11,6 +11,10 @@ temperature's softmax there), and _softmax_at computes any softmax entry
 from the pass's row normalizers (each row's max and reciprocal sum), bit
 for bit the pass's own. Both scale by 1 / tau and by the reciprocal sum, so
 a softmax divides once per temperature and once per row, never per entry.
+Of two temperatures where one is exactly twice the other (the default
+tau_sl = 1, tau_sd = 2), the pass exponentiates only at the larger and
+squares those for the smaller (_squared), one exp per entry for both; its
+normalizers record it (_Squared), so _softmax_at squares the same entries.
 Every softmax here, softmax_rows included, comes from these two, and
 _softmax_backward turns one a pass wrote into the gradient of a loss read
 at sparse entries.
@@ -38,7 +42,7 @@ import threading
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidInput
+from .errors import InvalidConfig, InvalidInput, NumericalFailure
 
 # Floor applied inside logarithms of probabilities; truncation keeps the
 # dominant dimensions but underflow can still produce exact zeros.
@@ -344,15 +348,37 @@ def _slices(length, parts):
             for i in range(parts)]
 
 
+def _squared(taus):
+    """The one rule for squaring, of the temperatures one pass computes:
+    whether each level squares the other's exponentials. Of two
+    temperatures where one is exactly twice the other, exp((z - max) / tau)
+    at the smaller is the square of exp((z - max) / (2 tau)), so the pass
+    exponentiates only at the larger and squares into the smaller's buffer
+    (one exp per entry for both, at the default pair (1, 2)). One
+    temperature, or any other pair, has nothing to square from."""
+    return [len(taus) == 2 and 2.0 * tau in taus for tau in taus]
+
+
+class _Squared(np.ndarray):
+    """The reciprocal row sums of a level whose exponentials _softmax_pass
+    squared from those at twice its temperature (_squared). _softmax_at
+    reads the type, which a view (a block's rows) keeps, so an entry it
+    computes is the pass's own."""
+
+
 def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     """One pass over a (B, T, V) stack of logits at each temperature in
     taus, block by block (see _blocks), that also checks them: a block
     holding nan or +-inf raises InvalidInput before any arithmetic on it.
 
-    Each row's max and its difference from it are taken once; at each
-    temperature the pass computes exp((z - max) * (1 / tau)) and the
-    reciprocal of its row sum as _softmax_at does, in a block buffer, then
-    emits only what the caller asks for: each sequence's column sums when
+    Each row's max and its difference from it are taken once. At each
+    temperature the pass computes exp((z - max) * (1 / tau)), except where
+    _squared says a level squares the other's exponentials, at twice its
+    tau (np.square, in place, before either is normalized), so at
+    the default pair (1, 2) it takes one exp per entry for both levels.
+    It then takes the reciprocal of each row sum, as _softmax_at does, in
+    a block buffer, and emits only what the caller asks for: each
+    sequence's column sums when
     sums, and the per-row argmax at taus[0] when argmax. The pass writes no
     B x T x V array of its own. Given out, a (B, T, V) array, it computes
     the softmax at taus[0] there instead of in a buffer, multiplying each
@@ -373,12 +399,13 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     it to a dense softmax, their refimpl._softmax).
 
     Returns (top, totals, colsums, best): the (B, T, 1) row maxima, one
-    (B, T, 1) array of reciprocal row sums per temperature ((top,
-    totals[i]) are the normalizers _softmax_at and the backward read), one
-    (B, V) array of column sums per temperature or None, and the (B, T)
-    argmax or None.
+    (B, T, 1) array of reciprocal row sums per temperature, a _Squared one
+    for a squared level ((top, totals[i]) are the normalizers _softmax_at
+    and the backward read), one (B, V) array of column sums per
+    temperature or None, and the (B, T) argmax or None.
     """
     top = np.empty(arr.shape[:-1] + (1,))
+    squared = _squared(taus)
     totals = [np.empty_like(top) for _ in taus]
     colsums = [np.zeros(arr.shape[::2]) for _ in taus] if sums else None
     best = np.empty(arr.shape[:-1], dtype=np.intp) if argmax else None
@@ -402,12 +429,19 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
                 raise InvalidInput(_NON_FINITE)
             with np.errstate(over="ignore"):
                 np.subtract(z, peak, out=exps[0])
-                for e, tau in zip(exps[1:], taus[1:]):
-                    np.multiply(exps[0], 1.0 / tau, out=e)
-                if taus[0] != 1.0:
+                for e, tau, square in zip(exps[1:], taus[1:], squared[1:]):
+                    if not square:
+                        np.multiply(exps[0], 1.0 / tau, out=e)
+                if not squared[0] and taus[0] != 1.0:
                     exps[0] *= 1.0 / taus[0]
+            for e, square in zip(exps, squared):
+                if not square:
+                    np.exp(e, out=e)
+            # A squared level's other is the level at twice its tau.
+            for e, other, square in zip(exps, exps[::-1], squared):
+                if square:
+                    np.square(other, out=e)
             for i, e in enumerate(exps):
-                np.exp(e, out=e)
                 total = totals[i][block]
                 e.sum(axis=-1, keepdims=True, out=total)
                 np.reciprocal(total, out=total)
@@ -440,6 +474,10 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
                 turn.notify_all()
 
     _walk(walk, blocks, parts)
+    # Marked only now: the walk's arithmetic on plain arrays skips numpy's
+    # checks for subclasses (0.3 us a reciprocal at the harness's shapes).
+    totals = [total.view(_Squared) if square else total
+              for total, square in zip(totals, squared)]
     return top, totals, colsums, best
 
 
@@ -449,8 +487,10 @@ def _softmax_at(arr, tau, normalizers, cols=None, out=None):
     written into out if given, or of its entries at cols (columns per row
     that broadcast to (B, T, c)), in the array _gather reads them into
     (out is not taken with cols). arr is a (B, T, V) stack, or a block of
-    one with the normalizers cut to it."""
+    one with the normalizers cut to it. Where the pass squared the
+    exponentials at 2 tau for tau (total is _Squared), so does this."""
     top, total = normalizers
+    squared = isinstance(total, _Squared)
     if cols is not None:
         if out is not None:
             raise ValueError("_softmax_at writes out only without cols")
@@ -460,11 +500,14 @@ def _softmax_at(arr, tau, normalizers, cols=None, out=None):
     # -inf, whose exp is the correct 0. Scaling by 1 is exact, so it is
     # skipped. Each row is normalized by multiplying by its reciprocal sum,
     # which the pass divided once per row.
+    scale = 2.0 * tau if squared else tau
     with np.errstate(over="ignore"):
         out = np.subtract(arr, top, out=out)
-        if tau != 1.0:
-            out *= 1.0 / tau
+        if scale != 1.0:
+            out *= 1.0 / scale
     np.exp(out, out=out)
+    if squared:
+        np.square(out, out=out)
     out *= total
     return out
 
@@ -551,15 +594,24 @@ def softmax_backward(probs, grad_probs, temperature=1.0):
     """Jacobian-vector product of a row softmax at the given temperature.
 
     Maps a gradient w.r.t. the probabilities to a gradient w.r.t. the raw
-    logits they came from. Both must be finite matrices of one shape.
+    logits they came from. Both must be finite matrices of one shape; a
+    result past the float range raises NumericalFailure.
     """
     tau = _check_number(temperature, "temperature", least=_MIN_TAU)
     probs = _matrix(probs, "probability matrix", finite=True)
     grad_probs = _matrix(grad_probs, "gradient", finite=True)
     if grad_probs.shape != probs.shape:
         raise InvalidInput(f"shape mismatch: {probs.shape} vs {grad_probs.shape}")
-    inner = (grad_probs * probs).sum(axis=1, keepdims=True)
-    return probs * (grad_probs - inner) / tau
+    # Finite inputs can still give a gradient past the float range (inf,
+    # or nan where inf meets a zero probability): NumericalFailure, as for
+    # a transport value that overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = (grad_probs * probs).sum(axis=1, keepdims=True)
+        grad = probs * (grad_probs - inner) / tau
+    if not _finite_range(grad.min(initial=0.0), grad.max(initial=0.0)):
+        raise NumericalFailure("the softmax gradient is not finite; rescale "
+                               "the gradient or raise the temperature")
+    return grad
 
 
 def safe_log(p, floor=PROB_FLOOR):

@@ -91,17 +91,23 @@ def sd_grad_by_comparison(t, s, plan, block_entries):
     return grad
 
 
-def _softmax(arr, tau):
+def _softmax(arr, tau, taus=()):
     """The dense temperature softmax along the last axis of a logit matrix
-    or (B, T, V) stack: exp((z - max) * (1 / tau)), then each row times the
-    reciprocal of its sum. otdistill computes every softmax entry in blocks
-    (core._softmax_pass, core._softmax_at); the tests hold those to this,
-    bit for bit."""
+    or (B, T, V) stack, as a pass at the temperatures taus computes it at
+    tau: exp((z - max) * (1 / tau)), then each row times the reciprocal of
+    its sum. Where the pass has two temperatures and the other is exactly
+    2 tau, the exponentials are instead those at 2 tau, squared.
+    otdistill computes every softmax entry in blocks (core._softmax_pass,
+    core._softmax_at); the tests hold those to this, bit for bit."""
+    squared = len(taus) == 2 and 2.0 * tau in taus
+    scale = 2.0 * tau if squared else tau
     with np.errstate(over="ignore"):
         out = np.subtract(arr, arr.max(axis=-1, keepdims=True))
-        if tau != 1.0:
-            out *= 1.0 / tau
+        if scale != 1.0:
+            out *= 1.0 / scale
     np.exp(out, out=out)
+    if squared:
+        out *= out
     out *= 1.0 / out.sum(axis=-1, keepdims=True)
     return out
 

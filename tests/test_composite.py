@@ -451,6 +451,52 @@ class TestSoftmaxAccounting:
                          ("backward", "student", 2)]
 
 
+    @pytest.mark.parametrize("taus, teacher, student", [
+        ((1.0, 2.0), (1, 0, 0), (1, 1, 2)),
+        ((2.0, 1.0), (1, 0, 0), (1, 1, 2)),
+        ((0.7, 3.0), (2, 0, 0), (2, 2, 3))])
+    def test_exponentials_per_entry(self, exponentials, taus, teacher,
+                                    student):
+        # Per entry of the teacher and of the student, the exponentials of
+        # build_state, total_loss_frozen and total_grad with a state. At
+        # (1, 2) and (2, 1) a pass takes one per entry for both
+        # temperatures, and the backward recomputes tau_sd (squared at
+        # (2, 1)); at (0.7, 3.0) a pass takes two. Kept
+        # columns (k = 4) and labels (1) are read narrower and not counted.
+        w = replace(SMALL, tau_sl=taus[0], tau_sd=taus[1])
+        t, s = random_pair(35, m=8, n=6)
+        state = build_state(t, s, w=w)
+        calls = [lambda: build_state(t, s, w=w),
+                 lambda: total_loss_frozen(state, t, s, w),
+                 lambda: total_grad(t, s, w=w, state=state)]
+        for call, per_teacher, per_student in zip(calls, teacher, student):
+            exponentials.clear()
+            call()
+            assert exponentials.get(8, 0) == per_teacher * t.size
+            assert exponentials.get(6, 0) == per_student * s.size
+
+    def test_pseudo_labels_and_the_padded_sort_teacher_read_the_square(self):
+        # The first row's top two logits lie 8e-17 apart: exp(-8e-17) is
+        # 1 - 2^-53, but exp(-8e-17 / 2) is 1, so the squared tau_sl
+        # softmax ties them, and its argmax is the first, not the logits'.
+        t, s = random_pair(35, m=8, n=6)
+        t[0] -= t[0].max() + 1.0
+        t[0, :2] = [-8e-17, 0.0]
+        squared = _softmax(t, SMALL.tau_sl, (SMALL.tau_sl, SMALL.tau_sd))
+        direct = _softmax(t, SMALL.tau_sl)
+        assert squared[0, 0] == squared[0, 1] and direct[0, 0] < direct[0, 1]
+        teacher = composite._teacher(t[None], 6, SMALL, argmax=True,
+                                     dense=True)
+        np.testing.assert_array_equal(teacher.argmax[0],
+                                      squared.argmax(axis=-1))
+        assert teacher.argmax[0, 0] == 0
+        np.testing.assert_array_equal(teacher.dense[0],
+                                      np.sort(squared, axis=-1)[:, ::-1])
+        state = build_state(t, s, w=SMALL)
+        np.testing.assert_array_equal(
+            state.labels, _pseudo_labels(squared.argmax(axis=-1), state.rank,
+                                         6))
+
     @pytest.mark.parametrize("name", ["build_state", "total_loss",
                                       "total_grad"])
     def test_exact_matching_computes_one_whole_softmax(self, calls,
@@ -491,7 +537,8 @@ class TestSoftmaxAccounting:
         teacher = composite._teacher(t[None], 10, SMALL, argmax=False,
                                      dense=True)
         assert calls == [("pass", "teacher", 2)]
-        dense = np.pad(_softmax(t, SMALL.tau_sl), ((0, 0), (0, 2)))
+        dense = np.pad(_softmax(t, SMALL.tau_sl, (SMALL.tau_sl, SMALL.tau_sd)),
+                       ((0, 0), (0, 2)))
         np.testing.assert_array_equal(teacher.dense[0],
                                       np.sort(dense, axis=-1)[:, ::-1])
 

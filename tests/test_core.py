@@ -4,8 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from otdistill import (InvalidConfig, InvalidInput, safe_log, softmax_backward,
-                       softmax_rows)
+from otdistill import (InvalidConfig, InvalidInput, NumericalFailure, safe_log,
+                       softmax_backward, softmax_rows)
+from otdistill.core import _softmax_at, _softmax_pass, _Squared
+from refimpl import _softmax, softmax_by_division
 
 finite_logit_rows = arrays(
     dtype=float,
@@ -137,3 +139,86 @@ class TestSoftmaxBackward:
         analytic = softmax_backward(probs, weights, tau)
         numeric = finite_diff_grad(loss, z)
         assert check_gradient(analytic, numeric).passed
+
+    def test_a_gradient_past_the_float_range_raises_numerical_failure(self):
+        # Finite inputs, but inner - grad_probs and the division by tau pass
+        # the float range: a typed error, not numpy's RuntimeWarning (an
+        # error under the suite's filter).
+        with pytest.raises(NumericalFailure):
+            softmax_backward(softmax_rows([[0, 1, 2]]), [[1e10, -3e10, 2e10]],
+                             1e-308)
+
+
+def both_levels(z, taus):
+    # The pass's first temperature in its output, and the second computed
+    # whole from its normalizers.
+    first = np.empty(z.shape)
+    top, totals, sums, _ = _softmax_pass(z, taus, sums=True, out=first)
+    second = _softmax_at(z, taus[1], (top, totals[1]), out=np.empty(z.shape))
+    return [first, second], totals, sums
+
+
+class TestSquaringRule:
+    """Of a pass's two temperatures, one exactly twice the other, only the
+    larger is exponentiated and the smaller's exponentials are its squares
+    (core._squared); the normalizers carry that, so every entry read from
+    them is the pass's own. Any other pair takes both exponentials."""
+
+    Z = np.random.default_rng(7).standard_normal((2, 3, 40)) * 3.0
+
+    @pytest.mark.parametrize("taus", [(1.0, 2.0), (2.0, 1.0)])
+    def test_the_smaller_temperature_squares_the_larger(self, exponentials,
+                                                        taus):
+        _softmax_pass(self.Z, taus, sums=True)
+        assert exponentials == {40: self.Z.size}
+        probs, totals, sums = both_levels(self.Z, taus)
+        assert [isinstance(total, _Squared) for total in totals] == [
+            tau == 1.0 for tau in taus]
+        for tau, p, colsum in zip(taus, probs, sums):
+            assert np.array_equal(p, _softmax(self.Z, tau, taus))
+            assert np.array_equal(colsum, p.sum(axis=-2))
+        # Squared, the tau = 1 softmax differs from the direct one in its
+        # last bits, and both lie within a few ulp of the division form.
+        squared = probs[taus.index(1.0)]
+        assert not np.array_equal(squared, _softmax(self.Z, 1.0))
+        np.testing.assert_allclose(squared, softmax_by_division(self.Z, 1.0),
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("taus", [(1.0, np.nextafter(2.0, 3.0)),
+                                      (0.7, 3.0), (1.0, 1.0)])
+    def test_other_pairs_take_both_exponentials(self, exponentials, taus):
+        _softmax_pass(self.Z, taus, sums=True)
+        assert exponentials == {40: 2 * self.Z.size}
+        probs, totals, _ = both_levels(self.Z, taus)
+        assert not any(isinstance(total, _Squared) for total in totals)
+        for tau, p in zip(taus, probs):
+            assert np.array_equal(p, _softmax(self.Z, tau))
+
+    def test_one_temperature_takes_its_own_exponentials(self, exponentials):
+        assert np.array_equal(softmax_rows(self.Z[0], 1.0),
+                              _softmax(self.Z[0], 1.0))
+        assert exponentials == {40: self.Z[0].size}
+
+    def test_squares_near_the_underflow_stay_within_tiny(self):
+        # At tau_sl = 1 these entries sit around exp's underflow (about
+        # -745), where exp(x / 2)^2 is subnormal or 0: they round to
+        # absolute, not relative, precision, and the others to a few ulp.
+        row = -np.array([0.0, 1.0, 700.0, 740.0, 744.0, 744.5, 745.0, 745.2,
+                         746.0, 800.0, 1500.0])
+        z = row[None, None] * np.array([1.0, 1.0003])[:, None, None]
+        (probs, _), _, _ = both_levels(z, (1.0, 2.0))
+        tiny = np.finfo(float).tiny
+        assert (probs >= 0).all()
+        division = softmax_by_division(z, 1.0)
+        assert (np.abs(probs - division) <= 1e-14 * division + tiny).all()
+        assert (probs[division < tiny] <= tiny).all()
+
+    def test_tiny_temperatures_give_one_hot_rows(self):
+        # 2e-300 is exactly twice 1e-300, so the pass squares: every entry
+        # but the row's max scales to -inf or far below exp's range.
+        logits = np.array([[[3.0, -1.0, 0.5, 2.0], [0.0, 1e-3, -5.0, 1.0]]])
+        probs, totals, _ = both_levels(logits, (1e-300, 2e-300))
+        assert isinstance(totals[0], _Squared)
+        one_hot = np.eye(4)[logits.argmax(axis=-1)]
+        for p in probs:
+            np.testing.assert_array_equal(p, one_hot)

@@ -171,7 +171,8 @@ def test_state_paths_equal_a_dense_pass(batch, scale, taus):
     # The frozen teacher is the dense teacher softmax, gathered.
     for probs, tau, rank in ((state.teacher, w.tau_sl, state.rank),
                              (state.teacher_seq, w.tau_sd, state.rank_seq)):
-        dense = _softmax(t, tau)[kept(t.shape, rank.teacher_perm, rank.k)]
+        dense = _softmax(t, tau, taus)[
+            kept(t.shape, rank.teacher_perm, rank.k)]
         assert np.array_equal(probs, dense)
         # and the normalizers give the dense student's entries.
         index = kept(s.shape, rank.student_perm, rank.k)
@@ -234,7 +235,7 @@ def test_blocked_pass_equals_the_dense_softmax(batch, tokens, scale, taus,
     shape = (s.shape[0], tokens, s.shape[2])
     z = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 10.0, scale],
                                                 shape[:2] + (1,))
-    dense = [_softmax(z, tau) for tau in taus]
+    dense = [_softmax(z, tau, taus) for tau in taus]
     # Distinct columns per sequence, as a ranking's first k.
     cols = np.argsort(rng.random(z.shape[::2]), axis=-1)
     cols = cols[:, :rng.integers(1, z.shape[2] + 1)]
@@ -295,7 +296,7 @@ def test_streamed_backward_equals_the_dense_backward_at_each_temperature(
     expected = np.zeros(shape)
     levels = []
     for level, (tau, total) in enumerate(zip(taus, totals)):
-        probs = _softmax(z, tau)
+        probs = _softmax(z, tau, taus)
         upstream = np.zeros(shape)
         terms = []
         for index in (labels, cols)[level:]:
@@ -316,9 +317,10 @@ def test_streamed_backward_equals_the_dense_backward_at_each_temperature(
 U, TINY = np.finfo(float).eps / 2, np.finfo(float).tiny
 
 
-def division_bound(z, tau):
+def division_bound(z, tau, taus=()):
     """The division-form softmax p of z at tau (refimpl.softmax_by_division)
-    and a bound, entry by entry, on how far otdistill's may lie from it.
+    and a bound, entry by entry, on how far otdistill's may lie from it, in
+    a pass at the temperatures taus.
 
     otdistill computes x = (z - max) * fl(1 / tau), e = exp(x), the row sum
     S of e and p' = e * fl(1 / S), where the division form has x = (z -
@@ -333,8 +335,23 @@ def division_bound(z, tau):
     3u. The bound is u (3|x| + 3 ln V + 2V + 10) p. Entries at or below
     the smallest normal float round to absolute, not relative, precision:
     TINY covers them (and |x| is capped at 746, past which exp is 0).
+
+    Where the pass squares (taus is (1, 2) or (2, 1), and tau is 1), e' =
+    fl(exp(x * 1/2)^2) instead. x * 1/2 is exact, exp is within 1 ulp (2u)
+    of exp(x / 2), and squaring doubles that error and adds one rounding:
+    e' = exp(x)(1 + a) with |a| <= 5u, against e = exp(x)(1 + b), |b| <=
+    2u, in the division form, so each entry moves by at most 7u. The row
+    sums move by the mean of those moves, 7u, plus their own roundings,
+    (V - 1)u on each side, and normalizing adds 3u as above. To first
+    order |p' - p| <= u (2V + 15) p; the bound takes u (2V + 16) p, whose
+    extra u covers the second-order terms (below 50^2 u^2 for V <= 12).
+    Squares below the smallest normal float, and exponentials whose
+    square underflows where the division form's exp is 0 (x below about
+    -745), are off by a few subnormal steps at most: TINY covers them.
     """
     p = softmax_by_division(z, tau)
+    if tau == 1.0 and len(taus) == 2 and 2.0 in taus:
+        return p, U * (2 * z.shape[-1] + 16) * p + TINY
     if tau in (1.0, 2.0):
         return p, 3 * U * (1 + 2 * U) * p + TINY
     with np.errstate(over="ignore"):
@@ -370,7 +387,7 @@ def test_reciprocal_softmax_stays_near_the_division_form(
         # at distinct columns per sequence.
         levels, expected, bound = [], 0.0, 0.0
         for tau, total, probs in zip(taus, totals, got):
-            p, near = division_bound(z, tau)
+            p, near = division_bound(z, tau, taus)
             assert (np.abs(probs - p) <= near).all()
             cols = np.argsort(rng.random((batch, vocab)), axis=-1)
             index = _last_axis(shape, cols[:, None, :rng.integers(1, vocab + 1)])
