@@ -33,10 +33,11 @@ from the pass's normalizers (core._softmax_at). The padded-sort baseline
 reads the student's tau_sl softmax in the gradient and the teacher's from
 the teacher pass. No softmax here is computed any other way.
 
-A state also freezes the teacher's kept probabilities, so a call given one
-runs no teacher pass. The state build_state returns also keeps the
-sequence loss of its own student, so total_loss_frozen at that student
-computes no T x T cost.
+After the student pass, a call given no state builds one (_build: both
+rankings, the pseudo-labels, the cost and the plan); every call then
+evaluates its state alone, as a call given that state would. A state
+freezes the teacher (a call given one runs no teacher pass) and keeps its
+student's sequence loss (see PipelineState).
 
 The fused pass takes a leading batch axis of B sequences of equal length T:
 every softmax, ranking, gather, cost, plan and loss works per sequence along
@@ -129,14 +130,14 @@ class PipelineState:
     the state compares with its teacher argument. Only states returned to
     a caller carry teacher_logits.
 
-    Such a state also keeps the sequence loss of the student it was built
-    at: student_seq, that student's kept probabilities at tau_sd (the
-    columns of rank_seq, T x k floats), and sd, the transport value of the
-    plan and their cost against teacher_seq. The cost depends on nothing
-    else, so a call given the state at the same kept probabilities takes
-    sd from it and computes no T x T cost. Other states hold None. Neither
-    is an argument of the constructor, so a copy (dataclasses.replace),
-    which may hold another plan or teacher_seq, holds None too.
+    A state also keeps the sequence loss of the student it was built at:
+    student_seq, that student's kept probabilities at tau_sd (the columns
+    of rank_seq, T x k floats), and sd, the transport value of the plan
+    and their cost against teacher_seq. The cost depends on nothing else,
+    so a call given the state at the same kept probabilities takes sd from
+    it and computes no T x T cost. Neither is an argument of the
+    constructor, so a copy (dataclasses.replace), which may hold another
+    plan or teacher_seq, holds None for both.
     """
 
     length: int
@@ -300,12 +301,38 @@ def _teacher(t, n, w, argmax, dense):
                     dense=None if probs is None else _uld_sorted(probs, n))
 
 
-def _rank(teacher, level, student, k, mode):
-    # The RankSelection of one level: the teacher's ranking, and the student
-    # matched to it from its column sums (SUM_SORT) or probabilities.
-    return RankSelection(teacher_perm=teacher.perm[level],
-                         student_perm=_match(teacher.head[level], student, mode),
-                         k=k, match_mode=mode)
+def _build(teacher, s, w, labels, top, totals, sums, probs, spare, returned):
+    """The state of a call given none, from its _Teacher and its student
+    pass over s: row normalizers (top, totals) and column sums at both
+    temperatures. Exact matching ranks from whole softmaxes instead: probs
+    at tau_sl, then tau_sd from the normalizers, written into spare (probs
+    unless it is the gradient) or a fresh array."""
+    k = _width(w.k, teacher.logits.shape[-1], s.shape[-1])
+    mode = w.match_mode
+    exact = mode == EXACT_ASSIGNMENT
+    rank = RankSelection(teacher.perm[0], _match(
+        teacher.head[0], probs if exact else sums[0], mode), k, mode)
+    # rank has read probs, so the tau_sd softmax may now overwrite it.
+    seq = (_softmax_at(s, w.tau_sd, (top, totals[1]), out=spare) if exact
+           else sums[1])
+    rank_seq = RankSelection(teacher.perm[1],
+                             _match(teacher.head[1], seq, mode), k, mode)
+    if labels is None:
+        labels = _pseudo_labels(teacher.argmax, rank, s.shape[-1])
+    teacher2 = teacher.head[1][..., :k]
+    student2 = _softmax_at(s, w.tau_sd, (top, totals[1]),
+                           rank_seq.student_perm[:, None, :k])
+    cost = _cost(teacher2, student2)
+    plan = _plan(cost, w.sinkhorn)
+    state = PipelineState(
+        length=s.shape[1], labels=labels, rank=rank, rank_seq=rank_seq,
+        plan=plan, tau_sl=w.tau_sl, tau_sd=w.tau_sd,
+        teacher=teacher.head[0][..., :k], teacher_seq=teacher2,
+        teacher_logits=(_kept_logits(teacher.logits, rank, rank_seq)
+                        if returned else None))
+    object.__setattr__(state, "student_seq", student2)
+    object.__setattr__(state, "sd", _sd(cost, plan))
+    return state
 
 
 def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
@@ -314,64 +341,58 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
 
     t and s are validated (B, T, m) teacher and (B, T, n) student logits;
     without a state, t may instead be the teacher's half from _teacher,
-    which the harness builds once per run. Builds the state when none is
-    given (labels=None derives pseudo-labels; given labels are a validated
-    (B, T) array, ignored when a state is given), evaluates the loss
-    breakdown when need_loss, and, when grad names an objective
-    (MULTILEVEL_OT, CE_ONLY or ULD; ULD only without a state), its
-    gradient w.r.t. the raw student logits, computed by one backward at the
-    end. Returns (state, breakdown or None, gradient or None), each with a
-    leading batch axis: the state's arrays and the breakdown's components
-    hold one entry per sequence, and the gradient is (B, T, n).
+    which the harness builds once per run. After the student's one pass, a
+    call given no state builds one (_build; labels=None derives
+    pseudo-labels, given labels are a validated (B, T) array, ignored when
+    a state is given), and evaluates the state: the loss breakdown when
+    need_loss, and, when grad names an objective (MULTILEVEL_OT, CE_ONLY or
+    ULD; ULD, which also reads the teacher's sorted rows, only without a
+    state), its gradient w.r.t. the raw student logits, computed by one
+    backward at the end. Returns (state, breakdown or None, gradient or
+    None), each with a leading batch axis: the state's arrays and the
+    breakdown's components hold one entry per sequence, and the gradient
+    is (B, T, n).
 
     A given state must match t at its kept columns and w's temperatures;
-    the teacher then enters only through the state. A state built as the
-    only output (no loss, no gradient: build_state) records the teacher's
-    kept logits and its own student's sequence loss, which a loss call
-    given the state at that student reuses; the others are never returned
-    to a caller.
+    the teacher then enters only through it. Only a state built with no
+    loss and no gradient (build_state) records the teacher's kept logits.
     """
-    length, n = s.shape[1:]
     ot_alpha = w.alpha if grad == MULTILEVEL_OT else 0.0
     seq_grad = grad is not None and ot_alpha * w.gamma > 0
     if state is None:
         teacher = t if isinstance(t, _Teacher) else _teacher(
-            t, n, w, argmax=labels is None, dense=grad == ULD)
-        k = _width(w.k, teacher.logits.shape[-1], n)
-        exact = w.match_mode == EXACT_ASSIGNMENT
+            t, s.shape[-1], w, argmax=labels is None, dense=grad == ULD)
     else:
-        _check_state(state, t, n, w)
-        exact = False
-    seq_level = state is None or need_loss or seq_grad
-    taus = (w.tau_sl, w.tau_sd)[:1 + seq_level]
+        _check_state(state, t, s.shape[-1], w)
+    exact = state is None and w.match_mode == EXACT_ASSIGNMENT
+    taus = (w.tau_sl, w.tau_sd)[:1 + (state is None or need_loss or seq_grad)]
 
     # The student's one pass: its row normalizers and, to rank, its column
     # sums. A gradient call has the pass write its tau_sl softmax into the
     # gradient, which the backward finishes in place. Exact matching ranks
-    # from whole softmaxes instead: the pass's tau_sl one, in the gradient
-    # or in probs, and then the tau_sd one from its normalizers, written
-    # over probs unless probs is the gradient.
+    # from that softmax instead, in the gradient or in probs.
     gradient = probs = None if grad is None else np.empty(s.shape)
     if exact and probs is None:
         probs = np.empty(s.shape)
     top, totals, sums, _ = _softmax_pass(s, taus, out=probs,
                                          sums=state is None and not exact)
+    # A state built here holds the sequence level's student2 and sd.
+    student2 = sd = None
+    if state is None:
+        state = _build(teacher, s, w, labels, top, totals, sums, probs,
+                       None if probs is gradient else probs,
+                       returned=not need_loss and grad is None)
+        student2, sd = state.student_seq, state.sd
 
     # Token temperature: ce + alpha * (had + beta * sl).
-    if state is None:
-        rank = _rank(teacher, 0, probs if exact else sums[0], k, w.match_mode)
-        if labels is None:
-            labels = _pseudo_labels(teacher.argmax, rank, n)
-        teacher1 = teacher.head[0][..., :k]
-    else:
-        rank, labels, teacher1 = state.rank, state.labels, state.teacher
     if need_loss or grad is not None:
-        at_label = labels[:, :, None]
+        at_label = state.labels[:, :, None]
         p_label = _softmax_at(s, w.tau_sl, (top, totals[0]), at_label)
     if need_loss or ot_alpha > 0:
-        cols1 = rank.student_perm[:, None, :rank.k]
+        cols1 = state.rank.student_perm[:, None, :state.rank.k]
         student1 = _softmax_at(s, w.tau_sl, (top, totals[0]), cols1)
-        had, sl = _had_loss(teacher1, student1), _sl_loss(teacher1, student1)
+        had = _had_loss(state.teacher, student1)
+        sl = _sl_loss(state.teacher, student1)
     # Each level's upstream gradient is kept only as the sparse products
     # p * g that the one backward at the end reads. A softmax entry p read
     # by nothing else after its gradient g is overwritten with p * g.
@@ -394,53 +415,31 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     if need_loss or ot_alpha > 0:
         had, sl = had.value, sl.value
 
-    # Sequence temperature: the plan, and alpha * gamma * sd.
-    if seq_level:
-        if state is None:
-            rank_seq = _rank(teacher, 1, _softmax_at(
-                s, w.tau_sd, (top, totals[1]),
-                out=None if probs is gradient else probs) if exact
-                else sums[1], k, w.match_mode)
-            teacher2 = teacher.head[1][..., :k]
-        else:
-            rank_seq, teacher2 = state.rank_seq, state.teacher_seq
-        cols2 = rank_seq.student_perm[:, None, :rank_seq.k]
-        student2 = _softmax_at(s, w.tau_sd, (top, totals[1]), cols2)
-        # The cost is a function of the kept probabilities at tau_sd alone,
-        # so at a state's own student its stored sd is the loss's.
-        sd = (state.sd if need_loss and state is not None
-              and state.sd is not None
-              and np.array_equal(state.student_seq, student2) else None)
-        cost = (_cost(teacher2, student2)
-                if state is None or (need_loss and sd is None) else None)
-        if state is None:
-            returned = not need_loss and grad is None
-            plan = _plan(cost, w.sinkhorn)
-            state = PipelineState(
-                length=length, labels=labels, rank=rank, rank_seq=rank_seq,
-                plan=plan, tau_sl=w.tau_sl, tau_sd=w.tau_sd,
-                teacher=teacher1, teacher_seq=teacher2,
-                teacher_logits=(_kept_logits(teacher.logits, rank, rank_seq)
-                                if returned else None))
-            if returned:
-                object.__setattr__(state, "student_seq", student2)
-                object.__setattr__(state, "sd", _sd(cost, plan))
+    # Sequence temperature: alpha * gamma * sd.
+    if need_loss or seq_grad:
+        cols2 = state.rank_seq.student_perm[:, None, :state.rank_seq.k]
+        if student2 is None:
+            student2 = _softmax_at(s, w.tau_sd, (top, totals[1]), cols2)
+            # The cost is a function of these alone, so at the student the
+            # state was built at its stored sd is the loss's.
+            if np.array_equal(state.student_seq, student2):
+                sd = state.sd
         if seq_grad:
-            student2 *= ot_alpha * w.gamma * _sd_grad(teacher2, student2,
-                                                      state.plan)
-            levels.append((w.tau_sd, totals[1], [(cols2, student2)]))
+            # A new product: student2 may be the state's.
+            g_seq = _sd_grad(state.teacher_seq, student2, state.plan)
+            g_seq *= ot_alpha * w.gamma
+            levels.append((w.tau_sd, totals[1], [(cols2, student2 * g_seq)]))
 
     if grad is not None:
         gradient = _softmax_backward(s, top, levels, gradient)
-    breakdown = None
-    if need_loss:
-        ce = -_floor_log(p_label).sum(axis=(1, 2))
-        if sd is None:
-            sd = _sd(cost, state.plan)
-        total = ce + w.alpha * (had + w.beta * sl + w.gamma * sd)
-        breakdown = LossBreakdown(ce=ce, had=had, sl=sl, sd=sd,
-                                  total=total, rank=state.rank,
-                                  rank_seq=state.rank_seq)
+    if not need_loss:
+        return state, None, gradient
+    ce = -_floor_log(p_label).sum(axis=(1, 2))
+    if sd is None:
+        sd = _sd(_cost(state.teacher_seq, student2), state.plan)
+    total = ce + w.alpha * (had + w.beta * sl + w.gamma * sd)
+    breakdown = LossBreakdown(ce=ce, had=had, sl=sl, sd=sd, total=total,
+                              rank=state.rank, rank_seq=state.rank_seq)
     return state, breakdown, gradient
 
 

@@ -69,12 +69,12 @@ def load_logit_file(path):
 
     The document must be a single object with exactly the keys "tokens",
     "vocab", and "logits"; the logits array must match the declared shape
-    and contain only finite numbers.
+    and contain only finite JSON numbers, integers within 64 bits.
     """
     try:
         doc = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: malformed JSON at line {exc.lineno}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
     expected = {"tokens", "vocab", "logits"}
@@ -82,8 +82,9 @@ def load_logit_file(path):
         extra = sorted(set(doc) ^ expected)
         raise ParseError(f"{path}: keys must be exactly tokens/vocab/logits "
                          f"(mismatch: {extra})")
+    # A safe cast refuses what infers no number dtype: strings, null, 10**400.
     try:
-        arr = np.array(doc["logits"], dtype=float)
+        arr = np.array(doc["logits"]).astype(float, casting="safe", copy=False)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: logits is not a numeric matrix") from exc
     declared = (doc["tokens"], doc["vocab"])

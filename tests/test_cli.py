@@ -92,12 +92,19 @@ class TestLossCommand:
         assert "bogus" in err
 
     def test_malformed_logit_file_exits_2(self, capsys, tmp_path, logit_pair):
+        # Not JSON; nested past the decoder's recursion limit; an integer
+        # past the float range; numbers given as strings.
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, _, err = run(capsys, "loss", "--teacher", str(bad),
-                           "--student", logit_pair[1])
-        assert code == 2
-        assert "bad.json" in err
+        for text in ("{not json", '{"tokens": 1, "vocab": 1, "logits": '
+                     + "[" * 100000 + "]" * 100000 + "}",
+                     '{"tokens": 1, "vocab": 2, "logits": [[1' + "0" * 400
+                     + ', 0]]}',
+                     '{"tokens": 1, "vocab": 2, "logits": [["1", "2"]]}'):
+            bad.write_text(text)
+            code, _, err = run(capsys, "loss", "--teacher", str(bad),
+                               "--student", logit_pair[1])
+            assert code == 2, text[:60]
+            assert "bad.json" in err
 
     # 1e-310 lies below the least temperature, 1 / float max, whose
     # reciprocal overflows.
@@ -416,13 +423,20 @@ def spoil_logits(arr, how):
         doc["extra"] = 1
     elif how == "one_column":
         return logit_text(arr[:, :1])
+    elif how == "deep":
+        doc["logits"] = []
+        return json.dumps(doc).replace("[]", "[" * 100000 + "]" * 100000)
+    elif how == "huge_int":
+        doc["logits"][0][-1] = 10**400
+    elif how == "strings":
+        doc["logits"] = [[repr(x) for x in row] for row in doc["logits"]]
     return json.dumps(doc)
 
 
 LOGIT_FAULTS = {"truncated": 2, "nan": 2, "inf": 2, "rows": 2, "ragged": 2,
                 "tokens_text": 2, "tokens_null": 2, "tokens_fraction": 2,
                 "tokens_bool": 2, "extra_key": 2, "one_column": 3,
-                "not_utf8": 2}
+                "deep": 2, "huge_int": 2, "strings": 2, "not_utf8": 2}
 LABEL_FAULTS = {"-1": 3, "1.5": 3, "one": 2, "1" + "0" * 30: 3, "few": 3,
                 "vocab": 3, "not_utf8": 2}
 CONFIG_FAULTS = {"bogus=1": 2, "alpha=abc": 2, "no equals sign": 2,

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otdistill import (EXACT_ASSIGNMENT, SUM_SORT, AlignedPair, InvalidConfig,
-                       InvalidInput, LossWeights, SinkhornConfig, build_state,
-                       ce_loss, check_gradient, finite_diff_grad, sd_loss,
+from otdistill import (EXACT_ASSIGNMENT, SUM_SORT, AlignedPair, DistillConfig,
+                       InvalidConfig, InvalidInput, LossWeights,
+                       SinkhornConfig, build_state, ce_loss, check_gradient,
+                       finite_diff_grad, run_distillation, sd_loss,
                        seq_cost_matrix, softmax_rows, total_grad, total_loss,
                        total_loss_frozen)
 from otdistill import cli, composite, core, fileio
@@ -407,9 +408,10 @@ class TestSoftmaxAccounting:
 
     The teacher (m = 8 columns) and the student (n = 6) are told apart by
     their width. A pass is recorded with its temperature count and a
-    backward with its level count. composite has no dense softmax: every
-    entry comes from a pass or from its row normalizers (_softmax_at), and
-    only exact matching reads one of those whole.
+    backward with its level count, and each sequence cost and plan too.
+    composite has no dense softmax: every entry comes from a pass or from
+    its row normalizers (_softmax_at), and only exact matching reads one of
+    those whole.
     """
 
     @pytest.fixture
@@ -430,12 +432,19 @@ class TestSoftmaxAccounting:
                             counted("pass", composite._softmax_pass, 0))
         monkeypatch.setattr(composite, "_softmax_backward",
                             counted("backward", composite._softmax_backward, 1))
+        for kind in ("cost", "plan"):
+            def sequence(*args, kind=kind,
+                         kernel=getattr(composite, "_" + kind)):
+                calls.append((kind,))
+                return kernel(*args)
+            monkeypatch.setattr(composite, "_" + kind, sequence)
         return calls
 
     def test_calls_per_function(self, calls):
         t, s = random_pair(35, m=8, n=6)
         state = build_state(t, s, w=SMALL)
-        assert calls == [("pass", "teacher", 2), ("pass", "student", 2)]
+        assert calls == [("pass", "teacher", 2), ("pass", "student", 2),
+                         ("cost",), ("plan",)]
         calls.clear()
         total_loss_frozen(state, t, s, SMALL)
         assert calls == [("pass", "student", 2)]
@@ -444,31 +453,39 @@ class TestSoftmaxAccounting:
         assert calls == [("pass", "student", 2), ("backward", "student", 2)]
         calls.clear()
         total_loss(t, s, w=SMALL)
-        assert calls == [("pass", "teacher", 2), ("pass", "student", 2)]
+        assert calls == [("pass", "teacher", 2), ("pass", "student", 2),
+                         ("cost",), ("plan",)]
         calls.clear()
         total_grad(t, s, w=SMALL)
         assert calls == [("pass", "teacher", 2), ("pass", "student", 2),
-                         ("backward", "student", 2)]
+                         ("cost",), ("plan",), ("backward", "student", 2)]
+        # The harness's one call per step builds one cost and one plan.
+        calls.clear()
+        run_distillation(replace(DistillConfig(), steps=6))
+        assert [c for c in calls if len(c) == 1] == [("cost",), ("plan",)] * 6
 
 
     @pytest.mark.parametrize("taus, teacher, student", [
-        ((1.0, 2.0), (1, 0, 0), (1, 1, 2)),
-        ((2.0, 1.0), (1, 0, 0), (1, 1, 2)),
-        ((0.7, 3.0), (2, 0, 0), (2, 2, 3))])
+        ((1.0, 2.0), (1, 0, 0, 1, 1), (1, 1, 2, 1, 2)),
+        ((2.0, 1.0), (1, 0, 0, 1, 1), (1, 1, 2, 1, 2)),
+        ((0.7, 3.0), (2, 0, 0, 2, 2), (2, 2, 3, 2, 3))])
     def test_exponentials_per_entry(self, exponentials, taus, teacher,
                                     student):
         # Per entry of the teacher and of the student, the exponentials of
-        # build_state, total_loss_frozen and total_grad with a state. At
-        # (1, 2) and (2, 1) a pass takes one per entry for both
-        # temperatures, and the backward recomputes tau_sd (squared at
-        # (2, 1)); at (0.7, 3.0) a pass takes two. Kept
-        # columns (k = 4) and labels (1) are read narrower and not counted.
+        # build_state, total_loss_frozen and total_grad with a state, and
+        # of total_loss and total_grad without one. At (1, 2) and (2, 1) a
+        # pass takes one per entry for both temperatures, and the backward
+        # recomputes tau_sd (squared at (2, 1)); at (0.7, 3.0) a pass takes
+        # two. Kept columns (k = 4) and labels (1) are read narrower and not
+        # counted.
         w = replace(SMALL, tau_sl=taus[0], tau_sd=taus[1])
         t, s = random_pair(35, m=8, n=6)
         state = build_state(t, s, w=w)
         calls = [lambda: build_state(t, s, w=w),
                  lambda: total_loss_frozen(state, t, s, w),
-                 lambda: total_grad(t, s, w=w, state=state)]
+                 lambda: total_grad(t, s, w=w, state=state),
+                 lambda: total_loss(t, s, w=w),
+                 lambda: total_grad(t, s, w=w)]
         for call, per_teacher, per_student in zip(calls, teacher, student):
             exponentials.clear()
             call()
@@ -527,7 +544,7 @@ class TestSoftmaxAccounting:
          "total_loss": lambda: total_loss(t, s, w=w),
          "total_grad": lambda: total_grad(t, s, w=w)}[name]()
         assert calls == [("pass", "teacher", 2), ("pass", "student", 2),
-                         ("whole", "student")] + (
+                         ("whole", "student"), ("cost",), ("plan",)] + (
             [("backward", "student", 2)] if name == "total_grad" else [])
 
     def test_the_padded_sort_teacher_sorts_its_pass(self, calls):

@@ -46,10 +46,15 @@ class TestLogitFile:
             fileio.load_logit_file(path)
 
     def test_rejects_malformed_json(self, tmp_path):
-        path = tmp_path / "trunc.json"
-        path.write_text('{"tokens": 1,')
-        with pytest.raises(ParseError):
-            fileio.load_logit_file(path)
+        # Truncated; nested past the decoder's recursion limit; an integer
+        # past the float range; numbers given as strings.
+        for logits in ("", "[" * 100000 + "]" * 100000,
+                       "[[1" + "0" * 400 + ", 0]]", '[["1", "2"]]'):
+            path = tmp_path / "bad.json"
+            path.write_text('{"tokens": 1, "vocab": 2' + (
+                f', "logits": {logits}}}' if logits else ","))
+            with pytest.raises(ParseError, match="bad.json"):
+                fileio.load_logit_file(path)
 
 
 class TestMatrixCSV:
