@@ -303,10 +303,9 @@ def _teacher(t, n, w, argmax, dense):
 
 def _build(teacher, s, w, labels, top, totals, sums, probs, spare, returned):
     """The state of a call given none, from its _Teacher and its student
-    pass over s: row normalizers (top, totals) and column sums at both
-    temperatures. Exact matching ranks from whole softmaxes instead: probs
-    at tau_sl, then tau_sd from the normalizers, written into spare (probs
-    unless it is the gradient) or a fresh array."""
+    pass over s (row normalizers top, totals; column sums). Exact matching
+    ranks from whole softmaxes instead: probs at tau_sl, then tau_sd from
+    the normalizers, into spare (probs unless it is the gradient) or anew."""
     k = _width(w.k, teacher.logits.shape[-1], s.shape[-1])
     mode = w.match_mode
     exact = mode == EXACT_ASSIGNMENT
@@ -424,19 +423,20 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
             # state was built at its stored sd is the loss's.
             if np.array_equal(state.student_seq, student2):
                 sd = state.sd
+        if need_loss and sd is None:
+            sd = _sd(_cost(state.teacher_seq, student2), state.plan)
         if seq_grad:
-            # A new product: student2 may be the state's.
-            g_seq = _sd_grad(state.teacher_seq, student2, state.plan)
-            g_seq *= ot_alpha * w.gamma
-            levels.append((w.tau_sd, totals[1], [(cols2, student2 * g_seq)]))
+            # p * g, in place unless student2 is the state's own.
+            student2 = np.multiply(student2, ot_alpha * w.gamma * _sd_grad(
+                state.teacher_seq, student2, state.plan),
+                out=None if student2 is state.student_seq else student2)
+            levels.append((w.tau_sd, totals[1], [(cols2, student2)]))
 
     if grad is not None:
         gradient = _softmax_backward(s, top, levels, gradient)
     if not need_loss:
         return state, None, gradient
     ce = -_floor_log(p_label).sum(axis=(1, 2))
-    if sd is None:
-        sd = _sd(_cost(state.teacher_seq, student2), state.plan)
     total = ce + w.alpha * (had + w.beta * sl + w.gamma * sd)
     breakdown = LossBreakdown(ce=ce, had=had, sl=sl, sd=sd, total=total,
                               rank=state.rank, rank_seq=state.rank_seq)

@@ -301,6 +301,12 @@ class TestStoredSequenceLoss:
             stored = total_loss_frozen(state, t, s, w)
         through_cost = total_loss_frozen(replace(state), t, s, w)
         assert self.components(stored) == self.components(through_cost)
+        # The state a gradient call builds keeps them too: its backward
+        # reads the state's probabilities and does not write into them.
+        built = composite._forward(t[None], s[None], w,
+                                   grad=composite.MULTILEVEL_OT)[0]
+        assert np.array_equal(built.student_seq[0], state.student_seq)
+        assert built.sd[0] == state.sd
 
     @pytest.mark.parametrize("name", ["plan", "teacher_seq"])
     def test_a_copy_with_another_plan_or_teacher_computes_its_loss(
