@@ -304,8 +304,8 @@ def _teacher(t, n, w, argmax, dense):
 def _build(teacher, s, w, labels, top, totals, sums, probs, spare, returned):
     """The state of a call given none, from its _Teacher and its student
     pass over s (row normalizers top, totals; column sums). Exact matching
-    ranks from whole softmaxes instead: probs at tau_sl, then tau_sd from
-    the normalizers, into spare (probs unless it is the gradient) or anew."""
+    ranks from whole softmaxes: probs at tau_sl, then tau_sd from the
+    normalizers into spare (probs, unless the gradient) or a new array."""
     k = _width(w.k, teacher.logits.shape[-1], s.shape[-1])
     mode = w.match_mode
     exact = mode == EXACT_ASSIGNMENT
