@@ -51,14 +51,14 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .core import (_MIN_TAU, PROB_FLOOR, _check_choice, _check_number,
-                   _check_type, _floor_log, _gather, _is_count,
+from .core import (_MIN_TAU, PROB_FLOOR, _check_choice, _check_count,
+                   _check_number, _check_type, _floor_log, _gather,
                    _logit_matrix, _softmax_at, _softmax_backward,
                    _softmax_pass, validate_logits, validate_probs)
 from .errors import InvalidConfig, InvalidInput
 from .preprocess import (EXACT_ASSIGNMENT, MATCH_MODES, SUM_SORT,
                          RankSelection, _descending_stable, _head_width,
-                         _match, _width)
+                         _match)
 from .seq_ot import SinkhornConfig, _cost, _plan, _sd, _sd_grad
 from .token_ot import _had_loss, _sl_loss, _uld_grad, _uld_sorted
 
@@ -84,16 +84,15 @@ class LossWeights:
     match_mode: str = SUM_SORT
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            _check_number(getattr(self, name), name, strict=False)
-        # The fused pass trusts these temperatures, and scales by their
-        # reciprocals, finite above 1 / float max (core._MIN_TAU).
-        for name in ("tau_sl", "tau_sd"):
-            _check_number(getattr(self, name), name, least=_MIN_TAU)
+        # Kept as their rules return them; temperatures lie above 1 / float
+        # max (core._MIN_TAU), where the fused pass's reciprocals are finite.
+        for name in ("alpha", "beta", "gamma", "tau_sl", "tau_sd"):
+            tau = name.startswith("tau")
+            object.__setattr__(self, name, _check_number(
+                getattr(self, name), name, least=_MIN_TAU if tau else 0.0,
+                strict=tau))
+        object.__setattr__(self, "k", _check_count(self.k, "truncation width k"))
         _check_type(self.sinkhorn, SinkhornConfig, "sinkhorn")
-        if not _is_count(self.k):
-            raise InvalidConfig(f"truncation width k must be an integer >= 1, "
-                                f"got {self.k}")
         _check_choice(self.match_mode, MATCH_MODES, "match_mode")
 
 
@@ -306,7 +305,7 @@ def _build(teacher, s, w, labels, top, totals, sums, probs, spare, returned):
     pass over s (row normalizers top, totals; column sums). Exact matching
     ranks from whole softmaxes: probs at tau_sl, then tau_sd from the
     normalizers into spare (probs, unless the gradient) or a new array."""
-    k = _width(w.k, teacher.logits.shape[-1], s.shape[-1])
+    k = min(w.k, teacher.logits.shape[-1], s.shape[-1])
     mode = w.match_mode
     exact = mode == EXACT_ASSIGNMENT
     rank = RankSelection(teacher.perm[0], _match(

@@ -135,16 +135,6 @@ def _executor():
         return _pool
 
 
-def _is_count(value, least=1):
-    # value is an integer >= least, or a float holding one; nan, inf,
-    # fractions and non-numbers give False (int() raises on nan, inf and
-    # most non-numbers, and the comparison fails on the rest).
-    try:
-        return value == int(value) and value >= least
-    except (OverflowError, TypeError, ValueError):
-        return False
-
-
 def _is_real(value):
     # A real number: a numbers.Real, or a numpy scalar or 0-d array of a
     # bool, integer or float dtype. Strings, None and Decimals are not: a
@@ -170,6 +160,17 @@ def _check_number(value, name, least=0.0, strict=True):
         raise InvalidConfig(f"{name} must be a finite number{bound}, "
                             f"got {value!r}")
     return x
+
+
+def _check_count(value, name, least=1, most=None, error=InvalidConfig):
+    """The one rule for an integer setting: value as an int if it is a
+    finite real number (_is_real) equal to an integer from least to most
+    (any for most=None), else error naming it (InvalidInput for arguments)."""
+    n = int(value) if _is_real(value) and -math.inf < value < math.inf else None
+    if n is None or n != value or n < least or most is not None and n > most:
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise error(f"{name} must be an integer {bound}, got {value!r}")
+    return n
 
 
 def _check_choice(value, choices, name, error=InvalidConfig):
@@ -620,7 +621,8 @@ def safe_log(p, floor=PROB_FLOOR):
     Returns ln(max(p, floor)); monotone nondecreasing in p. Inputs outside
     [0, 1] raise InvalidInput.
     """
-    if _check_number(floor, "floor") >= 1.0:
+    floor = _check_number(floor, "floor")
+    if floor >= 1.0:
         raise InvalidConfig(f"floor must lie in (0, 1), got {floor}")
     arr = _matrix(p, "probability array", ndim=None)
     lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .composite import (CE_ONLY, COMPONENTS, MULTILEVEL_OT, ULD, LossWeights,
                         _forward, _teacher)
-from .core import _check_choice, _check_number, _check_type, _is_count
+from .core import _check_choice, _check_count, _check_number, _check_type
 from .errors import InvalidConfig, NumericalFailure
 from .fileio import metrics_csv_text, write_text_atomic
 
@@ -40,18 +40,16 @@ class DistillConfig:
     mode: str = MULTILEVEL_OT
 
     def __post_init__(self):
-        # Counts follow LossWeights.k's rule from their least value (a
-        # vocabulary needs 2 entries); a float holding an integer is stored
-        # as that integer.
+        # Each setting is kept as its rule returns it, an int or a float;
+        # counts from their least value (a vocabulary needs 2 entries).
         for name, least in (("seed", 0), ("m", 2), ("n", 2), ("tokens", 1),
                             ("contexts", 1), ("steps", 1)):
-            value = getattr(self, name)
-            if not _is_count(value, least):
-                raise InvalidConfig(f"{name} must be an integer >= {least}, "
-                                    f"got {value!r}")
-            object.__setattr__(self, name, int(value))
-        _check_number(self.lr, "lr", strict=False)
-        _check_number(self.sharpness, "sharpness", least=None)
+            object.__setattr__(self, name, _check_count(
+                getattr(self, name), name, least))
+        object.__setattr__(self, "lr", _check_number(self.lr, "lr",
+                                                     strict=False))
+        object.__setattr__(self, "sharpness", _check_number(
+            self.sharpness, "sharpness", least=None))
         _check_type(self.weights, LossWeights, "weights")
         _check_choice(self.mode, MODES, "mode")
         if self.contexts < 2 * self.tokens:

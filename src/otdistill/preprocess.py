@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import _check_choice, _is_count, _matrix, validate_probs
+from .core import _check_choice, _check_count, _matrix, validate_probs
 from .errors import InvalidInput, TooLargeForExact
 
 SUM_SORT = "sum_sort"
@@ -111,8 +111,11 @@ def match_student(t_sr, s, mode=SUM_SORT):
     return _match(t_sr[None, :, :r], s[None], mode)[0]
 
 
-def _same_rows(t, s):
-    t = _matrix(t, "teacher matrix", finite=True)
+def _same_rows(t, s, probs=False):
+    # t and s as finite matrices with one row count, t as a row-stochastic
+    # one (validate_probs) if probs.
+    t = (validate_probs(t) if probs
+         else _matrix(t, "teacher matrix", finite=True))
     s = _matrix(s, "student matrix", finite=True)
     if t.shape[0] != s.shape[0]:
         raise InvalidInput("teacher and student must have the same number of "
@@ -121,12 +124,12 @@ def _same_rows(t, s):
 
 
 def _head_width(k, m, n, mode):
-    """The ranked teacher columns an alignment reads: the k kept ones under
-    SUM_SORT, all min(m, n) that EXACT_ASSIGNMENT matches (at most
-    ASSIGNMENT_LIMIT). Raises InvalidInput for an unknown mode."""
-    if _check_choice(mode, MATCH_MODES, "mode", InvalidInput) == SUM_SORT:
-        return _width(k, m, n)
+    """The ranked teacher columns an alignment reads: the min(k, m, n) kept
+    ones under SUM_SORT, all min(m, n) that EXACT_ASSIGNMENT matches (at
+    most ASSIGNMENT_LIMIT). k and mode are checked ones."""
     r = min(m, n)
+    if mode == SUM_SORT:
+        return min(k, r)
     if r > ASSIGNMENT_LIMIT:
         raise TooLargeForExact(
             f"exact matching limited to {ASSIGNMENT_LIMIT} dimensions, got {r}"
@@ -170,12 +173,6 @@ def alignment_cost(t_sr, s, student_perm):
     return float(np.abs(t_sr[:, :r] - s[:, perm[:r]]).sum())
 
 
-def _width(k, m, n):
-    if not _is_count(k):
-        raise InvalidInput(f"truncation width must be an integer >= 1, got {k}")
-    return min(int(k), m, n)
-
-
 def truncate_topk(t_sr, s_sr, k):
     """Keep the first min(k, m, n) columns of both ranked matrices.
 
@@ -183,7 +180,8 @@ def truncate_topk(t_sr, s_sr, k):
     column count of the returned pair.
     """
     t_sr, s_sr = _same_rows(t_sr, s_sr)
-    k_eff = _width(k, t_sr.shape[1], s_sr.shape[1])
+    k_eff = min(_check_count(k, "truncation width k", error=InvalidInput),
+                t_sr.shape[1], s_sr.shape[1])
     return AlignedPair(teacher=t_sr[:, :k_eff], student=s_sr[:, :k_eff])
 
 
@@ -194,12 +192,15 @@ def align_and_truncate(t, s, k, mode=SUM_SORT):
     columns of each matrix are gathered (and the min(m, n) teacher columns
     EXACT_ASSIGNMENT matches). Returns (AlignedPair, RankSelection).
     """
-    t, s = _same_rows(validate_probs(t), s)
-    k_eff = _width(k, t.shape[1], s.shape[1])
+    k = _check_count(k, "truncation width k", error=InvalidInput)
+    _check_choice(mode, MATCH_MODES, "mode", InvalidInput)
+    t, s = _same_rows(t, s, probs=True)
+    k_eff = min(k, t.shape[1], s.shape[1])
     width = _head_width(k, t.shape[1], s.shape[1], mode)
     teacher_perm = _descending_stable(t.sum(axis=0))
     head = t[:, teacher_perm[:width]]
-    student_perm = match_student(head, s, mode)
+    student_perm = _match(head[None], (
+        s.sum(axis=0) if mode == SUM_SORT else s)[None], mode)[0]
     pair = AlignedPair(head[:, :k_eff], s[:, student_perm[:k_eff]])
     return pair, RankSelection(teacher_perm, student_perm, k_eff, mode)
 

@@ -48,10 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import (_BLOCK_ENTRIES, _blocks, _check_number, _check_type,
-                   _is_count, _matrix, _parts, _slices, _walk)
-from .errors import (InvalidConfig, InvalidInput, NumericalFailure,
-                     NumericalUnderflow)
+from .core import (_BLOCK_ENTRIES, _blocks, _check_count, _check_number,
+                   _check_type, _matrix, _parts, _slices, _walk)
+from .errors import InvalidInput, NumericalFailure, NumericalUnderflow
 from .preprocess import AlignedPair
 
 # _BLOCK_ENTRIES counts the B x T x T x k row-difference signs the gradient
@@ -83,11 +82,10 @@ class SinkhornConfig:
     iterations: int = 20
 
     def __post_init__(self):
-        _check_number(self.regularization, "regularization")
-        n = self.iterations
-        if not _is_count(n) or n > MAX_ITERATIONS:
-            raise InvalidConfig(f"iterations must be an integer in "
-                                f"[1, {MAX_ITERATIONS}], got {n}")
+        object.__setattr__(self, "regularization", _check_number(
+            self.regularization, "regularization"))
+        object.__setattr__(self, "iterations", _check_count(
+            self.iterations, "iterations", most=MAX_ITERATIONS))
 
 
 def seq_cost_matrix(pair: AlignedPair) -> np.ndarray:
@@ -169,7 +167,6 @@ def _plan(C, cfg):
     # nan); so does a row or column sum below 1 / float max. Either is
     # caught after the sweeps: while u and v are finite, so is the plan,
     # and an infinite u or v stays in the iterates to the end.
-    iterations = int(cfg.iterations)
     # C-ordered whatever C's layout, so that the stacks below are views
     # and the products' bytes do not depend on the layout.
     K = np.empty(C.shape)
@@ -217,10 +214,10 @@ def _plan(C, cfg):
 
     parts = _parts(k.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(iterations + 1):
-            _walk(lambda view, part: sweep(view, i == 0, i == iterations),
+        for i in range(cfg.iterations + 1):
+            _walk(lambda view, part: sweep(view, i == 0, i == cfg.iterations),
                   views, parts)
-            if i < iterations:
+            if i < cfg.iterations:
                 if runs > 1:
                     np.sum(shares, axis=0, out=v)
                 np.reciprocal(v, out=v)

@@ -1,6 +1,8 @@
+import importlib
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -564,6 +566,41 @@ class TestSoftmaxAccounting:
                        ((0, 0), (0, 2)))
         np.testing.assert_array_equal(teacher.dense[0],
                                       np.sort(dense, axis=-1)[:, ::-1])
+
+
+class TestSettingsCheckedOnce:
+    """Every setting is checked where its config is built: a call on the
+    config runs none of the rules (core's _check_number, _check_count and
+    _check_choice), in any module that imports them."""
+
+    RULES = ("_check_number", "_check_count", "_check_choice")
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        checks, rules = [], {name: getattr(core, name) for name in self.RULES}
+        for path in sorted(Path(core.__file__).parent.glob("[!_]*.py")):
+            module = importlib.import_module(f"otdistill.{path.stem}")
+            for name, original in rules.items():
+                if hasattr(module, name):
+                    def rule(*args, name=name, original=original, **kwargs):
+                        checks.append(name)
+                        return original(*args, **kwargs)
+                    monkeypatch.setattr(module, name, rule)
+        return checks
+
+    @pytest.mark.parametrize("mode", [SUM_SORT, EXACT_ASSIGNMENT])
+    def test_no_rule_runs_during_a_call(self, checks, mode):
+        w = replace(SMALL, match_mode=mode)
+        cfg = DistillConfig(weights=w, steps=3)
+        t, s = random_pair(36)
+        state = build_state(t, s, w=w)
+        checks.clear()
+        total_loss(t, s, w=w)
+        total_loss_frozen(state, t, s, w)
+        total_grad(t, s, w=w)
+        total_grad(t, s, w=w, state=state)
+        run_distillation(cfg)
+        assert checks == []
 
 
 class TestPeakMemory:

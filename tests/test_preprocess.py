@@ -8,6 +8,8 @@ from otdistill import (EXACT_ASSIGNMENT, SUM_SORT, InvalidInput,
                        TooLargeForExact, align_and_truncate, alignment_cost,
                        match_student, sequence_rank_teacher, softmax_rows,
                        truncate_topk)
+from otdistill import core, preprocess
+from otdistill.core import _matrix
 from otdistill.preprocess import _SIMD_SORT_MIN, _descending_stable
 
 
@@ -203,6 +205,25 @@ class TestTruncateTopk:
 
 
 class TestAlignAndTruncate:
+    @pytest.mark.parametrize("mode", [SUM_SORT, EXACT_ASSIGNMENT])
+    def test_validates_each_matrix_once(self, monkeypatch, mode):
+        # Every array check goes through core._matrix, which preprocess
+        # also calls itself: one call per input, on the input as given,
+        # and one per matrix of the AlignedPair returned, as it is built.
+        rng = np.random.default_rng(7)
+        t, s = random_probs(rng, 3, 8), random_probs(rng, 3, 6)
+        reads = []
+
+        def counted(x, *args, **kwargs):
+            reads.append(x)
+            return _matrix(x, *args, **kwargs)
+
+        monkeypatch.setattr(core, "_matrix", counted)
+        monkeypatch.setattr(preprocess, "_matrix", counted)
+        pair, _ = align_and_truncate(t, s, 4, mode)
+        assert [id(x) for x in reads] == [id(t), id(s), id(pair.teacher),
+                                          id(pair.student)]
+
     def test_selection_records_clamped_k(self):
         rng = np.random.default_rng(5)
         t = random_probs(rng, 2, 8)

@@ -33,8 +33,9 @@ Shapes cover m != n, T = 1, a vocabulary of 2, k above the vocabulary and
 exact ties at the rank cut, under both match modes.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ from otdistill import (CE_ONLY, EXACT_ASSIGNMENT, MULTILEVEL_OT, SUM_SORT, ULD,
                        SinkhornConfig, TooLargeForExact, build_state,
                        run_distillation, total_grad, total_loss,
                        total_loss_frozen)
-from otdistill import core
+from otdistill import core, seq_ot
 from otdistill.composite import _forward, _softmax_backward
 from otdistill.core import _softmax_at, _softmax_pass, softmax_backward
 from refimpl import _softmax, softmax_by_division
@@ -612,10 +613,110 @@ def test_scalar_arguments_raise_invalid_config_naming_them(name):
         except Exception as exc:  # any other error escapes
             wrong.append(f"{value!r}: {type(exc).__name__}: {exc}")
     assert wrong == []
-    # Valid values pass as Python floats, numpy scalars and 0-d arrays.
+    # Valid values pass as Python floats, numpy scalars, 0-d arrays and
+    # Fractions.
     good = 0.5 if least is None else least + 0.5 * strict
-    for value in (good, np.float32(good), np.array(good)):
+    for value in (good, np.float32(good), np.array(good), Fraction(good)):
         fn(value)
+
+
+# Every integer setting of the public API, as (function of the value,
+# least valid value, greatest or None, a valid value, the error it raises
+# otherwise): InvalidConfig for a config field, InvalidInput for a
+# function argument.
+COUNTS = {
+    "LossWeights k": (lambda v: LossWeights(k=v), 1, None, 4, InvalidConfig),
+    "SinkhornConfig iterations": (
+        lambda v: SinkhornConfig(iterations=v), 1, seq_ot.MAX_ITERATIONS, 20,
+        InvalidConfig),
+    **{f"DistillConfig {name}": (
+        lambda v, name=name: DistillConfig(**{name: v}), least, None,
+        getattr(DistillConfig(), name), InvalidConfig)
+       for name, least in (("seed", 0), ("m", 2), ("n", 2), ("tokens", 1),
+                           ("contexts", 1), ("steps", 1))},
+    "truncate_topk k": (lambda v: od.truncate_topk(_T, _S, v), 1, None, 2,
+                        InvalidInput),
+    "align_and_truncate k": (lambda v: od.align_and_truncate(_T, _S, v), 1,
+                             None, 2, InvalidInput),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_integer_settings_raise_naming_them(name):
+    fn, least, most, good, error = COUNTS[name]
+    field = name.split()[-1]
+    bad = ["2", None, np.nan, np.inf, -np.inf, 2.5, Fraction(5, 2),
+           Decimal(2), np.array([2]), np.array("2"), least - 1, least - 0.5]
+    if most is not None:
+        bad += [most + 1, 10**30, 1e300]
+    wrong = []
+    for value in bad:
+        try:
+            fn(value)
+            wrong.append(f"{value!r}: returned")
+        except error as exc:
+            if field not in str(exc):
+                wrong.append(f"{value!r}: {exc}")
+        except Exception as exc:  # any other error escapes
+            wrong.append(f"{value!r}: {type(exc).__name__}: {exc}")
+    assert wrong == []
+    # Valid values pass as Python ints and floats holding one, numpy
+    # scalars, 0-d arrays and Fractions.
+    for value in (good, float(good), np.int64(good), np.float32(good),
+                  np.array(good), Fraction(good)):
+        fn(value)
+
+
+@pytest.mark.parametrize("kind", [Fraction, np.float32, np.int8, np.array,
+                                  bool])
+def test_config_fields_hold_python_floats_and_ints(kind):
+    # Each config keeps what its rule returns: a Python float for a real
+    # setting and an int for a count, whatever number type it was given.
+    number = (lambda v: kind(v != 0)) if kind is bool else kind
+    values = {"alpha": 1, "beta": 0, "gamma": 1, "tau_sl": 1, "tau_sd": 2,
+              "k": 4, "regularization": 1, "iterations": 20, "seed": 3,
+              "m": 20, "n": 15, "tokens": 1, "contexts": 32, "steps": 5,
+              "lr": 1, "sharpness": 6}
+    if kind is bool:
+        values = {name: value for name, value in values.items()
+                  if value in (0, 1)}
+    given = {name: number(value) for name, value in values.items()}
+    sink = SinkhornConfig(**{name: given[name] for name in given
+                             if name in ("regularization", "iterations")})
+    w = LossWeights(sinkhorn=sink, **{
+        name: given[name] for name in given
+        if name in {f.name for f in fields(LossWeights)}})
+    cfg = DistillConfig(weights=w, **{
+        name: given[name] for name in given
+        if name in {f.name for f in fields(DistillConfig)}})
+    for config in (sink, w, cfg):
+        for f in fields(config):
+            if f.type in (int, float):
+                value = getattr(config, f.name)
+                assert type(value) is f.type, (f.name, value)
+                assert value == values.get(f.name, f.default), f.name
+
+
+def test_settings_of_other_number_types_give_their_floats_bytes():
+    # A Fraction or a numpy float32 setting computes what its float
+    # computes, bit for bit.
+    t, s = _rng.normal(size=(4, 6)), _rng.normal(size=(4, 5))
+    for given, plain in ((dict(alpha=Fraction(3, 20)), dict(alpha=0.15)),
+                         (dict(tau_sl=np.float32(0.7)),
+                          dict(tau_sl=float(np.float32(0.7)))),
+                         (dict(sinkhorn=SinkhornConfig(Fraction(1, 10))),
+                          dict(sinkhorn=SinkhornConfig(0.1)))):
+        a, b = LossWeights(**given), LossWeights(**plain)
+        assert total_loss(t, s, w=a).total == total_loss(t, s, w=b).total
+        assert total_grad(t, s, w=a).tobytes() == \
+            total_grad(t, s, w=b).tobytes()
+    cfg = DistillConfig(m=10, n=7, tokens=4, contexts=16, steps=3)
+    expected = run_distillation(cfg)
+    for given in (dict(lr=Fraction(1, 2)), dict(sharpness=Fraction(6))):
+        got = run_distillation(replace(cfg, **given))
+        for name in ("total", "eval_sd"):
+            assert getattr(got, name).tobytes() == \
+                getattr(expected, name).tobytes()
 
 
 # Every config or state argument or field of the public API, as (function
