@@ -55,7 +55,7 @@ from .core import (_MIN_TAU, PROB_FLOOR, _check_choice, _check_count,
                    _check_number, _check_type, _floor_log, _gather,
                    _logit_matrix, _softmax_at, _softmax_backward,
                    _softmax_pass, validate_logits, validate_probs)
-from .errors import InvalidConfig, InvalidInput
+from .errors import InvalidConfig, InvalidInput, NumericalFailure
 from .preprocess import (EXACT_ASSIGNMENT, MATCH_MODES, SUM_SORT,
                          RankSelection, _descending_stable, _head_width,
                          _match)
@@ -250,6 +250,9 @@ def _check_state(state: PipelineState, t, n, w):
         raise InvalidConfig(
             f"state was built at tau_sl={state.tau_sl}, tau_sd={state.tau_sd}, "
             f"got tau_sl={w.tau_sl}, tau_sd={w.tau_sd}")
+    if state.teacher_logits is None:
+        raise InvalidInput("state holds no teacher logits; a state is tied "
+                           "to its teacher through them (see build_state)")
     if not np.array_equal(_kept_logits(t, state.rank, state.rank_seq),
                           state.teacher_logits):
         raise InvalidInput("teacher logits differ from the state's at its kept "
@@ -343,7 +346,8 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     call given no state builds one (_build; labels=None derives
     pseudo-labels, given labels are a validated (B, T) array, ignored when
     a state is given), and evaluates the state: the loss breakdown when
-    need_loss, and, when grad names an objective (MULTILEVEL_OT, CE_ONLY or
+    need_loss (NumericalFailure, before any gradient term, when a total is
+    not finite), and, when grad names an objective (MULTILEVEL_OT, CE_ONLY or
     ULD; ULD, which also reads the teacher's sorted rows, only without a
     state), its gradient w.r.t. the raw student logits, computed by one
     backward at the end. Returns (state, breakdown or None, gradient or
@@ -382,7 +386,8 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
                        returned=not need_loss and grad is None)
         student2, sd = state.student_seq, state.sd
 
-    # Token temperature: ce + alpha * (had + beta * sl).
+    # The loss, whose check precedes every gradient term. Token
+    # temperature: ce + alpha * (had + beta * sl).
     if need_loss or grad is not None:
         at_label = state.labels[:, :, None]
         p_label = _softmax_at(s, w.tau_sl, (top, totals[0]), at_label)
@@ -391,28 +396,6 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
         student1 = _softmax_at(s, w.tau_sl, (top, totals[0]), cols1)
         had = _had_loss(state.teacher, student1)
         sl = _sl_loss(state.teacher, student1)
-    # Each level's upstream gradient is kept only as the sparse products
-    # p * g that the one backward at the end reads. A softmax entry p read
-    # by nothing else after its gradient g is overwritten with p * g.
-    levels = []
-    if grad is not None:
-        # Only labels above the floor get -1/p; dividing elsewhere would
-        # evaluate 1/0 on a saturated row.
-        g_label = np.divide(-1.0, p_label, out=np.zeros_like(p_label),
-                            where=p_label > PROB_FLOOR)
-        terms = [(at_label, p_label * g_label)]
-        if ot_alpha > 0:
-            student1 *= ot_alpha * (had.grad + w.beta * sl.grad)
-            terms.append((cols1, student1))
-        if grad == ULD:
-            # The padded-sort baseline reads every column of both softmaxes;
-            # the pass left the student's at tau_sl in the gradient.
-            terms.append((None, gradient * (
-                w.alpha * _uld_grad(teacher.dense, gradient))))
-        levels.append((w.tau_sl, totals[0], terms))
-    if need_loss or ot_alpha > 0:
-        had, sl = had.value, sl.value
-
     # Sequence temperature: alpha * gamma * sd.
     if need_loss or seq_grad:
         cols2 = state.rank_seq.student_perm[:, None, :state.rank_seq.k]
@@ -424,22 +407,50 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
                 sd = state.sd
         if need_loss and sd is None:
             sd = _sd(_cost(state.teacher_seq, student2), state.plan)
-        if seq_grad:
-            # p * g, in place unless student2 is the state's own.
-            student2 = np.multiply(student2, ot_alpha * w.gamma * _sd_grad(
-                state.teacher_seq, student2, state.plan),
-                out=None if student2 is state.student_seq else student2)
-            levels.append((w.tau_sd, totals[1], [(cols2, student2)]))
+    breakdown = (_breakdown(p_label, had.value, sl.value, sd, w, state)
+                 if need_loss else None)
+    if grad is None:
+        return state, breakdown, None
 
-    if grad is not None:
-        gradient = _softmax_backward(s, top, levels, gradient)
-    if not need_loss:
-        return state, None, gradient
+    # Each level's upstream gradient is kept only as the sparse products
+    # p * g that the one backward at the end reads. A softmax entry p read
+    # by nothing else after its gradient g is overwritten with p * g.
+    # Only labels above the floor get -1/p; dividing elsewhere would
+    # evaluate 1/0 on a saturated row.
+    g_label = np.divide(-1.0, p_label, out=np.zeros_like(p_label),
+                        where=p_label > PROB_FLOOR)
+    terms = [(at_label, p_label * g_label)]
+    if ot_alpha > 0:
+        student1 *= ot_alpha * (had.grad + w.beta * sl.grad)
+        terms.append((cols1, student1))
+        del had, sl  # their (B, T, k) gradients, spent before the backward
+    if grad == ULD:
+        # The padded-sort baseline reads every column of both softmaxes;
+        # the pass left the student's at tau_sl in the gradient.
+        terms.append((None, gradient * (
+            w.alpha * _uld_grad(teacher.dense, gradient))))
+    levels = [(w.tau_sl, totals[0], terms)]
+    if seq_grad:
+        # p * g, in place unless student2 is the state's own.
+        student2 = np.multiply(student2, ot_alpha * w.gamma * _sd_grad(
+            state.teacher_seq, student2, state.plan),
+            out=None if student2 is state.student_seq else student2)
+        levels.append((w.tau_sd, totals[1], [(cols2, student2)]))
+    return state, breakdown, _softmax_backward(s, top, levels, gradient)
+
+
+def _breakdown(p_label, had, sl, sd, w, state):
+    # The loss of each sequence from its components, NumericalFailure when
+    # a total is not finite: each component is bounded, but the weights
+    # can carry the sum past the float range.
     ce = -_floor_log(p_label).sum(axis=(1, 2))
-    total = ce + w.alpha * (had + w.beta * sl + w.gamma * sd)
-    breakdown = LossBreakdown(ce=ce, had=had, sl=sl, sd=sd, total=total,
-                              rank=state.rank, rank_seq=state.rank_seq)
-    return state, breakdown, gradient
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = ce + w.alpha * (had + w.beta * sl + w.gamma * sd)
+    if not np.isfinite(total).all():
+        raise NumericalFailure("the loss is not finite; lower alpha, beta or "
+                               "gamma")
+    return LossBreakdown(ce=ce, had=had, sl=sl, sd=sd, total=total,
+                         rank=state.rank, rank_seq=state.rank_seq)
 
 
 def build_state(teacher_logits, student_logits, labels=None, w=LossWeights()):

@@ -9,7 +9,6 @@ round-trip exactly.
 
 import json
 import os
-import tempfile
 from dataclasses import fields
 
 import numpy as np
@@ -39,12 +38,23 @@ def _fmt(x):
 
 
 def write_text_atomic(path, text):
-    """Write text to path via a temp file in the same directory plus rename."""
+    """Write text to path via a temp file in the same directory plus rename.
+
+    The file keeps the mode of a file it replaces; a new one gets the mode
+    open() gives a new file, 0o666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        mode = os.stat(path).st_mode & 0o777
+    except OSError:
+        mode = None
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

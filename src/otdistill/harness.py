@@ -160,13 +160,14 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
     for step in range(cfg.steps):
         # One fused pass: every block's state, breakdown and the mode's
         # gradient from the same softmaxes.
-        state, breakdown, grad = _forward(teacher_half, student_blocks, w,
-                                          labels=labels, grad=cfg.mode)
+        try:
+            state, breakdown, grad = _forward(teacher_half, student_blocks,
+                                              w, labels=labels, grad=cfg.mode)
+        except NumericalFailure as exc:
+            failure = NumericalFailure(f"step {step}: {exc}")
+            failure.metrics = _metrics(records)
+            raise failure from None
         labels = state.labels
-        if not np.isfinite(breakdown.total).all():
-            exc = NumericalFailure(f"non-finite loss at step {step}")
-            exc.metrics = _metrics(records)
-            raise exc
         for name in COMPONENTS:
             records[name].append(_block_mean(getattr(breakdown, name)))
         # The metric of the evaluation blocks, also trained, is the

@@ -119,6 +119,19 @@ class TestLossCommand:
         assert code == 3
         assert line.split("=")[0] in err
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_loss_past_the_float_range_exits_4(self, capsys, logit_pair,
+                                               tmp_path, json_flag):
+        # Each component is finite, but alpha carries the total past the
+        # float range: an error, not "total inf" or JSON's Infinity.
+        config = tmp_path / "w.cfg"
+        config.write_text("alpha=1e308\n")
+        code, out, err = run(capsys, "loss", "--teacher", logit_pair[0],
+                             "--student", logit_pair[1], "--config",
+                             str(config), *json_flag)
+        assert (code, out) == (4, "")
+        assert "not finite" in err
+
     def test_non_integer_label_exits_3(self, capsys, logit_pair, tmp_path):
         labels = tmp_path / "labels.txt"
         labels.write_text("0\n1.7\n0\n")
@@ -311,6 +324,19 @@ class TestDistillCommand:
         code, _, _ = run(capsys, "distill", "--config", str(config),
                          "--out", str(tmp_path / "out.csv"))
         assert code == 3
+
+    def test_loss_past_the_float_range_exits_4_keeping_the_header(
+            self, capsys, tmp_path):
+        # Step 0's loss is past the float range: no step is recorded, and
+        # the metrics file holds the header alone.
+        config = tmp_path / "run.cfg"
+        config.write_text(self.CONFIG + "alpha=1e308\n")
+        out = tmp_path / "metrics.csv"
+        code, _, err = run(capsys, "distill", "--config", str(config),
+                           "--out", str(out))
+        assert code == 4
+        assert "step 0" in err and "not finite" in err
+        assert out.read_text() == "step,ce,had,sl,sd,total,eval_sd\n"
 
     # A sharpness of 1e308 is finite, but the teacher table it scales is not.
     @pytest.mark.parametrize("setting", ["lr=nan", "lr=inf", "sharpness=nan",

@@ -248,6 +248,12 @@ class TestFrozenState:
             total_loss_frozen(state, other, s, SMALL)
         with pytest.raises(InvalidInput):
             total_grad(other, s, w=SMALL, state=state)
+        # A state that holds no teacher logits is tied to no teacher.
+        state = replace(state, teacher_logits=None)
+        with pytest.raises(InvalidInput, match="no teacher logits"):
+            total_loss_frozen(state, t, s, SMALL)
+        with pytest.raises(InvalidInput, match="no teacher logits"):
+            total_grad(t, s, w=SMALL, state=state)
 
     @pytest.mark.parametrize("field", ["tau_sl", "tau_sd"])
     def test_rejects_other_temperatures(self, field):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from otdistill import (InvalidConfig, InvalidInput, NumericalFailure, safe_log,
-                       softmax_backward, softmax_rows)
+                       softmax_backward, softmax_rows, validate_probs)
 from otdistill.core import _softmax_at, _softmax_pass, _Squared
 from refimpl import _softmax, softmax_by_division
 
@@ -121,6 +121,23 @@ class TestSafeLog:
             safe_log(1.5)
         with pytest.raises(InvalidInput):
             safe_log(-0.1)
+
+
+class TestValidateProbs:
+    @pytest.mark.parametrize("probs", [[[1.5, -0.5]], [[0.5, 0.5], [-0.1, 1.1]]])
+    def test_rejects_entries_outside_the_unit_interval(self, probs):
+        # Each row sums to 1: only the range is at fault.
+        with pytest.raises(InvalidInput, match=r"\[0, 1\]"):
+            validate_probs(probs)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+    def test_rejects_a_row_sum_off_by_more_than_tol(self, tol):
+        probs = np.array([[0.5, 0.5], [0.25, 0.75 + 2 * tol + 1e-6]])
+        with pytest.raises(InvalidInput, match="sum to 1"):
+            validate_probs(probs, tol=tol)
+        # Within tol it passes as it came.
+        probs[1, 1] = 0.75 + tol / 2
+        np.testing.assert_array_equal(validate_probs(probs, tol=tol), probs)
 
 
 class TestSoftmaxBackward:

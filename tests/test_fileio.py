@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -47,12 +49,14 @@ class TestLogitFile:
 
     def test_rejects_malformed_json(self, tmp_path):
         # Truncated; nested past the decoder's recursion limit; an integer
-        # past the float range; numbers given as strings.
+        # past the float range; numbers given as strings; a document that
+        # is not an object.
         for logits in ("", "[" * 100000 + "]" * 100000,
-                       "[[1" + "0" * 400 + ", 0]]", '[["1", "2"]]'):
+                       "[[1" + "0" * 400 + ", 0]]", '[["1", "2"]]', None):
             path = tmp_path / "bad.json"
-            path.write_text('{"tokens": 1, "vocab": 2' + (
-                f', "logits": {logits}}}' if logits else ","))
+            path.write_text("[[0, 1]]" if logits is None else
+                            '{"tokens": 1, "vocab": 2' + (
+                                f', "logits": {logits}}}' if logits else ","))
             with pytest.raises(ParseError, match="bad.json"):
                 fileio.load_logit_file(path)
 
@@ -112,6 +116,25 @@ class TestAtomicWrite:
         fileio.write_text_atomic(path, "hello")
         assert path.read_text() == "hello"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_a_new_file_gets_the_mode_of_any_new_file(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            fileio.write_text_atomic(tmp_path / "out.txt", "hello")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) \
+            == 0o666 & ~umask
+
+    @pytest.mark.parametrize("mode", [0o644, 0o600, 0o640, 0o755])
+    def test_a_rewritten_file_keeps_its_mode(self, tmp_path, mode):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        path.chmod(mode)
+        fileio.write_text_atomic(path, "new")
+        assert (path.read_text(), stat.S_IMODE(path.stat().st_mode)) \
+            == ("new", mode)
 
 
 @pytest.mark.parametrize("load", [
