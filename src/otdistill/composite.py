@@ -4,8 +4,8 @@ total = ce + alpha * (had + beta * sl + gamma * sd)
 
 The token losses (ce, had, sl) use one softmax temperature, the sequence
 loss its own. build_state, total_loss_frozen, total_loss and total_grad are
-thin wrappers that check their config and state objects and the logits'
-shapes and call one fused pass (_forward). This module holds the loss
+thin wrappers: _arguments checks every argument, and the fused pass
+(_forward) trusts it and checks none. This module holds the loss
 algebra and the state; core walks the logit stacks and reads and writes them
 at kept columns. The pass walks each logit matrix once, in blocks of rows,
 at both temperatures (core._softmax_pass, on every usable core), checks that
@@ -126,8 +126,8 @@ class PipelineState:
     teacher_seq are the teacher's kept probabilities at tau_sl (the columns
     of rank) and at tau_sd (those of rank_seq), and teacher_logits the
     teacher's logits at both sets of kept columns, which every call given
-    the state compares with its teacher argument. Only states returned to
-    a caller carry teacher_logits.
+    the state compares with its teacher argument. Only build_state attaches
+    teacher_logits: a state the fused pass builds holds None.
 
     A state also keeps the sequence loss of the student it was built at:
     student_seq, that student's kept probabilities at tau_sd (the columns
@@ -201,19 +201,6 @@ def _pseudo_labels(argmax, rank: RankSelection, n_student):
     return np.take_along_axis(rank.student_perm, pos, axis=-1)
 
 
-def _batch_of_one(teacher_logits, student_logits, labels=None, state=None):
-    # The public functions' inputs, cut to their shared tokens, as a batch
-    # of one. Only shapes are checked here: each softmax pass checks that
-    # the logits it reads are finite. A teacher given with a state, which
-    # no pass reads, is validated whole, in one read of each block.
-    t = (_logit_matrix if state is None else validate_logits)(teacher_logits)
-    s = _logit_matrix(student_logits)
-    length = min(t.shape[0], s.shape[0])
-    if labels is not None:
-        labels = _validate_labels(labels, length, s.shape[1])[None]
-    return t[None, :length], s[None, :length], labels
-
-
 def _index(obj, i):
     """A state, breakdown or rank with i applied to every array field.
 
@@ -237,8 +224,25 @@ def _index(obj, i):
     return out
 
 
-def _check_state(state: PipelineState, t, n, w):
-    length, m = t.shape[1:]
+def _arguments(teacher_logits, student_logits, labels, w, state=None,
+               frozen=False):
+    # A public call's arguments, each checked, as the fused pass takes
+    # them: (t, s, labels, state), cut to their shared tokens, with a batch
+    # axis of one; frozen if the call needs a state. Each pass checks the
+    # logits it reads; a teacher given with a state, which no pass reads,
+    # is validated whole and must be the state's at its kept columns.
+    _check_type(w, LossWeights, "w")
+    if frozen or state is not None:
+        state = _index(_check_type(state, PipelineState, "state"), None)
+    t = (_logit_matrix if state is None else validate_logits)(teacher_logits)
+    s = _logit_matrix(student_logits)
+    length = min(t.shape[0], s.shape[0])
+    t, s = t[None, :length], s[None, :length]
+    if state is None:
+        if labels is not None:
+            labels = _validate_labels(labels, length, s.shape[-1])[None]
+        return t, s, labels, None
+    m, n = t.shape[-1], s.shape[-1]
     if state.length != length:
         raise InvalidInput("state was built for a different token count")
     for rank in (state.rank, state.rank_seq):
@@ -257,6 +261,7 @@ def _check_state(state: PipelineState, t, n, w):
                           state.teacher_logits):
         raise InvalidInput("teacher logits differ from the state's at its kept "
                            "columns; a state is tied to its teacher")
+    return t, s, None, state
 
 
 def _kept_logits(t, rank, rank_seq):
@@ -303,7 +308,7 @@ def _teacher(t, n, w, argmax, dense):
                     dense=None if probs is None else _uld_sorted(probs, n))
 
 
-def _build(teacher, s, w, labels, top, totals, sums, probs, spare, returned):
+def _build(teacher, s, w, labels, top, totals, sums, probs, spare):
     """The state of a call given none, from its _Teacher and its student
     pass over s (row normalizers top, totals; column sums). Exact matching
     ranks from whole softmaxes: probs at tau_sl, then tau_sd from the
@@ -329,8 +334,7 @@ def _build(teacher, s, w, labels, top, totals, sums, probs, spare, returned):
         length=s.shape[1], labels=labels, rank=rank, rank_seq=rank_seq,
         plan=plan, tau_sl=w.tau_sl, tau_sd=w.tau_sd,
         teacher=teacher.head[0][..., :k], teacher_seq=teacher2,
-        teacher_logits=(_kept_logits(teacher.logits, rank, rank_seq)
-                        if returned else None))
+        teacher_logits=None)
     object.__setattr__(state, "student_seq", student2)
     object.__setattr__(state, "sd", _sd(cost, plan))
     return state
@@ -355,17 +359,15 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     breakdown's components hold one entry per sequence, and the gradient
     is (B, T, n).
 
-    A given state must match t at its kept columns and w's temperatures;
-    the teacher then enters only through it. Only a state built with no
-    loss and no gradient (build_state) records the teacher's kept logits.
+    Arguments are trusted as _arguments returns them: a given state fits
+    t and w, and the teacher enters only through it (t is not read). No
+    state built here holds teacher_logits; build_state attaches them.
     """
     ot_alpha = w.alpha if grad == MULTILEVEL_OT else 0.0
     seq_grad = grad is not None and ot_alpha * w.gamma > 0
     if state is None:
         teacher = t if isinstance(t, _Teacher) else _teacher(
             t, s.shape[-1], w, argmax=labels is None, dense=grad == ULD)
-    else:
-        _check_state(state, t, s.shape[-1], w)
     exact = state is None and w.match_mode == EXACT_ASSIGNMENT
     taus = (w.tau_sl, w.tau_sd)[:1 + (state is None or need_loss or seq_grad)]
 
@@ -382,8 +384,7 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     student2 = sd = None
     if state is None:
         state = _build(teacher, s, w, labels, top, totals, sums, probs,
-                       None if probs is gradient else probs,
-                       returned=not need_loss and grad is None)
+                       None if probs is gradient else probs)
         student2, sd = state.student_seq, state.sd
 
     # The loss, whose check precedes every gradient term. Token
@@ -459,9 +460,11 @@ def build_state(teacher_logits, student_logits, labels=None, w=LossWeights()):
     With labels=None, per-token pseudo-labels are derived from the teacher
     argmax through the rank alignment.
     """
-    _check_type(w, LossWeights, "w")
-    t, s, labels = _batch_of_one(teacher_logits, student_logits, labels)
-    return _index(_forward(t, s, w, labels=labels, need_loss=False)[0], 0)
+    t, s, labels, _ = _arguments(teacher_logits, student_logits, labels, w)
+    state = _forward(t, s, w, labels=labels, need_loss=False)[0]
+    object.__setattr__(state, "teacher_logits",
+                       _kept_logits(t, state.rank, state.rank_seq))
+    return _index(state, 0)
 
 
 def total_loss_frozen(state: PipelineState, teacher_logits, student_logits,
@@ -471,17 +474,15 @@ def total_loss_frozen(state: PipelineState, teacher_logits, student_logits,
     The state's labels, selections and plan apply: w.k, w.match_mode and
     w.sinkhorn are ignored, and only w's temperatures must match the state's.
     """
-    _check_type(state, PipelineState, "state")
-    _check_type(w, LossWeights, "w")
-    t, s, _ = _batch_of_one(teacher_logits, student_logits, state=state)
-    return _index(_forward(t, s, w, state=_index(state, None))[1], 0)
+    t, s, _, state = _arguments(teacher_logits, student_logits, None, w,
+                                state, frozen=True)
+    return _index(_forward(t, s, w, state=state)[1], 0)
 
 
 def total_loss(teacher_logits, student_logits, labels=None,
                w=LossWeights()) -> LossBreakdown:
     """Full objective: cross-entropy plus the weighted transport losses."""
-    _check_type(w, LossWeights, "w")
-    t, s, labels = _batch_of_one(teacher_logits, student_logits, labels)
+    t, s, labels, _ = _arguments(teacher_logits, student_logits, labels, w)
     return _index(_forward(t, s, w, labels=labels)[1], 0)
 
 
@@ -497,10 +498,7 @@ def total_grad(teacher_logits, student_logits, labels=None, w=LossWeights(),
     w.k, w.match_mode and w.sinkhorn are ignored, and only w's temperatures
     must match the state's.
     """
-    _check_type(w, LossWeights, "w")
-    if state is not None:
-        state = _index(_check_type(state, PipelineState, "state"), None)
-        labels = None
-    t, s, labels = _batch_of_one(teacher_logits, student_logits, labels, state)
+    t, s, labels, state = _arguments(teacher_logits, student_logits, labels,
+                                     w, state)
     return _forward(t, s, w, state=state, labels=labels, need_loss=False,
                     grad=MULTILEVEL_OT)[2][0]

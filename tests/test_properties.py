@@ -50,7 +50,7 @@ from otdistill import (CE_ONLY, EXACT_ASSIGNMENT, MULTILEVEL_OT, SUM_SORT, ULD,
                        run_distillation, total_grad, total_loss,
                        total_loss_frozen)
 from otdistill import core, seq_ot
-from otdistill.composite import _forward, _softmax_backward
+from otdistill.composite import _forward, _kept_logits, _softmax_backward
 from otdistill.core import _softmax_at, _softmax_pass, softmax_backward
 from refimpl import _softmax, softmax_by_division
 
@@ -199,7 +199,7 @@ def fused_outputs(t, s, w):
     built = _forward(t, s, w, need_loss=False)[0]
     _, frozen, frozen_grad = _forward(t, s, w, state=built, grad=MULTILEVEL_OT)
     _, loss_only, _ = _forward(t, s, w, state=built)
-    arrays = [grad, frozen_grad, built.teacher_logits]
+    arrays = [grad, frozen_grad, _kept_logits(t, built.rank, built.rank_seq)]
     for one in (state, built):
         arrays += [one.labels, one.plan, one.teacher, one.teacher_seq]
         for rank in (one.rank, one.rank_seq):

@@ -136,3 +136,29 @@ def test_only_core_and_seq_ot_walk_blocks():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name in walk]
     assert found == []
+
+
+def test_the_fused_pass_checks_no_argument():
+    # composite._arguments checks every argument of the public calls, and
+    # the fused pass (_forward, _build, _teacher) trusts it: an argument
+    # error raised there, or a rule called there, is a second copy of the
+    # argument contract.
+    path = Path(otdistill.__file__).parent / "composite.py"
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in tree.body:
+        if not (isinstance(node, ast.FunctionDef)
+                and node.name in ("_forward", "_build", "_teacher")):
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Raise) and inner.exc is not None:
+                exc = inner.exc.func if isinstance(inner.exc, ast.Call) \
+                    else inner.exc
+                name = ast.unparse(exc).split(".")[-1]
+                if name in ("InvalidInput", "InvalidConfig"):
+                    found.append(f"{node.name}:{inner.lineno} raises {name}")
+            elif isinstance(inner, ast.Call):
+                name = ast.unparse(inner.func).split(".")[-1]
+                if name.startswith(("_check_", "validate_")):
+                    found.append(f"{node.name}:{inner.lineno} calls {name}")
+    assert found == []
