@@ -53,7 +53,7 @@ import numpy as np
 
 from .core import (_MIN_TAU, PROB_FLOOR, _check_choice, _check_count,
                    _check_number, _check_type, _floor_log, _gather,
-                   _logit_matrix, _softmax_at, _softmax_backward,
+                   _logit_matrix, _matrix, _softmax_at, _softmax_backward,
                    _softmax_pass, validate_logits, validate_probs)
 from .errors import InvalidConfig, InvalidInput, NumericalFailure
 from .preprocess import (EXACT_ASSIGNMENT, MATCH_MODES, SUM_SORT,
@@ -169,7 +169,10 @@ def ce_loss(student_probs, labels):
 
 
 def _validate_labels(labels, length, vocab):
-    labels = np.asarray(labels)
+    try:
+        labels = np.asarray(labels)
+    except ValueError:  # ragged
+        labels = np.asarray(None)
     if labels.ndim != 1 or labels.shape[0] < length:
         raise InvalidInput(
             f"need at least {length} labels, got shape {labels.shape}"
@@ -181,7 +184,7 @@ def _validate_labels(labels, length, vocab):
     # Compared in their own dtype (a float past the int range, inf too,
     # would not cast); the initial values let zero labels pass.
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= vocab:
-        raise InvalidInput(f"label out of range [0, {vocab})")
+        raise InvalidInput(f"labels out of range [0, {vocab})")
     return labels.astype(int)
 
 
@@ -201,16 +204,17 @@ def _pseudo_labels(argmax, rank: RankSelection, n_student):
     return np.take_along_axis(rank.student_perm, pos, axis=-1)
 
 
-def _index(obj, i):
+def _index(obj, i, **given):
     """A state, breakdown or rank with i applied to every array field.
 
     i=None views a single one as a batch of one; i=0 takes the first item
     of a batched one, with its loss components as floats. Fields outside
-    the constructor (a state's stored sequence loss) are carried too.
+    the constructor (a state's stored sequence loss) are carried too, and
+    given fields replace obj's before i is applied.
     """
     changes, carried = {}, {}
     for f in fields(obj):
-        value = getattr(obj, f.name)
+        value = given.get(f.name, getattr(obj, f.name))
         if isinstance(value, np.ndarray):
             value = value[i]
             if value.ndim == 0:
@@ -233,7 +237,7 @@ def _arguments(teacher_logits, student_logits, labels, w, state=None,
     # is validated whole and must be the state's at its kept columns.
     _check_type(w, LossWeights, "w")
     if frozen or state is not None:
-        state = _index(_check_type(state, PipelineState, "state"), None)
+        _check_type(state, PipelineState, "state")
     t = (_logit_matrix if state is None else validate_logits)(teacher_logits)
     s = _logit_matrix(student_logits)
     length = min(t.shape[0], s.shape[0])
@@ -242,18 +246,30 @@ def _arguments(teacher_logits, student_logits, labels, w, state=None,
         if labels is not None:
             labels = _validate_labels(labels, length, s.shape[-1])[None]
         return t, s, labels, None
-    m, n = t.shape[-1], s.shape[-1]
-    if state.length != length:
+    if not np.array_equal(state.length, length):
         raise InvalidInput("state was built for a different token count")
-    for rank in (state.rank, state.rank_seq):
-        if rank.teacher_perm.shape[-1] != m or rank.student_perm.shape[-1] != n:
-            raise InvalidInput(
-                f"state was built for vocabularies of {rank.teacher_perm.shape[-1]} "
-                f"and {rank.student_perm.shape[-1]}, got {m} and {n}")
-    if (state.tau_sl, state.tau_sd) != (w.tau_sl, w.tau_sd):
+    if not (np.array_equal(state.tau_sl, w.tau_sl)
+            and np.array_equal(state.tau_sd, w.tau_sd)):
         raise InvalidConfig(
             f"state was built at tau_sl={state.tau_sl}, tau_sd={state.tau_sd}, "
             f"got tau_sl={w.tau_sl}, tau_sd={w.tau_sd}")
+    # Every other field the pass reads, in O(T + k log k): the rankings'
+    # kept heads (_check_rank), the labels, and the shapes of the plan and
+    # the kept teacher probabilities, as float arrays. Their values may be
+    # non-finite: the loss and the gradient check theirs (NumericalFailure).
+    for name in ("rank", "rank_seq"):
+        _check_rank(getattr(state, name), name, t.shape[-1], s.shape[-1])
+    given = {"labels": _validate_labels(state.labels, length, s.shape[-1])}
+    if len(state.labels) != length:
+        raise InvalidInput(f"state must hold {length} labels, got "
+                           f"{len(state.labels)}")
+    for name, width in (("plan", length), ("teacher", state.rank.k),
+                        ("teacher_seq", state.rank_seq.k)):
+        given[name] = _matrix(getattr(state, name), f"state {name}")
+        if given[name].shape != (length, width):
+            raise InvalidInput(f"state {name} must be {length} x {width}, "
+                               f"got {given[name].shape}")
+    state = _index(state, None, **given)
     if state.teacher_logits is None:
         raise InvalidInput("state holds no teacher logits; a state is tied "
                            "to its teacher through them (see build_state)")
@@ -262,6 +278,31 @@ def _arguments(teacher_logits, student_logits, labels, w, state=None,
         raise InvalidInput("teacher logits differ from the state's at its kept "
                            "columns; a state is tied to its teacher")
     return t, s, None, state
+
+
+def _check_rank(rank, name, m, n):
+    # A state's rank where the pass reads it: k an int in [1, min(m, n)], as
+    # build_state makes it, and the first k entries of each permutation
+    # columns of its vocabulary, the student's distinct (a repeated column
+    # would have its gradient added twice). The rest is not read.
+    _check_type(rank, RankSelection, f"state {name}", InvalidInput)
+    k = rank.k
+    if type(k) is not int or not 1 <= k <= min(m, n):
+        raise InvalidInput(f"state {name}.k must be an int in "
+                           f"[1, {min(m, n)}], got {k!r}")
+    for side, vocab in (("teacher_perm", m), ("student_perm", n)):
+        perm = getattr(rank, side)
+        shape = getattr(perm, "shape", None)
+        if not isinstance(perm, np.ndarray) or shape != (vocab,):
+            raise InvalidInput(f"state {name}.{side} must order {vocab} "
+                               f"columns, got shape {shape}")
+        head = perm[:k]
+        if head.dtype.kind not in "iu" or head.min() < 0 or head.max() >= vocab:
+            raise InvalidInput(f"state {name}.{side} must hold columns in "
+                               f"[0, {vocab}) in its first k={k} entries")
+    if np.unique(rank.student_perm[:k]).size < k:
+        raise InvalidInput(f"state {name}.student_perm repeats a column in "
+                           f"its first k={k} entries")
 
 
 def _kept_logits(t, rank, rank_seq):
@@ -417,26 +458,28 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     # p * g that the one backward at the end reads. A softmax entry p read
     # by nothing else after its gradient g is overwritten with p * g.
     # Only labels above the floor get -1/p; dividing elsewhere would
-    # evaluate 1/0 on a saturated row.
+    # evaluate 1/0 on a saturated row. The weights can carry a product
+    # past the float range: the backward checks them (NumericalFailure).
     g_label = np.divide(-1.0, p_label, out=np.zeros_like(p_label),
                         where=p_label > PROB_FLOOR)
     terms = [(at_label, p_label * g_label)]
-    if ot_alpha > 0:
-        student1 *= ot_alpha * (had.grad + w.beta * sl.grad)
-        terms.append((cols1, student1))
-        del had, sl  # their (B, T, k) gradients, spent before the backward
-    if grad == ULD:
-        # The padded-sort baseline reads every column of both softmaxes;
-        # the pass left the student's at tau_sl in the gradient.
-        terms.append((None, gradient * (
-            w.alpha * _uld_grad(teacher.dense, gradient))))
     levels = [(w.tau_sl, totals[0], terms)]
-    if seq_grad:
-        # p * g, in place unless student2 is the state's own.
-        student2 = np.multiply(student2, ot_alpha * w.gamma * _sd_grad(
-            state.teacher_seq, student2, state.plan),
-            out=None if student2 is state.student_seq else student2)
-        levels.append((w.tau_sd, totals[1], [(cols2, student2)]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ot_alpha > 0:
+            student1 *= ot_alpha * (had.grad + w.beta * sl.grad)
+            terms.append((cols1, student1))
+            del had, sl  # their (B, T, k) gradients, spent before the backward
+        if grad == ULD:
+            # The padded-sort baseline reads every column of both softmaxes;
+            # the pass left the student's at tau_sl in the gradient.
+            terms.append((None, gradient * (
+                w.alpha * _uld_grad(teacher.dense, gradient))))
+        if seq_grad:
+            # p * g, in place unless student2 is the state's own.
+            student2 = np.multiply(student2, ot_alpha * w.gamma * _sd_grad(
+                state.teacher_seq, student2, state.plan),
+                out=None if student2 is state.student_seq else student2)
+            levels.append((w.tau_sd, totals[1], [(cols2, student2)]))
     return state, breakdown, _softmax_backward(s, top, levels, gradient)
 
 

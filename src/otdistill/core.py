@@ -183,11 +183,12 @@ def _check_choice(value, choices, name, error=InvalidConfig):
     return value
 
 
-def _check_type(value, cls, name):
-    """value if it is a cls (a config or state object), else InvalidConfig
-    naming the argument or field it came in as."""
+def _check_type(value, cls, name, error=InvalidConfig):
+    """value if it is a cls (a config or state object), else error naming
+    the argument or field it came in as: InvalidConfig, or InvalidInput for
+    a state's field."""
     if not isinstance(value, cls):
-        raise InvalidConfig(f"{name} must be a {cls.__name__}, got {value!r}")
+        raise error(f"{name} must be a {cls.__name__}, got {value!r}")
     return value
 
 
@@ -539,7 +540,11 @@ def _softmax_backward(z, top, levels, gradient):
     gradient g there. A level's backward is
     softmax * -(sum of x along each row) / tau plus x / tau at cols
     (softmax_backward of the dense upstream gradient); the terms' arrays
-    are divided by tau in place.
+    are divided by tau in place. Terms (products the caller computed under
+    np.errstate) that are not finite, or whose sums of |x| / tau could carry
+    the gradient past the float range, raise NumericalFailure before any
+    block is written. The check reads the terms alone, not the gradient,
+    so the gradient returned is finite and nothing reads it again.
 
     gradient, the array returned, holds the first level's softmax as the
     pass computed it there (its out). Block by block (_blocks), that level
@@ -548,12 +553,21 @@ def _softmax_backward(z, top, levels, gradient):
     independent, so each usable core takes the next block not yet taken
     (_walk), in its share of the one block buffer.
     """
-    scales = []
-    for tau, _, terms in levels:
-        inner = sum(x.sum(axis=-1, keepdims=True) for _, x in terms)
-        scales.append(-inner / tau)
-        for _, x in terms:
-            x /= tau
+    scales, mass = [], 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tau, _, terms in levels:
+            inner = sum(x.sum(axis=-1, keepdims=True) for _, x in terms)
+            scales.append(-inner / tau)
+            for _, x in terms:
+                x /= tau
+                mass += float(np.abs(x).sum())
+    # An entry of a level is a softmax entry (at most 1) times its row's
+    # scale (at most the row's sum of |x|) plus its x at cols, so no entry of
+    # the gradient, and no partial sum a block forms, exceeds 2 * mass; a
+    # finite 4 * mass leaves room for the roundings.
+    if not math.isfinite(4.0 * mass):
+        raise NumericalFailure("the gradient is not finite; lower alpha, "
+                               "beta or gamma, or raise the temperatures")
     parts = _parts(z.size * len(levels), z.shape[-1])
     blocks = _blocks(z.shape, parts)
     buf = (np.empty((parts,) + z[blocks[0]].shape) if len(levels) > 1

@@ -17,7 +17,8 @@ from .errors import InvalidInput, OTDistillError
 
 
 class ParseError(OTDistillError, ValueError):
-    """A file could not be parsed or violates its format invariants."""
+    """A file could not be read, written or parsed, or violates its format
+    invariants."""
 
 
 def parse_int(text, error=InvalidInput):
@@ -41,7 +42,9 @@ def write_text_atomic(path, text):
     """Write text to path via a temp file in the same directory plus rename.
 
     The file keeps the mode of a file it replaces; a new one gets the mode
-    open() gives a new file, 0o666 less the umask.
+    open() gives a new file, 0o666 less the umask. A path that cannot be
+    written (a directory, a missing one) raises ParseError naming it, and
+    leaves no temp file behind.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
@@ -49,17 +52,21 @@ def write_text_atomic(path, text):
     except OSError:
         mode = None
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        if mode is not None:
-            os.chmod(tmp, mode)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            if mode is not None:
+                os.chmod(tmp, mode)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ParseError(
+            f"{path}: cannot write file: {exc.strerror or exc}") from exc
 
 
 def _read(path):

@@ -2,9 +2,11 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +340,27 @@ class TestDistillCommand:
         assert "step 0" in err and "not finite" in err
         assert out.read_text() == "step,ce,had,sl,sd,total,eval_sd\n"
 
+    def test_gradient_past_the_float_range_exits_4_keeping_the_steps(
+            self, capsys, tmp_path):
+        # At alpha=1e300 every loss is finite, but a step's gradient passes
+        # the float range: the run stops there, with the steps before it.
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=1\nm=20\nn=15\nT=8\ncontexts=32\nsteps=5\n"
+                          "lr=0.5\nalpha=1e300\n")
+        out = tmp_path / "metrics.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "distill", "--config", str(config),
+                               "--out", str(out))
+        assert code == 4
+        assert "gradient is not finite" in err
+        step = int(re.search(r"step (\d+):", err).group(1))
+        lines = out.read_text().splitlines()
+        assert lines[0] == "step,ce,had,sl,sd,total,eval_sd"
+        assert len(lines) == step + 1
+        assert np.isfinite([[float(x) for x in line.split(",")]
+                            for line in lines[1:]]).all()
+
     # A sharpness of 1e308 is finite, but the teacher table it scales is not.
     @pytest.mark.parametrize("setting", ["lr=nan", "lr=inf", "sharpness=nan",
                                          "sharpness=-inf", "sharpness=1e308"])
@@ -366,6 +389,27 @@ class TestDistillCommand:
         assert code == 3
         assert "contexts=" in err and " m=" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_an_unwritable_output_exits_2_naming_it(capsys, tmp_path, where):
+    cost = tmp_path / "cost.csv"
+    fileio.write_matrix_csv(cost, np.zeros((2, 2)))
+    config = tmp_path / "run.cfg"
+    config.write_text(TestDistillCommand.CONFIG)
+    out = tmp_path / "out"
+    if where == "a directory":
+        out.mkdir()
+    else:
+        out = out / "missing" / "p.csv"
+    for argv in (["sinkhorn", "--cost", str(cost)],
+                 ["distill", "--config", str(config)]):
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert "cannot write file" in err and str(out) in err
+    # No temp file is left beside the inputs.
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["cost.csv", "run.cfg"] + ["out"] * (where == "a directory"))
 
 
 class TestIterationBound:

@@ -9,7 +9,7 @@ import pytest
 
 from otdistill import (EXACT_ASSIGNMENT, SUM_SORT, AlignedPair, DistillConfig,
                        InvalidConfig, InvalidInput, LossWeights,
-                       SinkhornConfig, build_state, ce_loss, check_gradient,
+                       NumericalFailure, SinkhornConfig, build_state, ce_loss, check_gradient,
                        finite_diff_grad, run_distillation, sd_loss,
                        seq_cost_matrix, softmax_rows, total_grad, total_loss,
                        total_loss_frozen)
@@ -214,6 +214,28 @@ class TestTotalGrad:
             warnings.simplefilter("error")
             grad = total_grad(t, s, labels, SMALL)
         assert np.isfinite(grad).all()
+
+
+    @pytest.mark.parametrize("state", [False, True])
+    def test_a_gradient_past_the_float_range_raises_numerical_failure(
+            self, state):
+        # The loss is not computed, and its weights carry the sparse
+        # products past the float range: NumericalFailure, no warning.
+        rng = np.random.default_rng(0)
+        t, s = rng.normal(size=(3, 6)) * 3, rng.normal(size=(3, 5)) * 3
+        w = LossWeights(alpha=1e308, beta=1.0)
+        given = build_state(t, s, w=w) if state else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="gradient"):
+                total_grad(t, s, w=w, state=given)
+
+    def test_a_gradient_near_the_float_range_is_returned_finite(self):
+        # The check bounds the backward's sums: gradients of about 1e300
+        # stay finite and are returned.
+        t, s = random_pair(35)
+        grad = total_grad(t, s, w=replace(SMALL, alpha=1e300))
+        assert np.isfinite(grad).all() and np.abs(grad).max() > 1e290
 
 
 class TestFrozenState:

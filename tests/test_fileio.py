@@ -137,6 +137,23 @@ class TestAtomicWrite:
             == ("new", mode)
 
 
+    @pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+    def test_an_unwritable_path_is_a_parse_error_leaving_no_temp_file(
+            self, tmp_path, where):
+        # Over a directory the temp file is written and then removed; in a
+        # missing directory it is never made.
+        path = tmp_path / "out"
+        if where == "a directory":
+            path.mkdir()
+        else:
+            path = path / "missing" / "p.csv"
+        with pytest.raises(ParseError, match="cannot write file") as info:
+            fileio.write_text_atomic(path, "hello")
+        assert str(path) in str(info.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"] * (
+            where == "a directory")
+
+
 @pytest.mark.parametrize("load", [
     fileio.load_logit_file, fileio.load_matrix_csv, fileio.load_labels_file,
     fileio.load_keyvalue_config,

@@ -25,6 +25,12 @@
   setting, given a string, None, nan, +-inf or a value out of its range,
   raises InvalidConfig naming it; and so does every config or state
   argument or field, given None, a string or a config of another class.
+  Every field of a state that a call reads, spoiled in a copy (labels cut,
+  None, fractional, ragged or out of range; a plan or kept teacher of
+  another shape; a rank that is none, or whose k or kept permutation
+  entries are out of range, not integers or repeat a student column), makes
+  total_loss_frozen and total_grad raise an error the CLI maps to exit
+  code 3 naming it, and a nan in the plan or kept teacher NumericalFailure.
   Every string setting, given a numpy array of strings, a list, None or an
   unknown name, raises InvalidConfig (a config field) or InvalidInput (a
   function argument) naming it.
@@ -758,6 +764,125 @@ def test_config_arguments_raise_invalid_config_naming_them(name):
         except Exception as exc:  # any other error escapes
             wrong.append(f"{value!r}: {type(exc).__name__}: {exc}")
     assert wrong == []
+
+
+# A state and spoiled copies of it, one field at a time, as (copy, the
+# field its error names, whether NumericalFailure is its error): the copy
+# dataclasses.replace makes, which the calls given it check where they
+# take it. The teacher's kept logits stay the state's, so each call reaches
+# the field.
+_rng6 = np.random.default_rng(0)
+_T6, _S6 = _rng6.normal(size=(6, 9)), _rng6.normal(size=(6, 7))
+_STATE6 = build_state(_T6, _S6)
+
+
+def _field(name, value):
+    return lambda state: replace(state, **{name: value(getattr(state, name))})
+
+
+def _rank_field(name, value):
+    return _field("rank", lambda rank: replace(rank, **{name: value(
+        getattr(rank, name))}))
+
+
+def _entry(i, x):
+    # perm with its entry i set to x, or to its entry -x for a negative x.
+    def spoil(perm):
+        perm = perm.copy()
+        perm[i] = perm[-x] if x < 0 else x
+        return perm
+    return spoil
+
+
+def _non_finite(x):
+    x = x.copy()
+    x[0, 0] = np.nan
+    return x
+
+
+STATE_FIELDS = {
+    "labels cut": (_field("labels", lambda x: x[:3]), "labels", False),
+    "labels long": (_field("labels", lambda x: np.append(x, 0)), "labels",
+                    False),
+    "labels None": (_field("labels", lambda x: None), "labels", False),
+    "labels fractional": (_field("labels", lambda x: x + 0.5), "labels", False),
+    "labels out of range": (_field("labels", lambda x: x + 7), "labels", False),
+    "labels ragged": (_field("labels", lambda x: [[0], [0, 1]]), "labels",
+                      False),
+    "plan 3 x 3": (_field("plan", lambda x: x[:3, :3]), "plan", False),
+    "plan None": (_field("plan", lambda x: None), "plan", False),
+    "teacher cut": (_field("teacher", lambda x: x[:, :2]), "teacher", False),
+    "teacher_seq cut": (_field("teacher_seq", lambda x: x[:, :2]),
+                        "teacher_seq", False),
+    "rank None": (_field("rank", lambda x: None), "rank", False),
+    "rank_seq a tuple": (_field("rank_seq", lambda x: (x.teacher_perm,)),
+                         "rank_seq", False),
+    "student_perm float": (_rank_field("student_perm",
+                                       lambda x: x.astype(float)),
+                           "student_perm", False),
+    "student_perm a list": (_rank_field("student_perm", list),
+                            "student_perm", False),
+    "teacher_perm out of range": (_rank_field("teacher_perm", _entry(0, 9)),
+                                  "teacher_perm", False),
+    "teacher_perm cut": (_rank_field("teacher_perm", lambda x: x[:5]),
+                         "teacher_perm", False),
+    "student column repeated": (_rank_field("student_perm", _entry(1, 0)),
+                                "student_perm", False),
+    "k 2.5": (_rank_field("k", lambda k: 2.5), "k", False),
+    "k 0": (_rank_field("k", lambda k: 0), "k", False),
+    "k past the vocabulary": (_rank_field("k", lambda k: 8), "k", False),
+    "length": (_field("length", lambda n: n - 1), "token count", False),
+    "tau_sl": (_field("tau_sl", lambda tau: tau * 2), "tau_sl", False),
+    "tau_sd None": (_field("tau_sd", lambda tau: None), "tau_sd", False),
+    "plan nan": (_field("plan", _non_finite), "", True),
+    "teacher nan": (_field("teacher", _non_finite), "", True),
+    "teacher_seq nan": (_field("teacher_seq", _non_finite), "", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_FIELDS))
+def test_spoiled_state_fields_raise_naming_them(name):
+    spoil, field, numeric = STATE_FIELDS[name]
+    state = spoil(_STATE6)
+    # Before the check, the repeated student column gave a gradient 29%
+    # off the finite differences of total_loss_frozen.
+    wrong = []
+    for call in (lambda: total_loss_frozen(state, _T6, _S6),
+                 lambda: total_grad(_T6, _S6, state=state)):
+        try:
+            call()
+            wrong.append("returned")
+        except NumericalFailure as exc:
+            if not numeric:
+                wrong.append(f"NumericalFailure: {exc}")
+        except (InvalidInput, InvalidConfig, TooLargeForExact) as exc:
+            if numeric or field not in str(exc):
+                wrong.append(f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # any other error escapes
+            wrong.append(f"{type(exc).__name__}: {exc}")
+    assert wrong == []
+
+
+def test_a_state_of_other_integer_and_float_types_gives_its_bytes():
+    # Labels as floats holding integers and permutations of another integer
+    # dtype are the state's: every call gives the bytes the state gives.
+    other = replace(_STATE6, labels=_STATE6.labels.astype(float),
+                    rank=replace(_STATE6.rank, student_perm=_STATE6.rank
+                                 .student_perm.astype(np.int32)))
+
+    def outputs(state):
+        loss = total_loss_frozen(state, _T6, _S6)
+        return [getattr(loss, name) for name in COMPONENTS] + [
+            total_grad(_T6, _S6, state=state).tobytes()]
+
+    assert outputs(other) == outputs(_STATE6)
+
+
+def test_ragged_labels_raise_invalid_input():
+    for call in (lambda: total_loss(_T_LOGITS, _S_LOGITS, [[0], [0, 1], [2]]),
+                 lambda: od.ce_loss(_T, [[0], [0, 1], [2]])):
+        with pytest.raises(InvalidInput, match="labels"):
+            call()
 
 
 # Every string setting of the public API, as (function of the value, the
