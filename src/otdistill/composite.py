@@ -127,7 +127,9 @@ class PipelineState:
     of rank) and at tau_sd (those of rank_seq), and teacher_logits the
     teacher's logits at both sets of kept columns, which every call given
     the state compares with its teacher argument. Only build_state attaches
-    teacher_logits: a state the fused pass builds holds None.
+    teacher_logits: a state the fused pass builds holds None. A call given
+    a state (or a copy) checks every field it reads, and raises InvalidInput
+    (InvalidConfig for a temperature) naming a field it cannot use.
 
     A state also keeps the sequence loss of the student it was built at:
     student_seq, that student's kept probabilities at tau_sd (the columns
@@ -395,7 +397,8 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     not finite), and, when grad names an objective (MULTILEVEL_OT, CE_ONLY or
     ULD; ULD, which also reads the teacher's sorted rows, only without a
     state), its gradient w.r.t. the raw student logits, computed by one
-    backward at the end. Returns (state, breakdown or None, gradient or
+    backward at the end (NumericalFailure when its terms could carry it
+    past the float range). Returns (state, breakdown or None, gradient or
     None), each with a leading batch axis: the state's arrays and the
     breakdown's components hold one entry per sequence, and the gradient
     is (B, T, n).
