@@ -33,9 +33,9 @@ from the pass's normalizers (core._softmax_at). The padded-sort baseline
 reads the student's tau_sl softmax in the gradient and the teacher's from
 the teacher pass. No softmax here is computed any other way.
 
-After the student pass, a call given no state builds one (_build: both
-rankings, the pseudo-labels, the cost and the plan); every call then
-evaluates its state alone, as a call given that state would. A state
+A call given no state builds one (_build: the student's pass, both
+rankings, the pseudo-labels, the cost and the plan), and a call given one
+runs only that pass; every call then evaluates its state alone. A state
 freezes the teacher (a call given one runs no teacher pass) and keeps its
 student's sequence loss (see PipelineState).
 
@@ -320,15 +320,14 @@ class _Teacher:
 
     Per level (tau_sl, tau_sd): perm, the (B, m) ranking of the teacher's
     columns by sequence-summed probability, and head, its probabilities at
-    the first ranked columns, (B, T, width): the k kept ones, or all
-    min(m, n) that exact matching reads. argmax (the per-token argmax at
+    the first ranked columns, (B, T, width): the min(k, m, n) kept ones, or
+    all min(m, n) that exact matching reads. argmax (the per-token argmax at
     tau_sl, for pseudo-labels) and dense (the rows of the whole tau_sl
     softmax, which the pass writes, zero-padded to max(m, n) columns and
     sorted descending: the teacher's half of the padded-sort baseline's
     gradient) are None unless asked for.
     """
 
-    logits: np.ndarray
     perm: tuple
     head: tuple
     argmax: np.ndarray | None
@@ -347,21 +346,26 @@ def _teacher(t, n, w, argmax, dense):
     perm = tuple(_descending_stable(x) for x in sums)
     head = tuple(_softmax_at(t, tau, (top, total), p[:, None, :width])
                  for tau, total, p in zip(taus, totals, perm))
-    return _Teacher(logits=t, perm=perm, head=head, argmax=best,
+    return _Teacher(perm=perm, head=head, argmax=best,
                     dense=None if probs is None else _uld_sorted(probs, n))
 
 
-def _build(teacher, s, w, labels, top, totals, sums, probs, spare):
-    """The state of a call given none, from its _Teacher and its student
-    pass over s (row normalizers top, totals; column sums). Exact matching
-    ranks from whole softmaxes: probs at tau_sl, then tau_sd from the
-    normalizers into spare (probs, unless the gradient) or a new array."""
-    k = min(w.k, teacher.logits.shape[-1], s.shape[-1])
+def _build(teacher, s, w, labels, gradient=None):
+    """(state, (top, totals)): the state of a call given none, from its
+    _Teacher and the student's pass over s at both temperatures, which
+    writes the tau_sl softmax into gradient, if given, and sums columns for
+    sum-sort. Exact matching ranks from that softmax (in gradient or a new
+    array), then the tau_sd one (over that array, or into a new one)."""
     mode = w.match_mode
     exact = mode == EXACT_ASSIGNMENT
+    probs = np.empty(s.shape) if exact and gradient is None else gradient
+    top, totals, sums, _ = _softmax_pass(s, (w.tau_sl, w.tau_sd), out=probs,
+                                         sums=not exact)
+    k = min(w.k, teacher.head[0].shape[-1])
     rank = RankSelection(teacher.perm[0], _match(
         teacher.head[0], probs if exact else sums[0], mode), k, mode)
     # rank has read probs, so the tau_sd softmax may now overwrite it.
+    spare = None if probs is gradient else probs
     seq = (_softmax_at(s, w.tau_sd, (top, totals[1]), out=spare) if exact
            else sums[1])
     rank_seq = RankSelection(teacher.perm[1],
@@ -380,7 +384,7 @@ def _build(teacher, s, w, labels, top, totals, sums, probs, spare):
         teacher_logits=None)
     object.__setattr__(state, "student_seq", student2)
     object.__setattr__(state, "sd", _sd(cost, plan))
-    return state
+    return state, (top, totals)
 
 
 def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
@@ -389,10 +393,10 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
 
     t and s are validated (B, T, m) teacher and (B, T, n) student logits;
     without a state, t may instead be the teacher's half from _teacher,
-    which the harness builds once per run. After the student's one pass, a
-    call given no state builds one (_build; labels=None derives
+    which the harness builds once per run. The student's one pass runs in
+    _build for a call given no state, which builds one (labels=None derives
     pseudo-labels, given labels are a validated (B, T) array, ignored when
-    a state is given), and evaluates the state: the loss breakdown when
+    a state is given). Each call evaluates its state: the loss breakdown when
     need_loss (NumericalFailure, before any gradient term, when a total is
     not finite), and, when grad names an objective (MULTILEVEL_OT, CE_ONLY or
     ULD; ULD, which also reads the teacher's sorted rows, only without a
@@ -401,7 +405,7 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     past the float range). Returns (state, breakdown or None, gradient or
     None), each with a leading batch axis: the state's arrays and the
     breakdown's components hold one entry per sequence, and the gradient
-    is (B, T, n).
+    is (B, T, n). A call asks for a loss, a gradient or both.
 
     Arguments are trusted as _arguments returns them: a given state fits
     t and w, and the teacher enters only through it (t is not read). No
@@ -412,30 +416,23 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     if state is None:
         teacher = t if isinstance(t, _Teacher) else _teacher(
             t, s.shape[-1], w, argmax=labels is None, dense=grad == ULD)
-    exact = state is None and w.match_mode == EXACT_ASSIGNMENT
-    taus = (w.tau_sl, w.tau_sd)[:1 + (state is None or need_loss or seq_grad)]
 
-    # The student's one pass: its row normalizers and, to rank, its column
-    # sums. A gradient call has the pass write its tau_sl softmax into the
-    # gradient, which the backward finishes in place. Exact matching ranks
-    # from that softmax instead, in the gradient or in probs.
-    gradient = probs = None if grad is None else np.empty(s.shape)
-    if exact and probs is None:
-        probs = np.empty(s.shape)
-    top, totals, sums, _ = _softmax_pass(s, taus, out=probs,
-                                         sums=state is None and not exact)
-    # A state built here holds the sequence level's student2 and sd.
+    # The student's one pass writes a gradient call's tau_sl softmax into
+    # the gradient, which the backward finishes in place. A state built
+    # here holds the sequence level's student2 and sd.
+    gradient = None if grad is None else np.empty(s.shape)
     student2 = sd = None
     if state is None:
-        state = _build(teacher, s, w, labels, top, totals, sums, probs,
-                       None if probs is gradient else probs)
+        state, (top, totals) = _build(teacher, s, w, labels, gradient)
         student2, sd = state.student_seq, state.sd
+    else:
+        taus = (w.tau_sl, w.tau_sd)[:1 + (need_loss or seq_grad)]
+        top, totals, _, _ = _softmax_pass(s, taus, out=gradient)
 
     # The loss, whose check precedes every gradient term. Token
     # temperature: ce + alpha * (had + beta * sl).
-    if need_loss or grad is not None:
-        at_label = state.labels[:, :, None]
-        p_label = _softmax_at(s, w.tau_sl, (top, totals[0]), at_label)
+    at_label = state.labels[:, :, None]
+    p_label = _softmax_at(s, w.tau_sl, (top, totals[0]), at_label)
     if need_loss or ot_alpha > 0:
         cols1 = state.rank.student_perm[:, None, :state.rank.k]
         student1 = _softmax_at(s, w.tau_sl, (top, totals[0]), cols1)
@@ -507,7 +504,8 @@ def build_state(teacher_logits, student_logits, labels=None, w=LossWeights()):
     argmax through the rank alignment.
     """
     t, s, labels, _ = _arguments(teacher_logits, student_logits, labels, w)
-    state = _forward(t, s, w, labels=labels, need_loss=False)[0]
+    teacher = _teacher(t, s.shape[-1], w, argmax=labels is None, dense=False)
+    state = _build(teacher, s, w, labels)[0]
     object.__setattr__(state, "teacher_logits",
                        _kept_logits(t, state.rank, state.rank_seq))
     return _index(state, 0)
