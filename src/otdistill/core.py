@@ -220,11 +220,17 @@ def _finite_range(lo, hi):
 
 
 def _matrix(x, what, finite=False, ndim=2):
-    # x as float64; InvalidInput naming `what` unless it is an array of
-    # numbers with ndim dimensions (any for None) and, if finite, no nan/inf.
+    # x as float64; InvalidInput naming `what` unless it is an array of real
+    # numbers (entries of a bool, integer or float dtype, or objects that
+    # _is_real accepts: not strings, complex numbers, datetimes or None)
+    # with ndim dimensions (any for None) and, if finite, no nan/inf.
     try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(x)
+        if not (arr.dtype.kind in "biuf" or arr.dtype.kind == "O"
+                and all(map(_is_real, arr.flat))):
+            raise TypeError(f"{arr.dtype} entries")
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"{what} is not an array of numbers: {exc}") from None
     if ndim is not None and arr.ndim != ndim:
         raise InvalidInput(f"expected a {ndim}-D {what}, got ndim={arr.ndim}")

@@ -6,11 +6,12 @@ finite-difference gradient estimator, and a gradient comparison report.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_choice, _check_number, _matrix
+from .core import _check_choice, _check_number, _is_real, _matrix
 from .errors import InvalidInput, NumericalFailure, TooLargeForExact
 from .preprocess import ASSIGNMENT_LIMIT
 
@@ -87,10 +88,14 @@ def finite_diff_grad(loss, x, h=1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function of a matrix.
 
     Perturbs one entry at a time by +-h and evaluates (f(x+h) - f(x-h)) / 2h.
-    Raises InvalidInput for a nan or +-inf entry of x.
+    Raises InvalidInput for a nan or +-inf entry of x, a loss that is not
+    callable or a value that is not a real number (core._is_real), and
+    NumericalFailure for a value that is not finite.
     """
     h = _check_number(h, "h")
     x = _matrix(x, "x", finite=True, ndim=None)
+    if not callable(loss):
+        raise InvalidInput(f"loss must be callable, got {loss!r}")
     grad = np.zeros_like(x)
     for idx in np.ndindex(x.shape):
         plus = x.copy()
@@ -99,7 +104,15 @@ def finite_diff_grad(loss, x, h=1e-6) -> np.ndarray:
         minus[idx] -= h
         f_plus = loss(plus)
         f_minus = loss(minus)
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+        for value in (f_plus, f_minus):
+            if not _is_real(value):
+                raise InvalidInput(f"loss must return a real number, got "
+                                   f"{value!r} near entry {idx}")
+        try:  # an int past the float range is not finite either
+            finite = math.isfinite(f_plus) and math.isfinite(f_minus)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise NumericalFailure(f"loss non-finite near entry {idx}")
         grad[idx] = (f_plus - f_minus) / (2.0 * h)
     return grad

@@ -142,6 +142,15 @@ class TestLossCommand:
         assert code == 3
         assert "line 2" in err
 
+    def test_label_past_the_int_range_exits_3(self, capsys, logit_pair,
+                                              tmp_path):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n99999999999999999999\n0\n")
+        code, _, err = run(capsys, "loss", "--teacher", logit_pair[0],
+                           "--student", logit_pair[1], "--labels", str(labels))
+        assert code == 3
+        assert "label out of range" in err
+
     def test_nan_logit_file_exits_2(self, capsys, tmp_path, logit_pair):
         bad = tmp_path / "nan.json"
         bad.write_text('{"tokens": 1, "vocab": 2, "logits": [[0, NaN]]}')
@@ -360,6 +369,20 @@ class TestDistillCommand:
         assert len(lines) == step + 1
         assert np.isfinite([[float(x) for x in line.split(",")]
                             for line in lines[1:]]).all()
+
+    def test_a_numeric_failure_it_cannot_write_exits_4_naming_both(
+            self, capsys, tmp_path):
+        # The steps before the failure cannot be written: the failure stays
+        # the exit status, and both errors are named.
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=1\nalpha=1e308\nsteps=5\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code, stdout, err = run(capsys, "distill", "--config", str(config),
+                                "--out", str(out))
+        assert (code, stdout) == (4, "")
+        assert "step 0: the loss is not finite" in err
+        assert "cannot write file" in err and str(out) in err
 
     # A sharpness of 1e308 is finite, but the teacher table it scales is not.
     @pytest.mark.parametrize("setting", ["lr=nan", "lr=inf", "sharpness=nan",

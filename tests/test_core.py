@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from otdistill import (InvalidConfig, InvalidInput, NumericalFailure, safe_log,
                        softmax_backward, softmax_rows, validate_probs)
+from otdistill import core
 from otdistill.core import _softmax_at, _softmax_pass, _Squared
 from refimpl import _softmax, softmax_by_division
 
@@ -239,3 +242,14 @@ class TestSquaringRule:
         one_hot = np.eye(4)[logits.argmax(axis=-1)]
         for p in probs:
             np.testing.assert_array_equal(p, one_hot)
+
+
+class TestCores:
+    # Where the platform has no affinity masks, the cores are the CPU count,
+    # or one when the count is unknown.
+    @pytest.mark.parametrize("count, cores", [(6, 6), (None, 1)])
+    def test_without_affinity_masks_the_cpu_count(self, monkeypatch, count,
+                                                   cores):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert core._cores() == cores

@@ -5,7 +5,7 @@ import stat
 import numpy as np
 import pytest
 
-from otdistill import fileio
+from otdistill import InvalidInput, fileio
 from otdistill.fileio import ParseError
 
 
@@ -96,6 +96,12 @@ class TestLabelsAndConfig:
         path = tmp_path / "labels.txt"
         path.write_text("0\nhello\n")
         with pytest.raises(ParseError):
+            fileio.load_labels_file(path)
+
+    def test_a_label_past_the_int_range_is_out_of_range(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("0\n99999999999999999999\n")
+        with pytest.raises(InvalidInput, match="label out of range"):
             fileio.load_labels_file(path)
 
     def test_keyvalue_config(self, tmp_path):

@@ -116,6 +116,27 @@ class TestFiniteDiffGrad:
         with pytest.raises(NumericalFailure):
             finite_diff_grad(lambda v: float("nan"), np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("value", [None, "1.0", 1 + 2j, np.complex128(1),
+                                       np.array([1.0]), np.zeros(2)],
+                             ids=["None", "str", "complex", "np.complex",
+                                  "1-element", "n-element"])
+    def test_a_value_that_is_not_a_real_number_raises_naming_the_entry(
+            self, value):
+        with pytest.raises(InvalidInput, match=r"near entry \(0, 0\)"):
+            finite_diff_grad(lambda v: value, np.zeros((1, 2)))
+
+    def test_a_loss_that_is_not_callable_raises(self):
+        with pytest.raises(InvalidInput, match="callable"):
+            finite_diff_grad(1.0, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("value", [float("inf"), np.float32("nan"),
+                                       10 ** 400],
+                             ids=["inf", "float32 nan", "past the float range"])
+    def test_a_real_value_that_is_not_finite_raises_numerical_failure(
+            self, value):
+        with pytest.raises(NumericalFailure, match=r"near entry \(0, 0\)"):
+            finite_diff_grad(lambda v: value, np.zeros((1, 2)))
+
 
 class TestCheckGradient:
     def test_identical_pass(self):

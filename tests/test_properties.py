@@ -21,7 +21,8 @@
   arrays, given one that is 0-D, 1-D, 3-D, without rows, ragged, holding
   nan or inf, or of another shape than its partner (or, for
   alignment_cost, a student_perm that is no permutation), returns or
-  raises an error the CLI maps to exit code 3; every scalar argument or
+  raises an error the CLI maps to exit code 3, and given one of strings,
+  complex numbers or timedeltas raises InvalidInput; every scalar argument or
   setting, given a string, None, nan, +-inf or a value out of its range,
   raises InvalidConfig naming it; and so does every config or state
   argument or field, given None, a string or a config of another class.
@@ -39,6 +40,7 @@ Shapes cover m != n, T = 1, a vocabulary of 2, k above the vocabulary and
 exact ties at the rank cut, under both match modes.
 """
 
+import warnings
 from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -546,6 +548,26 @@ def _escapes(calls):
 @pytest.mark.parametrize("name", sorted(API))
 def test_no_raw_error_escapes(name):
     assert _escapes(_faulty_calls(name)) == []
+
+
+def _not_real(x):
+    # x as arrays whose entries are not real numbers.
+    return {"string": x.astype(str), "complex": x + 1j,
+            "timedelta": x.astype("m8[s]")}
+
+
+@pytest.mark.parametrize("name", sorted(API))
+def test_arrays_of_entries_that_are_not_numbers_raise_invalid_input(name):
+    # The escape sweep accepts a return: here an array of strings, complex
+    # numbers or timedeltas must not be read as numbers, with no warning.
+    fn, *good = API[name]
+    for i, x in enumerate(good):
+        for bad in _not_real(x).values():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInput, match="not an array of "
+                                   "numbers"):
+                    fn(*good[:i], bad, *good[i + 1:])
 
 
 @pytest.mark.parametrize("perm", [[0, 1, 2, 3, 9], [0, 0, 1, 2, 3], [0, 1],

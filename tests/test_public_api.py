@@ -162,3 +162,22 @@ def test_the_fused_pass_checks_no_argument():
                 if name.startswith(("_check_", "validate_")):
                     found.append(f"{node.name}:{inner.lineno} calls {name}")
     assert found == []
+
+
+def test_only_the_build_stage_reads_the_match_mode():
+    # Exact matching is a ranking stage of the build (_teacher, _build) and
+    # a setting of LossWeights; a read of the match mode anywhere else in
+    # composite is a switch threaded through the evaluation.
+    path = Path(otdistill.__file__).parent / "composite.py"
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in tree.body:
+        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name in ("LossWeights", "_teacher", "_build")):
+            continue
+        for inner in ast.walk(node):
+            name = (inner.attr if isinstance(inner, ast.Attribute)
+                    else inner.id if isinstance(inner, ast.Name) else None)
+            if name in ("match_mode", "EXACT_ASSIGNMENT"):
+                found.append(f"{node.name}:{inner.lineno} reads {name}")
+    assert found == []
