@@ -124,12 +124,12 @@ def _cmd_distill(args):
     try:
         metrics = run_distillation(cfg)
     except NumericalFailure as exc:
-        # The failure stays the exit status when its steps cannot be written.
-        try:
-            if getattr(exc, "metrics", None) is not None:
+        if getattr(exc, "metrics", None) is not None:
+            try:
                 exc.metrics.to_csv(args.out)
-        except ParseError as unwritten:
-            raise NumericalFailure(f"{exc}; {unwritten}") from None
+            except ParseError as unwritten:
+                # The failure stays the exit status, naming both errors.
+                raise NumericalFailure(f"{exc}; {unwritten}") from None
         raise
     metrics.to_csv(args.out)
     return EXIT_OK

@@ -129,13 +129,9 @@ class TestFiniteDiffGrad:
         with pytest.raises(InvalidInput, match="callable"):
             finite_diff_grad(1.0, np.zeros((1, 2)))
 
-    @pytest.mark.parametrize("value", [float("inf"), np.float32("nan"),
-                                       10 ** 400],
-                             ids=["inf", "float32 nan", "past the float range"])
-    def test_a_real_value_that_is_not_finite_raises_numerical_failure(
-            self, value):
+    def test_an_int_past_the_float_range_is_not_finite(self):
         with pytest.raises(NumericalFailure, match=r"near entry \(0, 0\)"):
-            finite_diff_grad(lambda v: value, np.zeros((1, 2)))
+            finite_diff_grad(lambda v: 10 ** 400, np.zeros((1, 2)))
 
 
 class TestCheckGradient:
