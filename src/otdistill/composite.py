@@ -7,13 +7,13 @@ loss its own. build_state, total_loss_frozen, total_loss and total_grad are
 thin wrappers: _arguments checks every argument, and the fused pass
 (_forward) trusts it and checks none. This module holds the loss
 algebra and the state; core walks the logit stacks and reads and writes them
-at kept columns. The pass walks each logit matrix once, in blocks of rows,
+at kept columns, and one stage in seq_ot (_transport) computes the sequence
+level. The pass walks each logit matrix once, in blocks of rows,
 at both temperatures (core._softmax_pass, on every usable core), checks that
 the logits are finite as it reads them, and keeps only what the loss reads:
-each row's max and the reciprocal of its sum of exponentials, the column
-sums that rank the columns, and the teacher's argmax for pseudo-labels. The
-label and k aligned entries of every row are computed from those row
-normalizers, scaled by 1 / tau and by the reciprocal sum. The upstream
+each row's normalizers, the column sums that rank the columns, and the
+teacher's argmax for pseudo-labels. The label and k aligned entries of
+every row are computed from those normalizers (core._softmax_at). The upstream
 gradient is nonzero only at the label and the k aligned columns, so a
 gradient call keeps each temperature's part of it as sparse products. Its
 student pass computes the tau_sl softmax in the gradient it returns, and one
@@ -34,8 +34,8 @@ reads the student's tau_sl softmax in the gradient and the teacher's from
 the teacher pass. No softmax here is computed any other way.
 
 A call given no state builds one (_build: the student's pass, both
-rankings, the pseudo-labels, the cost and the plan), and a call given one
-runs only that pass; every call then evaluates its state alone. A state
+rankings, the pseudo-labels, the cost, the plan and sd), and a call given
+one runs only that pass; every call then evaluates its state alone. A state
 freezes the teacher (a call given one runs no teacher pass) and keeps its
 student's sequence loss (see PipelineState).
 
@@ -59,7 +59,7 @@ from .errors import InvalidConfig, InvalidInput, NumericalFailure
 from .preprocess import (EXACT_ASSIGNMENT, MATCH_MODES, SUM_SORT,
                          RankSelection, _descending_stable, _head_width,
                          _match)
-from .seq_ot import SinkhornConfig, _cost, _plan, _sd, _sd_grad
+from .seq_ot import SinkhornConfig, _transport
 from .token_ot import _had_loss, _sl_loss, _uld_grad, _uld_sorted
 
 # Objectives the fused pass can differentiate: the full objective, the
@@ -133,12 +133,11 @@ class PipelineState:
 
     A state also keeps the sequence loss of the student it was built at:
     student_seq, that student's kept probabilities at tau_sd (the columns
-    of rank_seq, T x k floats), and sd, the transport value of the plan
-    and their cost against teacher_seq. The cost depends on nothing else,
-    so a call given the state at the same kept probabilities takes sd from
-    it and computes no T x T cost. Neither is an argument of the
-    constructor, so a copy (dataclasses.replace), which may hold another
-    plan or teacher_seq, holds None for both.
+    of rank_seq, T x k floats), and sd, their transport value against
+    teacher_seq, which the sequence stage (seq_ot._transport) reads at the
+    same kept probabilities instead of building a T x T cost. Neither is an
+    argument of the constructor, so a copy (dataclasses.replace), which may
+    hold another plan or teacher_seq, holds None for both.
     """
 
     length: int
@@ -375,15 +374,14 @@ def _build(teacher, s, w, labels, gradient=None):
     teacher2 = teacher.head[1][..., :k]
     student2 = _softmax_at(s, w.tau_sd, (top, totals[1]),
                            rank_seq.student_perm[:, None, :k])
-    cost = _cost(teacher2, student2)
-    plan = _plan(cost, w.sinkhorn)
+    plan, sd, _ = _transport(teacher2, student2, w.sinkhorn)
     state = PipelineState(
         length=s.shape[1], labels=labels, rank=rank, rank_seq=rank_seq,
         plan=plan, tau_sl=w.tau_sl, tau_sd=w.tau_sd,
         teacher=teacher.head[0][..., :k], teacher_seq=teacher2,
         teacher_logits=None)
     object.__setattr__(state, "student_seq", student2)
-    object.__setattr__(state, "sd", _sd(cost, plan))
+    object.__setattr__(state, "sd", sd)
     return state, (top, totals)
 
 
@@ -396,41 +394,47 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     which the harness builds once per run. The student's one pass runs in
     _build for a call given no state, which builds one (labels=None derives
     pseudo-labels, given labels are a validated (B, T) array, ignored when
-    a state is given). Each call evaluates its state: the loss breakdown when
-    need_loss (NumericalFailure, before any gradient term, when a total is
-    not finite), and, when grad names an objective (MULTILEVEL_OT, CE_ONLY or
-    ULD; ULD, which also reads the teacher's sorted rows, only without a
-    state), its gradient w.r.t. the raw student logits, computed by one
-    backward at the end (NumericalFailure when its terms could carry it
-    past the float range). Returns (state, breakdown or None, gradient or
-    None), each with a leading batch axis: the state's arrays and the
-    breakdown's components hold one entry per sequence, and the gradient
-    is (B, T, n). A call asks for a loss, a gradient or both.
+    a state is given). Each call evaluates its state: the loss breakdown
+    when need_loss (NumericalFailure when a total is not finite, before the
+    backward writes the gradient), and, when grad names an objective
+    (MULTILEVEL_OT, CE_ONLY or ULD; ULD, which also reads the teacher's
+    sorted rows, only without a state), its gradient w.r.t. the raw student
+    logits, computed by one backward at the end (NumericalFailure when its
+    terms could carry it past the float range). Returns (state, breakdown
+    or None, gradient or None), each with a leading batch axis: the state's
+    arrays and the breakdown's components hold one entry per sequence, and
+    the gradient is (B, T, n). A call asks for a loss, a gradient or both.
 
     Arguments are trusted as _arguments returns them: a given state fits
     t and w, and the teacher enters only through it (t is not read). No
     state built here holds teacher_logits; build_state attaches them.
     """
     ot_alpha = w.alpha if grad == MULTILEVEL_OT else 0.0
-    seq_grad = grad is not None and ot_alpha * w.gamma > 0
-    if state is None:
+    seq_weight = ot_alpha * w.gamma
+    built = state is None
+    if built:
         teacher = t if isinstance(t, _Teacher) else _teacher(
             t, s.shape[-1], w, argmax=labels is None, dense=grad == ULD)
 
     # The student's one pass writes a gradient call's tau_sl softmax into
-    # the gradient, which the backward finishes in place. A state built
-    # here holds the sequence level's student2 and sd.
+    # the gradient, which the backward finishes in place.
     gradient = None if grad is None else np.empty(s.shape)
-    student2 = sd = None
-    if state is None:
+    if built:
         state, (top, totals) = _build(teacher, s, w, labels, gradient)
-        student2, sd = state.student_seq, state.sd
     else:
-        taus = (w.tau_sl, w.tau_sd)[:1 + (need_loss or seq_grad)]
+        taus = (w.tau_sl, w.tau_sd)[:1 + (need_loss or seq_weight > 0)]
         top, totals, _, _ = _softmax_pass(s, taus, out=gradient)
 
-    # The loss, whose check precedes every gradient term. Token
-    # temperature: ce + alpha * (had + beta * sl).
+    # Sequence temperature: sd and its product, from one stage, run before
+    # the token level so that none of its arrays is alive beside the
+    # stage's blocks. A state built here passes its own student: no compare.
+    if need_loss or seq_weight > 0:
+        cols2 = state.rank_seq.student_perm[:, None, :state.rank_seq.k]
+        _, sd, student2 = _transport(
+            state.teacher_seq, state.student_seq if built else _softmax_at(
+                s, w.tau_sd, (top, totals[1]), cols2), w.sinkhorn, state.plan,
+            (state.student_seq, state.sd) if need_loss else None, seq_weight)
+    # Token temperature: ce + alpha * (had + beta * sl).
     at_label = state.labels[:, :, None]
     p_label = _softmax_at(s, w.tau_sl, (top, totals[0]), at_label)
     if need_loss or ot_alpha > 0:
@@ -438,17 +442,6 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
         student1 = _softmax_at(s, w.tau_sl, (top, totals[0]), cols1)
         had = _had_loss(state.teacher, student1)
         sl = _sl_loss(state.teacher, student1)
-    # Sequence temperature: alpha * gamma * sd.
-    if need_loss or seq_grad:
-        cols2 = state.rank_seq.student_perm[:, None, :state.rank_seq.k]
-        if student2 is None:
-            student2 = _softmax_at(s, w.tau_sd, (top, totals[1]), cols2)
-            # The cost is a function of these alone, so at the student the
-            # state was built at its stored sd is the loss's.
-            if np.array_equal(state.student_seq, student2):
-                sd = state.sd
-        if need_loss and sd is None:
-            sd = _sd(_cost(state.teacher_seq, student2), state.plan)
     breakdown = (_breakdown(p_label, had.value, sl.value, sd, w, state)
                  if need_loss else None)
     if grad is None:
@@ -474,11 +467,7 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
             # the pass left the student's at tau_sl in the gradient.
             terms.append((None, gradient * (
                 w.alpha * _uld_grad(teacher.dense, gradient))))
-        if seq_grad:
-            # p * g, in place unless student2 is the state's own.
-            student2 = np.multiply(student2, ot_alpha * w.gamma * _sd_grad(
-                state.teacher_seq, student2, state.plan),
-                out=None if student2 is state.student_seq else student2)
+        if seq_weight > 0:
             levels.append((w.tau_sd, totals[1], [(cols2, student2)]))
     return state, breakdown, _softmax_backward(s, top, levels, gradient)
 

@@ -8,7 +8,8 @@ exp(-C / lambda), computed in scaling form (Cuturi 2013; Peyre and Cuturi
 
 The private kernels behind the public functions take a leading batch axis
 of B sequences of equal length T, so one call handles a whole training
-step; the public T x T and T x k functions are their B = 1 case.
+step; the public T x T and T x k functions are their B = 1 case, and the
+fused loss reaches them through one stage, _transport.
 
 Memory is O(B T^2) in the token count T, not O(B T^2 k) in the truncation
 width k. The cost is scipy's compiled cityblock distance, written per
@@ -271,6 +272,24 @@ def sd_grad(pair: AlignedPair, plan) -> np.ndarray:
     # the right sign.
     with np.errstate(over="ignore"):
         return _sd_grad(t[None], s[None], plan[None])[0]
+
+
+def _transport(t, s, cfg, plan=None, stored=None, weight=0.0):
+    # The fused pass's sequence level on (B, T, k) stacks of kept tau_sd
+    # probabilities: (plan, sd, product). Without a plan it builds the cost,
+    # the plan and sd. With one, stored, a state's (student_seq, sd), asks
+    # for sd; the cost depends on t and s alone, so it is the stored one
+    # when s is or equals that student, else one new cost's. A weight also
+    # gives s * (weight * dsd/ds), plan fixed, in a new array for the
+    # backward, which raises NumericalFailure if it passes the float range.
+    student, sd = stored or (s, None)
+    if plan is None or not (s is student or np.array_equal(student, s)):
+        cost = _cost(t, s)
+        plan = _plan(cost, cfg) if plan is None else plan
+        sd = _sd(cost, plan)
+        del cost  # T x T, spent before the gradient's blocks
+    with np.errstate(over="ignore", invalid="ignore"):
+        return plan, sd, s * (weight * _sd_grad(t, s, plan)) if weight else None
 
 
 def _ranks(t, s):

@@ -13,7 +13,7 @@ from otdistill import (EXACT_ASSIGNMENT, SUM_SORT, AlignedPair, DistillConfig,
                        finite_diff_grad, run_distillation, sd_loss,
                        seq_cost_matrix, softmax_rows, total_grad, total_loss,
                        total_loss_frozen)
-from otdistill import cli, composite, core, fileio
+from otdistill import cli, composite, core, fileio, seq_ot
 from otdistill.composite import _pseudo_labels
 from otdistill.core import _BLOCK_ENTRIES
 from otdistill.preprocess import RankSelection, _descending_stable
@@ -300,13 +300,13 @@ class TestStoredSequenceLoss:
 
     @pytest.fixture
     def costs(self, monkeypatch):
-        calls, cost = [], composite._cost
+        calls, cost = [], seq_ot._cost
 
         def counted(*args):
             calls.append(args)
             return cost(*args)
 
-        monkeypatch.setattr(composite, "_cost", counted)
+        monkeypatch.setattr(seq_ot, "_cost", counted)
         return calls
 
     @staticmethod
@@ -327,7 +327,7 @@ class TestStoredSequenceLoss:
             raise AssertionError("the sequence cost was computed again")
 
         with monkeypatch.context() as patched:
-            patched.setattr(composite, "_cost", no_cost)
+            patched.setattr(seq_ot, "_cost", no_cost)
             stored = total_loss_frozen(state, t, s, w)
         through_cost = total_loss_frozen(replace(state), t, s, w)
         assert self.components(stored) == self.components(through_cost)
@@ -470,10 +470,10 @@ class TestSoftmaxAccounting:
                             counted("backward", composite._softmax_backward, 1))
         for kind in ("cost", "plan"):
             def sequence(*args, kind=kind,
-                         kernel=getattr(composite, "_" + kind)):
+                         kernel=getattr(seq_ot, "_" + kind)):
                 calls.append((kind,))
                 return kernel(*args)
-            monkeypatch.setattr(composite, "_" + kind, sequence)
+            monkeypatch.setattr(seq_ot, "_" + kind, sequence)
         return calls
 
     def test_calls_per_function(self, calls):

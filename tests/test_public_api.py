@@ -2,7 +2,8 @@
 tests and demos import them. What importing the package loads, no module
 importing a name it never reads, no private module-level name that
 nothing in the package reads, no float coercion outside core and fileio,
-and no block walk outside core and seq_ot."""
+no block walk outside core and seq_ot, and no sequence kernel named
+outside seq_ot."""
 
 import ast
 import os
@@ -138,29 +139,51 @@ def test_only_core_and_seq_ot_walk_blocks():
     assert found == []
 
 
+def test_only_seq_ot_names_the_sequence_kernels():
+    # seq_ot's one stage (_transport) builds the fused pass's costs, plans,
+    # sequence losses and their gradients' products; a sequence kernel
+    # named anywhere else is a second copy of that level.
+    kernels = {"_cost", "_plan", "_sd", "_sd_grad"}
+    found = []
+    for path in sorted(Path(otdistill.__file__).parent.glob("*.py")):
+        if path.name == "seq_ot.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [])
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in kernels]
+    assert found == []
+
+
 def test_the_fused_pass_checks_no_argument():
     # composite._arguments checks every argument of the public calls, and
-    # the fused pass (_forward, _build, _teacher) trusts it: an argument
-    # error raised there, or a rule called there, is a second copy of the
-    # argument contract.
-    path = Path(otdistill.__file__).parent / "composite.py"
-    tree = ast.parse(path.read_text(), str(path))
+    # the fused pass (_forward, _build, _teacher and the sequence stage,
+    # seq_ot._transport) trusts it: an argument error raised there, or a
+    # rule called there, is a second copy of the argument contract.
+    stages = {"composite.py": ("_forward", "_build", "_teacher"),
+              "seq_ot.py": ("_transport",)}
     found = []
-    for node in tree.body:
-        if not (isinstance(node, ast.FunctionDef)
-                and node.name in ("_forward", "_build", "_teacher")):
-            continue
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.Raise) and inner.exc is not None:
-                exc = inner.exc.func if isinstance(inner.exc, ast.Call) \
-                    else inner.exc
-                name = ast.unparse(exc).split(".")[-1]
-                if name in ("InvalidInput", "InvalidConfig"):
-                    found.append(f"{node.name}:{inner.lineno} raises {name}")
-            elif isinstance(inner, ast.Call):
-                name = ast.unparse(inner.func).split(".")[-1]
-                if name.startswith(("_check_", "validate_")):
-                    found.append(f"{node.name}:{inner.lineno} calls {name}")
+    for module, names in stages.items():
+        path = Path(otdistill.__file__).parent / module
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not (isinstance(node, ast.FunctionDef) and node.name in names):
+                continue
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Raise) and inner.exc is not None:
+                    exc = inner.exc.func if isinstance(inner.exc, ast.Call) \
+                        else inner.exc
+                    name = ast.unparse(exc).split(".")[-1]
+                    if name in ("InvalidInput", "InvalidConfig"):
+                        found.append(
+                            f"{node.name}:{inner.lineno} raises {name}")
+                elif isinstance(inner, ast.Call):
+                    name = ast.unparse(inner.func).split(".")[-1]
+                    if name.startswith(("_check_", "validate_")):
+                        found.append(
+                            f"{node.name}:{inner.lineno} calls {name}")
     assert found == []
 
 

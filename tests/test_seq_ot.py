@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from otdistill import (BRUTE_FORCE, AlignedPair, InvalidConfig, InvalidInput,
                        LossWeights, NumericalFailure, NumericalUnderflow,
-                       SinkhornConfig, check_gradient, exact_ot,
+                       SinkhornConfig, build_state, check_gradient, exact_ot,
                        finite_diff_grad, sd_grad, sd_loss, seq_cost_matrix,
                        sinkhorn_plan, total_grad, total_loss)
 from otdistill import composite, core, seq_ot
@@ -301,7 +301,7 @@ class TestAgainstNormalization:
         s = rng.standard_normal((tokens, 30)) * 3.0
         w = LossWeights(k=8)
         sd, grad = total_loss(t, s, w=w).sd, total_grad(t, s, w=w)
-        monkeypatch.setattr(composite, "_plan", lambda C, cfg: (
+        monkeypatch.setattr(seq_ot, "_plan", lambda C, cfg: (
             sinkhorn_by_normalization(C, cfg.regularization, cfg.iterations)))
         expected = total_grad(t, s, w=w)
         assert sd == pytest.approx(total_loss(t, s, w=w).sd, rel=self.RTOL)
@@ -609,3 +609,126 @@ class TestRowBlocks:
         np.testing.assert_allclose(cost, dense_cost(pair.teacher, pair.student),
                                    rtol=1e-12, atol=0)
         assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+
+
+class TestTransport:
+    """The fused pass's one sequence-level stage, seq_ot._transport: the
+    cost, plan and sd of a build, the stored sd of a state at its own
+    student, and the product s * (weight * dsd/ds) the backward reads."""
+
+    CFG = SinkhornConfig()
+
+    @staticmethod
+    def stacks(seed, batch=2, tokens=9, k=5):
+        # Kept probabilities as the fused pass gathers them: (B, T, k) rows
+        # of a wider softmax, not C-contiguous.
+        rng = np.random.default_rng(seed)
+        t, s = (rng.dirichlet(np.ones(k + 2), (batch, tokens))[..., :k]
+                for _ in range(2))
+        return t, s
+
+    @pytest.fixture
+    def costs(self, monkeypatch):
+        calls, cost = [], seq_ot._cost
+
+        def counted(*args):
+            calls.append(args)
+            return cost(*args)
+
+        monkeypatch.setattr(seq_ot, "_cost", counted)
+        return calls
+
+    def test_without_a_plan_it_builds_the_cost_plan_and_sd(self):
+        t, s = self.stacks(1)
+        plan, sd, product = seq_ot._transport(t, s, self.CFG)
+        cost = seq_ot._cost(t, s)
+        expected = seq_ot._plan(cost, self.CFG)
+        assert plan.tobytes() == expected.tobytes()
+        assert sd.tobytes() == seq_ot._sd(cost, expected).tobytes()
+        assert product is None
+
+    @pytest.mark.parametrize("copy", [False, True])
+    def test_the_stored_student_reads_the_stored_sd(self, costs, copy):
+        t, s = self.stacks(2)
+        plan, sd, _ = seq_ot._transport(t, s, self.CFG)
+        costs.clear()
+        student = s.copy() if copy else s
+        got = seq_ot._transport(t, student, self.CFG, plan, (s, sd))
+        assert got[0] is plan and got[1] is sd and costs == []
+
+    def test_another_student_builds_one_cost_when_a_value_is_asked(
+            self, costs):
+        t, s = self.stacks(3)
+        plan, sd, _ = seq_ot._transport(t, s, self.CFG)
+        nudged = s.copy()
+        nudged[1, 4, 2] += 1e-9
+        costs.clear()
+        got = seq_ot._transport(t, nudged, self.CFG, plan, (s, sd))[1]
+        assert len(costs) == 1
+        expected = seq_ot._sd(seq_ot._cost(t, nudged), plan)
+        assert got.tobytes() == expected.tobytes() != sd.tobytes()
+        # A copied state holds no stored loss: (None, None).
+        costs.clear()
+        got = seq_ot._transport(t, s, self.CFG, plan, (None, None))[1]
+        assert len(costs) == 1 and got.tobytes() == sd.tobytes()
+        # No value asked for: no cost and no sd, with or without a product.
+        costs.clear()
+        for weight in (0.0, 0.3):
+            assert seq_ot._transport(t, nudged, self.CFG, plan, None,
+                                     weight)[1] is None
+        assert costs == []
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_the_product_is_a_new_array_and_writes_no_input(self, stored):
+        t, s = self.stacks(4)
+        plan, sd, _ = seq_ot._transport(t, s, self.CFG)
+        before = s.copy()
+        weight = 0.37
+        product = seq_ot._transport(t, s, self.CFG, plan,
+                                    (s, sd) if stored else None, weight)[2]
+        expected = s * (weight * seq_ot._sd_grad(t, s, plan))
+        assert product.tobytes() == expected.tobytes()
+        assert product is not s and s.tobytes() == before.tobytes()
+
+    def test_a_batch_equals_its_items_stacked(self):
+        t, s = self.stacks(5, batch=3)
+        nudged = s + 1e-3 * self.stacks(6, batch=3)[1]
+        batch = seq_ot._transport(t, s, self.CFG, weight=0.2)
+        given = seq_ot._transport(t, nudged, self.CFG, batch[0],
+                                  (s, batch[1]), 0.2)
+        for b in range(t.shape[0]):
+            item = slice(b, b + 1)
+            one = seq_ot._transport(t[item], s[item], self.CFG, weight=0.2)
+            one_given = seq_ot._transport(t[item], nudged[item], self.CFG,
+                                          one[0], (s[item], one[1]), 0.2)
+            for got, want in zip(batch + given, one + one_given):
+                assert got[b].tobytes() == want[0].tobytes()
+
+    def test_a_gradient_call_enters_it_with_few_kept_arrays_alive(
+            self, monkeypatch):
+        # total_grad with a state at T = 256: what is live when the stage
+        # starts is the returned gradient, which holds the tau_sl softmax,
+        # the gathered tau_sd student, (T, k), and (T,) normalizers and
+        # labels. The stage runs before the token level: entering it with
+        # the token level's (T, k) arrays alive (its kept student and the
+        # had and sl gradients) would add three, where one is allowed.
+        tokens, m, n = 256, 300, 400
+        rng = np.random.default_rng(256)
+        t, s = (rng.standard_normal((tokens, v)) * 3.0 for v in (m, n))
+        w = LossWeights()
+        state = build_state(t, s, w=w)
+        live, stage = [], composite._transport
+
+        def traced(*args):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return stage(*args)
+
+        monkeypatch.setattr(composite, "_transport", traced)
+        tracemalloc.start()
+        try:
+            total_grad(t, s, w=w, state=state)
+        finally:
+            tracemalloc.stop()
+        kept = 8 * tokens * w.k
+        bound = 8 * tokens * n + 2 * kept
+        assert len(live) == 1 and live[0] < bound, (live, bound)
