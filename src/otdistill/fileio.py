@@ -105,7 +105,7 @@ def load_logit_file(path):
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: logits is not a numeric matrix") from exc
     declared = (doc["tokens"], doc["vocab"])
-    # JSON true and false load as bool, a subclass of int.
+    # JSON true and false load as bool, an int subclass numpy reads as 1, 0.
     if not all(isinstance(d, int) and not isinstance(d, bool) for d in declared):
         raise ParseError(f"{path}: tokens and vocab must be integers")
     if arr.ndim != 2 or arr.shape != declared:
@@ -113,6 +113,8 @@ def load_logit_file(path):
             f"{path}: logits shape {arr.shape} does not match declared "
             f"tokens={doc['tokens']}, vocab={doc['vocab']}"
         )
+    if any(bool in set(map(type, row)) for row in doc["logits"]):
+        raise ParseError(f"{path}: logits must be numbers, not true or false")
     if not np.isfinite(arr).all():
         bad = np.argwhere(~np.isfinite(arr))[0]
         raise ParseError(f"{path}: non-finite logit at row {bad[0]}, column {bad[1]}")

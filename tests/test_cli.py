@@ -523,13 +523,16 @@ def spoil_logits(arr, how):
         doc["logits"][0][-1] = 10**400
     elif how == "strings":
         doc["logits"] = [[repr(x) for x in row] for row in doc["logits"]]
+    elif how == "bools":
+        doc["logits"][0][0] = True
     return json.dumps(doc)
 
 
 LOGIT_FAULTS = {"truncated": 2, "nan": 2, "inf": 2, "rows": 2, "ragged": 2,
                 "tokens_text": 2, "tokens_null": 2, "tokens_fraction": 2,
                 "tokens_bool": 2, "extra_key": 2, "one_column": 3,
-                "deep": 2, "huge_int": 2, "strings": 2, "not_utf8": 2}
+                "deep": 2, "huge_int": 2, "strings": 2, "bools": 2,
+                "not_utf8": 2}
 LABEL_FAULTS = {"-1": 3, "1.5": 3, "one": 2, "1" + "0" * 30: 3, "few": 3,
                 "vocab": 3, "not_utf8": 2}
 CONFIG_FAULTS = {"bogus=1": 2, "alpha=abc": 2, "no equals sign": 2,

@@ -49,10 +49,11 @@ class TestLogitFile:
 
     def test_rejects_malformed_json(self, tmp_path):
         # Truncated; nested past the decoder's recursion limit; an integer
-        # past the float range; numbers given as strings; a document that
-        # is not an object.
+        # past the float range; numbers given as strings; booleans, alone
+        # or beside numbers; a document that is not an object.
         for logits in ("", "[" * 100000 + "]" * 100000,
-                       "[[1" + "0" * 400 + ", 0]]", '[["1", "2"]]', None):
+                       "[[1" + "0" * 400 + ", 0]]", '[["1", "2"]]',
+                       "[[true, false]]", "[[true, 0.5]]", None):
             path = tmp_path / "bad.json"
             path.write_text("[[0, 1]]" if logits is None else
                             '{"tokens": 1, "vocab": 2' + (
