@@ -8,8 +8,7 @@ exp(-C / lambda), computed in scaling form (Cuturi 2013; Peyre and Cuturi
 
 The private kernels behind the public functions take a leading batch axis
 of B sequences of equal length T, so one call handles a whole training
-step; the public T x T and T x k functions are their B = 1 case, and the
-fused loss reaches them through one stage, _transport.
+step; the public T x T and T x k functions are their B = 1 case.
 
 Memory is O(B T^2) in the token count T, not O(B T^2 k) in the truncation
 width k. The cost is scipy's compiled cityblock distance, written per
@@ -33,7 +32,7 @@ products while it is in cache, with consecutive blocks of a sequence
 stacked into one matmul call so that numpy releases the GIL around it;
 it writes the plan diag(u) K diag(v) into a C-ordered array at the end.
 The sequence loss reduces the plan and the cost per sequence without a
-T x T product temporary.
+T x T product temporary. The fused loss runs them in one stage, _transport.
 
 A kernel call runs on one thread per core._THREAD_ENTRIES entries it
 touches, at most one per usable core, each thread on whole rows or whole
@@ -277,19 +276,20 @@ def sd_grad(pair: AlignedPair, plan) -> np.ndarray:
 def _transport(t, s, cfg, plan=None, stored=None, weight=0.0):
     # The fused pass's sequence level on (B, T, k) stacks of kept tau_sd
     # probabilities: (plan, sd, product). Without a plan it builds the cost,
-    # the plan and sd. With one, stored, a state's (student_seq, sd), asks
-    # for sd; the cost depends on t and s alone, so it is the stored one
-    # when s is or equals that student, else one new cost's. A weight also
-    # gives s * (weight * dsd/ds), plan fixed, in a new array for the
-    # backward, which raises NumericalFailure if it passes the float range.
+    # the plan and sd; with one, stored, a state's (student_seq, sd), asks
+    # for sd: the stored one when s is or equals that student (the cost
+    # depends on t and s alone), else one new cost's. A weight also gives
+    # s * weight * dsd/ds (plan fixed; the backward checks it) in a new array.
     student, sd = stored or (s, None)
     if plan is None or not (s is student or np.array_equal(student, s)):
         cost = _cost(t, s)
         plan = _plan(cost, cfg) if plan is None else plan
         sd = _sd(cost, plan)
         del cost  # T x T, spent before the gradient's blocks
+    if not weight:
+        return plan, sd, None
     with np.errstate(over="ignore", invalid="ignore"):
-        return plan, sd, s * (weight * _sd_grad(t, s, plan)) if weight else None
+        return plan, sd, s * (weight * _sd_grad(t, s, plan))
 
 
 def _ranks(t, s):
