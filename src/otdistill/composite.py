@@ -54,10 +54,11 @@ import numpy as np
 from .core import (_MIN_TAU, PROB_FLOOR, _check_choice, _check_count,
                    _check_number, _check_type, _floor_log, _gather,
                    _logit_matrix, _matrix, _softmax_at, _softmax_backward,
-                   _softmax_pass, validate_logits, validate_probs)
+                   _softmax_pass, _softmax_whole, validate_logits,
+                   validate_probs)
 from .errors import InvalidConfig, InvalidInput, NumericalFailure
 from .preprocess import (EXACT_ASSIGNMENT, MATCH_MODES, SUM_SORT,
-                         RankSelection, _descending_stable, _head_width,
+                         RankSelection, _descending_pair, _head_width,
                          _match)
 from .seq_ot import SinkhornConfig, _transport
 from .token_ot import _had_loss, _sl_loss, _uld_grad, _uld_sorted
@@ -342,7 +343,7 @@ def _teacher(t, n, w, argmax, dense):
     top, totals, sums, best = _softmax_pass(t, taus, sums=True, argmax=argmax,
                                             out=probs)
     width = _head_width(w.k, t.shape[-1], n, w.match_mode)
-    perm = tuple(_descending_stable(x) for x in sums)
+    perm = _descending_pair(*sums)
     head = tuple(_softmax_at(t, tau, (top, total), p[:, None, :width])
                  for tau, total, p in zip(taus, totals, perm))
     return _Teacher(perm=perm, head=head, argmax=best,
@@ -351,24 +352,28 @@ def _teacher(t, n, w, argmax, dense):
 
 def _build(teacher, s, w, labels, gradient=None):
     """(state, (top, totals)): the state of a call given none, from its
-    _Teacher and the student's pass over s at both temperatures, which
-    writes the tau_sl softmax into gradient, if given, and sums columns for
-    sum-sort. Exact matching ranks from that softmax (in gradient or a new
-    array), then the tau_sd one (over that array, or into a new one)."""
+    _Teacher and the student's raw pass over s at both temperatures, which
+    leaves in gradient, if given, what core._held says, and sums columns
+    for sum-sort. Exact matching ranks from each level's whole softmax in
+    turn, in one array beside the gradient (core._softmax_whole)."""
     mode = w.match_mode
-    exact = mode == EXACT_ASSIGNMENT
-    probs = np.empty(s.shape) if exact and gradient is None else gradient
-    top, totals, sums, _ = _softmax_pass(s, (w.tau_sl, w.tau_sd), out=probs,
-                                         sums=not exact)
+    taus = (w.tau_sl, w.tau_sd)
+    whole = np.empty(s.shape) if mode == EXACT_ASSIGNMENT else None
+    held = whole if gradient is None else gradient
+    top, totals, sums, _ = _softmax_pass(s, taus, out=held, raw=True,
+                                         sums=whole is None)
+    if whole is None:
+        first, second = _descending_pair(*sums)
+    else:
+        first = _match(teacher.head[0], _softmax_whole(
+            s, taus, 0, (top, totals[0]), held, whole), mode)
+        # The tau_sd softmax overwrites the tau_sl one once it is ranked:
+        # from the gradient, or recomputed where the pass wrote that array.
+        second = _match(teacher.head[1], _softmax_whole(
+            s, taus, 1, (top, totals[1]), gradient, whole), mode)
     k = min(w.k, teacher.head[0].shape[-1])
-    rank = RankSelection(teacher.perm[0], _match(
-        teacher.head[0], probs if exact else sums[0], mode), k, mode)
-    # rank has read probs, so the tau_sd softmax may now overwrite it.
-    spare = None if probs is gradient else probs
-    seq = (_softmax_at(s, w.tau_sd, (top, totals[1]), out=spare) if exact
-           else sums[1])
-    rank_seq = RankSelection(teacher.perm[1],
-                             _match(teacher.head[1], seq, mode), k, mode)
+    rank = RankSelection(teacher.perm[0], first, k, mode)
+    rank_seq = RankSelection(teacher.perm[1], second, k, mode)
     if labels is None:
         labels = _pseudo_labels(teacher.argmax, rank, s.shape[-1])
     teacher2 = teacher.head[1][..., :k]
@@ -416,14 +421,15 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
         teacher = t if isinstance(t, _Teacher) else _teacher(
             t, s.shape[-1], w, argmax=labels is None, dense=grad == ULD)
 
-    # The student's one pass writes a gradient call's tau_sl softmax into
-    # the gradient, which the backward finishes in place.
+    # The student's one pass leaves in a gradient call's gradient what
+    # core._held says, from which the backward builds each level.
+    taus = (w.tau_sl, w.tau_sd)
     gradient = None if grad is None else np.empty(s.shape)
     if built:
         state, (top, totals) = _build(teacher, s, w, labels, gradient)
     else:
-        taus = (w.tau_sl, w.tau_sd)[:1 + (need_loss or seq_weight > 0)]
-        top, totals, _, _ = _softmax_pass(s, taus, out=gradient)
+        taus = taus[:1 + (need_loss or seq_weight > 0)]
+        top, totals, _, _ = _softmax_pass(s, taus, out=gradient, raw=True)
 
     # Sequence temperature: sd and its product, from one stage, run before
     # the token level so that none of its arrays is alive beside the
@@ -463,13 +469,16 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
             terms.append((cols1, student1))
             del had, sl  # their (B, T, k) gradients, spent before the backward
         if grad == ULD:
-            # The padded-sort baseline reads every column of both softmaxes;
-            # the pass left the student's at tau_sl in the gradient.
-            terms.append((None, gradient * (
-                w.alpha * _uld_grad(teacher.dense, gradient))))
+            # The padded-sort baseline reads every column of both softmaxes,
+            # the student's at tau_sl from what its pass left in the gradient.
+            probs = _softmax_whole(s, taus, 0, (top, totals[0]), gradient)
+            uld = w.alpha * _uld_grad(teacher.dense, probs)
+            uld *= probs
+            terms.append((None, uld))
         if seq_weight > 0:
             levels.append((w.tau_sd, totals[1], [(cols2, student2)]))
-    return state, breakdown, _softmax_backward(s, top, levels, gradient)
+    return state, breakdown, _softmax_backward(s, top, levels, gradient,
+                                               taus)
 
 
 def _breakdown(p_label, had, sl, sd, w, state):

@@ -347,6 +347,21 @@ def _threads(fn, items, parts):
         future.result()
 
 
+def _both(fn, first, second, entries):
+    """(fn(first), fn(second)), on two threads (_walk) when a call touching
+    `entries` entries splits (_parts): for a kernel during which numpy
+    releases the GIL, whose two calls are independent."""
+    if _parts(entries) < 2:
+        return fn(first), fn(second)
+    out = [first, second]
+
+    def run(i, part):
+        out[i] = fn(out[i])
+
+    _walk(run, (0, 1))
+    return out[0], out[1]
+
+
 def _slices(length, parts):
     # Up to `parts` contiguous slices covering range(length): _walk's items.
     if parts <= 1:
@@ -367,6 +382,29 @@ def _squared(taus):
     return [len(taus) == 2 and 2.0 * tau in taus for tau in taus]
 
 
+def _held(taus):
+    """The one rule for what a raw pass (_softmax_pass with raw) leaves in
+    its out, the gradient of a gradient call: where _squared squares one
+    level from the other's exponentials, those exponentials, at the larger
+    temperature and unnormalized, and this is that level's index; otherwise
+    None, and out holds the softmax at taus[0]. _softmax_backward and
+    _softmax_whole build each level from what it holds, with no exp where
+    it holds exponentials."""
+    squared = _squared(taus)
+    return squared.index(False) if any(squared) else None
+
+
+def _from_held(held, total, out=None):
+    # A level of a raw pass from the exponentials it held (_held), into out
+    # (a new array for None): their squares where total is _Squared, else
+    # themselves, times the reciprocal row sums, as the pass computes it.
+    if isinstance(total, _Squared):
+        out = np.square(held, out=out)
+        out *= total
+        return out
+    return np.multiply(held, total, out=out)
+
+
 class _Squared(np.ndarray):
     """The reciprocal row sums of a level whose exponentials _softmax_pass
     squared from those at twice its temperature (_squared). _softmax_at
@@ -374,7 +412,7 @@ class _Squared(np.ndarray):
     computes is the pass's own."""
 
 
-def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
+def _softmax_pass(arr, taus, sums=False, argmax=False, out=None, raw=False):
     """One pass over a (B, T, V) stack of logits at each temperature in
     taus, block by block (see _blocks), that also checks them: a block
     holding nan or +-inf raises InvalidInput before any arithmetic on it.
@@ -382,7 +420,7 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     Each row's max and its difference from it are taken once. At each
     temperature the pass computes exp((z - max) * (1 / tau)), except where
     _squared says a level squares the other's exponentials, at twice its
-    tau (np.square, in place, before either is normalized), so at
+    tau (np.square, before either is normalized), so at
     the default pair (1, 2) it takes one exp per entry for both levels.
     It then takes the reciprocal of each row sum, as _softmax_at does, in
     a block buffer, and emits only what the caller asks for: each
@@ -391,9 +429,12 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     B x T x V array of its own. Given out, a (B, T, V) array, it computes
     the softmax at taus[0] there instead of in a buffer, multiplying each
     row by its reciprocal sum while the block is in cache: softmax_rows
-    returns it, exact matching and the padded-sort
-    teacher read it whole, and in a gradient call the backward
-    (_softmax_backward) finishes it in place.
+    returns it and the padded-sort teacher reads it whole. With raw (a
+    pass that asks for no argmax), out holds what _held says instead: at a
+    pair that squares, the exponentials at the larger temperature,
+    unnormalized, from which the backward (_softmax_backward) and
+    _softmax_whole build both levels with no exp; at any other, the
+    softmax at taus[0], which the backward finishes in place.
 
     A large pass runs on several threads (_parts, _walk), each on blocks of
     its share of the block budget in its share of the buffers, so the
@@ -401,10 +442,10 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     capped so that each share holds a row. Column sums add each sequence's
     rows in order, as numpy reduces that axis: a block adds its rows once
     the block before it in the sequence has added its own or raised (in
-    one sum after adding the running sums into its first row, or row by
-    row into out's level, whose rows the caller reads), so every output is
-    the same bit for bit at any blocking and thread count (the tests hold
-    it to a dense softmax, their refimpl._softmax).
+    one sum after adding the running sums into its first row; out's level,
+    whose rows out keeps, last, normalized in a block buffer), so every
+    output is the same bit for bit at any blocking and thread count (the
+    tests hold it to a dense softmax, their refimpl._softmax).
 
     Returns (top, totals, colsums, best): the (B, T, 1) row maxima, one
     (B, T, 1) array of reciprocal row sums per temperature, a _Squared one
@@ -414,13 +455,22 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     """
     top = np.empty(arr.shape[:-1] + (1,))
     squared = _squared(taus)
+    # The level whose exponentials out keeps unnormalized (_held), or None;
+    # the level out holds.
+    hold = _held(taus) if raw and out is not None else None
+    at = hold or 0
     totals = [np.empty_like(top) for _ in taus]
     colsums = [np.zeros(arr.shape[::2]) for _ in taus] if sums else None
     best = np.empty(arr.shape[:-1], dtype=np.intp) if argmax else None
     parts = _parts(arr.size * len(taus), arr.shape[-1])
     blocks = _blocks(arr.shape, parts)
+    # A block buffer per level not in out; for column sums, out's level is
+    # normalized into the last, once that buffer's own sums are taken.
     bufs = [np.empty((parts,) + arr[blocks[0]].shape)
-            for _ in taus[out is not None:]]
+            for _ in range(max(len(taus) - (out is not None), int(sums)))]
+    # Levels in the order their column sums are taken: out's last.
+    order = ((1 - at, at) if out is not None and len(taus) == 2
+             else range(len(taus)))
     # added[b] counts the rows of sequence b handed off to its next block.
     turn = threading.Condition()
     added = [0] * arr.shape[0]
@@ -428,8 +478,10 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     def walk(block, part):
         items, span = block
         z = arr[block]
-        exps = ([] if out is None else [out[block]]) + [
-            buf[part, :z.shape[0], :z.shape[1]] for buf in bufs]
+        views = [buf[part, :z.shape[0], :z.shape[1]] for buf in bufs]
+        exps = views[:len(taus) - (out is not None)]
+        if out is not None:
+            exps.insert(at, out[block])
         try:
             peak = np.max(z, axis=-1, keepdims=True, out=top[block])
             # The block's min is read while the block is in cache.
@@ -453,7 +505,10 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
                 total = totals[i][block]
                 e.sum(axis=-1, keepdims=True, out=total)
                 np.reciprocal(total, out=total)
-                if sums or i == 0 and (argmax or out is not None):
+                # out is normalized unless it holds exponentials; a buffer
+                # only for what the walk reads of it.
+                if (hold is None if out is not None and i == at
+                        else sums or i == 0 and argmax):
                     e *= total
             if argmax:
                 np.argmax(exps[0], axis=-1, out=best[block])
@@ -462,18 +517,19 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
                     turn.wait_for(lambda: added[items.start] >= span.start)
                 # A later block of a sequence adds its rows to the running
                 # sums in order, ((acc + r0) + r1) + ...: in one sum after
-                # adding acc into its first row, which is spent, or one by
-                # one into out's level, whose rows the caller reads.
-                for i, e in enumerate(exps):
-                    acc = colsums[i][items]
-                    if span.start == 0:
-                        e.sum(axis=-2, out=acc)
-                    elif i == 0 and out is not None:
-                        for row in e[0]:
-                            acc[0] += row
-                    else:
+                # adding acc into its first row, which is spent. out keeps
+                # its rows: its level, normalized, is summed in a buffer.
+                for i in order:
+                    e, acc = exps[i], colsums[i][items]
+                    if out is not None and i == at:
+                        if hold is None:
+                            views[-1][...] = e
+                        else:
+                            np.multiply(e, totals[i][block], out=views[-1])
+                        e = views[-1]
+                    if span.start:
                         e[0, 0] += acc[0]
-                        e.sum(axis=-2, out=acc)
+                    e.sum(axis=-2, out=acc)
         finally:
             # Handed off even when the block raised (maybe before earlier
             # blocks, hence max), so that no block waits forever.
@@ -520,6 +576,20 @@ def _softmax_at(arr, tau, normalizers, cols=None, out=None):
     return out
 
 
+def _softmax_whole(z, taus, i, normalizers, held, out=None):
+    """The softmax of the (B, T, V) stack z at taus[i], whole, bit for bit
+    the pass's own, from held, the out of a raw pass over z at taus, and
+    that level's normalizers (top, total): held itself where it is that
+    softmax (at taus[0], _held None), else written into out (a new array
+    for None), with no exp where held holds exponentials (_held), and from
+    the normalizers (_softmax_at) otherwise or for held None. out may be
+    held, whose exponentials are then spent."""
+    hold = _held(taus)
+    if held is None or hold is None and i:
+        return _softmax_at(z, taus[i], normalizers, out=out)
+    return held if hold is None else _from_held(held, normalizers[1], out)
+
+
 def _gather(arr, cols):
     """arr's entries at cols, a new array, for columns per row of a
     (B, T, V) stack that broadcast to (B, T, c). Columns every row reads,
@@ -534,7 +604,7 @@ def _gather(arr, cols):
                np.arange(arr.shape[1])[:, None], cols]
 
 
-def _softmax_backward(z, top, levels, gradient):
+def _softmax_backward(z, top, levels, gradient, taus=None):
     """The gradient w.r.t. the (B, T, V) logits z of a loss that reads
     softmaxes of z only at sparse entries, one softmax per level.
 
@@ -552,10 +622,14 @@ def _softmax_backward(z, top, levels, gradient):
     block is written. The check reads the terms alone, not the gradient,
     so the gradient returned is finite and nothing reads it again.
 
-    gradient, the array returned, holds the first level's softmax as the
-    pass computed it there (its out). Block by block (_blocks), that level
-    is finished in place, the other softmaxes are recomputed from their
-    normalizers, and the levels of the block are summed into it. Rows are
+    gradient, the array returned, is the out of the pass: of a raw pass at
+    taus, whose levels come first, if taus is given, and it holds what
+    _held says; else it holds the first level's softmax. Block by block
+    (_blocks), each level is built from what the gradient holds (squared
+    and scaled where it holds exponentials, finished in place where it is
+    the level) or recomputed from its normalizers, with the level the
+    gradient keeps built last in place and any other in the block buffer,
+    and the levels of the block are summed into the gradient. Rows are
     independent, so each usable core takes the next block not yet taken
     (_walk), in its share of the one block buffer.
     """
@@ -574,6 +648,11 @@ def _softmax_backward(z, top, levels, gradient):
     if not math.isfinite(4.0 * mass):
         raise NumericalFailure("the gradient is not finite; lower alpha, "
                                "beta or gamma, or raise the temperatures")
+    hold = None if taus is None else _held(taus)
+    # The level built in the gradient: the held one beside another, which
+    # reads its exponentials first, else the first.
+    own = hold if hold is not None and len(levels) > 1 else 0
+    order = (1 - own, own) if len(levels) > 1 else (0,)
     parts = _parts(z.size * len(levels), z.shape[-1])
     blocks = _blocks(z.shape, parts)
     buf = (np.empty((parts,) + z[blocks[0]].shape) if len(levels) > 1
@@ -581,10 +660,14 @@ def _softmax_backward(z, top, levels, gradient):
 
     def finish(block, part):
         zb, out = z[block], gradient[block]
-        for i, ((tau, total, terms), scale) in enumerate(zip(levels, scales)):
-            probs = out if i == 0 else _softmax_at(
-                zb, tau, (top[block], total[block]),
-                out=buf[part, :zb.shape[0], :zb.shape[1]])
+        spare = None if buf is None else buf[part, :zb.shape[0], :zb.shape[1]]
+        for i in order:
+            (tau, total, terms), scale = levels[i], scales[i]
+            probs = out if i == own else spare
+            if hold is not None:
+                _from_held(out, total[block], probs)
+            elif i != own:
+                _softmax_at(zb, tau, (top[block], total[block]), out=probs)
             probs *= scale[block]
             for cols, x in terms:
                 if cols is None:
@@ -604,8 +687,10 @@ def _softmax_backward(z, top, levels, gradient):
                 first = np.arange(0, probs.size, probs.shape[-1])
                 probs.reshape(-1)[first.reshape(probs.shape[:2] + (1,))
                                   + cols] += x[block]
-            if i:
-                out += probs
+        # Addition is commutative, so the order of the two levels does not
+        # change a bit of their sum.
+        if spare is not None:
+            out += spare
 
     _walk(finish, blocks, parts)
     return gradient

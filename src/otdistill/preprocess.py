@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import _check_choice, _check_count, _matrix, validate_probs
+from .core import (_both, _check_choice, _check_count, _matrix,
+                   validate_probs)
 from .errors import InvalidInput, TooLargeForExact
 
 SUM_SORT = "sum_sort"
@@ -81,6 +82,15 @@ def _descending_stable(values):
     tied = ~(ordered[..., 1:] > ordered[..., :-1]).all(axis=-1)
     order[tied] = np.argsort(neg[tied], axis=-1, kind="stable")
     return order
+
+
+def _descending_pair(first, second):
+    # _descending_stable of two stacks of rows, on two threads where their
+    # sorts are large enough to split (core._both). Sized by sort cost, as
+    # seq_ot._ranks sizes its split (a sort touches each entry about log2 of
+    # its row length times), so the harness's rows of 15 and 20 stay serial.
+    return _both(_descending_stable, first, second,
+                 (first.size + second.size) * first.shape[-1].bit_length())
 
 
 def sequence_rank_teacher(t):
