@@ -16,22 +16,23 @@ teacher's argmax for pseudo-labels. The label and k aligned entries of
 every row are computed from those normalizers (core._softmax_at). The upstream
 gradient is nonzero only at the label and the k aligned columns, so a
 gradient call keeps each temperature's part of it as sparse products. Its
-student pass computes the tau_sl softmax in the gradient it returns, and one
-backward at the end (core._softmax_backward) finishes it in place,
-recomputes only the tau_sd softmax, block by block from the normalizers, and
-sums it straight into the gradient: the only B x T x n array a gradient call
-writes under sum-sort matching is the gradient it returns. At the default
-temperatures, where tau_sd = 2 tau_sl, the pass squares its tau_sd
-exponentials for tau_sl (core._squared), so a gradient call exponentiates
-each student entry twice (once in the pass, once in the backward at
-tau_sd); at a pair that is not double, once at tau_sl and twice at tau_sd.
-Gradients are with respect to the raw student logits, with
-the rank/truncation selections and the Sinkhorn plan held fixed. Exact
-matching reads whole student softmaxes: the tau_sl one that the student pass
-leaves in an array (the gradient, in a gradient call), and the tau_sd one
-from the pass's normalizers (core._softmax_at). The padded-sort baseline
-reads the student's tau_sl softmax in the gradient and the teacher's from
-the teacher pass. No softmax here is computed any other way.
+student pass leaves in the gradient it returns what one rule (core._held)
+says, and one backward at the end (core._softmax_backward) builds each
+level from it block by block and sums them there: the only B x T x n array
+a gradient call writes under sum-sort matching is the gradient it returns.
+At the default temperatures, where tau_sd = 2 tau_sl, the pass squares its
+tau_sd exponentials for tau_sl (core._squared) and leaves the tau_sd ones
+in the gradient, from which the backward squares and scales both levels,
+so a gradient call exponentiates each student entry once; at a pair that
+is not double, once at tau_sl and twice at tau_sd (the backward recomputes
+it from the normalizers). Gradients are with respect to the raw student
+logits, with the rank/truncation selections and the Sinkhorn plan held
+fixed. Exact matching reads whole student softmaxes, built in turn in one
+array (core._softmax_held) from what the student pass left in its out
+(the gradient, in a gradient call), or for tau_sd without a gradient
+from the normalizers; the padded-sort baseline reads the student's tau_sl
+one the same way and the teacher's from the teacher pass. No softmax here
+is computed any other way.
 
 A call given no state builds one (_build: the student's pass, both
 rankings, the pseudo-labels, the cost, the plan and sd), and a call given
@@ -54,7 +55,7 @@ import numpy as np
 from .core import (_MIN_TAU, PROB_FLOOR, _check_choice, _check_count,
                    _check_number, _check_type, _floor_log, _gather,
                    _logit_matrix, _matrix, _softmax_at, _softmax_backward,
-                   _softmax_pass, _softmax_whole, validate_logits,
+                   _softmax_held, _softmax_pass, validate_logits,
                    validate_probs)
 from .errors import InvalidConfig, InvalidInput, NumericalFailure
 from .preprocess import (EXACT_ASSIGNMENT, MATCH_MODES, SUM_SORT,
@@ -355,7 +356,7 @@ def _build(teacher, s, w, labels, gradient=None):
     _Teacher and the student's raw pass over s at both temperatures, which
     leaves in gradient, if given, what core._held says, and sums columns
     for sum-sort. Exact matching ranks from each level's whole softmax in
-    turn, in one array beside the gradient (core._softmax_whole)."""
+    turn, in one array beside the gradient (core._softmax_held)."""
     mode = w.match_mode
     taus = (w.tau_sl, w.tau_sd)
     whole = np.empty(s.shape) if mode == EXACT_ASSIGNMENT else None
@@ -365,11 +366,11 @@ def _build(teacher, s, w, labels, gradient=None):
     if whole is None:
         first, second = _descending_pair(*sums)
     else:
-        first = _match(teacher.head[0], _softmax_whole(
+        first = _match(teacher.head[0], _softmax_held(
             s, taus, 0, (top, totals[0]), held, whole), mode)
         # The tau_sd softmax overwrites the tau_sl one once it is ranked:
         # from the gradient, or recomputed where the pass wrote that array.
-        second = _match(teacher.head[1], _softmax_whole(
+        second = _match(teacher.head[1], _softmax_held(
             s, taus, 1, (top, totals[1]), gradient, whole), mode)
     k = min(w.k, teacher.head[0].shape[-1])
     rank = RankSelection(teacher.perm[0], first, k, mode)
@@ -471,7 +472,7 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
         if grad == ULD:
             # The padded-sort baseline reads every column of both softmaxes,
             # the student's at tau_sl from what its pass left in the gradient.
-            probs = _softmax_whole(s, taus, 0, (top, totals[0]), gradient)
+            probs = _softmax_held(s, taus, 0, (top, totals[0]), gradient)
             uld = w.alpha * _uld_grad(teacher.dense, probs)
             uld *= probs
             terms.append((None, uld))

@@ -388,21 +388,10 @@ def _held(taus):
     level from the other's exponentials, those exponentials, at the larger
     temperature and unnormalized, and this is that level's index; otherwise
     None, and out holds the softmax at taus[0]. _softmax_backward and
-    _softmax_whole build each level from what it holds, with no exp where
+    _softmax_held build each level from what it holds, with no exp where
     it holds exponentials."""
     squared = _squared(taus)
     return squared.index(False) if any(squared) else None
-
-
-def _from_held(held, total, out=None):
-    # A level of a raw pass from the exponentials it held (_held), into out
-    # (a new array for None): their squares where total is _Squared, else
-    # themselves, times the reciprocal row sums, as the pass computes it.
-    if isinstance(total, _Squared):
-        out = np.square(held, out=out)
-        out *= total
-        return out
-    return np.multiply(held, total, out=out)
 
 
 class _Squared(np.ndarray):
@@ -433,7 +422,7 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None, raw=False):
     pass that asks for no argmax), out holds what _held says instead: at a
     pair that squares, the exponentials at the larger temperature,
     unnormalized, from which the backward (_softmax_backward) and
-    _softmax_whole build both levels with no exp; at any other, the
+    _softmax_held build both levels with no exp; at any other, the
     softmax at taus[0], which the backward finishes in place.
 
     A large pass runs on several threads (_parts, _walk), each on blocks of
@@ -576,18 +565,26 @@ def _softmax_at(arr, tau, normalizers, cols=None, out=None):
     return out
 
 
-def _softmax_whole(z, taus, i, normalizers, held, out=None):
-    """The softmax of the (B, T, V) stack z at taus[i], whole, bit for bit
-    the pass's own, from held, the out of a raw pass over z at taus, and
-    that level's normalizers (top, total): held itself where it is that
-    softmax (at taus[0], _held None), else written into out (a new array
-    for None), with no exp where held holds exponentials (_held), and from
-    the normalizers (_softmax_at) otherwise or for held None. out may be
-    held, whose exponentials are then spent."""
+def _softmax_held(z, taus, i, normalizers, held, out=None):
+    """The softmax of the (B, T, V) stack z at taus[i], whole and bit for
+    bit the pass's own, from held, the out of a raw pass over z at taus (or
+    None), and that level's normalizers (top, total). Where held holds
+    exponentials (_held): their squares (total is _Squared) or themselves,
+    times the reciprocal row sums, written into out (a new array for None)
+    with no exp; out may be held, whose exponentials are then spent. Where
+    held is that softmax (at taus[0], _held None): held itself. Otherwise,
+    or for held None: from the normalizers (_softmax_at)."""
+    top, total = normalizers
     hold = _held(taus)
     if held is None or hold is None and i:
         return _softmax_at(z, taus[i], normalizers, out=out)
-    return held if hold is None else _from_held(held, normalizers[1], out)
+    if hold is None:
+        return held
+    if isinstance(total, _Squared):
+        out = np.square(held, out=out)
+        out *= total
+        return out
+    return np.multiply(held, total, out=out)
 
 
 def _gather(arr, cols):
@@ -622,16 +619,17 @@ def _softmax_backward(z, top, levels, gradient, taus=None):
     block is written. The check reads the terms alone, not the gradient,
     so the gradient returned is finite and nothing reads it again.
 
-    gradient, the array returned, is the out of the pass: of a raw pass at
-    taus, whose levels come first, if taus is given, and it holds what
+    gradient, the array returned, is the pass's out. Given taus, the pass
+    was a raw one at taus (levels[i] at taus[i]) and gradient holds what
     _held says; else it holds the first level's softmax. Block by block
-    (_blocks), each level is built from what the gradient holds (squared
-    and scaled where it holds exponentials, finished in place where it is
-    the level) or recomputed from its normalizers, with the level the
-    gradient keeps built last in place and any other in the block buffer,
-    and the levels of the block are summed into the gradient. Rows are
-    independent, so each usable core takes the next block not yet taken
-    (_walk), in its share of the one block buffer.
+    (_blocks), each level is built from it: from exponentials, one level
+    as their squares in the block buffer and the other in place, each
+    times its reciprocal row sums as the pass computes it, with no exp;
+    from the first level's softmax, that level finished in place and the
+    other recomputed from its normalizers in the buffer. The levels of the
+    block are then summed into the gradient. Rows are independent, so each
+    usable core takes the next block not yet taken (_walk), in its share
+    of the one block buffer.
     """
     scales, mass = [], 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -665,7 +663,11 @@ def _softmax_backward(z, top, levels, gradient, taus=None):
             (tau, total, terms), scale = levels[i], scales[i]
             probs = out if i == own else spare
             if hold is not None:
-                _from_held(out, total[block], probs)
+                # The level the gradient does not keep squares its
+                # exponentials; each is scaled as the pass would.
+                if i != hold:
+                    np.square(out, out=probs)
+                probs *= total[block]
             elif i != own:
                 _softmax_at(zb, tau, (top[block], total[block]), out=probs)
             probs *= scale[block]
