@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 
+from otdistill.core import _softmax_at
+
 
 def brute_force_min_transport(C):
     """Minimum of sum_i C[i, perm(i)] over all permutations, by enumeration."""
@@ -124,3 +126,26 @@ def softmax_by_division(arr, tau):
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
+
+
+def backward_by_levels(z, top, levels):
+    """The fused pass's streamed backward (core._softmax_backward) level by
+    level and whole: each level's softmax recomputed from its normalizers
+    by core._softmax_at, the arithmetic of the pass that writes it (exp,
+    then each row times its reciprocal sum), then times its rows' scale
+    -(sum of x) / tau, plus x / tau at its columns, and the levels summed
+    in order. levels are as the backward takes them, (tau, total, terms)
+    with terms (cols, x), and are not written."""
+    grad = None
+    for tau, total, terms in levels:
+        inner = sum(x.sum(axis=-1, keepdims=True) for _, x in terms)
+        probs = _softmax_at(z, tau, (top, total), out=np.empty(z.shape))
+        probs *= -inner / tau
+        for cols, x in terms:
+            if cols is None:
+                probs += x / tau
+            else:
+                probs[np.arange(z.shape[0])[:, None, None],
+                      np.arange(z.shape[1])[:, None], cols] += x / tau
+        grad = probs if grad is None else grad + probs
+    return grad

@@ -14,10 +14,10 @@ from otdistill import (EXACT_ASSIGNMENT, SUM_SORT, AlignedPair, DistillConfig,
                        seq_cost_matrix, softmax_rows, total_grad, total_loss,
                        total_loss_frozen)
 from otdistill import cli, composite, core, fileio, seq_ot
-from otdistill.composite import _pseudo_labels
+from otdistill.composite import CE_ONLY, MULTILEVEL_OT, ULD, _pseudo_labels
 from otdistill.core import _BLOCK_ENTRIES
 from otdistill.preprocess import RankSelection, _descending_stable
-from refimpl import _softmax
+from refimpl import _softmax, backward_by_levels
 
 SMALL = LossWeights(k=4, sinkhorn=SinkhornConfig(0.5, 20))
 
@@ -445,8 +445,9 @@ class TestSoftmaxAccounting:
     The teacher (m = 8 columns) and the student (n = 6) are told apart by
     their width. A pass is recorded with its temperature count and a
     backward with its level count, and each sequence cost and plan too.
-    composite has no dense softmax: every entry comes from a pass or from
-    its row normalizers (_softmax_at), and only exact matching reads one of
+    composite has no dense softmax: every entry comes from a pass, from the
+    exponentials it left in the gradient (core._softmax_held) or from its
+    row normalizers (_softmax_at), and only exact matching recomputes one of
     those whole.
     """
 
@@ -501,32 +502,57 @@ class TestSoftmaxAccounting:
         assert [c for c in calls if len(c) == 1] == [("cost",), ("plan",)] * 6
 
 
-    @pytest.mark.parametrize("taus, teacher, student", [
-        ((1.0, 2.0), (1, 0, 0, 1, 1), (1, 1, 2, 1, 2)),
-        ((2.0, 1.0), (1, 0, 0, 1, 1), (1, 1, 2, 1, 2)),
-        ((0.7, 3.0), (2, 0, 0, 2, 2), (2, 2, 3, 2, 3))])
-    def test_exponentials_per_entry(self, exponentials, taus, teacher,
-                                    student):
+    @staticmethod
+    def per_entry(exponentials, w, m=8, n=6):
         # Per entry of the teacher and of the student, the exponentials of
         # build_state, total_loss_frozen and total_grad with a state, and
-        # of total_loss and total_grad without one. At (1, 2) and (2, 1) a
-        # pass takes one per entry for both temperatures, and the backward
-        # recomputes tau_sd (squared at (2, 1)); at (0.7, 3.0) a pass takes
-        # two. Kept columns (k = 4) and labels (1) are read narrower and not
-        # counted.
-        w = replace(SMALL, tau_sl=taus[0], tau_sd=taus[1])
-        t, s = random_pair(35, m=8, n=6)
+        # of total_loss and total_grad without one. Kept columns (k = 4)
+        # and labels (1) are read narrower and not counted.
+        t, s = random_pair(35, m=m, n=n)
         state = build_state(t, s, w=w)
         calls = [lambda: build_state(t, s, w=w),
                  lambda: total_loss_frozen(state, t, s, w),
                  lambda: total_grad(t, s, w=w, state=state),
                  lambda: total_loss(t, s, w=w),
                  lambda: total_grad(t, s, w=w)]
-        for call, per_teacher, per_student in zip(calls, teacher, student):
+        counts = []
+        for call in calls:
             exponentials.clear()
             call()
-            assert exponentials.get(8, 0) == per_teacher * t.size
-            assert exponentials.get(6, 0) == per_student * s.size
+            counts.append((exponentials.get(m, 0) / t.size,
+                           exponentials.get(n, 0) / s.size))
+        return [tuple(c) for c in zip(*counts)]
+
+    @pytest.mark.parametrize("taus, teacher, student", [
+        ((1.0, 2.0), (1, 0, 0, 1, 1), (1, 1, 1, 1, 1)),
+        ((2.0, 1.0), (1, 0, 0, 1, 1), (1, 1, 1, 1, 1)),
+        ((0.7, 3.0), (2, 0, 0, 2, 2), (2, 2, 3, 2, 3))])
+    def test_exponentials_per_entry(self, exponentials, taus, teacher,
+                                    student):
+        # At (1, 2) and (2, 1) a pass takes one per entry for both
+        # temperatures, and a gradient call's backward builds both levels
+        # from the exponentials the pass left in the gradient; at
+        # (0.7, 3.0) a pass takes two and the backward recomputes tau_sd.
+        w = replace(SMALL, tau_sl=taus[0], tau_sd=taus[1])
+        assert self.per_entry(exponentials, w) == [teacher, student]
+
+    @pytest.mark.parametrize("taus, teacher, student", [
+        ((1.0, 2.0), (3, 0, 0, 3, 3), (2, 1, 1, 2, 1)),
+        ((2.0, 1.0), (3, 0, 0, 3, 3), (2, 1, 1, 2, 1)),
+        ((0.7, 3.0), (4, 0, 0, 4, 4), (3, 2, 3, 3, 4))])
+    def test_exponentials_per_entry_under_exact_matching(
+            self, exponentials, taus, teacher, student):
+        # Exact matching ranks from both whole student softmaxes: at (1, 2)
+        # and (2, 1) a gradient call builds them from the exponentials its
+        # pass left in the gradient, and a call without a gradient
+        # recomputes tau_sd over the tau_sl one; at (0.7, 3.0) each call
+        # without a state recomputes tau_sd. The teacher (m = 6) is the
+        # narrower, so its kept heads are all of its columns at both
+        # temperatures: two more per teacher entry.
+        w = replace(SMALL, tau_sl=taus[0], tau_sd=taus[1],
+                    match_mode=EXACT_ASSIGNMENT)
+        assert self.per_entry(exponentials, w, m=6, n=8) == [teacher,
+                                                             student]
 
     def test_pseudo_labels_and_the_padded_sort_teacher_read_the_square(self):
         # The first row's top two logits lie 8e-17 apart: exp(-8e-17) is
@@ -554,12 +580,15 @@ class TestSoftmaxAccounting:
                                       "total_grad"])
     def test_exact_matching_computes_one_whole_softmax(self, calls,
                                                         monkeypatch, name):
-        # The student pass leaves its tau_sl softmax in an array it is
-        # given, and the tau_sd one is computed whole from its normalizers.
-        # Blocks of one student row keep the backward's recompute of it
-        # below whole size. The backward lives in core and calls core's
-        # _softmax_at on block views, so both names are patched and a
-        # softmax is whole when it is as large as its whole stack.
+        # Without a gradient, the student pass leaves its tau_sl softmax in
+        # an array it is given, and the tau_sd one is computed whole from
+        # its normalizers over it. A gradient call computes neither: at the
+        # default temperatures both are built from the exponentials its
+        # pass left in the gradient. Blocks of one student row keep any
+        # recompute in the backward below whole size. The backward lives in
+        # core and calls core's _softmax_at on block views, so both names
+        # are patched and a softmax is whole when it is as large as its
+        # whole stack.
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", 6)
         at = core._softmax_at
         t, s = random_pair(35, m=8, n=6)
@@ -579,9 +608,10 @@ class TestSoftmaxAccounting:
         {"build_state": lambda: build_state(t, s, w=w),
          "total_loss": lambda: total_loss(t, s, w=w),
          "total_grad": lambda: total_grad(t, s, w=w)}[name]()
-        assert calls == [("pass", "teacher", 2), ("pass", "student", 2),
-                         ("whole", "student"), ("cost",), ("plan",)] + (
-            [("backward", "student", 2)] if name == "total_grad" else [])
+        assert calls == [("pass", "teacher", 2), ("pass", "student", 2)] + (
+            [("cost",), ("plan",), ("backward", "student", 2)]
+            if name == "total_grad"
+            else [("whole", "student"), ("cost",), ("plan",)])
 
     def test_the_padded_sort_teacher_sorts_its_pass(self, calls):
         # Against a student of 10 columns, the teacher's rows are padded
@@ -594,6 +624,64 @@ class TestSoftmaxAccounting:
                        ((0, 0), (0, 2)))
         np.testing.assert_array_equal(teacher.dense[0],
                                       np.sort(dense, axis=-1)[:, ::-1])
+
+
+class TestBackwardByLevels:
+    """Every gradient the fused pass returns equals the level-by-level
+    reference backward (refimpl.backward_by_levels) bit for bit: each level
+    recomputed whole from its normalizers with the arithmetic of the pass
+    that writes it, where the backward builds both levels from the
+    exponentials the pass left in the gradient at a pair that squares.
+    Through total_grad and the harness's batched _forward, at pairs that
+    square either way and at one that does not, with and without a state,
+    under both match modes and for every objective, in whole blocks and in
+    blocks of two rows on three threads."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        # Each backward's result against the reference on its inputs; the
+        # backward divides the terms in place, so the reference reads
+        # copies.
+        checked, backward = [], composite._softmax_backward
+
+        def checking(z, top, levels, gradient, taus=None):
+            reference = backward_by_levels(z, top, [
+                (tau, total, [(cols, x.copy()) for cols, x in terms])
+                for tau, total, terms in levels])
+            out = backward(z, top, levels, gradient, taus)
+            checked.append(out.tobytes() == reference.tobytes())
+            return out
+
+        monkeypatch.setattr(composite, "_softmax_backward", checking)
+        return checked
+
+    @pytest.mark.parametrize("rows", [None, 2])
+    @pytest.mark.parametrize("mode", [SUM_SORT, EXACT_ASSIGNMENT])
+    @pytest.mark.parametrize("taus", [(1.0, 2.0), (2.0, 1.0), (0.7, 3.0)])
+    def test_gradients_equal_the_reference(self, checked, monkeypatch, taus,
+                                           mode, rows):
+        if rows:
+            monkeypatch.setattr(core, "_BLOCK_ENTRIES", rows * 15)
+            monkeypatch.setattr(core, "_THREAD_ENTRIES", 1)
+            monkeypatch.setattr(core, "_cores", lambda: 3)
+        w = replace(SMALL, tau_sl=taus[0], tau_sd=taus[1], match_mode=mode)
+        t, s = random_pair(39, tokens=8, m=20, n=15)
+        total_grad(t, s, w=w)
+        total_grad(t, s, w=w, state=build_state(t, s, w=w))
+        # The harness's step: 4 blocks of 8 tokens, the teacher's half
+        # computed apart; a state built there, given back with and without
+        # a loss (ULD trains only without one).
+        rng = np.random.default_rng(40)
+        tb, sb = (rng.standard_normal((4, 8, v)) * 3.0 for v in (20, 15))
+        for grad in (MULTILEVEL_OT, CE_ONLY, ULD):
+            half = composite._teacher(tb, 15, w, argmax=True,
+                                      dense=grad == ULD)
+            state = composite._forward(half, sb, w, grad=grad)[0]
+            if grad != ULD:
+                for need_loss in (True, False):
+                    composite._forward(tb, sb, w, state=state,
+                                       need_loss=need_loss, grad=grad)
+        assert checked == [True] * 9
 
 
 class TestSettingsCheckedOnce:
@@ -644,7 +732,9 @@ class TestPeakMemory:
       8 * n covers them;
     - kept: (T, k) gathers, products and index arrays, a few dozen T * k;
     - total_grad also holds its one T x n buffer, the returned gradient,
-      from before its pass, which computes its tau_sl exponentials there.
+      from before its pass, which computes its tau_sd exponentials there;
+      without a state, exact matching holds one more, the whole softmax it
+      ranks from, with its column distances.
 
     Before the blocked pass, build_state held two dense softmaxes per
     matrix (19 MB here) and total_grad two student ones (22 MB).
@@ -672,19 +762,41 @@ class TestPeakMemory:
         assert grad_peak < bound, (grad_peak, bound)
 
     def test_gradient_call_holds_one_block_beside_the_gradient(self):
-        # The pass computes its tau_sl exponentials in the gradient and
-        # only its tau_sd ones in a block buffer; the sequence gradient's
-        # block (one here, T * T * k < _BLOCK_ENTRIES) and the backward's
-        # come after it. The rest is (T, k) arrays: the kept entries at
-        # both temperatures, their products and index arrays, the sequence
-        # gradient and its partial sums. A tau_sl block buffer in the pass
-        # would add _BLOCK_ENTRIES, more than the 8 * T * k allowed them.
+        # The pass computes its tau_sd exponentials in the gradient and
+        # only the tau_sl ones it squares from them in a block buffer; the
+        # sequence gradient's block (one here, T * T * k < _BLOCK_ENTRIES)
+        # and the backward's come after it. The rest is (T, k) arrays: the
+        # kept entries at both temperatures, their products and index
+        # arrays, the sequence gradient and its partial sums. A second
+        # block buffer in the pass would add _BLOCK_ENTRIES, more than the
+        # 8 * T * k allowed them.
         t, s = random_pair(37, self.TOKENS, self.M, self.N)
         w = LossWeights()
         state = build_state(t, s, w=w)
         grad_peak = self.peak(lambda: total_grad(t, s, w=w, state=state))
         bound = 8 * (self.TOKENS * self.N + _BLOCK_ENTRIES
                      + 8 * self.TOKENS * w.k)
+        assert grad_peak < bound, (grad_peak, bound)
+
+
+    @pytest.mark.parametrize("mode", [SUM_SORT, EXACT_ASSIGNMENT])
+    def test_a_gradient_call_without_a_state(self, mode):
+        # Beside the gradient, the build's pass holds one block buffer
+        # (the tau_sl level; the gradient holds the tau_sd exponentials),
+        # then the column sums and the rankings of both levels (8 * n), or
+        # under exact matching the one whole softmax it ranks from and the
+        # r x n column distances (r = min(m, n) = 40 here); the backward
+        # holds one block. Kept entries are as above. A first call imports
+        # scipy.optimize for exact matching (about 5 MB), so it is made
+        # before the measured one.
+        m = self.M if mode == SUM_SORT else 40
+        t, s = random_pair(37, self.TOKENS, m, self.N)
+        w = LossWeights(match_mode=mode)
+        total_grad(t, s, w=w)
+        grad_peak = self.peak(lambda: total_grad(t, s, w=w))
+        whole = 0 if mode == SUM_SORT else (self.TOKENS + m) * self.N
+        bound = 8 * (self.TOKENS * self.N + _BLOCK_ENTRIES + 8 * self.N
+                     + 32 * self.TOKENS * w.k + whole)
         assert grad_peak < bound, (grad_peak, bound)
 
 
