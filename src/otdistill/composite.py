@@ -25,14 +25,17 @@ tau_sd exponentials for tau_sl (core._squared) and leaves the tau_sd ones
 in the gradient, from which the backward squares and scales both levels,
 so a gradient call exponentiates each student entry once; at a pair that
 is not double, once at tau_sl and twice at tau_sd (the backward recomputes
-it from the normalizers). Gradients are with respect to the raw student
+it from the normalizers). Every student pass runs at both temperatures,
+read or not, so each level has the same bits with or without a state: a
+call given the state that its stateless twin builds returns that call's
+bytes. Gradients are with respect to the raw student
 logits, with the rank/truncation selections and the Sinkhorn plan held
 fixed. Exact matching reads whole student softmaxes, built in turn in one
 array (core._softmax_held) from what the student pass left in its out
 (the gradient, in a gradient call), or for tau_sd without a gradient
 from the normalizers; the padded-sort baseline reads the student's tau_sl
-one the same way and the teacher's from the teacher pass. No softmax here
-is computed any other way.
+one the same way and the teacher's from what the teacher pass left in
+its out. No softmax here is computed any other way.
 
 A call given no state builds one (_build: the student's pass, both
 rankings, the pseudo-labels, the cost, the plan and sd), and a call given
@@ -340,15 +343,18 @@ def _teacher(t, n, w, argmax, dense):
     # student vocabulary of n: one blocked pass at both temperatures, which
     # also checks that t is finite.
     taus = (w.tau_sl, w.tau_sd)
-    probs = np.empty(t.shape) if dense else None
+    held = np.empty(t.shape) if dense else None
     top, totals, sums, best = _softmax_pass(t, taus, sums=True, argmax=argmax,
-                                            out=probs)
+                                            out=held)
     width = _head_width(w.k, t.shape[-1], n, w.match_mode)
     perm = _descending_pair(*sums)
     head = tuple(_softmax_at(t, tau, (top, total), p[:, None, :width])
                  for tau, total, p in zip(taus, totals, perm))
-    return _Teacher(perm=perm, head=head, argmax=best,
-                    dense=None if probs is None else _uld_sorted(probs, n))
+    # The dense rows: the tau_sl softmax, finished in place from held.
+    if held is not None:
+        held = _uld_sorted(_softmax_held(t, taus, 0, (top, totals[0]), held,
+                                         held), n)
+    return _Teacher(perm=perm, head=head, argmax=best, dense=held)
 
 
 def _build(teacher, s, w, labels, gradient=None):
@@ -361,7 +367,7 @@ def _build(teacher, s, w, labels, gradient=None):
     taus = (w.tau_sl, w.tau_sd)
     whole = np.empty(s.shape) if mode == EXACT_ASSIGNMENT else None
     held = whole if gradient is None else gradient
-    top, totals, sums, _ = _softmax_pass(s, taus, out=held, raw=True,
+    top, totals, sums, _ = _softmax_pass(s, taus, out=held,
                                          sums=whole is None)
     if whole is None:
         first, second = _descending_pair(*sums)
@@ -429,8 +435,7 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     if built:
         state, (top, totals) = _build(teacher, s, w, labels, gradient)
     else:
-        taus = taus[:1 + (need_loss or seq_weight > 0)]
-        top, totals, _, _ = _softmax_pass(s, taus, out=gradient, raw=True)
+        top, totals, _, _ = _softmax_pass(s, taus, out=gradient)
 
     # Sequence temperature: sd and its product, from one stage, run before
     # the token level so that none of its arrays is alive beside the

@@ -6,8 +6,8 @@ are row-stochastic of the same shape. _matrix coerces and checks every
 public array argument of the package, and the private kernels trust it.
 Those behind the fused loss take (B, T, V) stacks; _softmax_pass walks one
 in cache-sized blocks, checks the logits as it reads them, and returns only
-what its caller reads (given an array, it also writes the first
-temperature's softmax there), and _softmax_at computes any softmax entry
+what its caller reads (given an array, it also leaves there what one rule,
+_held, says), and _softmax_at computes any softmax entry
 from the pass's row normalizers (each row's max and reciprocal sum), bit
 for bit the pass's own. Both scale by 1 / tau and by the reciprocal sum, so
 a softmax divides once per temperature and once per row, never per entry.
@@ -15,9 +15,10 @@ Of two temperatures where one is exactly twice the other (the default
 tau_sl = 1, tau_sd = 2), the pass exponentiates only at the larger and
 squares those for the smaller (_squared), one exp per entry for both; its
 normalizers record it (_Squared), so _softmax_at squares the same entries.
-Every softmax here, softmax_rows included, comes from these two, and
-_softmax_backward turns one a pass wrote into the gradient of a loss read
-at sparse entries.
+Every softmax here, softmax_rows included, comes from these two: a whole
+level from what a pass left in its array is read by _softmax_held, and
+_softmax_backward builds each level through it, block by block, into the
+gradient of a loss read at sparse entries.
 Kept columns are plain (B, T or 1, c) arrays of columns per row, read with
 a take along the last axis (_gather) and added to through flat indices
 (_softmax_backward) where numpy's generic fancy indexing is slower.
@@ -383,13 +384,14 @@ def _squared(taus):
 
 
 def _held(taus):
-    """The one rule for what a raw pass (_softmax_pass with raw) leaves in
-    its out, the gradient of a gradient call: where _squared squares one
-    level from the other's exponentials, those exponentials, at the larger
-    temperature and unnormalized, and this is that level's index; otherwise
-    None, and out holds the softmax at taus[0]. _softmax_backward and
-    _softmax_held build each level from what it holds, with no exp where
-    it holds exponentials."""
+    """The one rule for what a pass at taus (_softmax_pass) leaves in an out
+    it is given: where _squared squares one level from the other's
+    exponentials, those exponentials, at the larger temperature and
+    unnormalized, and this is that level's index; otherwise None, and out
+    holds the softmax at taus[0] (at one temperature, softmax_rows's). Only
+    _softmax_held reads a level from it, with no exp where it holds
+    exponentials; the backward (_softmax_backward) builds each level
+    through it."""
     squared = _squared(taus)
     return squared.index(False) if any(squared) else None
 
@@ -401,7 +403,7 @@ class _Squared(np.ndarray):
     computes is the pass's own."""
 
 
-def _softmax_pass(arr, taus, sums=False, argmax=False, out=None, raw=False):
+def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     """One pass over a (B, T, V) stack of logits at each temperature in
     taus, block by block (see _blocks), that also checks them: a block
     holding nan or +-inf raises InvalidInput before any arithmetic on it.
@@ -416,14 +418,11 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None, raw=False):
     sequence's column sums when
     sums, and the per-row argmax at taus[0] when argmax. The pass writes no
     B x T x V array of its own. Given out, a (B, T, V) array, it computes
-    the softmax at taus[0] there instead of in a buffer, multiplying each
-    row by its reciprocal sum while the block is in cache: softmax_rows
-    returns it and the padded-sort teacher reads it whole. With raw (a
-    pass that asks for no argmax), out holds what _held says instead: at a
-    pair that squares, the exponentials at the larger temperature,
-    unnormalized, from which the backward (_softmax_backward) and
-    _softmax_held build both levels with no exp; at any other, the
-    softmax at taus[0], which the backward finishes in place.
+    there, instead of in a buffer, what _held says: at a pair that squares,
+    the exponentials at the larger temperature, unnormalized, from which
+    _softmax_held builds either level with no exp; otherwise the softmax at
+    taus[0], each row multiplied by its reciprocal sum while the block is
+    in cache (softmax_rows returns it).
 
     A large pass runs on several threads (_parts, _walk), each on blocks of
     its share of the block budget in its share of the buffers, so the
@@ -446,7 +445,7 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None, raw=False):
     squared = _squared(taus)
     # The level whose exponentials out keeps unnormalized (_held), or None;
     # the level out holds.
-    hold = _held(taus) if raw and out is not None else None
+    hold = None if out is None else _held(taus)
     at = hold or 0
     totals = [np.empty_like(top) for _ in taus]
     colsums = [np.zeros(arr.shape[::2]) for _ in taus] if sums else None
@@ -500,6 +499,9 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None, raw=False):
                         else sums or i == 0 and argmax):
                     e *= total
             if argmax:
+                # Exponentials out holds unnormalized have the softmax's
+                # argmax: a row's max is exp(0) = 1, which its reciprocal
+                # sum r maps to r, and any entry below 1 to a float below r.
                 np.argmax(exps[0], axis=-1, out=best[block])
             if sums:
                 with turn:
@@ -567,13 +569,15 @@ def _softmax_at(arr, tau, normalizers, cols=None, out=None):
 
 def _softmax_held(z, taus, i, normalizers, held, out=None):
     """The softmax of the (B, T, V) stack z at taus[i], whole and bit for
-    bit the pass's own, from held, the out of a raw pass over z at taus (or
-    None), and that level's normalizers (top, total). Where held holds
-    exponentials (_held): their squares (total is _Squared) or themselves,
-    times the reciprocal row sums, written into out (a new array for None)
-    with no exp; out may be held, whose exponentials are then spent. Where
-    held is that softmax (at taus[0], _held None): held itself. Otherwise,
-    or for held None: from the normalizers (_softmax_at)."""
+    bit the pass's own, from held, what a pass over z at taus left in its
+    out (or None), and that level's normalizers (top, total); z may be a
+    block of a stack, with held and the normalizers cut to it. Where held
+    holds exponentials (_held): their squares (total is _Squared) or
+    themselves, times the reciprocal row sums, written into out (a new
+    array for None) with no exp; out may be held, whose exponentials are
+    then spent. Where held is that softmax (at taus[0], _held None): held
+    itself. Otherwise, or for held None: from the normalizers into out
+    (_softmax_at). The one builder of a level from a pass's out."""
     top, total = normalizers
     hold = _held(taus)
     if held is None or hold is None and i:
@@ -601,7 +605,7 @@ def _gather(arr, cols):
                np.arange(arr.shape[1])[:, None], cols]
 
 
-def _softmax_backward(z, top, levels, gradient, taus=None):
+def _softmax_backward(z, top, levels, gradient, taus):
     """The gradient w.r.t. the (B, T, V) logits z of a loss that reads
     softmaxes of z only at sparse entries, one softmax per level.
 
@@ -619,17 +623,13 @@ def _softmax_backward(z, top, levels, gradient, taus=None):
     block is written. The check reads the terms alone, not the gradient,
     so the gradient returned is finite and nothing reads it again.
 
-    gradient, the array returned, is the pass's out. Given taus, the pass
-    was a raw one at taus (levels[i] at taus[i]) and gradient holds what
-    _held says; else it holds the first level's softmax. Block by block
-    (_blocks), each level is built from it: from exponentials, one level
-    as their squares in the block buffer and the other in place, each
-    times its reciprocal row sums as the pass computes it, with no exp;
-    from the first level's softmax, that level finished in place and the
-    other recomputed from its normalizers in the buffer. The levels of the
-    block are then summed into the gradient. Rows are independent, so each
-    usable core takes the next block not yet taken (_walk), in its share
-    of the one block buffer.
+    gradient, the array returned, is the out of a pass at taus (levels[i]
+    at taus[i]) and holds what _held says. Block by block (_blocks),
+    _softmax_held builds each level from it: the other level first, in the
+    block buffer, then the one held there (or the first) in place. The
+    levels of the block are then summed into the gradient. Rows are
+    independent, so each usable core takes the next block not yet taken
+    (_walk), in its share of the one block buffer.
     """
     scales, mass = [], 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -646,10 +646,9 @@ def _softmax_backward(z, top, levels, gradient, taus=None):
     if not math.isfinite(4.0 * mass):
         raise NumericalFailure("the gradient is not finite; lower alpha, "
                                "beta or gamma, or raise the temperatures")
-    hold = None if taus is None else _held(taus)
     # The level built in the gradient: the held one beside another, which
     # reads its exponentials first, else the first.
-    own = hold if hold is not None and len(levels) > 1 else 0
+    own = (_held(taus) or 0) if len(levels) > 1 else 0
     order = (1 - own, own) if len(levels) > 1 else (0,)
     parts = _parts(z.size * len(levels), z.shape[-1])
     blocks = _blocks(z.shape, parts)
@@ -660,16 +659,9 @@ def _softmax_backward(z, top, levels, gradient, taus=None):
         zb, out = z[block], gradient[block]
         spare = None if buf is None else buf[part, :zb.shape[0], :zb.shape[1]]
         for i in order:
-            (tau, total, terms), scale = levels[i], scales[i]
-            probs = out if i == own else spare
-            if hold is not None:
-                # The level the gradient does not keep squares its
-                # exponentials; each is scaled as the pass would.
-                if i != hold:
-                    np.square(out, out=probs)
-                probs *= total[block]
-            elif i != own:
-                _softmax_at(zb, tau, (top[block], total[block]), out=probs)
+            (_, total, terms), scale = levels[i], scales[i]
+            probs = _softmax_held(zb, taus, i, (top[block], total[block]), out,
+                                  out if i == own else spare)
             probs *= scale[block]
             for cols, x in terms:
                 if cols is None:

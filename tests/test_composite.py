@@ -488,6 +488,12 @@ class TestSoftmaxAccounting:
         calls.clear()
         total_grad(t, s, w=SMALL, state=state)
         assert calls == [("pass", "student", 2), ("backward", "student", 2)]
+        # Without the sequence term the pass still runs at both
+        # temperatures, as the state's build did, and the backward builds
+        # the one level.
+        calls.clear()
+        total_grad(t, s, w=replace(SMALL, gamma=0.0), state=state)
+        assert calls == [("pass", "student", 2), ("backward", "student", 1)]
         calls.clear()
         total_loss(t, s, w=SMALL)
         assert calls == [("pass", "teacher", 2), ("pass", "student", 2),
@@ -505,16 +511,20 @@ class TestSoftmaxAccounting:
     @staticmethod
     def per_entry(exponentials, w, m=8, n=6):
         # Per entry of the teacher and of the student, the exponentials of
-        # build_state, total_loss_frozen and total_grad with a state, and
-        # of total_loss and total_grad without one. Kept columns (k = 4)
-        # and labels (1) are read narrower and not counted.
+        # build_state, total_loss_frozen and total_grad with a state, of
+        # total_loss and total_grad without one, and of total_grad with a
+        # state at gamma = 0, whose pass runs at both temperatures though
+        # only tau_sl is read. Kept columns (k = 4) and labels (1) are
+        # read narrower and not counted.
         t, s = random_pair(35, m=m, n=n)
         state = build_state(t, s, w=w)
         calls = [lambda: build_state(t, s, w=w),
                  lambda: total_loss_frozen(state, t, s, w),
                  lambda: total_grad(t, s, w=w, state=state),
                  lambda: total_loss(t, s, w=w),
-                 lambda: total_grad(t, s, w=w)]
+                 lambda: total_grad(t, s, w=w),
+                 lambda: total_grad(t, s, w=replace(w, gamma=0.0),
+                                    state=state)]
         counts = []
         for call in calls:
             exponentials.clear()
@@ -524,22 +534,23 @@ class TestSoftmaxAccounting:
         return [tuple(c) for c in zip(*counts)]
 
     @pytest.mark.parametrize("taus, teacher, student", [
-        ((1.0, 2.0), (1, 0, 0, 1, 1), (1, 1, 1, 1, 1)),
-        ((2.0, 1.0), (1, 0, 0, 1, 1), (1, 1, 1, 1, 1)),
-        ((0.7, 3.0), (2, 0, 0, 2, 2), (2, 2, 3, 2, 3))])
+        ((1.0, 2.0), (1, 0, 0, 1, 1, 0), (1, 1, 1, 1, 1, 1)),
+        ((2.0, 1.0), (1, 0, 0, 1, 1, 0), (1, 1, 1, 1, 1, 1)),
+        ((0.7, 3.0), (2, 0, 0, 2, 2, 0), (2, 2, 3, 2, 3, 2))])
     def test_exponentials_per_entry(self, exponentials, taus, teacher,
                                     student):
         # At (1, 2) and (2, 1) a pass takes one per entry for both
         # temperatures, and a gradient call's backward builds both levels
         # from the exponentials the pass left in the gradient; at
-        # (0.7, 3.0) a pass takes two and the backward recomputes tau_sd.
+        # (0.7, 3.0) a pass takes two and the backward recomputes tau_sd,
+        # and at gamma = 0 the pass's tau_sd one goes unread.
         w = replace(SMALL, tau_sl=taus[0], tau_sd=taus[1])
         assert self.per_entry(exponentials, w) == [teacher, student]
 
     @pytest.mark.parametrize("taus, teacher, student", [
-        ((1.0, 2.0), (3, 0, 0, 3, 3), (2, 1, 1, 2, 1)),
-        ((2.0, 1.0), (3, 0, 0, 3, 3), (2, 1, 1, 2, 1)),
-        ((0.7, 3.0), (4, 0, 0, 4, 4), (3, 2, 3, 3, 4))])
+        ((1.0, 2.0), (3, 0, 0, 3, 3, 0), (2, 1, 1, 2, 1, 1)),
+        ((2.0, 1.0), (3, 0, 0, 3, 3, 0), (2, 1, 1, 2, 1, 1)),
+        ((0.7, 3.0), (4, 0, 0, 4, 4, 0), (3, 2, 3, 3, 4, 2))])
     def test_exponentials_per_entry_under_exact_matching(
             self, exponentials, taus, teacher, student):
         # Exact matching ranks from both whole student softmaxes: at (1, 2)
@@ -644,7 +655,7 @@ class TestBackwardByLevels:
         # copies.
         checked, backward = [], composite._softmax_backward
 
-        def checking(z, top, levels, gradient, taus=None):
+        def checking(z, top, levels, gradient, taus):
             reference = backward_by_levels(z, top, [
                 (tau, total, [(cols, x.copy()) for cols, x in terms])
                 for tau, total, terms in levels])
@@ -682,6 +693,39 @@ class TestBackwardByLevels:
                     composite._forward(tb, sb, w, state=state,
                                        need_loss=need_loss, grad=grad)
         assert checked == [True] * 9
+
+
+class TestStateGivesTheStatelessBytes:
+    """A call given the state that its stateless twin builds returns the
+    stateless call's bytes: the student pass runs at both temperatures
+    whether or not a term reads tau_sd, so at a pair that squares the
+    tau_sl level is squared in both calls."""
+
+    @pytest.mark.parametrize("mode", [SUM_SORT, EXACT_ASSIGNMENT])
+    @pytest.mark.parametrize("taus", [(1.0, 2.0), (2.0, 1.0), (0.7, 3.0)])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    @pytest.mark.parametrize("alpha", [0.0, 0.15])
+    def test_total_grad(self, alpha, gamma, taus, mode):
+        w = replace(SMALL, alpha=alpha, gamma=gamma, tau_sl=taus[0],
+                    tau_sd=taus[1], match_mode=mode)
+        t, s = random_pair(41, tokens=8, m=20, n=15)
+        stateless = total_grad(t, s, w=w)
+        given = total_grad(t, s, w=w, state=build_state(t, s, w=w))
+        assert given.tobytes() == stateless.tobytes()
+
+    @pytest.mark.parametrize("mode", [SUM_SORT, EXACT_ASSIGNMENT])
+    @pytest.mark.parametrize("taus", [(1.0, 2.0), (2.0, 1.0), (0.7, 3.0)])
+    def test_a_cross_entropy_step(self, taus, mode):
+        # The harness's batch of 4 sequences: its CE_ONLY step given the
+        # state it built, with and without a loss.
+        w = replace(SMALL, tau_sl=taus[0], tau_sd=taus[1], match_mode=mode)
+        rng = np.random.default_rng(42)
+        tb, sb = (rng.standard_normal((4, 8, v)) * 3.0 for v in (20, 15))
+        state, _, stateless = composite._forward(tb, sb, w, grad=CE_ONLY)
+        for need_loss in (True, False):
+            given = composite._forward(tb, sb, w, state=state,
+                                       need_loss=need_loss, grad=CE_ONLY)[2]
+            assert given.tobytes() == stateless.tobytes()
 
 
 class TestSettingsCheckedOnce:

@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 from otdistill import (InvalidConfig, InvalidInput, NumericalFailure, safe_log,
                        softmax_backward, softmax_rows, validate_probs)
 from otdistill import core
-from otdistill.core import _softmax_at, _softmax_pass, _Squared
+from otdistill.core import (_softmax_at, _softmax_held, _softmax_pass,
+                            _Squared)
 from refimpl import _softmax, softmax_by_division
 
 finite_logit_rows = arrays(
@@ -170,11 +171,13 @@ class TestSoftmaxBackward:
 
 
 def both_levels(z, taus):
-    # The pass's first temperature in its output, and the second computed
-    # whole from its normalizers.
-    first = np.empty(z.shape)
-    top, totals, sums, _ = _softmax_pass(z, taus, sums=True, out=first)
+    # The pass's first temperature finished in place from what it left in
+    # its output (core._held), and the second computed whole from its
+    # normalizers.
+    held = np.empty(z.shape)
+    top, totals, sums, _ = _softmax_pass(z, taus, sums=True, out=held)
     second = _softmax_at(z, taus[1], (top, totals[1]), out=np.empty(z.shape))
+    first = _softmax_held(z, taus, 0, (top, totals[0]), held, held)
     return [first, second], totals, sums
 
 
@@ -218,6 +221,20 @@ class TestSquaringRule:
         assert np.array_equal(softmax_rows(self.Z[0], 1.0),
                               _softmax(self.Z[0], 1.0))
         assert exponentials == {40: self.Z[0].size}
+
+    def test_an_argmax_beside_held_exponentials_is_the_softmaxs(self):
+        # At (2, 1) out holds the unnormalized tau = 2 exponentials, and the
+        # pass takes the argmax from them: rows whose top two logits tie or
+        # lie 1 to 7 ulp apart give the normalized softmax's argmax.
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal((2, 40, 12))
+        top = z.max(axis=-1)
+        z[..., 3] = top
+        z[..., 7] = top - rng.integers(0, 8, top.shape) * np.spacing(top)
+        held = np.empty(z.shape)
+        best = _softmax_pass(z, (2.0, 1.0), argmax=True, out=held)[3]
+        np.testing.assert_array_equal(
+            best, _softmax(z, 2.0, (2.0, 1.0)).argmax(axis=-1))
 
     def test_squares_near_the_underflow_stay_within_tiny(self):
         # At tau_sl = 1 these entries sit around exp's underflow (about

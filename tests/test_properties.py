@@ -59,7 +59,8 @@ from otdistill import (CE_ONLY, EXACT_ASSIGNMENT, MULTILEVEL_OT, SUM_SORT, ULD,
                        total_loss_frozen)
 from otdistill import core, seq_ot
 from otdistill.composite import _forward, _kept_logits, _softmax_backward
-from otdistill.core import _softmax_at, _softmax_pass, softmax_backward
+from otdistill.core import (_softmax_at, _softmax_held, _softmax_pass,
+                            softmax_backward)
 from refimpl import _softmax, softmax_by_division
 
 LOSS_RTOL = 1e-12
@@ -259,13 +260,14 @@ def test_blocked_pass_equals_the_dense_softmax(batch, tokens, scale, taus,
         patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](*z.shape[1:]))
         top, totals, sums, best = _softmax_pass(z, taus, sums=True, argmax=True)
         bare_top, bare_totals, _, _ = _softmax_pass(z, taus)
-        # The backward finishes the exponentials a pass computed in the
-        # gradient, here normalized by a pass that ranks.
+        # The backward finishes the softmax a pass at the second
+        # temperature alone left in the gradient, here normalized by a
+        # pass that ranks.
         gradient = np.empty(z.shape)
         _softmax_pass(z, taus[1:], sums=True, out=gradient)
         streamed = _softmax_backward(z, top, [(taus[1], totals[1],
                                                [(index[2], x.copy())])],
-                                     gradient)
+                                     gradient, taus[1:])
         patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](*s.shape[1:]))
         blocked = fused_outputs(t, s, w)
 
@@ -318,7 +320,7 @@ def test_streamed_backward_equals_the_dense_backward_at_each_temperature(
                                      tau).reshape(shape)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](tokens, vocab))
-        streamed = _softmax_backward(z, top, levels, gradient)
+        streamed = _softmax_backward(z, top, levels, gradient, taus)
     assert_close(streamed, expected, 1e-12)
 
 
@@ -389,9 +391,11 @@ def test_reciprocal_softmax_stays_near_the_division_form(
         patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](tokens, vocab))
         gradient = np.empty(shape)
         top, totals, _, _ = _softmax_pass(z, taus, sums=True, out=gradient)
-        got = [gradient.copy()] + [_softmax_at(z, tau, (top, total),
-                                               out=np.empty(shape))
-                                   for tau, total in zip(taus[1:], totals[1:])]
+        # The first level from what the pass left in the gradient (maybe
+        # the gradient itself, all read before the backward writes it).
+        got = [_softmax_held(z, taus, 0, (top, totals[0]), gradient)]
+        got += [_softmax_at(z, tau, (top, total), out=np.empty(shape))
+                for tau, total in zip(taus[1:], totals[1:])]
         # One sparse term per level, as the fused pass keeps them: x = p * g
         # at distinct columns per sequence.
         levels, expected, bound = [], 0.0, 0.0
@@ -412,7 +416,7 @@ def test_reciprocal_softmax_stays_near_the_division_form(
             spread = np.abs(p * row_scale)
             spread[index] += np.abs(x / tau)
             bound = bound + np.abs(row_scale) * near + 6 * U * spread
-        streamed = _softmax_backward(z, top, levels, gradient)
+        streamed = _softmax_backward(z, top, levels, gradient, taus)
     assert (np.abs(streamed - expected) <= bound + TINY).all()
 
 

@@ -158,6 +158,27 @@ def test_only_seq_ot_names_the_sequence_kernels():
     assert found == []
 
 
+def test_only_core_names_the_held_rule():
+    # core._held says what a pass leaves in its out and core._squared which
+    # level squares the other's exponentials; only core's _softmax_pass,
+    # _softmax_held and _softmax_backward read them. Either named anywhere
+    # else is a second reader of a pass's out.
+    rules = {"_held", "_squared"}
+    found = []
+    for path in sorted(Path(otdistill.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [])
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in rules]
+    assert found == []
+
+
 def test_the_fused_pass_checks_no_argument():
     # composite._arguments checks every argument of the public calls, and
     # the fused pass (_forward, _build, _teacher and the sequence stage,
