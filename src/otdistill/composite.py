@@ -350,11 +350,10 @@ def _teacher(t, n, w, argmax, dense):
     perm = _descending_pair(*sums)
     head = tuple(_softmax_at(t, tau, (top, total), p[:, None, :width])
                  for tau, total, p in zip(taus, totals, perm))
-    # The dense rows: the tau_sl softmax, finished in place from held.
-    if held is not None:
-        held = _uld_sorted(_softmax_held(t, taus, 0, (top, totals[0]), held,
-                                         held), n)
-    return _Teacher(perm=perm, head=head, argmax=best, dense=held)
+    # The dense rows: the tau_sl softmax, finished in place in held.
+    dense = None if held is None else _uld_sorted(_softmax_held(
+        t, taus, 0, (top, totals[0]), held, held), n)
+    return _Teacher(perm=perm, head=head, argmax=best, dense=dense)
 
 
 def _build(teacher, s, w, labels, gradient=None):
@@ -429,7 +428,9 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
             t, s.shape[-1], w, argmax=labels is None, dense=grad == ULD)
 
     # The student's one pass leaves in a gradient call's gradient what
-    # core._held says, from which the backward builds each level.
+    # core._held says, from which the backward builds each level. It runs
+    # at both temperatures whatever the call reads, as a state's build
+    # ran it, so a level has the same bits with or without a state.
     taus = (w.tau_sl, w.tau_sd)
     gradient = None if grad is None else np.empty(s.shape)
     if built:

@@ -388,10 +388,10 @@ def _held(taus):
     it is given: where _squared squares one level from the other's
     exponentials, those exponentials, at the larger temperature and
     unnormalized, and this is that level's index; otherwise None, and out
-    holds the softmax at taus[0] (at one temperature, softmax_rows's). Only
-    _softmax_held reads a level from it, with no exp where it holds
-    exponentials; the backward (_softmax_backward) builds each level
-    through it."""
+    holds the softmax at taus[0] (at one temperature, softmax_rows's).
+    Every other reader, the backward (_softmax_backward) included, builds a
+    level from it through _softmax_held, with no exp where it holds
+    exponentials."""
     squared = _squared(taus)
     return squared.index(False) if any(squared) else None
 
