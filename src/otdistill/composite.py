@@ -469,7 +469,7 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     g_label = np.divide(-1.0, p_label, out=np.zeros_like(p_label),
                         where=p_label > PROB_FLOOR)
     terms = [(at_label, p_label * g_label)]
-    levels = [(w.tau_sl, totals[0], terms)]
+    levels = [(totals[0], terms)]
     with np.errstate(over="ignore", invalid="ignore"):
         if ot_alpha > 0:
             student1 *= ot_alpha * (had.grad + w.beta * sl.grad)
@@ -483,7 +483,7 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
             uld *= probs
             terms.append((None, uld))
         if seq_weight > 0:
-            levels.append((w.tau_sd, totals[1], [(cols2, student2)]))
+            levels.append((totals[1], [(cols2, student2)]))
     return state, breakdown, _softmax_backward(s, top, levels, gradient,
                                                taus)
 

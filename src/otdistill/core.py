@@ -609,7 +609,7 @@ def _softmax_backward(z, top, levels, gradient, taus):
     """The gradient w.r.t. the (B, T, V) logits z of a loss that reads
     softmaxes of z only at sparse entries, one softmax per level.
 
-    Each level is (tau, total, terms): the softmax of z at tau, whose row
+    Level i is (total, terms): the softmax of z at taus[i], whose row
     normalizers from _softmax_pass are (top, total), and its upstream
     gradient as terms (cols, x). cols picks entries p of the softmax (a
     (B, T or 1, c) array of columns per row, distinct within a row, or
@@ -623,8 +623,8 @@ def _softmax_backward(z, top, levels, gradient, taus):
     block is written. The check reads the terms alone, not the gradient,
     so the gradient returned is finite and nothing reads it again.
 
-    gradient, the array returned, is the out of a pass at taus (levels[i]
-    at taus[i]) and holds what _held says. Block by block (_blocks),
+    gradient, the array returned, is the out of a pass at taus and holds
+    what _held says. Block by block (_blocks),
     _softmax_held builds each level from it: the other level first, in the
     block buffer, then the one held there (or the first) in place. The
     levels of the block are then summed into the gradient. Rows are
@@ -633,7 +633,7 @@ def _softmax_backward(z, top, levels, gradient, taus):
     """
     scales, mass = [], 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for tau, _, terms in levels:
+        for tau, (_, terms) in zip(taus, levels):
             inner = sum(x.sum(axis=-1, keepdims=True) for _, x in terms)
             scales.append(-inner / tau)
             for _, x in terms:
@@ -659,7 +659,7 @@ def _softmax_backward(z, top, levels, gradient, taus):
         zb, out = z[block], gradient[block]
         spare = None if buf is None else buf[part, :zb.shape[0], :zb.shape[1]]
         for i in order:
-            (_, total, terms), scale = levels[i], scales[i]
+            (total, terms), scale = levels[i], scales[i]
             probs = _softmax_held(zb, taus, i, (top[block], total[block]), out,
                                   out if i == own else spare)
             probs *= scale[block]

@@ -13,18 +13,18 @@ step; the public T x T and T x k functions are their B = 1 case.
 Memory is O(B T^2) in the token count T, not O(B T^2 k) in the truncation
 width k. The cost is scipy's compiled cityblock distance, written per
 sequence into one preallocated B x T x T stack without any T x T x k
-temporary. The gradient visits the B x T x T x k signs of the
-student/teacher row differences in blocks of teacher rows taken across
-the whole batch, each block at most _BLOCK_ENTRIES entries (2^18) or one
-teacher row per sequence, whichever is larger, summed into one B x T x k
-gradient. The blocks are token-major, with the student token on the last
-axis. When the call needs more than one block, the signs come from the
-values' dense ranks (_ranks): an int16 subtraction and sign per entry, a
-quarter of the float64 traffic, which the plan product reads directly
-(each product plan * sign is exact in float64). A call that fits in one
-block subtracts the float values themselves, as the sort behind the ranks
-would cost more than the whole kernel. Both give the same signs, so the
-gradient is the same bit for bit.
+temporary. The gradient walks the B x T x T x k signs of the
+student/teacher row differences in tall blocks of _BLOCK_ENTRIES // 2 //
+(B T) teacher rows of the whole batch (1 to T; 128 at B = 1, T = 1024),
+each with its plan rows read for every kept column in groups that fill
+the _BLOCK_ENTRIES (2^18) budget, one einsum per group over signs laid
+out (B, columns, rows, T). Unless one block covers the call, the signs
+come from the values' dense ranks (_ranks), sorted along contiguous
+B x k x 2T memory: an int16 subtraction and sign per entry, a quarter of
+the float64 traffic, which the plan product reads directly (each product
+plan * sign is exact in float64). A call that fits in one block subtracts
+the float values themselves, as the sort behind the ranks would cost more
+than the whole kernel. Both give the same signs, so the same bits.
 Sinkhorn keeps its one kernel stack K fixed and iterates two scaling
 vectors, u = 1 / (K v) and v = 1 / (K^T u), reading K in fixed blocks of
 at most _PLAN_ENTRIES entries (2^18), each block's two matrix-vector
@@ -40,7 +40,8 @@ columns (core._walk), so no sum is split between threads: the cost
 splits each cdist call's teacher rows, Sinkhorn each sweep's stacks of
 blocks (one dispatch per sweep; the calling thread adds the blocks' shares
 of K^T u in block order), and the gradient and the ranks their k axis.
-The threads share the one block buffer, so memory stays as above.
+The gradient's threads share one buffer of at most _BLOCK_ENTRIES signs
+(so 2 threads at most at T = 1024), and memory stays as above.
 """
 
 from dataclasses import dataclass
@@ -279,7 +280,8 @@ def _transport(t, s, cfg, plan=None, stored=None, weight=0.0):
     # the plan and sd; with one, stored, a state's (student_seq, sd), asks
     # for sd: the stored one when s is or equals that student (the cost
     # depends on t and s alone), else one new cost's. A weight also gives
-    # s * weight * dsd/ds (plan fixed; the backward checks it) in a new array.
+    # s * weight * dsd/ds (plan fixed; the backward checks it), scaled in
+    # place in the kernel's own new array.
     student, sd = stored or (s, None)
     if plan is None or not (s is student or np.array_equal(student, s)):
         cost = _cost(t, s)
@@ -289,75 +291,82 @@ def _transport(t, s, cfg, plan=None, stored=None, weight=0.0):
     if not weight:
         return plan, sd, None
     with np.errstate(over="ignore", invalid="ignore"):
-        return plan, sd, s * (weight * _sd_grad(t, s, plan))
+        g = _sd_grad(t, s, plan)
+        return plan, sd, np.multiply(np.multiply(g, weight, out=g), s, out=g)
 
 
-def _ranks(t, s):
-    """Dense ranks of a (B, T, k) teacher and student stack's values among
-    the 2T values of their item and column: equal values, -0.0 and 0.0
-    included, share a rank, so comparing two ranks compares the values.
+def _ranks(values):
+    """Dense ranks of a (B, k, 2T) stack of each item's teacher and student
+    values per column, along its contiguous last axis: equal values, -0.0
+    and 0.0 included, share a rank, so comparing two ranks compares the
+    values. Sorts values in place.
 
-    Returns (teacher ranks, student ranks), (B, T, k) arrays of int16,
-    whose differences stay within +-(2T - 1) <= 32767 while 2T <= 2^15, or
-    of int32 beyond.
+    Returns a (B, k, 2T) array of int16, whose differences stay within
+    +-(2T - 1) <= 32767 while 2T <= 2^15, or of int32 beyond.
     """
-    tokens = t.shape[1]
-    values = np.concatenate((t, s), axis=1)
-    dtype = np.int16 if 2 * tokens <= 2**15 else np.int32
+    dtype = np.int16 if values.shape[2] <= 2**15 else np.int32
     rank = np.zeros(values.shape, dtype)
     ranks = np.empty_like(rank)
 
     def columns(c, part):
         # Each column is ranked on its own, so threads split the k axis.
-        v, r = values[..., c], rank[..., c]
-        order = np.argsort(v, axis=1)
+        v, r = values[:, c], rank[:, c]
+        order = np.argsort(v, axis=2)
         # Sorted in place rather than gathered through order: ties may sit
         # in any order, as they share a rank.
-        v.sort(axis=1)
-        np.not_equal(v[:, 1:], v[:, :-1], out=r[:, 1:])
-        np.cumsum(r, axis=1, out=r)
-        np.put_along_axis(ranks[..., c], order, r, axis=1)
+        v.sort(axis=2)
+        np.not_equal(v[..., 1:], v[..., :-1], out=r[..., 1:])
+        np.cumsum(r, axis=2, out=r)
+        np.put_along_axis(ranks[:, c], order, r, axis=2)
 
     # A sort touches each of its 2T entries about log2(2T) times.
-    _walk(columns, _slices(values.shape[2],
-                           _parts(values.size * (2 * tokens).bit_length())))
-    return ranks[:, :tokens], ranks[:, tokens:]
+    _walk(columns, _slices(values.shape[1],
+                           _parts(values.size * values.shape[2].bit_length())))
+    return ranks
 
 
 def _sd_grad(t, s, plan):
     # sd_grad for each item of a (B, T, k) teacher and student stack of
-    # finite values and a (B, T, T) plan stack, over blocks of teacher rows
-    # whose budget counts the entries of all B items together. The blocks
-    # are token-major, signs[b, i, l, j] for student token j last, so the
-    # teacher value of (i, l) broadcasts along contiguous memory and the
-    # sums build a (B, k, T) gradient, returned as its (B, T, k) view.
-    tokens = t.shape[1]
-    step = max(1, min(tokens, _BLOCK_ENTRIES // max(1, s.size)))
-    if step < tokens:
-        t, s = _ranks(t, s)
-    s_all = np.ascontiguousarray(s.transpose(0, 2, 1))[:, None]  # (B, 1, k, T)
-    t_all = t[..., None]  # (B, T, k, 1)
-    batch, width = t.shape[0], s_all.shape[2]
-    buf = np.empty(batch * step * width * tokens, t.dtype)
+    # finite values and a (B, T, T) plan stack, over signs[b, l, i, j] in
+    # blocks of teacher rows i fixed by B and T alone, so no sum's grouping
+    # depends on the thread count or k. Each thread walks the row blocks in
+    # order and, in each, its share of the k axis in groups that fill its
+    # share of the budget, on at most as many threads as blocks of one
+    # column fit in the budget: a plan block is read for every column while
+    # it is in cache.
+    batch, tokens, width = t.shape
+    row = max(1, batch * tokens)  # the signs of one column of a teacher row
+    rows = max(1, min(tokens, _BLOCK_ENTRIES // 2 // row))
+    block = rows * row  # of a row block
+    columns = _slices(width, min(_parts(batch * tokens**2 * width),
+                                 _BLOCK_ENTRIES // block))
+    cols = max(1, min(-(-width // len(columns)),
+                      _BLOCK_ENTRIES // len(columns) // block))
+    values = np.concatenate((t.transpose(0, 2, 1), s.transpose(0, 2, 1)),
+                            axis=2)
+    if rows < tokens or block * width > _BLOCK_ENTRIES:  # not one block
+        values = _ranks(values)
+    t_all, s_all = values[..., :tokens, None], values[:, :, None, tokens:]
+    buf = np.empty(len(columns) * cols * block, values.dtype)
     grad = np.zeros((batch, width, tokens))
 
-    def columns(c, part):
-        # Threads split the k axis, each walking every block of teacher
-        # rows in order in its own contiguous part of the shared buffer
-        # (strided, numpy's ufuncs would each take scratch buffers), so
-        # each sum keeps its order over the blocks.
-        part = buf[batch * step * tokens * c.start:
-                   batch * step * tokens * c.stop].reshape(
-                       batch, step, c.stop - c.start, tokens)
-        g = grad[:, c]
-        for i in range(0, tokens, step):
-            diff = part[:, :min(step, tokens - i)]
-            np.subtract(s_all[:, :, c], t_all[:, i:i + step, c], out=diff)
-            # np.sign has no branches on int16 and keeps sign(0) = 0 exactly
-            # (a float -0.0 adds nothing to the sums). The einsum reads the
-            # signs in the compared dtype; each product plan * sign is exact.
-            np.sign(diff, out=diff)
-            g += np.einsum("bij,bilj->blj", plan[:, i:i + step], diff)
+    def share(c, part):
+        own = buf[part * cols * block:(part + 1) * cols * block]
+        for i in range(0, tokens, rows):
+            p = plan[:, i:i + rows]
+            for l in range(c.start, c.stop, cols):
+                group = slice(l, min(l + cols, c.stop))
+                diff = own[:batch * (group.stop - l) * p[0].size].reshape(
+                    batch, group.stop - l, p.shape[1], tokens)
+                np.subtract(s_all[:, group], t_all[:, group, i:i + rows],
+                            out=diff)
+                # np.sign has no branches on int16 and keeps sign(0) = 0
+                # exactly (a float -0.0 adds nothing to the sums). The
+                # einsum reads the signs in the compared dtype; each
+                # product plan * sign is exact.
+                np.sign(diff, out=diff)
+                grad[:, group] += np.einsum("bij,blij->blj", p, diff)
 
-    _walk(columns, _slices(width, _parts(batch * tokens**2 * width)))
-    return grad.transpose(0, 2, 1)
+    _walk(share, columns)
+    # C-ordered, so that a product scaled in it sums its rows as a new one.
+    return np.ascontiguousarray(grad.transpose(0, 2, 1))

@@ -80,7 +80,7 @@ def sd_grad_by_comparison(t, s, plan, block_entries):
     t = np.ascontiguousarray(t, dtype=float)
     s_all = np.ascontiguousarray(s, dtype=float)[:, None]
     tokens = t.shape[1]
-    step = max(1, min(tokens, block_entries // max(1, s.size)))
+    step = max(1, min(tokens, block_entries // 2 // (t.shape[0] * tokens)))
     buf = np.empty((t.shape[0], step) + s.shape[1:])
     grad = np.zeros(s.shape)
     for i in range(0, tokens, step):
@@ -128,16 +128,16 @@ def softmax_by_division(arr, tau):
     return out
 
 
-def backward_by_levels(z, top, levels):
+def backward_by_levels(z, top, levels, taus):
     """The fused pass's streamed backward (core._softmax_backward) level by
     level and whole: each level's softmax recomputed from its normalizers
     by core._softmax_at, the arithmetic of the pass that writes it (exp,
     then each row times its reciprocal sum), then times its rows' scale
     -(sum of x) / tau, plus x / tau at its columns, and the levels summed
-    in order. levels are as the backward takes them, (tau, total, terms)
-    with terms (cols, x), and are not written."""
+    in order. levels and taus are as the backward takes them, level i
+    (total, terms) at taus[i] with terms (cols, x), and are not written."""
     grad = None
-    for tau, total, terms in levels:
+    for tau, (total, terms) in zip(taus, levels):
         inner = sum(x.sum(axis=-1, keepdims=True) for _, x in terms)
         probs = _softmax_at(z, tau, (top, total), out=np.empty(z.shape))
         probs *= -inner / tau

@@ -657,8 +657,8 @@ class TestBackwardByLevels:
 
         def checking(z, top, levels, gradient, taus):
             reference = backward_by_levels(z, top, [
-                (tau, total, [(cols, x.copy()) for cols, x in terms])
-                for tau, total, terms in levels])
+                (total, [(cols, x.copy()) for cols, x in terms])
+                for total, terms in levels], taus)
             out = backward(z, top, levels, gradient, taus)
             checked.append(out.tobytes() == reference.tobytes())
             return out

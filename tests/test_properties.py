@@ -265,7 +265,7 @@ def test_blocked_pass_equals_the_dense_softmax(batch, tokens, scale, taus,
         # pass that ranks.
         gradient = np.empty(z.shape)
         _softmax_pass(z, taus[1:], sums=True, out=gradient)
-        streamed = _softmax_backward(z, top, [(taus[1], totals[1],
+        streamed = _softmax_backward(z, top, [(totals[1],
                                                [(index[2], x.copy())])],
                                      gradient, taus[1:])
         patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](*s.shape[1:]))
@@ -314,7 +314,7 @@ def test_streamed_backward_equals_the_dense_backward_at_each_temperature(
             g = rng.standard_normal(probs[index].shape)
             upstream[index] += g
             terms.append((index[2], probs[index] * g))
-        levels.append((tau, total, terms))
+        levels.append((total, terms))
         expected += softmax_backward(probs.reshape(-1, vocab),
                                      upstream.reshape(-1, vocab),
                                      tau).reshape(shape)
@@ -405,7 +405,7 @@ def test_reciprocal_softmax_stays_near_the_division_form(
             cols = np.argsort(rng.random((batch, vocab)), axis=-1)
             index = _last_axis(shape, cols[:, None, :rng.integers(1, vocab + 1)])
             x = p[index] * rng.standard_normal(p[index].shape)
-            levels.append((tau, total, [(index[2], x.copy())]))
+            levels.append((total, [(index[2], x.copy())]))
             # The dense backward of the division form, and how far the
             # streamed one may lie from it: the scale times the bound on p,
             # plus a rounding of each product, sum and level on each side.

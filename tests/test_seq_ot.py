@@ -471,6 +471,12 @@ class TestRanks:
              signed_zeros=True, budget=50)
     @example(batch=3, tokens=8, k=5, seed=1, levels=5, gathered=True,
              signed_zeros=True, budget=seq_ot._BLOCK_ENTRIES)
+    # Blocks of 25 // (B * T) teacher rows: 2, 2, 2, 2 and 1 of 9 rows, and
+    # 2, 2 and 1 of 5 rows in each of two items.
+    @example(batch=1, tokens=9, k=5, seed=2, levels=2, gathered=True,
+             signed_zeros=True, budget=50)
+    @example(batch=2, tokens=5, k=6, seed=3, levels=2, gathered=False,
+             signed_zeros=False, budget=50)
     @settings(max_examples=80, deadline=None)
     def test_equals_float_comparisons(self, batch, tokens, k, seed, levels,
                                       gathered, signed_zeros, budget):
@@ -497,12 +503,37 @@ class TestRanks:
         if public is not None:
             assert public.tobytes() == expected[0].tobytes()
 
+    # Rows per block, budget // 2 // (B * T): 5 of 23 rows (blocks of 5, 5,
+    # 5, 5 and 3), 4 of 17 rows in each of three items (4, 4, 4, 4 and 1),
+    # and 41 of 97 rows (41, 41 and 15).
+    @pytest.mark.parametrize("batch, tokens, k, budget", [
+        (1, 23, 6, 2 * 23 * 5), (3, 17, 4, 2 * 3 * 17 * 4),
+        (1, 97, 43, 2 * 97 * 41)])
+    def test_row_blocks_that_do_not_divide_the_tokens(self, monkeypatch,
+                                                      batch, tokens, k,
+                                                      budget):
+        rng = np.random.default_rng(tokens)
+        pairs = [tied_pair(tokens, k, tokens + b, 5, True)
+                 for b in range(batch)]
+        t = np.stack([p.teacher for p in pairs])
+        s = np.stack([p.student for p in pairs])
+        plan = rng.random((batch, tokens, tokens))
+        monkeypatch.setattr(seq_ot, "_BLOCK_ENTRIES", budget)
+        grad = seq_ot._sd_grad(t, s, plan)
+        assert grad.tobytes() == sd_grad_by_comparison(
+            t, s, plan, budget).tobytes()
+        for b in range(batch):
+            np.testing.assert_allclose(
+                grad[b], dense_sd_grad(t[b], s[b], plan[b]), rtol=0,
+                atol=1e-12 * plan[b].sum(axis=0).max())
+
     def test_ties_share_a_rank(self):
-        t = np.array([[[0.0], [-0.0], [0.5]]])
-        s = np.array([[[0.5], [0.25], [-0.0]]])
-        t_rank, s_rank = seq_ot._ranks(t, s)
-        np.testing.assert_array_equal(t_rank[0, :, 0], [0, 0, 2])
-        np.testing.assert_array_equal(s_rank[0, :, 0], [2, 1, 0])
+        # One column of one item: teacher values (0.0, -0.0, 0.5), then
+        # student values (0.5, 0.25, -0.0), along the last axis.
+        values = np.array([[[0.0, -0.0, 0.5, 0.5, 0.25, -0.0]]])
+        rank = seq_ot._ranks(values)
+        np.testing.assert_array_equal(rank[0, 0, :3], [0, 0, 2])
+        np.testing.assert_array_equal(rank[0, 0, 3:], [2, 1, 0])
 
     @pytest.mark.parametrize("values", [2**15, 2**15 + 2])
     def test_rank_differences_do_not_wrap(self, values):
@@ -512,12 +543,13 @@ class TestRanks:
         rank = np.random.default_rng(values).permutation(values)
         rank[[0, rank.argmin()]] = rank[[rank.argmin(), 0]]
         rank[[-1, rank.argmax()]] = rank[[rank.argmax(), -1]]
-        x = (rank / values).reshape(1, values, 1)
-        t_rank, s_rank = seq_ot._ranks(x[:, :tokens], x[:, tokens:])
-        np.testing.assert_array_equal(t_rank[0, :, 0], rank[:tokens])
-        np.testing.assert_array_equal(s_rank[0, :, 0], rank[tokens:])
+        x = (rank / values).reshape(1, 1, values)
+        got = seq_ot._ranks(x)
+        t_rank, s_rank = got[..., :tokens], got[..., tokens:]
+        np.testing.assert_array_equal(t_rank[0, 0], rank[:tokens])
+        np.testing.assert_array_equal(s_rank[0, 0], rank[tokens:])
         # The kernel subtracts in the ranks' own dtype.
-        widest = s_rank[:, -1:] - t_rank[:, :1]
+        widest = s_rank[..., -1:] - t_rank[..., :1]
         assert widest.dtype == t_rank.dtype
         assert widest.item() == values - 1
 
@@ -686,9 +718,14 @@ class TestTransport:
         weight = 0.37
         product = seq_ot._transport(t, s, self.CFG, plan,
                                     (s, sd) if stored else None, weight)[2]
+        # Scaled in place in the kernel's own array: multiplication is
+        # commutative, so these are the bytes of a product in a new array.
         expected = s * (weight * seq_ot._sd_grad(t, s, plan))
         assert product.tobytes() == expected.tobytes()
         assert product is not s and s.tobytes() == before.tobytes()
+        # C-ordered as that new array, so the backward sums each row of it
+        # in the same order.
+        assert product.flags.c_contiguous
 
     def test_a_batch_equals_its_items_stacked(self):
         t, s = self.stacks(5, batch=3)

@@ -35,6 +35,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -52,6 +53,7 @@ from otdistill import (CE_ONLY, EXACT_ASSIGNMENT, MULTILEVEL_OT, SUM_SORT, ULD,
                        total_loss_frozen)
 from otdistill import core, seq_ot
 from otdistill.core import _softmax_pass
+from refimpl import sd_grad_by_comparison
 
 THREADS = (1, 2, 3)
 TOKENS, M, N = 12, 40, 30
@@ -219,6 +221,64 @@ def test_sequence_kernels_are_the_same_at_every_thread_count(threads):
             ("sd_grad", sd_grad(aligned, plan)))}
 
     same_at_every_count(threads, compute)
+
+
+# (B, T, k, budget): blocks of one teacher row of 74 signs per column, on
+# up to 3 threads; of 12 rows (five of 12 and one of 1) of 2 items, on up
+# to 2; and one block of all 9 rows, 7 columns split over up to 3 threads.
+@pytest.mark.parametrize("batch, tokens, k, budget", [
+    (2, 37, 9, 3 * 2 * 37), (2, 61, 5, 2 * 2 * 61 * 12),
+    (2, 9, 7, seq_ot._BLOCK_ENTRIES)])
+def test_sequence_gradient_blocks_are_the_same_at_every_thread_count(
+        cores, monkeypatch, batch, tokens, k, budget):
+    # The row blocks fix the bits, whatever the threads and the columns
+    # each takes per block: every count gives the reference's bytes.
+    monkeypatch.setattr(core, "_THREAD_ENTRIES", 1)
+    monkeypatch.setattr(seq_ot, "_BLOCK_ENTRIES", budget)
+    rng = np.random.default_rng(tokens)
+    t, s = (np.round(rng.random((batch, tokens, k)), 1) for _ in range(2))
+    plan = rng.random((batch, tokens, tokens))
+    expected = sd_grad_by_comparison(t, s, plan, budget).tobytes()
+    same_at_every_count(cores, lambda: {
+        "sd_grad": seq_ot._sd_grad(t, s, plan).tobytes(),
+        "reference": expected})
+
+
+def test_sequence_gradient_signs_hold_one_budget_on_many_cores(
+        cores, monkeypatch):
+    # T = 250 with a budget of 2^15 signs: blocks of 65 teacher rows of one
+    # column (16250 signs; 65, 65, 65 and 55 rows), so at most 2 threads,
+    # whose buffers together hold at most the budget. Uncapped, each of 16
+    # threads on 32 cores would hold a block of its own (520 kB of int16).
+    # Measured from the ranks on: the signs (2 bytes each), the (B, k, T)
+    # sums and their C-ordered copy, and numpy's buffer of 8192 float64
+    # entries for the einsum's cast of the signs, one per thread.
+    cores(32)
+    budget, (batch, tokens, k) = 1 << 15, (1, 250, 32)
+    monkeypatch.setattr(seq_ot, "_BLOCK_ENTRIES", budget)
+    rng = np.random.default_rng(250)
+    t, s = (rng.random((batch, tokens, k)) for _ in range(2))
+    plan = rng.random((batch, tokens, tokens))
+    ranks, start = seq_ot._ranks, []
+
+    def ranked(values):
+        # The float values are freed once ranked.
+        out = ranks(values)
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0] - values.nbytes)
+        return out
+
+    monkeypatch.setattr(seq_ot, "_ranks", ranked)
+    seq_ot._sd_grad(t, s, plan)  # the pool, made before the measured call
+    tracemalloc.start()
+    try:
+        seq_ot._sd_grad(t, s, plan)
+        peak = tracemalloc.get_traced_memory()[1] - start[-1]
+    finally:
+        tracemalloc.stop()
+    threads = budget // (budget // 2 // (batch * tokens) * batch * tokens)
+    bound = 2 * budget + 16 * batch * k * tokens + threads * 8 * 8192
+    assert peak < bound, (peak, bound)
 
 
 def test_batched_harness_runs_are_the_same_at_every_thread_count(threads):
