@@ -80,10 +80,10 @@ _BLOCK_ENTRIES = 1 << 18
 # (4.5 -> 2.7 ms, 29 -> 17.5 ms; 4.3 -> 3.5 ms and 28 -> 20 ms when each
 # block's row products held the GIL). Blocks of 2^16 or 2^17 entries
 # would not thread T = 512: its 4 or 2 runs of rows stack into one item.
-# The floor per thread also bounds numpy's per-call scratch (~130 kB per
-# thread for a broadcast subtraction) by the work of the call, not by the
-# core count. The harness's steps at its default shapes
-# (4 x 8 x 20 logits) stay far below, on the calling thread alone.
+# The floor per thread also bounds numpy's per-call scratch (~75 kB per
+# thread for the sequence gradient's einsum over int16 signs) by the work
+# of the call, not by the core count. The harness's steps at its default
+# shapes (4 x 8 x 20 logits) stay far below, on the calling thread alone.
 _THREAD_ENTRIES = 1 << 16
 
 # The executor behind _walk, of (usable cores - 1) threads: made by the
@@ -624,12 +624,12 @@ def _softmax_backward(z, top, levels, gradient, taus):
     so the gradient returned is finite and nothing reads it again.
 
     gradient, the array returned, is the out of a pass at taus and holds
-    what _held says. Block by block (_blocks),
-    _softmax_held builds each level from it: the other level first, in the
-    block buffer, then the one held there (or the first) in place. The
-    levels of the block are then summed into the gradient. Rows are
-    independent, so each usable core takes the next block not yet taken
-    (_walk), in its share of the one block buffer.
+    what _held says. Block by block (_blocks), _softmax_held builds each
+    level from it: the other level first, in the block buffer, then the
+    one held there (or the first) in place. The levels of the block are
+    then summed into the gradient. Rows are independent, so each usable
+    core takes the next block not yet taken (_walk), in its share of the
+    one block buffer.
     """
     scales, mass = [], 0.0
     with np.errstate(over="ignore", invalid="ignore"):

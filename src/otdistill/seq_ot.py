@@ -44,6 +44,7 @@ The gradient's threads share one buffer of at most _BLOCK_ENTRIES signs
 (so 2 threads at most at T = 1024), and memory stays as above.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,8 +357,8 @@ def _sd_grad(t, s, plan):
             p = plan[:, i:i + rows]
             for l in range(c.start, c.stop, cols):
                 group = slice(l, min(l + cols, c.stop))
-                diff = own[:batch * (group.stop - l) * p[0].size].reshape(
-                    batch, group.stop - l, p.shape[1], tokens)
+                shape = (batch, group.stop - l) + p.shape[1:]
+                diff = own[:math.prod(shape)].reshape(shape)
                 np.subtract(s_all[:, group], t_all[:, group, i:i + rows],
                             out=diff)
                 # np.sign has no branches on int16 and keeps sign(0) = 0

@@ -605,10 +605,10 @@ class TestRowBlocks:
         # entries) alive, and its two phases hold about the same: the sort
         # behind the ranks holds the values' concatenation and their sort
         # order (2*T*k entries each) and the int16 ranks (T*k/2 entries'
-        # worth each, two arrays); the blocks hold one block of int16
-        # signs (2^18 signs, 2^16 entries' worth of bytes; no float64 copy
-        # of it), the int16 ranks, a token-major copy of the student's
-        # (T*k/4), the gradient and one einsum partial (T*k each). The cost
+        # worth each, two arrays); the blocks hold at most 2^18 int16 signs
+        # across the threads (2^16 entries' worth of bytes; no float64 copy
+        # of them), the int16 ranks, the gradient, its C-ordered copy and
+        # one einsum partial per thread (T*k each at most). The cost
         # call alone holds at most T^2 + 2*T*k
         # (test_cost_holds_only_its_output). That is 3.3 MB here; the
         # bound, 10.5 MB, allows about three times that, a tenth of the

@@ -248,11 +248,11 @@ def test_sequence_gradient_signs_hold_one_budget_on_many_cores(
         cores, monkeypatch):
     # T = 250 with a budget of 2^15 signs: blocks of 65 teacher rows of one
     # column (16250 signs; 65, 65, 65 and 55 rows), so at most 2 threads,
-    # whose buffers together hold at most the budget. Uncapped, each of 16
-    # threads on 32 cores would hold a block of its own (520 kB of int16).
+    # whose buffers together hold at most the budget. Without that cap, 30
+    # threads on 32 cores would each hold a block (975 kB of int16).
     # Measured from the ranks on: the signs (2 bytes each), the (B, k, T)
-    # sums and their C-ordered copy, and numpy's buffer of 8192 float64
-    # entries for the einsum's cast of the signs, one per thread.
+    # sums and their C-ordered copy, and numpy's scratch for an einsum
+    # over int16 signs (75 kB measured, numpy 2.4), one per thread.
     cores(32)
     budget, (batch, tokens, k) = 1 << 15, (1, 250, 32)
     monkeypatch.setattr(seq_ot, "_BLOCK_ENTRIES", budget)
@@ -277,7 +277,7 @@ def test_sequence_gradient_signs_hold_one_budget_on_many_cores(
     finally:
         tracemalloc.stop()
     threads = budget // (budget // 2 // (batch * tokens) * batch * tokens)
-    bound = 2 * budget + 16 * batch * k * tokens + threads * 8 * 8192
+    bound = 2 * budget + 16 * batch * k * tokens + threads * 80_000
     assert peak < bound, (peak, bound)
 
 
