@@ -5,37 +5,39 @@ total = ce + alpha * (had + beta * sl + gamma * sd)
 The token losses (ce, had, sl) use one softmax temperature, the sequence
 loss its own. build_state, total_loss_frozen, total_loss and total_grad are
 thin wrappers: _arguments checks every argument, and the fused pass
-(_forward) trusts it and checks none. This module holds the loss
-algebra and the state; core walks the logit stacks and reads and writes them
-at kept columns, and one stage in seq_ot (_transport) computes the sequence
-level. The pass walks each logit matrix once, in blocks of rows,
-at both temperatures (core._softmax_pass, on every usable core), checks that
-the logits are finite as it reads them, and keeps only what the loss reads:
-each row's normalizers, the column sums that rank the columns, and the
-teacher's argmax for pseudo-labels. The label and k aligned entries of
-every row are computed from those normalizers (core._softmax_at). The upstream
-gradient is nonzero only at the label and the k aligned columns, so a
-gradient call keeps each temperature's part of it as sparse products. Its
-student pass leaves in the gradient it returns what one rule (core._held)
-says, and one backward at the end (core._softmax_backward) builds each
-level from it block by block and sums them there: the only B x T x n array
-a gradient call writes under sum-sort matching is the gradient it returns.
-At the default temperatures, where tau_sd = 2 tau_sl, the pass squares its
-tau_sd exponentials for tau_sl (core._squared) and leaves the tau_sd ones
-in the gradient, from which the backward squares and scales both levels,
-so a gradient call exponentiates each student entry once; at a pair that
-is not double, once at tau_sl and twice at tau_sd (the backward recomputes
-it from the normalizers). Every student pass runs at both temperatures,
-read or not, so each level has the same bits with or without a state: a
-call given the state that its stateless twin builds returns that call's
-bytes. Gradients are with respect to the raw student
-logits, with the rank/truncation selections and the Sinkhorn plan held
-fixed. Exact matching reads whole student softmaxes, built in turn in one
-array (core._softmax_held) from what the student pass left in its out
-(the gradient, in a gradient call), or for tau_sd without a gradient
-from the normalizers; the padded-sort baseline reads the student's tau_sl
-one the same way and the teacher's from what the teacher pass left in
-its out. No softmax here is computed any other way.
+(_forward) trusts it and checks none. This module holds the loss algebra and
+the state; core walks the logit stacks and reads and writes them at kept
+columns, and one stage in seq_ot (_transport) computes the sequence level.
+The pass walks each logit matrix once, in blocks of rows, at both
+temperatures (core._softmax_pass, on every usable core), checks that the
+logits are finite as it reads them, and keeps only what the loss reads: each
+row's normalizers, the column sums that rank the columns, and the teacher's
+argmax for pseudo-labels. Every softmax level here comes from one builder,
+core._softmax_level: the label and k aligned entries of every row from those
+normalizers, and a whole level from the unnormalized exponentials a pass
+left in its out, where one rule (core._held) says which level those are. The
+upstream gradient is nonzero only at the label and the k aligned columns, so
+a gradient call keeps each temperature's part of it as sparse products. Its
+student pass leaves its exponentials in the gradient it returns, and one
+backward at the end (core._softmax_backward) builds each level from them
+block by block and sums them there: the only B x T x n array a gradient call
+writes under sum-sort matching is the gradient it returns. At the default
+temperatures, where tau_sd = 2 tau_sl, the pass squares its tau_sd
+exponentials for tau_sl (core._squared) and leaves the tau_sd ones in the
+gradient, from which the backward squares and scales both levels, so a
+gradient call exponentiates each student entry once; at a pair that is not
+double, it leaves the tau_sl ones, and exponentiates once at tau_sl and
+twice at tau_sd (the backward recomputes it from the normalizers). Every
+student pass runs at both temperatures, read or not, so each level has the
+same bits with or without a state: a call given the state that its stateless
+twin builds returns that call's bytes. Gradients are with respect to the raw
+student logits, with the rank/truncation selections and the Sinkhorn plan
+held fixed. Exact matching reads whole student softmaxes, built in turn in
+one array from what the student pass left in its out (the gradient, in a
+gradient call), or for tau_sd without a gradient from the normalizers; the
+padded-sort baseline reads the student's tau_sl one the same way and the
+teacher's from what the teacher pass left in its out. No softmax here is
+computed any other way.
 
 A call given no state builds one (_build: the student's pass, both
 rankings, the pseudo-labels, the cost, the plan and sd), and a call given
@@ -57,9 +59,8 @@ import numpy as np
 
 from .core import (_MIN_TAU, PROB_FLOOR, _check_choice, _check_count,
                    _check_number, _check_type, _floor_log, _gather,
-                   _logit_matrix, _matrix, _softmax_at, _softmax_backward,
-                   _softmax_held, _softmax_pass, validate_logits,
-                   validate_probs)
+                   _logit_matrix, _matrix, _softmax_backward, _softmax_level,
+                   _softmax_pass, validate_logits, validate_probs)
 from .errors import InvalidConfig, InvalidInput, NumericalFailure
 from .preprocess import (EXACT_ASSIGNMENT, MATCH_MODES, SUM_SORT,
                          RankSelection, _descending_pair, _head_width,
@@ -348,20 +349,22 @@ def _teacher(t, n, w, argmax, dense):
                                             out=held)
     width = _head_width(w.k, t.shape[-1], n, w.match_mode)
     perm = _descending_pair(*sums)
-    head = tuple(_softmax_at(t, tau, (top, total), p[:, None, :width])
-                 for tau, total, p in zip(taus, totals, perm))
+    head = tuple(_softmax_level(t, taus, i, (top, totals[i]),
+                                cols=perm[i][:, None, :width])
+                 for i in range(2))
     # The dense rows: the tau_sl softmax, finished in place in held.
-    dense = None if held is None else _uld_sorted(_softmax_held(
-        t, taus, 0, (top, totals[0]), held, held), n)
+    dense = None if held is None else _uld_sorted(_softmax_level(
+        t, taus, 0, (top, totals[0]), held=held, out=held), n)
     return _Teacher(perm=perm, head=head, argmax=best, dense=dense)
 
 
 def _build(teacher, s, w, labels, gradient=None):
     """(state, (top, totals)): the state of a call given none, from its
     _Teacher and the student's raw pass over s at both temperatures, which
-    leaves in gradient, if given, what core._held says, and sums columns
-    for sum-sort. Exact matching ranks from each level's whole softmax in
-    turn, in one array beside the gradient (core._softmax_held)."""
+    leaves in gradient, if given, the exponentials core._held names, and
+    sums columns for sum-sort. Exact matching ranks from each level's whole
+    softmax in turn, in one array beside the gradient
+    (core._softmax_level)."""
     mode = w.match_mode
     taus = (w.tau_sl, w.tau_sd)
     whole = np.empty(s.shape) if mode == EXACT_ASSIGNMENT else None
@@ -371,20 +374,20 @@ def _build(teacher, s, w, labels, gradient=None):
     if whole is None:
         first, second = _descending_pair(*sums)
     else:
-        first = _match(teacher.head[0], _softmax_held(
-            s, taus, 0, (top, totals[0]), held, whole), mode)
+        first = _match(teacher.head[0], _softmax_level(
+            s, taus, 0, (top, totals[0]), held=held, out=whole), mode)
         # The tau_sd softmax overwrites the tau_sl one once it is ranked:
         # from the gradient, or recomputed where the pass wrote that array.
-        second = _match(teacher.head[1], _softmax_held(
-            s, taus, 1, (top, totals[1]), gradient, whole), mode)
+        second = _match(teacher.head[1], _softmax_level(
+            s, taus, 1, (top, totals[1]), held=gradient, out=whole), mode)
     k = min(w.k, teacher.head[0].shape[-1])
     rank = RankSelection(teacher.perm[0], first, k, mode)
     rank_seq = RankSelection(teacher.perm[1], second, k, mode)
     if labels is None:
         labels = _pseudo_labels(teacher.argmax, rank, s.shape[-1])
     teacher2 = teacher.head[1][..., :k]
-    student2 = _softmax_at(s, w.tau_sd, (top, totals[1]),
-                           rank_seq.student_perm[:, None, :k])
+    student2 = _softmax_level(s, taus, 1, (top, totals[1]),
+                              cols=rank_seq.student_perm[:, None, :k])
     plan, sd, _ = _transport(teacher2, student2, w.sinkhorn)
     state = PipelineState(
         length=s.shape[1], labels=labels, rank=rank, rank_seq=rank_seq,
@@ -427,10 +430,11 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
         teacher = t if isinstance(t, _Teacher) else _teacher(
             t, s.shape[-1], w, argmax=labels is None, dense=grad == ULD)
 
-    # The student's one pass leaves in a gradient call's gradient what
-    # core._held says, from which the backward builds each level. It runs
-    # at both temperatures whatever the call reads, as a state's build
-    # ran it, so a level has the same bits with or without a state.
+    # The student's one pass leaves in a gradient call's gradient the
+    # exponentials core._held names, from which the backward builds each
+    # level. It runs at both temperatures whatever the call reads, as a
+    # state's build ran it, so a level has the same bits with or without a
+    # state.
     taus = (w.tau_sl, w.tau_sd)
     gradient = None if grad is None else np.empty(s.shape)
     if built:
@@ -443,16 +447,17 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     # stage's blocks. A state built here passes its own student: no compare.
     if need_loss or seq_weight > 0:
         cols2 = state.rank_seq.student_perm[:, None, :state.rank_seq.k]
+        student2 = state.student_seq if built else _softmax_level(
+            s, taus, 1, (top, totals[1]), cols=cols2)
         _, sd, student2 = _transport(
-            state.teacher_seq, state.student_seq if built else _softmax_at(
-                s, w.tau_sd, (top, totals[1]), cols2), w.sinkhorn, state.plan,
+            state.teacher_seq, student2, w.sinkhorn, state.plan,
             (state.student_seq, state.sd) if need_loss else None, seq_weight)
     # Token temperature: ce + alpha * (had + beta * sl).
     at_label = state.labels[:, :, None]
-    p_label = _softmax_at(s, w.tau_sl, (top, totals[0]), at_label)
+    p_label = _softmax_level(s, taus, 0, (top, totals[0]), cols=at_label)
     if need_loss or ot_alpha > 0:
         cols1 = state.rank.student_perm[:, None, :state.rank.k]
-        student1 = _softmax_at(s, w.tau_sl, (top, totals[0]), cols1)
+        student1 = _softmax_level(s, taus, 0, (top, totals[0]), cols=cols1)
         had = _had_loss(state.teacher, student1)
         sl = _sl_loss(state.teacher, student1)
     breakdown = (_breakdown(p_label, had.value, sl.value, sd, w, state)
@@ -478,7 +483,8 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
         if grad == ULD:
             # The padded-sort baseline reads every column of both softmaxes,
             # the student's at tau_sl from what its pass left in the gradient.
-            probs = _softmax_held(s, taus, 0, (top, totals[0]), gradient)
+            probs = _softmax_level(s, taus, 0, (top, totals[0]),
+                                   held=gradient)
             uld = w.alpha * _uld_grad(teacher.dense, probs)
             uld *= probs
             terms.append((None, uld))

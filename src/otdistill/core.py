@@ -6,19 +6,20 @@ are row-stochastic of the same shape. _matrix coerces and checks every
 public array argument of the package, and the private kernels trust it.
 Those behind the fused loss take (B, T, V) stacks; _softmax_pass walks one
 in cache-sized blocks, checks the logits as it reads them, and returns only
-what its caller reads (given an array, it also leaves there what one rule,
-_held, says), and _softmax_at computes any softmax entry
-from the pass's row normalizers (each row's max and reciprocal sum), bit
-for bit the pass's own. Both scale by 1 / tau and by the reciprocal sum, so
-a softmax divides once per temperature and once per row, never per entry.
-Of two temperatures where one is exactly twice the other (the default
-tau_sl = 1, tau_sd = 2), the pass exponentiates only at the larger and
-squares those for the smaller (_squared), one exp per entry for both; its
-normalizers record it (_Squared), so _softmax_at squares the same entries.
-Every softmax here, softmax_rows included, comes from these two: a whole
-level from what a pass left in its array is read by _softmax_held, and
-_softmax_backward builds each level through it, block by block, into the
-gradient of a loss read at sparse entries.
+what its caller reads: each row's max and reciprocal sum per temperature
+(the normalizers), and, given an array, the unnormalized exponentials of
+the one level _held names there. One builder, _softmax_level, makes every
+softmax level from those, bit for bit the pass's own: whole from the held
+exponentials with no exp, or whole or at kept columns from the
+normalizers. Both scale by 1 / tau and by the reciprocal sum, so a softmax
+divides once per temperature and once per row, never per entry. Of two
+temperatures where one is exactly twice the other (the default tau_sl = 1,
+tau_sd = 2), the pass exponentiates only at the larger and squares those
+for the smaller (_squared), one exp per entry for both, and holds the
+larger's; the builder reads the same rule, so it squares the same entries.
+softmax_rows normalizes what its pass held, and _softmax_backward builds
+each level, block by block, into the gradient of a loss read at sparse
+entries.
 Kept columns are plain (B, T or 1, c) arrays of columns per row, read with
 a take along the last axis (_gather) and added to through flat indices
 (_softmax_backward) where numpy's generic fancy indexing is slower.
@@ -282,7 +283,9 @@ def softmax_rows(logits, temperature=1.0):
     arr = _logit_matrix(logits)
     tau = _check_number(temperature, "temperature", least=_MIN_TAU)
     out = np.empty(arr.shape)
-    _softmax_pass(arr[None], (tau,), out=out[None])
+    held = out[None]
+    top, (total,), _, _ = _softmax_pass(arr[None], (tau,), out=held)
+    _softmax_level(arr[None], (tau,), 0, (top, total), held, out=held)
     return out
 
 
@@ -385,22 +388,12 @@ def _squared(taus):
 
 def _held(taus):
     """The one rule for what a pass at taus (_softmax_pass) leaves in an out
-    it is given: where _squared squares one level from the other's
-    exponentials, those exponentials, at the larger temperature and
-    unnormalized, and this is that level's index; otherwise None, and out
-    holds the softmax at taus[0] (at one temperature, softmax_rows's).
-    Every other reader, the backward (_softmax_backward) included, builds a
-    level from it through _softmax_held, with no exp where it holds
-    exponentials."""
+    it is given: the unnormalized exponentials of one level, and this is
+    its index. Where _squared squares one level from the other's, the
+    larger temperature's, from which _softmax_level builds both levels
+    with no exp; otherwise taus[0]'s, from which it builds that level."""
     squared = _squared(taus)
-    return squared.index(False) if any(squared) else None
-
-
-class _Squared(np.ndarray):
-    """The reciprocal row sums of a level whose exponentials _softmax_pass
-    squared from those at twice its temperature (_squared). _softmax_at
-    reads the type, which a view (a block's rows) keeps, so an entry it
-    computes is the pass's own."""
+    return squared.index(False) if any(squared) else 0
 
 
 def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
@@ -413,16 +406,13 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     _squared says a level squares the other's exponentials, at twice its
     tau (np.square, before either is normalized), so at
     the default pair (1, 2) it takes one exp per entry for both levels.
-    It then takes the reciprocal of each row sum, as _softmax_at does, in
-    a block buffer, and emits only what the caller asks for: each
+    It then takes the reciprocal of each row sum, as _softmax_level does,
+    in a block buffer, and emits only what the caller asks for: each
     sequence's column sums when
     sums, and the per-row argmax at taus[0] when argmax. The pass writes no
     B x T x V array of its own. Given out, a (B, T, V) array, it computes
-    there, instead of in a buffer, what _held says: at a pair that squares,
-    the exponentials at the larger temperature, unnormalized, from which
-    _softmax_held builds either level with no exp; otherwise the softmax at
-    taus[0], each row multiplied by its reciprocal sum while the block is
-    in cache (softmax_rows returns it).
+    there, instead of in a buffer, the exponentials of the level _held
+    names, left unnormalized: _softmax_level builds a level from them.
 
     A large pass runs on several threads (_parts, _walk), each on blocks of
     its share of the block budget in its share of the buffers, so the
@@ -436,17 +426,14 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     tests hold it to a dense softmax, their refimpl._softmax).
 
     Returns (top, totals, colsums, best): the (B, T, 1) row maxima, one
-    (B, T, 1) array of reciprocal row sums per temperature, a _Squared one
-    for a squared level ((top, totals[i]) are the normalizers _softmax_at
-    and the backward read), one (B, V) array of column sums per
-    temperature or None, and the (B, T) argmax or None.
+    (B, T, 1) array of reciprocal row sums per temperature ((top,
+    totals[i]) are the normalizers _softmax_level reads), one (B, V) array
+    of column sums per temperature or None, and the (B, T) argmax or None.
     """
     top = np.empty(arr.shape[:-1] + (1,))
     squared = _squared(taus)
-    # The level whose exponentials out keeps unnormalized (_held), or None;
-    # the level out holds.
-    hold = None if out is None else _held(taus)
-    at = hold or 0
+    # The level whose exponentials out keeps unnormalized (_held).
+    hold = _held(taus)
     totals = [np.empty_like(top) for _ in taus]
     colsums = [np.zeros(arr.shape[::2]) for _ in taus] if sums else None
     best = np.empty(arr.shape[:-1], dtype=np.intp) if argmax else None
@@ -457,7 +444,7 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     bufs = [np.empty((parts,) + arr[blocks[0]].shape)
             for _ in range(max(len(taus) - (out is not None), int(sums)))]
     # Levels in the order their column sums are taken: out's last.
-    order = ((1 - at, at) if out is not None and len(taus) == 2
+    order = ((1 - hold, hold) if out is not None and len(taus) == 2
              else range(len(taus)))
     # added[b] counts the rows of sequence b handed off to its next block.
     turn = threading.Condition()
@@ -469,7 +456,7 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
         views = [buf[part, :z.shape[0], :z.shape[1]] for buf in bufs]
         exps = views[:len(taus) - (out is not None)]
         if out is not None:
-            exps.insert(at, out[block])
+            exps.insert(hold, out[block])
         try:
             peak = np.max(z, axis=-1, keepdims=True, out=top[block])
             # The block's min is read while the block is in cache.
@@ -493,10 +480,9 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
                 total = totals[i][block]
                 e.sum(axis=-1, keepdims=True, out=total)
                 np.reciprocal(total, out=total)
-                # out is normalized unless it holds exponentials; a buffer
-                # only for what the walk reads of it.
-                if (hold is None if out is not None and i == at
-                        else sums or i == 0 and argmax):
+                # A buffer is normalized only for what the walk reads of
+                # it; out keeps its exponentials.
+                if (sums or i == 0 and argmax) and (out is None or i != hold):
                     e *= total
             if argmax:
                 # Exponentials out holds unnormalized have the softmax's
@@ -512,12 +498,8 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
                 # its rows: its level, normalized, is summed in a buffer.
                 for i in order:
                     e, acc = exps[i], colsums[i][items]
-                    if out is not None and i == at:
-                        if hold is None:
-                            views[-1][...] = e
-                        else:
-                            np.multiply(e, totals[i][block], out=views[-1])
-                        e = views[-1]
+                    if out is not None and i == hold:
+                        e = np.multiply(e, totals[i][block], out=views[-1])
                     if span.start:
                         e[0, 0] += acc[0]
                     e.sum(axis=-2, out=acc)
@@ -529,65 +511,46 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
                 turn.notify_all()
 
     _walk(walk, blocks, parts)
-    # Marked only now: the walk's arithmetic on plain arrays skips numpy's
-    # checks for subclasses (0.3 us a reciprocal at the harness's shapes).
-    totals = [total.view(_Squared) if square else total
-              for total, square in zip(totals, squared)]
     return top, totals, colsums, best
 
 
-def _softmax_at(arr, tau, normalizers, cols=None, out=None):
-    """The softmax of arr at tau from the normalizers (top, total) of
-    _softmax_pass, bit for bit the pass's own: of every entry of arr,
-    written into out if given, or of its entries at cols (columns per row
-    that broadcast to (B, T, c)), in the array _gather reads them into
-    (out is not taken with cols). arr is a (B, T, V) stack, or a block of
-    one with the normalizers cut to it. Where the pass squared the
-    exponentials at 2 tau for tau (total is _Squared), so does this."""
-    top, total = normalizers
-    squared = isinstance(total, _Squared)
-    if cols is not None:
-        if out is not None:
-            raise ValueError("_softmax_at writes out only without cols")
-        arr = out = _gather(arr, cols)
-    # The max is subtracted before scaling by 1 / tau, so the product
-    # cannot overflow to +inf; entries far below the max may saturate to
-    # -inf, whose exp is the correct 0. Scaling by 1 is exact, so it is
-    # skipped. Each row is normalized by multiplying by its reciprocal sum,
-    # which the pass divided once per row.
-    scale = 2.0 * tau if squared else tau
-    with np.errstate(over="ignore"):
-        out = np.subtract(arr, top, out=out)
-        if scale != 1.0:
-            out *= 1.0 / scale
-    np.exp(out, out=out)
-    if squared:
-        np.square(out, out=out)
-    out *= total
-    return out
+def _softmax_level(z, taus, i, normalizers, held=None, cols=None, out=None):
+    """The softmax at taus[i] of the (B, T, V) stack z, bit for bit the
+    level a pass over z at taus computes: exp((z - max) * (1 / tau)), or,
+    where _squared says level i squares, the square of the exponentials at
+    2 tau, then each row times its reciprocal sum. normalizers are the
+    level's (top, total) from the pass; z may be a block of a stack, with
+    the rest cut to it. The one builder of every softmax level.
 
-
-def _softmax_held(z, taus, i, normalizers, held, out=None):
-    """The softmax of the (B, T, V) stack z at taus[i], whole and bit for
-    bit the pass's own, from held, what a pass over z at taus left in its
-    out (or None), and that level's normalizers (top, total); z may be a
-    block of a stack, with held and the normalizers cut to it. Where held
-    holds exponentials (_held): their squares (total is _Squared) or
-    themselves, times the reciprocal row sums, written into out (a new
-    array for None) with no exp; out may be held, whose exponentials are
-    then spent. Where held is that softmax (at taus[0], _held None): held
-    itself. Otherwise, or for held None: from the normalizers into out
-    (_softmax_at). The one builder of a level from a pass's out."""
+    Given held, what the pass left in its out, a level it holds or squares
+    from (_held) is built from it with no exp, whole, into out (a new array
+    for None), which may be held itself, whose exponentials are then
+    spent. Any other level is computed from the normalizers: whole into
+    out, or only its entries at cols (columns per row that broadcast to
+    (B, T, c)), in the array _gather reads them into (cols is taken
+    without held and out)."""
     top, total = normalizers
-    hold = _held(taus)
-    if held is None or hold is None and i:
-        return _softmax_at(z, taus[i], normalizers, out=out)
-    if hold is None:
-        return held
-    if isinstance(total, _Squared):
-        out = np.square(held, out=out)
-        out *= total
-        return out
+    square = _squared(taus)[i]
+    if held is None or not square and i != _held(taus):
+        if cols is not None:
+            if out is not None or held is not None:
+                raise ValueError("_softmax_level takes cols without held "
+                                 "and out")
+            z = out = _gather(z, cols)
+        # The max is subtracted before scaling by 1 / tau, so the product
+        # cannot overflow to +inf; entries far below the max may saturate
+        # to -inf, whose exp is the correct 0. Scaling by 1 is exact, so it
+        # is skipped.
+        scale = 2.0 * taus[i] if square else taus[i]
+        with np.errstate(over="ignore"):
+            held = out = np.subtract(z, top, out=out)
+            if scale != 1.0:
+                out *= 1.0 / scale
+        np.exp(out, out=out)
+    if square:
+        held = out = np.square(held, out=out)
+    # Each row is normalized by multiplying by its reciprocal sum, which
+    # the pass divided once per row.
     return np.multiply(held, total, out=out)
 
 
@@ -624,12 +587,12 @@ def _softmax_backward(z, top, levels, gradient, taus):
     so the gradient returned is finite and nothing reads it again.
 
     gradient, the array returned, is the out of a pass at taus and holds
-    what _held says. Block by block (_blocks), _softmax_held builds each
-    level from it: the other level first, in the block buffer, then the
-    one held there (or the first) in place. The levels of the block are
-    then summed into the gradient. Rows are independent, so each usable
-    core takes the next block not yet taken (_walk), in its share of the
-    one block buffer.
+    the exponentials _held names. Block by block (_blocks), _softmax_level
+    builds each level from it: the other level first, in the block buffer,
+    then the one held there (or the first) in place. The levels of the
+    block are then summed into the gradient. Rows are independent, so each
+    usable core takes the next block not yet taken (_walk), in its share
+    of the one block buffer.
     """
     scales, mass = [], 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -648,7 +611,7 @@ def _softmax_backward(z, top, levels, gradient, taus):
                                "beta or gamma, or raise the temperatures")
     # The level built in the gradient: the held one beside another, which
     # reads its exponentials first, else the first.
-    own = (_held(taus) or 0) if len(levels) > 1 else 0
+    own = _held(taus) if len(levels) > 1 else 0
     order = (1 - own, own) if len(levels) > 1 else (0,)
     parts = _parts(z.size * len(levels), z.shape[-1])
     blocks = _blocks(z.shape, parts)
@@ -660,8 +623,8 @@ def _softmax_backward(z, top, levels, gradient, taus):
         spare = None if buf is None else buf[part, :zb.shape[0], :zb.shape[1]]
         for i in order:
             (total, terms), scale = levels[i], scales[i]
-            probs = _softmax_held(zb, taus, i, (top[block], total[block]), out,
-                                  out if i == own else spare)
+            probs = _softmax_level(zb, taus, i, (top[block], total[block]),
+                                   out, out=out if i == own else spare)
             probs *= scale[block]
             for cols, x in terms:
                 if cols is None:

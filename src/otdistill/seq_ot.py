@@ -343,12 +343,14 @@ def _sd_grad(t, s, plan):
                                  _BLOCK_ENTRIES // block))
     cols = max(1, min(-(-width // len(columns)),
                       _BLOCK_ENTRIES // len(columns) // block))
-    values = np.concatenate((t.transpose(0, 2, 1), s.transpose(0, 2, 1)),
-                            axis=2)
     if rows < tokens or block * width > _BLOCK_ENTRIES:  # not one block
-        values = _ranks(values)
-    t_all, s_all = values[..., :tokens, None], values[:, :, None, tokens:]
-    buf = np.empty(len(columns) * cols * block, values.dtype)
+        values = _ranks(np.concatenate((t.transpose(0, 2, 1),
+                                        s.transpose(0, 2, 1)), axis=2))
+        t_all, s_all = values[..., :tokens, None], values[:, :, None, tokens:]
+    else:  # the values themselves, through transposed views
+        t_all = t.transpose(0, 2, 1)[..., None]
+        s_all = s.transpose(0, 2, 1)[:, :, None]
+    buf = np.empty(len(columns) * cols * block, t_all.dtype)
     grad = np.zeros((batch, width, tokens))
 
     def share(c, part):

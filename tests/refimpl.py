@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from otdistill.core import _softmax_at
+from otdistill.core import _softmax_level
 
 
 def brute_force_min_transport(C):
@@ -93,6 +93,17 @@ def sd_grad_by_comparison(t, s, plan, block_entries):
     return grad
 
 
+def shifted_exp(arr, tau):
+    """exp((z - max) * (1 / tau)) along the last axis of a logit matrix or
+    (B, T, V) stack, unnormalized: what a pass given an out array leaves
+    there at the temperature core._held names."""
+    with np.errstate(over="ignore"):
+        out = np.subtract(arr, arr.max(axis=-1, keepdims=True))
+        if tau != 1.0:
+            out *= 1.0 / tau
+    return np.exp(out, out=out)
+
+
 def _softmax(arr, tau, taus=()):
     """The dense temperature softmax along the last axis of a logit matrix
     or (B, T, V) stack, as a pass at the temperatures taus computes it at
@@ -100,14 +111,9 @@ def _softmax(arr, tau, taus=()):
     its sum. Where the pass has two temperatures and the other is exactly
     2 tau, the exponentials are instead those at 2 tau, squared.
     otdistill computes every softmax entry in blocks (core._softmax_pass,
-    core._softmax_at); the tests hold those to this, bit for bit."""
+    core._softmax_level); the tests hold those to this, bit for bit."""
     squared = len(taus) == 2 and 2.0 * tau in taus
-    scale = 2.0 * tau if squared else tau
-    with np.errstate(over="ignore"):
-        out = np.subtract(arr, arr.max(axis=-1, keepdims=True))
-        if scale != 1.0:
-            out *= 1.0 / scale
-    np.exp(out, out=out)
+    out = shifted_exp(arr, 2.0 * tau if squared else tau)
     if squared:
         out *= out
     out *= 1.0 / out.sum(axis=-1, keepdims=True)
@@ -131,15 +137,15 @@ def softmax_by_division(arr, tau):
 def backward_by_levels(z, top, levels, taus):
     """The fused pass's streamed backward (core._softmax_backward) level by
     level and whole: each level's softmax recomputed from its normalizers
-    by core._softmax_at, the arithmetic of the pass that writes it (exp,
+    by core._softmax_level, the arithmetic of the pass that writes it (exp,
     then each row times its reciprocal sum), then times its rows' scale
     -(sum of x) / tau, plus x / tau at its columns, and the levels summed
     in order. levels and taus are as the backward takes them, level i
     (total, terms) at taus[i] with terms (cols, x), and are not written."""
     grad = None
-    for tau, (total, terms) in zip(taus, levels):
+    for i, (tau, (total, terms)) in enumerate(zip(taus, levels)):
         inner = sum(x.sum(axis=-1, keepdims=True) for _, x in terms)
-        probs = _softmax_at(z, tau, (top, total), out=np.empty(z.shape))
+        probs = _softmax_level(z, taus, i, (top, total), out=np.empty(z.shape))
         probs *= -inner / tau
         for cols, x in terms:
             if cols is None:

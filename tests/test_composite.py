@@ -445,10 +445,10 @@ class TestSoftmaxAccounting:
     The teacher (m = 8 columns) and the student (n = 6) are told apart by
     their width. A pass is recorded with its temperature count and a
     backward with its level count, and each sequence cost and plan too.
-    composite has no dense softmax: every entry comes from a pass, from the
-    exponentials it left in the gradient (core._softmax_held) or from its
-    row normalizers (_softmax_at), and only exact matching recomputes one of
-    those whole.
+    composite has no dense softmax: every entry comes from a pass, through
+    one builder (core._softmax_level) from the exponentials it left in its
+    out or from its row normalizers, and only exact matching recomputes one
+    of those whole.
     """
 
     @pytest.fixture
@@ -591,29 +591,31 @@ class TestSoftmaxAccounting:
                                       "total_grad"])
     def test_exact_matching_computes_one_whole_softmax(self, calls,
                                                         monkeypatch, name):
-        # Without a gradient, the student pass leaves its tau_sl softmax in
-        # an array it is given, and the tau_sd one is computed whole from
-        # its normalizers over it. A gradient call computes neither: at the
+        # Without a gradient, the student pass leaves its exponentials in
+        # an array it is given, the tau_sl softmax is built from them in
+        # place, and the tau_sd one is computed whole from its normalizers
+        # over it. A gradient call computes neither: at the
         # default temperatures both are built from the exponentials its
         # pass left in the gradient. Blocks of one student row keep any
         # recompute in the backward below whole size. The backward lives in
-        # core and calls core's _softmax_at on block views, so both names
-        # are patched and a softmax is whole when it is as large as its
-        # whole stack.
+        # core and calls core's _softmax_level on block views, so both
+        # names are patched. A softmax is recomputed whole when it is as
+        # large as its whole stack and built from no held exponentials
+        # (composite passes held by name).
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", 6)
-        at = core._softmax_at
+        level = core._softmax_level
         t, s = random_pair(35, m=8, n=6)
 
         def whole(arr, *args, **kwargs):
-            probs = at(arr, *args, **kwargs)
+            probs = level(arr, *args, **kwargs)
             stack = t if arr.shape[-1] == 8 else s
-            if probs.size == stack.size:
+            if probs.size == stack.size and kwargs.get("held") is None:
                 calls.append(("whole", "teacher" if stack is t
                               else "student"))
             return probs
 
-        monkeypatch.setattr(composite, "_softmax_at", whole)
-        monkeypatch.setattr(core, "_softmax_at", whole)
+        monkeypatch.setattr(composite, "_softmax_level", whole)
+        monkeypatch.setattr(core, "_softmax_level", whole)
         assert not hasattr(composite, "_softmax")
         w = replace(SMALL, match_mode=EXACT_ASSIGNMENT)
         {"build_state": lambda: build_state(t, s, w=w),

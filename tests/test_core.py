@@ -9,9 +9,8 @@ from hypothesis.extra.numpy import arrays
 from otdistill import (InvalidConfig, InvalidInput, NumericalFailure, safe_log,
                        softmax_backward, softmax_rows, validate_probs)
 from otdistill import core
-from otdistill.core import (_softmax_at, _softmax_held, _softmax_pass,
-                            _Squared)
-from refimpl import _softmax, softmax_by_division
+from otdistill.core import _softmax_level, _softmax_pass
+from refimpl import _softmax, shifted_exp, softmax_by_division
 
 finite_logit_rows = arrays(
     dtype=float,
@@ -171,21 +170,23 @@ class TestSoftmaxBackward:
 
 
 def both_levels(z, taus):
-    # The pass's first temperature finished in place from what it left in
-    # its output (core._held), and the second computed whole from its
-    # normalizers.
+    # The pass's first temperature finished in place from the exponentials
+    # it left in its output (core._held), and the second computed whole
+    # from its normalizers.
     held = np.empty(z.shape)
     top, totals, sums, _ = _softmax_pass(z, taus, sums=True, out=held)
-    second = _softmax_at(z, taus[1], (top, totals[1]), out=np.empty(z.shape))
-    first = _softmax_held(z, taus, 0, (top, totals[0]), held, held)
-    return [first, second], totals, sums
+    second = _softmax_level(z, taus, 1, (top, totals[1]),
+                            out=np.empty(z.shape))
+    first = _softmax_level(z, taus, 0, (top, totals[0]), held, out=held)
+    return [first, second], sums
 
 
 class TestSquaringRule:
     """Of a pass's two temperatures, one exactly twice the other, only the
     larger is exponentiated and the smaller's exponentials are its squares
-    (core._squared); the normalizers carry that, so every entry read from
-    them is the pass's own. Any other pair takes both exponentials."""
+    (core._squared); the builder of a level reads the same rule, so every
+    entry it builds is the pass's own. Any other pair takes both
+    exponentials."""
 
     Z = np.random.default_rng(7).standard_normal((2, 3, 40)) * 3.0
 
@@ -194,9 +195,7 @@ class TestSquaringRule:
                                                         taus):
         _softmax_pass(self.Z, taus, sums=True)
         assert exponentials == {40: self.Z.size}
-        probs, totals, sums = both_levels(self.Z, taus)
-        assert [isinstance(total, _Squared) for total in totals] == [
-            tau == 1.0 for tau in taus]
+        probs, sums = both_levels(self.Z, taus)
         for tau, p, colsum in zip(taus, probs, sums):
             assert np.array_equal(p, _softmax(self.Z, tau, taus))
             assert np.array_equal(colsum, p.sum(axis=-2))
@@ -212,8 +211,7 @@ class TestSquaringRule:
     def test_other_pairs_take_both_exponentials(self, exponentials, taus):
         _softmax_pass(self.Z, taus, sums=True)
         assert exponentials == {40: 2 * self.Z.size}
-        probs, totals, _ = both_levels(self.Z, taus)
-        assert not any(isinstance(total, _Squared) for total in totals)
+        probs, _ = both_levels(self.Z, taus)
         for tau, p in zip(taus, probs):
             assert np.array_equal(p, _softmax(self.Z, tau))
 
@@ -243,7 +241,7 @@ class TestSquaringRule:
         row = -np.array([0.0, 1.0, 700.0, 740.0, 744.0, 744.5, 745.0, 745.2,
                          746.0, 800.0, 1500.0])
         z = row[None, None] * np.array([1.0, 1.0003])[:, None, None]
-        (probs, _), _, _ = both_levels(z, (1.0, 2.0))
+        (probs, _), _ = both_levels(z, (1.0, 2.0))
         tiny = np.finfo(float).tiny
         assert (probs >= 0).all()
         division = softmax_by_division(z, 1.0)
@@ -254,11 +252,59 @@ class TestSquaringRule:
         # 2e-300 is exactly twice 1e-300, so the pass squares: every entry
         # but the row's max scales to -inf or far below exp's range.
         logits = np.array([[[3.0, -1.0, 0.5, 2.0], [0.0, 1e-3, -5.0, 1.0]]])
-        probs, totals, _ = both_levels(logits, (1e-300, 2e-300))
-        assert isinstance(totals[0], _Squared)
+        probs, _ = both_levels(logits, (1e-300, 2e-300))
         one_hot = np.eye(4)[logits.argmax(axis=-1)]
         for p in probs:
             np.testing.assert_array_equal(p, one_hot)
+
+
+class TestHeldExponentials:
+    """A pass given an out leaves there the unnormalized exponentials
+    exp((z - max) / tau) of the level core._held names, and nothing else
+    writes them: at a doubled pair in either order (the larger
+    temperature's), at a pair that is not doubled, at equal temperatures
+    and at one temperature (the first's). Every level the builder makes
+    from them or from the normalizers is the reference's, bit for bit.
+    Blocks of one row (a budget of 40 entries) hand column sums between
+    blocks, where out's level is normalized in a buffer."""
+
+    Z = TestSquaringRule.Z
+    PAIRS = [(1.0, 2.0), (2.0, 1.0), (0.7, 3.1), (1.5, 1.5), (0.7,)]
+
+    @pytest.mark.parametrize("budget", [None, 40])
+    @pytest.mark.parametrize("taus", PAIRS)
+    def test_a_pass_leaves_the_held_levels_exponentials(self, monkeypatch,
+                                                        taus, budget):
+        if budget is not None:
+            monkeypatch.setattr(core, "_BLOCK_ENTRIES", budget)
+        want = shifted_exp(self.Z, taus[core._held(taus)])
+        for flags in ({}, {"sums": True, "argmax": True}):
+            held = np.empty(self.Z.shape)
+            _softmax_pass(self.Z, taus, out=held, **flags)
+            assert np.array_equal(held, want)
+        for tau in taus:
+            assert np.array_equal(softmax_rows(self.Z[1], tau),
+                                  _softmax(self.Z[1], tau))
+
+    @pytest.mark.parametrize("taus", PAIRS)
+    def test_every_level_the_builder_makes_is_the_references(self, taus):
+        # Whole and at kept columns from the normalizers, and whole from
+        # the held exponentials (where the level is not built from them,
+        # from the normalizers again), into a new array each.
+        held = np.empty(self.Z.shape)
+        top, totals, _, _ = _softmax_pass(self.Z, taus, out=held)
+        cols = np.array([[[5, 0, 39]]])
+        for i, tau in enumerate(taus):
+            want = _softmax(self.Z, tau, taus)
+            normalizers = (top, totals[i])
+            for got in (_softmax_level(self.Z, taus, i, normalizers),
+                        _softmax_level(self.Z, taus, i, normalizers, held)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(
+                _softmax_level(self.Z, taus, i, normalizers, cols=cols),
+                want[..., cols[0, 0]])
+        assert np.array_equal(held, shifted_exp(self.Z,
+                                                taus[core._held(taus)]))
 
 
 class TestCores:

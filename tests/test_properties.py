@@ -12,8 +12,8 @@
   several sequences; the fused pass gives the same outputs under each
   blocking. Over two temperatures, with a per-row and a broadcast sparse
   term, the streamed backward equals the sum of the dense softmax_backward
-  at each. The pass, _softmax_at and the backward, which scale by 1 / tau
-  and by reciprocal row sums, stay within a bound derived from the
+  at each. The pass, _softmax_level and the backward, which scale by
+  1 / tau and by reciprocal row sums, stay within a bound derived from the
   roundings of the division form that divides every entry twice.
 - Any logit scale from 1e-3 to 1e300 gives finite outputs or an error of a
   type the CLI maps to a documented exit code.
@@ -59,8 +59,7 @@ from otdistill import (CE_ONLY, EXACT_ASSIGNMENT, MULTILEVEL_OT, SUM_SORT, ULD,
                        total_loss_frozen)
 from otdistill import core, seq_ot
 from otdistill.composite import _forward, _kept_logits, _softmax_backward
-from otdistill.core import (_softmax_at, _softmax_held, _softmax_pass,
-                            softmax_backward)
+from otdistill.core import _softmax_level, _softmax_pass, softmax_backward
 from refimpl import _softmax, softmax_by_division
 
 LOSS_RTOL = 1e-12
@@ -187,7 +186,8 @@ def test_state_paths_equal_a_dense_pass(batch, scale, taus):
         # and the normalizers give the dense student's entries.
         index = kept(s.shape, rank.student_perm, rank.k)
         top, (total,), _, _ = _softmax_pass(s, (tau,))
-        assert np.array_equal(_softmax_at(s, tau, (top, total), index[2]),
+        assert np.array_equal(_softmax_level(s, (tau,), 0, (top, total),
+                                             cols=index[2]),
                               _softmax(s, tau)[index])
 
     # Loss-only and gradient calls with the state against the dense pass
@@ -260,9 +260,9 @@ def test_blocked_pass_equals_the_dense_softmax(batch, tokens, scale, taus,
         patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](*z.shape[1:]))
         top, totals, sums, best = _softmax_pass(z, taus, sums=True, argmax=True)
         bare_top, bare_totals, _, _ = _softmax_pass(z, taus)
-        # The backward finishes the softmax a pass at the second
-        # temperature alone left in the gradient, here normalized by a
-        # pass that ranks.
+        # The backward finishes the softmax from the exponentials a pass
+        # at the second temperature alone left in the gradient, here
+        # normalized by the sums of a pass that ranks.
         gradient = np.empty(z.shape)
         _softmax_pass(z, taus[1:], sums=True, out=gradient)
         streamed = _softmax_backward(z, top, [(totals[1],
@@ -273,10 +273,10 @@ def test_blocked_pass_equals_the_dense_softmax(batch, tokens, scale, taus,
 
     every = _last_axis(z.shape, np.arange(z.shape[2]))
     assert np.array_equal(bare_top, top)
-    for probs, tau, total, bare_total, colsum in zip(dense, taus, totals,
-                                                      bare_totals, sums):
-        assert np.array_equal(_softmax_at(z, tau, (top, total), every[2]),
-                              probs)
+    for i, (probs, total, bare_total, colsum) in enumerate(
+            zip(dense, totals, bare_totals, sums)):
+        assert np.array_equal(_softmax_level(z, taus, i, (top, total),
+                                             cols=every[2]), probs)
         assert np.array_equal(bare_total, total)
         assert np.array_equal(colsum, probs.sum(axis=-2))
     assert np.array_equal(best, dense[0].argmax(axis=-1))
@@ -380,7 +380,7 @@ def division_bound(z, tau, taus=()):
 @settings(max_examples=60, deadline=None)
 def test_reciprocal_softmax_stays_near_the_division_form(
         batch, tokens, vocab, scale, taus, blocking, seed):
-    # The pass, _softmax_at and the backward scale by 1 / tau and each row
+    # The pass, _softmax_level and the backward scale by 1 / tau and each row
     # by its reciprocal sum; the division form divides every entry twice.
     # Both temperatures' softmaxes and backwards are held to division_bound.
     rng = np.random.default_rng(seed)
@@ -391,11 +391,11 @@ def test_reciprocal_softmax_stays_near_the_division_form(
         patch.setattr(core, "_BLOCK_ENTRIES", BLOCKINGS[blocking](tokens, vocab))
         gradient = np.empty(shape)
         top, totals, _, _ = _softmax_pass(z, taus, sums=True, out=gradient)
-        # The first level from what the pass left in the gradient (maybe
-        # the gradient itself, all read before the backward writes it).
-        got = [_softmax_held(z, taus, 0, (top, totals[0]), gradient)]
-        got += [_softmax_at(z, tau, (top, total), out=np.empty(shape))
-                for tau, total in zip(taus[1:], totals[1:])]
+        # The first level from the exponentials the pass left in the
+        # gradient, in a new array (all read before the backward writes it).
+        got = [_softmax_level(z, taus, 0, (top, totals[0]), gradient),
+               _softmax_level(z, taus, 1, (top, totals[1]),
+                              out=np.empty(shape))]
         # One sparse term per level, as the fused pass keeps them: x = p * g
         # at distinct columns per sequence.
         levels, expected, bound = [], 0.0, 0.0

@@ -159,10 +159,10 @@ def test_only_seq_ot_names_the_sequence_kernels():
 
 
 def test_only_core_names_the_held_rule():
-    # core._held says what a pass leaves in its out and core._squared which
-    # level squares the other's exponentials; only core's _softmax_pass,
-    # _softmax_held and _softmax_backward read them. Either named anywhere
-    # else is a second reader of a pass's out.
+    # core._held says which level's exponentials a pass leaves in its out
+    # and core._squared which level squares the other's; only core's
+    # _softmax_pass, _softmax_level and _softmax_backward read them. Either
+    # named anywhere else is a second reader of a pass's out.
     rules = {"_held", "_squared"}
     found = []
     for path in sorted(Path(otdistill.__file__).parent.glob("*.py")):
@@ -176,6 +176,21 @@ def test_only_core_names_the_held_rule():
                      else [])
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name in rules]
+    assert found == []
+
+
+def test_no_module_subclasses_ndarray():
+    # Every array the package makes is a plain np.ndarray: a subclass that
+    # marks one (as a squared level's sums once were) is a second carrier
+    # of a rule that core._squared states, and costs numpy's subclass
+    # checks on every ufunc that takes it.
+    found = []
+    for path in sorted(Path(otdistill.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.name}:{node.lineno} {node.name}"
+                          for base in node.bases
+                          if ast.unparse(base).split(".")[-1] == "ndarray"]
     assert found == []
 
 
