@@ -447,10 +447,10 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     # stage's blocks. A state built here passes its own student: no compare.
     if need_loss or seq_weight > 0:
         cols2 = state.rank_seq.student_perm[:, None, :state.rank_seq.k]
-        student2 = state.student_seq if built else _softmax_level(
-            s, taus, 1, (top, totals[1]), cols=cols2)
         _, sd, student2 = _transport(
-            state.teacher_seq, student2, w.sinkhorn, state.plan,
+            state.teacher_seq, state.student_seq if built else _softmax_level(
+                s, taus, 1, (top, totals[1]), cols=cols2),
+            w.sinkhorn, state.plan,
             (state.student_seq, state.sd) if need_loss else None, seq_weight)
     # Token temperature: ce + alpha * (had + beta * sl).
     at_label = state.labels[:, :, None]

@@ -181,9 +181,8 @@ def test_only_core_names_the_held_rule():
 
 def test_no_module_subclasses_ndarray():
     # Every array the package makes is a plain np.ndarray: a subclass that
-    # marks one (as a squared level's sums once were) is a second carrier
-    # of a rule that core._squared states, and costs numpy's subclass
-    # checks on every ufunc that takes it.
+    # marks one carries a rule (such as core._squared) a second time, and
+    # costs numpy's subclass checks on every ufunc that takes it.
     found = []
     for path in sorted(Path(otdistill.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
