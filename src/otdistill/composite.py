@@ -1,56 +1,17 @@
-"""Cross-entropy plus the weighted multi-level transport objective.
+"""Cross-entropy plus the weighted multi-level transport objective, its
+state and its gradient: total = ce + alpha * (had + beta * sl + gamma * sd).
 
-total = ce + alpha * (had + beta * sl + gamma * sd)
-
-The token losses (ce, had, sl) use one softmax temperature, the sequence
-loss its own. build_state, total_loss_frozen, total_loss and total_grad are
-thin wrappers: _arguments checks every argument, and the fused pass
-(_forward) trusts it and checks none. This module holds the loss algebra and
-the state; core walks the logit stacks and reads and writes them at kept
-columns, and one stage in seq_ot (_transport) computes the sequence level.
-The pass walks each logit matrix once, in blocks of rows, at both
-temperatures (core._softmax_pass, on every usable core), checks that the
-logits are finite as it reads them, and keeps only what the loss reads: each
-row's normalizers, the column sums that rank the columns, and the teacher's
-argmax for pseudo-labels. Every softmax level here comes from one builder,
-core._softmax_level: the label and k aligned entries of every row from those
-normalizers, and a whole level from the unnormalized exponentials a pass
-left in its out, where one rule (core._held) says which level those are. The
-upstream gradient is nonzero only at the label and the k aligned columns, so
-a gradient call keeps each temperature's part of it as sparse products. Its
-student pass leaves its exponentials in the gradient it returns, and one
-backward at the end (core._softmax_backward) builds each level from them
-block by block and sums them there: the only B x T x n array a gradient call
-writes under sum-sort matching is the gradient it returns. At the default
-temperatures, where tau_sd = 2 tau_sl, the pass squares its tau_sd
-exponentials for tau_sl (core._squared) and leaves the tau_sd ones in the
-gradient, from which the backward squares and scales both levels, so a
-gradient call exponentiates each student entry once; at a pair that is not
-double, it leaves the tau_sl ones, and exponentiates once at tau_sl and
-twice at tau_sd (the backward recomputes it from the normalizers). Every
-student pass runs at both temperatures, read or not, so each level has the
-same bits with or without a state: a call given the state that its stateless
-twin builds returns that call's bytes. Gradients are with respect to the raw
-student logits, with the rank/truncation selections and the Sinkhorn plan
-held fixed. Exact matching reads whole student softmaxes, built in turn in
-one array from what the student pass left in its out (the gradient, in a
-gradient call), or for tau_sd without a gradient from the normalizers; the
-padded-sort baseline reads the student's tau_sl one the same way and the
-teacher's from what the teacher pass left in its out. No softmax here is
-computed any other way.
-
-A call given no state builds one (_build: the student's pass, both
-rankings, the pseudo-labels, the cost, the plan and sd), and a call given
-one runs only that pass; every call then evaluates its state alone. A state
-freezes the teacher (a call given one runs no teacher pass) and keeps its
-student's sequence loss (see PipelineState).
-
-The fused pass takes a leading batch axis of B sequences of equal length T:
-every softmax, ranking, gather, cost, plan and loss works per sequence along
-the last axes, so the distillation harness computes a whole training step in
-one call, with the teacher's half of it computed once per run (_teacher).
-The public functions above are its B = 1 case, passing views of their
-inputs with a batch axis of one.
+The token losses (ce, had, sl) read the student's softmax at tau_sl, the
+sequence loss sd the one at tau_sd. build_state, total_loss_frozen,
+total_loss and total_grad are thin wrappers: _arguments checks every
+argument and cuts both logit matrices to their first min(T_t, T_s) rows, and
+the fused pass (_forward) trusts it and checks none. A call given no state
+builds one (_build); every call then evaluates its state alone, so a call
+given the state its stateless twin builds returns that call's bytes.
+Gradients are with respect to the raw student logits, with the selections
+and the plan held fixed. Every softmax level comes from core._softmax_level.
+The fused pass takes a leading batch axis of B sequences of equal length;
+the public functions are its B = 1 case.
 """
 
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -238,8 +199,9 @@ def _index(obj, i, **given):
 def _arguments(teacher_logits, student_logits, labels, w, state=None,
                frozen=False):
     # A public call's arguments, each checked, as the fused pass takes
-    # them: (t, s, labels, state), cut to their shared tokens, with a batch
-    # axis of one; frozen if the call needs a state. Each pass checks the
+    # them: (t, s, labels, state), both logit matrices cut to their first
+    # min(T_t, T_s) rows (the longer one's last rows reach no loss), with a
+    # batch axis of one; frozen if the call needs a state. Each pass checks the
     # logits it reads; a teacher given with a state, which no pass reads,
     # is validated whole and must be the state's at its kept columns.
     _check_type(w, LossWeights, "w")
@@ -434,7 +396,8 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     # exponentials core._held names, from which the backward builds each
     # level. It runs at both temperatures whatever the call reads, as a
     # state's build ran it, so a level has the same bits with or without a
-    # state.
+    # state. Under sum-sort matching the gradient is the only B x T x n
+    # array a call writes.
     taus = (w.tau_sl, w.tau_sd)
     gradient = None if grad is None else np.empty(s.shape)
     if built:
@@ -512,7 +475,8 @@ def build_state(teacher_logits, student_logits, labels=None, w=LossWeights()):
     """Compute the alignments and Sinkhorn plan for a teacher/student pair.
 
     With labels=None, per-token pseudo-labels are derived from the teacher
-    argmax through the rank alignment.
+    argmax through the rank alignment. Both logit matrices are cut to their
+    first min(T_t, T_s) rows, and the state holds that many tokens.
     """
     t, s, labels, _ = _arguments(teacher_logits, student_logits, labels, w)
     teacher = _teacher(t, s.shape[-1], w, argmax=labels is None, dense=False)
@@ -528,6 +492,8 @@ def total_loss_frozen(state: PipelineState, teacher_logits, student_logits,
 
     The state's labels, selections and plan apply: w.k, w.match_mode and
     w.sinkhorn are ignored, and only w's temperatures must match the state's.
+    Both logit matrices are cut to their first min(T_t, T_s) rows, which
+    must be the state's token count.
     """
     t, s, _, state = _arguments(teacher_logits, student_logits, None, w,
                                 state, frozen=True)
@@ -536,7 +502,11 @@ def total_loss_frozen(state: PipelineState, teacher_logits, student_logits,
 
 def total_loss(teacher_logits, student_logits, labels=None,
                w=LossWeights()) -> LossBreakdown:
-    """Full objective: cross-entropy plus the weighted transport losses."""
+    """Full objective: cross-entropy plus the weighted transport losses.
+
+    Both logit matrices are cut to their first min(T_t, T_s) rows; the
+    longer one's last rows reach no loss.
+    """
     t, s, labels, _ = _arguments(teacher_logits, student_logits, labels, w)
     return _index(_forward(t, s, w, labels=labels)[1], 0)
 
@@ -548,6 +518,10 @@ def total_grad(teacher_logits, student_logits, labels=None, w=LossWeights(),
     Rank/truncation selections and the Sinkhorn plan are held fixed;
     truncated-away dimensions receive gradient only through the softmax
     normalization. Matches finite differences of total_loss_frozen.
+
+    Both logit matrices are cut to their first min(T_t, T_s) rows, so the
+    gradient has min(T_t, T_s) rows, not the student's T_s: a 5-row student
+    against a 3-row teacher gets 3 rows.
 
     With a state, the state's labels, selections and plan apply: labels,
     w.k, w.match_mode and w.sinkhorn are ignored, and only w's temperatures

@@ -1,39 +1,17 @@
-"""Temperature softmax and numerically safe elementwise utilities.
+"""Softmax levels, the blocked pass and its backward, the threaded walk, and
+the one rule for each kind of argument.
 
-All functions are pure and operate on plain numpy arrays: logit matrices are
-T x V (rows = tokens, columns = vocabulary dimensions), probability matrices
-are row-stochastic of the same shape. _matrix coerces and checks every
-public array argument of the package, and the private kernels trust it.
-Those behind the fused loss take (B, T, V) stacks; _softmax_pass walks one
-in cache-sized blocks, checks the logits as it reads them, and returns only
-what its caller reads: each row's max and reciprocal sum per temperature
-(the normalizers), and, given an array, the unnormalized exponentials of
-the one level _held names there. One builder, _softmax_level, makes every
-softmax level from those, bit for bit the pass's own: whole from the held
-exponentials with no exp, or whole or at kept columns from the
-normalizers. Both scale by 1 / tau and by the reciprocal sum, so a softmax
-divides once per temperature and once per row, never per entry. Of two
-temperatures where one is exactly twice the other (the default tau_sl = 1,
-tau_sd = 2), the pass exponentiates only at the larger and squares those
-for the smaller (_squared), one exp per entry for both, and holds the
-larger's; the builder reads the same rule, so it squares the same entries.
-softmax_rows normalizes what its pass held, and _softmax_backward builds
-each level, block by block, into the gradient of a loss read at sparse
-entries.
-Kept columns are plain (B, T or 1, c) arrays of columns per row, read with
-a take along the last axis (_gather) and added to through flat indices
-(_softmax_backward) where numpy's generic fancy indexing is slower.
-
-The blocked kernels here and in seq_ot split a call across the cores the
-process may use (_walk), one thread per _THREAD_ENTRIES entries the call
-touches: each thread takes whole rows, whole columns or whole blocks
-along one axis (column sums pass between blocks in order),
-so no sum is split between threads and every output is the same bit for
-bit at any thread count. Only the process's CPU affinity mask caps it.
-The threads run at once only while numpy has released the GIL: its
-reductions, ufuncs, einsum, take and scipy's cdist do at the sizes that
-split, a matmul only when the call writes more than 500 entries, so
-Sinkhorn stacks the row products of its blocks (seq_ot._plan).
+Logit matrices are T x V (rows are tokens, columns the vocabulary); the
+private kernels take (B, T, V) stacks. _matrix coerces and checks every
+public array argument of the package, and the _check_* rules every setting;
+the kernels behind them trust what they return. _softmax_pass reads a stack
+once, in blocks of rows, checks it is finite as it reads it, and returns only
+what its caller reads. _softmax_level, the one builder of every softmax
+level, makes a level from the pass's normalizers or from the exponentials it
+held (_held, _squared), and _softmax_backward builds each level into the
+gradient of a loss read at sparse entries. _walk splits a kernel call across
+the usable cores without splitting a sum, so every output here and in seq_ot
+is the same bit for bit at any thread count.
 """
 
 import math
@@ -105,7 +83,8 @@ if hasattr(os, "register_at_fork"):
 
 
 def _cores():
-    # The cores this process may run on.
+    # The cores this process may run on: its CPU affinity mask is the only
+    # cap on the thread count, which no option or environment variable sets.
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
@@ -315,7 +294,14 @@ def _walk(fn, items, parts=None):
     concurrent calls. Workers run under the caller's np.errstate. Once an
     item raises, no thread takes another, those taken finish, and the
     calling thread's exception is raised, or else the first worker's in
-    part order."""
+    part order.
+
+    Each item covers whole rows, whole columns or whole blocks along one
+    axis, so no sum is split between threads and every output is the same
+    bit for bit at any thread count. The threads run at once only while
+    numpy has released the GIL: its reductions, ufuncs, einsum, take and
+    scipy's cdist do at the sizes that split, a matmul only past
+    seq_ot._GIL_ENTRIES written entries."""
     if parts == 1 or len(items) == 1:
         for item in items:
             fn(item, 0)
@@ -550,7 +536,8 @@ def _softmax_level(z, taus, i, normalizers, held=None, cols=None, out=None):
     if square:
         held = out = np.square(held, out=out)
     # Each row is normalized by multiplying by its reciprocal sum, which
-    # the pass divided once per row.
+    # the pass divided once per row: a softmax divides once per temperature
+    # and once per row, never once per entry.
     return np.multiply(held, total, out=out)
 
 

@@ -1,47 +1,16 @@
-"""Sequence-level transport: token-to-token cost matrix and Sinkhorn plan.
+"""Sequence-level transport: the token-to-token cost, the Sinkhorn plan, the
+transport loss sd and its gradient with the plan held fixed.
 
-The cost between token positions i and j is the L1 distance between the
-corresponding rows of the aligned truncated matrices. The plan comes from a
-fixed number of alternating row/column normalizations of the Gaussian kernel
-exp(-C / lambda), computed in scaling form (Cuturi 2013; Peyre and Cuturi
-2019, section 4.2); its inner product with the cost is the sequence loss.
-
-The private kernels behind the public functions take a leading batch axis
-of B sequences of equal length T, so one call handles a whole training
-step; the public T x T and T x k functions are their B = 1 case.
-
-Memory is O(B T^2) in the token count T, not O(B T^2 k) in the truncation
-width k. The cost is scipy's compiled cityblock distance, written per
-sequence into one preallocated B x T x T stack without any T x T x k
-temporary. The gradient walks the B x T x T x k signs of the
-student/teacher row differences in tall blocks of _BLOCK_ENTRIES // 2 //
-(B T) teacher rows of the whole batch (1 to T; 128 at B = 1, T = 1024),
-each with its plan rows read for every kept column in groups that fill
-the _BLOCK_ENTRIES (2^18) budget, one einsum per group over signs laid
-out (B, columns, rows, T). Unless one block covers the call, the signs
-come from the values' dense ranks (_ranks), sorted along contiguous
-B x k x 2T memory: an int16 subtraction and sign per entry, a quarter of
-the float64 traffic, which the plan product reads directly (each product
-plan * sign is exact in float64). A call that fits in one block subtracts
-the float values themselves, as the sort behind the ranks would cost more
-than the whole kernel. Both give the same signs, so the same bits.
-Sinkhorn keeps its one kernel stack K fixed and iterates two scaling
-vectors, u = 1 / (K v) and v = 1 / (K^T u), reading K in fixed blocks of
-at most _PLAN_ENTRIES entries (2^18), each block's two matrix-vector
-products while it is in cache, with consecutive blocks of a sequence
-stacked into one matmul call so that numpy releases the GIL around it;
-it writes the plan diag(u) K diag(v) into a C-ordered array at the end.
-The sequence loss reduces the plan and the cost per sequence without a
-T x T product temporary. The fused loss runs them in one stage, _transport.
-
-A kernel call runs on one thread per core._THREAD_ENTRIES entries it
-touches, at most one per usable core, each thread on whole rows or whole
-columns (core._walk), so no sum is split between threads: the cost
-splits each cdist call's teacher rows, Sinkhorn each sweep's stacks of
-blocks (one dispatch per sweep; the calling thread adds the blocks' shares
-of K^T u in block order), and the gradient and the ranks their k axis.
-The gradient's threads share one buffer of at most _BLOCK_ENTRIES signs
-(so 2 threads at most at T = 1024), and memory stays as above.
+The cost between teacher token i and student token j is the L1 distance
+between their rows of the aligned truncated matrices. The plan comes from a
+fixed number of alternating row/column normalizations of exp(-C / lambda),
+the Gibbs kernel of entropic OT (Cuturi 2013; Laplace-type for this L1
+cost), computed in scaling form (Peyre and Cuturi 2019, section 4.2); its
+inner product with the cost is sd. The private kernels take a leading batch
+axis of B sequences of equal length T, and the fused loss runs them in one
+stage, _transport. Memory is O(B T^2) whatever the kept width k, and each
+kernel splits across the usable cores (core._walk) without splitting a sum,
+so its bytes do not depend on the thread count.
 """
 
 import math
@@ -99,7 +68,9 @@ def seq_cost_matrix(pair: AlignedPair) -> np.ndarray:
 
 def _cost(t, s):
     # seq_cost_matrix for each item of a (B, T, k) teacher and student stack,
-    # with threads splitting the teacher rows of every cdist call. cdist
+    # written by scipy's compiled cityblock distance straight into one
+    # preallocated (B, T, T) stack, with no T x T x k temporary, and threads
+    # splitting the teacher rows of every cdist call. cdist
     # copies an input that is not C-contiguous, so the students are copied
     # here once rather than by every thread.
     cost = np.empty((t.shape[0], t.shape[1], s.shape[1]))
@@ -334,7 +305,16 @@ def _sd_grad(t, s, plan):
     # order and, in each, its share of the k axis in groups that fill its
     # share of the budget, on at most as many threads as blocks of one
     # column fit in the budget: a plan block is read for every column while
-    # it is in cache.
+    # it is in cache. The signs are laid out (B, columns, rows, T), the
+    # student token last, so each teacher value is subtracted along
+    # contiguous memory.
+    #
+    # Unless one block covers the call, the signs come from the values'
+    # dense ranks (_ranks): an int16 subtraction per entry, a quarter of the
+    # float64 traffic, which the einsum reads directly. A call that fits in
+    # one block subtracts the float values themselves, since the sort behind
+    # the ranks would cost more than the whole kernel there. Both give the
+    # same signs, so the same bits.
     batch, tokens, width = t.shape
     row = max(1, batch * tokens)  # the signs of one column of a teacher row
     rows = max(1, min(tokens, _BLOCK_ENTRIES // 2 // row))
