@@ -103,6 +103,7 @@ CASES = {
     "m_gt_n": (3, 3, 8, 6, BASE),
     "m_lt_n": (4, 4, 5, 9, BASE),
     "more_teacher_rows": (5, 3, 7, 6, BASE),
+    "more_student_rows": (3, 5, 7, 6, BASE),
     "single_token": (1, 1, 6, 5, BASE),
     "vocab_two": (3, 3, 2, 2, BASE),
     "k_above_vocab": (3, 3, 7, 5, replace(BASE, k=50)),

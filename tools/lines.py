@@ -7,8 +7,8 @@ Run from anywhere, with no arguments:
 Each line is counted once, in the first of these that fits it:
   docstring  a line of a module, class or function docstring, blank lines
              inside it included;
-  code       a line that holds any other token (a multi-line string or a
-             bracketed expression spans its lines);
+  code       a line that holds any other token (a multi-line string
+             spans its lines);
   comment    a line that holds only a comment;
   blank      any other line.
 So for each file the four columns sum to its line count (`wc -l`).
@@ -32,7 +32,8 @@ def _docstring_lines(tree):
                                  ast.AsyncFunctionDef)):
             continue
         first = node.body[0] if node.body else None
-        if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+        if (isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
                 and isinstance(first.value.value, str)):
             lines.update(range(first.lineno, first.end_lineno + 1))
     return lines
