@@ -27,7 +27,7 @@ from .preprocess import (EXACT_ASSIGNMENT, MATCH_MODES, SUM_SORT,
                          RankSelection, _descending_pair, _head_width,
                          _match)
 from .seq_ot import SinkhornConfig, _transport
-from .token_ot import _had_loss, _sl_loss, _uld_grad, _uld_sorted
+from .token_ot import _had, _had_grad, _sl, _sl_grad, _uld_grad, _uld_sorted
 
 # Objectives the fused pass can differentiate: the full objective, the
 # cross-entropy alone, and the cross-entropy plus alpha times the padded-sort
@@ -104,7 +104,8 @@ class PipelineState:
     teacher_seq, which the sequence stage (seq_ot._transport) reads at the
     same kept probabilities instead of building a T x T cost. Neither is an
     argument of the constructor, so a copy (dataclasses.replace), which may
-    hold another plan or teacher_seq, holds None for both.
+    hold another plan or teacher_seq, holds None for both. The state a
+    gradient call without one builds, and drops, holds no sd.
     """
 
     length: int
@@ -320,13 +321,14 @@ def _teacher(t, n, w, argmax, dense):
     return _Teacher(perm=perm, head=head, argmax=best, dense=dense)
 
 
-def _build(teacher, s, w, labels, gradient=None):
+def _build(teacher, s, w, labels, gradient=None, loss=True):
     """(state, (top, totals)): the state of a call given none, from its
     _Teacher and the student's raw pass over s at both temperatures, which
     leaves in gradient, if given, the exponentials core._held names, and
     sums columns for sum-sort. Exact matching ranks from each level's whole
     softmax in turn, in one array beside the gradient
-    (core._softmax_level)."""
+    (core._softmax_level). Unless loss, for a call that reads no loss and
+    keeps no state, the state's sd is None."""
     mode = w.match_mode
     taus = (w.tau_sl, w.tau_sd)
     whole = np.empty(s.shape) if mode == EXACT_ASSIGNMENT else None
@@ -350,7 +352,7 @@ def _build(teacher, s, w, labels, gradient=None):
     teacher2 = teacher.head[1][..., :k]
     student2 = _softmax_level(s, taus, 1, (top, totals[1]),
                               cols=rank_seq.student_perm[:, None, :k])
-    plan, sd, _ = _transport(teacher2, student2, w.sinkhorn)
+    plan, sd, _ = _transport(teacher2, student2, w.sinkhorn, loss=loss)
     state = PipelineState(
         length=s.shape[1], labels=labels, rank=rank, rank_seq=rank_seq,
         plan=plan, tau_sl=w.tau_sl, tau_sd=w.tau_sd,
@@ -379,7 +381,8 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     terms could carry it past the float range). Returns (state, breakdown
     or None, gradient or None), each with a leading batch axis: the state's
     arrays and the breakdown's components hold one entry per sequence, and
-    the gradient is (B, T, n). A call asks for a loss, a gradient or both.
+    the gradient is (B, T, n); a state built by a call that reads no loss
+    holds no sd. A call asks for a loss, a gradient or both.
 
     Arguments are trusted as _arguments returns them: a given state fits
     t and w, and the teacher enters only through it (t is not read). No
@@ -401,7 +404,8 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     taus = (w.tau_sl, w.tau_sd)
     gradient = None if grad is None else np.empty(s.shape)
     if built:
-        state, (top, totals) = _build(teacher, s, w, labels, gradient)
+        state, (top, totals) = _build(teacher, s, w, labels, gradient,
+                                      need_loss)
     else:
         top, totals, _, _ = _softmax_pass(s, taus, out=gradient)
 
@@ -421,9 +425,8 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     if need_loss or ot_alpha > 0:
         cols1 = state.rank.student_perm[:, None, :state.rank.k]
         student1 = _softmax_level(s, taus, 0, (top, totals[0]), cols=cols1)
-        had = _had_loss(state.teacher, student1)
-        sl = _sl_loss(state.teacher, student1)
-    breakdown = (_breakdown(p_label, had.value, sl.value, sd, w, state)
+    breakdown = (_breakdown(p_label, _had(state.teacher, student1),
+                            _sl(state.teacher, student1), sd, w, state)
                  if need_loss else None)
     if grad is None:
         return state, breakdown, None
@@ -440,9 +443,12 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     levels = [(totals[0], terms)]
     with np.errstate(over="ignore", invalid="ignore"):
         if ot_alpha > 0:
-            student1 *= ot_alpha * (had.grad + w.beta * sl.grad)
+            # The token gradients, computed only for the objective that
+            # reads them; spent before the backward.
+            student1 *= ot_alpha * (_had_grad(state.teacher, student1)
+                                    + w.beta * _sl_grad(state.teacher,
+                                                        student1))
             terms.append((cols1, student1))
-            del had, sl  # their (B, T, k) gradients, spent before the backward
         if grad == ULD:
             # The padded-sort baseline reads every column of both softmaxes,
             # the student's at tau_sl from what its pass left in the gradient.

@@ -14,6 +14,7 @@ the usable cores without splitting a sum, so every output here and in seq_ot
 is the same bit for bit at any thread count.
 """
 
+import functools
 import math
 import numbers
 import os
@@ -361,17 +362,20 @@ def _slices(length, parts):
             for i in range(parts)]
 
 
+@functools.lru_cache
 def _squared(taus):
-    """The one rule for squaring, of the temperatures one pass computes:
-    whether each level squares the other's exponentials. Of two
+    """The one rule for squaring, of the temperatures one pass computes (a
+    tuple): whether each level squares the other's exponentials. Of two
     temperatures where one is exactly twice the other, exp((z - max) / tau)
     at the smaller is the square of exp((z - max) / (2 tau)), so the pass
     exponentiates only at the larger and squares into the smaller's buffer
     (one exp per entry for both, at the default pair (1, 2)). One
-    temperature, or any other pair, has nothing to square from."""
-    return [len(taus) == 2 and 2.0 * tau in taus for tau in taus]
+    temperature, or any other pair, has nothing to square from. Worked out
+    once per tuple, not on each of a step's kernel calls."""
+    return tuple([len(taus) == 2 and 2.0 * tau in taus for tau in taus])
 
 
+@functools.lru_cache
 def _held(taus):
     """The one rule for what a pass at taus (_softmax_pass) leaves in an out
     it is given: the unnormalized exponentials of one level, and this is
@@ -433,7 +437,9 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     order = ((1 - hold, hold) if out is not None and len(taus) == 2
              else range(len(taus)))
     # added[b] counts the rows of sequence b handed off to its next block.
-    turn = threading.Condition()
+    # On one thread the blocks run in order and nothing waits, so nothing
+    # is handed off.
+    turn = threading.Condition() if sums and parts > 1 else None
     added = [0] * arr.shape[0]
 
     def walk(block, part):
@@ -475,9 +481,10 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
                 # argmax: a row's max is exp(0) = 1, which its reciprocal
                 # sum r maps to r, and any entry below 1 to a float below r.
                 np.argmax(exps[0], axis=-1, out=best[block])
-            if sums:
+            if turn is not None:
                 with turn:
                     turn.wait_for(lambda: added[items.start] >= span.start)
+            if sums:
                 # A later block of a sequence adds its rows to the running
                 # sums in order, ((acc + r0) + r1) + ...: in one sum after
                 # adding acc into its first row, which is spent. out keeps
@@ -492,9 +499,10 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
         finally:
             # Handed off even when the block raised (maybe before earlier
             # blocks, hence max), so that no block waits forever.
-            with turn:
-                added[items.start] = max(added[items.start], span.stop)
-                turn.notify_all()
+            if turn is not None:
+                with turn:
+                    added[items.start] = max(added[items.start], span.stop)
+                    turn.notify_all()
 
     _walk(walk, blocks, parts)
     return top, totals, colsums, best
@@ -608,6 +616,10 @@ def _softmax_backward(z, top, levels, gradient, taus):
     def finish(block, part):
         zb, out = z[block], gradient[block]
         spare = None if buf is None else buf[part, :zb.shape[0], :zb.shape[1]]
+        # The flat index of each row's first entry in a C-ordered block,
+        # which every sparse term of both levels adds to its columns.
+        first = np.arange(0, zb.size, zb.shape[-1]).reshape(
+            zb.shape[:2] + (1,))
         for i in order:
             (total, terms), scale = levels[i], scales[i]
             probs = _softmax_level(zb, taus, i, (top[block], total[block]),
@@ -628,9 +640,7 @@ def _softmax_backward(z, top, levels, gradient, taus):
                 if not probs.flags.c_contiguous:
                     raise RuntimeError("a backward block is not C-ordered")
                 cols = cols[block] if cols.shape[1] > 1 else cols[block[0]]
-                first = np.arange(0, probs.size, probs.shape[-1])
-                probs.reshape(-1)[first.reshape(probs.shape[:2] + (1,))
-                                  + cols] += x[block]
+                probs.reshape(-1)[first + cols] += x[block]
         # Addition is commutative, so the order of the two levels does not
         # change a bit of their sum.
         if spare is not None:

@@ -10,7 +10,6 @@ Kept columns of a logit stack are read and written through core.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import (_both, _check_choice, _check_count, _matrix,
                    validate_probs)
@@ -155,8 +154,10 @@ def _match(head, s, mode):
     if mode == SUM_SORT:
         return _descending_stable(s)
     # Imported here: scipy.optimize would add a sixth to the package's import
-    # time, and only exact matching and the exact-OT oracle use it.
+    # time, and only exact matching and the exact-OT oracle use it; so is
+    # scipy.spatial, as in seq_ot._cost.
     from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
     n, r = s.shape[-1], head.shape[-1]
     perms = np.empty(s.shape[:-2] + (n,), dtype=np.intp)
     for b, (head_b, s_b) in enumerate(zip(head, s)):

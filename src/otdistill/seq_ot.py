@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import (_BLOCK_ENTRIES, _blocks, _check_count, _check_number,
                    _check_type, _matrix, _parts, _slices, _walk)
@@ -72,7 +71,10 @@ def _cost(t, s):
     # preallocated (B, T, T) stack, with no T x T x k temporary, and threads
     # splitting the teacher rows of every cdist call. cdist
     # copies an input that is not C-contiguous, so the students are copied
-    # here once rather than by every thread.
+    # here once rather than by every thread. Imported here: scipy.spatial
+    # is most of the package's import time, and a process that builds no
+    # cost (`otdistill sinkhorn`, `oracle`) never needs it.
+    from scipy.spatial.distance import cdist
     cost = np.empty((t.shape[0], t.shape[1], s.shape[1]))
     s = np.ascontiguousarray(s)
 
@@ -117,14 +119,16 @@ def sinkhorn_plan(C, cfg: SinkhornConfig = SinkhornConfig()) -> np.ndarray:
 def _plan(C, cfg):
     # sinkhorn_plan on a nonempty cost or stack the caller has validated,
     # from v = 1. K is walked in fixed blocks of at most _PLAN_ENTRIES
-    # entries (whole sequences, or runs of rows of one), each sweep one
-    # dispatch (core._walk): a block computes its rows of u and its share
-    # u_b^T K_b of K^T u while it is in cache, and the calling thread adds
-    # the shares in block order. The first dispatch also computes its
-    # blocks of K, and the last only writes the plan. The blocks do not
-    # depend on the thread count, so neither do the bytes; a block is also
-    # below the size at which OpenBLAS splits a matrix-vector product
-    # across its own threads.
+    # entries (whole sequences, or runs of rows of one): a block computes
+    # its rows of u and its share u_b^T K_b of K^T u while it is in cache,
+    # and the shares are added in block order. The blocks do not depend on
+    # the thread count, so neither do the bytes; a block is also below the
+    # size at which OpenBLAS splits a matrix-vector product across its own
+    # threads. Blocks that split across threads run each sweep as one
+    # dispatch (core._walk), whose first also computes its blocks of K and
+    # whose last only writes the plan; blocks on one thread (the harness's
+    # one block, at any core count) run the sweeps in a plain loop
+    # (_sweeps), which gives the same bytes.
     #
     # numpy releases the GIL around a matmul only when the call writes
     # more than _GIL_ENTRIES entries, and a run of rows writes one per
@@ -150,6 +154,7 @@ def _plan(C, cfg):
     runs = -(-tokens // step)
     u = np.empty((batch, tokens, 1))
     v = np.ones((batch, 1, tokens))
+    shares = None
     if runs == 1:
         # Blocks of whole sequences write their shares, which are then all
         # of K^T u, straight into v.
@@ -173,10 +178,7 @@ def _plan(C, cfg):
     def sweep(view, first, last):
         c_b, k_b, u_b, v_b, share = view
         if first:
-            # K = exp(-C / regularization). A quotient that overflows to
-            # -inf gives the kernel entry its correct 0.
-            np.divide(c_b, -cfg.regularization, out=k_b.reshape(c_b.shape))
-            np.exp(k_b, out=k_b)
+            _kernel(c_b, k_b, cfg)
         if last:
             k_b *= u_b
             k_b *= v_b
@@ -187,19 +189,52 @@ def _plan(C, cfg):
 
     parts = _parts(k.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(cfg.iterations + 1):
-            _walk(lambda view, part: sweep(view, i == 0, i == cfg.iterations),
-                  views, parts)
-            if i < cfg.iterations:
-                if runs > 1:
-                    np.sum(shares, axis=0, out=v)
-                np.reciprocal(v, out=v)
+        if parts == 1 or len(views) == 1:
+            _sweeps(views, cfg, v, shares)
+        else:
+            for i in range(cfg.iterations + 1):
+                _walk(lambda view, part: sweep(view, i == 0,
+                                               i == cfg.iterations),
+                      views, parts)
+                if i < cfg.iterations:
+                    if shares is not None:
+                        np.sum(shares, axis=0, out=v)
+                    np.reciprocal(v, out=v)
     if not (np.isfinite(u.max()) and np.isfinite(v.max())):
         raise NumericalUnderflow(
             "Sinkhorn kernel underflowed to an all-zero row or column; "
             "increase the regularization weight or rescale the cost matrix"
         )
     return K
+
+
+def _kernel(c_b, k_b, cfg):
+    # A block's K = exp(-C / regularization). A quotient that overflows to
+    # -inf gives the kernel entry its correct 0.
+    np.divide(c_b, -cfg.regularization, out=k_b.reshape(c_b.shape))
+    np.exp(k_b, out=k_b)
+
+
+def _sweeps(views, cfg, v, shares):
+    # _plan's sweeps on the calling thread, view by view as _walk would run
+    # them there, in a plain loop: each view's transposes are taken once,
+    # and no sweep makes a closure or a dispatch.
+    loop = []
+    for c_b, k_b, u_b, v_b, share in views:
+        _kernel(c_b, k_b, cfg)
+        loop.append((k_b, u_b, v_b.transpose(0, 2, 1), u_b.transpose(0, 2, 1),
+                     share))
+    for _ in range(cfg.iterations):
+        for k_b, u_b, v_t, u_t, share in loop:
+            np.matmul(k_b, v_t, out=u_b)
+            np.reciprocal(u_b, out=u_b)
+            np.matmul(u_t, k_b, out=share)
+        if shares is not None:
+            np.sum(shares, axis=0, out=v)
+        np.reciprocal(v, out=v)
+    for _, k_b, u_b, v_b, _ in views:
+        k_b *= u_b
+        k_b *= v_b
 
 
 def sd_loss(C, plan) -> float:
@@ -246,19 +281,23 @@ def sd_grad(pair: AlignedPair, plan) -> np.ndarray:
         return _sd_grad(t[None], s[None], plan[None])[0]
 
 
-def _transport(t, s, cfg, plan=None, stored=None, weight=0.0):
+def _transport(t, s, cfg, plan=None, stored=None, weight=0.0, loss=True):
     # The fused pass's sequence level on (B, T, k) stacks of kept tau_sd
     # probabilities: (plan, sd, product). Without a plan it builds the cost,
-    # the plan and sd; with one, stored, a state's (student_seq, sd), asks
-    # for sd: the stored one when s is or equals that student (the cost
-    # depends on t and s alone), else one new cost's. A weight also gives
-    # s * weight * dsd/ds (plan fixed; the backward checks it), scaled in
-    # place in the kernel's own new array.
+    # the plan and, unless loss is False (a call that reads no loss and
+    # keeps no state), sd; with one, stored, a state's (student_seq, sd),
+    # asks for sd: the stored one when s is or equals that student (the
+    # cost depends on t and s alone) and sd is stored (a copy's state, or
+    # one built with loss False, holds none), else one new cost's. A weight
+    # also gives s * weight * dsd/ds (plan fixed; the backward checks it),
+    # scaled in place in the kernel's own new array.
     student, sd = stored or (s, None)
+    if stored and sd is None:
+        student = None
     if plan is None or not (s is student or np.array_equal(student, s)):
         cost = _cost(t, s)
         plan = _plan(cost, cfg) if plan is None else plan
-        sd = _sd(cost, plan)
+        sd = _sd(cost, plan) if loss else None
         del cost  # T x T, spent before the gradient's blocks
     if not weight:
         return plan, sd, None

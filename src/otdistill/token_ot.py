@@ -33,13 +33,18 @@ def had_loss(pair: AlignedPair) -> TokenLossGrad:
     value = sum |teacher - student|; gradient entry = sign(student - teacher)
     with sign(0) = 0.
     """
-    return _had_loss(pair.teacher, pair.student)
+    t, s = pair.teacher, pair.student
+    return TokenLossGrad(value=_had(t, s), grad=_had_grad(t, s))
 
 
-def _had_loss(t, s):
-    # had_loss on arrays the fused pass keeps outside any AlignedPair.
-    diff = s - t
-    return TokenLossGrad(value=_per_pair(np.abs(diff)), grad=np.sign(diff))
+# The token losses' values and gradients, apart: the fused pass computes a
+# gradient only when its objective reads one.
+def _had(t, s):
+    return _per_pair(np.abs(s - t))
+
+
+def _had_grad(t, s):
+    return np.sign(s - t)
 
 
 def sl_loss(pair: AlignedPair, floor=PROB_FLOOR) -> TokenLossGrad:
@@ -49,15 +54,19 @@ def sl_loss(pair: AlignedPair, floor=PROB_FLOOR) -> TokenLossGrad:
     -teacher / max(student, floor). Raises InvalidInput for student
     entries outside [0, 1].
     """
-    return _sl_loss(pair.teacher, pair.student, floor, log=safe_log)
+    t, s = pair.teacher, pair.student
+    return TokenLossGrad(value=_sl(t, s, floor, log=safe_log),
+                         grad=_sl_grad(t, s, floor))
 
 
-def _sl_loss(t, s, floor=PROB_FLOOR, log=_floor_log):
-    # sl_loss; the fused pass skips safe_log's checks on the probabilities
-    # it has just computed.
-    value = -_per_pair(t * log(s, floor=floor))
-    grad = -t / np.maximum(s, floor)
-    return TokenLossGrad(value=value, grad=grad)
+def _sl(t, s, floor=PROB_FLOOR, log=_floor_log):
+    # The fused pass skips safe_log's checks on the probabilities it has
+    # just computed.
+    return -_per_pair(t * log(s, floor=floor))
+
+
+def _sl_grad(t, s, floor=PROB_FLOOR):
+    return -t / np.maximum(s, floor)
 
 
 def _per_pair(terms):

@@ -369,6 +369,52 @@ class TestStoredSequenceLoss:
         assert counts == [1, 1, 2, 2]
 
 
+class TestUnreadValues:
+    """A call computes no value that nothing reads: a gradient call without
+    a state, which drops the state it builds, no transport value sd, and a
+    call whose objective reads no token gradient (a loss alone, or the
+    ce_only and uld objectives) neither had's nor sl's."""
+
+    @staticmethod
+    def counted(monkeypatch, module, names):
+        calls = []
+        for name in names:
+            def wrapper(*args, kernel=getattr(module, name), name=name):
+                calls.append(name)
+                return kernel(*args)
+            monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_sd_only_where_a_loss_or_a_state_reads_it(self, monkeypatch):
+        calls = self.counted(monkeypatch, seq_ot, ["_sd"])
+        t, s = random_pair(60)
+        counts = []
+        for call in (lambda: total_grad(t, s), lambda: total_loss(t, s),
+                     lambda: build_state(t, s)):
+            calls.clear()
+            call()
+            counts.append(len(calls))
+        assert counts == [0, 1, 1]
+        # The gradient is the one a state-keeping build gives.
+        assert (total_grad(t, s).tobytes()
+                == total_grad(t, s, state=build_state(t, s)).tobytes())
+
+    def test_token_gradients_only_where_the_objective_reads_them(
+            self, monkeypatch):
+        calls = self.counted(monkeypatch, composite,
+                             ["_had_grad", "_sl_grad"])
+        t, s = random_pair(61, tokens=8, m=20, n=15)
+        state = build_state(t, s)
+        total_loss_frozen(state, t, s)
+        total_loss(t, s)
+        for objective in (CE_ONLY, ULD):
+            composite._forward(t[None], s[None], LossWeights(),
+                               grad=objective)
+        assert calls == []
+        total_grad(t, s, state=state)
+        assert calls == ["_had_grad", "_sl_grad"]
+
+
 class TestFoldedFinitenessCheck:
     """No call validates the logits a softmax pass reads before it: the pass
     checks each block's min and max as it reads the block. A nan or +-inf

@@ -53,6 +53,19 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def test_import_leaves_scipy_spatial_unloaded():
+    # Only the sequence cost and exact matching need scipy.spatial, most of
+    # the package's import time; `otdistill sinkhorn` and `oracle` build no
+    # cost. They import it when called.
+    package_parent = str(Path(otdistill.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, otdistill, otdistill.cli; "
+         "print('scipy.spatial' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": package_parent})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_no_module_imports_a_name_it_never_reads():
     # __init__.py imports to re-export, so it is left out.
     unused = []

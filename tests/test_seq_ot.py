@@ -262,6 +262,53 @@ class TestSinkhornPlan:
         assert released >= cfg.iterations * (tokens // group * group)
 
 
+class TestPlanSweeps:
+    """A plan whose blocks form one walk item, or that runs on one thread,
+    sweeps in a plain loop with no core._walk dispatch; one whose blocks
+    split across threads dispatches every sweep, iterations + 1 times in
+    all. Both give the same bytes."""
+
+    CFG = SinkhornConfig()
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls, walk = [], seq_ot._walk
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(seq_ot, "_walk", counted)
+        return calls
+
+    def test_the_harness_plan_sweeps_without_a_dispatch(self, walks):
+        cost = np.random.default_rng(50).random((4, 8, 8))
+        plan = sinkhorn_plan(cost, self.CFG)
+        assert walks == []
+        expected = [sinkhorn_scaling_form(c, self.CFG.regularization,
+                                          self.CFG.iterations) for c in cost]
+        np.testing.assert_allclose(plan, expected, rtol=1e-12)
+
+    def test_a_plan_that_splits_dispatches_every_sweep(self, walks,
+                                                       monkeypatch):
+        # Four runs of 256 rows, stacked into two walk items; the same
+        # plan on one core sweeps in the plain loop.
+        cost = np.random.default_rng(51).random((1, 1024, 1024))
+        monkeypatch.setattr(core, "_pool", None)
+        plans = []
+        try:
+            for cores in (2, 1):
+                monkeypatch.setattr(core, "_cores", lambda: cores)
+                walks.clear()
+                plans.append(sinkhorn_plan(cost, self.CFG))
+                assert len(walks) == (self.CFG.iterations + 1
+                                      if cores > 1 else 0)
+        finally:
+            if core._pool is not None:
+                core._pool.shutdown()
+        assert plans[0].tobytes() == plans[1].tobytes()
+
+
 class TestAgainstNormalization:
     """The scaling-form plan against the plan of in-place normalization
     (refimpl.sinkhorn_by_normalization, the sweeps it replaced). The two
