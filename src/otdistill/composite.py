@@ -417,8 +417,8 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
         _, sd, student2 = _transport(
             state.teacher_seq, state.student_seq if built else _softmax_level(
                 s, taus, 1, (top, totals[1]), cols=cols2),
-            w.sinkhorn, state.plan,
-            (state.student_seq, state.sd) if need_loss else None, seq_weight)
+            w.sinkhorn, state.plan, (state.student_seq, state.sd),
+            seq_weight, need_loss)
     # Token temperature: ce + alpha * (had + beta * sl).
     at_label = state.labels[:, :, None]
     p_label = _softmax_level(s, taus, 0, (top, totals[0]), cols=at_label)
@@ -444,10 +444,16 @@ def _forward(t, s, w, state=None, labels=None, need_loss=True, grad=None):
     with np.errstate(over="ignore", invalid="ignore"):
         if ot_alpha > 0:
             # The token gradients, computed only for the objective that
-            # reads them; spent before the backward.
-            student1 *= ot_alpha * (_had_grad(state.teacher, student1)
-                                    + w.beta * _sl_grad(state.teacher,
-                                                        student1))
+            # reads them, in two (B, T, k) arrays spent before the backward:
+            # ot_alpha * (had + beta * sl), one product at a time in place.
+            token = _had_grad(state.teacher, student1)
+            sl = _sl_grad(state.teacher, student1)
+            sl *= w.beta
+            token += sl
+            del sl
+            token *= ot_alpha
+            student1 *= token
+            del token
             terms.append((cols1, student1))
         if grad == ULD:
             # The padded-sort baseline reads every column of both softmaxes,

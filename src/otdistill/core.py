@@ -9,9 +9,11 @@ once, in blocks of rows, checks it is finite as it reads it, and returns only
 what its caller reads. _softmax_level, the one builder of every softmax
 level, makes a level from the pass's normalizers or from the exponentials it
 held (_held, _squared), and _softmax_backward builds each level into the
-gradient of a loss read at sparse entries. _walk splits a kernel call across
-the usable cores without splitting a sum, so every output here and in seq_ot
-is the same bit for bit at any thread count.
+gradient of a loss read at sparse entries. Beside its outputs a kernel holds
+block buffers only where it sums columns, and otherwise one chunk scratch of
+_CHUNK_ENTRIES over its threads. _walk splits a kernel call across the usable
+cores without splitting a sum, so every output here and in seq_ot is the same
+bit for bit at any thread count.
 """
 
 import functools
@@ -45,6 +47,16 @@ _NON_FINITE = "logit matrix contains non-finite entries"
 # seq_ot): small enough to stay in cache, large enough that per-block numpy
 # overhead is negligible.
 _BLOCK_ENTRIES = 1 << 18
+
+# Entries of scratch a kernel call that keeps no block buffer holds at once
+# beside its outputs, over all its threads: a pass that sums no columns and
+# the backward walk each block in chunks of rows (_chunks), and
+# seq_ot._ranks its columns in groups, each thread in its share, at least
+# one row (or column) wide. Chunks of rows inside blocks rather than
+# smaller blocks: a block's own work (its max, its check, a thread taking
+# it) stays per block, which one-row blocks at vocabulary width made 6%
+# slower (vocab_t128 in bench/).
+_CHUNK_ENTRIES = 1 << 16
 
 # Entries of a kernel call each thread takes at least: a call touching
 # fewer than twice as many stays on the calling thread. Handing slices to
@@ -286,16 +298,30 @@ def _blocks(shape, parts=1, budget=None):
             for b in range(batch) for i in range(0, tokens, step)]
 
 
+def _chunks(block, vocab, budget):
+    """The (items, rows) slices that cover a block of a (B, T, V) stack,
+    one of _blocks, in chunks of at most budget entries cut as _blocks cuts
+    a stack (at least one row each), the first the largest; the block
+    itself when it fits."""
+    items, rows = block
+    shape = (items.stop - items.start, rows.stop - rows.start, vocab)
+    if shape[0] * shape[1] * vocab <= budget:
+        return [block]
+    return [(slice(items.start + i.start, items.start + i.stop),
+             slice(rows.start + r.start, rows.start + r.stop))
+            for i, r in _blocks(shape, budget=budget)]
+
+
 def _walk(fn, items, parts=None):
     """Call fn(item, part) for every item of items on up to `parts` threads
     (by default one per item): part 0 is the calling thread, and part p a
-    thread's share of a block buffer. Each thread takes the first item not
-    yet taken, so an item that waits for an earlier one (_softmax_pass's
-    column sums) waits for a running thread, however the pool orders
-    concurrent calls. Workers run under the caller's np.errstate. Once an
-    item raises, no thread takes another, those taken finish, and the
-    calling thread's exception is raised, or else the first worker's in
-    part order.
+    thread's share of a block buffer or chunk scratch. Each thread takes
+    the first item not yet taken, so an item that waits for an earlier one
+    (_softmax_pass's column sums) waits for a running thread, however the
+    pool orders concurrent calls. Workers run under the caller's
+    np.errstate. Once an item raises, no thread takes another, those taken
+    finish, and the calling thread's exception is raised, or else the
+    first worker's in part order.
 
     Each item covers whole rows, whole columns or whole blocks along one
     axis, so no sum is split between threads and every output is the same
@@ -394,25 +420,32 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     Each row's max and its difference from it are taken once. At each
     temperature the pass computes exp((z - max) * (1 / tau)), except where
     _squared says a level squares the other's exponentials, at twice its
-    tau (np.square, before either is normalized), so at
-    the default pair (1, 2) it takes one exp per entry for both levels.
-    It then takes the reciprocal of each row sum, as _softmax_level does,
-    in a block buffer, and emits only what the caller asks for: each
-    sequence's column sums when
-    sums, and the per-row argmax at taus[0] when argmax. The pass writes no
-    B x T x V array of its own. Given out, a (B, T, V) array, it computes
-    there, instead of in a buffer, the exponentials of the level _held
-    names, left unnormalized: _softmax_level builds a level from them.
+    tau (np.square, before either is normalized), so at the default pair
+    (1, 2) it takes one exp per entry for both levels. It then takes the
+    reciprocal of each row sum, as _softmax_level does, and emits only what
+    the caller asks for: each sequence's column sums when sums, and the
+    per-row argmax at taus[0] when argmax. The pass writes no B x T x V
+    array of its own. Given out, a (B, T, V) array, it computes there the
+    exponentials of the level _held names, left unnormalized:
+    _softmax_level builds a level from them.
+
+    What it holds beside its outputs: a pass that sums columns or takes
+    the argmax normalizes each level not in out in a block buffer, the
+    column sums' unit of hand-off; any other pass reads only row sums, and
+    computes out's level block by block straight in out and any other
+    level (without out, every level) chunk by chunk in one array of chunk
+    scratch (_CHUNK_ENTRIES over its threads, _chunks).
 
     A large pass runs on several threads (_parts, _walk), each on blocks of
-    its share of the block budget in its share of the buffers, so the
-    buffers take no more memory than on one thread; the thread count is
-    capped so that each share holds a row. Column sums add each sequence's
-    rows in order, as numpy reduces that axis: a block adds its rows once
-    the block before it in the sequence has added its own or raised (in
-    one sum after adding the running sums into its first row; out's level,
-    whose rows out keeps, last, normalized in a block buffer), so every
-    output is the same bit for bit at any blocking and thread count (the
+    its share of the block budget in its share of the buffers or scratch,
+    so they take no more memory than on one thread; the thread count is
+    capped so that each block share holds a row. Column sums add each
+    sequence's rows in order, as numpy reduces that axis: a block adds its
+    rows once the block before it in the sequence has added its own or
+    raised (in one sum after adding the running sums into its first row;
+    out's level, whose rows out keeps, last, normalized in a block buffer),
+    and a row's sums are the same over any run of rows, so every output is
+    the same bit for bit at any blocking, chunking and thread count (the
     tests hold it to a dense softmax, their refimpl._softmax).
 
     Returns (top, totals, colsums, best): the (B, T, 1) row maxima, one
@@ -429,6 +462,63 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     best = np.empty(arr.shape[:-1], dtype=np.intp) if argmax else None
     parts = _parts(arr.size * len(taus), arr.shape[-1])
     blocks = _blocks(arr.shape, parts)
+    if not (sums or argmax):
+        # Nothing is read of a level but its row sums. The level out holds
+        # (_held) is computed there block by block; the other level, and
+        # without out every level, chunk by chunk (_chunks) in the thread's
+        # share of one array of chunk scratch.
+        other = 1 - hold if len(taus) > 1 else None
+        budget = _CHUNK_ENTRIES // parts
+        chunk = arr[_chunks(blocks[0], arr.shape[-1], budget)[0]].shape
+        scratch = (np.empty((parts,) + chunk)
+                   if other is not None or out is None else None)
+
+        def spread(block, part):
+            # The other level's row sums from out's rows, before its level
+            # is scaled (from the difference) or after (squaring it).
+            for rows in _chunks(block, arr.shape[-1], budget):
+                x = out[rows]
+                e = scratch[part, :x.shape[0], :x.shape[1]]
+                if squared[other]:
+                    np.square(x, out=e)
+                else:
+                    np.multiply(x, 1.0 / taus[other], out=e)
+                    np.exp(e, out=e)
+                e.sum(axis=-1, keepdims=True, out=totals[other][rows])
+
+        def chunked(block, part):
+            z = arr[block]
+            peak = np.max(z, axis=-1, keepdims=True, out=top[block])
+            if not _finite_range(z.min(), peak.max()):
+                raise InvalidInput(_NON_FINITE)
+            with np.errstate(over="ignore"):
+                if out is not None:
+                    np.subtract(z, peak, out=out[block])
+                    if other is not None and not squared[other]:
+                        spread(block, part)
+                    _exponentiate(out[block], taus[hold], totals[hold][block])
+                    if other is not None and squared[other]:
+                        spread(block, part)
+                else:
+                    for rows in _chunks(block, arr.shape[-1], budget):
+                        z = arr[rows]
+                        e = scratch[part, :z.shape[0], :z.shape[1]]
+                        if other is not None and not squared[other]:
+                            # From the difference, taken again below for
+                            # the held level (the same bits).
+                            np.subtract(z, top[rows], out=e)
+                            _exponentiate(e, taus[other], totals[other][rows])
+                        np.subtract(z, top[rows], out=e)
+                        _exponentiate(e, taus[hold], totals[hold][rows])
+                        if other is not None and squared[other]:
+                            np.square(e, out=e)
+                            e.sum(axis=-1, keepdims=True,
+                                  out=totals[other][rows])
+            for total in totals:
+                np.reciprocal(total[block], out=total[block])
+
+        _walk(chunked, blocks, parts)
+        return top, totals, None, None
     # A block buffer per level not in out; for column sums, out's level is
     # normalized into the last, once that buffer's own sums are taken.
     bufs = [np.empty((parts,) + arr[blocks[0]].shape)
@@ -508,6 +598,17 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     return top, totals, colsums, best
 
 
+def _exponentiate(x, tau, total):
+    # A pass's level at tau from the difference x = z - max, in place: x
+    # times 1 / tau (skipped at 1, which is exact; the caller ignores
+    # overflow, which saturates to -inf), its exp, and the row sums into
+    # total.
+    if tau != 1.0:
+        x *= 1.0 / tau
+    np.exp(x, out=x)
+    x.sum(axis=-1, keepdims=True, out=total)
+
+
 def _softmax_level(z, taus, i, normalizers, held=None, cols=None, out=None):
     """The softmax at taus[i] of the (B, T, V) stack z, bit for bit the
     level a pass over z at taus computes: exp((z - max) * (1 / tau)), or,
@@ -582,12 +683,16 @@ def _softmax_backward(z, top, levels, gradient, taus):
     so the gradient returned is finite and nothing reads it again.
 
     gradient, the array returned, is the out of a pass at taus and holds
-    the exponentials _held names. Block by block (_blocks), _softmax_level
-    builds each level from it: the other level first, in the block buffer,
-    then the one held there (or the first) in place. The levels of the
-    block are then summed into the gradient. Rows are independent, so each
-    usable core takes the next block not yet taken (_walk), in its share
-    of the one block buffer.
+    the exponentials _held names. Block by block (_blocks), and in each
+    chunk by chunk (_chunks), _softmax_level builds each level from it: the
+    other level first, in the thread's share of the chunk scratch
+    (_CHUNK_ENTRIES over the threads), then the one held there (or the
+    first) in place, and the chunk's levels are summed into the gradient.
+    With one level nothing is held beside the gradient but the check's
+    pieces of |x|, a chunk of entries at a time. Rows are independent, so
+    each usable core takes the next block not yet taken (_walk), and the
+    gradient is the same bit for bit at any blocking, chunking and thread
+    count.
     """
     scales, mass = [], 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -596,7 +701,7 @@ def _softmax_backward(z, top, levels, gradient, taus):
             scales.append(-inner / tau)
             for _, x in terms:
                 x /= tau
-                mass += float(np.abs(x).sum())
+                mass += _abs_sum(x)
     # An entry of a level is a softmax entry (at most 1) times its row's
     # scale (at most the row's sum of |x|) plus its x at cols, so no entry of
     # the gradient, and no partial sum a block forms, exceeds 2 * mass; a
@@ -608,46 +713,64 @@ def _softmax_backward(z, top, levels, gradient, taus):
     # reads its exponentials first, else the first.
     own = _held(taus) if len(levels) > 1 else 0
     order = (1 - own, own) if len(levels) > 1 else (0,)
+    # Beside another level, each thread's share of the chunk scratch holds
+    # the level not built in the gradient, chunk by chunk (_chunks).
     parts = _parts(z.size * len(levels), z.shape[-1])
     blocks = _blocks(z.shape, parts)
-    buf = (np.empty((parts,) + z[blocks[0]].shape) if len(levels) > 1
-           else None)
+    budget = _CHUNK_ENTRIES // parts
+    chunk = z[_chunks(blocks[0], z.shape[-1], budget)[0]].shape
+    buf = np.empty((parts,) + chunk) if len(levels) > 1 else None
+    # The flat index of each row's first entry in a C-ordered chunk, which
+    # every sparse term of both levels adds to its columns; a smaller chunk
+    # (one sequence's last rows, or fewer whole sequences) takes its head.
+    first = np.arange(0, math.prod(chunk), chunk[-1]).reshape(chunk[:2] + (1,))
 
     def finish(block, part):
-        zb, out = z[block], gradient[block]
-        spare = None if buf is None else buf[part, :zb.shape[0], :zb.shape[1]]
-        # The flat index of each row's first entry in a C-ordered block,
-        # which every sparse term of both levels adds to its columns.
-        first = np.arange(0, zb.size, zb.shape[-1]).reshape(
-            zb.shape[:2] + (1,))
-        for i in order:
-            (total, terms), scale = levels[i], scales[i]
-            probs = _softmax_level(zb, taus, i, (top[block], total[block]),
-                                   out, out=out if i == own else spare)
-            probs *= scale[block]
-            for cols, x in terms:
-                if cols is None:
-                    probs += x[block]
-                    continue
-                # The block's columns (its rows', when given per row),
-                # added through their flat indices: 26 against 63 us for
-                # numpy's generic fancy indexing at (1, 256, 768) and 50
-                # columns. probs, a block of the gradient or of the
-                # buffer, is C-ordered, so its flat view writes into it;
-                # in another layout reshape would copy and the terms be
-                # lost, so that raises (reshape's copy=False needs numpy
-                # 2.1). The index, as large as x's block, is not kept.
-                if not probs.flags.c_contiguous:
-                    raise RuntimeError("a backward block is not C-ordered")
-                cols = cols[block] if cols.shape[1] > 1 else cols[block[0]]
-                probs.reshape(-1)[first + cols] += x[block]
-        # Addition is commutative, so the order of the two levels does not
-        # change a bit of their sum.
-        if spare is not None:
-            out += spare
+        for rows in _chunks(block, z.shape[-1], budget):
+            zb, out = z[rows], gradient[rows]
+            head = first[:zb.shape[0], :zb.shape[1]]
+            spare = None if buf is None else buf[part, :zb.shape[0],
+                                                 :zb.shape[1]]
+            for i in order:
+                (total, terms), scale = levels[i], scales[i]
+                probs = _softmax_level(zb, taus, i, (top[rows], total[rows]),
+                                       out, out=out if i == own else spare)
+                probs *= scale[rows]
+                for cols, x in terms:
+                    if cols is None:
+                        probs += x[rows]
+                        continue
+                    # The chunk's columns (its rows', when given per row),
+                    # added through their flat indices: 26 against 63 us
+                    # for numpy's generic fancy indexing at (1, 256, 768)
+                    # and 50 columns. probs, a chunk of the gradient or of
+                    # the scratch, is C-ordered, so its flat view writes
+                    # into it; in another layout reshape would copy and the
+                    # terms be lost, so that raises (reshape's copy=False
+                    # needs numpy 2.1). The index, as large as x's chunk,
+                    # is not kept.
+                    if not probs.flags.c_contiguous:
+                        raise RuntimeError("a backward chunk is not C-ordered")
+                    cols = cols[rows] if cols.shape[1] > 1 else cols[rows[0]]
+                    probs.reshape(-1)[head + cols] += x[rows]
+            # Addition is commutative, so the order of the two levels does
+            # not change a bit of their sum.
+            if spare is not None:
+                out += spare
 
     _walk(finish, blocks, parts)
     return gradient
+
+
+def _abs_sum(x):
+    # The sum of |x| as a float, taken a chunk of entries at a time: no
+    # temporary is as large as a term wider than a chunk.
+    if x.size <= _CHUNK_ENTRIES:
+        return float(np.abs(x).sum())
+    flat, mass = x.reshape(-1), 0.0
+    for start in range(0, flat.size, _CHUNK_ENTRIES):
+        mass += float(np.abs(flat[start:start + _CHUNK_ENTRIES]).sum())
+    return mass
 
 
 def softmax_backward(probs, grad_probs, temperature=1.0):

@@ -8,9 +8,11 @@ the Gibbs kernel of entropic OT (Cuturi 2013; Laplace-type for this L1
 cost), computed in scaling form (Peyre and Cuturi 2019, section 4.2); its
 inner product with the cost is sd. The private kernels take a leading batch
 axis of B sequences of equal length T, and the fused loss runs them in one
-stage, _transport. Memory is O(B T^2) whatever the kept width k, and each
-kernel splits across the usable cores (core._walk) without splitting a sum,
-so its bytes do not depend on the thread count.
+stage, _transport. Memory is O(B T^2) whatever the kept width k: beside
+the plan and its (B, T, k) operands, the gradient ranks its columns a chunk
+at a time (core._CHUNK_ENTRIES), then holds the int16 ranks, one budget of
+signs and its sums. Each kernel splits across the usable cores (core._walk)
+without splitting a sum, so its bytes do not depend on the thread count.
 """
 
 import math
@@ -18,14 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_BLOCK_ENTRIES, _blocks, _check_count, _check_number,
-                   _check_type, _matrix, _parts, _slices, _walk)
+from .core import (_BLOCK_ENTRIES, _CHUNK_ENTRIES, _blocks, _check_count,
+                   _check_number, _check_type, _matrix, _parts, _slices,
+                   _walk)
 from .errors import InvalidInput, NumericalFailure, NumericalUnderflow
 from .preprocess import AlignedPair
 
-# _BLOCK_ENTRIES counts the B x T x T x k row-difference signs the gradient
-# kernel holds at once; the harness's whole step at the fixture shapes
-# (4 x 8 x 8 x 15) is a single block.
+# _BLOCK_ENTRIES counts the B x T x T x k int16 row-difference signs the
+# gradient kernel holds at once; the harness's whole step at the fixture
+# shapes (4 x 8 x 8 x 15) is a single block, of float64 signs.
 
 # Entries of the kernel one block of a Sinkhorn plan holds, fixed so that
 # the plan's bytes depend on neither the core count nor core._BLOCK_ENTRIES.
@@ -283,18 +286,18 @@ def sd_grad(pair: AlignedPair, plan) -> np.ndarray:
 
 def _transport(t, s, cfg, plan=None, stored=None, weight=0.0, loss=True):
     # The fused pass's sequence level on (B, T, k) stacks of kept tau_sd
-    # probabilities: (plan, sd, product). Without a plan it builds the cost,
-    # the plan and, unless loss is False (a call that reads no loss and
-    # keeps no state), sd; with one, stored, a state's (student_seq, sd),
-    # asks for sd: the stored one when s is or equals that student (the
-    # cost depends on t and s alone) and sd is stored (a copy's state, or
-    # one built with loss False, holds none), else one new cost's. A weight
-    # also gives s * weight * dsd/ds (plan fixed; the backward checks it),
-    # scaled in place in the kernel's own new array.
-    student, sd = stored or (s, None)
-    if stored and sd is None:
-        student = None
-    if plan is None or not (s is student or np.array_equal(student, s)):
+    # probabilities: (plan, sd, product). Without a plan it builds the cost
+    # and the plan. sd is None unless loss (a call that reads no loss, and
+    # keeps no state, asks for none); asked for beside a given plan, it is
+    # the one that stored, a state's (student_seq, sd), caches when s is or
+    # equals that student (the cost depends on t and s alone) and sd is
+    # stored (a copy's state, or one built with loss False, holds none),
+    # else one new cost's. A weight also gives s * weight * dsd/ds (plan
+    # fixed; the backward checks it), scaled in place in the kernel's own
+    # new array.
+    student, sd = stored if stored and loss else (None, None)
+    if plan is None or loss and (sd is None or not (
+            s is student or np.array_equal(student, s))):
         cost = _cost(t, s)
         plan = _plan(cost, cfg) if plan is None else plan
         sd = _sd(cost, plan) if loss else None
@@ -306,34 +309,65 @@ def _transport(t, s, cfg, plan=None, stored=None, weight=0.0, loss=True):
         return plan, sd, np.multiply(np.multiply(g, weight, out=g), s, out=g)
 
 
-def _ranks(values):
-    """Dense ranks of a (B, k, 2T) stack of each item's teacher and student
-    values per column, along its contiguous last axis: equal values, -0.0
+def _ranks(t, s):
+    """Dense ranks of each item's teacher and student values per column of
+    a (B, T, k) teacher and student stack, as a (B, k, 2T) array, the
+    teacher's T first along its contiguous last axis: equal values, -0.0
     and 0.0 included, share a rank, so comparing two ranks compares the
-    values. Sorts values in place.
+    values.
 
-    Returns a (B, k, 2T) array of int16, whose differences stay within
-    +-(2T - 1) <= 32767 while 2T <= 2^15, or of int32 beyond.
+    Each column is ranked on its own, so threads split the k axis, and each
+    thread ranks its columns in groups whose values (in a new float array,
+    sorted in place) and int64 sort order, with the group's int16 ranks,
+    fill its share of the chunk scratch (core._CHUNK_ENTRIES, at three
+    entries per value; one column at least): the returned ranks are the
+    only array that spans every column.
+
+    Returns int16 ranks, whose differences stay within +-(2T - 1) <= 32767
+    while 2T <= 2^15, or int32 beyond.
     """
-    dtype = np.int16 if values.shape[2] <= 2**15 else np.int32
-    rank = np.zeros(values.shape, dtype)
-    ranks = np.empty_like(rank)
+    batch, tokens, width = t.shape
+    length = 2 * tokens
+    dtype = np.int16 if length <= 2**15 else np.int32
+    ranks = np.empty((batch, width, length), dtype)
+    # A sort touches each of its 2T entries about log2(2T) times.
+    parts = _parts(batch * width * length * length.bit_length())
+    group = max(1, _CHUNK_ENTRIES // 3 // parts // (batch * length))
 
     def columns(c, part):
-        # Each column is ranked on its own, so threads split the k axis.
-        v, r = values[:, c], rank[:, c]
-        order = np.argsort(v, axis=2)
-        # Sorted in place rather than gathered through order: ties may sit
-        # in any order, as they share a rank.
-        v.sort(axis=2)
-        np.not_equal(v[..., 1:], v[..., :-1], out=r[..., 1:])
-        np.cumsum(r, axis=2, out=r)
-        np.put_along_axis(ranks[:, c], order, r, axis=2)
+        for l in range(c.start, c.stop, group):
+            _rank_group(t, s, slice(l, min(l + group, c.stop)), ranks)
 
-    # A sort touches each of its 2T entries about log2(2T) times.
-    _walk(columns, _slices(values.shape[1],
-                           _parts(values.size * values.shape[2].bit_length())))
+    _walk(columns, _slices(width, parts))
     return ranks
+
+
+def _rank_group(t, s, cols, ranks):
+    # _ranks of the columns cols into ranks, in arrays of the group's size
+    # that are freed on return, before the next group's are made.
+    batch, tokens, _ = t.shape
+    # C-ordered: a concatenation of transposes would be laid out as they are.
+    v = np.concatenate((t[:, :, cols].transpose(0, 2, 1),
+                        s[:, :, cols].transpose(0, 2, 1)), axis=2,
+                       out=np.empty((batch, cols.stop - cols.start,
+                                     2 * tokens)))
+    order = np.argsort(v, axis=2)
+    # Sorted in place rather than gathered through order: ties may sit in
+    # any order, as they share a rank.
+    v.sort(axis=2)
+    # Steps between neighbours compared along the flat values, which numpy
+    # does with no scratch of the group's size (the rows' own slices would
+    # be buffered); each row then starts from 0.
+    r = np.empty(v.shape, ranks.dtype)
+    flat = v.reshape(-1)
+    np.not_equal(flat[1:], flat[:-1], out=r.reshape(-1)[1:])
+    r[..., 0] = 0
+    np.cumsum(r, axis=2, out=r)
+    # Scattered row by row: np.put_along_axis would build an index of the
+    # group's size.
+    for b in range(batch):
+        for i, row in enumerate(r[b]):
+            ranks[b, cols.start + i][order[b, i]] = row
 
 
 def _sd_grad(t, s, plan):
@@ -353,24 +387,32 @@ def _sd_grad(t, s, plan):
     # float64 traffic, which the einsum reads directly. A call that fits in
     # one block subtracts the float values themselves, since the sort behind
     # the ranks would cost more than the whole kernel there. Both give the
-    # same signs, so the same bits.
+    # same signs, so the same bits; the number of columns a group takes
+    # changes none.
     batch, tokens, width = t.shape
     row = max(1, batch * tokens)  # the signs of one column of a teacher row
     rows = max(1, min(tokens, _BLOCK_ENTRIES // 2 // row))
     block = rows * row  # of a row block
+    ranked = rows < tokens or block * width > _BLOCK_ENTRIES  # not one block
+    # The signs held at once: _BLOCK_ENTRIES int16 differences of ranks, or
+    # half a chunk of float64 differences, which with numpy's buffers for
+    # their broadcast subtraction stay within a chunk.
+    budget = _BLOCK_ENTRIES if ranked else _CHUNK_ENTRIES // 2
     columns = _slices(width, min(_parts(batch * tokens**2 * width),
-                                 _BLOCK_ENTRIES // block))
+                                 budget // block))
     cols = max(1, min(-(-width // len(columns)),
-                      _BLOCK_ENTRIES // len(columns) // block))
-    if rows < tokens or block * width > _BLOCK_ENTRIES:  # not one block
-        values = _ranks(np.concatenate((t.transpose(0, 2, 1),
-                                        s.transpose(0, 2, 1)), axis=2))
+                      budget // len(columns) // block))
+    if ranked:
+        values = _ranks(t, s)
         t_all, s_all = values[..., :tokens, None], values[:, :, None, tokens:]
+        del values  # held by its two views alone
     else:  # the values themselves, through transposed views
         t_all = t.transpose(0, 2, 1)[..., None]
         s_all = s.transpose(0, 2, 1)[:, :, None]
+    # Made once the ranks are: the signs' budget and the (B, k, T) sums,
+    # each column's in a row of its own, which no other thread writes.
     buf = np.empty(len(columns) * cols * block, t_all.dtype)
-    grad = np.zeros((batch, width, tokens))
+    sums = np.zeros((batch, width, tokens))
 
     def share(c, part):
         own = buf[part * cols * block:(part + 1) * cols * block]
@@ -387,8 +429,10 @@ def _sd_grad(t, s, plan):
                 # einsum reads the signs in the compared dtype; each
                 # product plan * sign is exact.
                 np.sign(diff, out=diff)
-                grad[:, group] += np.einsum("bij,blij->blj", p, diff)
+                sums[:, group] += np.einsum("bij,blij->blj", p, diff)
 
     _walk(share, columns)
-    # C-ordered, so that a product scaled in it sums its rows as a new one.
-    return np.ascontiguousarray(grad.transpose(0, 2, 1))
+    # C-ordered, so that a product scaled in it sums its rows as a new one;
+    # copied once the signs and ranks are freed.
+    del buf, t_all, s_all
+    return np.ascontiguousarray(sums.transpose(0, 2, 1))

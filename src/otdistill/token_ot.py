@@ -44,7 +44,8 @@ def _had(t, s):
 
 
 def _had_grad(t, s):
-    return np.sign(s - t)
+    grad = np.subtract(s, t)
+    return np.sign(grad, out=grad)
 
 
 def sl_loss(pair: AlignedPair, floor=PROB_FLOOR) -> TokenLossGrad:
@@ -66,7 +67,11 @@ def _sl(t, s, floor=PROB_FLOOR, log=_floor_log):
 
 
 def _sl_grad(t, s, floor=PROB_FLOOR):
-    return -t / np.maximum(s, floor)
+    # -t / max(s, floor) in one new array: a quotient rounds the same on
+    # either side of zero, so negating it gives the bits of -t's.
+    grad = np.maximum(s, floor)
+    np.divide(t, grad, out=grad)
+    return np.negative(grad, out=grad)
 
 
 def _per_pair(terms):

@@ -15,7 +15,7 @@ from otdistill import (EXACT_ASSIGNMENT, SUM_SORT, AlignedPair, DistillConfig,
                        total_loss_frozen)
 from otdistill import cli, composite, core, fileio, seq_ot
 from otdistill.composite import CE_ONLY, MULTILEVEL_OT, ULD, _pseudo_labels
-from otdistill.core import _BLOCK_ENTRIES
+from otdistill.core import _BLOCK_ENTRIES, _CHUNK_ENTRIES
 from otdistill.preprocess import RankSelection, _descending_stable
 from refimpl import _softmax, backward_by_levels
 
@@ -816,9 +816,9 @@ class TestPeakMemory:
     entries than one block holds) stay within bounds derived from what
     they keep, in float64 entries:
 
-    - blocks: a pass holds one block buffer of at most _BLOCK_ENTRIES
-      entries per temperature (two) whose exponentials it does not compute
-      in the gradient, and the backward one;
+    - blocks: a pass that sums columns holds one block buffer of at most
+      _BLOCK_ENTRIES entries per temperature (two); a gradient call's pass
+      and its backward hold one chunk scratch (chunk, below);
     - columns: per matrix, the column sums at both temperatures and, while
       ranking, their negation, the permutation and the sorted values;
       8 * n covers them;
@@ -842,6 +842,13 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
 
+    @staticmethod
+    def chunk(tokens, n):
+        # The chunk scratch of a pass or backward over (tokens, n) logits at
+        # two temperatures, over all its threads: _CHUNK_ENTRIES, or one
+        # row per thread where the threads' shares hold less than a row.
+        return max(_CHUNK_ENTRIES, core._parts(2 * tokens * n, n) * n)
+
     def test_blocks_only_and_one_gradient_buffer(self):
         t, s = random_pair(37, self.TOKENS, self.M, self.N)
         w = LossWeights()
@@ -855,19 +862,40 @@ class TestPeakMemory:
 
     def test_gradient_call_holds_one_block_beside_the_gradient(self):
         # The pass computes its tau_sd exponentials in the gradient and
-        # only the tau_sl ones it squares from them in a block buffer; the
-        # sequence gradient's block (one here, T * T * k < _BLOCK_ENTRIES)
-        # and the backward's come after it. The rest is (T, k) arrays: the
-        # kept entries at both temperatures, their products and index
-        # arrays, the sequence gradient and its partial sums. A second
-        # block buffer in the pass would add _BLOCK_ENTRIES, more than the
-        # 8 * T * k allowed them.
+        # only the row sums of the tau_sl ones it squares from them, chunk
+        # by chunk; the sequence gradient's float signs (one block here,
+        # T * T * k < _BLOCK_ENTRIES: half a chunk of them) and the
+        # backward's chunk of the tau_sl level come after it. The rest is
+        # (T, k) arrays: the kept entries at both temperatures, their
+        # products and index arrays, the sequence gradient and its partial
+        # sums. A block buffer in the pass or the backward would add
+        # _BLOCK_ENTRIES (on one or two cores), more than the chunk and
+        # the 8 * T * k allowed them.
         t, s = random_pair(37, self.TOKENS, self.M, self.N)
         w = LossWeights()
         state = build_state(t, s, w=w)
         grad_peak = self.peak(lambda: total_grad(t, s, w=w, state=state))
-        bound = 8 * (self.TOKENS * self.N + _BLOCK_ENTRIES
+        bound = 8 * (self.TOKENS * self.N + self.chunk(self.TOKENS, self.N)
                      + 8 * self.TOKENS * w.k)
+        assert grad_peak < bound, (grad_peak, bound)
+
+    def test_long_sequence_gradient_call_holds_a_chunk_and_a_sign_budget(self):
+        # At T = 512, m = 64, n = 96 and k = m the sequence level outweighs
+        # the logits. Beside the gradient, the call holds the chunk scratch
+        # of its pass and backward, the sequence gradient's sign budget
+        # (_BLOCK_ENTRIES int16 differences of ranks) and (T, k) arrays:
+        # the kept entries, their products, the backward's sparse terms,
+        # the int16 ranks and the sequence gradient's sums, 2.25 floats per
+        # kept entry in all (1.7 measured, numpy 2.4). Ranking every column
+        # at once, from float copies of the values with int64 sort orders,
+        # takes 2.6 here.
+        tokens, m, n = 512, 64, 96
+        t, s = random_pair(37, tokens, m, n)
+        w = LossWeights(k=m)
+        state = build_state(t, s, w=w)
+        grad_peak = self.peak(lambda: total_grad(t, s, w=w, state=state))
+        bound = (8 * (tokens * n + self.chunk(tokens, n)) + 2 * _BLOCK_ENTRIES
+                 + 18 * tokens * w.k)
         assert grad_peak < bound, (grad_peak, bound)
 
 

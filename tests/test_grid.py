@@ -15,6 +15,6 @@ def test_one_hash_per_group():
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
     assert [line.split(" ")[0] for line in lines] == [
-        "public", "forward", "plan", "distill"]
+        "public", "forward", "plan", "distill", "long"]
     for line in lines:
         assert re.fullmatch(r"[a-z]+ [0-9a-f]{64}", line), line

@@ -576,9 +576,10 @@ class TestRanks:
 
     def test_ties_share_a_rank(self):
         # One column of one item: teacher values (0.0, -0.0, 0.5), then
-        # student values (0.5, 0.25, -0.0), along the last axis.
-        values = np.array([[[0.0, -0.0, 0.5, 0.5, 0.25, -0.0]]])
-        rank = seq_ot._ranks(values)
+        # student values (0.5, 0.25, -0.0), ranked along the last axis.
+        t = np.array([0.0, -0.0, 0.5]).reshape(1, 3, 1)
+        s = np.array([0.5, 0.25, -0.0]).reshape(1, 3, 1)
+        rank = seq_ot._ranks(t, s)
         np.testing.assert_array_equal(rank[0, 0, :3], [0, 0, 2])
         np.testing.assert_array_equal(rank[0, 0, 3:], [2, 1, 0])
 
@@ -590,8 +591,8 @@ class TestRanks:
         rank = np.random.default_rng(values).permutation(values)
         rank[[0, rank.argmin()]] = rank[[rank.argmin(), 0]]
         rank[[-1, rank.argmax()]] = rank[[rank.argmax(), -1]]
-        x = (rank / values).reshape(1, 1, values)
-        got = seq_ot._ranks(x)
+        x = (rank / values).reshape(1, values, 1)
+        got = seq_ot._ranks(x[:, :tokens], x[:, tokens:])
         t_rank, s_rank = got[..., :tokens], got[..., tokens:]
         np.testing.assert_array_equal(t_rank[0, 0], rank[:tokens])
         np.testing.assert_array_equal(s_rank[0, 0], rank[tokens:])
@@ -750,11 +751,12 @@ class TestTransport:
         costs.clear()
         got = seq_ot._transport(t, s, self.CFG, plan, (None, None))[1]
         assert len(costs) == 1 and got.tobytes() == sd.tobytes()
-        # No value asked for: no cost and no sd, with or without a product.
+        # No value asked for: no cost and no sd, with or without a product,
+        # whatever is stored.
         costs.clear()
         for weight in (0.0, 0.3):
-            assert seq_ot._transport(t, nudged, self.CFG, plan, None,
-                                     weight)[1] is None
+            assert seq_ot._transport(t, nudged, self.CFG, plan, (s, sd),
+                                     weight, loss=False)[1] is None
         assert costs == []
 
     @pytest.mark.parametrize("stored", [False, True])

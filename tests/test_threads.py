@@ -250,9 +250,9 @@ def test_sequence_gradient_signs_hold_one_budget_on_many_cores(
     # column (16250 signs; 65, 65, 65 and 55 rows), so at most 2 threads,
     # whose buffers together hold at most the budget. Without that cap, 30
     # threads on 32 cores would each hold a block (975 kB of int16).
-    # Measured from the ranks on: the signs (2 bytes each), the (B, k, T)
-    # sums and their C-ordered copy, and numpy's scratch for an einsum
-    # over int16 signs (75 kB measured, numpy 2.4), one per thread.
+    # Measured from the ranks on: the signs (2 bytes each), the (B, T, k)
+    # gradient the sums add into, and numpy's scratch for an einsum over
+    # int16 signs (75 kB measured, numpy 2.4), one per thread.
     cores(32)
     budget, (batch, tokens, k) = 1 << 15, (1, 250, 32)
     monkeypatch.setattr(seq_ot, "_BLOCK_ENTRIES", budget)
@@ -261,11 +261,10 @@ def test_sequence_gradient_signs_hold_one_budget_on_many_cores(
     plan = rng.random((batch, tokens, tokens))
     ranks, start = seq_ot._ranks, []
 
-    def ranked(values):
-        # The float values are freed once ranked.
-        out = ranks(values)
+    def ranked(*args):
+        out = ranks(*args)
         tracemalloc.reset_peak()
-        start.append(tracemalloc.get_traced_memory()[0] - values.nbytes)
+        start.append(tracemalloc.get_traced_memory()[0])
         return out
 
     monkeypatch.setattr(seq_ot, "_ranks", ranked)
@@ -277,7 +276,7 @@ def test_sequence_gradient_signs_hold_one_budget_on_many_cores(
     finally:
         tracemalloc.stop()
     threads = budget // (budget // 2 // (batch * tokens) * batch * tokens)
-    bound = 2 * budget + 16 * batch * k * tokens + threads * 80_000
+    bound = 2 * budget + 8 * batch * k * tokens + threads * 80_000
     assert peak < bound, (peak, bound)
 
 
@@ -517,6 +516,16 @@ def test_memory_bounds_hold_on_many_cores(cores, bound):
     # call's size caps them too.
     cores(32)
     getattr(test_composite.TestPeakMemory(), bound)()
+
+
+@pytest.mark.parametrize("count", [1, 32])
+def test_long_sequence_memory_bound_holds_on_one_and_many_cores(cores, count):
+    # On one core each kernel holds its whole share; on 32 the sequence
+    # gradient's threads share one sign budget and the ranks' threads one
+    # chunk.
+    cores(count)
+    test_composite.TestPeakMemory(
+    ).test_long_sequence_gradient_call_holds_a_chunk_and_a_sign_budget()
 
 
 _ONE_CORE = """

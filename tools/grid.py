@@ -14,7 +14,12 @@ Each output line is `<group> <sha256>`, one per group:
             (pseudo-labels) and at a later step (given labels);
   plan      sinkhorn_plan on a (4, 8, 8) and a (1, 600, 600) cost stack;
   distill   the seed-1 metrics CSV of each training mode, as `otdistill
-            distill` writes it at its default settings.
+            distill` writes it at its default settings;
+  long      total_grad with and without a state at T = 96 against a
+            student vocabulary of 3000, at temperatures (1, 2) and (0.7,
+            3.1), where a pass's and the backward's blocks span several
+            chunks of rows, and sd_grad at T = 600 with tied values, which
+            compares dense ranks.
 A hash covers the dtype, shape and bytes of every array, and the repr of
 every number, so two trees print the same line for a group only if every
 output of the group is the same bit for bit.
@@ -34,7 +39,7 @@ from otdistill.composite import _forward, _teacher  # noqa: E402
 from otdistill.fileio import metrics_csv_text  # noqa: E402
 from otdistill.harness import MODES  # noqa: E402
 
-GROUPS = ("public", "forward", "plan", "distill")
+GROUPS = ("public", "forward", "plan", "distill", "long")
 
 
 def _feed(h, value):
@@ -94,9 +99,24 @@ def _distill():
         od.DistillConfig(seed=1, mode=mode))) for mode in MODES]
 
 
+def _long():
+    rng = np.random.default_rng(3)
+    t = rng.standard_normal((96, 2000)) * 3
+    s = rng.standard_normal((96, 3000)) * 3
+    out = []
+    for taus in ((1.0, 2.0), (0.7, 3.1)):
+        w = od.LossWeights(tau_sl=taus[0], tau_sd=taus[1])
+        state = od.build_state(t, s, w=w)
+        out += [od.total_grad(t, s, w=w),
+                od.total_grad(t, s, w=w, state=state)]
+    pair = od.AlignedPair(np.round(rng.random((600, 50)), 2),
+                          np.round(rng.random((600, 50)), 2))
+    return out + [od.sd_grad(pair, rng.random((600, 600)))]
+
+
 def main():
     for group, outputs in zip(GROUPS, (_public, _forward_calls, _plans,
-                                       _distill)):
+                                       _distill, _long)):
         h = hashlib.sha256()
         _feed(h, outputs())
         print(group, h.hexdigest())
