@@ -10,10 +10,10 @@ what its caller reads. _softmax_level, the one builder of every softmax
 level, makes a level from the pass's normalizers or from the exponentials it
 held (_held, _squared), and _softmax_backward builds each level into the
 gradient of a loss read at sparse entries. Beside its outputs a kernel holds
-block buffers only where it sums columns, and otherwise one chunk scratch of
-_CHUNK_ENTRIES over its threads. _walk splits a kernel call across the usable
-cores without splitting a sum, so every output here and in seq_ot is the same
-bit for bit at any thread count.
+block buffers only where it sums columns or takes the argmax, and otherwise
+one chunk scratch of _CHUNK_ENTRIES over its threads (_chunks). _walk splits
+a kernel call across the usable cores without splitting a sum, so every
+output here and in seq_ot is the same bit for bit at any thread count.
 """
 
 import functools
@@ -51,11 +51,8 @@ _BLOCK_ENTRIES = 1 << 18
 # Entries of scratch a kernel call that keeps no block buffer holds at once
 # beside its outputs, over all its threads: a pass that sums no columns and
 # the backward walk each block in chunks of rows (_chunks), and
-# seq_ot._ranks its columns in groups, each thread in its share, at least
-# one row (or column) wide. Chunks of rows inside blocks rather than
-# smaller blocks: a block's own work (its max, its check, a thread taking
-# it) stays per block, which one-row blocks at vocabulary width made 6%
-# slower (vocab_t128 in bench/).
+# seq_ot._ranks its columns in groups, each thread in its share (one
+# column at least).
 _CHUNK_ENTRIES = 1 << 16
 
 # Entries of a kernel call each thread takes at least: a call touching
@@ -300,12 +297,19 @@ def _blocks(shape, parts=1, budget=None):
 
 def _chunks(block, vocab, budget):
     """The (items, rows) slices that cover a block of a (B, T, V) stack,
-    one of _blocks, in chunks of at most budget entries cut as _blocks cuts
-    a stack (at least one row each), the first the largest; the block
-    itself when it fits."""
+    one of _blocks, in chunks of at most budget entries (a thread's share
+    of _CHUNK_ENTRIES) cut as _blocks cuts a stack, the first the largest;
+    the block itself when it fits, or when a row does not.
+
+    Chunks of rows inside blocks, not smaller blocks, keep a block's own
+    work (its max and check, a thread taking it) per block. A row wider
+    than the budget keeps its block: on two threads each numpy call
+    releases and retakes the GIL, and one-row chunks at vocabulary width
+    (vocab_t128 in bench/: 1 row of 50000 against the blocks' 2) made a
+    step 4.8% slower for 1.5% less peak memory."""
     items, rows = block
     shape = (items.stop - items.start, rows.stop - rows.start, vocab)
-    if shape[0] * shape[1] * vocab <= budget:
+    if shape[0] * shape[1] * vocab <= budget or vocab > budget:
         return [block]
     return [(slice(items.start + i.start, items.start + i.stop),
              slice(rows.start + r.start, rows.start + r.stop))

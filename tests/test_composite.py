@@ -845,9 +845,12 @@ class TestPeakMemory:
     @staticmethod
     def chunk(tokens, n):
         # The chunk scratch of a pass or backward over (tokens, n) logits at
-        # two temperatures, over all its threads: _CHUNK_ENTRIES, or one
-        # row per thread where the threads' shares hold less than a row.
-        return max(_CHUNK_ENTRIES, core._parts(2 * tokens * n, n) * n)
+        # two temperatures, over all its threads: _CHUNK_ENTRIES, or each
+        # thread's block where its share of them holds less than a row.
+        parts = core._parts(2 * tokens * n, n)
+        if _CHUNK_ENTRIES // parts >= n:
+            return _CHUNK_ENTRIES
+        return parts * max(1, _BLOCK_ENTRIES // parts // n) * n
 
     def test_blocks_only_and_one_gradient_buffer(self):
         t, s = random_pair(37, self.TOKENS, self.M, self.N)
