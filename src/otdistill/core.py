@@ -303,10 +303,10 @@ def _chunks(block, vocab, budget):
 
     Chunks of rows inside blocks, not smaller blocks, keep a block's own
     work (its max and check, a thread taking it) per block. A row wider
-    than the budget keeps its block: on two threads each numpy call
-    releases and retakes the GIL, and one-row chunks at vocabulary width
-    (vocab_t128 in bench/: 1 row of 50000 against the blocks' 2) made a
-    step 4.8% slower for 1.5% less peak memory."""
+    than the budget keeps its block: one-row chunks at vocabulary width
+    (vocab_t128 in bench/: 1 row of 50000 against the blocks' 2) made its
+    step 4.8% slower for 1.5% less peak memory. The cost is per numpy call
+    on two threads; on one, the row count per call changed nothing."""
     items, rows = block
     shape = (items.stop - items.start, rows.stop - rows.start, vocab)
     if shape[0] * shape[1] * vocab <= budget or vocab > budget:

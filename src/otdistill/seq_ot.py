@@ -287,14 +287,14 @@ def sd_grad(pair: AlignedPair, plan) -> np.ndarray:
 def _transport(t, s, cfg, plan=None, stored=None, weight=0.0, loss=True):
     # The fused pass's sequence level on (B, T, k) stacks of kept tau_sd
     # probabilities: (plan, sd, product). Without a plan it builds the cost
-    # and the plan. sd is None unless loss (a call that reads no loss, and
-    # keeps no state, asks for none); asked for beside a given plan, it is
-    # the one that stored, a state's (student_seq, sd), caches when s is or
-    # equals that student (the cost depends on t and s alone) and sd is
-    # stored (a copy's state, or one built with loss False, holds none),
-    # else one new cost's. A weight also gives s * weight * dsd/ds (plan
-    # fixed; the backward checks it), scaled in place in the kernel's own
-    # new array.
+    # and the plan. sd is computed only when loss (a call that reads no
+    # loss and keeps no state asks for none), else None. stored, a state's
+    # (student_seq, sd), is a cache: beside a given plan its sd is returned
+    # when s is or equals that student (the cost depends on t and s alone)
+    # and an sd is stored (a copy's state, or one built with loss False,
+    # holds none); otherwise one new cost gives sd. A weight also gives
+    # s * weight * dsd/ds (plan fixed; the backward checks it), scaled in
+    # place in the kernel's own new array.
     student, sd = stored if stored and loss else (None, None)
     if plan is None or loss and (sd is None or not (
             s is student or np.array_equal(student, s))):
