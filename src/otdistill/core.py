@@ -49,10 +49,10 @@ _NON_FINITE = "logit matrix contains non-finite entries"
 _BLOCK_ENTRIES = 1 << 18
 
 # Entries of scratch a kernel call that keeps no block buffer holds at once
-# beside its outputs, over all its threads: a pass that sums no columns and
-# the backward walk each block in chunks of rows (_chunks), and
-# seq_ot._ranks its columns in groups, each thread in its share (one
-# column at least).
+# beside its outputs, over all its threads: a pass that sums no columns
+# walks each block in chunks of rows (_chunks), the backward walks blocks of
+# a chunk, and seq_ot._ranks its columns in groups, each thread in its
+# share (one column at least).
 _CHUNK_ENTRIES = 1 << 16
 
 # Entries of a kernel call each thread takes at least: a call touching
@@ -421,7 +421,9 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     taus, block by block (see _blocks), that also checks them: a block
     holding nan or +-inf raises InvalidInput before any arithmetic on it.
 
-    Each row's max and its difference from it are taken once. At each
+    Each row's max is taken once, and its difference from it once (once
+    per level in a pass without out at two temperatures neither twice the
+    other, whose chunk scratch holds one level at a time). At each
     temperature the pass computes exp((z - max) * (1 / tau)), except where
     _squared says a level squares the other's exponentials, at twice its
     tau (np.square, before either is normalized), so at the default pair
@@ -687,16 +689,16 @@ def _softmax_backward(z, top, levels, gradient, taus):
     so the gradient returned is finite and nothing reads it again.
 
     gradient, the array returned, is the out of a pass at taus and holds
-    the exponentials _held names. Block by block (_blocks), and in each
-    chunk by chunk (_chunks), _softmax_level builds each level from it: the
-    other level first, in the thread's share of the chunk scratch
-    (_CHUNK_ENTRIES over the threads), then the one held there (or the
-    first) in place, and the chunk's levels are summed into the gradient.
-    With one level nothing is held beside the gradient but the check's
-    pieces of |x|, a chunk of entries at a time. Rows are independent, so
-    each usable core takes the next block not yet taken (_walk), and the
-    gradient is the same bit for bit at any blocking, chunking and thread
-    count.
+    the exponentials _held names. Block by block (_blocks), _softmax_level
+    builds each level from it: the other level first, in the thread's
+    share of one chunk scratch (_CHUNK_ENTRIES over the threads; the
+    blocks are chunks, unless a row is wider than a share), then the one
+    held there (or the first) in place, and the block's levels are summed
+    into the gradient. With one level nothing is held beside the gradient
+    but the check's pieces of |x|, a chunk of entries at a time. Rows are
+    independent, so each usable core takes the next block not yet taken
+    (_walk), and the gradient is the same bit for bit at any blocking and
+    thread count.
     """
     scales, mass = [], 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -718,49 +720,61 @@ def _softmax_backward(z, top, levels, gradient, taus):
     own = _held(taus) if len(levels) > 1 else 0
     order = (1 - own, own) if len(levels) > 1 else (0,)
     # Beside another level, each thread's share of the chunk scratch holds
-    # the level not built in the gradient, chunk by chunk (_chunks).
+    # the level not built in the gradient, so the walk takes chunks (blocks
+    # of _CHUNK_ENTRIES over the threads), or blocks where a row is wider
+    # than a thread's share (as _chunks keeps them); one level needs no
+    # scratch and takes blocks. Each item costs a dozen numpy calls that
+    # hand the GIL between the threads, and chunks as items are fewer than
+    # chunks inside blocks (25 against 31 at (1, 1024, 768) on two threads).
     parts = _parts(z.size * len(levels), z.shape[-1])
-    blocks = _blocks(z.shape, parts)
-    budget = _CHUNK_ENTRIES // parts
-    chunk = z[_chunks(blocks[0], z.shape[-1], budget)[0]].shape
-    buf = np.empty((parts,) + chunk) if len(levels) > 1 else None
-    # The flat index of each row's first entry in a C-ordered chunk, which
-    # every sparse term of both levels adds to its columns; a smaller chunk
+    chunked = len(levels) > 1 and z.shape[-1] <= _CHUNK_ENTRIES // parts
+    blocks = _blocks(z.shape, parts, _CHUNK_ENTRIES if chunked else None)
+    shape = z[blocks[0]].shape
+    buf = np.empty((parts,) + shape) if len(levels) > 1 else None
+    # The flat index of each row's first entry in a C-ordered block, which
+    # every sparse term of both levels adds to its columns; a smaller block
     # (one sequence's last rows, or fewer whole sequences) takes its head.
-    first = np.arange(0, math.prod(chunk), chunk[-1]).reshape(chunk[:2] + (1,))
+    first = np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:2] + (1,))
+    # Columns every row reads, (1, 1, c), have one flat index for every
+    # block, made once where there are several blocks, not once per block.
+    shared = None if len(blocks) == 1 else [
+        [None if cols is None or cols.size > cols.shape[-1] else first + cols
+         for cols, _ in terms] for _, terms in levels]
 
     def finish(block, part):
-        for rows in _chunks(block, z.shape[-1], budget):
-            zb, out = z[rows], gradient[rows]
-            head = first[:zb.shape[0], :zb.shape[1]]
-            spare = None if buf is None else buf[part, :zb.shape[0],
-                                                 :zb.shape[1]]
-            for i in order:
-                (total, terms), scale = levels[i], scales[i]
-                probs = _softmax_level(zb, taus, i, (top[rows], total[rows]),
-                                       out, out=out if i == own else spare)
-                probs *= scale[rows]
-                for cols, x in terms:
-                    if cols is None:
-                        probs += x[rows]
-                        continue
-                    # The chunk's columns (its rows', when given per row),
-                    # added through their flat indices: 26 against 63 us
-                    # for numpy's generic fancy indexing at (1, 256, 768)
-                    # and 50 columns. probs, a chunk of the gradient or of
-                    # the scratch, is C-ordered, so its flat view writes
-                    # into it; in another layout reshape would copy and the
-                    # terms be lost, so that raises (reshape's copy=False
-                    # needs numpy 2.1). The index, as large as x's chunk,
-                    # is not kept.
-                    if not probs.flags.c_contiguous:
-                        raise RuntimeError("a backward chunk is not C-ordered")
-                    cols = cols[rows] if cols.shape[1] > 1 else cols[rows[0]]
-                    probs.reshape(-1)[head + cols] += x[rows]
-            # Addition is commutative, so the order of the two levels does
-            # not change a bit of their sum.
-            if spare is not None:
-                out += spare
+        zb, out = z[block], gradient[block]
+        head = first[:zb.shape[0], :zb.shape[1]]
+        spare = None if buf is None else buf[part, :zb.shape[0], :zb.shape[1]]
+        for i in order:
+            (total, terms), scale = levels[i], scales[i]
+            probs = _softmax_level(zb, taus, i, (top[block], total[block]),
+                                   out, out=out if i == own else spare)
+            probs *= scale[block]
+            for j, (cols, x) in enumerate(terms):
+                if cols is None:
+                    probs += x[block]
+                    continue
+                # The block's columns (its rows', when given per row),
+                # added through their flat indices: 26 against 63 us for
+                # numpy's generic fancy indexing at (1, 256, 768) and 50
+                # columns. probs, a block of the gradient or of the
+                # scratch, is C-ordered, so its flat view writes into it;
+                # in another layout reshape would copy and the terms be
+                # lost, so that raises (reshape's copy=False needs numpy
+                # 2.1). The index, as large as x's block, is not kept.
+                if not probs.flags.c_contiguous:
+                    raise RuntimeError("a backward block is not C-ordered")
+                index = shared and shared[i][j]
+                if index is None:
+                    cols = cols[block] if cols.shape[1] > 1 else cols[block[0]]
+                    index = head + cols
+                else:
+                    index = index[:zb.shape[0], :zb.shape[1]]
+                probs.reshape(-1)[index] += x[block]
+        # Addition is commutative, so the order of the two levels does not
+        # change a bit of their sum.
+        if spare is not None:
+            out += spare
 
     _walk(finish, blocks, parts)
     return gradient
@@ -769,8 +783,6 @@ def _softmax_backward(z, top, levels, gradient, taus):
 def _abs_sum(x):
     # The sum of |x| as a float, taken a chunk of entries at a time: no
     # temporary is as large as a term wider than a chunk.
-    if x.size <= _CHUNK_ENTRIES:
-        return float(np.abs(x).sum())
     flat, mass = x.reshape(-1), 0.0
     for start in range(0, flat.size, _CHUNK_ENTRIES):
         mass += float(np.abs(flat[start:start + _CHUNK_ENTRIES]).sum())

@@ -363,11 +363,15 @@ def _rank_group(t, s, cols, ranks):
     np.not_equal(flat[1:], flat[:-1], out=r.reshape(-1)[1:])
     r[..., 0] = 0
     np.cumsum(r, axis=2, out=r)
-    # Scattered row by row: np.put_along_axis would build an index of the
-    # group's size.
+    # Scattered item by item through flat indices into the item's columns,
+    # contiguous in ranks: the sort order, offset in place by its column's
+    # place there, is the index. np.put_along_axis would build one of the
+    # group's size, and a scatter per column and item costs a Python step
+    # each (0.73 against 0.36 ms at (16, 8, 50)); numpy adds the offsets
+    # through a buffer of at most 64 kB.
+    order += np.arange(0, order[0].size, 2 * tokens)[:, None]
     for b in range(batch):
-        for i, row in enumerate(r[b]):
-            ranks[b, cols.start + i][order[b, i]] = row
+        ranks[b, cols].reshape(-1)[order[b]] = r[b]
 
 
 def _sd_grad(t, s, plan):
@@ -382,22 +386,25 @@ def _sd_grad(t, s, plan):
     # student token last, so each teacher value is subtracted along
     # contiguous memory.
     #
-    # Unless one block covers the call, the signs come from the values'
-    # dense ranks (_ranks): an int16 subtraction per entry, a quarter of the
-    # float64 traffic, which the einsum reads directly. A call that fits in
-    # one block subtracts the float values themselves, since the sort behind
-    # the ranks would cost more than the whole kernel there. Both give the
-    # same signs, so the same bits; the number of columns a group takes
-    # changes none.
+    # Unless a row block's signs, every column's, fit in half a chunk (then
+    # one block covers the call), the signs come from the values' dense
+    # ranks (_ranks): an int16 subtraction per entry, a quarter of the
+    # float64 traffic, which the einsum reads directly. A call whose signs
+    # fit subtracts the float values themselves, every column at once,
+    # since the sort behind the ranks would cost more than the whole kernel
+    # there (a harness step: 29 against 85 us at (4, 8, 15)); larger ones
+    # gain from ranks, in one block or several ((1, 64, 50): 0.55 -> 0.34
+    # ms on 2 cores). Both give the same signs, so the same bits; the
+    # number of columns a group takes changes none.
     batch, tokens, width = t.shape
     row = max(1, batch * tokens)  # the signs of one column of a teacher row
     rows = max(1, min(tokens, _BLOCK_ENTRIES // 2 // row))
     block = rows * row  # of a row block
-    ranked = rows < tokens or block * width > _BLOCK_ENTRIES  # not one block
+    ranked = block * width > _CHUNK_ENTRIES // 2
     # The signs held at once: _BLOCK_ENTRIES int16 differences of ranks, or
-    # half a chunk of float64 differences, which with numpy's buffers for
-    # their broadcast subtraction stay within a chunk.
-    budget = _BLOCK_ENTRIES if ranked else _CHUNK_ENTRIES // 2
+    # the at most half a chunk of float64 differences, which with numpy's
+    # buffers for their broadcast subtraction stay within a chunk.
+    budget = _BLOCK_ENTRIES if ranked else block * width
     columns = _slices(width, min(_parts(batch * tokens**2 * width),
                                  budget // block))
     cols = max(1, min(-(-width // len(columns)),

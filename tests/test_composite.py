@@ -642,13 +642,14 @@ class TestSoftmaxAccounting:
         # place, and the tau_sd one is computed whole from its normalizers
         # over it. A gradient call computes neither: at the
         # default temperatures both are built from the exponentials its
-        # pass left in the gradient. Blocks of one student row keep any
-        # recompute in the backward below whole size. The backward lives in
-        # core and calls core's _softmax_level on block views, so both
-        # names are patched. A softmax is recomputed whole when it is as
-        # large as its whole stack and built from no held exponentials
+        # pass left in the gradient. Blocks and chunks of one student row
+        # keep any recompute in the backward below whole size. The backward
+        # lives in core and calls core's _softmax_level on block views, so
+        # both names are patched. A softmax is recomputed whole when it is
+        # as large as its whole stack and built from no held exponentials
         # (composite passes held by name).
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", 6)
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", 6)
         level = core._softmax_level
         t, s = random_pair(35, m=8, n=6)
 

@@ -503,30 +503,41 @@ class TestSdGrad:
 
 
 class TestRanks:
-    """_sd_grad compares dense ranks when it needs several blocks and the
-    float values when one block covers the call; both must give the float
+    """_sd_grad compares dense ranks unless its signs fit in half a chunk
+    and the float values when they do; both must give the float
     comparisons' gradient bit for bit."""
 
-    # Budgets of 1 and 50 entries split every call with T > 1 into blocks
-    # (the rank path); the default keeps these shapes in one block.
+    # Budgets of 1 and 50 entries split every call with T > 1 into blocks;
+    # the default keeps these shapes in one block. The default chunk takes
+    # the rank path past 2^15 signs and ranks 21845 // (2 B T) columns per
+    # group (all of them here); chunks of 600 and 1 take it past 300 and 0
+    # signs, in groups of 200 // (2 B T) columns and of one.
     @given(batch=st.integers(1, 3), tokens=st.integers(1, 40),
            k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
            levels=st.sampled_from([0, 2, 5]), gathered=st.booleans(),
            signed_zeros=st.booleans(),
-           budget=st.sampled_from([1, 50, seq_ot._BLOCK_ENTRIES]))
+           budget=st.sampled_from([1, 50, seq_ot._BLOCK_ENTRIES]),
+           chunk=st.sampled_from([1, 600, core._CHUNK_ENTRIES]))
     @example(batch=2, tokens=9, k=4, seed=0, levels=2, gathered=True,
-             signed_zeros=True, budget=50)
+             signed_zeros=True, budget=50, chunk=core._CHUNK_ENTRIES)
     @example(batch=3, tokens=8, k=5, seed=1, levels=5, gathered=True,
-             signed_zeros=True, budget=seq_ot._BLOCK_ENTRIES)
+             signed_zeros=True, budget=seq_ot._BLOCK_ENTRIES,
+             chunk=core._CHUNK_ENTRIES)
     # Blocks of 25 // (B * T) teacher rows: 2, 2, 2, 2 and 1 of 9 rows, and
     # 2, 2 and 1 of 5 rows in each of two items.
     @example(batch=1, tokens=9, k=5, seed=2, levels=2, gathered=True,
-             signed_zeros=True, budget=50)
+             signed_zeros=True, budget=50, chunk=core._CHUNK_ENTRIES)
     @example(batch=2, tokens=5, k=6, seed=3, levels=2, gathered=False,
-             signed_zeros=False, budget=50)
+             signed_zeros=False, budget=50, chunk=core._CHUNK_ENTRIES)
+    # One block ranked in groups of 5 and 4 columns of both items, and in
+    # groups of one column.
+    @example(batch=2, tokens=9, k=9, seed=4, levels=2, gathered=True,
+             signed_zeros=True, budget=seq_ot._BLOCK_ENTRIES, chunk=600)
+    @example(batch=1, tokens=30, k=7, seed=5, levels=5, gathered=False,
+             signed_zeros=True, budget=seq_ot._BLOCK_ENTRIES, chunk=1)
     @settings(max_examples=80, deadline=None)
     def test_equals_float_comparisons(self, batch, tokens, k, seed, levels,
-                                      gathered, signed_zeros, budget):
+                                      gathered, signed_zeros, budget, chunk):
         rng = np.random.default_rng(seed)
         pairs = [tied_pair(tokens, k, seed + b, levels, gathered)
                  for b in range(batch)]
@@ -541,6 +552,8 @@ class TestRanks:
         plan = rng.random((batch, tokens, tokens))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(seq_ot, "_BLOCK_ENTRIES", budget)
+            for module in (core, seq_ot):
+                patch.setattr(module, "_CHUNK_ENTRIES", chunk)
             grad = seq_ot._sd_grad(t, s, plan)
             public = (sd_grad(AlignedPair(t[0], s[0]), plan[0])
                       if batch == 1 else None)

@@ -206,6 +206,43 @@ def test_column_sums_over_several_blocks_equal_one_block_sums(cores,
     assert [k for k in whole if blocked[k] != whole[k]] == []
 
 
+@pytest.mark.parametrize("count", THREADS)
+@pytest.mark.parametrize("chunk", [480, 120])
+def test_chunks_give_the_bits_of_one_chunk(cores, monkeypatch, count, chunk):
+    # At a chunk of 480 entries over the threads, a pass that sums no
+    # columns walks each block of the 24 x 30 student in chunks of 16, 8
+    # or 5 rows (on 1, 2 or 3 threads; 4, 2 or 1 at 120), the backward
+    # walks blocks that small, the last cutting the shared columns' index,
+    # and _ranks ranks the 8 kept columns in groups of 3 on one thread (3,
+    # 3 and 2, each offset by its start) and of 1 on more; at 120 the mass
+    # check sums each (24, 8) term in two pieces. The harness's stacks of
+    # 4 sequences of 6 tokens give chunks of whole sequences. At the
+    # default chunk each of these calls is one chunk, whose bits the
+    # reference tests hold, so the chunked calls must give the same bytes,
+    # at both the squaring pair of temperatures and another.
+    t, s = pair(73, tokens=2 * TOKENS)
+
+    def compute():
+        out = {}
+        for taus in ((1.0, 2.0), (0.7, 3.1)):
+            w = replace(W, tau_sl=taus[0], tau_sd=taus[1])
+            out.update({(taus, k): v for k, v in outputs(t, s, w).items()})
+        for mode in (MULTILEVEL_OT, ULD):
+            out[mode] = fileio.metrics_csv_text(run_distillation(
+                DistillConfig(seed=3, m=33, n=30, tokens=6, contexts=24,
+                              steps=4, mode=mode)))
+        return out
+
+    whole = compute()
+    cores(count)
+    monkeypatch.setattr(core, "_THREAD_ENTRIES", 1)
+    for module in (core, seq_ot):
+        monkeypatch.setattr(module, "_CHUNK_ENTRIES", chunk)
+    chunked = compute()
+    assert chunked.keys() == whole.keys()
+    assert [k for k in whole if chunked[k] != whole[k]] == []
+
+
 def test_sequence_kernels_are_the_same_at_every_thread_count(threads):
     rng = np.random.default_rng(61)
     # Rounded values tie, so the rank path meets equal values too.
@@ -226,22 +263,28 @@ def test_sequence_kernels_are_the_same_at_every_thread_count(threads):
 # (B, T, k, budget): blocks of one teacher row of 74 signs per column, on
 # up to 3 threads; of 12 rows (five of 12 and one of 1) of 2 items, on up
 # to 2; and one block of all 9 rows, 7 columns split over up to 3 threads.
+# At the default chunk the first two rank every column of a thread at
+# once and the third compares floats; at a chunk of 300 all three rank
+# in groups of one or two columns.
+@pytest.mark.parametrize("chunk", [core._CHUNK_ENTRIES, 300])
 @pytest.mark.parametrize("batch, tokens, k, budget", [
     (2, 37, 9, 3 * 2 * 37), (2, 61, 5, 2 * 2 * 61 * 12),
     (2, 9, 7, seq_ot._BLOCK_ENTRIES)])
 def test_sequence_gradient_blocks_are_the_same_at_every_thread_count(
-        cores, monkeypatch, batch, tokens, k, budget):
+        cores, monkeypatch, batch, tokens, k, budget, chunk):
     # The row blocks fix the bits, whatever the threads and the columns
     # each takes per block: every count gives the reference's bytes.
     monkeypatch.setattr(core, "_THREAD_ENTRIES", 1)
     monkeypatch.setattr(seq_ot, "_BLOCK_ENTRIES", budget)
+    for module in (core, seq_ot):
+        monkeypatch.setattr(module, "_CHUNK_ENTRIES", chunk)
     rng = np.random.default_rng(tokens)
     t, s = (np.round(rng.random((batch, tokens, k)), 1) for _ in range(2))
     plan = rng.random((batch, tokens, tokens))
     expected = sd_grad_by_comparison(t, s, plan, budget).tobytes()
-    same_at_every_count(cores, lambda: {
-        "sd_grad": seq_ot._sd_grad(t, s, plan).tobytes(),
-        "reference": expected})
+    for count in THREADS:
+        cores(count)
+        assert seq_ot._sd_grad(t, s, plan).tobytes() == expected, count
 
 
 def test_sequence_gradient_signs_hold_one_budget_on_many_cores(
