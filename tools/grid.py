@@ -17,9 +17,10 @@ Each output line is `<group> <sha256>`, one per group:
             distill` writes it at its default settings;
   long      total_grad with and without a state at T = 96 against a
             student vocabulary of 3000, at temperatures (1, 2) and (0.7,
-            3.1), where a pass's and the backward's blocks span several
-            chunks of rows, and sd_grad at T = 600 with tied values, which
-            compares dense ranks.
+            3.1), where a pass's blocks span several chunks of rows and
+            the backward walks chunks, and sd_grad with tied values at
+            T = 600 and at T = 64, k = 50 (one block of signs, larger
+            than half a chunk), which both compare dense ranks.
 A hash covers the dtype, shape and bytes of every array, and the repr of
 every number, so two trees print the same line for a group only if every
 output of the group is the same bit for bit.
@@ -109,9 +110,11 @@ def _long():
         state = od.build_state(t, s, w=w)
         out += [od.total_grad(t, s, w=w),
                 od.total_grad(t, s, w=w, state=state)]
-    pair = od.AlignedPair(np.round(rng.random((600, 50)), 2),
-                          np.round(rng.random((600, 50)), 2))
-    return out + [od.sd_grad(pair, rng.random((600, 600)))]
+    for tokens in (600, 64):
+        pair = od.AlignedPair(np.round(rng.random((tokens, 50)), 2),
+                              np.round(rng.random((tokens, 50)), 2))
+        out.append(od.sd_grad(pair, rng.random((tokens, tokens))))
+    return out
 
 
 def main():
