@@ -736,8 +736,9 @@ def _softmax_backward(z, top, levels, gradient, taus):
     # (one sequence's last rows, or fewer whole sequences) takes its head.
     first = np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:2] + (1,))
     # Columns every row reads, (1, 1, c), have one flat index for every
-    # block, made once where there are several blocks, not once per block.
-    shared = None if len(blocks) == 1 else [
+    # block, made once where the walk takes several chunks, not once per
+    # chunk.
+    shared = None if not chunked or len(blocks) == 1 else [
         [None if cols is None or cols.size > cols.shape[-1] else first + cols
          for cols, _ in terms] for _, terms in levels]
 
