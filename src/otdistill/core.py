@@ -765,13 +765,12 @@ def _softmax_backward(z, top, levels, gradient, taus):
                 # 2.1). The index, as large as x's block, is not kept.
                 if not probs.flags.c_contiguous:
                     raise RuntimeError("a backward block is not C-ordered")
-                index = shared and shared[i][j]
-                if index is None:
-                    cols = cols[block] if cols.shape[1] > 1 else cols[block[0]]
-                    index = head + cols
+                if shared and shared[i][j] is not None:
+                    index = shared[i][j][:zb.shape[0], :zb.shape[1]]
+                    probs.reshape(-1)[index] += x[block]
                 else:
-                    index = index[:zb.shape[0], :zb.shape[1]]
-                probs.reshape(-1)[index] += x[block]
+                    cols = cols[block] if cols.shape[1] > 1 else cols[block[0]]
+                    probs.reshape(-1)[head + cols] += x[block]
         # Addition is commutative, so the order of the two levels does not
         # change a bit of their sum.
         if spare is not None:
