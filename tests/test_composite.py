@@ -867,9 +867,9 @@ class TestPeakMemory:
     def test_gradient_call_holds_one_block_beside_the_gradient(self):
         # The pass computes its tau_sd exponentials in the gradient and
         # only the row sums of the tau_sl ones it squares from them, chunk
-        # by chunk; the sequence gradient's float signs (one block here,
-        # T * T * k < _BLOCK_ENTRIES: half a chunk of them) and the
-        # backward's chunk of the tau_sl level come after it. The rest is
+        # by chunk; the sequence gradient's int16 signs (one block here,
+        # T * T * k < _BLOCK_ENTRIES, ranked: at most a chunk's bytes) and
+        # the backward's chunk of the tau_sl level come after it. The rest is
         # (T, k) arrays: the kept entries at both temperatures, their
         # products and index arrays, the sequence gradient and its partial
         # sums. A block buffer in the pass or the backward would add
