@@ -206,8 +206,9 @@ def _logit_matrix(logits):
 
 def _finite_range(lo, hi):
     # min and max propagate nan and expose +-inf, so checking them covers
-    # every entry without a boolean temporary of the matrix's size.
-    return np.isfinite(lo) and np.isfinite(hi)
+    # every entry without a boolean temporary of the matrix's size. The
+    # scalars go through math, a sixth of numpy's per-call cost.
+    return math.isfinite(lo) and math.isfinite(hi)
 
 
 def _matrix(x, what, finite=False, ndim=2):
@@ -283,16 +284,25 @@ def _blocks(shape, parts=1, budget=None):
     most budget // parts entries (budget defaults to _BLOCK_ENTRIES): as
     many whole sequences as fit, or, when one does not, runs of rows of one
     sequence (at least one row). Where the stack has as many rows, there
-    are at least `parts` blocks, so that every thread of _walk gets one."""
+    are at least `parts` blocks, so that every thread of _walk gets one.
+    A tuple, worked out once per shape, parts and budget (_cut_blocks): the
+    budget is resolved first, so a patched _BLOCK_ENTRIES cuts anew."""
+    return _cut_blocks(shape, parts,
+                       _BLOCK_ENTRIES if budget is None else budget)
+
+
+@functools.lru_cache
+def _cut_blocks(shape, parts, budget):
+    # _blocks at a resolved budget.
     batch, tokens, vocab = shape
-    budget = (_BLOCK_ENTRIES if budget is None else budget) // parts
+    budget //= parts
     if tokens * vocab <= budget and batch >= parts:
         step = min(budget // (tokens * vocab), batch // parts)
-        return [(slice(b, min(b + step, batch)), slice(0, tokens))
-                for b in range(0, batch, step)]
+        return tuple([(slice(b, min(b + step, batch)), slice(0, tokens))
+                      for b in range(0, batch, step)])
     step = max(1, min(budget // vocab, batch * tokens // parts))
-    return [(slice(b, b + 1), slice(i, min(i + step, tokens)))
-            for b in range(batch) for i in range(0, tokens, step)]
+    return tuple([(slice(b, b + 1), slice(i, min(i + step, tokens)))
+                  for b in range(batch) for i in range(0, tokens, step)])
 
 
 def _chunks(block, vocab, budget):
@@ -494,7 +504,7 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
 
         def chunked(block, part):
             z = arr[block]
-            peak = np.max(z, axis=-1, keepdims=True, out=top[block])
+            peak = z.max(axis=-1, keepdims=True, out=top[block])
             if not _finite_range(z.min(), peak.max()):
                 raise InvalidInput(_NON_FINITE)
             with np.errstate(over="ignore"):
@@ -546,7 +556,7 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
         if out is not None:
             exps.insert(hold, out[block])
         try:
-            peak = np.max(z, axis=-1, keepdims=True, out=top[block])
+            peak = z.max(axis=-1, keepdims=True, out=top[block])
             # The block's min is read while the block is in cache.
             if not _finite_range(z.min(), peak.max()):
                 raise InvalidInput(_NON_FINITE)

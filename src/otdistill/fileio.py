@@ -3,7 +3,8 @@
 Logit files are JSON objects with exactly the keys "tokens", "vocab", and
 "logits". Matrices travel as headerless CSV with one row per line. All
 writes go through a temp file plus rename so readers never see a partial
-file. Numbers are written with 17 significant digits so 64-bit values
+file; CSV files are streamed into it line by line, never held whole.
+Numbers are written with 17 significant digits so 64-bit values
 round-trip exactly.
 """
 
@@ -38,13 +39,17 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def write_text_atomic(path, text):
-    """Write text to path via a temp file in the same directory plus rename.
+def write_text_atomic(path, chunks):
+    """Write the strings of chunks, in order, to path via a temp file in the
+    same directory plus rename.
 
-    The file keeps the mode of a file it replaces; a new one gets the mode
-    open() gives a new file, 0o666 less the umask. A path that cannot be
-    written (a directory, a missing one) raises ParseError naming it, and
-    leaves no temp file behind.
+    chunks is any iterable of str (a str writes its characters), taken one
+    at a time, so a generator of lines streams a file that is never held
+    whole. The file keeps the mode of a file it replaces; a new one gets
+    the mode open() gives a new file, 0o666 less the umask. A path that
+    cannot be written (a directory, a missing one) raises ParseError naming
+    it; that, or any error raised while chunks are taken, leaves the file
+    at path as it was and no temp file behind.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
@@ -56,7 +61,7 @@ def write_text_atomic(path, text):
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as f:
-                f.write(text)
+                f.writelines(chunks)
             if mode is not None:
                 os.chmod(tmp, mode)
             os.replace(tmp, path)
@@ -125,7 +130,7 @@ def write_logit_file(path, logits):
     arr = np.asarray(logits, dtype=float)
     doc = {"tokens": arr.shape[0], "vocab": arr.shape[1],
            "logits": [[float(x) for x in row] for row in arr]}
-    write_text_atomic(path, json.dumps(doc) + "\n")
+    write_text_atomic(path, (json.dumps(doc) + "\n",))
 
 
 def load_matrix_csv(path):
@@ -153,8 +158,8 @@ def load_matrix_csv(path):
 
 def write_matrix_csv(path, matrix):
     arr = np.asarray(matrix, dtype=float)
-    lines = [",".join(_fmt(x) for x in row) for row in arr]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, (",".join(_fmt(x) for x in row) + "\n"
+                             for row in arr))
 
 
 def load_labels_file(path):
@@ -190,8 +195,13 @@ def load_keyvalue_config(path):
 
 def metrics_csv_text(metrics):
     """Render harness run metrics as CSV, one column per field, in order."""
+    return "".join(_metrics_csv_lines(metrics))
+
+
+def _metrics_csv_lines(metrics):
+    # The lines of metrics_csv_text, each with its newline, made one at a
+    # time: RunMetrics.to_csv streams them to its file.
     names = [f.name for f in fields(metrics)]
-    lines = [",".join(names)]
+    yield ",".join(names) + "\n"
     for step, *row in zip(*(getattr(metrics, name) for name in names)):
-        lines.append(",".join([str(int(step))] + [_fmt(v) for v in row]))
-    return "\n".join(lines) + "\n"
+        yield ",".join([str(int(step))] + [_fmt(v) for v in row]) + "\n"

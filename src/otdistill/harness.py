@@ -17,7 +17,7 @@ from .composite import (CE_ONLY, COMPONENTS, MULTILEVEL_OT, ULD, LossWeights,
                         _forward, _teacher)
 from .core import _check_choice, _check_count, _check_number, _check_type
 from .errors import InvalidConfig, NumericalFailure
-from .fileio import metrics_csv_text, write_text_atomic
+from .fileio import _metrics_csv_lines, write_text_atomic
 
 # A mode names the objective training differentiates; every mode records the
 # same multi-level loss breakdown.
@@ -73,7 +73,8 @@ class RunMetrics:
     eval_sd: np.ndarray
 
     def to_csv(self, path):
-        write_text_atomic(path, metrics_csv_text(self))
+        # Streamed line by line: the whole CSV text is never held.
+        write_text_atomic(path, _metrics_csv_lines(self))
 
 
 def make_teacher_table(cfg: DistillConfig):
@@ -104,12 +105,24 @@ def _normal_table(rng, cfg, vocab):
             f"{getattr(cfg, vocab)} entries cannot be allocated") from None
 
 
-def _metrics(records) -> RunMetrics:
-    # The steps recorded so far; after a divergence, callers persist these.
-    return RunMetrics(
-        step=np.arange(len(records["eval_sd"])),
-        **{name: np.array(values) for name, values in records.items()},
-    )
+def _records(cfg):
+    # One float64 row per recorded metric, cfg.steps entries each, allocated
+    # once: a run holds 8 bytes per metric per step and no Python object per
+    # step. A steps numpy cannot allocate is a config out of range, found
+    # before any step runs.
+    names = COMPONENTS + ("eval_sd",)
+    try:
+        return dict(zip(names, np.empty((len(names), cfg.steps))))
+    except (MemoryError, ValueError):
+        raise InvalidConfig(
+            f"metrics of steps={cfg.steps} cannot be allocated") from None
+
+
+def _metrics(records, count) -> RunMetrics:
+    # The first count steps; after a divergence, callers persist these.
+    return RunMetrics(step=np.arange(count),
+                      **{name: values[:count]
+                         for name, values in records.items()})
 
 
 def _block_mean(values):
@@ -124,10 +137,13 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
     """Full-batch gradient descent on the student table.
 
     Metrics are recorded before each update, so step 0 reflects the initial
-    student. Raises NumericalFailure (with the step index) if any loss goes
-    non-finite.
+    student, into arrays of cfg.steps entries made before the first step.
+    Raises InvalidConfig if numpy cannot allocate them, and
+    NumericalFailure (with the step index, and the steps before it as its
+    metrics) if any loss goes non-finite.
     """
     _check_type(cfg, DistillConfig, "cfg")
+    records = _records(cfg)
     teacher = make_teacher_table(cfg)
     W = _initial_student(cfg)
     w = cfg.weights
@@ -156,7 +172,6 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
     # step, they oscillate whenever two student dimensions trade rank.
     labels = None
 
-    records = {name: [] for name in COMPONENTS + ("eval_sd",)}
     for step in range(cfg.steps):
         # One fused pass: every block's state, breakdown and the mode's
         # gradient from the same softmaxes.
@@ -165,18 +180,18 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
                                               w, labels=labels, grad=cfg.mode)
         except NumericalFailure as exc:
             failure = NumericalFailure(f"step {step}: {exc}")
-            failure.metrics = _metrics(records)
+            failure.metrics = _metrics(records, step)
             raise failure from None
         labels = state.labels
         for name in COMPONENTS:
-            records[name].append(_block_mean(getattr(breakdown, name)))
+            records[name][step] = _block_mean(getattr(breakdown, name))
         # The metric of the evaluation blocks, also trained, is the
         # sequence loss at a freshly built plan, which is what the fused
         # pass just computed for them.
-        records["eval_sd"].append(float(np.mean(breakdown.sd[-n_eval:])))
+        records["eval_sd"][step] = np.mean(breakdown.sd[-n_eval:])
         student_blocks -= cfg.lr * grad
 
-    return _metrics(records)
+    return _metrics(records, cfg.steps)
 
 
 @dataclass(frozen=True)

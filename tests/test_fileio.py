@@ -144,6 +144,27 @@ class TestAtomicWrite:
             == ("new", mode)
 
 
+    def test_chunks_are_written_in_order(self, tmp_path):
+        path = tmp_path / "out.txt"
+        fileio.write_text_atomic(path, (line for line in ("a,b\n", "1,2\n")))
+        assert path.read_text() == "a,b\n1,2\n"
+
+    def test_a_stream_that_raises_midway_leaves_the_old_file(self, tmp_path):
+        # Lines already written sit in the temp file, which is removed; the
+        # error reaches the caller as it was raised.
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+
+        def lines():
+            yield "step\n"
+            yield "0\n"
+            raise RuntimeError("stream broke")
+
+        with pytest.raises(RuntimeError, match="stream broke"):
+            fileio.write_text_atomic(path, lines())
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
     @pytest.mark.parametrize("where", ["a directory", "a missing directory"])
     def test_an_unwritable_path_is_a_parse_error_leaving_no_temp_file(
             self, tmp_path, where):

@@ -1,10 +1,14 @@
-import numpy as np
-import pytest
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
 from otdistill import (CE_ONLY, MULTILEVEL_OT, ULD, DistillConfig,
-                       InvalidConfig, compare_modes, harness, run_distillation)
-from otdistill.harness import make_teacher_table
+                       InvalidConfig, LossWeights, NumericalFailure, cli,
+                       compare_modes, harness, run_distillation)
+from otdistill.fileio import metrics_csv_text
+from otdistill.harness import MODES, make_teacher_table
 
 FAST = DistillConfig(seed=3, m=10, n=7, tokens=4, contexts=16, steps=25, lr=0.3)
 
@@ -102,6 +106,75 @@ class TestRunDistillation:
         for name in ("ce", "had", "sl", "sd", "total", "eval_sd"):
             np.testing.assert_array_equal(getattr(short, name),
                                           getattr(longer, name))
+
+
+# The acceptance fixture at seed 1, as a distill config file's lines.
+FIXTURE = "seed=1\nm=20\nn=15\nT=8\ncontexts=32\nlr=0.5\n"
+
+
+def distill(tmp_path, text, mode=MULTILEVEL_OT):
+    """otdistill distill in process on a config of text: the exit code and
+    the path it was asked to write."""
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    out = tmp_path / f"{mode}.csv"
+    return cli.main(["distill", "--config", str(config), "--out", str(out),
+                     "--mode", mode]), out
+
+
+class TestRunMemory:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_run_holds_at_most_64_bytes_per_step(self, tmp_path, mode):
+        # The six metrics take 8 bytes each per step, in arrays made once,
+        # and the CSV is streamed to its file, never held whole; a list of
+        # Python floats per metric and the whole CSV text took about 470.
+        distill(tmp_path, FIXTURE + "steps=5\n", mode)  # first-call caches
+        peaks = {}
+        for steps in (300, 1500):
+            tracemalloc.start()
+            try:
+                code, out = distill(tmp_path, FIXTURE + f"steps={steps}\n",
+                                    mode)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert len(out.read_text().splitlines()) == steps + 1
+        per_step = (peaks[1500] - peaks[300]) / 1200
+        assert per_step <= 64, f"{per_step:.1f} bytes per step, {peaks}"
+
+    def test_the_written_csv_is_metrics_csv_text(self, tmp_path):
+        # The file is streamed line by line and the text is those lines
+        # joined: the same bytes, for a full run and for the steps a run
+        # stopped by a gradient past the float range keeps.
+        code, out = distill(tmp_path, FIXTURE + "steps=40\n")
+        assert code == 0
+        cfg = DistillConfig(seed=1, m=20, n=15, tokens=8, contexts=32,
+                            steps=40, lr=0.5)
+        assert out.read_bytes() == metrics_csv_text(
+            run_distillation(cfg)).encode()
+        code, out = distill(tmp_path, FIXTURE + "steps=5\nalpha=1e300\n")
+        assert code == 4
+        with pytest.raises(NumericalFailure) as info:
+            run_distillation(replace(cfg, steps=5,
+                                     weights=LossWeights(alpha=1e300)))
+        partial = info.value.metrics
+        assert 0 < len(partial.step) < 5
+        assert out.read_bytes() == metrics_csv_text(partial).encode()
+
+    @pytest.mark.parametrize("steps", [10**15, 10**20])
+    def test_steps_numpy_cannot_allocate_are_a_config_error(self, capsys,
+                                                            tmp_path, steps):
+        # The metric arrays are made before the first step: numpy refuses
+        # 10**15 steps the memory (MemoryError) and 10**20 the dimension
+        # (ValueError); either is a steps out of range, and nothing is
+        # written.
+        with pytest.raises(InvalidConfig, match="steps"):
+            run_distillation(replace(FAST, steps=steps))
+        code, out = distill(tmp_path, FIXTURE + f"steps={steps}\n")
+        assert code == 3
+        assert "steps" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 class TestTeacherTable:

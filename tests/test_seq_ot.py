@@ -501,6 +501,29 @@ class TestSdGrad:
         pair = pair_of([[-1e308, 1e308]], [[1e308, -1e308]])
         np.testing.assert_array_equal(sd_grad(pair, [[1.0]]), [[1.0, -1.0]])
 
+    def test_float_signs_take_one_broadcast_buffer(self):
+        # A harness step's shapes, whose signs are float differences of the
+        # transposed values: the call holds the signs (B T T k float64,
+        # 30.7 kB), numpy's buffer for one strided broadcast operand of
+        # their subtraction (at most as large), and the (B, k, T) sums and
+        # their C-ordered copy. A subtraction of both broadcast views
+        # buffers each of them (99 kB in all against 68 kB).
+        batch, tokens, k = 4, 8, 15
+        rng = np.random.default_rng(12)
+        t, s = rng.standard_normal((2, batch, tokens, k))
+        plan = rng.random((batch, tokens, tokens))
+        bound = 8 * (2 * batch * tokens**2 * k + 4 * batch * tokens * k)
+        seq_ot._sd_grad(t, s, plan)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            grad = seq_ot._sd_grad(t, s, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = sd_grad_by_comparison(t, s, plan, seq_ot._BLOCK_ENTRIES)
+        assert grad.tobytes() == expected.tobytes()
+        assert peak < bound, f"peak {peak} bytes, bound {bound}"
+
 
 class TestRanks:
     """_sd_grad compares dense ranks unless its signs fit in half a chunk
