@@ -144,11 +144,6 @@ class TestAtomicWrite:
             == ("new", mode)
 
 
-    def test_chunks_are_written_in_order(self, tmp_path):
-        path = tmp_path / "out.txt"
-        fileio.write_text_atomic(path, (line for line in ("a,b\n", "1,2\n")))
-        assert path.read_text() == "a,b\n1,2\n"
-
     def test_a_stream_that_raises_midway_leaves_the_old_file(self, tmp_path):
         # Lines already written sit in the temp file, which is removed; the
         # error reaches the caller as it was raised.

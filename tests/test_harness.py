@@ -171,7 +171,7 @@ class TestRunMemory:
         # written.
         with pytest.raises(InvalidConfig, match="steps"):
             run_distillation(replace(FAST, steps=steps))
-        code, out = distill(tmp_path, FIXTURE + f"steps={steps}\n")
+        code, _ = distill(tmp_path, FIXTURE + f"steps={steps}\n")
         assert code == 3
         assert "steps" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
