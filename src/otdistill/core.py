@@ -10,10 +10,11 @@ what its caller reads. _softmax_level, the one builder of every softmax
 level, makes a level from the pass's normalizers or from the exponentials it
 held (_held, _squared), and _softmax_backward builds each level into the
 gradient of a loss read at sparse entries. Beside its outputs a kernel holds
-block buffers only where it sums columns or takes the argmax, and otherwise
-one chunk scratch of _CHUNK_ENTRIES over its threads (_chunks). _walk splits
-a kernel call across the usable cores without splitting a sum, so every
-output here and in seq_ot is the same bit for bit at any thread count.
+a buffer per level it keeps in none: a block's where it sums columns or
+takes the argmax, and otherwise a chunk's, of _CHUNK_ENTRIES over its
+threads (_budget). _walk splits a kernel call across the usable cores
+without splitting a sum, so every output here and in seq_ot is the same bit
+for bit at any thread count.
 """
 
 import functools
@@ -48,11 +49,10 @@ _NON_FINITE = "logit matrix contains non-finite entries"
 # overhead is negligible.
 _BLOCK_ENTRIES = 1 << 18
 
-# Entries of scratch a kernel call that keeps no block buffer holds at once
-# beside its outputs, over all its threads: a pass that sums no columns
-# walks each block in chunks of rows (_chunks), the backward walks blocks of
-# a chunk, and seq_ot._ranks its columns in groups, each thread in its
-# share (one column at least).
+# Entries of each buffer a kernel call that keeps no block buffer holds
+# beside its outputs, over all its threads: a pass that sums no columns and
+# the backward walk blocks of a chunk (_budget), and seq_ot._ranks its
+# columns in groups, each thread in its share (one column at least).
 _CHUNK_ENTRIES = 1 << 16
 
 # Entries of a kernel call each thread takes at least: a call touching
@@ -305,25 +305,22 @@ def _cut_blocks(shape, parts, budget):
                   for b in range(batch) for i in range(0, tokens, step)])
 
 
-def _chunks(block, vocab, budget):
-    """The (items, rows) slices that cover a block of a (B, T, V) stack,
-    one of _blocks, in chunks of at most budget entries (a thread's share
-    of _CHUNK_ENTRIES) cut as _blocks cuts a stack, the first the largest;
-    the block itself when it fits, or when a row does not.
+def _budget(vocab, parts, scratch):
+    """The one rule for the blocks a kernel over rows `vocab` wide walks on
+    `parts` threads, as the budget it cuts them by (_blocks): chunks,
+    blocks of _CHUNK_ENTRIES over its threads, where it holds scratch (a
+    buffer of a level it keeps in no output) and a row fits in a thread's
+    share of a chunk, else blocks of _BLOCK_ENTRIES (None).
 
-    Chunks of rows inside blocks, not smaller blocks, keep a block's own
-    work (its max and check, a thread taking it) per block. A row wider
-    than the budget keeps its block: one-row chunks at vocabulary width
-    (vocab_t128 in bench/: 1 row of 50000 against the blocks' 2) made its
-    step 4.8% slower for 1.5% less peak memory. The cost is per numpy call
-    on two threads; on one, the row count per call changed nothing."""
-    items, rows = block
-    shape = (items.stop - items.start, rows.stop - rows.start, vocab)
-    if shape[0] * shape[1] * vocab <= budget or vocab > budget:
-        return [block]
-    return [(slice(items.start + i.start, items.start + i.stop),
-             slice(rows.start + r.start, rows.start + r.stop))
-            for i, r in _blocks(shape, budget=budget)]
+    A row wider than the share keeps its block: one-row chunks at
+    vocabulary width (vocab_t128 in bench/: 1 row of 50000 against the
+    blocks' 2) made its step 4.8% slower for 1.5% less peak memory. The
+    cost is per numpy call on two threads; on one, the row count per call
+    changed nothing. A kernel with no scratch gains nothing from chunks
+    and takes fewer items."""
+    if scratch and vocab <= _CHUNK_ENTRIES // parts:
+        return _CHUNK_ENTRIES
+    return None
 
 
 def _walk(fn, items, parts=None):
@@ -431,9 +428,7 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     taus, block by block (see _blocks), that also checks them: a block
     holding nan or +-inf raises InvalidInput before any arithmetic on it.
 
-    Each row's max is taken once, and its difference from it once (once
-    per level in a pass without out at two temperatures neither twice the
-    other, whose chunk scratch holds one level at a time). At each
+    Each row's max is taken once, and its difference from it once. At each
     temperature the pass computes exp((z - max) * (1 / tau)), except where
     _squared says a level squares the other's exponentials, at twice its
     tau (np.square, before either is normalized), so at the default pair
@@ -445,15 +440,13 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     exponentials of the level _held names, left unnormalized:
     _softmax_level builds a level from them.
 
-    What it holds beside its outputs: a pass that sums columns or takes
-    the argmax normalizes each level not in out in a block buffer, the
-    column sums' unit of hand-off; any other pass reads only row sums, and
-    computes out's level block by block straight in out and any other
-    level (without out, every level) chunk by chunk in one array of chunk
-    scratch (_CHUNK_ENTRIES over its threads, _chunks).
+    Beside its outputs it holds a buffer per level not in out, the thread's
+    share of it at a time: a block's where it sums columns (whose unit of
+    hand-off a block is; out's level is normalized into the last buffer)
+    or takes the argmax, and otherwise a chunk's (_budget).
 
     A large pass runs on several threads (_parts, _walk), each on blocks of
-    its share of the block budget in its share of the buffers or scratch,
+    its share of the block or chunk budget in its share of the buffers,
     so they take no more memory than on one thread; the thread count is
     capped so that each block share holds a row. Column sums add each
     sequence's rows in order, as numpy reduces that axis: a block adds its
@@ -461,7 +454,7 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     raised (in one sum after adding the running sums into its first row;
     out's level, whose rows out keeps, last, normalized in a block buffer),
     and a row's sums are the same over any run of rows, so every output is
-    the same bit for bit at any blocking, chunking and thread count (the
+    the same bit for bit at any blocking and thread count (the
     tests hold it to a dense softmax, their refimpl._softmax).
 
     Returns (top, totals, colsums, best): the (B, T, 1) row maxima, one
@@ -477,68 +470,12 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     colsums = [np.zeros(arr.shape[::2]) for _ in taus] if sums else None
     best = np.empty(arr.shape[:-1], dtype=np.intp) if argmax else None
     parts = _parts(arr.size * len(taus), arr.shape[-1])
-    blocks = _blocks(arr.shape, parts)
-    if not (sums or argmax):
-        # Nothing is read of a level but its row sums. The level out holds
-        # (_held) is computed there block by block; the other level, and
-        # without out every level, chunk by chunk (_chunks) in the thread's
-        # share of one array of chunk scratch.
-        other = 1 - hold if len(taus) > 1 else None
-        budget = _CHUNK_ENTRIES // parts
-        chunk = arr[_chunks(blocks[0], arr.shape[-1], budget)[0]].shape
-        scratch = (np.empty((parts,) + chunk)
-                   if other is not None or out is None else None)
-
-        def spread(block, part):
-            # The other level's row sums from out's rows, before its level
-            # is scaled (from the difference) or after (squaring it).
-            for rows in _chunks(block, arr.shape[-1], budget):
-                x = out[rows]
-                e = scratch[part, :x.shape[0], :x.shape[1]]
-                if squared[other]:
-                    np.square(x, out=e)
-                else:
-                    np.multiply(x, 1.0 / taus[other], out=e)
-                    np.exp(e, out=e)
-                e.sum(axis=-1, keepdims=True, out=totals[other][rows])
-
-        def chunked(block, part):
-            z = arr[block]
-            peak = z.max(axis=-1, keepdims=True, out=top[block])
-            if not _finite_range(z.min(), peak.max()):
-                raise InvalidInput(_NON_FINITE)
-            with np.errstate(over="ignore"):
-                if out is not None:
-                    np.subtract(z, peak, out=out[block])
-                    if other is not None and not squared[other]:
-                        spread(block, part)
-                    _exponentiate(out[block], taus[hold], totals[hold][block])
-                    if other is not None and squared[other]:
-                        spread(block, part)
-                else:
-                    for rows in _chunks(block, arr.shape[-1], budget):
-                        z = arr[rows]
-                        e = scratch[part, :z.shape[0], :z.shape[1]]
-                        if other is not None and not squared[other]:
-                            # From the difference, taken again below for
-                            # the held level (the same bits).
-                            np.subtract(z, top[rows], out=e)
-                            _exponentiate(e, taus[other], totals[other][rows])
-                        np.subtract(z, top[rows], out=e)
-                        _exponentiate(e, taus[hold], totals[hold][rows])
-                        if other is not None and squared[other]:
-                            np.square(e, out=e)
-                            e.sum(axis=-1, keepdims=True,
-                                  out=totals[other][rows])
-            for total in totals:
-                np.reciprocal(total[block], out=total[block])
-
-        _walk(chunked, blocks, parts)
-        return top, totals, None, None
-    # A block buffer per level not in out; for column sums, out's level is
+    # A buffer per level not in out; for column sums, out's level is
     # normalized into the last, once that buffer's own sums are taken.
-    bufs = [np.empty((parts,) + arr[blocks[0]].shape)
-            for _ in range(max(len(taus) - (out is not None), int(sums)))]
+    count = max(len(taus) - (out is not None), int(sums))
+    blocks = _blocks(arr.shape, parts, _budget(
+        arr.shape[-1], parts, count and not (sums or argmax)))
+    bufs = [np.empty((parts,) + arr[blocks[0]].shape) for _ in range(count)]
     # Levels in the order their column sums are taken: out's last.
     order = ((1 - hold, hold) if out is not None and len(taus) == 2
              else range(len(taus)))
@@ -560,13 +497,12 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
             # The block's min is read while the block is in cache.
             if not _finite_range(z.min(), peak.max()):
                 raise InvalidInput(_NON_FINITE)
-            with np.errstate(over="ignore"):
-                np.subtract(z, peak, out=exps[0])
-                for e, tau, square in zip(exps[1:], taus[1:], squared[1:]):
-                    if not square:
-                        np.multiply(exps[0], 1.0 / tau, out=e)
-                if not squared[0] and taus[0] != 1.0:
-                    exps[0] *= 1.0 / taus[0]
+            np.subtract(z, peak, out=exps[0])
+            for e, tau, square in zip(exps[1:], taus[1:], squared[1:]):
+                if not square:
+                    np.multiply(exps[0], 1.0 / tau, out=e)
+            if not squared[0] and taus[0] != 1.0:
+                exps[0] *= 1.0 / taus[0]
             for e, square in zip(exps, squared):
                 if not square:
                     np.exp(e, out=e)
@@ -610,19 +546,12 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
                     added[items.start] = max(added[items.start], span.stop)
                     turn.notify_all()
 
-    _walk(walk, blocks, parts)
+    # Scaling z - max by 1 / tau cannot overflow to +inf; entries far below
+    # the max may saturate to -inf, whose exp is the correct 0. The workers
+    # run under this errstate (_walk), entered once per pass.
+    with np.errstate(over="ignore"):
+        _walk(walk, blocks, parts)
     return top, totals, colsums, best
-
-
-def _exponentiate(x, tau, total):
-    # A pass's level at tau from the difference x = z - max, in place: x
-    # times 1 / tau (skipped at 1, which is exact; the caller ignores
-    # overflow, which saturates to -inf), its exp, and the row sums into
-    # total.
-    if tau != 1.0:
-        x *= 1.0 / tau
-    np.exp(x, out=x)
-    x.sum(axis=-1, keepdims=True, out=total)
 
 
 def _softmax_level(z, taus, i, normalizers, held=None, cols=None, out=None):
@@ -701,14 +630,13 @@ def _softmax_backward(z, top, levels, gradient, taus):
     gradient, the array returned, is the out of a pass at taus and holds
     the exponentials _held names. Block by block (_blocks), _softmax_level
     builds each level from it: the other level first, in the thread's
-    share of one chunk scratch (_CHUNK_ENTRIES over the threads; the
-    blocks are chunks, unless a row is wider than a share), then the one
-    held there (or the first) in place, and the block's levels are summed
-    into the gradient. With one level nothing is held beside the gradient
-    but the check's pieces of |x|, a chunk of entries at a time. Rows are
-    independent, so each usable core takes the next block not yet taken
-    (_walk), and the gradient is the same bit for bit at any blocking and
-    thread count.
+    share of one chunk scratch (the blocks are chunks, as _budget rules
+    for a kernel that holds scratch), then the one held there (or the
+    first) in place, and the block's levels are summed into the gradient.
+    With one level nothing is held beside the gradient but the check's
+    pieces of |x|, a chunk of entries at a time. Rows are independent, so
+    each usable core takes the next block not yet taken (_walk), and the
+    gradient is the same bit for bit at any blocking and thread count.
     """
     scales, mass = [], 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -730,15 +658,11 @@ def _softmax_backward(z, top, levels, gradient, taus):
     own = _held(taus) if len(levels) > 1 else 0
     order = (1 - own, own) if len(levels) > 1 else (0,)
     # Beside another level, each thread's share of the chunk scratch holds
-    # the level not built in the gradient, so the walk takes chunks (blocks
-    # of _CHUNK_ENTRIES over the threads), or blocks where a row is wider
-    # than a thread's share (as _chunks keeps them); one level needs no
-    # scratch and takes blocks. Each item costs a dozen numpy calls that
-    # hand the GIL between the threads, and chunks as items are fewer than
-    # chunks inside blocks (25 against 31 at (1, 1024, 768) on two threads).
+    # the level not built in the gradient, so the walk takes chunks
+    # (_budget); one level needs no scratch and takes blocks.
     parts = _parts(z.size * len(levels), z.shape[-1])
-    chunked = len(levels) > 1 and z.shape[-1] <= _CHUNK_ENTRIES // parts
-    blocks = _blocks(z.shape, parts, _CHUNK_ENTRIES if chunked else None)
+    budget = _budget(z.shape[-1], parts, len(levels) > 1)
+    blocks = _blocks(z.shape, parts, budget)
     shape = z[blocks[0]].shape
     buf = np.empty((parts,) + shape) if len(levels) > 1 else None
     # The flat index of each row's first entry in a C-ordered block, which
@@ -748,7 +672,7 @@ def _softmax_backward(z, top, levels, gradient, taus):
     # Columns every row reads, (1, 1, c), have one flat index for every
     # block, made once where the walk takes several chunks, not once per
     # chunk.
-    shared = None if not chunked or len(blocks) == 1 else [
+    shared = None if budget is None or len(blocks) == 1 else [
         [None if cols is None or cols.size > cols.shape[-1] else first + cols
          for cols, _ in terms] for _, terms in levels]
 

@@ -435,6 +435,44 @@ def test_an_unwritable_output_exits_2_naming_it(capsys, tmp_path, where):
         ["cost.csv", "run.cfg"] + ["out"] * (where == "a directory"))
 
 
+class TestOneParser:
+    """main parses every call with one parser per process, which carries
+    nothing from one call into the next."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_json_does_not_carry_into_the_next_loss(self, capsys, logit_pair):
+        argv = ("loss", "--teacher", logit_pair[0], "--student", logit_pair[1])
+        _, first, _ = run(capsys, *argv, "--json")
+        code, text, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(first)
+        assert [line.split()[0] for line in text.splitlines()] == [
+            "ce", "had", "sl", "sd", "total", "k_eff"]
+
+    def test_flags_do_not_carry_between_commands(self, capsys, tmp_path):
+        cost = tmp_path / "cost.csv"
+        fileio.write_matrix_csv(cost, np.random.default_rng(1).random((4, 4)))
+        outs = [run(capsys, "sinkhorn", "--cost", str(cost), *lam, "--out",
+                    str(tmp_path / "plan.csv"))[1]
+                for lam in ((), ("--lambda", "0.5"), ())]
+        assert outs[0] == outs[2] != outs[1]
+        # distill needs its own --config and --out, however sinkhorn ran.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["distill"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text(TestDistillCommand.CONFIG)
+        csvs = []
+        for mode in ((), ("--mode", "ce_only"), ()):
+            out_path = tmp_path / f"{len(csvs)}.csv"
+            assert run(capsys, "distill", "--config", str(config),
+                       "--out", str(out_path), *mode)[0] == 0
+            csvs.append(out_path.read_bytes())
+        assert csvs[0] == csvs[2] != csvs[1]
+
+
 class TestIterationBound:
     """An iteration count past SinkhornConfig's bound exits 3 at once; before
     the bound existed both commands below ran on without end."""

@@ -902,6 +902,35 @@ class TestPeakMemory:
                  + 18 * tokens * w.k)
         assert grad_peak < bound, (grad_peak, bound)
 
+    def test_a_frozen_loss_holds_a_chunk_per_level(self):
+        # A state's loss reads the student's row sums at both temperatures
+        # from a pass with no array of its own to leave exponentials in:
+        # it holds one chunk buffer per level, and beside them the (T, k)
+        # arrays of the kept entries, their products and logs, and the
+        # T x T cost. It sums no columns, so it holds no array of n. A pass
+        # holding block buffers (2 * _BLOCK_ENTRIES over 1 or 2 cores, at
+        # least 2 * 240000 here) would exceed the bound.
+        t, s = random_pair(37, self.TOKENS, self.M, self.N)
+        w = LossWeights()
+        state = build_state(t, s, w=w)
+        total_loss_frozen(state, t, s, w)
+        used = self.peak(lambda: total_loss_frozen(state, t, s, w))
+        bound = 8 * (2 * self.chunk(self.TOKENS, self.N)
+                     + 8 * self.TOKENS * w.k)
+        assert used < bound, (used, bound)
+
+    @pytest.mark.parametrize("tau", [1.0, 2.0])
+    def test_softmax_rows_holds_only_its_output(self, tau):
+        # One temperature given its output computes its exponentials
+        # there: beside the T x n output it holds each row's max and
+        # reciprocal sum, and the few Python objects of a walk. One row of
+        # a buffer (n entries) would exceed the bound.
+        s = random_pair(37, self.TOKENS, self.M, self.N)[1]
+        softmax_rows(s, tau)
+        used = self.peak(lambda: softmax_rows(s, tau))
+        bound = 8 * (self.TOKENS * self.N + 64 * self.TOKENS)
+        assert used < bound, (used, bound)
+
 
     @pytest.mark.parametrize("mode", [SUM_SORT, EXACT_ASSIGNMENT])
     def test_a_gradient_call_without_a_state(self, mode):

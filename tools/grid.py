@@ -15,10 +15,12 @@ Each output line is `<group> <sha256>`, one per group:
   plan      sinkhorn_plan on a (4, 8, 8) and a (1, 600, 600) cost stack;
   distill   the seed-1 metrics CSV of each training mode, as `otdistill
             distill` writes it at its default settings;
-  long      total_grad with and without a state at T = 96 against a
-            student vocabulary of 3000, at temperatures (1, 2) and (0.7,
-            3.1), where a pass's blocks span several chunks of rows and
-            the backward walks chunks, and sd_grad with tied values at
+  long      total_grad with and without a state, total_loss_frozen and
+            softmax_rows at each temperature, at T = 96 against a student
+            vocabulary of 3000, at temperatures (1, 2) and (0.7, 3.1),
+            where a pass that sums no columns and the backward walk
+            several chunks, and one at a single temperature several
+            blocks of its output, and sd_grad with tied values at
             T = 600 and at T = 64, k = 50 (one block of signs, larger
             than half a chunk), which both compare dense ranks.
 A hash covers the dtype, shape and bytes of every array, and the repr of
@@ -109,7 +111,9 @@ def _long():
         w = od.LossWeights(tau_sl=taus[0], tau_sd=taus[1])
         state = od.build_state(t, s, w=w)
         out += [od.total_grad(t, s, w=w),
-                od.total_grad(t, s, w=w, state=state)]
+                od.total_grad(t, s, w=w, state=state),
+                od.total_loss_frozen(state, t, s, w)]
+        out += [od.softmax_rows(s, tau) for tau in taus]
     for tokens in (600, 64):
         pair = od.AlignedPair(np.round(rng.random((tokens, 50)), 2),
                               np.round(rng.random((tokens, 50)), 2))
