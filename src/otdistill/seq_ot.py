@@ -127,11 +127,12 @@ def _plan(C, cfg):
     # and the shares are added in block order. The blocks do not depend on
     # the thread count, so neither do the bytes; a block is also below the
     # size at which OpenBLAS splits a matrix-vector product across its own
-    # threads. Blocks that split across threads run each sweep as one
-    # dispatch (core._walk), whose first also computes its blocks of K and
-    # whose last only writes the plan; blocks on one thread (the harness's
-    # one block, at any core count) run the sweeps in a plain loop
-    # (_sweeps), which gives the same bytes.
+    # threads. One function, _sweep, holds a view's arithmetic for every
+    # sweep, iterations + 1 in all: the first also builds its blocks of K
+    # and the last only writes the plan. Views that split across threads
+    # run each sweep as one dispatch (core._walk); views on one thread (the
+    # harness's one block, at any core count) run in a plain loop, with the
+    # same bytes.
     #
     # numpy releases the GIL around a matmul only when the call writes
     # more than _GIL_ENTRIES entries, and a run of rows writes one per
@@ -171,38 +172,29 @@ def _plan(C, cfg):
             spans.append((full, runs))
         views = []
         for b in range(batch):
-            for first, stop in spans:
-                rows = slice(first * step, min(stop * step, tokens))
-                stack = (stop - first, -1, tokens)
+            for start, stop in spans:
+                rows = slice(start * step, min(stop * step, tokens))
+                stack = (stop - start, -1, tokens)
                 views.append((c[b, rows], k[b, rows].reshape(stack),
                               u[b, rows].reshape(stack[:2] + (1,)),
-                              v[b:b + 1], shares[first:stop, b]))
-
-    def sweep(view, first, last):
-        c_b, k_b, u_b, v_b, share = view
-        if first:
-            _kernel(c_b, k_b, cfg)
-        if last:
-            k_b *= u_b
-            k_b *= v_b
-            return
-        np.matmul(k_b, v_b.transpose(0, 2, 1), out=u_b)
-        np.reciprocal(u_b, out=u_b)
-        np.matmul(u_b.transpose(0, 2, 1), k_b, out=share)
-
+                              v[b:b + 1], shares[start:stop, b]))
+    # Each view's transposes v_b^T and u_b^T, taken once for every sweep.
+    views = [view + (view[3].transpose(0, 2, 1), view[2].transpose(0, 2, 1))
+             for view in views]
     parts = _parts(k.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if parts == 1 or len(views) == 1:
-            _sweeps(views, cfg, v, shares)
-        else:
-            for i in range(cfg.iterations + 1):
-                _walk(lambda view, part: sweep(view, i == 0,
-                                               i == cfg.iterations),
+        for i in range(cfg.iterations + 1):
+            first, last = i == 0, i == cfg.iterations
+            if parts == 1 or len(views) == 1:
+                for view in views:
+                    _sweep(view, cfg, first, last)
+            else:
+                _walk(lambda view, part: _sweep(view, cfg, first, last),
                       views, parts)
-                if i < cfg.iterations:
-                    if shares is not None:
-                        np.sum(shares, axis=0, out=v)
-                    np.reciprocal(v, out=v)
+            if not last:
+                if shares is not None:
+                    np.sum(shares, axis=0, out=v)
+                np.reciprocal(v, out=v)
     if not (math.isfinite(u.max()) and math.isfinite(v.max())):
         raise NumericalUnderflow(
             "Sinkhorn kernel underflowed to an all-zero row or column; "
@@ -211,33 +203,23 @@ def _plan(C, cfg):
     return K
 
 
-def _kernel(c_b, k_b, cfg):
-    # A block's K = exp(-C / regularization). A quotient that overflows to
-    # -inf gives the kernel entry its correct 0.
-    np.divide(c_b, -cfg.regularization, out=k_b.reshape(c_b.shape))
-    np.exp(k_b, out=k_b)
-
-
-def _sweeps(views, cfg, v, shares):
-    # _plan's sweeps on the calling thread, view by view as _walk would run
-    # them there, in a plain loop: each view's transposes are taken once,
-    # and no sweep makes a closure or a dispatch.
-    loop = []
-    for c_b, k_b, u_b, v_b, share in views:
-        _kernel(c_b, k_b, cfg)
-        loop.append((k_b, u_b, v_b.transpose(0, 2, 1), u_b.transpose(0, 2, 1),
-                     share))
-    for _ in range(cfg.iterations):
-        for k_b, u_b, v_t, u_t, share in loop:
-            np.matmul(k_b, v_t, out=u_b)
-            np.reciprocal(u_b, out=u_b)
-            np.matmul(u_t, k_b, out=share)
-        if shares is not None:
-            np.sum(shares, axis=0, out=v)
-        np.reciprocal(v, out=v)
-    for _, k_b, u_b, v_b, _ in views:
+def _sweep(view, cfg, first, last):
+    # One of _plan's sweeps over one view: u_b = 1 / (K_b v) and its share
+    # u_b^T K_b of K^T u. The first sweep builds the view's block of
+    # K = exp(-C / regularization), where a quotient that overflows to -inf
+    # gives the kernel entry its correct 0; the last writes the plan
+    # diag(u) K diag(v) into K in place of the products.
+    c_b, k_b, u_b, v_b, share, v_t, u_t = view
+    if first:
+        np.divide(c_b, -cfg.regularization, out=k_b.reshape(c_b.shape))
+        np.exp(k_b, out=k_b)
+    if last:
         k_b *= u_b
         k_b *= v_b
+        return
+    np.matmul(k_b, v_t, out=u_b)
+    np.reciprocal(u_b, out=u_b)
+    np.matmul(u_t, k_b, out=share)
 
 
 def sd_loss(C, plan) -> float:

@@ -156,7 +156,7 @@ def test_only_seq_ot_names_the_sequence_kernels():
     # seq_ot's one stage (_transport) builds the fused pass's costs, plans,
     # sequence losses and their gradients' products; a sequence kernel
     # named anywhere else is a second copy of that level.
-    kernels = {"_cost", "_plan", "_sd", "_sd_grad", "_ranks"}
+    kernels = {"_cost", "_plan", "_sweep", "_sd", "_sd_grad", "_ranks"}
     found = []
     for path in sorted(Path(otdistill.__file__).parent.glob("*.py")):
         if path.name == "seq_ot.py":

@@ -161,13 +161,30 @@ class TestSinkhornPlan:
         with pytest.raises(InvalidInput):
             sinkhorn_plan(np.zeros(shape))
 
-    def test_stack_normalizes_each_cost_on_its_own(self):
+    # (3, 5, 5) is one block and (8, 200, 200) two blocks of whole
+    # sequences; each (1000, 1000) cost stacks its first two runs of rows
+    # into one walk item, and its third and shorter last run are items of
+    # their own.
+    @pytest.mark.parametrize("shape", [(3, 5, 5), (8, 200, 200),
+                                       (2, 1000, 1000)])
+    def test_stack_normalizes_each_cost_on_its_own(self, monkeypatch, shape):
+        # Bit for bit, on one core and on two.
         rng = np.random.default_rng(9)
-        costs = rng.random((3, 5, 5)) * np.array([0.5, 1.0, 2.0])[:, None, None]
+        costs = rng.random(shape) * 2.0 ** np.linspace(-1, 1, shape[0])[
+            :, None, None]
         cfg = SinkhornConfig(0.1, 20)
-        np.testing.assert_allclose(
-            sinkhorn_plan(costs, cfg), [sinkhorn_plan(C, cfg) for C in costs],
-            rtol=1e-14, atol=0)
+        monkeypatch.setattr(core, "_pool", None)
+        stacks = []
+        try:
+            for cores in (1, 2):
+                monkeypatch.setattr(core, "_cores", lambda: cores)
+                stacks.append(sinkhorn_plan(costs, cfg))
+                for plan, C in zip(stacks[-1], costs):
+                    assert plan.tobytes() == sinkhorn_plan(C, cfg).tobytes()
+        finally:
+            if core._pool is not None:
+                core._pool.shutdown()
+        assert stacks[0].tobytes() == stacks[1].tobytes()
 
     def test_rejects_bad_config(self):
         with pytest.raises(InvalidConfig):
@@ -263,10 +280,11 @@ class TestSinkhornPlan:
 
 
 class TestPlanSweeps:
-    """A plan whose blocks form one walk item, or that runs on one thread,
-    sweeps in a plain loop with no core._walk dispatch; one whose blocks
-    split across threads dispatches every sweep, iterations + 1 times in
-    all. Both give the same bytes."""
+    """One function, seq_ot._sweep, runs every sweep of every view of a
+    plan, iterations + 1 sweeps in all. A plan whose blocks form one walk
+    item, or that runs on one thread, calls it in a plain loop with no
+    core._walk dispatch; one whose blocks split across threads dispatches
+    each sweep once. Both give the same bytes."""
 
     CFG = SinkhornConfig()
 
@@ -292,17 +310,29 @@ class TestPlanSweeps:
     def test_a_plan_that_splits_dispatches_every_sweep(self, walks,
                                                        monkeypatch):
         # Four runs of 256 rows, stacked into two walk items; the same
-        # plan on one core sweeps in the plain loop.
+        # plan on one core sweeps in the plain loop. Either way each view
+        # is swept once per sweep, building K first and scaling it last.
         cost = np.random.default_rng(51).random((1, 1024, 1024))
+        sweeps, sweep = [], seq_ot._sweep
+
+        def counted(view, cfg, first, last):
+            sweeps.append((first, last))
+            return sweep(view, cfg, first, last)
+
+        monkeypatch.setattr(seq_ot, "_sweep", counted)
         monkeypatch.setattr(core, "_pool", None)
+        n = self.CFG.iterations
         plans = []
         try:
             for cores in (2, 1):
                 monkeypatch.setattr(core, "_cores", lambda: cores)
                 walks.clear()
+                sweeps.clear()
                 plans.append(sinkhorn_plan(cost, self.CFG))
                 assert len(walks) == (self.CFG.iterations + 1
                                       if cores > 1 else 0)
+                assert sweeps == [(i == 0, i == n) for i in range(n + 1)
+                                  for _ in range(2)]
         finally:
             if core._pool is not None:
                 core._pool.shutdown()

@@ -12,7 +12,10 @@ Each output line is `<group> <sha256>`, one per group:
   forward   the fused pass (composite._forward) on (4, 8, m) and (4, 8, n)
             stacks, as the harness calls it, for each objective, at step 0
             (pseudo-labels) and at a later step (given labels);
-  plan      sinkhorn_plan on a (4, 8, 8) and a (1, 600, 600) cost stack;
+  plan      sinkhorn_plan on (4, 8, 8), (8, 200, 200), (1, 600, 600) and
+            (1, 1000, 1000) cost stacks: one and two blocks of whole
+            sequences, two runs of rows, and runs of rows stacked into
+            one walk item beside a run alone and a shorter last run;
   distill   the seed-1 metrics CSV of each training mode, as `otdistill
             distill` writes it at its default settings;
   long      total_grad with and without a state, total_loss_frozen and
@@ -94,7 +97,9 @@ def _forward_calls():
 def _plans():
     rng = np.random.default_rng(2)
     return [od.sinkhorn_plan(rng.random(shape) * scale)
-            for shape, scale in (((4, 8, 8), 1.0), ((1, 600, 600), 0.5))]
+            for shape, scale in (((4, 8, 8), 1.0), ((1, 600, 600), 0.5),
+                                 ((8, 200, 200), 1.0),
+                                 ((1, 1000, 1000), 0.5))]
 
 
 def _distill():
