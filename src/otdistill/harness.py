@@ -189,7 +189,7 @@ def run_distillation(cfg: DistillConfig) -> RunMetrics:
         # sequence loss at a freshly built plan, which is what the fused
         # pass just computed for them.
         records["eval_sd"][step] = np.mean(breakdown.sd[-n_eval:])
-        student_blocks -= cfg.lr * grad
+        student_blocks -= np.multiply(grad, cfg.lr, out=grad)
 
     return _metrics(records, cfg.steps)
 

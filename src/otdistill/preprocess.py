@@ -72,14 +72,15 @@ def _descending_stable(values):
     # _SIMD_SORT_MIN entries take numpy's default sort, SIMD where the CPU
     # has it: a row whose sorted values strictly increase has no ties and no
     # nan, so its permutation is the only sorted one, the stable one, and
-    # any other row is sorted again stably. values are floats.
+    # any other row is sorted again stably. The check sorts the negation in
+    # place, the only copy of the row it holds. values are floats.
     neg = -values
     if neg.shape[-1] < _SIMD_SORT_MIN:
         return np.argsort(neg, axis=-1, kind="stable")
     order = np.argsort(neg, axis=-1)
-    ordered = np.take_along_axis(neg, order, axis=-1)
-    tied = ~(ordered[..., 1:] > ordered[..., :-1]).all(axis=-1)
-    order[tied] = np.argsort(neg[tied], axis=-1, kind="stable")
+    neg.sort(axis=-1)
+    tied = ~(neg[..., 1:] > neg[..., :-1]).all(axis=-1)
+    order[tied] = np.argsort(-values[tied], axis=-1, kind="stable")
     return order
 
 

@@ -124,8 +124,8 @@ def _uld_grad(t_sorted, s):
     # Column j of the stable descending order is the student entry at sorted
     # position j; ties keep ascending column order.
     order = _descending_stable(s)
-    s_sorted = np.take_along_axis(s, order, axis=-1)
-    signs = np.sign(s_sorted - t_sorted[..., : s.shape[-1]])
+    signs = np.take_along_axis(s, order, axis=-1)
+    signs -= t_sorted[..., : s.shape[-1]]
     grad = np.empty_like(s)
-    np.put_along_axis(grad, order, signs, axis=-1)
+    np.put_along_axis(grad, order, np.sign(signs, out=signs), axis=-1)
     return grad

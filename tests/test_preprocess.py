@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -101,6 +103,22 @@ class TestDescendingStable:
     def test_equals_the_stable_descending_argsort(self, x):
         np.testing.assert_array_equal(_descending_stable(x),
                                       np.argsort(-x, axis=-1, kind="stable"))
+
+    def test_a_long_row_holds_its_order_one_copy_and_the_tie_check(self):
+        # A tie-free row the SIMD sort ranks: the permutation and the
+        # negated copy (8 bytes an entry each), which the tie check sorts in
+        # place and compares (a bool an entry), and sort scratch of a few
+        # kB. A second sorted copy beside the first would take 25 bytes.
+        n = 4 * _SIMD_SORT_MIN
+        x = np.random.default_rng(6).random(n)
+        tracemalloc.start()
+        try:
+            order = _descending_stable(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(order, np.argsort(-x, kind="stable"))
+        assert peak <= 17 * n + 4096, f"peak {peak} bytes"
 
 
 class TestMatchStudent:

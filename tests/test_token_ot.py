@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from otdistill import (BRUTE_FORCE, AlignedPair, InvalidInput, check_gradient,
                        exact_ot, finite_diff_grad, had_loss, sl_loss,
                        softmax_rows, uld_grad, uld_loss)
+from otdistill.token_ot import _uld_grad, _uld_sorted
 
 
 def pair_of(teacher, student):
@@ -144,3 +147,24 @@ class TestUldLoss:
             order = np.argsort(-s[row], kind="stable")
             expected[row, order] = np.sign(s[row, order] - t_sorted[row, :n])
         np.testing.assert_array_equal(uld_grad(t, s), expected)
+
+    def test_grad_holds_its_order_signs_and_gradient(self):
+        # The student's half of uld_grad, beside its inputs (the student and
+        # the teacher's sorted rows, computed once per run by the harness):
+        # the sort order, the sorted entries turned into their signs in
+        # place, and the gradient, 24 bytes an entry; the ranking's 17
+        # come and go before the signs. numpy's index buffer for
+        # take_along_axis and put_along_axis (8192 entries, 64 kB) and a
+        # few kB more are the constant. Signs in a copy of the sorted
+        # entries would take 32.
+        rng = np.random.default_rng(19)
+        s, t = rng.random((8, 4096)), rng.random((8, 4096))
+        t_sorted = _uld_sorted(t, s.shape[-1])
+        tracemalloc.start()
+        try:
+            grad = _uld_grad(t_sorted, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(grad, uld_grad(t, s))
+        assert peak <= 24 * s.size + 2**17, f"peak {peak} bytes"

@@ -25,7 +25,13 @@ Each output line is `<group> <sha256>`, one per group:
             several chunks, and one at a single temperature several
             blocks of its output, and sd_grad with tied values at
             T = 600 and at T = 64, k = 50 (one block of signs, larger
-            than half a chunk), which both compare dense ranks.
+            than half a chunk), which both compare dense ranks; and, at
+            T = 8 against a teacher vocabulary of 2500, a stateless
+            total_loss whose student has each of 1100 columns twice, so
+            that its column sums tie and the ranking of rows of 2048 or
+            more falls back to the stable sort, and the fused pass under
+            the uld objective on that student and on one of 2300
+            distinct columns, whose gradient ranks every student row.
 A hash covers the dtype, shape and bytes of every array, and the repr of
 every number, so two trees print the same line for a group only if every
 output of the group is the same bit for bit.
@@ -123,6 +129,13 @@ def _long():
         pair = od.AlignedPair(np.round(rng.random((tokens, 50)), 2),
                               np.round(rng.random((tokens, 50)), 2))
         out.append(od.sd_grad(pair, rng.random((tokens, tokens))))
+    t = rng.standard_normal((1, 8, 2500)) * 3
+    tied = np.tile(rng.standard_normal((1, 8, 1100)) * 3, 2)
+    out.append(od.total_loss(t[0], tied[0]))
+    w = od.LossWeights()
+    for s in (tied, rng.standard_normal((1, 8, 2300)) * 3):
+        teacher = _teacher(t, s.shape[-1], w, argmax=True, dense=True)
+        out.append(_forward(teacher, s, w, grad=od.ULD))
     return out
 
 
