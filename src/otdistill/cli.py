@@ -47,21 +47,18 @@ _DISTILL_KEYS = {
 }
 
 
-def _parse_config(path, schemas):
+def _parse_config(path, schema):
     raw = fileio.load_keyvalue_config(path)
     out = {}
     for key, value in raw.items():
-        for schema in schemas:
-            if key in schema:
-                try:
-                    out[key] = schema[key](value)
-                except InvalidConfig as exc:
-                    raise InvalidConfig(f"{path}: {key}: {exc}") from None
-                except ValueError as exc:
-                    raise ParseError(f"{path}: bad value for {key}: {value!r}") from exc
-                break
-        else:
+        if key not in schema:
             raise ParseError(f"{path}: unknown config key {key!r}")
+        try:
+            out[key] = schema[key](value)
+        except InvalidConfig as exc:
+            raise InvalidConfig(f"{path}: {key}: {exc}") from None
+        except ValueError as exc:
+            raise ParseError(f"{path}: bad value for {key}: {value!r}") from exc
     return out
 
 
@@ -79,7 +76,7 @@ def _cmd_loss(args):
     labels = None
     if args.labels:
         labels = fileio.load_labels_file(args.labels)
-    overrides = _parse_config(args.config, [_WEIGHT_KEYS]) if args.config else {}
+    overrides = _parse_config(args.config, _WEIGHT_KEYS) if args.config else {}
     w = _weights_from(overrides)
 
     breakdown = total_loss(teacher, student, labels, w)
@@ -115,7 +112,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_distill(args):
-    overrides = _parse_config(args.config, [_DISTILL_KEYS, _WEIGHT_KEYS])
+    overrides = _parse_config(args.config, _DISTILL_KEYS | _WEIGHT_KEYS)
     weight_overrides = {k: overrides.pop(k) for k in list(overrides)
                         if k in _WEIGHT_KEYS}
     if "T" in overrides:

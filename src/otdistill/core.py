@@ -376,17 +376,16 @@ def _threads(fn, items, parts):
 
 
 def _both(fn, first, second, entries):
-    """(fn(first), fn(second)), on two threads (_walk) when a call touching
-    `entries` entries splits (_parts): for a kernel during which numpy
-    releases the GIL, whose two calls are independent."""
-    if _parts(entries) < 2:
-        return fn(first), fn(second)
+    """(fn(first), fn(second)) through _walk, which alone picks the path:
+    two threads when a call touching `entries` entries splits (_parts),
+    else a plain loop. For a kernel during which numpy releases the GIL,
+    whose two calls are independent."""
     out = [first, second]
 
     def run(i, part):
         out[i] = fn(out[i])
 
-    _walk(run, (0, 1))
+    _walk(run, (0, 1), _parts(entries))
     return out[0], out[1]
 
 
@@ -669,12 +668,6 @@ def _softmax_backward(z, top, levels, gradient, taus):
     # every sparse term of both levels adds to its columns; a smaller block
     # (one sequence's last rows, or fewer whole sequences) takes its head.
     first = np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:2] + (1,))
-    # Columns every row reads, (1, 1, c), have one flat index for every
-    # block, made once where the walk takes several chunks, not once per
-    # chunk.
-    shared = None if budget is None or len(blocks) == 1 else [
-        [None if cols is None or cols.size > cols.shape[-1] else first + cols
-         for cols, _ in terms] for _, terms in levels]
 
     def finish(block, part):
         zb, out = z[block], gradient[block]
@@ -685,7 +678,7 @@ def _softmax_backward(z, top, levels, gradient, taus):
             probs = _softmax_level(zb, taus, i, (top[block], total[block]),
                                    out, out=out if i == own else spare)
             probs *= scale[block]
-            for j, (cols, x) in enumerate(terms):
+            for cols, x in terms:
                 if cols is None:
                     probs += x[block]
                     continue
@@ -699,12 +692,8 @@ def _softmax_backward(z, top, levels, gradient, taus):
                 # 2.1). The index, as large as x's block, is not kept.
                 if not probs.flags.c_contiguous:
                     raise RuntimeError("a backward block is not C-ordered")
-                if shared and shared[i][j] is not None:
-                    index = shared[i][j][:zb.shape[0], :zb.shape[1]]
-                    probs.reshape(-1)[index] += x[block]
-                else:
-                    cols = cols[block] if cols.shape[1] > 1 else cols[block[0]]
-                    probs.reshape(-1)[head + cols] += x[block]
+                cols = cols[block] if cols.shape[1] > 1 else cols[block[0]]
+                probs.reshape(-1)[head + cols] += x[block]
         # Addition is commutative, so the order of the two levels does not
         # change a bit of their sum.
         if spare is not None:

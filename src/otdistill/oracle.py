@@ -66,7 +66,7 @@ def exact_ot(C, method=BRUTE_FORCE) -> ExactOTResult:
                 value = C[idx, perm].sum()
                 if value < best_value:
                     best_value = value
-                    best_perm = np.array(perm)
+                    best_perm = np.array(perm, dtype=idx.dtype)
     else:
         if n > ASSIGNMENT_LIMIT:
             raise TooLargeForExact(

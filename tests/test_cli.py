@@ -93,6 +93,15 @@ class TestLossCommand:
         assert code == 2
         assert "bogus" in err
 
+    def test_a_key_only_distill_reads_exits_2(self, capsys, logit_pair,
+                                              tmp_path):
+        config = tmp_path / "w.cfg"
+        config.write_text("steps=5\n")
+        code, _, err = run(capsys, "loss", "--teacher", logit_pair[0],
+                           "--student", logit_pair[1], "--config", str(config))
+        assert code == 2
+        assert "unknown config key 'steps'" in err
+
     def test_malformed_logit_file_exits_2(self, capsys, tmp_path, logit_pair):
         # Not JSON; nested past the decoder's recursion limit; an integer
         # past the float range; numbers given as strings.

@@ -89,6 +89,20 @@ class TestExactOT:
         assert result.value == 0.0
         np.testing.assert_array_equal(result.permutation, [0, 1, 2])
 
+    @pytest.mark.parametrize("C", [np.zeros((0, 0)),
+                                   np.array([[3.0, 0.0, 5.0], [0.0, 4.0, 6.0],
+                                             [7.0, 8.0, 1.0]])],
+                             ids=["n=0", "n=3"])
+    def test_methods_return_the_same_integer_permutation(self, C):
+        # At n = 0 brute force enumerates one empty permutation, still an
+        # integer array; at n = 3 the optimum (1, 0, 2) is unique, so both
+        # methods find it.
+        results = [exact_ot(C, method) for method in (BRUTE_FORCE, ASSIGNMENT)]
+        for result in results:
+            assert result.permutation.dtype.kind == "i", result.method
+        np.testing.assert_array_equal(results[0].plan_matrix(),
+                                      results[1].plan_matrix())
+
 
 class TestFiniteDiffGrad:
     def test_sum_of_squares(self):

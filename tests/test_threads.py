@@ -212,14 +212,16 @@ def test_chunks_give_the_bits_of_one_chunk(cores, monkeypatch, count, chunk):
     # At a chunk of 480 entries over the threads, a pass that sums no
     # columns walks each block of the 24 x 30 student in chunks of 16, 8
     # or 5 rows (on 1, 2 or 3 threads; 4, 2 or 1 at 120), the backward
-    # walks blocks that small, the last cutting the shared columns' index,
-    # and _ranks ranks the 8 kept columns in groups of 3 on one thread (3,
-    # 3 and 2, each offset by its start) and of 1 on more; at 120 the mass
-    # check sums each (24, 8) term in two pieces. The harness's stacks of
-    # 4 sequences of 6 tokens give chunks of whole sequences. At the
-    # default chunk each of these calls is one chunk, whose bits the
-    # reference tests hold, so the chunked calls must give the same bytes,
-    # at both the squaring pair of temperatures and another.
+    # walks blocks that small, adding the columns every row reads (B = 1)
+    # and the harness's per-item columns (B = 4) through each block's flat
+    # index, and _ranks ranks the 8 kept columns in groups of 3 on one
+    # thread (3, 3 and 2, each offset by its start) and of 1 on more; at
+    # 120 the mass check sums each (24, 8) term in two pieces. The
+    # harness's stacks of 4 sequences of 6 tokens give chunks of whole
+    # sequences or of runs of one sequence's rows. At the default chunk
+    # each of these calls is one chunk, whose bits the reference tests
+    # hold, so the chunked calls must give the same bytes, at both the
+    # squaring pair of temperatures and another.
     t, s = pair(73, tokens=2 * TOKENS)
 
     def compute():
