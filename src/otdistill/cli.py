@@ -48,9 +48,8 @@ _DISTILL_KEYS = {
 
 
 def _parse_config(path, schema):
-    raw = fileio.load_keyvalue_config(path)
     out = {}
-    for key, value in raw.items():
+    for key, value in fileio.load_keyvalue_config(path).items():
         if key not in schema:
             raise ParseError(f"{path}: unknown config key {key!r}")
         try:
@@ -73,9 +72,7 @@ def _weights_from(overrides):
 def _cmd_loss(args):
     teacher = fileio.load_logit_file(args.teacher)
     student = fileio.load_logit_file(args.student)
-    labels = None
-    if args.labels:
-        labels = fileio.load_labels_file(args.labels)
+    labels = fileio.load_labels_file(args.labels) if args.labels else None
     overrides = _parse_config(args.config, _WEIGHT_KEYS) if args.config else {}
     w = _weights_from(overrides)
 

@@ -61,14 +61,15 @@ _CHUNK_ENTRIES = 1 << 16
 # two threads (2 vCPU, numpy 2.4, best of 7 runs at sizes 2^15 to 2^18),
 # the kernels break even between 2^16.5 entries (the pass, the sequence
 # gradient) and 2^17.5 (the cost); above 2^17.5 every kernel gains. A
-# Sinkhorn plan splits only across its fixed blocks of 2^18 kernel entries
-# (seq_ot._PLAN_ENTRIES), so below two blocks it stays serial whatever
-# this floor. Serial against two threads (median of 21): two blocks of
-# whole sequences gain ~25% ((2, 512, 512): 2.2 -> 1.6 ms); T = 1024 and
-# 2048, whose 4 and 16 blocks stack into 2 and 4 walk items, gain 1.65x
-# (4.5 -> 2.7 ms, 29 -> 17.5 ms; 4.3 -> 3.5 ms and 28 -> 20 ms when each
-# block's row products held the GIL). Blocks of 2^16 or 2^17 entries
-# would not thread T = 512: its 4 or 2 runs of rows stack into one item.
+# Sinkhorn plan splits only across its walk items, stacks of fixed runs of
+# at most 2^18 kernel entries (seq_ot._PLAN_ENTRIES), so below two items
+# it stays serial whatever this floor. Serial against two threads (median
+# of 21): two one-run items of whole sequences gain ~25% ((2, 512, 512):
+# 2.2 -> 1.6 ms); T = 1024 and 2048, whose 4 and 16 runs stack into 2 and
+# 4 walk items, gain 1.65x (4.5 -> 2.7 ms, 29 -> 17.5 ms; 4.3 -> 3.5 ms
+# and 28 -> 20 ms when each run's row products held the GIL). Runs of
+# 2^16 or 2^17 entries would not thread T = 512: its 4 or 2 runs of rows
+# stack into one item.
 # The floor per thread also bounds numpy's per-call scratch (~75 kB per
 # thread for the sequence gradient's einsum over int16 signs) by the work
 # of the call, not by the core count. The harness's steps at its default
@@ -239,7 +240,7 @@ def _check_finite(arr):
         if not _finite_range(z.min(), z.max()):
             raise InvalidInput(_NON_FINITE)
     parts = _parts(arr.size, arr.shape[-1])
-    _walk(check, _blocks(arr.shape, parts), parts)
+    _walk(check, _blocks(arr.shape, parts, _BLOCK_ENTRIES), parts)
 
 
 def validate_probs(probs, tol=ROW_SUM_TOL):
@@ -279,21 +280,15 @@ def softmax_rows(logits, temperature=1.0):
     return out
 
 
-def _blocks(shape, parts=1, budget=None):
-    """The (items, rows) slices that cover a (B, T, V) stack in blocks of at
-    most budget // parts entries (budget defaults to _BLOCK_ENTRIES): as
-    many whole sequences as fit, or, when one does not, runs of rows of one
-    sequence (at least one row). Where the stack has as many rows, there
-    are at least `parts` blocks, so that every thread of _walk gets one.
-    A tuple, worked out once per shape, parts and budget (_cut_blocks): the
-    budget is resolved first, so a patched _BLOCK_ENTRIES cuts anew."""
-    return _cut_blocks(shape, parts,
-                       _BLOCK_ENTRIES if budget is None else budget)
-
-
 @functools.lru_cache
-def _cut_blocks(shape, parts, budget):
-    # _blocks at a resolved budget.
+def _blocks(shape, parts, budget):
+    """The (items, rows) slices that cover a (B, T, V) stack in blocks of at
+    most budget // parts entries: as many whole sequences as fit, or, when
+    one does not, runs of rows of one sequence (at least one row). Where
+    the stack has as many rows, there are at least `parts` blocks, so that
+    every thread of _walk gets one. A tuple, worked out once per shape,
+    parts and budget; each caller names its budget (_budget, or
+    _BLOCK_ENTRIES), so a patched _BLOCK_ENTRIES cuts anew."""
     batch, tokens, vocab = shape
     budget //= parts
     if tokens * vocab <= budget and batch >= parts:
@@ -310,7 +305,7 @@ def _budget(vocab, parts, scratch):
     `parts` threads, as the budget it cuts them by (_blocks): chunks,
     blocks of _CHUNK_ENTRIES over its threads, where it holds scratch (a
     buffer of a level it keeps in no output) and a row fits in a thread's
-    share of a chunk, else blocks of _BLOCK_ENTRIES (None).
+    share of a chunk, else blocks of _BLOCK_ENTRIES.
 
     A row wider than the share keeps its block: one-row chunks at
     vocabulary width (vocab_t128 in bench/: 1 row of 50000 against the
@@ -320,7 +315,7 @@ def _budget(vocab, parts, scratch):
     and takes fewer items."""
     if scratch and vocab <= _CHUNK_ENTRIES // parts:
         return _CHUNK_ENTRIES
-    return None
+    return _BLOCK_ENTRIES
 
 
 def _walk(fn, items, parts=None):

@@ -86,16 +86,27 @@ def _read(path):
         raise ParseError(f"{path}: not UTF-8: {exc}") from exc
 
 
+def _object(pairs):
+    # json.loads' object_pairs_hook: ValueError for a key given twice, which
+    # json would otherwise load with its last value.
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"key {max(keys, key=keys.count)!r} given twice")
+    return dict(pairs)
+
+
 def load_logit_file(path):
     """Read a logit matrix from a strict JSON logit file.
 
     The document must be a single object with exactly the keys "tokens",
-    "vocab", and "logits"; the logits array must match the declared shape
-    and contain only finite JSON numbers, integers within 64 bits.
+    "vocab", and "logits", each given once; the logits array must match the
+    declared shape and contain only finite JSON numbers, integers within 64
+    bits. Anything else raises ParseError.
     """
+    text = _read(path)
     try:
-        doc = json.loads(_read(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
+        doc = json.loads(text, object_pairs_hook=_object)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError included
         raise ParseError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
@@ -180,16 +191,20 @@ def load_labels_file(path):
 
 
 def load_keyvalue_config(path):
-    """Read a key=value config file; values stay strings for the caller to coerce."""
-    out = {}
+    """Read a key=value config file; values stay strings for the caller to
+    coerce. A key given on two lines raises ParseError naming both."""
+    out, lines = {}, {}
     for lineno, line in enumerate(_read(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ParseError(f"{path}: expected key=value on line {lineno}")
-        key, _, value = stripped.partition("=")
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in out:
+            raise ParseError(f"{path}: config key {key!r} on line {lineno} "
+                             f"repeats line {lines[key]}")
+        out[key], lines[key] = value, lineno
     return out
 
 

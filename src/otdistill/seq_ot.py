@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_BLOCK_ENTRIES, _CHUNK_ENTRIES, _blocks, _check_count,
+from .core import (_BLOCK_ENTRIES, _CHUNK_ENTRIES, _check_count,
                    _check_number, _check_type, _matrix, _parts, _slices,
                    _walk)
 from .errors import InvalidInput, NumericalFailure, NumericalUnderflow
@@ -121,27 +121,35 @@ def sinkhorn_plan(C, cfg: SinkhornConfig = SinkhornConfig()) -> np.ndarray:
 
 def _plan(C, cfg):
     # sinkhorn_plan on a nonempty cost or stack the caller has validated,
-    # from v = 1. K is walked in fixed blocks of at most _PLAN_ENTRIES
-    # entries (whole sequences, or runs of rows of one): a block computes
-    # its rows of u and its share u_b^T K_b of K^T u while it is in cache,
-    # and the shares are added in block order. The blocks do not depend on
-    # the thread count, so neither do the bytes; a block is also below the
-    # size at which OpenBLAS splits a matrix-vector product across its own
-    # threads. One function, _sweep, holds a view's arithmetic for every
-    # sweep, iterations + 1 in all: the first also builds its blocks of K
-    # and the last only writes the plan. Views that split across threads
-    # run each sweep as one dispatch (core._walk); views on one thread (the
-    # harness's one block, at any core count) run in a plain loop, with the
-    # same bytes.
+    # from v = 1. K is walked in fixed runs of at most _PLAN_ENTRIES
+    # entries of one sequence's rows (a whole sequence is its one run): a
+    # run computes its rows of u and its share u_b^T K_b of K^T u while it
+    # is in cache. One-run sequences write their shares, which are then all
+    # of K^T u, straight into v; a longer sequence's shares are added in
+    # run order. The runs do not depend on the thread count, so neither do
+    # the bytes; a run is also below the size at which OpenBLAS splits a
+    # matrix-vector product across its own threads. One function, _sweep,
+    # holds a view's arithmetic for every sweep, iterations + 1 in all: the
+    # first also builds its runs of K and the last only writes the plan.
+    # Views that split across threads run each sweep as one dispatch
+    # (core._walk); views on one thread (the harness's one item, at any
+    # core count) run in a plain loop, with the same bytes.
     #
-    # numpy releases the GIL around a matmul only when the call writes
-    # more than _GIL_ENTRIES entries, and a run of rows writes one per
-    # row. So a walk item stacks the least number of consecutive runs of
-    # one sequence whose rows exceed it, (runs, rows, T): numpy makes one
-    # BLAS call per run, the same call as for a run alone, and the threads'
-    # row products overlap. Runs left after the last such group stack into
-    # a smaller one, and a sequence's last run, when shorter, is an item of
-    # its own.
+    # A walk item, one view, stacks consecutive runs, (runs, rows, T), of
+    # one sequence or of whole one-run sequences: as many as fill
+    # _PLAN_ENTRIES and, where the sweeps split across threads, at least
+    # as many as write more than _GIL_ENTRIES rows, since numpy releases
+    # the GIL around a matmul only when the call writes more than that and
+    # a run writes one entry per row. numpy makes one BLAS call per run,
+    # the same call as for a run alone, so the stacking changes no byte,
+    # and the threads' row products overlap. On one thread the GIL costs
+    # nothing, and a stack's products read more than the cache holds
+    # between a run's two reads (one core, min of 15: a (4, 450, 450)
+    # plan took 10.1-11.0 ms in items of one sequence against 12.8-13.7
+    # in items of two, and (1, 1024, 1024) 14.4-14.9 ms in runs alone
+    # against 16.7-19.0 in pairs). Runs left after the last full item
+    # stack into a smaller one, and a sequence's last run, when shorter,
+    # is an item of its own.
     #
     # A zero row or column of K, at the start or once a sweep's scaled
     # products round to zero, makes an entry of u or v infinite (and later
@@ -153,35 +161,31 @@ def _plan(C, cfg):
     K = np.empty(C.shape)
     c, k = C.reshape((-1,) + C.shape[-2:]), K.reshape((-1,) + C.shape[-2:])
     batch, tokens = k.shape[:2]
-    blocks = _blocks(k.shape, budget=_PLAN_ENTRIES)
-    step = blocks[0][1].stop
-    runs = -(-tokens // step)
+    parts = _parts(k.size)
+    step = max(1, min(tokens, _PLAN_ENTRIES // tokens))  # rows of a run
+    runs, full = -(-tokens // step), tokens // step
+    group = max(_PLAN_ENTRIES // (step * tokens),
+                _GIL_ENTRIES // step + 1 if parts > 1 else 1)
     u = np.empty((batch, tokens, 1))
     v = np.ones((batch, 1, tokens))
-    shares = None
-    if runs == 1:
-        # Blocks of whole sequences write their shares, which are then all
-        # of K^T u, straight into v.
-        views = [(c[items], k[items], u[items], v[items], v[items])
-                 for items, _ in blocks]
-    else:
-        shares = np.empty((runs,) + v.shape)
-        full, group = tokens // step, _GIL_ENTRIES // step + 1
-        spans = [(r, min(r + group, full)) for r in range(0, full, group)]
-        if full < runs:
-            spans.append((full, runs))
-        views = []
-        for b in range(batch):
-            for start, stop in spans:
-                rows = slice(start * step, min(stop * step, tokens))
-                stack = (stop - start, -1, tokens)
-                views.append((c[b, rows], k[b, rows].reshape(stack),
-                              u[b, rows].reshape(stack[:2] + (1,)),
-                              v[b:b + 1], shares[start:stop, b]))
-    # Each view's transposes v_b^T and u_b^T, taken once for every sweep.
-    views = [view + (view[3].transpose(0, 2, 1), view[2].transpose(0, 2, 1))
-             for view in views]
-    parts = _parts(k.size)
+    shares = v[None] if runs == 1 else np.empty((runs,) + v.shape)
+    # An item stacks the runs start:stop of `width` sequences' rows: group
+    # whole one-run sequences, or runs of one longer sequence.
+    width = group if runs == 1 else 1
+    cuts = [(r, min(r + group, full)) for r in range(0, full, group)]
+    cuts += [(full, runs)] if full < runs else []
+    views = []
+    for b in range(0, batch, width):
+        for start, stop in cuts:
+            seqs = slice(b, b + width)
+            rows = slice(start * step, min(stop * step, tokens))
+            stack = (-1, min(step, tokens - rows.start), tokens)
+            k_b, v_b = k[seqs, rows].reshape(stack), v[seqs]
+            u_b = u[seqs, rows].reshape(stack[:2] + (1,))
+            # With v^T and u^T, taken once for every sweep.
+            views.append((c[seqs, rows], k_b, u_b, v_b,
+                          shares[start:stop, seqs].reshape(-1, 1, tokens),
+                          v_b.transpose(0, 2, 1), u_b.transpose(0, 2, 1)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(cfg.iterations + 1):
             first, last = i == 0, i == cfg.iterations
@@ -192,7 +196,7 @@ def _plan(C, cfg):
                 _walk(lambda view, part: _sweep(view, cfg, first, last),
                       views, parts)
             if not last:
-                if shares is not None:
+                if runs > 1:
                     np.sum(shares, axis=0, out=v)
                 np.reciprocal(v, out=v)
     if not (math.isfinite(u.max()) and math.isfinite(v.max())):
@@ -205,7 +209,7 @@ def _plan(C, cfg):
 
 def _sweep(view, cfg, first, last):
     # One of _plan's sweeps over one view: u_b = 1 / (K_b v) and its share
-    # u_b^T K_b of K^T u. The first sweep builds the view's block of
+    # u_b^T K_b of K^T u. The first sweep builds the view's runs of
     # K = exp(-C / regularization), where a quotient that overflows to -inf
     # gives the kernel entry its correct 0; the last writes the plan
     # diag(u) K diag(v) into K in place of the products.

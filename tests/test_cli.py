@@ -32,6 +32,14 @@ def write_logits(path, arr):
     return str(path)
 
 
+def with_setting(text, line):
+    """The key=value config text with line in place of every line of the
+    same key (a key may be given once), or after them."""
+    key = line.partition("=")[0]
+    kept = [ln for ln in text.splitlines() if ln.partition("=")[0] != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
 def not_utf8(text):
     """text behind a UTF-16 byte-order mark, which is not valid UTF-8."""
     return b"\xff\xfe" + text.encode()
@@ -102,13 +110,38 @@ class TestLossCommand:
         assert code == 2
         assert "unknown config key 'steps'" in err
 
+    def test_a_repeated_config_key_exits_2(self, capsys, logit_pair,
+                                           tmp_path):
+        # Not a run at the last value, alpha = 0.9.
+        config = tmp_path / "w.cfg"
+        config.write_text("alpha=0.1\nalpha=0.9\n")
+        code, out, err = run(capsys, "loss", "--teacher", logit_pair[0],
+                             "--student", logit_pair[1], "--config",
+                             str(config))
+        assert (code, out) == (2, "")
+        assert "'alpha' on line 2 repeats line 1" in err
+
+    def test_a_repeated_logit_file_key_exits_2(self, capsys, logit_pair,
+                                               tmp_path):
+        # Not logits of the last declared shape, 2 x 2.
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"tokens": 3, "vocab": 2, "logits": [[1, 2], [3, 4]],'
+                       ' "tokens": 2}')
+        code, out, err = run(capsys, "loss", "--teacher", str(bad),
+                             "--student", logit_pair[1])
+        assert (code, out) == (2, "")
+        assert "bad.json" in err and "key 'tokens' given twice" in err
+
     def test_malformed_logit_file_exits_2(self, capsys, tmp_path, logit_pair):
         # Not JSON; nested past the decoder's recursion limit; an integer
-        # past the float range; numbers given as strings.
+        # past the float range, and one past Python's 4300-digit limit on
+        # integer parsing; numbers given as strings.
         bad = tmp_path / "bad.json"
         for text in ("{not json", '{"tokens": 1, "vocab": 1, "logits": '
                      + "[" * 100000 + "]" * 100000 + "}",
                      '{"tokens": 1, "vocab": 2, "logits": [[1' + "0" * 400
+                     + ', 0]]}',
+                     '{"tokens": 1, "vocab": 2, "logits": [[1' + "0" * 5000
                      + ', 0]]}',
                      '{"tokens": 1, "vocab": 2, "logits": [["1", "2"]]}'):
             bad.write_text(text)
@@ -338,6 +371,17 @@ class TestDistillCommand:
         assert code == 2
         assert "steps" in err
 
+    def test_a_repeated_config_key_exits_2(self, capsys, tmp_path):
+        # Not a run of the last value's 2 steps.
+        config = tmp_path / "run.cfg"
+        config.write_text(self.CONFIG + "steps=2\n")
+        out_path = tmp_path / "out.csv"
+        code, _, err = run(capsys, "distill", "--config", str(config),
+                           "--out", str(out_path))
+        assert code == 2
+        assert "'steps' on line 8 repeats line 6" in err
+        assert not out_path.exists()
+
     def test_invalid_config_combination_exits_3(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("contexts=4\nT=4\n")
@@ -399,7 +443,7 @@ class TestDistillCommand:
     def test_non_finite_rate_or_scale_exits_3_naming_it(self, capsys, tmp_path,
                                                         setting):
         config = tmp_path / "run.cfg"
-        config.write_text(self.CONFIG + setting + "\n")
+        config.write_text(with_setting(self.CONFIG, setting))
         out = tmp_path / "out.csv"
         code, _, err = run(capsys, "distill", "--config", str(config),
                            "--out", str(out))
@@ -572,6 +616,8 @@ def spoil_logits(arr, how):
         doc["logits"] = [[repr(x) for x in row] for row in doc["logits"]]
     elif how == "bools":
         doc["logits"][0][0] = True
+    elif how == "repeated_key":
+        return json.dumps(doc)[:-1] + f', "tokens": {arr.shape[0]}}}'
     return json.dumps(doc)
 
 
@@ -579,14 +625,14 @@ LOGIT_FAULTS = {"truncated": 2, "nan": 2, "inf": 2, "rows": 2, "ragged": 2,
                 "tokens_text": 2, "tokens_null": 2, "tokens_fraction": 2,
                 "tokens_bool": 2, "extra_key": 2, "one_column": 3,
                 "deep": 2, "huge_int": 2, "strings": 2, "bools": 2,
-                "not_utf8": 2}
+                "repeated_key": 2, "not_utf8": 2}
 LABEL_FAULTS = {"-1": 3, "1.5": 3, "one": 2, "1" + "0" * 30: 3, "few": 3,
                 "vocab": 3, "not_utf8": 2}
 CONFIG_FAULTS = {"bogus=1": 2, "alpha=abc": 2, "no equals sign": 2,
                  "tau_sl=0": 3, "tau_sd=-1": 3, "alpha=-1": 3, "beta=inf": 3,
                  "k=0": 3, "k=2.5": 3, "k=" + "9" * 30: 0, "lambda=0": 3,
                  "lambda=nan": 3, "n_iters=0": 3, "n_iters=" + "9" * 30: 3,
-                 "not_utf8": 2}
+                 "alpha=0.1\nalpha=0.1": 2, "not_utf8": 2}
 
 
 @given(tokens=st.integers(1, 4), m=st.integers(2, 6), n=st.integers(2, 6),
@@ -621,7 +667,7 @@ def test_loss_command_exit_codes(tokens, m, n, seed, scale, lam, with_labels,
         texts["labels"] = "\n".join(map(str, lines)) + "\n"
         expected = LABEL_FAULTS[how]
     elif where == "config":
-        texts["config"] += how + "\n"
+        texts["config"] = with_setting(texts["config"], how)
         expected = CONFIG_FAULTS[how]
     if where != "labels" and not with_labels:
         texts.pop("labels")
@@ -644,7 +690,7 @@ def test_loss_command_exit_codes(tokens, m, n, seed, scale, lam, with_labels,
 DISTILL_FAULTS = {"seed=-1": 3, "m=-2": 3, "n=1": 3, "T=0": 3, "T=1.5": 3,
                   "contexts=3": 3, "steps=0": 3, "steps=two": 2, "lr=-1": 3,
                   "lr=nan": 3, "sharpness=nan": 3, "sharpness=inf": 3,
-                  "colour=red": 2, "not_utf8": 2}
+                  "colour=red": 2, "lr=0.1\nlr=0.1": 2, "not_utf8": 2}
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), n=st.integers(2, 6),
@@ -661,7 +707,7 @@ def test_distill_command_exit_codes(seed, m, n, scale, fault):
     else:
         expected = DISTILL_FAULTS[fault]
         if fault != "not_utf8":
-            settings_text += fault + "\n"
+            settings_text = with_setting(settings_text, fault)
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "run.cfg")
         with open(config, "wb") as f:

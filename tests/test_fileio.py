@@ -24,6 +24,18 @@ class TestLogitFile:
         with pytest.raises(ParseError):
             fileio.load_logit_file(path)
 
+    @pytest.mark.parametrize("first", [3, 2])
+    def test_rejects_a_repeated_key(self, tmp_path, first):
+        # json.loads keeps the last value of a repeated key, which here
+        # declares the 2 x 2 logits' own shape; a repeat of the same value
+        # is rejected too.
+        path = tmp_path / "repeat.json"
+        path.write_text(f'{{"tokens": {first}, "vocab": 2, '
+                        '"logits": [[1, 2], [3, 4]], "tokens": 2}')
+        with pytest.raises(ParseError, match="repeat.json: .*key 'tokens' "
+                                             "given twice"):
+            fileio.load_logit_file(path)
+
     def test_rejects_shape_mismatch(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"tokens": 2, "vocab": 2, "logits": [[0, 1]]}))
@@ -49,10 +61,12 @@ class TestLogitFile:
 
     def test_rejects_malformed_json(self, tmp_path):
         # Truncated; nested past the decoder's recursion limit; an integer
-        # past the float range; numbers given as strings; booleans, alone
-        # or beside numbers; a document that is not an object.
+        # past the float range, and one past Python's 4300-digit limit on
+        # integer parsing; numbers given as strings; booleans, alone or
+        # beside numbers; a document that is not an object.
         for logits in ("", "[" * 100000 + "]" * 100000,
-                       "[[1" + "0" * 400 + ", 0]]", '[["1", "2"]]',
+                       "[[1" + "0" * 400 + ", 0]]",
+                       "[[1" + "0" * 5000 + ", 0]]", '[["1", "2"]]',
                        "[[true, false]]", "[[true, 0.5]]", None):
             path = tmp_path / "bad.json"
             path.write_text("[[0, 1]]" if logits is None else
@@ -109,6 +123,15 @@ class TestLabelsAndConfig:
         path = tmp_path / "cfg.txt"
         path.write_text("alpha=0.2\n# comment\n\nk = 10\n")
         assert fileio.load_keyvalue_config(path) == {"alpha": "0.2", "k": "10"}
+
+    def test_keyvalue_rejects_a_repeated_key(self, tmp_path):
+        # Not the last value silently: the error names the key and both
+        # lines, comments and blank lines counted.
+        path = tmp_path / "cfg.txt"
+        path.write_text("alpha=0.1\n# comment\nk=10\n alpha = 0.9\n")
+        with pytest.raises(ParseError, match="'alpha' on line 4 repeats "
+                                             "line 1"):
+            fileio.load_keyvalue_config(path)
 
     def test_keyvalue_rejects_bare_token(self, tmp_path):
         path = tmp_path / "cfg.txt"

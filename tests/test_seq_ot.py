@@ -161,12 +161,13 @@ class TestSinkhornPlan:
         with pytest.raises(InvalidInput):
             sinkhorn_plan(np.zeros(shape))
 
-    # (3, 5, 5) is one block and (8, 200, 200) two blocks of whole
-    # sequences; each (1000, 1000) cost stacks its first two runs of rows
-    # into one walk item, and its third and shorter last run are items of
-    # their own.
+    # (3, 5, 5) is one walk item and (8, 200, 200) two of whole
+    # sequences, and (4, 400, 400) two of two sequences, each of whose 400
+    # rows would hold the GIL alone; each (1000, 1000) cost stacks its
+    # first two runs of rows into one walk item, and its third and shorter
+    # last run are items of their own.
     @pytest.mark.parametrize("shape", [(3, 5, 5), (8, 200, 200),
-                                       (2, 1000, 1000)])
+                                       (4, 400, 400), (2, 1000, 1000)])
     def test_stack_normalizes_each_cost_on_its_own(self, monkeypatch, shape):
         # Bit for bit, on one core and on two.
         rng = np.random.default_rng(9)
@@ -251,15 +252,20 @@ class TestSinkhornPlan:
         for laid in (np.asfortranarray(C), wide[:, ::2]):
             assert sinkhorn_plan(laid).tobytes() == expected
 
-    @pytest.mark.parametrize("tokens", [1024, 1000, 2048])
-    def test_row_products_release_the_gil(self, monkeypatch, tokens):
+    @pytest.mark.parametrize("shape", [(1, 1024, 1024), (1, 1000, 1000),
+                                       (1, 2048, 2048), (4, 400, 400)],
+                             ids=["1024", "1000", "2048", "4x400"])
+    def test_row_products_release_the_gil(self, monkeypatch, shape):
         # numpy 2.4 releases the GIL around a matmul only when the call
-        # writes more than 500 entries, and a block's product K_b v writes
-        # one per row. So the plan stacks the least number of consecutive
-        # blocks of a sequence whose rows exceed 500 into one call, and
-        # only blocks left after the last such full group (here the
-        # shorter last block at T = 1000 and the block before it) may run
-        # their products holding the GIL.
+        # writes more than 500 entries, and a run's product K_b v writes
+        # one per row. So the plan stacks at least the least number of
+        # consecutive runs whose rows exceed 500 into one call, runs of
+        # rows of one sequence or whole sequences of one run (two of 400
+        # rows at (4, 400, 400)), and only runs left after the last such
+        # full group (here the shorter last run at T = 1000 and the run
+        # before it) may run their products holding the GIL. Only a
+        # single sequence here has several runs, so a group may span
+        # every row of the stack.
         monkeypatch.setattr(core, "_cores", lambda: 2)
         written = []
         matmul = np.matmul
@@ -271,12 +277,13 @@ class TestSinkhornPlan:
 
         monkeypatch.setattr(np, "matmul", counted)
         cfg = SinkhornConfig()
-        sinkhorn_plan(np.random.default_rng(71).random((tokens, tokens)), cfg)
-        rows = seq_ot._PLAN_ENTRIES // tokens
+        sinkhorn_plan(np.random.default_rng(71).random(shape), cfg)
+        batch, tokens = shape[:2]
+        rows = min(tokens, seq_ot._PLAN_ENTRIES // tokens)
         group = rows * (500 // rows + 1)
         released = sum(n for n in written if n > 500)
-        assert sum(written) == cfg.iterations * tokens
-        assert released >= cfg.iterations * (tokens // group * group)
+        assert sum(written) == cfg.iterations * batch * tokens
+        assert released >= cfg.iterations * (batch * tokens // group * group)
 
 
 class TestPlanSweeps:
@@ -310,8 +317,9 @@ class TestPlanSweeps:
     def test_a_plan_that_splits_dispatches_every_sweep(self, walks,
                                                        monkeypatch):
         # Four runs of 256 rows, stacked into two walk items; the same
-        # plan on one core sweeps in the plain loop. Either way each view
-        # is swept once per sweep, building K first and scaling it last.
+        # plan on one core sweeps the four runs alone in the plain loop.
+        # Either way each view is swept once per sweep, building K first
+        # and scaling it last.
         cost = np.random.default_rng(51).random((1, 1024, 1024))
         sweeps, sweep = [], seq_ot._sweep
 
@@ -332,7 +340,7 @@ class TestPlanSweeps:
                 assert len(walks) == (self.CFG.iterations + 1
                                       if cores > 1 else 0)
                 assert sweeps == [(i == 0, i == n) for i in range(n + 1)
-                                  for _ in range(2)]
+                                  for _ in range(2 if cores > 1 else 4)]
         finally:
             if core._pool is not None:
                 core._pool.shutdown()

@@ -368,7 +368,8 @@ core._THREAD_ENTRIES = 1
 core._BLOCK_ENTRIES = 16 * 30
 rng = np.random.default_rng(69)
 t, s = rng.standard_normal((24, 40)) * 3.0, rng.standard_normal((24, 30)) * 3.0
-blocks = core._blocks((1,) + s.shape, core._parts(2 * s.size, s.shape[-1]))
+blocks = core._blocks((1,) + s.shape, core._parts(2 * s.size, s.shape[-1]),
+                      core._BLOCK_ENTRIES)
 assert len(blocks) >= 3
 calls = {"_softmax_pass": lambda z: core._softmax_pass(z[None], (1.0, 0.5),
                                                        sums=True),
@@ -540,7 +541,7 @@ def test_every_thread_of_a_walk_gets_a_block_within_its_budget(cores, shape,
     # serial block.
     cores(count)
     parts = core._parts(1 << 40, shape[-1])
-    blocks = core._blocks(shape, parts)
+    blocks = core._blocks(shape, parts, core._BLOCK_ENTRIES)
     size = [np.empty(shape)[block].size for block in blocks]
     assert len(blocks) >= min(parts, shape[0] * shape[1])
     assert parts * max(size) <= max(core._BLOCK_ENTRIES, shape[-1])

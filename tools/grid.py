@@ -12,10 +12,13 @@ Each output line is `<group> <sha256>`, one per group:
   forward   the fused pass (composite._forward) on (4, 8, m) and (4, 8, n)
             stacks, as the harness calls it, for each objective, at step 0
             (pseudo-labels) and at a later step (given labels);
-  plan      sinkhorn_plan on (4, 8, 8), (8, 200, 200), (1, 600, 600) and
-            (1, 1000, 1000) cost stacks: one and two blocks of whole
-            sequences, two runs of rows, and runs of rows stacked into
-            one walk item beside a run alone and a shorter last run;
+  plan      sinkhorn_plan on (4, 8, 8), (8, 200, 200), (1, 600, 600),
+            (1, 1000, 1000) and (4, 400, 400) cost stacks: one and two
+            walk items of whole sequences, two runs of rows, runs of rows
+            stacked into one walk item beside a run alone and a shorter
+            last run, and whole sequences of 400 rows stacked two to an
+            item, so that each item's row products write more than 500
+            entries;
   distill   the seed-1 metrics CSV of each training mode, as `otdistill
             distill` writes it at its default settings;
   long      total_grad with and without a state, total_loss_frozen and
@@ -105,7 +108,8 @@ def _plans():
     return [od.sinkhorn_plan(rng.random(shape) * scale)
             for shape, scale in (((4, 8, 8), 1.0), ((1, 600, 600), 0.5),
                                  ((8, 200, 200), 1.0),
-                                 ((1, 1000, 1000), 0.5))]
+                                 ((1, 1000, 1000), 0.5),
+                                 ((4, 400, 400), 1.0))]
 
 
 def _distill():
