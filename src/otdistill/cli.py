@@ -48,8 +48,9 @@ _DISTILL_KEYS = {
 
 
 def _parse_config(path, schema):
+    raw = fileio.load_keyvalue_config(path)
     out = {}
-    for key, value in fileio.load_keyvalue_config(path).items():
+    for key, value in raw.items():
         if key not in schema:
             raise ParseError(f"{path}: unknown config key {key!r}")
         try:
@@ -72,7 +73,9 @@ def _weights_from(overrides):
 def _cmd_loss(args):
     teacher = fileio.load_logit_file(args.teacher)
     student = fileio.load_logit_file(args.student)
-    labels = fileio.load_labels_file(args.labels) if args.labels else None
+    labels = None
+    if args.labels:
+        labels = fileio.load_labels_file(args.labels)
     overrides = _parse_config(args.config, _WEIGHT_KEYS) if args.config else {}
     w = _weights_from(overrides)
 

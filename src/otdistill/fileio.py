@@ -87,11 +87,13 @@ def _read(path):
 
 
 def _object(pairs):
-    # json.loads' object_pairs_hook: ValueError for a key given twice, which
-    # json would otherwise load with its last value.
-    keys = [key for key, _ in pairs]
-    if len(set(keys)) < len(keys):
-        raise ValueError(f"key {max(keys, key=keys.count)!r} given twice")
+    # json.loads' object_pairs_hook: ValueError for the first key given
+    # twice, which json would otherwise load with its last value.
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"key {key!r} given twice")
+        seen.add(key)
     return dict(pairs)
 
 
@@ -200,7 +202,8 @@ def load_keyvalue_config(path):
             continue
         if "=" not in stripped:
             raise ParseError(f"{path}: expected key=value on line {lineno}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
+        key, _, value = stripped.partition("=")
+        key, value = key.strip(), value.strip()
         if key in out:
             raise ParseError(f"{path}: config key {key!r} on line {lineno} "
                              f"repeats line {lines[key]}")

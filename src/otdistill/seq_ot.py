@@ -137,19 +137,14 @@ def _plan(C, cfg):
     #
     # A walk item, one view, stacks consecutive runs, (runs, rows, T), of
     # one sequence or of whole one-run sequences: as many as fill
-    # _PLAN_ENTRIES and, where the sweeps split across threads, at least
-    # as many as write more than _GIL_ENTRIES rows, since numpy releases
-    # the GIL around a matmul only when the call writes more than that and
-    # a run writes one entry per row. numpy makes one BLAS call per run,
-    # the same call as for a run alone, so the stacking changes no byte,
-    # and the threads' row products overlap. On one thread the GIL costs
-    # nothing, and a stack's products read more than the cache holds
-    # between a run's two reads (one core, min of 15: a (4, 450, 450)
-    # plan took 10.1-11.0 ms in items of one sequence against 12.8-13.7
-    # in items of two, and (1, 1024, 1024) 14.4-14.9 ms in runs alone
-    # against 16.7-19.0 in pairs). Runs left after the last full item
-    # stack into a smaller one, and a sequence's last run, when shorter,
-    # is an item of its own.
+    # _PLAN_ENTRIES, and at least as many as write more than _GIL_ENTRIES
+    # rows, since numpy releases the GIL around a matmul only when the
+    # call writes more than that and a run writes one entry per row. The
+    # rule does not depend on the thread count. numpy makes one BLAS call
+    # per run, the same call as for a run alone, so the stacking changes
+    # no byte, and the threads' row products overlap. Runs left after the
+    # last full item stack into a smaller one, and a sequence's last run,
+    # when shorter, is an item of its own.
     #
     # A zero row or column of K, at the start or once a sweep's scaled
     # products round to zero, makes an entry of u or v infinite (and later
@@ -161,11 +156,9 @@ def _plan(C, cfg):
     K = np.empty(C.shape)
     c, k = C.reshape((-1,) + C.shape[-2:]), K.reshape((-1,) + C.shape[-2:])
     batch, tokens = k.shape[:2]
-    parts = _parts(k.size)
     step = max(1, min(tokens, _PLAN_ENTRIES // tokens))  # rows of a run
     runs, full = -(-tokens // step), tokens // step
-    group = max(_PLAN_ENTRIES // (step * tokens),
-                _GIL_ENTRIES // step + 1 if parts > 1 else 1)
+    group = max(_PLAN_ENTRIES // (step * tokens), _GIL_ENTRIES // step + 1)
     u = np.empty((batch, tokens, 1))
     v = np.ones((batch, 1, tokens))
     shares = v[None] if runs == 1 else np.empty((runs,) + v.shape)
@@ -186,6 +179,7 @@ def _plan(C, cfg):
             views.append((c[seqs, rows], k_b, u_b, v_b,
                           shares[start:stop, seqs].reshape(-1, 1, tokens),
                           v_b.transpose(0, 2, 1), u_b.transpose(0, 2, 1)))
+    parts = _parts(k.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(cfg.iterations + 1):
             first, last = i == 0, i == cfg.iterations

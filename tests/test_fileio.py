@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import time
 
 import numpy as np
 import pytest
@@ -24,17 +25,21 @@ class TestLogitFile:
         with pytest.raises(ParseError):
             fileio.load_logit_file(path)
 
-    @pytest.mark.parametrize("first", [3, 2])
-    def test_rejects_a_repeated_key(self, tmp_path, first):
+    @pytest.mark.parametrize("first, others", [(3, 0), (2, 0), (2, 200000)])
+    def test_rejects_a_repeated_key(self, tmp_path, first, others):
         # json.loads keeps the last value of a repeated key, which here
         # declares the 2 x 2 logits' own shape; a repeat of the same value
-        # is rejected too.
+        # is rejected too, and so is one among 200000 other keys, in one
+        # pass over them.
         path = tmp_path / "repeat.json"
-        path.write_text(f'{{"tokens": {first}, "vocab": 2, '
+        padding = "".join(f'"k{i}": 0, ' for i in range(others))
+        path.write_text(f'{{"tokens": {first}, "vocab": 2, {padding}'
                         '"logits": [[1, 2], [3, 4]], "tokens": 2}')
+        start = time.perf_counter()
         with pytest.raises(ParseError, match="repeat.json: .*key 'tokens' "
                                              "given twice"):
             fileio.load_logit_file(path)
+        assert time.perf_counter() - start < 5.0
 
     def test_rejects_shape_mismatch(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -317,9 +317,8 @@ class TestPlanSweeps:
     def test_a_plan_that_splits_dispatches_every_sweep(self, walks,
                                                        monkeypatch):
         # Four runs of 256 rows, stacked into two walk items; the same
-        # plan on one core sweeps the four runs alone in the plain loop.
-        # Either way each view is swept once per sweep, building K first
-        # and scaling it last.
+        # plan on one core sweeps in the plain loop. Either way each view
+        # is swept once per sweep, building K first and scaling it last.
         cost = np.random.default_rng(51).random((1, 1024, 1024))
         sweeps, sweep = [], seq_ot._sweep
 
@@ -340,7 +339,7 @@ class TestPlanSweeps:
                 assert len(walks) == (self.CFG.iterations + 1
                                       if cores > 1 else 0)
                 assert sweeps == [(i == 0, i == n) for i in range(n + 1)
-                                  for _ in range(2 if cores > 1 else 4)]
+                                  for _ in range(2)]
         finally:
             if core._pool is not None:
                 core._pool.shutdown()
