@@ -6,15 +6,15 @@ private kernels take (B, T, V) stacks. _matrix coerces and checks every
 public array argument of the package, and the _check_* rules every setting;
 the kernels behind them trust what they return. _softmax_pass reads a stack
 once, in blocks of rows, checks it is finite as it reads it, and returns only
-what its caller reads. _softmax_level, the one builder of every softmax
-level, makes a level from the pass's normalizers or from the exponentials it
-held (_held, _squared), and _softmax_backward builds each level into the
-gradient of a loss read at sparse entries. Beside its outputs a kernel holds
-a buffer per level it keeps in none: a block's where it sums columns or
-takes the argmax, and otherwise a chunk's, of _CHUNK_ENTRIES over its
-threads (_budget). _walk splits a kernel call across the usable cores
-without splitting a sum, so every output here and in seq_ot is the same bit
-for bit at any thread count.
+what its caller reads. _exps computes every level's exponentials, for the
+pass and for _softmax_level, the one builder of every softmax level, which
+makes a level from the pass's normalizers or from the exponentials it held
+(_held, _squared); _softmax_backward builds each level into the gradient of
+a loss read at sparse entries. Beside its outputs a kernel holds a buffer
+per level it keeps in none: a block's where it sums columns, and otherwise
+a chunk's, of _CHUNK_ENTRIES over its threads (_budget). _walk splits a
+kernel call across the usable cores without splitting a sum, so every
+output here and in seq_ot is the same bit for bit at any thread count.
 """
 
 import functools
@@ -422,11 +422,9 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     taus, block by block (see _blocks), that also checks them: a block
     holding nan or +-inf raises InvalidInput before any arithmetic on it.
 
-    Each row's max is taken once, and its difference from it once. At each
-    temperature the pass computes exp((z - max) * (1 / tau)), except where
-    _squared says a level squares the other's exponentials, at twice its
-    tau (np.square, before either is normalized), so at the default pair
-    (1, 2) it takes one exp per entry for both levels. It then takes the
+    Each row's max is taken once. Each level's exponentials come from
+    _exps, the held level's first (_held), so at the default pair (1, 2)
+    the pass takes one exp per entry for both levels. It then takes the
     reciprocal of each row sum, as _softmax_level does, and emits only what
     the caller asks for: each sequence's column sums when sums, and the
     per-row argmax at taus[0] when argmax. The pass writes no B x T x V
@@ -436,8 +434,8 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
 
     Beside its outputs it holds a buffer per level not in out, the thread's
     share of it at a time: a block's where it sums columns (whose unit of
-    hand-off a block is; out's level is normalized into the last buffer)
-    or takes the argmax, and otherwise a chunk's (_budget).
+    hand-off a block is; out's level is normalized into the last buffer),
+    and otherwise a chunk's (_budget).
 
     A large pass runs on several threads (_parts, _walk), each on blocks of
     its share of the block or chunk budget in its share of the buffers,
@@ -457,7 +455,6 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     of column sums per temperature or None, and the (B, T) argmax or None.
     """
     top = np.empty(arr.shape[:-1] + (1,))
-    squared = _squared(taus)
     # The level whose exponentials out keeps unnormalized (_held).
     hold = _held(taus)
     totals = [np.empty_like(top) for _ in taus]
@@ -468,7 +465,7 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
     # normalized into the last, once that buffer's own sums are taken.
     count = max(len(taus) - (out is not None), int(sums))
     blocks = _blocks(arr.shape, parts, _budget(
-        arr.shape[-1], parts, count and not (sums or argmax)))
+        arr.shape[-1], parts, count and not sums))
     bufs = [np.empty((parts,) + arr[blocks[0]].shape) for _ in range(count)]
     # Levels in the order their column sums are taken: out's last.
     order = ((1 - hold, hold) if out is not None and len(taus) == 2
@@ -491,31 +488,23 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
             # The block's min is read while the block is in cache.
             if not _finite_range(z.min(), peak.max()):
                 raise InvalidInput(_NON_FINITE)
-            np.subtract(z, peak, out=exps[0])
-            for e, tau, square in zip(exps[1:], taus[1:], squared[1:]):
-                if not square:
-                    np.multiply(exps[0], 1.0 / tau, out=e)
-            if not squared[0] and taus[0] != 1.0:
-                exps[0] *= 1.0 / taus[0]
-            for e, square in zip(exps, squared):
-                if not square:
-                    np.exp(e, out=e)
-            # A squared level's other is the level at twice its tau.
-            for e, other, square in zip(exps, exps[::-1], squared):
-                if square:
-                    np.square(other, out=e)
+            # The held level first, and every level before any is
+            # normalized: a level that squares reads the held one.
+            held = _exps(z, taus, hold, peak, out=exps[hold])
+            for i, e in enumerate(exps):
+                _exps(z, taus, i, peak, held, out=e)
             for i, e in enumerate(exps):
                 total = totals[i][block]
                 e.sum(axis=-1, keepdims=True, out=total)
                 np.reciprocal(total, out=total)
                 # A buffer is normalized only for what the walk reads of
                 # it; out keeps its exponentials.
-                if (sums or i == 0 and argmax) and (out is None or i != hold):
+                if sums and (out is None or i != hold):
                     e *= total
             if argmax:
-                # Exponentials out holds unnormalized have the softmax's
-                # argmax: a row's max is exp(0) = 1, which its reciprocal
-                # sum r maps to r, and any entry below 1 to a float below r.
+                # Exponentials left unnormalized have the softmax's argmax:
+                # a row's max is exp(0) = 1, which its reciprocal sum r
+                # maps to r, and any entry below 1 to a float below r.
                 np.argmax(exps[0], axis=-1, out=best[block])
             if turn is not None:
                 with turn:
@@ -550,11 +539,10 @@ def _softmax_pass(arr, taus, sums=False, argmax=False, out=None):
 
 def _softmax_level(z, taus, i, normalizers, held=None, cols=None, out=None):
     """The softmax at taus[i] of the (B, T, V) stack z, bit for bit the
-    level a pass over z at taus computes: exp((z - max) * (1 / tau)), or,
-    where _squared says level i squares, the square of the exponentials at
-    2 tau, then each row times its reciprocal sum. normalizers are the
-    level's (top, total) from the pass; z may be a block of a stack, with
-    the rest cut to it. The one builder of every softmax level.
+    level a pass over z at taus computes: its exponentials from _exps,
+    each row times its reciprocal sum. normalizers are the level's (top,
+    total) from the pass; z may be a block of a stack, with the rest cut
+    to it. The one builder of every softmax level.
 
     Given held, what the pass left in its out, a level it holds or squares
     from (_held) is built from it with no exp, whole, into out (a new array
@@ -564,29 +552,40 @@ def _softmax_level(z, taus, i, normalizers, held=None, cols=None, out=None):
     (B, T, c)), in the array _gather reads them into (cols is taken
     without held and out)."""
     top, total = normalizers
+    if cols is not None:
+        if out is not None or held is not None:
+            raise ValueError("_softmax_level takes cols without held and out")
+        z = out = _gather(z, cols)
+    with np.errstate(over="ignore"):
+        exps = _exps(z, taus, i, top, held, out)
+    # Each row is normalized by multiplying by its reciprocal sum, which
+    # the pass divided once per row: a softmax divides once per temperature
+    # and once per row, never once per entry. Exponentials _exps wrote are
+    # normalized where they are; held, read as it is, into out.
+    return np.multiply(exps, total, out=out if exps is held else exps)
+
+
+def _exps(z, taus, i, top, held=None, out=None):
+    """The unnormalized exponentials of level i of a pass at taus over the
+    (B, T, V) stack z, whose row maxima are top, in out (a new array for
+    None), under the caller's np.errstate(over="ignore"): exp((z - max) *
+    (1 / tau)), or, where _squared says level i squares, the square of the
+    exponentials at 2 tau, from held when given. Given held, what a pass
+    left in its out, the level _held names is held itself. The one
+    computation of a softmax's exponentials, for the pass and the builder
+    alike, so both are the same bit for bit."""
     square = _squared(taus)[i]
     if held is None or not square and i != _held(taus):
-        if cols is not None:
-            if out is not None or held is not None:
-                raise ValueError("_softmax_level takes cols without held "
-                                 "and out")
-            z = out = _gather(z, cols)
         # The max is subtracted before scaling by 1 / tau, so the product
         # cannot overflow to +inf; entries far below the max may saturate
         # to -inf, whose exp is the correct 0. Scaling by 1 is exact, so it
         # is skipped.
         scale = 2.0 * taus[i] if square else taus[i]
-        with np.errstate(over="ignore"):
-            held = out = np.subtract(z, top, out=out)
-            if scale != 1.0:
-                out *= 1.0 / scale
+        held = out = np.subtract(z, top, out=out)
+        if scale != 1.0:
+            out *= 1.0 / scale
         np.exp(out, out=out)
-    if square:
-        held = out = np.square(held, out=out)
-    # Each row is normalized by multiplying by its reciprocal sum, which
-    # the pass divided once per row: a softmax divides once per temperature
-    # and once per row, never once per entry.
-    return np.multiply(held, total, out=out)
+    return np.square(held, out=out) if square else held
 
 
 def _gather(arr, cols):

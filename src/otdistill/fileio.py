@@ -86,6 +86,15 @@ def _read(path):
         raise ParseError(f"{path}: not UTF-8: {exc}") from exc
 
 
+def _lines(path):
+    """(line number, line) for each non-blank line of the file at path
+    (_read), numbered as the file numbers them, from 1: the errors of the
+    line readers name the file's own line."""
+    for lineno, line in enumerate(_read(path).splitlines(), start=1):
+        if line.strip():
+            yield lineno, line
+
+
 def _object(pairs):
     # json.loads' object_pairs_hook: ValueError for the first key given
     # twice, which json would otherwise load with its last value.
@@ -149,20 +158,16 @@ def write_logit_file(path, logits):
 def load_matrix_csv(path):
     """Read a headerless rectangular CSV matrix of finite numbers."""
     rows = []
-    for lineno, line in enumerate(_read(path).splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in _lines(path):
         try:
             row = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
             raise ParseError(f"{path}: bad number on line {lineno}") from exc
+        if rows and len(row) != len(rows[0]):
+            raise ParseError(f"{path}: ragged row on line {lineno}")
         rows.append(row)
     if not rows:
         raise ParseError(f"{path}: empty matrix")
-    width = len(rows[0])
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise ParseError(f"{path}: ragged row on line {lineno}")
     arr = np.array(rows, dtype=float)
     if not np.isfinite(arr).all():
         raise ParseError(f"{path}: non-finite matrix entry")
@@ -177,9 +182,8 @@ def write_matrix_csv(path, matrix):
 
 def load_labels_file(path):
     """Read one integer label per line."""
-    lines = [ln for ln in _read(path).splitlines() if ln.strip()]
     labels = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in _lines(path):
         try:
             labels.append(parse_int(line))
         except InvalidInput as exc:
@@ -196,9 +200,9 @@ def load_keyvalue_config(path):
     """Read a key=value config file; values stay strings for the caller to
     coerce. A key given on two lines raises ParseError naming both."""
     out, lines = {}, {}
-    for lineno, line in enumerate(_read(path).splitlines(), start=1):
+    for lineno, line in _lines(path):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ParseError(f"{path}: expected key=value on line {lineno}")

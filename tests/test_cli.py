@@ -235,6 +235,17 @@ class TestSinkhornCommand:
         assert code == 3
         assert err
 
+    def test_a_ragged_cost_names_the_files_own_line(self, capsys, tmp_path):
+        # The blank line 2 is skipped but counted.
+        cost = tmp_path / "cost.csv"
+        cost.write_text("1,2\n\n3\n")
+        out_path = tmp_path / "plan.csv"
+        code, out, err = run(capsys, "sinkhorn", "--cost", str(cost),
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert "ragged row on line 3" in err
+        assert not out_path.exists()
+
     def test_underflow_exits_4(self, capsys, tmp_path):
         cost = tmp_path / "cost.csv"
         fileio.write_matrix_csv(cost, 1e6 * (np.ones((2, 2)) - np.eye(2))

@@ -100,6 +100,18 @@ class TestMatrixCSV:
         with pytest.raises(ParseError, match="line 1"):
             fileio.load_matrix_csv(path)
 
+    @pytest.mark.parametrize("text, error", [
+        ("1,2\n\n3\n", "ragged row on line 3"),
+        ("1,2\n\n1,x\n", "bad number on line 3"),
+        ("\n1,2\n\n\n3,4,5\n1,2\n", "ragged row on line 5")])
+    def test_errors_name_the_files_own_line(self, tmp_path, text, error):
+        # Blank lines are skipped, but counted: the line named is the
+        # file's own.
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=error):
+            fileio.load_matrix_csv(path)
+
     def test_scientific_notation(self, tmp_path):
         path = tmp_path / "sci.csv"
         path.write_text("1e-3,2.5E2\n")
@@ -116,6 +128,17 @@ class TestLabelsAndConfig:
         path = tmp_path / "labels.txt"
         path.write_text("0\nhello\n")
         with pytest.raises(ParseError):
+            fileio.load_labels_file(path)
+
+    @pytest.mark.parametrize("text, error, match", [
+        ("1\n\nx\n", ParseError, "bad label on line 3"),
+        ("1\n\n2.5\n", InvalidInput, "label on line 3"),
+        ("\n\n0\n\n1\nnan\n", InvalidInput, "label on line 6")])
+    def test_label_errors_name_the_files_own_line(self, tmp_path, text,
+                                                  error, match):
+        path = tmp_path / "labels.txt"
+        path.write_text(text)
+        with pytest.raises(error, match=match):
             fileio.load_labels_file(path)
 
     def test_a_label_past_the_int_range_is_out_of_range(self, tmp_path):

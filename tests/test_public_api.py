@@ -192,6 +192,25 @@ def test_only_core_names_the_held_rule():
     assert found == []
 
 
+def test_only_exps_exponentiates_a_level():
+    # core._exps computes every softmax level's exponentials, for the pass
+    # and the level builder: np.exp or np.square called anywhere else in
+    # core is a second copy of that arithmetic, which the two would then
+    # have to keep equal bit for bit.
+    path = Path(otdistill.__file__).parent / "core.py"
+    found = []
+    for top in ast.parse(path.read_text(), str(path)).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("exp", "square")
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "np" and owner != "_exps"):
+                found.append(f"{owner}:{node.lineno} np.{node.func.attr}")
+    assert found == []
+
+
 def test_no_module_subclasses_ndarray():
     # Every array the package makes is a plain np.ndarray: a subclass that
     # marks one carries a rule (such as core._squared) a second time, and

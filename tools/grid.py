@@ -23,8 +23,9 @@ Each output line is `<group> <sha256>`, one per group:
             distill` writes it at its default settings;
   long      total_grad with and without a state, total_loss_frozen and
             softmax_rows at each temperature, at T = 96 against a student
-            vocabulary of 3000, at temperatures (1, 2) and (0.7, 3.1),
-            where a pass that sums no columns and the backward walk
+            vocabulary of 3000, at temperatures (1, 2), (0.7, 3.1) and
+            (2, 1) (a doubled pair that holds level 0, where (1, 2) holds
+            level 1), where a pass that sums no columns and the backward walk
             several chunks, and one at a single temperature several
             blocks of its output, and sd_grad with tied values at
             T = 600 and at T = 64, k = 50 (one block of signs, larger
@@ -122,7 +123,7 @@ def _long():
     t = rng.standard_normal((96, 2000)) * 3
     s = rng.standard_normal((96, 3000)) * 3
     out = []
-    for taus in ((1.0, 2.0), (0.7, 3.1)):
+    for taus in ((1.0, 2.0), (0.7, 3.1), (2.0, 1.0)):
         w = od.LossWeights(tau_sl=taus[0], tau_sd=taus[1])
         state = od.build_state(t, s, w=w)
         out += [od.total_grad(t, s, w=w),
