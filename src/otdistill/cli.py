@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields
 
 from . import fileio
 from .composite import COMPONENTS, LossWeights, total_loss
@@ -30,44 +31,38 @@ EXIT_SHAPE = 3
 EXIT_NUMERIC = 4
 
 
-def _int(text):
-    # A number that is not an integer is a config value out of range (exit
-    # 3); text that is not a number stays a parse error (exit 2).
-    return fileio.parse_int(text, InvalidConfig)
+# A config key is the name of an int or float field of the command's
+# configs, except for these three, which keep the CLI's spelling.
+_KEY = {"tokens": "T", "regularization": "lambda", "iterations": "n_iters"}
+# A number that is not an integer is an int field's value out of range
+# (exit 3); text that is not a number stays a parse error (exit 2).
+_PARSE = {int: lambda text: fileio.parse_int(text, InvalidConfig),
+          float: fileio.parse_float}
 
 
-_WEIGHT_KEYS = {
-    "alpha": float, "beta": float, "gamma": float,
-    "tau_sl": float, "tau_sd": float, "k": _int,
-    "lambda": float, "n_iters": _int,
-}
-_DISTILL_KEYS = {
-    "seed": _int, "m": _int, "n": _int, "T": _int,
-    "contexts": _int, "steps": _int, "lr": float, "sharpness": float,
-}
-
-
-def _parse_config(path, schema):
-    raw = fileio.load_keyvalue_config(path)
-    out = {}
-    for key, value in raw.items():
-        if key not in schema:
+def _read_config(path, configs):
+    """{config: {field name: value}} for the key=value file at path (none
+    when path is None), one key for each int or float field of configs."""
+    keys = {_KEY.get(f.name, f.name): (config, f.name, _PARSE[f.type])
+            for config in configs for f in fields(config) if f.type in _PARSE}
+    values = {config: {} for config in configs}
+    raw = fileio.load_keyvalue_config(path) if path else {}
+    for key, text in raw.items():
+        if key not in keys:
             raise ParseError(f"{path}: unknown config key {key!r}")
+        config, name, parse = keys[key]
         try:
-            out[key] = schema[key](value)
+            values[config][name] = parse(text)
         except InvalidConfig as exc:
             raise InvalidConfig(f"{path}: {key}: {exc}") from None
         except ValueError as exc:
-            raise ParseError(f"{path}: bad value for {key}: {value!r}") from exc
-    return out
+            raise ParseError(f"{path}: bad value for {key}: {text!r}") from exc
+    return values
 
 
-def _weights_from(overrides):
-    sink = SinkhornConfig(
-        regularization=overrides.pop("lambda", SinkhornConfig.regularization),
-        iterations=overrides.pop("n_iters", SinkhornConfig.iterations),
-    )
-    return LossWeights(sinkhorn=sink, **overrides)
+def _weights(values):
+    return LossWeights(sinkhorn=SinkhornConfig(**values[SinkhornConfig]),
+                       **values[LossWeights])
 
 
 def _cmd_loss(args):
@@ -76,15 +71,14 @@ def _cmd_loss(args):
     labels = None
     if args.labels:
         labels = fileio.load_labels_file(args.labels)
-    overrides = _parse_config(args.config, _WEIGHT_KEYS) if args.config else {}
-    w = _weights_from(overrides)
+    w = _weights(_read_config(args.config, (LossWeights, SinkhornConfig)))
 
     breakdown = total_loss(teacher, student, labels, w)
-    fields = {name: getattr(breakdown, name) for name in COMPONENTS + ("k_eff",)}
+    shown = {name: getattr(breakdown, name) for name in COMPONENTS + ("k_eff",)}
     if args.json:
-        print(json.dumps(fields))
+        print(json.dumps(shown))
     else:
-        for name, value in fields.items():
+        for name, value in shown.items():
             if name == "k_eff":
                 print(f"{name:6s} {value}")
             else:
@@ -112,13 +106,10 @@ def _cmd_oracle(args):
 
 
 def _cmd_distill(args):
-    overrides = _parse_config(args.config, _DISTILL_KEYS | _WEIGHT_KEYS)
-    weight_overrides = {k: overrides.pop(k) for k in list(overrides)
-                        if k in _WEIGHT_KEYS}
-    if "T" in overrides:
-        overrides["tokens"] = overrides.pop("T")
-    cfg = DistillConfig(weights=_weights_from(weight_overrides),
-                        mode=args.mode, **overrides)
+    values = _read_config(args.config,
+                          (DistillConfig, LossWeights, SinkhornConfig))
+    cfg = DistillConfig(weights=_weights(values), mode=args.mode,
+                        **values[DistillConfig])
     try:
         metrics = run_distillation(cfg)
     except NumericalFailure as exc:

@@ -22,16 +22,27 @@ class ParseError(OTDistillError, ValueError):
     invariants."""
 
 
+def parse_float(text):
+    """float(text) for ASCII text without a digit separator.
+
+    float() and int() also read `1_0` as 10 and non-ASCII digits; in these
+    files such text raises ValueError, a parse error.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain number: {text.strip()!r}")
+    return float(text)
+
+
 def parse_int(text, error=InvalidInput):
-    """int(text) for an integer literal.
+    """int(text) for an integer literal, read by parse_float's rule.
 
     A number that is not an integer (2.5, nan) is a value out of range and
     raises `error`; any other text raises ValueError, a parse error.
     """
+    parse_float(text)
     try:
         return int(text)
     except ValueError:
-        float(text)
         raise error(f"expected an integer, got {text.strip()!r}") from None
 
 
@@ -160,7 +171,7 @@ def load_matrix_csv(path):
     rows = []
     for lineno, line in _lines(path):
         try:
-            row = [float(tok) for tok in line.split(",")]
+            row = [parse_float(tok) for tok in line.split(",")]
         except ValueError as exc:
             raise ParseError(f"{path}: bad number on line {lineno}") from exc
         if rows and len(row) != len(rows[0]):

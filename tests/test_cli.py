@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from otdistill import (DistillConfig, InvalidConfig, InvalidInput, LossWeights,
                        NumericalFailure, NumericalUnderflow, SinkhornConfig,
                        TooLargeForExact, cli, fileio, run_distillation,
                        sinkhorn_plan, total_loss)
-from otdistill.fileio import ParseError
+from otdistill.fileio import ParseError, metrics_csv_text
 
 
 def run(capsys, *argv):
@@ -478,6 +479,49 @@ class TestDistillCommand:
         assert not out.exists()
 
 
+def numeric_fields(*configs):
+    return sum(f.type in (int, float) for c in configs
+               for f in dataclasses.fields(c))
+
+
+class TestEveryKey:
+    """Each config key sets its own field: a run with every key set to a
+    value off its default gives the output of configs built by hand."""
+
+    LOSS = ("alpha=0.3\nbeta=0.2\ngamma=0.4\ntau_sl=1.5\ntau_sd=3\nk=3\n"
+            "lambda=0.05\nn_iters=3\n")
+    WEIGHTS = LossWeights(alpha=0.3, beta=0.2, gamma=0.4, tau_sl=1.5,
+                          tau_sd=3.0, k=3, sinkhorn=SinkhornConfig(
+                              regularization=0.05, iterations=3))
+
+    def test_loss_reads_every_weight_key(self, capsys, logit_pair, tmp_path):
+        config = tmp_path / "w.cfg"
+        config.write_text(self.LOSS)
+        code, out, _ = run(capsys, "loss", "--teacher", logit_pair[0],
+                           "--student", logit_pair[1], "--config",
+                           str(config), "--json")
+        breakdown = total_loss(*map(fileio.load_logit_file, logit_pair),
+                               w=self.WEIGHTS)
+        assert code == 0
+        assert json.loads(out) == {name: getattr(breakdown, name) for name in
+                                   ("ce", "had", "sl", "sd", "total", "k_eff")}
+        # No int or float field is left without a key: one for each.
+        assert numeric_fields(LossWeights, SinkhornConfig) == 8
+
+    def test_distill_reads_every_key(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=2\nm=9\nn=6\nT=3\ncontexts=12\nsteps=4\n"
+                          "lr=0.3\nsharpness=4\n" + self.LOSS)
+        out = tmp_path / "metrics.csv"
+        code, _, _ = run(capsys, "distill", "--config", str(config),
+                         "--out", str(out))
+        cfg = DistillConfig(seed=2, m=9, n=6, tokens=3, contexts=12, steps=4,
+                            lr=0.3, sharpness=4.0, weights=self.WEIGHTS)
+        assert code == 0
+        assert out.read_text() == metrics_csv_text(run_distillation(cfg))
+        assert numeric_fields(DistillConfig, LossWeights, SinkhornConfig) == 16
+
+
 @pytest.mark.parametrize("where", ["a directory", "a missing directory"])
 def test_an_unwritable_output_exits_2_naming_it(capsys, tmp_path, where):
     cost = tmp_path / "cost.csv"
@@ -537,18 +581,31 @@ class TestOneParser:
         assert csvs[0] == csvs[2] != csvs[1]
 
 
+def run_module(tmp_path, module, *argv):
+    # A separate process, so a regression fails on the timeout instead of
+    # hanging the suite.
+    package_parent = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": package_parent})
+
+
+def test_python_m_otdistill_runs_the_cli(tmp_path):
+    (tmp_path / "cost.csv").write_text("0,1\n1,0\n")
+    proc = run_module(tmp_path, "otdistill", "sinkhorn", "--cost", "cost.csv",
+                      "--out", "plan.csv")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    plan = fileio.load_matrix_csv(tmp_path / "plan.csv")
+    np.testing.assert_allclose(plan.sum(axis=0), 1.0)
+
+
 class TestIterationBound:
     """An iteration count past SinkhornConfig's bound exits 3 at once; before
     the bound existed both commands below ran on without end."""
 
     def run_cli(self, tmp_path, *argv):
-        # A separate process, so a regression fails on the timeout instead
-        # of hanging the suite.
-        package_parent = str(Path(cli.__file__).resolve().parents[1])
-        return subprocess.run(
-            [sys.executable, "-m", "otdistill.cli", *argv], cwd=tmp_path,
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": package_parent})
+        return run_module(tmp_path, "otdistill.cli", *argv)
 
     def test_sinkhorn_iters_flag(self, tmp_path):
         (tmp_path / "cost.csv").write_text("0,1\n1,0\n")
@@ -638,12 +695,13 @@ LOGIT_FAULTS = {"truncated": 2, "nan": 2, "inf": 2, "rows": 2, "ragged": 2,
                 "deep": 2, "huge_int": 2, "strings": 2, "bools": 2,
                 "repeated_key": 2, "not_utf8": 2}
 LABEL_FAULTS = {"-1": 3, "1.5": 3, "one": 2, "1" + "0" * 30: 3, "few": 3,
-                "vocab": 3, "not_utf8": 2}
+                "vocab": 3, "not_utf8": 2, "1_0": 2, "\u0661": 2}
 CONFIG_FAULTS = {"bogus=1": 2, "alpha=abc": 2, "no equals sign": 2,
                  "tau_sl=0": 3, "tau_sd=-1": 3, "alpha=-1": 3, "beta=inf": 3,
                  "k=0": 3, "k=2.5": 3, "k=" + "9" * 30: 0, "lambda=0": 3,
                  "lambda=nan": 3, "n_iters=0": 3, "n_iters=" + "9" * 30: 3,
-                 "alpha=0.1\nalpha=0.1": 2, "not_utf8": 2}
+                 "alpha=0.1\nalpha=0.1": 2, "not_utf8": 2, "alpha=1_0": 2,
+                 "k=\u0661\u0662": 2}
 
 
 @given(tokens=st.integers(1, 4), m=st.integers(2, 6), n=st.integers(2, 6),
@@ -692,8 +750,8 @@ def test_loss_command_exit_codes(tokens, m, n, seed, scale, lam, with_labels,
         argv = ["loss"]
         for name, text in texts.items():
             path = os.path.join(tmp, name)
-            with open(path, "wb" if isinstance(text, bytes) else "w") as f:
-                f.write(text)
+            with open(path, "wb") as f:
+                f.write(text if isinstance(text, bytes) else text.encode())
             argv += [f"--{name}", path]
         assert run_quiet(argv) == expected
 
@@ -729,7 +787,7 @@ def test_distill_command_exit_codes(seed, m, n, scale, fault):
 
 
 COST_FAULTS = {"negative": 3, "non-square": 3, "text": 2, "empty": 2, "nan": 2,
-               "ragged": 2, "not_utf8": 2}
+               "ragged": 2, "not_utf8": 2, "1_0": 2, "\u0661": 2}
 
 
 @given(size=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
@@ -747,8 +805,8 @@ def test_sinkhorn_command_exit_codes(size, seed, scale, lam, fault):
         rows[-1] = "cost"
     elif fault == "empty":
         rows = []
-    elif fault == "nan":
-        rows[0] = "nan" + rows[0][len(rows[0].split(",")[0]):]
+    elif fault in ("nan", "1_0", "\u0661"):
+        rows[0] = fault + rows[0][len(rows[0].split(",")[0]):]
     elif fault == "ragged":
         rows.append(rows[0] + ",0")
     expected = (COST_FAULTS[fault] if fault else

@@ -103,12 +103,14 @@ class TestMatrixCSV:
     @pytest.mark.parametrize("text, error", [
         ("1,2\n\n3\n", "ragged row on line 3"),
         ("1,2\n\n1,x\n", "bad number on line 3"),
+        ("1,2\n\n1,1_0\n", "bad number on line 3"),
+        ("1,2\n\n1,\u0661\n", "bad number on line 3"),
         ("\n1,2\n\n\n3,4,5\n1,2\n", "ragged row on line 5")])
     def test_errors_name_the_files_own_line(self, tmp_path, text, error):
         # Blank lines are skipped, but counted: the line named is the
         # file's own.
         path = tmp_path / "blank.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=error):
             fileio.load_matrix_csv(path)
 
@@ -132,12 +134,14 @@ class TestLabelsAndConfig:
 
     @pytest.mark.parametrize("text, error, match", [
         ("1\n\nx\n", ParseError, "bad label on line 3"),
+        ("1\n\n1_0\n", ParseError, "bad label on line 3"),
+        ("1\n\n\u0661\u0662\n", ParseError, "bad label on line 3"),
         ("1\n\n2.5\n", InvalidInput, "label on line 3"),
         ("\n\n0\n\n1\nnan\n", InvalidInput, "label on line 6")])
     def test_label_errors_name_the_files_own_line(self, tmp_path, text,
                                                   error, match):
         path = tmp_path / "labels.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(error, match=match):
             fileio.load_labels_file(path)
 

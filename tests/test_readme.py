@@ -8,7 +8,9 @@ package. A rename or deletion anywhere fails here.
 
 import argparse
 import ast
+import contextlib
 import importlib
+import io
 import os
 import re
 import subprocess
@@ -16,10 +18,11 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import otdistill
-from otdistill import LossWeights, SinkhornConfig, cli
+from otdistill import DistillConfig, LossWeights, SinkhornConfig, cli, fileio
 
 ROOT = Path(__file__).resolve().parents[1]
 TEXT = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -143,11 +146,40 @@ def test_the_exit_codes_are_the_clis():
     assert said and said <= set(table.values())
 
 
-def test_the_config_keys_are_the_clis():
-    stated = {name: set(keys.split()) for keys, name in re.findall(
-        r"`([\w ]+)`\s+\(`cli\.(_\w+_KEYS)`\)", TEXT)}
-    assert stated == {name: set(getattr(cli, name)) for name in dir(cli)
-                      if name.endswith("_KEYS")}
+def accepted_keys(argv, candidates, config):
+    """The candidates that the command argv reads as config keys: given a
+    value that is not a number, it names such a key's value as bad, and
+    any other key as unknown."""
+    accepted = set()
+    for key in candidates:
+        config.write_text(f"{key}=x\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main([*argv, "--config", str(config)]) == cli.EXIT_PARSE
+        if f"bad value for {key}:" in err.getvalue():
+            accepted.add(key)
+        else:
+            assert f"unknown config key {key!r}" in err.getvalue()
+    return accepted
+
+
+def test_the_config_keys_are_the_clis(tmp_path):
+    loss = re.search(r"keys\s+of\s+`loss`\s+are\s+`([\w ]+)`", TEXT)[1]
+    more = re.search(r"keys\s+of\s+`distill`\s+are\s+those\s+and\s+"
+                     r"`([\w ]+)`", TEXT)[1]
+    stated = {"loss": set(loss.split()),
+              "distill": set(loss.split()) | set(more.split())}
+    # Every stated key and every field name, whatever its type.
+    candidates = stated["distill"] | {
+        f.name for config in (LossWeights, SinkhornConfig, DistillConfig)
+        for f in fields(config)}
+    logits = tmp_path / "logits.json"
+    fileio.write_logit_file(logits, np.zeros((2, 3)))
+    commands = {"loss": ["loss", "--teacher", str(logits),
+                         "--student", str(logits)],
+                "distill": ["distill", "--out", str(tmp_path / "m.csv")]}
+    assert {name: accepted_keys(argv, candidates, tmp_path / "probe.cfg")
+            for name, argv in commands.items()} == stated
 
 
 def _keywords(call):

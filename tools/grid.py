@@ -35,15 +35,21 @@ Each output line is `<group> <sha256>`, one per group:
             that its column sums tie and the ranking of rows of 2048 or
             more falls back to the stable sort, and the fused pass under
             the uld objective on that student and on one of 2300
-            distinct columns, whose gradient ranks every student row.
+            distinct columns, whose gradient ranks every student row;
+  cli       the exit codes and outputs of `otdistill loss --json`, with and
+            without labels, and of a 20-step `otdistill distill` in each
+            mode, under configs that set every config key off its default.
 A hash covers the dtype, shape and bytes of every array, and the repr of
 every number, so two trees print the same line for a group only if every
 output of the group is the same bit for bit.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +57,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import otdistill as od  # noqa: E402
+from otdistill import cli, fileio  # noqa: E402
 from otdistill.composite import _forward, _teacher  # noqa: E402
 from otdistill.fileio import metrics_csv_text  # noqa: E402
 from otdistill.harness import MODES  # noqa: E402
 
-GROUPS = ("public", "forward", "plan", "distill", "long")
+GROUPS = ("public", "forward", "plan", "distill", "long", "cli")
 
 
 def _feed(h, value):
@@ -144,9 +151,37 @@ def _long():
     return out
 
 
+def _cli():
+    rng = np.random.default_rng(4)
+    keys = ("alpha=0.3\nbeta=0.2\ngamma=0.4\ntau_sl=1.5\ntau_sd=3\nk=3\n"
+            "lambda=0.05\nn_iters=3\n")
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, vocab in (("t.json", 12), ("s.json", 9)):
+            fileio.write_logit_file(tmp / name,
+                                    rng.standard_normal((5, vocab)) * 3)
+        (tmp / "labels.txt").write_text("\n".join(
+            map(str, rng.integers(0, 9, 5))) + "\n")
+        (tmp / "w.cfg").write_text(keys)
+        (tmp / "run.cfg").write_text("seed=2\nm=9\nn=6\nT=3\ncontexts=12\n"
+                                     "steps=20\nlr=0.3\nsharpness=4\n" + keys)
+        loss = ["loss", "--teacher", str(tmp / "t.json"), "--student",
+                str(tmp / "s.json"), "--config", str(tmp / "w.cfg"), "--json"]
+        for argv in (loss, loss + ["--labels", str(tmp / "labels.txt")]):
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                out += [cli.main(argv), printed.getvalue()]
+        for mode in MODES:
+            out += [cli.main(["distill", "--config", str(tmp / "run.cfg"),
+                              "--out", str(tmp / "m.csv"), "--mode", mode]),
+                    (tmp / "m.csv").read_text()]
+    return out
+
+
 def main():
     for group, outputs in zip(GROUPS, (_public, _forward_calls, _plans,
-                                       _distill, _long)):
+                                       _distill, _long, _cli)):
         h = hashlib.sha256()
         _feed(h, outputs())
         print(group, h.hexdigest())
